@@ -3,8 +3,8 @@
 Subcommands: solve (one algorithm on one instance), compare (full lineup),
 sweep (look-ahead or generator axis), synth (trace generation), verify
 (oracle and bound suites). Results go to --out or standard output;
-diagnostics go to standard error. Exit codes: 0 success, 1 validation
-error, 2 solver capacity error, 3 verification failure.
+diagnostics go to standard error. Exit codes: 0 success, 1 validation or
+other model error, 2 solver capacity error, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import analysis, harness, online
-from .errors import CapacityError, ConfigError, FeasibilityError
+from .errors import CapacityError, ConfigError, DcmError, VerificationError
 from .model import demand_series, dispatched_schedule, evaluate
 from .offline import brute_force_dcm, solve_dcm_offline
 from .verify import run_verification
@@ -188,13 +188,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ConfigError, FeasibilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (DcmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

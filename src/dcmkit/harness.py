@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import jsonschema
@@ -106,6 +107,8 @@ class TraceFile:
                 raise ConfigError(f"line {line}: {exc}") from None
             if t != len(workload) + 1:
                 raise ConfigError(f"non-contiguous slot index at line {line}")
+            if not (math.isfinite(a) and math.isfinite(p)):
+                raise ConfigError(f"line {line}: non-finite workload {a} or price {p}")
             if a < 0.0:
                 raise ConfigError(f"line {line}: negative workload {a}")
             if p < 0.0:

@@ -135,6 +135,10 @@ class CoolingModel:
     regimes: tuple[CoolingRegime, ...] = ()
     b_max: float = 1.0
     period: int = 24
+    # per period hour h: index of the owning regime, and hour_coeffs[j, h],
+    # coefficient j of that regime; set once after validation
+    _hour_regime: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    hour_coeffs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("none", "quadratic", "cubic"):
@@ -156,30 +160,37 @@ class CoolingModel:
             if any(c < 0.0 for c in reg.coeffs):
                 raise ConfigError(f"regime {reg.name!r}: coefficients must be nonnegative")
         # every hour of the period must belong to exactly one regime
+        hour_regime = []
         for h in range(self.period):
-            owners = [r.name for r in self.regimes if r.contains(h, self.period)]
+            owners = [k for k, r in enumerate(self.regimes) if r.contains(h, self.period)]
             if len(owners) != 1:
+                names = [self.regimes[k].name for k in owners]
                 raise ConfigError(
-                    f"hour {h} covered by {len(owners)} cooling regimes ({owners}); need exactly 1"
+                    f"hour {h} covered by {len(owners)} cooling regimes ({names}); need exactly 1"
                 )
+            hour_regime.append(owners[0])
+        coeffs = np.array([self.regimes[k].coeffs for k in hour_regime], dtype=float).T
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "_hour_regime", tuple(hour_regime))
+        object.__setattr__(self, "hour_coeffs", coeffs)
 
     def regime_at(self, t: int) -> CoolingRegime | None:
         """Regime active in slot t (slots are 1-based, slot 1 = hour 0)."""
         if self.kind == "none":
             return None
-        return next(r for r in self.regimes if r.contains((t - 1) % self.period, self.period))
+        return self.regimes[self._hour_regime[(t - 1) % self.period]]
 
-    def power(self, b: float | np.ndarray, t: int) -> float | np.ndarray:
-        """Cooling power for aggregate server power b in slot t."""
-        if self.kind == "none":
-            return np.zeros_like(b) if isinstance(b, np.ndarray) else 0.0
+    def overhead(self, b, coeffs):
+        """Cooling power for server power b under regime coefficients coeffs.
+
+        coeffs holds one entry per polynomial coefficient; each entry may be
+        a number or an array broadcastable against b.
+        """
         bh = b / self.b_max
-        reg = self.regime_at(t)
-        assert reg is not None
         if self.kind == "quadratic":
-            q, l, c = reg.coeffs
+            q, l, c = coeffs
             return (q * bh * bh + l * bh + c) * self.b_max
-        return reg.coeffs[0] * bh * bh * bh * self.b_max
+        return coeffs[0] * bh * bh * bh * self.b_max
 
 
 @dataclass(frozen=True)
@@ -225,7 +236,8 @@ class Instance:
 
     workload and price are 1-based conceptually: series index k holds slot
     t = k+1. Accessor methods take slot numbers, so off-by-one handling stays
-    in one place.
+    in one place. max_servers, the largest fleet any slot requires
+    (max_t ceil(a(t))), is computed once at construction.
     """
 
     workload: np.ndarray
@@ -235,6 +247,9 @@ class Instance:
     cooling: CoolingModel = CoolingModel()
     conditioning: ConditioningModel = ConditioningModel()
     label: str = ""
+    max_servers: int = field(init=False, repr=False, compare=False)
+    # cooling coefficients of each slot's regime, shape (coefficients, horizon)
+    _slot_coeffs: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "workload", _frozen_array(self.workload))
@@ -247,6 +262,8 @@ class Instance:
             )
         if len(self.workload) == 0:
             raise ConfigError("horizon must have at least one slot")
+        if not (np.isfinite(self.workload).all() and np.isfinite(self.price).all()):
+            raise ConfigError("workload and price must be finite")
         if np.any(self.workload < 0.0):
             raise ConfigError("workload must be nonnegative")
         if np.any(self.price < 0.0):
@@ -256,17 +273,22 @@ class Instance:
                 "uneconomical generators: need c_o + c_m/capacity < max price "
                 f"({self.generator.breakeven_price:.6g} >= {self.p_max:.6g})"
             )
+        self._derive()
+
+    def _derive(self) -> None:
+        """Set the fields computed from the validated series."""
+        object.__setattr__(self, "max_servers", int(np.ceil(self.workload).max()))
+        cool = self.cooling
+        coeffs = None
+        if cool.kind != "none":  # period is only validated for real regimes
+            coeffs = cool.hour_coeffs[:, np.arange(self.horizon) % cool.period]
+        object.__setattr__(self, "_slot_coeffs", coeffs)
 
     # -- basic dimensions ---------------------------------------------------
 
     @property
     def horizon(self) -> int:
         return len(self.workload)
-
-    @property
-    def max_servers(self) -> int:
-        """Largest fleet any slot requires, max_t ceil(a(t))."""
-        return int(max(math.ceil(a) for a in self.workload))
 
     @property
     def p_min(self) -> float:
@@ -289,21 +311,24 @@ class Instance:
 
     # -- demand -------------------------------------------------------------
 
-    def raw_demand(self, t: int, x: float | np.ndarray) -> float | np.ndarray:
-        """d_t(x) without the x >= ceil(a) feasibility gate.
+    def _demand(self, k, x):
+        """d(x) at 0-based slot index k, without the x >= ceil(a) gate.
 
-        Marginal-demand series and dynamic programs evaluate the demand
-        polynomial below the feasible fleet size; the formula is well defined
-        for any x >= 0.
+        k is anything that indexes the series (an int, a slice, an index
+        array) and x broadcasts against the indexed workload. Every per-slot
+        demand number in the package comes from here, so a value is the same
+        float whichever path asks for it.
         """
         srv = self.server
-        b = srv.c_idle * x + (srv.c_peak - srv.c_idle) * self.workload[t - 1]
-        return b + self.conditioning.power(b) + self.cooling.power(b, t)
+        b = srv.c_idle * x + (srv.c_peak - srv.c_idle) * self.workload[k]
+        out = b + self.conditioning.power(b)
+        if self._slot_coeffs is None:
+            return out
+        return out + self.cooling.overhead(b, self._slot_coeffs[:, k])
 
     def demand_table(self, t: int) -> np.ndarray:
         """Vector of d_t(x) for x = 0..max_servers (read-only)."""
-        table = self.raw_demand(t, np.arange(self.max_servers + 1, dtype=float))
-        out = np.asarray(table, dtype=float)
+        out = self._demand(t - 1, np.arange(self.max_servers + 1, dtype=float))
         out.setflags(write=False)
         return out
 
@@ -311,7 +336,8 @@ class Instance:
         """Per-unit demand increment d_t(i) - d_t(i-1) for unit i >= 1."""
         if i < 1:
             raise ValueError(f"unit index must be >= 1, got {i}")
-        return float(self.raw_demand(t, float(i)) - self.raw_demand(t, float(i - 1)))
+        d = self._demand(t - 1, np.array([i - 1, i], dtype=float))
+        return float(d[1] - d[0])
 
     def min_marginal_demand(self) -> float:
         """Model-wide lower bound on any demand increment.
@@ -324,16 +350,11 @@ class Instance:
         srv = self.server
         b0, b1 = 0.0, srv.c_idle
         base = b1 - b0 + float(self.conditioning.power(b1) - self.conditioning.power(b0))
-        if self.cooling.kind == "none":
+        cool = self.cooling
+        if cool.kind == "none":
             return base
-        slots = {}
-        for h in range(self.cooling.period):
-            reg = next(r for r in self.cooling.regimes if r.contains(h, self.cooling.period))
-            slots.setdefault(reg.name, h + 1)
-        deltas = [
-            float(self.cooling.power(b1, t) - self.cooling.power(b0, t)) for t in slots.values()
-        ]
-        return base + min(deltas)
+        deltas = cool.overhead(b1, cool.hour_coeffs) - cool.overhead(b0, cool.hour_coeffs)
+        return base + float(deltas.min())
 
     def breakeven_idle_window(self) -> float:
         """Slots of cheapest idling that add up to one server start, beta_s/(d_min*P_min).
@@ -341,10 +362,7 @@ class Instance:
         Infinite when either factor is zero (a look-ahead window can then
         never certify a turn-off).
         """
-        denom = self.min_marginal_demand() * self.p_min
-        if denom <= 0.0:
-            return math.inf
-        return self.server.beta_s / denom
+        return breakeven_span(self.server.beta_s, self.min_marginal_demand(), self.p_min)
 
     def truncated(self, length: int) -> "Instance":
         """Prefix instance over slots 1..length (used by causality audits).
@@ -361,6 +379,7 @@ class Instance:
         object.__setattr__(clone, "price", self.price[:length])
         for name in ("server", "generator", "cooling", "conditioning", "label"):
             object.__setattr__(clone, name, getattr(self, name))
+        clone._derive()
         return clone
 
     def with_generator_count(self, count: int) -> "Instance":
@@ -376,6 +395,13 @@ class Instance:
         )
 
 
+def breakeven_span(beta_s: float, d_min: float, p_min: float) -> float:
+    """Idle slots at the cheapest rate that cost one server start, beta_s/(d_min*p_min);
+    infinite when idling is free."""
+    denom = d_min * p_min
+    return math.inf if denom <= 0.0 else beta_s / denom
+
+
 # ---------------------------------------------------------------------------
 # operating-point math
 
@@ -383,33 +409,12 @@ class Instance:
 def demand_series(instance: Instance, x) -> np.ndarray:
     """Vector of d_t(x(t)) across the horizon for a fleet series x.
 
-    Vectorized over slots (cooling evaluated per regime group); no
-    feasibility gate, callers decide whether x must cover the workload.
+    No feasibility gate; callers decide whether x must cover the workload.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != instance.workload.shape:
         raise ConfigError(f"fleet series has shape {x.shape}, expected {instance.workload.shape}")
-    srv = instance.server
-    b = srv.c_idle * x + (srv.c_peak - srv.c_idle) * instance.workload
-    out = b + np.asarray(instance.conditioning.power(b), dtype=float)
-    cool = instance.cooling
-    if cool.kind != "none":
-        hours = np.arange(instance.horizon) % cool.period
-        bh = b / cool.b_max
-        for reg in cool.regimes:
-            if reg.start == reg.end:
-                mask = np.ones_like(hours, dtype=bool)
-            elif reg.start < reg.end:
-                mask = (hours >= reg.start) & (hours < reg.end)
-            else:
-                mask = (hours >= reg.start) | (hours < reg.end)
-            bm = bh[mask]
-            if cool.kind == "quadratic":
-                q, l, c = reg.coeffs
-                out[mask] += (q * bm * bm + l * bm + c) * cool.b_max
-            else:
-                out[mask] += reg.coeffs[0] * bm * bm * bm * cool.b_max
-    return out
+    return instance._demand(slice(None), x)
 
 
 def server_power(server: ServerModel, x: int, a: float) -> float:
@@ -427,43 +432,53 @@ def total_power(instance: Instance, t: int, x: int) -> float:
         raise FeasibilityError(
             f"slot {t}: x={x} below required fleet {instance.min_servers(t)}"
         )
-    return float(instance.raw_demand(t, float(x)))
+    return float(instance._demand(t - 1, float(x)))
 
 
-def demand(instance: Instance, t: int, x: int) -> float:
-    """Alias of total_power; the name downstream solvers use."""
-    return total_power(instance, t, x)
+def _supply_inputs(gen: GeneratorModel, y, p, d) -> tuple[np.ndarray, ...]:
+    """Validated fleet, price and demand arrays for the supply kernel."""
+    y = np.asarray(y)
+    d = np.asarray(d, dtype=float)
+    bad_y = (y < 0) | (y > gen.count)
+    if bad_y.any():
+        raise FeasibilityError(f"y={y[bad_y].flat[0]} outside generator fleet [0, {gen.count}]")
+    bad_d = d < -FEAS_TOL
+    if bad_d.any():
+        raise FeasibilityError(f"demand must be nonnegative, got {d[bad_d].flat[0]}")
+    return y, np.asarray(p, dtype=float), np.maximum(d, 0.0)
 
 
-def supply_cost(gen: GeneratorModel, y: int, p: float, d: float) -> float:
+def _unwrap(values: np.ndarray):
+    """A plain float for scalar inputs, the array otherwise."""
+    return float(values) if values.ndim == 0 else values
+
+
+def supply_cost(gen: GeneratorModel, y, p, d):
     """Cheapest energy cost for demand d with y active generators at price p.
 
     Maintenance for the y active units is included. Grid-first when the price
     beats incremental generation cost, otherwise generators up to capacity
-    with the grid taking the remainder.
+    with the grid taking the remainder. y, p and d broadcast against each
+    other; scalar inputs give a float.
     """
-    if y < 0 or y > gen.count:
-        raise FeasibilityError(f"y={y} outside generator fleet [0, {gen.count}]")
-    if d < -FEAS_TOL:
-        raise FeasibilityError(f"demand must be nonnegative, got {d}")
-    d = max(d, 0.0)
+    y, p, d = _supply_inputs(gen, y, p, d)
     cap = gen.capacity * y
-    if p <= gen.c_o:
-        return gen.c_m * y + p * d
-    if d > cap:
-        return gen.c_m * y + gen.c_o * cap + p * (d - cap)
-    return gen.c_m * y + gen.c_o * d
+    cost = np.where(
+        p <= gen.c_o,
+        gen.c_m * y + p * d,
+        np.where(d > cap, gen.c_m * y + gen.c_o * cap + p * (d - cap), gen.c_m * y + gen.c_o * d),
+    )
+    return _unwrap(cost)
 
 
-def dispatch(gen: GeneratorModel, y: int, p: float, d: float) -> tuple[float, float]:
-    """Split demand d into (on-site u, grid v) attaining supply_cost."""
-    if y < 0 or y > gen.count:
-        raise FeasibilityError(f"y={y} outside generator fleet [0, {gen.count}]")
-    if d < -FEAS_TOL:
-        raise FeasibilityError(f"demand must be nonnegative, got {d}")
-    d = max(d, 0.0)
-    u = 0.0 if p <= gen.c_o else min(gen.capacity * y, d)
-    return u, d - u
+def dispatch(gen: GeneratorModel, y, p, d):
+    """Split demand d into (on-site u, grid v) attaining supply_cost.
+
+    Broadcasts like supply_cost.
+    """
+    y, p, d = _supply_inputs(gen, y, p, d)
+    u = np.where(p <= gen.c_o, 0.0, np.minimum(gen.capacity * y, d))
+    return _unwrap(u), _unwrap(d - u)
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +512,15 @@ def dispatched_schedule(instance: Instance, x, y) -> Schedule:
     """Complete integer decisions (x, y) with the cost-optimal dispatch."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    u = np.empty(instance.horizon)
-    v = np.empty(instance.horizon)
-    for t in range(1, instance.horizon + 1):
-        d = total_power(instance, t, int(round(x[t - 1])))
-        u[t - 1], v[t - 1] = dispatch(instance.generator, int(round(y[t - 1])), instance.p(t), d)
+    fleet = np.round(x)
+    demand = demand_series(instance, fleet)
+    short = fleet < np.ceil(instance.workload)
+    if short.any():
+        t = int(short.argmax()) + 1
+        raise FeasibilityError(
+            f"slot {t}: x={int(fleet[t - 1])} below required fleet {instance.min_servers(t)}"
+        )
+    u, v = dispatch(instance.generator, np.round(y), instance.price, demand)
     return Schedule(x=x, y=y, u=u, v=v)
 
 
@@ -537,30 +556,44 @@ class CostBreakdown:
 
 
 def check_schedule(instance: Instance, sched: Schedule) -> None:
-    """Raise FeasibilityError naming the first violated constraint and slot."""
+    """Raise FeasibilityError naming the first violated constraint and slot.
+
+    Within a slot the checks run in the order fleet, generators, dispatch
+    sign, on-site capacity, demand cover.
+    """
     if sched.horizon != instance.horizon:
         raise FeasibilityError(
             f"schedule horizon {sched.horizon} != instance horizon {instance.horizon}"
         )
     gen = instance.generator
-    for t in range(1, instance.horizon + 1):
-        k = t - 1
-        x, y, u, v = sched.x[k], sched.y[k], sched.u[k], sched.v[k]
-        if x != int(x) or x < instance.min_servers(t):
-            raise FeasibilityError(
-                f"slot {t}: x={x} must be an integer >= ceil(a)={instance.min_servers(t)}"
-            )
-        if y != int(y) or not 0 <= y <= gen.count:
-            raise FeasibilityError(f"slot {t}: y={y} must be an integer in [0, {gen.count}]")
-        if u < -FEAS_TOL or v < -FEAS_TOL:
-            raise FeasibilityError(f"slot {t}: negative dispatch u={u}, v={v}")
-        if u > gen.capacity * y + FEAS_TOL:
-            raise FeasibilityError(
-                f"slot {t}: on-site supply u={u} exceeds active capacity {gen.capacity * y}"
-            )
-        d = instance.raw_demand(t, float(x))
-        if u + v < d - FEAS_TOL:
-            raise FeasibilityError(f"slot {t}: supply u+v={u + v} below demand {d}")
+    x, y, u, v = sched.x, sched.y, sched.u, sched.v
+    demand = demand_series(instance, x)
+    checks = (
+        (x != np.trunc(x)) | (x < np.ceil(instance.workload)),
+        (y != np.trunc(y)) | (y < 0) | (y > gen.count),
+        (u < -FEAS_TOL) | (v < -FEAS_TOL),
+        u > gen.capacity * y + FEAS_TOL,
+        u + v < demand - FEAS_TOL,
+    )
+    bad = np.logical_or.reduce(checks)
+    if not bad.any():
+        return
+    k = int(bad.argmax())
+    t = k + 1
+    x, y, u, v, d = x[k], y[k], u[k], v[k], demand[k]
+    if checks[0][k]:
+        raise FeasibilityError(
+            f"slot {t}: x={x} must be an integer >= ceil(a)={instance.min_servers(t)}"
+        )
+    if checks[1][k]:
+        raise FeasibilityError(f"slot {t}: y={y} must be an integer in [0, {gen.count}]")
+    if checks[2][k]:
+        raise FeasibilityError(f"slot {t}: negative dispatch u={u}, v={v}")
+    if checks[3][k]:
+        raise FeasibilityError(
+            f"slot {t}: on-site supply u={u} exceeds active capacity {gen.capacity * y}"
+        )
+    raise FeasibilityError(f"slot {t}: supply u+v={u + v} below demand {d}")
 
 
 def evaluate(instance: Instance, sched: Schedule) -> CostBreakdown:

@@ -2,9 +2,10 @@
 per-unit decomposition (server slices and generator slices).
 
 The joint problem is a shortest path over layered states (x, y) per slot with
-switching costs on increases only; a dynamic program over layers is the
-default and a Dijkstra variant is kept behind a flag. The decomposition
-splits provisioning into M unit server slices solved by a break-even rule and
+switching costs on increases only. A backward dynamic program over the
+layers solves it; a Dijkstra search over the same graph and an exhaustive
+enumeration are kept as reference oracles. The decomposition splits
+provisioning into M unit server slices solved by a break-even rule and
 supply into N unit generator slices solved by tracking a clamped cumulative
 savings process.
 """
@@ -36,22 +37,6 @@ DEFAULT_ENUM_BUDGET = 10_000_000
 # shared pieces
 
 
-def _psi_table(instance: Instance, t: int) -> np.ndarray:
-    """Per-slot supply cost for every state: entry [x, y] = psi(y, p(t), d_t(x))."""
-    d = instance.demand_table(t)[:, None]
-    gen = instance.generator
-    p = instance.p(t)
-    y = np.arange(gen.count + 1, dtype=float)[None, :]
-    cap = gen.capacity * y
-    if p <= gen.c_o:
-        return gen.c_m * y + p * d
-    return np.where(
-        d > cap,
-        gen.c_m * y + gen.c_o * cap + p * (d - cap),
-        gen.c_m * y + gen.c_o * d,
-    )
-
-
 def positive_increases(series) -> float:
     """Sum of positive one-step increases, counting the all-off start state."""
     arr = np.asarray(series, dtype=float)
@@ -71,13 +56,8 @@ def cp_cost(instance: Instance, x) -> float:
 
 def ep_cost(gen: GeneratorModel, energy, price, y) -> float:
     """Supply-side objective: per-slot supply cost plus generator startups."""
-    energy = np.asarray(energy, dtype=float)
-    price = np.asarray(price, dtype=float)
     y = np.asarray(y, dtype=float)
-    total = sum(
-        supply_cost(gen, int(y[k]), float(price[k]), float(energy[k]))
-        for k in range(len(energy))
-    )
+    total = sum(supply_cost(gen, y, price, energy).tolist())
     return float(total) + gen.beta_g * positive_increases(y)
 
 
@@ -86,7 +66,13 @@ def ep_cost(gen: GeneratorModel, energy, price, y) -> float:
 
 
 def _min_increase_transform(values: np.ndarray, beta: float) -> np.ndarray:
-    """B[i] = min_j values[j] + beta * max(0, j - i), along axis 0."""
+    """B[i] = min_j values[j] + beta * max(0, j - i), along axis 0.
+
+    A one-dimensional distance transform with the asymmetric cost
+    beta * max(0, j - i): two running-minimum passes, one per direction,
+    replace the quadratic scan, as in Felzenszwalb & Huttenlocher,
+    "Distance Transforms of Sampled Functions", Theory of Computing 8 (2012).
+    """
     n = values.shape[0]
     idx = beta * np.arange(n, dtype=float).reshape((n,) + (1,) * (values.ndim - 1))
     up = np.minimum.accumulate((values + idx)[::-1], axis=0)[::-1] - idx
@@ -102,15 +88,12 @@ def _successor_transform(j_next: np.ndarray, beta_s: float, beta_g: float) -> np
 
 def solve_dcm_offline(
     instance: Instance,
-    method: str = "dp",
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> Schedule:
-    """Exact minimum-cost schedule via layered shortest path.
+    """Exact minimum-cost schedule via a backward dynamic program over the
+    layered state graph, O(M*N) work per layer.
 
-    method "dp" runs a backward dynamic program with O(M*N) work per layer;
-    "dijkstra" explores the same graph with a heap (kept for cross-checking,
-    much slower). Ties resolve to the lexicographically smallest x series,
-    then y series.
+    Ties resolve to the lexicographically smallest x series, then y series.
     """
     m, n, t_end = instance.max_servers, instance.generator.count, instance.horizon
     states = (m + 1) * (n + 1) * (t_end + 2)
@@ -119,21 +102,17 @@ def solve_dcm_offline(
             f"state graph needs {states} nodes, budget is {state_budget}; "
             "use the decomposed pipeline instead"
         )
-    if method == "dijkstra":
-        return _dcm_dijkstra(instance)
-    if method != "dp":
-        raise ConfigError(f"unknown method {method!r}")
 
-    beta_s, beta_g = instance.server.beta_s, instance.generator.beta_g
+    gen = instance.generator
+    beta_s, beta_g = instance.server.beta_s, gen.beta_g
+    x_grid = np.arange(m + 1, dtype=float)[:, None]
+    y_grid = np.arange(n + 1, dtype=float)[None, :]
     # backward pass: value[t][x, y] = cheapest completion from state (x,y) at slot t
     value: list[np.ndarray | None] = [None] * (t_end + 2)
     value[t_end + 1] = np.zeros((m + 1, n + 1))
     for t in range(t_end, 0, -1):
-        stage = _psi_table(instance, t)
-        lo = instance.min_servers(t)
-        if lo > 0:
-            stage = stage.copy()
-            stage[:lo, :] = np.inf
+        stage = supply_cost(gen, y_grid, instance.p(t), instance.demand_table(t)[:, None])
+        stage[: instance.min_servers(t), :] = np.inf
         value[t] = stage + _successor_transform(value[t + 1], beta_s, beta_g)
 
     # forward pass: walk the argmin, scanning x-major so equal-cost choices
@@ -141,8 +120,6 @@ def solve_dcm_offline(
     xs = np.empty(t_end)
     ys = np.empty(t_end)
     px = py = 0
-    x_grid = np.arange(m + 1, dtype=float)[:, None]
-    y_grid = np.arange(n + 1, dtype=float)[None, :]
     for t in range(1, t_end + 1):
         move = beta_s * np.clip(x_grid - px, 0.0, None) + beta_g * np.clip(y_grid - py, 0.0, None)
         flat = int(np.argmin(move + value[t]))
@@ -151,13 +128,20 @@ def solve_dcm_offline(
     return dispatched_schedule(instance, xs, ys)
 
 
-def _dcm_dijkstra(instance: Instance) -> Schedule:
+def dcm_dijkstra(instance: Instance) -> Schedule:
+    """Exact minimum-cost schedule by Dijkstra search over the same state
+    graph as solve_dcm_offline; a slow reference oracle for cross-checks."""
     m, n, t_end = instance.max_servers, instance.generator.count, instance.horizon
     edges = (m + 1) * (n + 1) * (m + 1) * (n + 1) * t_end
     if edges > 20_000_000:
-        raise CapacityError(f"dijkstra edge count {edges} too large; use method='dp'")
-    beta_s, beta_g = instance.server.beta_s, instance.generator.beta_g
-    stages = [_psi_table(instance, t) for t in range(1, t_end + 1)]
+        raise CapacityError(f"dijkstra edge count {edges} too large; use solve_dcm_offline")
+    gen = instance.generator
+    beta_s, beta_g = instance.server.beta_s, gen.beta_g
+    y_grid = np.arange(n + 1, dtype=float)[None, :]
+    stages = [
+        supply_cost(gen, y_grid, instance.p(t), instance.demand_table(t)[:, None])
+        for t in range(1, t_end + 1)
+    ]
     los = [instance.min_servers(t) for t in range(1, t_end + 1)]
 
     start = (0, 0, 0)  # (t, x, y)
@@ -214,11 +198,13 @@ def brute_force_dcm(instance: Instance, budget: int = DEFAULT_ENUM_BUDGET) -> Sc
     yt = np.array(list(itertools.product(range(n + 1), repeat=t_end)), dtype=int).reshape(
         n_y, t_end
     )
+    gen = instance.generator
+    y_grid = np.arange(n + 1, dtype=float)[None, :]
     cost = np.zeros((n_x, n_y))
     for t in range(1, t_end + 1):
-        psi = _psi_table(instance, t)
+        psi = supply_cost(gen, y_grid, instance.p(t), instance.demand_table(t)[:, None])
         cost += psi[xt[:, t - 1][:, None], yt[:, t - 1][None, :]]
-    beta_s, beta_g = instance.server.beta_s, instance.generator.beta_g
+    beta_s, beta_g = instance.server.beta_s, gen.beta_g
     sw_x = beta_s * np.diff(np.hstack([np.zeros((n_x, 1), dtype=int), xt]), axis=1).clip(
         min=0
     ).sum(axis=1)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LookaheadViolation
-from .model import GeneratorModel, Instance, Schedule, dispatch
+from .model import GeneratorModel, Instance, Schedule, breakeven_span, dispatched_schedule
+from .offline import regret_steps
 
 # ---------------------------------------------------------------------------
 # revealed-window plumbing
@@ -75,11 +76,6 @@ class LookaheadStream:
         self._check(t)
         return self.instance.demand_table(t)
 
-    def regime_name(self, t: int) -> str | None:
-        self._check(t)
-        reg = self.instance.cooling.regime_at(t)
-        return None if reg is None else reg.name
-
 
 # ---------------------------------------------------------------------------
 # provisioning: GCSR
@@ -111,12 +107,10 @@ class GcsrFleet:
     def _cache_to(self, end: int) -> None:
         while self._cached < end:
             t = self._cached + 1
-            table = self.stream.demand_table(t)
+            idle = (self.stream.price(t) * np.diff(self.stream.demand_table(t))).tolist()
             a = self.stream.workload(t)
-            p = self.stream.price(t)
             for i in range(self.n_slices):
-                inc = float(table[i + 1] - table[i])
-                self._prefix[i].append(self._prefix[i][-1] + p * inc)
+                self._prefix[i].append(self._prefix[i][-1] + idle[i])
                 self._busy[i].append(a > i)
             self._cached = t
 
@@ -178,39 +172,41 @@ class ChaseFleet:
 
     Each slice keeps its committed clamped savings value R_i(t-1); on every
     decision it rolls the process forward across the revealed window and
-    switches to the extreme hit first, holding if neither is visible.
+    switches to the extreme hit first, holding if neither is visible. The
+    per-slice savings of each revealed slot are computed once, as one row.
     """
 
     def __init__(self, gen: GeneratorModel, energy_at, price_at):
         self.gen = gen
         self.energy_at = energy_at  # callable slot -> revealed energy demand
         self.price_at = price_at
+        self._offsets = np.arange(gen.count) * gen.capacity  # slice i starts at i*L
+        self._gains: list[list[float]] = []  # _gains[t-1][i] = savings of slice i in slot t
         self._regret = [-gen.beta_g] * gen.count
         self._on = [0] * gen.count
         self.next_slot = 1
         self.series: list[int] = []
         self.slice_series: list[list[int]] = [[] for _ in range(gen.count)]
 
-    def _gain(self, i: int, t: int) -> float:
-        e = self.energy_at(t)
-        p = self.price_at(t)
-        cap = self.gen.capacity
-        e_i = min(cap, max(0.0, e - i * cap))
-        if p <= self.gen.c_o:
-            return -self.gen.c_m
-        return min(e_i, cap) * (p - self.gen.c_o) - self.gen.c_m
+    def _cache_to(self, end: int) -> None:
+        while len(self._gains) < end:
+            t = len(self._gains) + 1
+            energy = np.clip(self.energy_at(t) - self._offsets, 0.0, self.gen.capacity)
+            self._gains.append(regret_steps(self.gen, energy, self.price_at(t)).tolist())
 
     def decide_next(self, window_end: int) -> int:
         t = self.next_slot
         if window_end < t:
             raise LookaheadViolation(f"window end {window_end} precedes decision slot {t}")
+        self._cache_to(window_end)
+        gains = self._gains
         bottom = -self.gen.beta_g
         total = 0
         for i in range(self.gen.count):
             r = self._regret[i]
             verdict = None
             for tau in range(t, window_end + 1):
-                r = min(0.0, max(bottom, r + self._gain(i, tau)))
+                r = min(0.0, max(bottom, r + gains[tau - 1][i]))
                 if r == 0.0:
                     verdict = 1
                     break
@@ -218,7 +214,7 @@ class ChaseFleet:
                     verdict = 0
                     break
             on = self._on[i] if verdict is None else verdict
-            self._regret[i] = min(0.0, max(bottom, self._regret[i] + self._gain(i, t)))
+            self._regret[i] = min(0.0, max(bottom, self._regret[i] + gains[t - 1][i]))
             self._on[i] = on
             self.slice_series[i].append(on)
             total += on
@@ -273,7 +269,11 @@ def ep_lookahead(instance: Instance, lookahead: int) -> int:
     for itself; only the surplus is usable downstream. An infinite
     break-even window (zero idle cost floor) leaves nothing.
     """
-    span = instance.breakeven_idle_window()
+    return _window_surplus(lookahead, instance.breakeven_idle_window())
+
+
+def _window_surplus(lookahead: int, span: float) -> int:
+    """Whole slots of look-ahead left over after a break-even span."""
     if math.isinf(span) or lookahead <= span:
         return 0
     return int(math.floor(lookahead - span))
@@ -285,7 +285,7 @@ def dcmon(instance: Instance, lookahead: int, ep_window: int | None = None) -> S
     GCSR decides provisioning up to ep_window slots ahead of the output
     cursor (its break-even scans clipped to the master window, which changes
     nothing once the surplus exists), the induced energy demand feeds CHASE,
-    and the dispatch rule completes each slot.
+    and the dispatch rule completes each slot from the decided (x, y).
 
     ep_window is the supply stage's look-ahead, an algorithm parameter
     normally derived from the break-even span; pass it explicitly when
@@ -314,10 +314,6 @@ def dcmon(instance: Instance, lookahead: int, ep_window: int | None = None) -> S
         return stream.price(t)
 
     supply = ChaseFleet(gen, energy_at, price_at)
-    xs = np.empty(t_end)
-    ys = np.empty(t_end)
-    us = np.empty(t_end)
-    vs = np.empty(t_end)
     for t in range(1, t_end + 1):
         ahead = min(t + w_ep, t_end)
         while fleet.next_slot <= ahead:
@@ -325,12 +321,9 @@ def dcmon(instance: Instance, lookahead: int, ep_window: int | None = None) -> S
             x_tau = fleet.decide_next(stream.revealed_end)
             energy.append(float(stream.demand_table(tau)[x_tau]))
         limit["end"] = ahead
-        y_t = supply.decide_next(ahead)
-        x_t = fleet.series[t - 1]
-        u, v = dispatch(gen, y_t, stream.price(t), energy[t - 1])
-        xs[t - 1], ys[t - 1], us[t - 1], vs[t - 1] = x_t, y_t, u, v
+        supply.decide_next(ahead)
         stream.advance()
-    return Schedule(x=xs, y=ys, u=us, v=vs)
+    return dispatched_schedule(instance, fleet.series, supply.series)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +369,7 @@ class BoundParams:
 
     @property
     def breakeven_idle_window(self) -> float:
-        denom = self.d_min * self.p_min
-        return math.inf if denom <= 0.0 else self.beta_s / denom
+        return breakeven_span(self.beta_s, self.d_min, self.p_min)
 
 
 def lookahead_coverage(lookahead: int, params: BoundParams) -> float:
@@ -407,17 +399,10 @@ def ratio_bound_ep(lookahead: int, params: BoundParams) -> float:
     return 1.0 + 2.0 * params.beta_g * margin / denom
 
 
-def _ep_surplus(lookahead: int, params: BoundParams) -> int:
-    span = params.breakeven_idle_window
-    if math.isinf(span) or lookahead <= span:
-        return 0
-    return int(math.floor(lookahead - span))
-
-
 def ratio_bound_hybrid(lookahead: int, params: BoundParams) -> float:
     """Worst-case pipeline / joint-offline ratio for hybrid supply."""
     cap, p = params.capacity, params.p_max
-    alpha_g = params.c_m * _ep_surplus(lookahead, params) / params.beta_g
+    alpha_g = params.c_m * _window_surplus(lookahead, params.breakeven_idle_window) / params.beta_g
     margin = cap * p - cap * params.c_o - params.c_m
     bracket = 1.0 + 2.0 * margin / (
         cap * p + alpha_g * p * (cap - params.c_m / (p - params.c_o))
@@ -428,7 +413,7 @@ def ratio_bound_hybrid(lookahead: int, params: BoundParams) -> float:
 def ratio_bound_hybrid_loose(lookahead: int, params: BoundParams) -> float:
     """Simpler, weaker form of the hybrid bound (no-look-ahead tabletop form)."""
     p = params.p_max
-    alpha_g = params.c_m * _ep_surplus(lookahead, params) / params.beta_g
+    alpha_g = params.c_m * _window_surplus(lookahead, params.breakeven_idle_window) / params.beta_g
     head = p * (2.0 - lookahead_coverage(lookahead, params)) / (params.c_o + params.c_m / params.capacity)
     return head * (1.0 + 2.0 * (p - params.c_o) / p / (1.0 + alpha_g))
 
@@ -436,20 +421,3 @@ def ratio_bound_hybrid_loose(lookahead: int, params: BoundParams) -> float:
 def rho_decomposition(params: BoundParams) -> float:
     """Worst-case cost inflation of solving provisioning before supply."""
     return params.capacity * params.p_max / (params.capacity * params.c_o + params.c_m)
-
-
-# ---------------------------------------------------------------------------
-# slice-level helpers for structural checks
-
-
-def ep_slices_from_series(gen: GeneratorModel, energy, price, lookahead: int) -> np.ndarray:
-    """CHASE per-slice series (count, T); thin wrapper used by audits."""
-    _, slices = chase(gen, energy, price, lookahead, return_slices=True)
-    return slices
-
-
-def gcsr_demand_series(instance: Instance, x) -> np.ndarray:
-    """Energy demand induced by a provisioning series (vectorized)."""
-    from .model import demand_series
-
-    return demand_series(instance, x)

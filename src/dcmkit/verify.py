@@ -31,6 +31,7 @@ from .offline import (
     brute_force_ep,
     cp_cost,
     cp_offline_slices,
+    dcm_dijkstra,
     ep_cost,
     positive_increases,
     solve_cp_offline,
@@ -234,7 +235,7 @@ def verify_offline_oracle(samples: int = 200, seed: int = 11) -> tuple[bool, str
         if abs(dp - bf) > TOL:
             return False, f"instance {k}: dp {dp!r} != brute force {bf!r}"
         if k % 20 == 0:
-            dij = evaluate(inst, solve_dcm_offline(inst, method="dijkstra")).total
+            dij = evaluate(inst, dcm_dijkstra(inst)).total
             if abs(dij - bf) > TOL:
                 return False, f"instance {k}: dijkstra {dij!r} != brute force {bf!r}"
     return True, f"{samples} joint instances, dp == brute force"

@@ -10,13 +10,17 @@ import pytest
 from dcmkit import (
     PRESETS,
     ConfigError,
+    FeasibilityError,
+    LookaheadViolation,
     TraceFile,
+    VerificationError,
     build_instance,
     load_trace,
     run_comparison,
     sweep_lookahead,
     synthesize_trace,
 )
+from dcmkit import cli
 from dcmkit.cli import main
 from dcmkit.harness import (
     DEFAULT_CONFIG,
@@ -97,6 +101,10 @@ def test_trace_parse_rejects_bad_values():
         TraceFile.parse(io.StringIO("t,workload,price\n1,1.0,-0.1\n"))
     with pytest.raises(ConfigError, match="expected 3 fields"):
         TraceFile.parse(io.StringIO("t,workload,price\n1,1.0\n"))
+    with pytest.raises(ConfigError, match="line 3: non-finite"):
+        TraceFile.parse(io.StringIO("t,workload,price\n1,1.0,0.1\n2,nan,0.1\n"))
+    with pytest.raises(ConfigError, match="line 2: non-finite"):
+        TraceFile.parse(io.StringIO("t,workload,price\n1,1.0,inf\n"))
 
 
 def test_trace_series_length_checks():
@@ -338,6 +346,28 @@ def test_cli_validation_errors_exit_one(tmp_path, capsys):
     bad_cfg.write_text(json.dumps({"mystery": True}))
     assert main(["compare", "--config", str(bad_cfg)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("row", ["2,nan,0.1", "2,1.0,inf", "2,-inf,0.1"])
+def test_cli_non_finite_trace_exits_one(tmp_path, capsys, row):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"t,workload,price\n1,1.0,0.1\n{row}\n")
+    assert main(["compare", "--trace", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [(FeasibilityError("boom"), 1), (LookaheadViolation("boom"), 1), (VerificationError("boom"), 3)],
+)
+def test_cli_maps_package_errors_to_exit_codes(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "synth", fail)
+    assert main(["synth"]) == code
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_cli_capacity_exhaustion_exits_two(tmp_path, capsys):

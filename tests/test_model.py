@@ -26,6 +26,7 @@ from dcmkit import (
     supply_cost,
     total_power,
 )
+from dcmkit.model import FEAS_TOL
 from dcmkit.verify import random_tiny_instance
 
 GEN = GeneratorModel(capacity=60.0, c_o=0.08, c_m=1.2, beta_g=24.0, count=2)
@@ -110,16 +111,37 @@ def test_total_power_rejects_undersized_fleet():
         total_power(inst, 1, 3)
 
 
+def wraparound_instance(kind, day, night, n_slots=30):
+    # period 10 with a night regime wrapping from hour 7 past hour 0 to hour 3
+    cooling = CoolingModel(
+        kind=kind,
+        regimes=(CoolingRegime("day", 3, 7, day), CoolingRegime("night", 7, 3, night)),
+        b_max=2.0,
+        period=10,
+    )
+    rng = np.random.default_rng(8)
+    return bare_instance(rng.uniform(0.0, 6.0, n_slots), rng.uniform(0.05, 0.3, n_slots),
+                         cooling=cooling)
+
+
 def test_demand_series_matches_per_slot_tables():
     rng = np.random.default_rng(3)
-    for _ in range(25):
-        inst = random_tiny_instance(rng)
+    instances = [random_tiny_instance(rng) for _ in range(25)]
+    instances += [
+        wraparound_instance("cubic", (0.4,), (0.25,)),
+        wraparound_instance("quadratic", (0.041, 0.144, 0.047), (0.03, 0.136, 0.042)),
+    ]
+    instances += [inst.truncated(max(1, inst.horizon - 2)) for inst in instances]
+    for inst in instances:
         x = np.array([rng.integers(inst.min_servers(t), inst.max_servers + 1)
                       for t in range(1, inst.horizon + 1)], dtype=float)
-        series = demand_series(inst, x)
-        for t in range(1, inst.horizon + 1):
-            assert series[t - 1] == pytest.approx(
-                inst.demand_table(t)[int(x[t - 1])], abs=1e-12)
+        gathered = [inst.demand_table(t)[int(x[t - 1])] for t in range(1, inst.horizon + 1)]
+        assert np.array_equal(demand_series(inst, x), gathered)
+        # every slot at every fleet size at once
+        fleets = np.arange(inst.max_servers + 1, dtype=float)
+        grid = np.stack([demand_series(inst, np.full(inst.horizon, x_)) for x_ in fleets], axis=1)
+        tables = np.stack([inst.demand_table(t) for t in range(1, inst.horizon + 1)])
+        assert np.array_equal(grid, tables)
 
 
 def test_marginal_demand_nondecreasing_in_unit_index():
@@ -178,6 +200,25 @@ def test_dispatch_worked_splits():
     assert dispatch(GEN, 1, 0.05, 50.0) == (0.0, 50.0)
     assert dispatch(GEN, 1, 0.10, 50.0) == (50.0, 0.0)
     assert dispatch(GEN, 1, 0.10, 100.0) == (60.0, 40.0)
+
+
+def test_supply_kernel_arrays_match_scalar_calls():
+    rng = np.random.default_rng(9)
+    y = rng.integers(0, GEN.count + 1, (40, 1))
+    p = rng.uniform(0.0, 0.3, (1, 7))
+    d = rng.uniform(0.0, 200.0, (40, 7))
+    cost = supply_cost(GEN, y, p, d)
+    u, v = dispatch(GEN, y, p, d)
+    assert cost.shape == u.shape == v.shape == (40, 7)
+    for i in range(40):
+        for j in range(7):
+            args = (GEN, int(y[i, 0]), float(p[0, j]), float(d[i, j]))
+            assert cost[i, j] == supply_cost(*args)
+            assert (u[i, j], v[i, j]) == dispatch(*args)
+    with pytest.raises(FeasibilityError):
+        supply_cost(GEN, np.array([0, 3]), 0.1, 10.0)
+    with pytest.raises(FeasibilityError):
+        dispatch(GEN, 1, 0.1, np.array([10.0, -5.0]))
 
 
 def test_dispatch_validates_fleet_and_demand():
@@ -286,6 +327,52 @@ def test_check_schedule_names_first_bad_slot():
         check_schedule(inst, Schedule(x=[1.0, 2.0], y=z, u=z, v=[0.1, 9.0]))
 
 
+def first_violation(inst, sched):
+    """Slot-by-slot reference for check_schedule's verdict."""
+    gen = inst.generator
+    for t in range(1, inst.horizon + 1):
+        x, y, u, v = (s[t - 1] for s in (sched.x, sched.y, sched.u, sched.v))
+        if x != int(x) or x < inst.min_servers(t):
+            return f"slot {t}: x={x} must be an integer >= ceil(a)={inst.min_servers(t)}"
+        if y != int(y) or not 0 <= y <= gen.count:
+            return f"slot {t}: y={y} must be an integer in [0, {gen.count}]"
+        if u < -FEAS_TOL or v < -FEAS_TOL:
+            return f"slot {t}: negative dispatch u={u}, v={v}"
+        if u > gen.capacity * y + FEAS_TOL:
+            return f"slot {t}: on-site supply u={u} exceeds active capacity {gen.capacity * y}"
+        d = total_power(inst, t, int(x))
+        if u + v < d - FEAS_TOL:
+            return f"slot {t}: supply u+v={u + v} below demand {d}"
+    return None
+
+
+def test_schedule_kernels_match_slot_by_slot_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        inst = random_tiny_instance(rng)
+        t_end = inst.horizon
+        x = [float(rng.integers(inst.min_servers(t), inst.max_servers + 1))
+             for t in range(1, t_end + 1)]
+        y = rng.integers(0, inst.generator.count + 1, t_end).astype(float)
+        sched = dispatched_schedule(inst, x, y)
+        for t in range(1, t_end + 1):
+            d = total_power(inst, t, int(x[t - 1]))
+            split = dispatch(inst.generator, int(y[t - 1]), inst.p(t), d)
+            assert (sched.u[t - 1], sched.v[t - 1]) == split
+        cols = {name: getattr(sched, name).copy() for name in "xyuv"}
+        for _ in range(int(rng.integers(0, 3))):
+            k = int(rng.integers(t_end))
+            cols[str(rng.choice(list("xyuv")))][k] += rng.choice([-1.0, -0.5, 0.5, 1.0, 5.0])
+        broken = Schedule(**cols)
+        want = first_violation(inst, broken)
+        if want is None:
+            check_schedule(inst, broken)
+        else:
+            with pytest.raises(FeasibilityError) as err:
+                check_schedule(inst, broken)
+            assert str(err.value) == want
+
+
 def test_schedule_padding_with_idle_tail_is_free():
     inst = bare_instance([1.0, 1.0], [0.1, 0.2])
     padded = bare_instance([1.0, 1.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.3])
@@ -332,6 +419,10 @@ def test_instance_series_validation():
         bare_instance([1.0], [-0.1])
     with pytest.raises(ConfigError, match="at least one"):
         bare_instance([], [])
+    with pytest.raises(ConfigError, match="finite"):
+        bare_instance([math.nan], [0.1])
+    with pytest.raises(ConfigError, match="finite"):
+        bare_instance([1.0], [math.inf])
 
 
 def test_instance_rejects_uneconomical_fleet():
@@ -350,6 +441,8 @@ def test_truncated_prefix_views():
     # prefix price peak (0.05) sits below generator break-even (0.1), yet
     # the view stays usable because validation is inherited from the parent
     assert cut.generator.count == 1
+    for k in range(1, inst.horizon + 1):
+        assert inst.truncated(k).max_servers == np.ceil(inst.workload[:k]).max()
     with pytest.raises(ValueError):
         inst.truncated(0)
     with pytest.raises(ValueError):

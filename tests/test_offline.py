@@ -30,6 +30,7 @@ from dcmkit.offline import (
     _min_increase_transform,
     clamped_regret,
     cpoff_slice,
+    dcm_dijkstra,
     marginal_demand_matrix,
     regret_steps,
     slice_energy,
@@ -146,7 +147,7 @@ def test_joint_solvers_agree_on_cost():
         bf = evaluate(inst, brute_force_dcm(inst)).total
         assert dp == pytest.approx(bf, abs=1e-9)
         if k % 10 == 0:
-            dj = evaluate(inst, solve_dcm_offline(inst, method="dijkstra")).total
+            dj = evaluate(inst, dcm_dijkstra(inst)).total
             assert dj == pytest.approx(bf, abs=1e-9)
 
 
@@ -167,8 +168,6 @@ def test_solver_budgets_raise_capacity_error():
         brute_force_cp(inst, budget=1)
     with pytest.raises(CapacityError):
         brute_force_ep(GeneratorModel(60.0, 0.08, 1.2, 24.0, 2), np.ones(3), np.ones(3), budget=3)
-    with pytest.raises(ConfigError):
-        solve_dcm_offline(inst, method="simplex")
 
 
 def test_min_increase_transform_matches_quadratic_loop():
