@@ -229,8 +229,44 @@ def slice_workload(workload, i: int) -> np.ndarray:
 
 def marginal_demand_matrix(instance: Instance) -> np.ndarray:
     """Matrix [t-1, i-1] = d_t(i) - d_t(i-1) for all slots and server slices."""
-    tables = np.stack([instance.demand_table(t) for t in range(1, instance.horizon + 1)])
-    return np.diff(tables, axis=1)
+    slots = np.arange(instance.horizon)[:, None]
+    grid = instance._demand(slots, np.arange(instance.max_servers + 1, dtype=float))
+    return np.diff(grid, axis=1)
+
+
+def reaches_breakeven(prefix, base, beta_s: float):
+    """The break-even predicate shared by the online and offline slice rules.
+
+    prefix and base are values of one running idle-cost sum P, built by
+    sequential float adds (P[s] = P[s-1] + price(s) * marginal(s)); base is
+    P at the last busy slot before a gap. Idling from there through slot j
+    costs at least the restart cost beta_s iff P[j] - base >= beta_s. Both
+    rules evaluate exactly this expression on the same floats, so they agree
+    at exact ties (a tie turns off).
+    """
+    return prefix - base >= beta_s
+
+
+def _cpoff_keep(busy: np.ndarray, idle_cost: np.ndarray, beta_s: float) -> np.ndarray:
+    """On/off matrix of the offline slice rule, one column per slice.
+
+    busy and idle_cost have shape (T, slices). A slot is on when busy, or
+    when it lies in a gap between two busy slots whose idle cost stays below
+    beta_s. The prefix sum P is nondecreasing along each column, so for an
+    idle slot the gap's anchor P[last busy] is the running maximum of P over
+    earlier busy slots, and its end P[next busy - 1] is the running minimum
+    over later busy slots; leading and trailing gaps get -inf / +inf there
+    and turn off.
+    """
+    prefix = np.zeros((len(busy) + 1, busy.shape[1]))
+    np.add.accumulate(idle_cost, axis=0, out=prefix[1:])
+    # P at the end of each busy slot, P just before it
+    base = np.where(busy, prefix[1:], -np.inf)
+    end = np.where(busy, prefix[:-1], np.inf)
+    del prefix
+    np.maximum.accumulate(base, axis=0, out=base)
+    end = np.minimum.accumulate(end[::-1], axis=0)[::-1]
+    return busy | ~reaches_breakeven(end, base, beta_s)
 
 
 def cpoff_slice(slice_workload_series, price, marginal, beta_s: float) -> np.ndarray:
@@ -240,47 +276,24 @@ def cpoff_slice(slice_workload_series, price, marginal, beta_s: float) -> np.nda
     slice stays on iff the idle energy cost over the gap is below the restart
     cost beta_s (a tie turns off). Leading and trailing idle runs are off.
     """
-    a_i = np.asarray(slice_workload_series, dtype=float)
-    price = np.asarray(price, dtype=float)
-    marginal = np.asarray(marginal, dtype=float)
-    busy = a_i > 0.0
-    x = busy.astype(float)
-    if not busy.any():
-        return x
-    first = int(busy.argmax())
-    last = len(busy) - 1 - int(busy[::-1].argmax())
-    idle_cost = price * marginal
-    j = first + 1
-    while j < last:
-        if busy[j]:
-            j += 1
-            continue
-        k = j
-        while not busy[k]:
-            k += 1
-        if idle_cost[j:k].sum() < beta_s:
-            x[j:k] = 1.0
-        j = k
-    return x
+    busy = np.asarray(slice_workload_series, dtype=float) > 0.0
+    idle_cost = np.asarray(price, dtype=float) * np.asarray(marginal, dtype=float)
+    return _cpoff_keep(busy[:, None], idle_cost[:, None], beta_s)[:, 0].astype(float)
 
 
 def cp_offline_slices(instance: Instance) -> np.ndarray:
-    """Per-slice optimal series, shape (max_servers, horizon)."""
+    """Per-slice optimal series, shape (max_servers, horizon).
+
+    All slices at once: slice i (1-based) is busy where a(t) > i-1, and its
+    gap costs are differences of the running idle-cost sum
+    P[s] = P[s-1] + p(s) * (d_s(i) - d_s(i-1)), which GCSR builds row by
+    row from the same floats (see reaches_breakeven).
+    """
     m = instance.max_servers
-    if m == 0:
-        return np.zeros((0, instance.horizon))
-    marg = marginal_demand_matrix(instance)
-    return np.stack(
-        [
-            cpoff_slice(
-                slice_workload(instance.workload, i),
-                instance.price,
-                marg[:, i - 1],
-                instance.server.beta_s,
-            )
-            for i in range(1, m + 1)
-        ]
-    )
+    busy = instance.workload[:, None] > np.arange(m)
+    idle_cost = marginal_demand_matrix(instance)
+    idle_cost *= instance.price[:, None]
+    return _cpoff_keep(busy, idle_cost, instance.server.beta_s).T.astype(float)
 
 
 def solve_cp_offline(instance: Instance) -> np.ndarray:

@@ -1,8 +1,14 @@
 """Look-ahead online algorithms and their competitive-ratio bounds.
 
 Provisioning (GCSR): each unit server slice idles through a workload gap
-until the accumulated idle cost, plus what the look-ahead window shows is
-still coming, proves a restart would have been cheaper; then it turns off.
+until the idle cost since the gap began, plus what the look-ahead window
+shows is still coming, reaches the restart cost beta_s; then it turns off.
+All M slices are decided together, one numpy step per slot: slice state is
+two length-M arrays (on/off, and the gap anchor P(g-1) of the running
+idle-cost sum P), and a (window x M) block of prefix rows is tested with
+the anchored predicate P(j) - P(g-1) >= beta_s that the offline slice rule
+shares, so online and offline agree at exact ties. Only the prefix rows of
+the current window are kept: O(w*M) memory.
 
 Supply (CHASE): each unit generator slice tracks the clamped cumulative
 savings of running versus buying from the grid and switches to whichever
@@ -10,22 +16,22 @@ extreme the window shows the process hitting next.
 
 The combined pipeline (DCMON) feeds GCSR's provisioning decisions, computed
 slightly ahead of the output slot, to CHASE as its energy demand. Every read
-goes through a stream object that raises on any access past the revealed
-window, so causality violations are structural errors rather than silent
-bugs.
+goes through a window object (LookaheadStream over the instance,
+RevealedWindow over the series CHASE reads) that raises on any access past
+the revealed window, so causality violations are structural errors rather
+than silent bugs.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, LookaheadViolation
 from .model import GeneratorModel, Instance, Schedule, breakeven_span, dispatched_schedule
-from .offline import regret_steps
+from .offline import reaches_breakeven, regret_steps
 
 # ---------------------------------------------------------------------------
 # revealed-window plumbing
@@ -77,6 +83,29 @@ class LookaheadStream:
         return self.instance.demand_table(t)
 
 
+class RevealedWindow:
+    """Slots 1..end of slot-indexed series, read through checked readers.
+
+    The owner moves end forward as slots are revealed; a reader raises
+    LookaheadViolation for any slot outside [1, end]. A reader sees the
+    series object itself, so a list that grows as decisions are made can be
+    read as it grows.
+    """
+
+    def __init__(self) -> None:
+        self.end = 0
+
+    def reader(self, series):
+        """Callable slot -> float over series, checked against this window."""
+
+        def read(t: int) -> float:
+            if not 1 <= t <= self.end:
+                raise LookaheadViolation(f"slot {t} beyond revealed window [1, {self.end}]")
+            return float(series[t - 1])
+
+        return read
+
+
 # ---------------------------------------------------------------------------
 # provisioning: GCSR
 
@@ -84,34 +113,55 @@ class LookaheadStream:
 class GcsrFleet:
     """All unit server slices of one GCSR run, decided slot by slot.
 
-    Slice state is the accumulated idle cost C_i and the previous on/off
-    decision; C_i accrues only while a slice idles in the on state and resets
-    on every busy slot and every turn-off. Revealed data is cached as prefix
-    sums so the break-even scan inside the window is a binary search.
+    Slice i (0-based) is busy in slot t iff a(t) > i. Its state is two
+    entries of length-M arrays: the previous on/off decision and the anchor
+    base_i = P_i(g-1), the running idle-cost sum at the last busy slot, where
+    P_i(s) = P_i(s-1) + p(s) * (d_s(i+1) - d_s(i)). An idle, powered slice
+    turns off at slot t once reaches_breakeven(P_i(j), base_i, beta_s) holds
+    for some revealed j >= t with no busy slot in t..j; the offline rule
+    evaluates the same predicate on the same floats.
+
+    Each decision is one numpy step over all slices: a (window x M) block
+    of prefix rows against the anchors, the first hit per slice by argmax,
+    and "busy before the hit" from the running maximum of the workload
+    (slices are nested, so a slot busy for slice i has a(t) > i). Only the
+    prefix rows from the previous slot to the window end are kept, so
+    memory is O(w*M) plus one workload number per revealed slot; per-slice
+    decisions are stored only when asked for.
     """
 
-    def __init__(self, stream: LookaheadStream):
+    def __init__(self, stream: LookaheadStream, record_slices: bool = False):
         self.stream = stream
         self.n_slices = stream.instance.max_servers
         self.beta_s = stream.instance.server.beta_s
-        self._acc = [0.0] * self.n_slices  # C_i
-        self._on = [0] * self.n_slices
-        # prefix[i][t] = sum of idle cost p*d_i over slots 1..t (index 0 = 0)
-        self._prefix: list[list[float]] = [[0.0] for _ in range(self.n_slices)]
-        self._busy: list[list[bool]] = [[] for _ in range(self.n_slices)]
+        self._slices = np.arange(self.n_slices)
+        self._on = np.zeros(self.n_slices, dtype=bool)
+        self._base = np.zeros(self.n_slices)  # P(g-1) of each slice's current gap
+        # prefix rows P(s) for slots s = _first .. _cached, from _rows[0]
+        self._rows = np.zeros((4, self.n_slices))
+        self._first = 0
         self._cached = 0
+        self._load = np.empty(stream.instance.horizon)  # a(s) of every revealed slot s
         self.next_slot = 1
         self.series: list[int] = []
-        self.slice_series: list[list[int]] = [[] for _ in range(self.n_slices)]
+        self.slice_series: list[np.ndarray] | None = [] if record_slices else None
 
     def _cache_to(self, end: int) -> None:
         while self._cached < end:
             t = self._cached + 1
-            idle = (self.stream.price(t) * np.diff(self.stream.demand_table(t))).tolist()
-            a = self.stream.workload(t)
-            for i in range(self.n_slices):
-                self._prefix[i].append(self._prefix[i][-1] + idle[i])
-                self._busy[i].append(a > i)
+            idle = self.stream.price(t) * np.diff(self.stream.demand_table(t))
+            self._load[t - 1] = self.stream.workload(t)
+            held = t - self._first
+            if held == len(self._rows):
+                # rows before the previous decision slot are never read again
+                drop = self.next_slot - 1 - self._first
+                live = self._rows[drop:held]
+                if drop < held // 2:
+                    self._rows = np.empty((2 * held, self.n_slices))
+                self._rows[: held - drop] = live
+                self._first += drop
+                held -= drop
+            self._rows[held] = self._rows[held - 1] + idle
             self._cached = t
 
     def decide_next(self, window_end: int) -> int:
@@ -121,27 +171,17 @@ class GcsrFleet:
         if window_end < t:
             raise LookaheadViolation(f"window end {window_end} precedes decision slot {t}")
         self._cache_to(window_end)
-        total = 0
-        for i in range(self.n_slices):
-            pref = self._prefix[i]
-            busy = self._busy[i]
-            if busy[t - 1]:
-                on = 1
-                self._acc[i] = 0.0
-            else:
-                # earliest slot in [t, window_end] where accumulated idle cost
-                # would reach the restart cost
-                target = self.beta_s - self._acc[i] + pref[t - 1]
-                hit = bisect_left(pref, target, lo=t, hi=window_end + 1)
-                if hit > window_end or any(busy[t - 1 : hit]):
-                    on = self._on[i]
-                    self._acc[i] += (pref[t] - pref[t - 1]) * on
-                else:
-                    on = 0
-                    self._acc[i] = 0.0
-            self._on[i] = on
-            self.slice_series[i].append(on)
-            total += on
+        rows = self._rows[t - self._first : window_end + 1 - self._first]  # P(t..window_end)
+        load = np.maximum.accumulate(self._load[t - 1 : window_end])
+        busy = load[0] > self._slices
+        reached = reaches_breakeven(rows, self._base, self.beta_s)
+        hit = reached.argmax(axis=0)
+        turn_off = reached[hit, self._slices] & (load[hit] <= self._slices)
+        self._on = busy | (self._on & ~turn_off)
+        self._base = np.where(busy, rows[0], self._base)
+        if self.slice_series is not None:
+            self.slice_series.append(self._on)
+        total = int(np.count_nonzero(self._on))
         self.series.append(total)
         self.next_slot += 1
         return total
@@ -150,16 +190,16 @@ class GcsrFleet:
 def gcsr(instance: Instance, lookahead: int, return_slices: bool = False):
     """Run GCSR over the whole horizon; returns the provisioning series."""
     stream = LookaheadStream(instance, lookahead)
-    fleet = GcsrFleet(stream)
+    fleet = GcsrFleet(stream, record_slices=return_slices)
     for _ in range(instance.horizon):
         fleet.decide_next(stream.revealed_end)
         stream.advance()
     x = np.array(fleet.series, dtype=float)
     if return_slices:
         slices = np.array(fleet.slice_series, dtype=float).reshape(
-            fleet.n_slices, instance.horizon
+            instance.horizon, fleet.n_slices
         )
-        return x, slices
+        return x, slices.T
     return x
 
 
@@ -236,22 +276,11 @@ def chase(
     energy = np.asarray(energy, dtype=float)
     price = np.asarray(price, dtype=float)
     t_end = len(energy)
-    limit = {"end": 0}
-
-    def energy_at(t: int) -> float:
-        if not 1 <= t <= limit["end"]:
-            raise LookaheadViolation(f"slot {t} beyond revealed window [1, {limit['end']}]")
-        return float(energy[t - 1])
-
-    def price_at(t: int) -> float:
-        if not 1 <= t <= limit["end"]:
-            raise LookaheadViolation(f"slot {t} beyond revealed window [1, {limit['end']}]")
-        return float(price[t - 1])
-
-    fleet = ChaseFleet(gen, energy_at, price_at)
+    window = RevealedWindow()
+    fleet = ChaseFleet(gen, window.reader(energy), window.reader(price))
     for t in range(1, t_end + 1):
-        limit["end"] = min(t + lookahead, t_end)
-        fleet.decide_next(limit["end"])
+        window.end = min(t + lookahead, t_end)
+        fleet.decide_next(window.end)
     y = np.array(fleet.series, dtype=float)
     if return_slices:
         return y, np.array(fleet.slice_series, dtype=float).reshape(gen.count, t_end)
@@ -301,26 +330,15 @@ def dcmon(instance: Instance, lookahead: int, ep_window: int | None = None) -> S
         raise ConfigError(f"ep_window must lie in [0, {lookahead}], got {w_ep}")
 
     energy: list[float] = []  # energy[k] = demand at slot k+1 under GCSR fleet
-    limit = {"end": 0}
-
-    def energy_at(t: int) -> float:
-        if not 1 <= t <= limit["end"] or t > len(energy):
-            raise LookaheadViolation(f"slot {t} beyond revealed window [1, {limit['end']}]")
-        return energy[t - 1]
-
-    def price_at(t: int) -> float:
-        if not 1 <= t <= limit["end"]:
-            raise LookaheadViolation(f"slot {t} beyond revealed window [1, {limit['end']}]")
-        return stream.price(t)
-
-    supply = ChaseFleet(gen, energy_at, price_at)
+    window = RevealedWindow()
+    supply = ChaseFleet(gen, window.reader(energy), window.reader(instance.price))
     for t in range(1, t_end + 1):
         ahead = min(t + w_ep, t_end)
         while fleet.next_slot <= ahead:
             tau = fleet.next_slot
             x_tau = fleet.decide_next(stream.revealed_end)
             energy.append(float(stream.demand_table(tau)[x_tau]))
-        limit["end"] = ahead
+        window.end = ahead
         supply.decide_next(ahead)
         stream.advance()
     return dispatched_schedule(instance, fleet.series, supply.series)

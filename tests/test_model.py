@@ -27,6 +27,7 @@ from dcmkit import (
     total_power,
 )
 from dcmkit.model import FEAS_TOL
+from dcmkit.offline import marginal_demand_matrix
 from dcmkit.verify import random_tiny_instance
 
 GEN = GeneratorModel(capacity=60.0, c_o=0.08, c_m=1.2, beta_g=24.0, count=2)
@@ -142,6 +143,19 @@ def test_demand_series_matches_per_slot_tables():
         grid = np.stack([demand_series(inst, np.full(inst.horizon, x_)) for x_ in fleets], axis=1)
         tables = np.stack([inst.demand_table(t) for t in range(1, inst.horizon + 1)])
         assert np.array_equal(grid, tables)
+
+
+def test_marginal_demand_matrix_matches_stacked_tables():
+    rng = np.random.default_rng(6)
+    instances = [random_tiny_instance(rng) for _ in range(25)]
+    instances += [
+        wraparound_instance("cubic", (0.4,), (0.25,)),
+        wraparound_instance("quadratic", (0.041, 0.144, 0.047), (0.03, 0.136, 0.042)),
+    ]
+    instances += [inst.truncated(max(1, inst.horizon - 2)) for inst in instances]
+    for inst in instances:
+        tables = np.stack([inst.demand_table(t) for t in range(1, inst.horizon + 1)])
+        assert np.array_equal(marginal_demand_matrix(inst), np.diff(tables, axis=1))
 
 
 def test_marginal_demand_nondecreasing_in_unit_index():

@@ -1,6 +1,7 @@
 """Look-ahead online algorithms and their competitive-ratio bounds."""
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -26,9 +27,10 @@ from dcmkit import (
     rho_decomposition,
     solve_cp_offline,
 )
+from dcmkit import online
 from dcmkit.analysis import grid_only_schedule
-from dcmkit.online import ongrid_bound_from_instance
-from dcmkit.verify import random_tiny_instance
+from dcmkit.online import GcsrFleet, ongrid_bound_from_instance
+from dcmkit.verify import random_bound_instance, random_tiny_instance
 
 # dyadic idle economics: every server unit draws exactly 0.25, price 0.125,
 # so one idle slot costs 0.03125 and the break-even window is 4 slots sharp
@@ -68,6 +70,23 @@ def test_stream_reveals_exactly_the_window():
         LookaheadStream(inst, -1)
 
 
+def test_chase_and_dcmon_reads_past_the_window_raise(monkeypatch):
+    # make every CHASE decision ask for one slot more than was revealed
+    decide = online.ChaseFleet.decide_next
+    monkeypatch.setattr(online.ChaseFleet, "decide_next",
+                        lambda fleet, window_end: decide(fleet, window_end + 1))
+    with pytest.raises(LookaheadViolation, match=r"slot 3 beyond revealed window \[1, 2\]"):
+        chase(CH_GEN, np.full(5, 64.0), np.full(5, CH_PRICE), 1)
+    inst = Instance(
+        workload=[1.0, 0.0, 1.0, 1.0],
+        price=np.full(4, 0.125),
+        server=ServerModel(c_idle=0.25, c_peak=0.25, beta_s=BETA_S),
+        generator=GeneratorModel(60.0, 0.08, 1.2, 24.0, 1),
+    )
+    with pytest.raises(LookaheadViolation, match=r"slot 2 beyond revealed window \[1, 1\]"):
+        dcmon(inst, 0)
+
+
 # ---------------------------------------------------------------------------
 # GCSR hand traces
 
@@ -105,6 +124,116 @@ def test_gcsr_breakeven_tie_turns_off():
     # 4-slot gap costs exactly beta_s; offline prefers off and GCSR agrees
     assert np.array_equal(gcsr(inst, 4), solve_cp_offline(inst))
     assert np.array_equal(gcsr(inst, 4), [1, 0, 0, 0, 0, 1])
+
+
+def reference_gcsr(instance, lookahead):
+    """The slot-by-slot, slice-by-slice GCSR loop that the array engine
+    replaced: a running idle-cost accumulator per slice and a bisect over
+    per-slice prefix sums. Returns (series, slices)."""
+    t_end, m, beta_s = instance.horizon, instance.max_servers, instance.server.beta_s
+    prefix = [[0.0] for _ in range(m)]
+    busy = [[] for _ in range(m)]
+    for t in range(1, t_end + 1):
+        idle = (instance.p(t) * np.diff(instance.demand_table(t))).tolist()
+        for i in range(m):
+            prefix[i].append(prefix[i][-1] + idle[i])
+            busy[i].append(instance.a(t) > i)
+    acc, state = [0.0] * m, [0] * m
+    series, slices = [], [[] for _ in range(m)]
+    for t in range(1, t_end + 1):
+        window_end = min(t + lookahead, t_end)
+        for i in range(m):
+            pref = prefix[i]
+            if busy[i][t - 1]:
+                on = 1
+                acc[i] = 0.0
+            else:
+                target = beta_s - acc[i] + pref[t - 1]
+                hit = bisect_left(pref, target, lo=t, hi=window_end + 1)
+                if hit > window_end or any(busy[i][t - 1 : hit]):
+                    on = state[i]
+                    acc[i] += (pref[t] - pref[t - 1]) * on
+                else:
+                    on = 0
+                    acc[i] = 0.0
+            state[i] = on
+            slices[i].append(on)
+        series.append(sum(state))
+    return np.array(series, dtype=float), np.array(slices, dtype=float).reshape(m, t_end)
+
+
+def test_gcsr_matches_the_slice_by_slice_reference():
+    rng = np.random.default_rng(25)
+    for k in range(400):
+        inst = random_tiny_instance(rng) if k % 2 else random_bound_instance(rng)
+        for w in (0, 1, 3, 8, inst.horizon):
+            x, slices = gcsr(inst, w, return_slices=True)
+            want_x, want_slices = reference_gcsr(inst, w)
+            assert np.array_equal(x, want_x)
+            assert np.array_equal(slices, want_slices)
+            assert np.array_equal(gcsr(inst, w), x)
+
+
+def test_gcsr_decision_needs_its_own_slot_revealed():
+    inst = dyadic_instance([1, 0, 0, 1])
+    fleet = GcsrFleet(LookaheadStream(inst, 0))
+    fleet.decide_next(1)
+    with pytest.raises(LookaheadViolation):
+        fleet.decide_next(1)
+
+
+def test_gcsr_full_window_agrees_with_offline_at_exact_ties():
+    # single-slice traces whose restart cost equals one gap's idle cost,
+    # summed both as the offline rule used to (a slice sum) and as a
+    # prefix-sum difference; a window covering the horizon must reproduce
+    # the offline decisions at every such tie
+    rng = np.random.default_rng(26)
+    cases = 0
+    while cases < 1200:
+        t_end = int(rng.integers(4, 16))
+        busy = rng.random(t_end) < 0.4
+        busy[0] = busy[-1] = True
+        gaps = np.flatnonzero(~busy)
+        if len(gaps) == 0:
+            continue
+        price = rng.uniform(0.05, 0.4, t_end)
+        c_idle = float(rng.uniform(0.1, 0.5))
+        idle = price * c_idle
+        start = end = int(rng.choice(gaps))
+        while not busy[start - 1]:
+            start -= 1
+        while not busy[end + 1]:
+            end += 1
+        if cases % 2:
+            beta_s = float(idle[start : end + 1].sum())
+        else:
+            prefix = np.cumsum(idle)
+            beta_s = float(prefix[end] - prefix[start - 1])
+        inst = Instance(
+            workload=np.where(busy, rng.uniform(0.1, 1.0, t_end), 0.0),
+            price=price,
+            server=ServerModel(c_idle, c_idle + 0.2, beta_s),
+            generator=GeneratorModel(60.0, 0.08, 1.2, 24.0, 0),
+        )
+        assert np.array_equal(gcsr(inst, t_end), solve_cp_offline(inst))
+        cases += 1
+
+
+def test_gcsr_never_idles_part_of_a_gap_it_can_see_whole():
+    # idle costs 0.01, 0.02, 0.07 add up to beta_s = 0.1 (a tie, in real
+    # numbers); the running-accumulator rule idled slot 2 and then turned
+    # off at slot 3, paying for both. Once the window covers the gap the
+    # verdict is made at its first slot and holds to its end.
+    inst = Instance(
+        workload=[1.0, 0.0, 0.0, 0.0, 1.0],
+        price=[0.1, 0.1, 0.2, 0.7, 0.1],
+        server=ServerModel(c_idle=0.1, c_peak=0.1, beta_s=0.1),
+        generator=GeneratorModel(60.0, 0.08, 1.2, 24.0, 0),
+    )
+    for w in (2, 3, 4):
+        x = gcsr(inst, w)
+        assert np.array_equal(x, solve_cp_offline(inst))
+        assert len(set(x[1:4])) == 1
 
 
 def test_gcsr_slices_sum_and_nest():
