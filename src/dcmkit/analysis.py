@@ -139,6 +139,11 @@ def offline_reference(
         return decomposed_offline_schedule(instance), "decomposed"
 
 
+def _cp_offline_series(instance: Instance, reference: Schedule, kind: str) -> np.ndarray:
+    """cpoff's provisioning series; the decomposed reference already holds it."""
+    return reference.x if kind == "decomposed" else solve_cp_offline(instance)
+
+
 def run_comparison(
     instance: Instance,
     lookahead: int,
@@ -154,7 +159,7 @@ def run_comparison(
     lineup = {
         "static": static_schedule(instance),
         "offline": reference,
-        "cpoff": grid_only_schedule(instance, solve_cp_offline(instance)),
+        "cpoff": grid_only_schedule(instance, _cp_offline_series(instance, reference, kind)),
         "gcsr": grid_only_schedule(instance, gcsr(instance, lookahead)),
         "dcmon": dcmon(instance, lookahead),
     }
@@ -213,7 +218,8 @@ def sweep_lookahead(
     """
     reference, kind = offline_reference(instance, state_budget)
     ref_total = evaluate(instance, reference).total
-    cpoff_total = evaluate(instance, grid_only_schedule(instance, solve_cp_offline(instance))).total
+    cpoff_x = _cp_offline_series(instance, reference, kind)
+    cpoff_total = evaluate(instance, grid_only_schedule(instance, cpoff_x)).total
     try:
         params: BoundParams | None = BoundParams.from_instance(instance)
     except Exception:

@@ -3,7 +3,9 @@ per-unit decomposition (server slices and generator slices).
 
 The joint problem is a shortest path over layered states (x, y) per slot with
 switching costs on increases only. A backward dynamic program over the
-layers solves it; a Dijkstra search over the same graph and an exhaustive
+layers solves it. Each value layer holds only the feasible rows
+x = ceil(a(t))..M, so a layer costs O((M+1-ceil(a(t)))(N+1)) work and
+memory. A Dijkstra search over the same graph and an exhaustive
 enumeration are kept as reference oracles. The decomposition splits
 provisioning into M unit server slices solved by a break-even rule and
 supply into N unit generator slices solved by tracking a clamped cumulative
@@ -65,25 +67,32 @@ def ep_cost(gen: GeneratorModel, energy, price, y) -> float:
 # joint exact solvers
 
 
-def _min_increase_transform(values: np.ndarray, beta: float) -> np.ndarray:
+def _min_increase_transform(
+    values: np.ndarray, beta: float, start: int = 0, first: int | None = None
+) -> np.ndarray:
     """B[i] = min_j values[j] + beta * max(0, j - i), along axis 0.
 
     A one-dimensional distance transform with the asymmetric cost
     beta * max(0, j - i): two running-minimum passes, one per direction,
     replace the quadratic scan, as in Felzenszwalb & Huttenlocher,
     "Distance Transforms of Sampled Functions", Theory of Computing 8 (2012).
+
+    values may hold rows start.. of a taller array whose rows below start
+    are +inf. Offsets are absolute (beta * row), so each output float is
+    the one the taller array gives. The output starts at row first
+    (default start). A row i below start can only climb into the block:
+    B[i] = min_j(values[j] + beta * j) - beta * i.
     """
+    first = start if first is None else first
     n = values.shape[0]
-    idx = beta * np.arange(n, dtype=float).reshape((n,) + (1,) * (values.ndim - 1))
-    up = np.minimum.accumulate((values + idx)[::-1], axis=0)[::-1] - idx
-    down = np.minimum.accumulate(values, axis=0)
-    return np.minimum(up, down)
-
-
-def _successor_transform(j_next: np.ndarray, beta_s: float, beta_g: float) -> np.ndarray:
-    """min over successor states of j_next + switching cost from (x, y)."""
-    b = _min_increase_transform(j_next, beta_s)
-    return _min_increase_transform(b.T, beta_g).T
+    shape = (-1,) + (1,) * (values.ndim - 1)
+    idx = beta * np.arange(start, start + n, dtype=float).reshape(shape)
+    reach = np.minimum.accumulate((values + idx)[::-1], axis=0)[::-1]
+    body = np.minimum(reach - idx, np.minimum.accumulate(values, axis=0))
+    if first >= start:
+        return body[first - start :]
+    climb = reach[:1] - beta * np.arange(first, start, dtype=float).reshape(shape)
+    return np.concatenate((climb, body))
 
 
 def solve_dcm_offline(
@@ -91,9 +100,12 @@ def solve_dcm_offline(
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> Schedule:
     """Exact minimum-cost schedule via a backward dynamic program over the
-    layered state graph, O(M*N) work per layer.
+    layered state graph.
 
-    Ties resolve to the lexicographically smallest x series, then y series.
+    Layer t keeps only its feasible rows x = ceil(a(t))..M, so work and
+    memory are O((M+1-ceil(a(t)))(N+1)) per layer. The state budget still
+    counts the full (M+1)(N+1)(T+2) grid. Ties resolve to the
+    lexicographically smallest x series, then y series.
     """
     m, n, t_end = instance.max_servers, instance.generator.count, instance.horizon
     states = (m + 1) * (n + 1) * (t_end + 2)
@@ -107,13 +119,17 @@ def solve_dcm_offline(
     beta_s, beta_g = instance.server.beta_s, gen.beta_g
     x_grid = np.arange(m + 1, dtype=float)[:, None]
     y_grid = np.arange(n + 1, dtype=float)[None, :]
-    # backward pass: value[t][x, y] = cheapest completion from state (x,y) at slot t
+    # lows[t] = first feasible row of layer t; the end layer T+1 is all feasible
+    lows = [0] + [instance.min_servers(t) for t in range(1, t_end + 1)] + [0]
+    # backward pass: value[t][x - lows[t], y] = cheapest completion from
+    # state (x, y) at slot t, for the feasible rows x >= lows[t] only
     value: list[np.ndarray | None] = [None] * (t_end + 2)
     value[t_end + 1] = np.zeros((m + 1, n + 1))
     for t in range(t_end, 0, -1):
-        stage = supply_cost(gen, y_grid, instance.p(t), instance.demand_table(t)[:, None])
-        stage[: instance.min_servers(t), :] = np.inf
-        value[t] = stage + _successor_transform(value[t + 1], beta_s, beta_g)
+        lo = lows[t]
+        stage = supply_cost(gen, y_grid, instance.p(t), instance.demand_table(t)[lo:, None])
+        over_x = _min_increase_transform(value[t + 1], beta_s, lows[t + 1], lo)
+        value[t] = stage + _min_increase_transform(over_x.T, beta_g).T
 
     # forward pass: walk the argmin, scanning x-major so equal-cost choices
     # pick the smallest (x, y)
@@ -121,9 +137,12 @@ def solve_dcm_offline(
     ys = np.empty(t_end)
     px = py = 0
     for t in range(1, t_end + 1):
-        move = beta_s * np.clip(x_grid - px, 0.0, None) + beta_g * np.clip(y_grid - py, 0.0, None)
+        lo = lows[t]
+        move = beta_s * np.clip(x_grid[lo:] - px, 0.0, None)
+        move = move + beta_g * np.clip(y_grid - py, 0.0, None)
         flat = int(np.argmin(move + value[t]))
         px, py = divmod(flat, n + 1)
+        px += lo
         xs[t - 1], ys[t - 1] = px, py
     return dispatched_schedule(instance, xs, ys)
 

@@ -82,6 +82,11 @@ class LookaheadStream:
         self._check(t)
         return self.instance.demand_table(t)
 
+    def demand(self, t: int, x) -> float:
+        """d_t(x) for one fleet size x: the same float as demand_table(t)[x]."""
+        self._check(t)
+        return float(self.instance._demand(t - 1, float(x)))
+
 
 class RevealedWindow:
     """Slots 1..end of slot-indexed series, read through checked readers.
@@ -337,7 +342,7 @@ def dcmon(instance: Instance, lookahead: int, ep_window: int | None = None) -> S
         while fleet.next_slot <= ahead:
             tau = fleet.next_slot
             x_tau = fleet.decide_next(stream.revealed_end)
-            energy.append(float(stream.demand_table(tau)[x_tau]))
+            energy.append(stream.demand(tau, x_tau))
         window.end = ahead
         supply.decide_next(ahead)
         stream.advance()

@@ -9,8 +9,10 @@ from dcmkit import (
     ServerModel,
     ablation_cp_only,
     ablation_ep_only,
+    dcmon,
     decomposition_tightness,
     evaluate,
+    gcsr,
     run_comparison,
     solve_cp_offline,
     solve_dcm_offline,
@@ -20,7 +22,15 @@ from dcmkit import (
     worst_case_gcsr_instance,
     worst_case_rho_instance,
 )
-from dcmkit.analysis import gcsr_family_measurement, static_schedule
+from dcmkit import analysis
+from dcmkit.analysis import (
+    AlgoResult,
+    ExperimentReport,
+    decomposed_offline_schedule,
+    gcsr_family_measurement,
+    grid_only_schedule,
+    static_schedule,
+)
 from dcmkit.offline import cp_cost
 from dcmkit.verify import random_tiny_instance
 
@@ -69,6 +79,36 @@ def test_run_comparison_invariants():
             assert report.results[name].total >= off - 1e-9
         assert report.ratio("gcsr", "cpoff") >= 1.0 - 1e-9
         assert report.ratio("dcmon", "offline") >= 1.0 - 1e-9
+
+
+def test_decomposed_reference_solves_cpoff_once(monkeypatch):
+    rng = np.random.default_rng(32)
+    inst = random_tiny_instance(rng)
+    lineup = {
+        "static": static_schedule(inst),
+        "offline": decomposed_offline_schedule(inst),
+        "cpoff": grid_only_schedule(inst, solve_cp_offline(inst)),
+        "gcsr": grid_only_schedule(inst, gcsr(inst, 2)),
+        "dcmon": dcmon(inst, 2),
+    }
+    want = ExperimentReport(
+        inst.label, inst.horizon, 2, "decomposed",
+        {name: AlgoResult(name, s, evaluate(inst, s)) for name, s in lineup.items()},
+    )
+    calls = []
+    solve = analysis.solve_cp_offline
+    monkeypatch.setattr(analysis, "solve_cp_offline", lambda i: calls.append(1) or solve(i))
+
+    report = run_comparison(inst, 2, state_budget=1)  # over budget: decomposed
+    assert report.reference_kind == "decomposed"
+    assert len(calls) == 1
+    assert report.to_dict() == want.to_dict()
+    assert np.array_equal(report.results["cpoff"].schedule.x, lineup["cpoff"].x)
+
+    calls.clear()
+    rows = sweep_lookahead(inst, (0, 2), state_budget=1)
+    assert len(calls) == 1
+    assert rows[1]["costs"]["cpoff"] == want.results["cpoff"].total
 
 
 def test_run_comparison_without_generators_collapses_to_ongrid():

@@ -1,5 +1,6 @@
 """Offline solvers: exact joint optimum, slice decomposition, critical segments."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from dcmkit import (
     solve_cp_offline,
     solve_dcm_offline,
     solve_ep_offline,
+    supply_cost,
 )
 from dcmkit.offline import (
     _min_increase_transform,
@@ -36,7 +38,7 @@ from dcmkit.offline import (
     slice_energy,
     slice_workload,
 )
-from dcmkit.verify import random_ep_problem, random_tiny_instance
+from dcmkit.verify import random_bound_instance, random_ep_problem, random_tiny_instance
 
 
 def flat_power_instance(workload, price, beta_s=0.08):
@@ -187,6 +189,97 @@ def test_min_increase_transform_matches_quadratic_loop():
             ]
         )
         assert np.allclose(got, want, atol=1e-12)
+
+
+def test_min_increase_transform_on_a_block_matches_the_full_grid():
+    # a block of rows start.. of a grid whose lower rows are +inf gives the
+    # grid's own floats, for output rows starting below or inside the block
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        start = int(rng.integers(0, n))
+        grid = rng.uniform(-5.0, 5.0, (n, int(rng.integers(1, 4))))
+        grid[:start] = np.inf
+        beta = float(rng.uniform(0.0, 3.0))
+        full = _min_increase_transform(grid, beta)
+        first = int(rng.integers(0, n))
+        got = _min_increase_transform(grid[start:], beta, start, first)
+        assert np.array_equal(got, full[first:])
+
+
+def _full_grid_transform(values, beta):
+    """Two-pass distance transform over the whole grid, offsets beta * row."""
+    n = values.shape[0]
+    idx = beta * np.arange(n, dtype=float).reshape((n,) + (1,) * (values.ndim - 1))
+    up = np.minimum.accumulate((values + idx)[::-1], axis=0)[::-1] - idx
+    return np.minimum(up, np.minimum.accumulate(values, axis=0))
+
+
+def reference_dcm_offline(instance):
+    """The joint DP with full value layers: every layer holds all
+    (M+1)(N+1) states, and rows x < ceil(a(t)) are +inf and go through both
+    transforms and the forward argmin. Returns the schedule and the number
+    of forward steps whose minimum was attained more than once."""
+    m, n, t_end = instance.max_servers, instance.generator.count, instance.horizon
+    gen = instance.generator
+    beta_s, beta_g = instance.server.beta_s, gen.beta_g
+    x_grid = np.arange(m + 1, dtype=float)[:, None]
+    y_grid = np.arange(n + 1, dtype=float)[None, :]
+    value = [None] * (t_end + 2)
+    value[t_end + 1] = np.zeros((m + 1, n + 1))
+    for t in range(t_end, 0, -1):
+        stage = supply_cost(gen, y_grid, instance.p(t), instance.demand_table(t)[:, None])
+        stage[: instance.min_servers(t), :] = np.inf
+        b = _full_grid_transform(value[t + 1], beta_s)
+        value[t] = stage + _full_grid_transform(b.T, beta_g).T
+    xs, ys = np.empty(t_end), np.empty(t_end)
+    px = py = ties = 0
+    for t in range(1, t_end + 1):
+        move = beta_s * np.clip(x_grid - px, 0.0, None) + beta_g * np.clip(y_grid - py, 0.0, None)
+        total = move + value[t]
+        ties += int(np.count_nonzero(total == total.min()) > 1)
+        px, py = divmod(int(np.argmin(total)), n + 1)
+        xs[t - 1], ys[t - 1] = px, py
+    return dispatched_schedule(instance, xs, ys), ties
+
+
+def dyadic_tie_instance(inst, rng):
+    """inst's workload with every cost a dyadic rational: one server unit
+    draws exactly 0.25 at any load, so many schedules cost exactly the same."""
+    price = rng.choice([0.125, 0.25, 0.5], inst.horizon)
+    price[rng.integers(0, inst.horizon)] = 0.5  # keeps the generators economical
+    return dataclasses.replace(
+        inst,
+        price=price,
+        server=ServerModel(0.25, 0.25, beta_s=float(rng.choice([0.0625, 0.125, 0.25]))),
+        generator=GeneratorModel(
+            0.5, 0.125, 0.03125, float(rng.choice([0.125, 0.25])), inst.generator.count
+        ),
+        cooling=dataclasses.replace(inst.cooling, kind="none"),
+        conditioning=dataclasses.replace(inst.conditioning, kind="none"),
+    )
+
+
+def test_feasible_row_dp_matches_the_full_layer_reference():
+    rng = np.random.default_rng(16)
+    seen = dict(zero_stretch=0, no_generators=0, one_slot=0, dyadic_ties=0)
+    for k in range(1200):
+        inst = random_tiny_instance(rng) if k % 2 else random_bound_instance(rng)
+        if k % 3 == 0:
+            inst = dyadic_tie_instance(inst, rng)
+        if k % 10 == 4:
+            inst = inst.truncated(1)
+        elif k % 10 == 7:
+            inst = inst.truncated(int(rng.integers(1, inst.horizon + 1)))
+        want, ties = reference_dcm_offline(inst)
+        got = solve_dcm_offline(inst)
+        for field in ("x", "y", "u", "v"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (k, field)
+        seen["zero_stretch"] += bool(np.any(inst.workload == 0.0))
+        seen["no_generators"] += inst.generator.count == 0
+        seen["one_slot"] += inst.horizon == 1
+        seen["dyadic_ties"] += k % 3 == 0 and ties > 0
+    assert min(seen.values()) >= 50, seen
 
 
 def test_marginal_matrix_matches_per_slot_increments():

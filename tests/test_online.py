@@ -70,6 +70,23 @@ def test_stream_reveals_exactly_the_window():
         LookaheadStream(inst, -1)
 
 
+def test_stream_demand_reads_one_checked_table_entry():
+    rng = np.random.default_rng(57)
+    for _ in range(20):
+        inst = random_tiny_instance(rng)
+        stream = LookaheadStream(inst, inst.horizon)
+        for t in range(1, inst.horizon + 1):
+            table = inst.demand_table(t)
+            for x in range(inst.max_servers + 1):
+                assert stream.demand(t, x) == table[x]
+    stream = LookaheadStream(dyadic_instance([1, 0, 1]), 1)
+    assert stream.demand(2, 1) == 0.25
+    with pytest.raises(LookaheadViolation, match=r"slot 3 is outside the revealed window \[1, 2\]"):
+        stream.demand(3, 1)
+    with pytest.raises(LookaheadViolation):
+        stream.demand(0, 1)
+
+
 def test_chase_and_dcmon_reads_past_the_window_raise(monkeypatch):
     # make every CHASE decision ask for one slot more than was revealed
     decide = online.ChaseFleet.decide_next
