@@ -326,9 +326,19 @@ class Instance:
             return out
         return out + self.cooling.overhead(b, self._slot_coeffs[:, k])
 
-    def demand_table(self, t: int) -> np.ndarray:
-        """Vector of d_t(x) for x = 0..max_servers (read-only)."""
-        out = self._demand(t - 1, np.arange(self.max_servers + 1, dtype=float))
+    def demand_table(self, t: int, end: int | None = None) -> np.ndarray:
+        """Vector of d_t(x) for x = 0..max_servers (read-only).
+
+        With end, the (end-t+1) x (max_servers+1) grid for slots t..end from
+        one evaluation; row s-t is the same floats as demand_table(s).
+        """
+        x = np.arange(self.max_servers + 1, dtype=float)
+        if end is None:
+            out = self._demand(t - 1, x)
+        elif 1 <= t <= end <= self.horizon:
+            out = self._demand(np.arange(t - 1, end)[:, None], x)
+        else:
+            raise ValueError(f"need 1 <= t <= end <= {self.horizon}, got t={t}, end={end}")
         out.setflags(write=False)
         return out
 
@@ -459,15 +469,16 @@ def supply_cost(gen: GeneratorModel, y, p, d):
     Maintenance for the y active units is included. Grid-first when the price
     beats incremental generation cost, otherwise generators up to capacity
     with the grid taking the remainder. y, p and d broadcast against each
-    other; scalar inputs give a float.
+    other; scalar inputs give a float. A scalar price picks its branch once,
+    so only that branch is evaluated.
     """
     y, p, d = _supply_inputs(gen, y, p, d)
+    if p.ndim == 0 and p <= gen.c_o:
+        return _unwrap(np.asarray(gen.c_m * y + p * d))
     cap = gen.capacity * y
-    cost = np.where(
-        p <= gen.c_o,
-        gen.c_m * y + p * d,
-        np.where(d > cap, gen.c_m * y + gen.c_o * cap + p * (d - cap), gen.c_m * y + gen.c_o * d),
-    )
+    cost = np.where(d > cap, gen.c_m * y + gen.c_o * cap + p * (d - cap), gen.c_m * y + gen.c_o * d)
+    if p.ndim:
+        cost = np.where(p <= gen.c_o, gen.c_m * y + p * d, cost)
     return _unwrap(cost)
 
 

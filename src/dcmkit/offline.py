@@ -248,9 +248,7 @@ def slice_workload(workload, i: int) -> np.ndarray:
 
 def marginal_demand_matrix(instance: Instance) -> np.ndarray:
     """Matrix [t-1, i-1] = d_t(i) - d_t(i-1) for all slots and server slices."""
-    slots = np.arange(instance.horizon)[:, None]
-    grid = instance._demand(slots, np.arange(instance.max_servers + 1, dtype=float))
-    return np.diff(grid, axis=1)
+    return np.diff(instance.demand_table(1, instance.horizon), axis=1)
 
 
 def reaches_breakeven(prefix, base, beta_s: float):

@@ -5,10 +5,13 @@ until the idle cost since the gap began, plus what the look-ahead window
 shows is still coming, reaches the restart cost beta_s; then it turns off.
 All M slices are decided together, one numpy step per slot: slice state is
 two length-M arrays (on/off, and the gap anchor P(g-1) of the running
-idle-cost sum P), and a (window x M) block of prefix rows is tested with
-the anchored predicate P(j) - P(g-1) >= beta_s that the offline slice rule
-shares, so online and offline agree at exact ties. Only the prefix rows of
-the current window are kept: O(w*M) memory.
+idle-cost sum P), and each slice tests the anchored predicate
+P(j) - P(g-1) >= beta_s, which the offline slice rule shares, so online and
+offline agree at exact ties. Because P never decreases, the test is made
+once per slice, at the last idle slot of its run in the window (the slot
+before its first busy one), so a decision's work grows only as log w. The
+look-ahead stream evaluates demand and P in blocks of slots, one demand
+grid per block, and holds O((block + w) * M) floats.
 
 Supply (CHASE): each unit generator slice tracks the clamped cumulative
 savings of running versus buying from the grid and switches to whichever
@@ -42,7 +45,20 @@ class LookaheadStream:
 
     At cursor t, slots 1..min(T, t+w) are revealed. Reading any later slot
     raises LookaheadViolation; the cursor only moves forward.
+
+    The stream also serves the running idle-cost sum of every server slice,
+    P_i(s) = P_i(s-1) + p(s) * (d_s(i+1) - d_s(i)) with P_i(0) = 0. It holds
+    the whole instance, so it evaluates demand in blocks of _BLOCK slots (or
+    more, when a request reaches further): one demand_table grid per block,
+    whose P rows continue the previous block's last row with sequential
+    float adds, the same sums the offline slice rule builds. The checked
+    readers still give out only revealed slots, whatever has been evaluated.
+    Each block evaluation drops the rows before the oldest slot of the
+    request that triggered it, so the stream holds O((_BLOCK + w) * M)
+    floats.
     """
+
+    _BLOCK = 256
 
     def __init__(self, instance: Instance, lookahead: int):
         if lookahead < 0 or lookahead != int(lookahead):
@@ -50,6 +66,11 @@ class LookaheadStream:
         self.instance = instance
         self.lookahead = int(lookahead)
         self._cursor = 1
+        # demand rows d_s(0..M) and idle-cost sums P(s) for held slots s = _first.._last
+        m = instance.max_servers
+        self._first, self._last = 1, 0
+        self._grid = np.empty((0, m + 1))
+        self._prefix = np.empty((0, m))
 
     @property
     def cursor(self) -> int:
@@ -63,12 +84,15 @@ class LookaheadStream:
         if self._cursor <= self.instance.horizon:
             self._cursor += 1
 
-    def _check(self, t: int) -> None:
-        if not 1 <= t <= self.revealed_end:
-            raise LookaheadViolation(
-                f"slot {t} is outside the revealed window [1, {self.revealed_end}] "
-                f"(cursor {self._cursor}, lookahead {self.lookahead})"
-            )
+    def _check(self, first: int, end: int | None = None) -> None:
+        """Raise LookaheadViolation unless slots first and end (if given) are revealed."""
+        revealed = self.revealed_end
+        for t in (first,) if end is None else (first, end):
+            if not 1 <= t <= revealed:
+                raise LookaheadViolation(
+                    f"slot {t} is outside the revealed window [1, {revealed}] "
+                    f"(cursor {self._cursor}, lookahead {self.lookahead})"
+                )
 
     def workload(self, t: int) -> float:
         self._check(t)
@@ -85,7 +109,41 @@ class LookaheadStream:
     def demand(self, t: int, x) -> float:
         """d_t(x) for one fleet size x: the same float as demand_table(t)[x]."""
         self._check(t)
+        row, col = t - self._first, int(x)
+        if 0 <= row < len(self._grid) and col == x and 0 <= col < self._grid.shape[1]:
+            return float(self._grid[row, col])
         return float(self.instance._demand(t - 1, float(x)))
+
+    def workloads(self, first: int, end: int) -> np.ndarray:
+        """a(s) for slots s = first..end (read-only)."""
+        self._check(first, end)
+        return self.instance.workload[first - 1 : end]
+
+    def idle_prefix(self, first: int, end: int) -> np.ndarray:
+        """Rows P(s) for slots s = first..end, shape (end-first+1, M), read-only."""
+        self._check(first, end)
+        if first < self._first:
+            raise ValueError(f"slot {first} was dropped; the stream holds slots from {self._first}")
+        if end > self._last:
+            self._evaluate(first, end)
+        rows = self._prefix[first - self._first : end + 1 - self._first]
+        rows.flags.writeable = False
+        return rows
+
+    def _evaluate(self, first: int, end: int) -> None:
+        """Evaluate the next block, reaching at least slot end; drop rows before first."""
+        start = self._last + 1
+        stop = min(self.instance.horizon, max(end, self._last + self._BLOCK))
+        grid = self.instance.demand_table(start, stop)
+        prefix = np.empty((stop - start + 2, grid.shape[1] - 1))
+        prefix[0] = self._prefix[-1] if len(self._prefix) else 0.0
+        np.multiply(self.instance.price[start - 1 : stop, None], np.diff(grid, axis=1), out=prefix[1:])
+        np.add.accumulate(prefix, axis=0, out=prefix)
+        drop = min(first - self._first, len(self._grid))
+        self._grid = np.concatenate((self._grid[drop:], grid))
+        self._prefix = np.concatenate((self._prefix[drop:], prefix[1:]))
+        self._first += drop
+        self._last = stop
 
 
 class RevealedWindow:
@@ -120,18 +178,23 @@ class GcsrFleet:
 
     Slice i (0-based) is busy in slot t iff a(t) > i. Its state is two
     entries of length-M arrays: the previous on/off decision and the anchor
-    base_i = P_i(g-1), the running idle-cost sum at the last busy slot, where
-    P_i(s) = P_i(s-1) + p(s) * (d_s(i+1) - d_s(i)). An idle, powered slice
-    turns off at slot t once reaches_breakeven(P_i(j), base_i, beta_s) holds
-    for some revealed j >= t with no busy slot in t..j; the offline rule
-    evaluates the same predicate on the same floats.
+    base_i = P_i(g-1), the running idle-cost sum at the last busy slot (see
+    LookaheadStream.idle_prefix). An idle, powered slice turns off at slot t
+    once reaches_breakeven(P_i(j), base_i, beta_s) holds for some revealed
+    j >= t with no busy slot in t..j; the offline rule evaluates the same
+    predicate on the same floats.
 
-    Each decision is one numpy step over all slices: a (window x M) block
-    of prefix rows against the anchors, the first hit per slice by argmax,
-    and "busy before the hit" from the running maximum of the workload
-    (slices are nested, so a slot busy for slice i has a(t) > i). Only the
-    prefix rows from the previous slot to the window end are kept, so
-    memory is O(w*M) plus one workload number per revealed slot; per-slice
+    Each decision is one numpy step over all slices. Slices are nested, so
+    the running maximum of the workload over the window, searched for each
+    slice index, gives each slice's idle run length k from t (k = 0: busy at
+    t). It suffices to test the last idle slot t+k-1: P_i is nondecreasing
+    (prices are nonnegative and d_s(x) is a nondecreasing float function of
+    x, being built from monotone float operations on nonnegative terms), and
+    float subtraction and comparison are monotone, so the predicate holds at
+    some j in the run iff it holds at its end. A decision is therefore a
+    running maximum over w+1 workloads and one binary search and one
+    gathered P entry per slice, O(w + M log w) numpy work with no
+    (window x M) block; the fleet keeps no rows of its own, and per-slice
     decisions are stored only when asked for.
     """
 
@@ -142,32 +205,9 @@ class GcsrFleet:
         self._slices = np.arange(self.n_slices)
         self._on = np.zeros(self.n_slices, dtype=bool)
         self._base = np.zeros(self.n_slices)  # P(g-1) of each slice's current gap
-        # prefix rows P(s) for slots s = _first .. _cached, from _rows[0]
-        self._rows = np.zeros((4, self.n_slices))
-        self._first = 0
-        self._cached = 0
-        self._load = np.empty(stream.instance.horizon)  # a(s) of every revealed slot s
         self.next_slot = 1
         self.series: list[int] = []
         self.slice_series: list[np.ndarray] | None = [] if record_slices else None
-
-    def _cache_to(self, end: int) -> None:
-        while self._cached < end:
-            t = self._cached + 1
-            idle = self.stream.price(t) * np.diff(self.stream.demand_table(t))
-            self._load[t - 1] = self.stream.workload(t)
-            held = t - self._first
-            if held == len(self._rows):
-                # rows before the previous decision slot are never read again
-                drop = self.next_slot - 1 - self._first
-                live = self._rows[drop:held]
-                if drop < held // 2:
-                    self._rows = np.empty((2 * held, self.n_slices))
-                self._rows[: held - drop] = live
-                self._first += drop
-                held -= drop
-            self._rows[held] = self._rows[held - 1] + idle
-            self._cached = t
 
     def decide_next(self, window_end: int) -> int:
         """Decide slot self.next_slot using revealed data up to window_end."""
@@ -175,13 +215,11 @@ class GcsrFleet:
         window_end = min(window_end, self.stream.instance.horizon)
         if window_end < t:
             raise LookaheadViolation(f"window end {window_end} precedes decision slot {t}")
-        self._cache_to(window_end)
-        rows = self._rows[t - self._first : window_end + 1 - self._first]  # P(t..window_end)
-        load = np.maximum.accumulate(self._load[t - 1 : window_end])
-        busy = load[0] > self._slices
-        reached = reaches_breakeven(rows, self._base, self.beta_s)
-        hit = reached.argmax(axis=0)
-        turn_off = reached[hit, self._slices] & (load[hit] <= self._slices)
+        load = np.maximum.accumulate(self.stream.workloads(t, window_end))
+        rows = self.stream.idle_prefix(t, window_end)  # P(t..window_end)
+        run = np.searchsorted(load, self._slices, side="right")  # idle run length from t
+        busy = run == 0  # busy slices read row -1 below; their verdict is discarded
+        turn_off = reaches_breakeven(rows[run - 1, self._slices], self._base, self.beta_s)
         self._on = busy | (self._on & ~turn_off)
         self._base = np.where(busy, rows[0], self._base)
         if self.slice_series is not None:

@@ -143,6 +143,16 @@ def test_demand_series_matches_per_slot_tables():
         grid = np.stack([demand_series(inst, np.full(inst.horizon, x_)) for x_ in fleets], axis=1)
         tables = np.stack([inst.demand_table(t) for t in range(1, inst.horizon + 1)])
         assert np.array_equal(grid, tables)
+        # slot ranges in one evaluation
+        assert np.array_equal(inst.demand_table(1, inst.horizon), tables)
+        first = int(rng.integers(1, inst.horizon + 1))
+        end = int(rng.integers(first, inst.horizon + 1))
+        block = inst.demand_table(first, end)
+        assert np.array_equal(block, tables[first - 1 : end])
+        assert not block.flags.writeable
+    for first, end in ((0, 1), (2, 1), (1, inst.horizon + 1)):
+        with pytest.raises(ValueError):
+            inst.demand_table(first, end)
 
 
 def test_marginal_demand_matrix_matches_stacked_tables():
@@ -233,6 +243,40 @@ def test_supply_kernel_arrays_match_scalar_calls():
         supply_cost(GEN, np.array([0, 3]), 0.1, 10.0)
     with pytest.raises(FeasibilityError):
         dispatch(GEN, 1, 0.1, np.array([10.0, -5.0]))
+
+
+def both_branch_supply_cost(gen, y, p, d):
+    """supply_cost with both price branches evaluated everywhere."""
+    y, p = np.asarray(y), np.asarray(p, dtype=float)
+    d = np.maximum(np.asarray(d, dtype=float), 0.0)
+    cap = gen.capacity * y
+    return np.where(
+        p <= gen.c_o,
+        gen.c_m * y + p * d,
+        np.where(d > cap, gen.c_m * y + gen.c_o * cap + p * (d - cap), gen.c_m * y + gen.c_o * d),
+    )
+
+
+def test_scalar_price_branch_matches_the_both_branch_form():
+    rng = np.random.default_rng(11)
+    y = np.arange(GEN.count + 1)[None, :]
+    d = rng.uniform(0.0, 200.0, (30, 1))
+    d[:4, 0] = [0.0, -FEAS_TOL / 2, GEN.capacity, 2 * GEN.capacity]
+    for p in (0.0, GEN.c_o / 2, GEN.c_o, np.nextafter(GEN.c_o, 1.0), 0.1, 0.3):
+        want = both_branch_supply_cost(GEN, y, p, d)
+        cost = supply_cost(GEN, y, p, d)
+        assert cost.shape == want.shape == (30, GEN.count + 1)
+        assert np.array_equal(cost, want)
+        scalar = supply_cost(GEN, 1, p, 70.0)
+        assert type(scalar) is float and scalar == both_branch_supply_cost(GEN, 1, p, 70.0)
+    p = rng.uniform(0.0, 0.3, (30, 1))
+    p[:3, 0] = [GEN.c_o / 2, GEN.c_o, 0.2]
+    assert np.array_equal(supply_cost(GEN, y, p, d), both_branch_supply_cost(GEN, y, p, d))
+    for p in (GEN.c_o / 2, 0.2):
+        with pytest.raises(FeasibilityError, match="outside generator fleet"):
+            supply_cost(GEN, np.array([0, 3]), p, 10.0)
+        with pytest.raises(FeasibilityError, match="demand must be nonnegative"):
+            supply_cost(GEN, 1, p, np.array([10.0, -5.0]))
 
 
 def test_dispatch_validates_fleet_and_demand():

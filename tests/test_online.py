@@ -27,7 +27,7 @@ from dcmkit import (
     rho_decomposition,
     solve_cp_offline,
 )
-from dcmkit import online
+from dcmkit import harness, online
 from dcmkit.analysis import grid_only_schedule
 from dcmkit.online import GcsrFleet, ongrid_bound_from_instance
 from dcmkit.verify import random_bound_instance, random_tiny_instance
@@ -85,6 +85,60 @@ def test_stream_demand_reads_one_checked_table_entry():
         stream.demand(3, 1)
     with pytest.raises(LookaheadViolation):
         stream.demand(0, 1)
+
+
+def test_stream_block_readers_match_sequential_sums(monkeypatch):
+    rng = np.random.default_rng(28)
+    for block in (1, 2, 5, LookaheadStream._BLOCK):
+        monkeypatch.setattr(LookaheadStream, "_BLOCK", block)
+        for k in range(12):
+            inst = random_tiny_instance(rng) if k % 2 else random_bound_instance(rng)
+            t_end = inst.horizon
+            tables = np.stack([inst.demand_table(t) for t in range(1, t_end + 1)])
+            idle = inst.price[:, None] * np.diff(tables, axis=1)
+            prefix = np.add.accumulate(np.vstack([np.zeros(inst.max_servers), idle]), axis=0)[1:]
+            w = int(rng.integers(0, 4))
+            stream = LookaheadStream(inst, w)
+            for t in range(1, t_end + 1):
+                end = stream.revealed_end
+                assert np.array_equal(stream.idle_prefix(t, end), prefix[t - 1 : end])
+                assert np.array_equal(stream.workloads(t, end), inst.workload[t - 1 : end])
+                for x in range(inst.max_servers + 1):
+                    assert stream.demand(t, x) == tables[t - 1, x]
+                assert len(stream._prefix) <= block + w  # O((block + w) * M) floats
+                stream.advance()
+
+
+def test_stream_readers_stay_checked_after_a_block_is_evaluated(monkeypatch):
+    inst = dyadic_instance([1, 0, 0, 1, 0])
+    evaluated = []
+    table = Instance.demand_table
+    monkeypatch.setattr(Instance, "demand_table",
+                        lambda self, t, end=None: evaluated.append((t, end)) or table(self, t, end))
+    stream = LookaheadStream(inst, 1)
+    assert np.array_equal(stream.idle_prefix(1, 2), [[IDLE], [2 * IDLE]])
+    assert evaluated == [(1, 5)]  # the whole horizon is one block
+    past = r"slot 3 is outside the revealed window \[1, 2\]"
+    with pytest.raises(LookaheadViolation, match=past):
+        stream.idle_prefix(1, 3)
+    with pytest.raises(LookaheadViolation, match=past):
+        stream.workloads(2, 3)
+    with pytest.raises(LookaheadViolation, match=past):
+        stream.demand(3, 1)
+    with pytest.raises(LookaheadViolation):
+        stream.idle_prefix(0, 1)
+    stream.advance()
+    assert stream.demand(3, 1) == 0.25
+    assert np.array_equal(stream.workloads(2, 3), [0.0, 0.0])
+    assert evaluated == [(1, 5)]
+    # rows before the oldest slot of a request are dropped when the next block is evaluated
+    monkeypatch.setattr(LookaheadStream, "_BLOCK", 1)
+    stream = LookaheadStream(inst, 0)
+    stream.idle_prefix(1, 1)
+    stream.advance()
+    stream.idle_prefix(2, 2)
+    with pytest.raises(ValueError, match="slot 1 was dropped"):
+        stream.idle_prefix(1, 2)
 
 
 def test_chase_and_dcmon_reads_past_the_window_raise(monkeypatch):
@@ -189,6 +243,46 @@ def test_gcsr_matches_the_slice_by_slice_reference():
             assert np.array_equal(x, want_x)
             assert np.array_equal(slices, want_slices)
             assert np.array_equal(gcsr(inst, w), x)
+
+
+def test_gcsr_and_dcmon_refill_the_stream_block_by_block(monkeypatch):
+    # random tiny instances fit in one default block; small blocks make the
+    # stream evaluate (and drop) rows many times within one run
+    rng = np.random.default_rng(29)
+    cases = []
+    for k in range(60):
+        inst = random_tiny_instance(rng) if k % 2 else random_bound_instance(rng)
+        for w in (0, 1, 3, inst.horizon):
+            cases.append((inst, w, reference_gcsr(inst, w), dcmon(inst, w)))
+    for block in (1, 2, 5):
+        monkeypatch.setattr(LookaheadStream, "_BLOCK", block)
+        for inst, w, (want_x, want_slices), want in cases:
+            x, slices = gcsr(inst, w, return_slices=True)
+            assert np.array_equal(x, want_x)
+            assert np.array_equal(slices, want_slices)
+            sched = dcmon(inst, w)
+            for name in "xyuv":
+                assert np.array_equal(getattr(sched, name), getattr(want, name))
+
+
+def test_gcsr_and_dcmon_over_more_than_one_default_block(monkeypatch):
+    inst = harness.build_instance(harness.synthesize_trace(3, 12, 8, "ny"),
+                                  harness.validate_config({"servers": 8}))
+    assert inst.horizon > LookaheadStream._BLOCK
+    windows = (0, 4, 16, inst.horizon)
+    scheds = []
+    for w in windows:
+        want_x, want_slices = reference_gcsr(inst, w)
+        x, slices = gcsr(inst, w, return_slices=True)
+        assert np.array_equal(x, want_x)
+        assert np.array_equal(slices, want_slices)
+        scheds.append(dcmon(inst, w))
+        assert np.array_equal(scheds[-1].x, want_x)
+    monkeypatch.setattr(LookaheadStream, "_BLOCK", inst.horizon)  # one block, no refill
+    for w, want in zip(windows, scheds):
+        sched = dcmon(inst, w)
+        for name in "xyuv":
+            assert np.array_equal(getattr(sched, name), getattr(want, name))
 
 
 def test_gcsr_decision_needs_its_own_slot_revealed():
