@@ -10,6 +10,7 @@ Run with: python3 demos/04_experiments.py   (about half a minute)
 import math
 
 from dcmkit import (
+    OngridParams,
     ablation_cp_only,
     ablation_ep_only,
     build_instance,
@@ -56,7 +57,7 @@ def main() -> None:
     for row in rows:
         print(f"{row['value']:>3}  {row['costs']['gcsr']:10.2f}  {row['costs']['dcmon']:10.2f}  "
               f"{row['ratios']['dcmon_vs_offline']:13.4f}  {row['bounds']['ongrid']:10.3f}")
-    span = ny.breakeven_idle_window()
+    span = OngridParams.from_instance(ny).breakeven_idle_window
     print(f"break-even idle window is {span:.2f} slots; past w = {math.ceil(span)} the")
     print(f"provisioning stage is offline-optimal and the bound pins to 1")
     print()

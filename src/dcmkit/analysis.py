@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, ConfigError
 from .model import (
     CostBreakdown,
     GeneratorModel,
@@ -30,10 +30,11 @@ from .offline import (
 )
 from .online import (
     BoundParams,
+    OngridParams,
     dcmon,
     gcsr,
-    ongrid_bound_from_instance,
     ratio_bound_hybrid,
+    ratio_bound_ongrid,
     rho_decomposition,
 )
 
@@ -214,22 +215,24 @@ def sweep_lookahead(
 
     Offline references are computed once; each row carries online costs,
     ratios against the references, and the matching theory bounds (the
-    hybrid bound only when the generator economics make it well defined).
+    hybrid bound only when the generator economics make it well defined;
+    for a valid instance that is the only way BoundParams can fail).
     """
     reference, kind = offline_reference(instance, state_budget)
     ref_total = evaluate(instance, reference).total
     cpoff_x = _cp_offline_series(instance, reference, kind)
     cpoff_total = evaluate(instance, grid_only_schedule(instance, cpoff_x)).total
+    ongrid = OngridParams.from_instance(instance)
     try:
         params: BoundParams | None = BoundParams.from_instance(instance)
-    except Exception:
+    except ConfigError:
         params = None
     rows = []
     for w in lookaheads:
         w = int(w)
         gcsr_total = evaluate(instance, grid_only_schedule(instance, gcsr(instance, w))).total
-        dcmon_total = evaluate(instance, dcmon(instance, w)).total
-        bounds = {"ongrid": ongrid_bound_from_instance(instance, w)}
+        dcmon_total = evaluate(instance, dcmon(instance, w, ongrid)).total
+        bounds = {"ongrid": ratio_bound_ongrid(w, ongrid)}
         if params is not None:
             bounds["hybrid"] = ratio_bound_hybrid(w, params)
         rows.append(
@@ -403,6 +406,6 @@ def gcsr_family_measurement(lookahead: int, **family) -> dict:
     inst = worst_case_gcsr_instance(**family)
     online = cp_cost(inst, gcsr(inst, lookahead))
     offline = cp_cost(inst, solve_cp_offline(inst))
-    bound = ongrid_bound_from_instance(inst, lookahead)
+    bound = ratio_bound_ongrid(lookahead, OngridParams.from_instance(inst))
     ratio = online / offline
     return {"ratio": ratio, "bound": bound, "fraction": ratio / bound}

@@ -243,18 +243,6 @@ CONFIG_SCHEMA = {
         "servers": {"type": "integer", "minimum": 1},
         "days": {"type": "integer", "minimum": 1},
         "seed": {"type": "integer", "minimum": 0},
-        "algorithm": {
-            "enum": [
-                "offline",
-                "bruteforce",
-                "gcsr",
-                "chase",
-                "dcmon",
-                "static",
-                "cpoff",
-                "ofa",
-            ]
-        },
         "lookahead": {"type": "integer", "minimum": 0},
         "sweep": {
             "type": "object",
@@ -328,7 +316,6 @@ DEFAULT_CONFIG = {
     "servers": 600,
     "days": 22,
     "seed": 0,
-    "algorithm": "dcmon",
     "lookahead": 0,
     "server": {"c_idle": 0.1, "c_peak": 0.25, "beta_s": 0.08},
     "generator": {"capacity": 60.0, "c_o": 0.08, "c_m": 1.2, "beta_g": 24.0, "count": 10},

@@ -366,14 +366,6 @@ class Instance:
         deltas = cool.overhead(b1, cool.hour_coeffs) - cool.overhead(b0, cool.hour_coeffs)
         return base + float(deltas.min())
 
-    def breakeven_idle_window(self) -> float:
-        """Slots of cheapest idling that add up to one server start, beta_s/(d_min*P_min).
-
-        Infinite when either factor is zero (a look-ahead window can then
-        never certify a turn-off).
-        """
-        return breakeven_span(self.server.beta_s, self.min_marginal_demand(), self.p_min)
-
     def truncated(self, length: int) -> "Instance":
         """Prefix instance over slots 1..length (used by causality audits).
 
@@ -403,13 +395,6 @@ class Instance:
             conditioning=self.conditioning,
             label=self.label,
         )
-
-
-def breakeven_span(beta_s: float, d_min: float, p_min: float) -> float:
-    """Idle slots at the cheapest rate that cost one server start, beta_s/(d_min*p_min);
-    infinite when idling is free."""
-    denom = d_min * p_min
-    return math.inf if denom <= 0.0 else beta_s / denom
 
 
 # ---------------------------------------------------------------------------

@@ -239,13 +239,6 @@ def brute_force_dcm(instance: Instance, budget: int = DEFAULT_ENUM_BUDGET) -> Sc
 # provisioning decomposition (server slices)
 
 
-def slice_workload(workload, i: int) -> np.ndarray:
-    """Unit workload slice i: a_i(t) = min(1, max(0, a(t) - (i-1)))."""
-    if i < 1:
-        raise ValueError(f"slice index must be >= 1, got {i}")
-    return np.clip(np.asarray(workload, dtype=float) - (i - 1), 0.0, 1.0)
-
-
 def marginal_demand_matrix(instance: Instance) -> np.ndarray:
     """Matrix [t-1, i-1] = d_t(i) - d_t(i-1) for all slots and server slices."""
     return np.diff(instance.demand_table(1, instance.horizon), axis=1)
@@ -286,14 +279,14 @@ def _cpoff_keep(busy: np.ndarray, idle_cost: np.ndarray, beta_s: float) -> np.nd
     return busy | ~reaches_breakeven(end, base, beta_s)
 
 
-def cpoff_slice(slice_workload_series, price, marginal, beta_s: float) -> np.ndarray:
+def cpoff_slice(workload_slice, price, marginal, beta_s: float) -> np.ndarray:
     """Optimal on/off series for one unit server slice.
 
     On wherever the slice has workload. In an idle gap between busy slots the
     slice stays on iff the idle energy cost over the gap is below the restart
     cost beta_s (a tie turns off). Leading and trailing idle runs are off.
     """
-    busy = np.asarray(slice_workload_series, dtype=float) > 0.0
+    busy = np.asarray(workload_slice, dtype=float) > 0.0
     idle_cost = np.asarray(price, dtype=float) * np.asarray(marginal, dtype=float)
     return _cpoff_keep(busy[:, None], idle_cost[:, None], beta_s)[:, 0].astype(float)
 
@@ -314,7 +307,12 @@ def cp_offline_slices(instance: Instance) -> np.ndarray:
 
 
 def solve_cp_offline(instance: Instance) -> np.ndarray:
-    """Optimal provisioning series as the sum of unit-slice optima."""
+    """Optimal provisioning series as the sum of unit-slice optima.
+
+    The offline rule knows where the horizon ends: trailing gaps (like
+    leading ones) turn off for free. The online rules treat the end as
+    unknown and may hold through them (see online.gcsr).
+    """
     slices = cp_offline_slices(instance)
     return slices.sum(axis=0) if len(slices) else np.zeros(instance.horizon)
 

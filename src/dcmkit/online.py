@@ -23,17 +23,24 @@ goes through a window object (LookaheadStream over the instance,
 RevealedWindow over the series CHASE reads) that raises on any access past
 the revealed window, so causality violations are structural errors rather
 than silent bugs.
+
+A-priori values and bounds: besides the revealed window, the pipeline and
+every ratio bound read only declared values. OngridParams holds beta_s,
+P_min and d_min, and alone derives the break-even span
+Delta_s = beta_s/(P_min*d_min), alpha_s = w/Delta_s (coverage) and DCMON's
+supply window w - Delta_s in whole slots (ep_window); BoundParams adds the
+generator economics and P_max. A truncated replay passes its parent's params.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, LookaheadViolation
-from .model import GeneratorModel, Instance, Schedule, breakeven_span, dispatched_schedule
+from .model import GeneratorModel, Instance, Schedule, dispatched_schedule
 from .offline import reaches_breakeven, regret_steps
 
 # ---------------------------------------------------------------------------
@@ -93,18 +100,6 @@ class LookaheadStream:
                     f"slot {t} is outside the revealed window [1, {revealed}] "
                     f"(cursor {self._cursor}, lookahead {self.lookahead})"
                 )
-
-    def workload(self, t: int) -> float:
-        self._check(t)
-        return self.instance.a(t)
-
-    def price(self, t: int) -> float:
-        self._check(t)
-        return self.instance.p(t)
-
-    def demand_table(self, t: int) -> np.ndarray:
-        self._check(t)
-        return self.instance.demand_table(t)
 
     def demand(self, t: int, x) -> float:
         """d_t(x) for one fleet size x: the same float as demand_table(t)[x]."""
@@ -231,7 +226,13 @@ class GcsrFleet:
 
 
 def gcsr(instance: Instance, lookahead: int, return_slices: bool = False):
-    """Run GCSR over the whole horizon; returns the provisioning series."""
+    """Run GCSR over the whole horizon; returns the provisioning series.
+
+    The rule treats the horizon end as unknown even when the window reaches
+    it: a powered slice in its trailing gap holds unless the gap's idle cost
+    reaches beta_s, where the offline rule turns off for free. At w >= T it
+    differs from solve_cp_offline only in trailing gaps.
+    """
     stream = LookaheadStream(instance, lookahead)
     fleet = GcsrFleet(stream, record_slices=return_slices)
     for _ in range(instance.horizon):
@@ -313,7 +314,13 @@ def chase(
     lookahead: int,
     return_slices: bool = False,
 ):
-    """Run CHASE on an energy-demand series; returns the commitment series."""
+    """Run CHASE on an energy-demand series; returns the commitment series.
+
+    The rule treats the series end as unknown even when the window reaches
+    it: a slice holds its state through its "end" segment (see
+    regret_process), where the offline rule turns off. At w >= T its slices
+    differ from ep_offline_slices only inside those segments.
+    """
     if lookahead < 0:
         raise ConfigError(f"lookahead must be nonnegative, got {lookahead}")
     energy = np.asarray(energy, dtype=float)
@@ -334,43 +341,25 @@ def chase(
 # combined pipeline: DCMON
 
 
-def ep_lookahead(instance: Instance, lookahead: int) -> int:
-    """Supply-side window left after the provisioning stage runs ahead.
-
-    The provisioning stage needs up to the break-even window of look-ahead
-    for itself; only the surplus is usable downstream. An infinite
-    break-even window (zero idle cost floor) leaves nothing.
-    """
-    return _window_surplus(lookahead, instance.breakeven_idle_window())
-
-
-def _window_surplus(lookahead: int, span: float) -> int:
-    """Whole slots of look-ahead left over after a break-even span."""
-    if math.isinf(span) or lookahead <= span:
-        return 0
-    return int(math.floor(lookahead - span))
-
-
-def dcmon(instance: Instance, lookahead: int, ep_window: int | None = None) -> Schedule:
+def dcmon(instance: Instance, lookahead: int, params: OngridParams | None = None) -> Schedule:
     """Run the full online pipeline and return a complete schedule.
 
-    GCSR decides provisioning up to ep_window slots ahead of the output
-    cursor (its break-even scans clipped to the master window, which changes
-    nothing once the surplus exists), the induced energy demand feeds CHASE,
-    and the dispatch rule completes each slot from the decided (x, y).
+    GCSR decides provisioning up to params.ep_window(lookahead) slots ahead
+    of the output cursor (its break-even scans clipped to the master window,
+    which changes nothing once the surplus exists), the induced energy
+    demand feeds CHASE, and the dispatch rule completes each slot from the
+    decided (x, y).
 
-    ep_window is the supply stage's look-ahead, an algorithm parameter
-    normally derived from the break-even span; pass it explicitly when
-    replaying a truncated view of an instance, since the derivation reads
-    the price floor off the series.
+    params holds the declared a-priori values (default: read off the
+    instance); a replay of a truncated view passes its parent's.
     """
     t_end = instance.horizon
     gen = instance.generator
     stream = LookaheadStream(instance, lookahead)
     fleet = GcsrFleet(stream)
-    w_ep = ep_lookahead(instance, lookahead) if ep_window is None else ep_window
-    if not 0 <= w_ep <= lookahead:
-        raise ConfigError(f"ep_window must lie in [0, {lookahead}], got {w_ep}")
+    if params is None:
+        params = OngridParams.from_instance(instance)
+    w_ep = params.ep_window(lookahead)
 
     energy: list[float] = []  # energy[k] = demand at slot k+1 under GCSR fleet
     window = RevealedWindow()
@@ -391,24 +380,67 @@ def dcmon(instance: Instance, lookahead: int, ep_window: int | None = None) -> S
 # competitive-ratio bounds
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Everything the closed-form ratio bounds need to know about a model."""
+@dataclass(frozen=True, kw_only=True)
+class OngridParams:
+    """Declared a-priori values of the provisioning stage: restart cost
+    beta_s, price floor p_min, and d_min, the floor on any demand increment
+    (Instance.min_marginal_demand)."""
 
     beta_s: float
+    p_min: float
+    d_min: float
+
+    def __post_init__(self) -> None:
+        if self.beta_s <= 0.0:
+            raise ConfigError(f"beta_s must be positive, got {self.beta_s}")
+        if min(self.p_min, self.d_min) < 0.0:
+            raise ConfigError("p_min and d_min must be nonnegative")
+
+    @classmethod
+    def from_instance(cls, instance: Instance) -> "OngridParams":
+        return cls(
+            beta_s=instance.server.beta_s,
+            p_min=instance.p_min,
+            d_min=instance.min_marginal_demand(),
+        )
+
+    @property
+    def breakeven_idle_window(self) -> float:
+        """Delta_s = beta_s/(d_min*p_min): idle slots at the cheapest rate that
+        cost one server start; infinite when idling is free (a window can then
+        never certify a turn-off)."""
+        denom = self.d_min * self.p_min
+        return math.inf if denom <= 0.0 else self.beta_s / denom
+
+    def coverage(self, lookahead: int) -> float:
+        """alpha_s: the fraction of the break-even span a window covers, in [0, 1]."""
+        span = self.breakeven_idle_window
+        return 0.0 if math.isinf(span) else min(1.0, lookahead / span)
+
+    def ep_window(self, lookahead: int) -> int:
+        """DCMON's supply window: whole slots of look-ahead left after the
+        break-even span, which the provisioning stage needs for itself."""
+        span = self.breakeven_idle_window
+        return 0 if math.isinf(span) or lookahead <= span else math.floor(lookahead - span)
+
+
+@dataclass(frozen=True, kw_only=True)
+class BoundParams(OngridParams):
+    """Everything the closed-form ratio bounds need to know about a model:
+    the on-grid values plus generator economics and the price peak."""
+
     beta_g: float
     c_o: float
     c_m: float
     capacity: float
-    p_min: float
     p_max: float
-    d_min: float
 
     def __post_init__(self) -> None:
-        if min(self.beta_s, self.beta_g, self.capacity) <= 0.0:
-            raise ConfigError("beta_s, beta_g, capacity must be positive")
-        if min(self.c_o, self.c_m, self.p_min, self.d_min) < 0.0:
-            raise ConfigError("costs, prices, and d_min must be nonnegative")
+        super().__post_init__()
+        if min(self.beta_g, self.capacity) <= 0.0:
+            raise ConfigError("beta_g, capacity must be positive")
+        if min(self.c_o, self.c_m) < 0.0:
+            raise ConfigError("generator costs must be nonnegative")
         if self.c_o + self.c_m / self.capacity >= self.p_max:
             raise ConfigError(
                 "bounds require economical generation: c_o + c_m/capacity < p_max "
@@ -417,37 +449,20 @@ class BoundParams:
 
     @classmethod
     def from_instance(cls, instance: Instance) -> "BoundParams":
+        gen = instance.generator
         return cls(
-            beta_s=instance.server.beta_s,
-            beta_g=instance.generator.beta_g,
-            c_o=instance.generator.c_o,
-            c_m=instance.generator.c_m,
-            capacity=instance.generator.capacity,
-            p_min=instance.p_min,
+            **asdict(OngridParams.from_instance(instance)),
+            beta_g=gen.beta_g,
+            c_o=gen.c_o,
+            c_m=gen.c_m,
+            capacity=gen.capacity,
             p_max=instance.p_max,
-            d_min=instance.min_marginal_demand(),
         )
 
-    @property
-    def breakeven_idle_window(self) -> float:
-        return breakeven_span(self.beta_s, self.d_min, self.p_min)
 
-
-def lookahead_coverage(lookahead: int, params: BoundParams) -> float:
-    """Fraction of the break-even idle window the look-ahead covers, in [0, 1]."""
-    return min(1.0, lookahead * params.d_min * params.p_min / params.beta_s)
-
-
-def ratio_bound_ongrid(lookahead: int, params: BoundParams) -> float:
-    """Worst-case GCSR / offline ratio for grid-only provisioning."""
-    return 2.0 - lookahead_coverage(lookahead, params)
-
-
-def ongrid_bound_from_instance(instance: Instance, lookahead: int) -> float:
-    """Grid-only GCSR bound straight from an instance (no generator needed)."""
-    span = instance.breakeven_idle_window()
-    cov = 0.0 if math.isinf(span) else min(1.0, lookahead / span)
-    return 2.0 - cov
+def ratio_bound_ongrid(lookahead: int, params: OngridParams) -> float:
+    """Worst-case GCSR / offline ratio for grid-only provisioning, 2 - alpha_s."""
+    return 2.0 - params.coverage(lookahead)
 
 
 def ratio_bound_ep(lookahead: int, params: BoundParams) -> float:
@@ -463,19 +478,19 @@ def ratio_bound_ep(lookahead: int, params: BoundParams) -> float:
 def ratio_bound_hybrid(lookahead: int, params: BoundParams) -> float:
     """Worst-case pipeline / joint-offline ratio for hybrid supply."""
     cap, p = params.capacity, params.p_max
-    alpha_g = params.c_m * _window_surplus(lookahead, params.breakeven_idle_window) / params.beta_g
+    alpha_g = params.c_m * params.ep_window(lookahead) / params.beta_g
     margin = cap * p - cap * params.c_o - params.c_m
     bracket = 1.0 + 2.0 * margin / (
         cap * p + alpha_g * p * (cap - params.c_m / (p - params.c_o))
     )
-    return (p * (2.0 - lookahead_coverage(lookahead, params)) / (params.c_o + params.c_m / cap)) * bracket
+    return (p * (2.0 - params.coverage(lookahead)) / (params.c_o + params.c_m / cap)) * bracket
 
 
 def ratio_bound_hybrid_loose(lookahead: int, params: BoundParams) -> float:
     """Simpler, weaker form of the hybrid bound (no-look-ahead tabletop form)."""
     p = params.p_max
-    alpha_g = params.c_m * _window_surplus(lookahead, params.breakeven_idle_window) / params.beta_g
-    head = p * (2.0 - lookahead_coverage(lookahead, params)) / (params.c_o + params.c_m / params.capacity)
+    alpha_g = params.c_m * params.ep_window(lookahead) / params.beta_g
+    head = p * (2.0 - params.coverage(lookahead)) / (params.c_o + params.c_m / params.capacity)
     return head * (1.0 + 2.0 * (p - params.c_o) / p / (1.0 + alpha_g))
 
 

@@ -40,11 +40,10 @@ from .offline import (
 )
 from .online import (
     BoundParams,
+    OngridParams,
     chase,
     dcmon,
-    ep_lookahead,
     gcsr,
-    ongrid_bound_from_instance,
     ratio_bound_ep,
     ratio_bound_hybrid,
     ratio_bound_ongrid,
@@ -273,11 +272,12 @@ def verify_gcsr_bounds(
         inst = random_bound_instance(rng, generators=0)
         xbar = solve_cp_offline(inst)
         off = cp_cost(inst, xbar)
-        span = inst.breakeven_idle_window()
+        params = OngridParams.from_instance(inst)
+        span = params.breakeven_idle_window
         for w in lookaheads:
             xon = gcsr(inst, w)
             on = cp_cost(inst, xon)
-            bound = ongrid_bound_from_instance(inst, w)
+            bound = ratio_bound_ongrid(w, params)
             if on > bound * off + TOL:
                 return False, f"instance {k} w={w}: ratio {on / off} above bound {bound}"
             if w >= span:
@@ -374,16 +374,16 @@ def verify_causality(
     for k in range(samples):
         inst = random_bound_instance(rng)
         t_end = inst.horizon
+        params = OngridParams.from_instance(inst)  # a-priori values, fixed across replays
         for w in lookaheads:
             x_full = gcsr(inst, w)
-            full = dcmon(inst, w)
-            w_ep = ep_lookahead(inst, w)  # algorithm parameter, fixed across replays
+            full = dcmon(inst, w, params)
             for t in sorted({1, t_end // 2, t_end}):
                 cut = inst.truncated(min(t_end, t + w))
                 x_cut = gcsr(cut, w)
                 if not np.array_equal(x_cut[:t], x_full[:t]):
                     return False, f"instance {k} w={w} t={t}: provisioning not causal"
-                part = dcmon(cut, w, ep_window=w_ep)
+                part = dcmon(cut, w, params)
                 if not (
                     np.array_equal(part.x[:t], full.x[:t])
                     and np.array_equal(part.y[:t], full.y[:t])

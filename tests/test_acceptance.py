@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from dcmkit import (
+    OngridParams,
     build_instance,
     dcmon,
     demand_series,
@@ -113,7 +114,7 @@ def test_accept_08_qualitative_directions():
 
     # cost non-increasing in the look-ahead window, saturating at the
     # break-even span where the online series equals the offline one
-    w_sat = math.ceil(ny.breakeven_idle_window())
+    w_sat = math.ceil(OngridParams.from_instance(ny).breakeven_idle_window)
     windows = [0, 1, 2, 4, w_sat]
     costs = [cp_cost(ny, gcsr(ny, w)) for w in windows]
     if not all(a >= b - 1e-9 for a, b in zip(costs, costs[1:])):

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from dcmkit import (
+    BoundParams,
+    ConfigError,
     GeneratorModel,
     Instance,
+    OngridParams,
     ServerModel,
     ablation_cp_only,
     ablation_ep_only,
@@ -13,6 +16,7 @@ from dcmkit import (
     decomposition_tightness,
     evaluate,
     gcsr,
+    ratio_bound_ongrid,
     run_comparison,
     solve_cp_offline,
     solve_dcm_offline,
@@ -189,6 +193,18 @@ def test_sweep_lookahead_rows_and_monotonicity():
     assert all(a >= b - 1e-9 for a, b in zip(gcsr_costs, gcsr_costs[1:]))
     ongrid = [r["bounds"]["ongrid"] for r in rows]
     assert all(a >= b for a, b in zip(ongrid, ongrid[1:]))
+
+
+def test_sweep_lookahead_without_economical_generators_has_only_the_ongrid_bound():
+    # no generators, so the instance is valid although c_o + c_m/L = 0.1 is
+    # not below the price peak; only the supply bounds are undefined
+    inst = toy_instance([2.0, 0.0, 0.0, 2.0, 1.0], np.full(5, 0.1), count=0)
+    ongrid = OngridParams.from_instance(inst)
+    with pytest.raises(ConfigError, match="economical generation"):
+        BoundParams.from_instance(inst)
+    windows = (0, 1, 2, 8)
+    rows = sweep_lookahead(inst, windows)
+    assert [r["bounds"] for r in rows] == [{"ongrid": ratio_bound_ongrid(w, ongrid)} for w in windows]
 
 
 def test_sweep_generators_flattens_once_demand_is_covered():

@@ -203,6 +203,13 @@ def test_load_config_errors(tmp_path):
         load_config(str(arr))
 
 
+def test_cli_rejects_the_retired_algorithm_key(tmp_path, capsys):
+    # solve takes --algo; a config key that nothing reads is an error, not ignored
+    cfg = write_tiny_config(tmp_path, {"algorithm": "gcsr"})
+    assert main(["compare", "--config", cfg]) == 1
+    assert "'algorithm' was unexpected" in capsys.readouterr().err
+
+
 def test_build_instance_wires_the_preset_overheads():
     trace = synthesize_trace(seed=0, days=1, servers=6)
     inst = build_instance(trace, validate_config(TINY_CFG))

@@ -15,6 +15,7 @@ from dcmkit import (
     FeasibilityError,
     GeneratorModel,
     Instance,
+    OngridParams,
     Schedule,
     ServerModel,
     check_schedule,
@@ -195,13 +196,13 @@ def test_breakeven_idle_window_infinite_when_idling_is_free():
         server=ServerModel(c_idle=0.0, c_peak=0.25, beta_s=0.08),
         generator=GeneratorModel(60.0, 0.08, 1.2, 24.0, 0),
     )
-    assert math.isinf(inst.breakeven_idle_window())
+    assert math.isinf(OngridParams.from_instance(inst).breakeven_idle_window)
 
 
 def test_breakeven_idle_window_plain_ratio():
     inst = bare_instance([1.0, 0.0], [0.1, 0.2])
     # beta_s / (c_idle * p_min) = 0.08 / 0.01
-    assert inst.breakeven_idle_window() == pytest.approx(8.0)
+    assert OngridParams.from_instance(inst).breakeven_idle_window == pytest.approx(8.0)
 
 
 # ---------------------------------------------------------------------------

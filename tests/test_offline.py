@@ -36,7 +36,6 @@ from dcmkit.offline import (
     marginal_demand_matrix,
     regret_steps,
     slice_energy,
-    slice_workload,
 )
 from dcmkit.verify import random_bound_instance, random_ep_problem, random_tiny_instance
 
@@ -52,23 +51,7 @@ def flat_power_instance(workload, price, beta_s=0.08):
 
 
 # ---------------------------------------------------------------------------
-# workload and energy slices
-
-
-def test_slice_workload_unit_decomposition():
-    a = [2.5, 0.0, 1.2]
-    assert np.allclose(slice_workload(a, 1), [1.0, 0.0, 1.0])
-    assert np.allclose(slice_workload(a, 2), [1.0, 0.0, 0.2])
-    assert np.allclose(slice_workload(a, 3), [0.5, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        slice_workload(a, 0)
-
-
-def test_slice_workload_sums_back():
-    rng = np.random.default_rng(7)
-    a = rng.uniform(0.0, 5.0, 12)
-    total = sum(slice_workload(a, i) for i in range(1, 6))
-    assert np.allclose(total, a, atol=1e-12)
+# energy slices
 
 
 def test_slice_energy_capacity_decomposition():

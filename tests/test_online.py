@@ -1,5 +1,6 @@
 """Look-ahead online algorithms and their competitive-ratio bounds."""
 
+import dataclasses
 import math
 from bisect import bisect_left
 
@@ -13,24 +14,28 @@ from dcmkit import (
     Instance,
     LookaheadStream,
     LookaheadViolation,
+    OngridParams,
     ServerModel,
     chase,
+    cp_offline_slices,
     dcmon,
     demand_series,
-    ep_lookahead,
+    ep_offline_slices,
     evaluate,
     gcsr,
     ratio_bound_ep,
     ratio_bound_hybrid,
     ratio_bound_hybrid_loose,
     ratio_bound_ongrid,
+    regret_process,
     rho_decomposition,
     solve_cp_offline,
 )
 from dcmkit import harness, online
 from dcmkit.analysis import grid_only_schedule
-from dcmkit.online import GcsrFleet, ongrid_bound_from_instance
-from dcmkit.verify import random_bound_instance, random_tiny_instance
+from dcmkit.offline import slice_energy
+from dcmkit.online import GcsrFleet
+from dcmkit.verify import random_bound_instance, random_ep_problem, random_tiny_instance
 
 # dyadic idle economics: every server unit draws exactly 0.25, price 0.125,
 # so one idle slot costs 0.03125 and the break-even window is 4 slots sharp
@@ -55,14 +60,18 @@ def test_stream_reveals_exactly_the_window():
     inst = dyadic_instance([1, 0, 0, 1, 0])
     stream = LookaheadStream(inst, 2)
     assert stream.revealed_end == 3
-    assert stream.price(3) == 0.125
+    assert np.array_equal(stream.workloads(1, 3), [1.0, 0.0, 0.0])
+    assert np.array_equal(stream.idle_prefix(1, 3), [[IDLE], [2 * IDLE], [3 * IDLE]])
     with pytest.raises(LookaheadViolation):
-        stream.price(4)
+        stream.workloads(1, 4)
     stream.advance()
     assert stream.cursor == 2 and stream.revealed_end == 4
-    stream.workload(4)
+    assert np.array_equal(stream.workloads(4, 4), [1.0])
+    assert stream.demand(4, 1) == 0.25
     with pytest.raises(LookaheadViolation):
-        stream.demand_table(5)
+        stream.demand(5, 1)
+    with pytest.raises(LookaheadViolation):
+        stream.idle_prefix(2, 5)
     for _ in range(3):
         stream.advance()
     assert stream.revealed_end == 5  # clipped at the horizon
@@ -401,6 +410,50 @@ def test_chase_stays_off_when_generation_never_pays():
 
 
 # ---------------------------------------------------------------------------
+# horizon end: unknown to the online rules, free to the offline ones
+
+
+def test_full_window_gcsr_differs_from_offline_only_in_trailing_gaps():
+    rng = np.random.default_rng(35)
+    busy_ending = trailing_holds = 0
+    for k in range(600):
+        inst = random_tiny_instance(rng) if k % 2 else random_bound_instance(rng)
+        t_end = inst.horizon
+        x, on = gcsr(inst, t_end, return_slices=True)
+        off = cp_offline_slices(inst)
+        busy = inst.workload > np.arange(inst.max_servers)[:, None]  # (M, T)
+        last_busy = t_end - np.argmax(busy[:, ::-1], axis=1)  # every slice is busy somewhere
+        trailing = np.arange(1, t_end + 1) > last_busy[:, None]
+        assert np.array_equal(on[~trailing], off[~trailing])
+        assert np.all(on >= off)
+        if busy[:, -1].all():
+            assert np.array_equal(x, solve_cp_offline(inst))
+            busy_ending += 1
+        trailing_holds += not np.array_equal(on, off)
+    assert busy_ending >= 300 and trailing_holds >= 20
+
+
+def test_full_window_chase_differs_from_offline_only_in_end_segments():
+    rng = np.random.default_rng(36)
+    differing = 0
+    for _ in range(1500):
+        gen, energy, price = random_ep_problem(rng)
+        t_end = len(energy)
+        _, on = chase(gen, energy, price, t_end, return_slices=True)
+        off = ep_offline_slices(gen, energy, price)
+        for i in range(gen.count):
+            segments = regret_process(gen, slice_energy(energy, i + 1, gen.capacity), price).segments
+            end = [seg for seg in segments if seg.kind == "end"]
+            mask = np.zeros(t_end, dtype=bool)
+            for seg in end:
+                mask[seg.start - 1 : seg.end] = True
+                assert len(set(on[i, seg.start - 1 : seg.end])) == 1  # CHASE holds
+            assert np.array_equal(on[i, ~mask], off[i, ~mask])
+            differing += not np.array_equal(on[i], off[i])
+    assert differing >= 20
+
+
+# ---------------------------------------------------------------------------
 # combined pipeline
 
 
@@ -434,41 +487,69 @@ def test_dcmon_schedule_is_feasible_and_dispatch_optimal():
         assert np.allclose(sched.u + sched.v, d, atol=1e-9)
 
 
-def test_dcmon_ep_window_validation():
-    inst = dyadic_instance([1, 0, 1])
-    with pytest.raises(ConfigError):
-        dcmon(inst, 2, ep_window=3)
-    with pytest.raises(ConfigError):
-        dcmon(inst, 2, ep_window=-1)
-    dcmon(inst, 2, ep_window=0)
+def test_dcmon_supply_window_comes_from_params(monkeypatch):
+    # CHASE decides slot t on the energy of slots up to t + params.ep_window(w)
+    ends = []
+    decide = online.ChaseFleet.decide_next
+    monkeypatch.setattr(online.ChaseFleet, "decide_next",
+                        lambda fleet, window_end: ends.append(window_end) or decide(fleet, window_end))
+    inst = dyadic_instance([1, 0, 1, 0, 0, 0, 0, 0, 1, 0])  # span 4 slots
+    t_end, w = inst.horizon, 6
+    for params, w_ep in (
+        (None, 2),
+        (OngridParams.from_instance(inst), 2),
+        (OngridParams(beta_s=BETA_S, p_min=0.125, d_min=0.125), 0),  # span 8
+        (OngridParams(beta_s=IDLE, p_min=0.125, d_min=0.25), 5),  # span 1
+        (OngridParams(beta_s=BETA_S, p_min=0.0, d_min=0.25), 0),  # free idling
+    ):
+        ends.clear()
+        sched = dcmon(inst, w, params)
+        assert ends == [min(t + w_ep, t_end) for t in range(1, t_end + 1)]
+        assert np.array_equal(sched.x, gcsr(inst, w))
 
 
-def test_ep_lookahead_is_the_surplus_over_the_breakeven_window():
-    inst = dyadic_instance([1, 0, 1])  # span = 4 slots exactly
-    assert ep_lookahead(inst, 0) == 0
-    assert ep_lookahead(inst, 4) == 0
-    assert ep_lookahead(inst, 5) == 1
-    assert ep_lookahead(inst, 10) == 6
+def test_ep_window_is_the_surplus_over_the_breakeven_window():
+    params = OngridParams.from_instance(dyadic_instance([1, 0, 1]))  # span = 4 slots exactly
+    assert params.breakeven_idle_window == 4.0
+    assert [params.ep_window(w) for w in (0, 4, 5, 10)] == [0, 0, 1, 6]
     free_idle = Instance(
         workload=[1.0, 0.0],
         price=[0.125, 0.125],
         server=ServerModel(c_idle=0.0, c_peak=0.25, beta_s=0.125),
         generator=GeneratorModel(60.0, 0.08, 1.2, 24.0, 0),
     )
-    assert ep_lookahead(free_idle, 100) == 0  # infinite span leaves no surplus
+    free = OngridParams.from_instance(free_idle)
+    assert math.isinf(free.breakeven_idle_window)
+    assert free.ep_window(100) == 0  # infinite span leaves no surplus
+    assert free.coverage(100) == 0.0
+
+
+def test_ep_window_lies_between_zero_and_the_window():
+    rng = np.random.default_rng(27)
+    for k in range(200):
+        inst = random_tiny_instance(rng) if k % 2 else random_bound_instance(rng)
+        params = OngridParams.from_instance(inst)
+        span = params.breakeven_idle_window
+        for w in range(65):
+            w_ep = params.ep_window(w)
+            assert 0 <= w_ep <= w
+            assert w_ep == (math.floor(w - span) if w > span else 0)
+            assert 0.0 <= params.coverage(w) <= 1.0
+    free = OngridParams(beta_s=BETA_S, p_min=0.0, d_min=0.25)
+    assert all(free.ep_window(w) == 0 for w in range(65))
 
 
 def test_truncated_replay_reproduces_the_online_prefix():
     rng = np.random.default_rng(24)
     inst = random_tiny_instance(rng)
     w = 2
-    w_ep = ep_lookahead(inst, w)
+    params = OngridParams.from_instance(inst)  # the parent's a-priori values
     full_x = gcsr(inst, w)
-    full = dcmon(inst, w, ep_window=w_ep)
+    full = dcmon(inst, w, params)
     for cut_at in range(1, inst.horizon + 1):
         cut = inst.truncated(cut_at)
         assert np.array_equal(gcsr(cut, w), full_x[:cut_at])
-        replay = dcmon(cut, w, ep_window=w_ep)
+        replay = dcmon(cut, w, params)
         assert np.array_equal(replay.x, full.x[:cut_at])
         assert np.array_equal(replay.y, full.y[:cut_at])
 
@@ -496,11 +577,35 @@ def test_ongrid_bound_endpoints():
     assert ratio_bound_ongrid(4, PARAMS) == pytest.approx(1.5)
 
 
-def test_ongrid_bound_from_instance_agrees():
-    inst = dyadic_instance([1, 0, 1])
-    assert ongrid_bound_from_instance(inst, 0) == 2.0
-    assert ongrid_bound_from_instance(inst, 2) == pytest.approx(1.5)
-    assert ongrid_bound_from_instance(inst, 4) == 1.0
+def test_ongrid_bound_on_params_read_off_an_instance():
+    params = OngridParams.from_instance(dyadic_instance([1, 0, 1]))  # span = 4 slots
+    assert ratio_bound_ongrid(0, params) == 2.0
+    assert ratio_bound_ongrid(2, params) == 1.5
+    assert ratio_bound_ongrid(4, params) == 1.0
+    assert ratio_bound_ongrid(9, params) == 1.0
+
+
+def test_bound_params_extend_the_ongrid_params():
+    # one alpha_s and one supply window for every bound: the hybrid bounds
+    # read the same coverage and ep_window as the on-grid bound
+    rng = np.random.default_rng(34)
+    for _ in range(100):
+        inst = random_bound_instance(rng, generators=1)
+        bound = BoundParams.from_instance(inst)
+        ongrid = OngridParams.from_instance(inst)
+        assert OngridParams(beta_s=bound.beta_s, p_min=bound.p_min, d_min=bound.d_min) == ongrid
+        for w in range(33):
+            assert ratio_bound_ongrid(w, bound) == ratio_bound_ongrid(w, ongrid)
+            assert bound.ep_window(w) == ongrid.ep_window(w)
+    assert issubclass(BoundParams, OngridParams)
+    with pytest.raises(TypeError):
+        OngridParams(0.125, 0.125, 0.25)  # keyword-only
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        PARAMS.p_min = 0.2
+    with pytest.raises(ConfigError):
+        OngridParams(beta_s=0.0, p_min=0.1, d_min=0.1)
+    with pytest.raises(ConfigError):
+        OngridParams(beta_s=0.1, p_min=-0.1, d_min=0.1)
 
 
 def test_ep_bound_value_and_decay():

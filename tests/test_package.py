@@ -1,0 +1,30 @@
+"""Package surface: every export resolves and every demo script runs."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import dcmkit
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_every_export_resolves():
+    assert len(set(dcmkit.__all__)) == len(dcmkit.__all__)
+    missing = [name for name in dcmkit.__all__ if not hasattr(dcmkit, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
