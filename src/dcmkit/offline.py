@@ -58,7 +58,10 @@ def cp_cost(instance: Instance, x) -> float:
 
 def ep_cost(gen: GeneratorModel, energy, price, y) -> float:
     """Supply-side objective: per-slot supply cost plus generator startups."""
+    energy, price = supply_series(energy, price)
     y = np.asarray(y, dtype=float)
+    if y.shape != energy.shape:
+        raise ConfigError(f"commitment series has shape {y.shape}, expected {energy.shape}")
     total = sum(supply_cost(gen, y, price, energy).tolist())
     return float(total) + gen.beta_g * positive_increases(y)
 
@@ -336,6 +339,22 @@ def brute_force_cp(instance: Instance, budget: int = DEFAULT_ENUM_BUDGET) -> tup
 # supply decomposition (generator slices)
 
 
+def supply_series(energy, price) -> tuple[np.ndarray, np.ndarray]:
+    """Energy-demand and price series as float arrays; ConfigError unless
+    both are 1-d, of equal length, finite and nonnegative."""
+    energy = np.asarray(energy, dtype=float)
+    price = np.asarray(price, dtype=float)
+    if energy.ndim != 1 or price.ndim != 1:
+        raise ConfigError("energy and price must be 1-d series")
+    if len(energy) != len(price):
+        raise ConfigError(f"series length mismatch: {len(energy)} energy vs {len(price)} price")
+    if not (np.isfinite(energy).all() and np.isfinite(price).all()):
+        raise ConfigError("energy and price must be finite")
+    if np.any(energy < 0.0) or np.any(price < 0.0):
+        raise ConfigError("energy and price must be nonnegative")
+    return energy, price
+
+
 def slice_energy(energy, i: int, capacity: float) -> np.ndarray:
     """Unit supply slice i: e_i(t) = min(L, max(0, e(t) - (i-1)L))."""
     if i < 1:
@@ -353,14 +372,12 @@ def regret_steps(gen: GeneratorModel, energy, price) -> np.ndarray:
 
 def clamped_regret(gain, beta_g: float) -> np.ndarray:
     """Cumulative savings clamped to [-beta_g, 0], starting at -beta_g."""
-    gain = np.asarray(gain, dtype=float)
-    out = np.empty(len(gain) + 1)
-    out[0] = -beta_g
     r = -beta_g
-    for k, g in enumerate(gain):
+    out = [r]
+    for g in np.asarray(gain, dtype=float).tolist():
         r = min(0.0, max(-beta_g, r + g))
-        out[k + 1] = r
-    return out
+        out.append(r)
+    return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -428,39 +445,37 @@ def regret_process(gen: GeneratorModel, energy, price) -> RegretProcess:
 
 
 def ofa_ep_slice(gen: GeneratorModel, energy_slice, price) -> np.ndarray:
-    """Optimal on/off series for one generator slice: on across every
-    segment that carries the savings process from -beta_g up to 0."""
-    proc = regret_process(gen, energy_slice, price)
-    y = np.zeros(len(proc.gain))
-    for seg in proc.segments:
-        if seg.kind == "on":
-            y[seg.start - 1 : seg.end] = 1.0
-    return y
+    """Optimal on/off series for one generator slice: on at slot t iff the
+    first extreme of the clamped savings process at or after t is the top
+    (the "on" segments of critical_segments); off after the last extreme."""
+    regret = clamped_regret(regret_steps(gen, energy_slice, price), gen.beta_g)[1:]
+    top = regret == 0.0
+    t_end = len(regret)
+    extreme_slots = np.where(top | (regret == -gen.beta_g), np.arange(t_end), t_end)
+    next_extreme = np.minimum.accumulate(extreme_slots[::-1])[::-1]
+    return np.append(top, False)[next_extreme].astype(float)
 
 
 def ep_offline_slices(gen: GeneratorModel, energy, price) -> np.ndarray:
     """Per-slice optimal generator series, shape (count, horizon)."""
-    if gen.count == 0:
-        return np.zeros((0, len(np.asarray(energy))))
-    return np.stack(
-        [
-            ofa_ep_slice(gen, slice_energy(energy, i, gen.capacity), price)
-            for i in range(1, gen.count + 1)
-        ]
-    )
+    energy, price = supply_series(energy, price)
+    slices = np.zeros((gen.count, len(energy)))
+    for i in range(gen.count):
+        slices[i] = ofa_ep_slice(gen, slice_energy(energy, i + 1, gen.capacity), price)
+    return slices
 
 
 def solve_ep_offline(gen: GeneratorModel, energy, price) -> np.ndarray:
     """Optimal generator commitment as the sum of unit-slice optima."""
-    slices = ep_offline_slices(gen, energy, price)
-    return slices.sum(axis=0) if len(slices) else np.zeros(len(np.asarray(energy)))
+    return ep_offline_slices(gen, energy, price).sum(axis=0)
 
 
 def brute_force_ep(
     gen: GeneratorModel, energy, price, budget: int = DEFAULT_ENUM_BUDGET
 ) -> tuple[np.ndarray, float]:
     """Exhaustive minimum of the supply objective (oracle)."""
-    t_end = len(np.asarray(energy))
+    energy, price = supply_series(energy, price)
+    t_end = len(energy)
     if (gen.count + 1) ** t_end > budget:
         raise CapacityError("supply enumeration exceeds budget")
     best_y, best = None, math.inf

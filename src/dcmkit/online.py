@@ -13,9 +13,10 @@ before its first busy one), so a decision's work grows only as log w. The
 look-ahead stream evaluates demand and P in blocks of slots, one demand
 grid per block, and holds O((block + w) * M) floats.
 
-Supply (CHASE): each unit generator slice tracks the clamped cumulative
-savings of running versus buying from the grid and switches to whichever
-extreme the window shows the process hitting next.
+Supply (CHASE): each unit generator slice tracks R, its cumulative savings
+of running versus buying from the grid, clamped to [-beta_g, 0]. It is on at
+slot t iff the first extreme R touches at or after t is the top, the offline
+slice rule, once that extreme is in the window; until then it holds.
 
 The combined pipeline (DCMON) feeds GCSR's provisioning decisions, computed
 slightly ahead of the output slot, to CHASE as its energy demand. Every read
@@ -35,16 +36,24 @@ generator economics and P_max. A truncated replay passes its parent's params.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, LookaheadViolation
 from .model import GeneratorModel, Instance, Schedule, dispatched_schedule
-from .offline import reaches_breakeven, regret_steps
+from .offline import reaches_breakeven, regret_steps, supply_series
 
 # ---------------------------------------------------------------------------
 # revealed-window plumbing
+
+
+def _whole_slots(lookahead) -> int:
+    """lookahead as an int; ConfigError unless it is a whole slot count >= 0."""
+    if not (lookahead >= 0 and float(lookahead).is_integer()):
+        raise ConfigError(f"lookahead must be a nonnegative integer, got {lookahead}")
+    return int(lookahead)
 
 
 class LookaheadStream:
@@ -68,10 +77,8 @@ class LookaheadStream:
     _BLOCK = 256
 
     def __init__(self, instance: Instance, lookahead: int):
-        if lookahead < 0 or lookahead != int(lookahead):
-            raise ConfigError(f"lookahead must be a nonnegative integer, got {lookahead}")
         self.instance = instance
-        self.lookahead = int(lookahead)
+        self.lookahead = _whole_slots(lookahead)
         self._cursor = 1
         # demand rows d_s(0..M) and idle-cost sums P(s) for held slots s = _first.._last
         m = instance.max_servers
@@ -254,54 +261,58 @@ def gcsr(instance: Instance, lookahead: int, return_slices: bool = False):
 class ChaseFleet:
     """All unit generator slices of one CHASE run.
 
-    Each slice keeps its committed clamped savings value R_i(t-1); on every
-    decision it rolls the process forward across the revealed window and
-    switches to the extreme hit first, holding if neither is visible. The
-    per-slice savings of each revealed slot are computed once, as one row.
+    Each revealed slot advances every slice's savings process R_i one
+    clamped step, with the floats of offline.clamped_regret, and queues the
+    slots where R_i touches an extreme (0: on, -beta_g: off). The window
+    never shrinks, so every queued slot is in view. A decision at t takes
+    the kind of each queue's head, the first extreme at or after t, holds on
+    an empty queue, and pops the head at its slot: O(N) work whatever the
+    window. Past R_i's last extreme (the "end" segment of
+    critical_segments) the slice holds where the offline rule, knowing the
+    horizon ends, turns off.
     """
 
-    def __init__(self, gen: GeneratorModel, energy_at, price_at):
+    def __init__(self, gen: GeneratorModel, energy_at, price_at, record_slices: bool = False):
         self.gen = gen
         self.energy_at = energy_at  # callable slot -> revealed energy demand
         self.price_at = price_at
         self._offsets = np.arange(gen.count) * gen.capacity  # slice i starts at i*L
-        self._gains: list[list[float]] = []  # _gains[t-1][i] = savings of slice i in slot t
-        self._regret = [-gen.beta_g] * gen.count
+        self._revealed = 0
+        self._regret = [-gen.beta_g] * gen.count  # R_i at slot self._revealed
+        # (slot, on) for each extreme of R_i at or after next_slot, in slot order
+        self._extremes: list[deque] = [deque() for _ in range(gen.count)]
         self._on = [0] * gen.count
         self.next_slot = 1
         self.series: list[int] = []
-        self.slice_series: list[list[int]] = [[] for _ in range(gen.count)]
+        self.slice_series: list[list[int]] | None = [] if record_slices else None
 
-    def _cache_to(self, end: int) -> None:
-        while len(self._gains) < end:
-            t = len(self._gains) + 1
-            energy = np.clip(self.energy_at(t) - self._offsets, 0.0, self.gen.capacity)
-            self._gains.append(regret_steps(self.gen, energy, self.price_at(t)).tolist())
+    def _reveal(self) -> None:
+        """Step every R_i over the next slot and queue the extremes it touches."""
+        tau = self._revealed + 1
+        energy = np.clip(self.energy_at(tau) - self._offsets, 0.0, self.gen.capacity)
+        gains = regret_steps(self.gen, energy, self.price_at(tau)).tolist()
+        bottom = -self.gen.beta_g
+        for i, gain in enumerate(gains):
+            r = self._regret[i] = min(0.0, max(bottom, self._regret[i] + gain))
+            if r == 0.0 or r == bottom:
+                self._extremes[i].append((tau, int(r == 0.0)))
+        self._revealed = tau
 
     def decide_next(self, window_end: int) -> int:
+        """Decide slot self.next_slot using revealed data up to window_end."""
         t = self.next_slot
         if window_end < t:
             raise LookaheadViolation(f"window end {window_end} precedes decision slot {t}")
-        self._cache_to(window_end)
-        gains = self._gains
-        bottom = -self.gen.beta_g
-        total = 0
-        for i in range(self.gen.count):
-            r = self._regret[i]
-            verdict = None
-            for tau in range(t, window_end + 1):
-                r = min(0.0, max(bottom, r + gains[tau - 1][i]))
-                if r == 0.0:
-                    verdict = 1
-                    break
-                if r == bottom:
-                    verdict = 0
-                    break
-            on = self._on[i] if verdict is None else verdict
-            self._regret[i] = min(0.0, max(bottom, self._regret[i] + gains[t - 1][i]))
-            self._on[i] = on
-            self.slice_series[i].append(on)
-            total += on
+        while self._revealed < window_end:
+            self._reveal()
+        for i, pending in enumerate(self._extremes):
+            if pending:
+                slot, self._on[i] = pending[0]
+                if slot == t:
+                    pending.popleft()
+        if self.slice_series is not None:
+            self.slice_series.append(list(self._on))
+        total = sum(self._on)
         self.series.append(total)
         self.next_slot += 1
         return total
@@ -316,24 +327,21 @@ def chase(
 ):
     """Run CHASE on an energy-demand series; returns the commitment series.
 
-    The rule treats the series end as unknown even when the window reaches
-    it: a slice holds its state through its "end" segment (see
-    regret_process), where the offline rule turns off. At w >= T its slices
-    differ from ep_offline_slices only inside those segments.
+    The rule (see ChaseFleet) treats the series end as unknown even when
+    the window reaches it, so at w >= T its slices differ from
+    ep_offline_slices only inside their "end" segments, where they hold.
     """
-    if lookahead < 0:
-        raise ConfigError(f"lookahead must be nonnegative, got {lookahead}")
-    energy = np.asarray(energy, dtype=float)
-    price = np.asarray(price, dtype=float)
+    lookahead = _whole_slots(lookahead)
+    energy, price = supply_series(energy, price)
     t_end = len(energy)
     window = RevealedWindow()
-    fleet = ChaseFleet(gen, window.reader(energy), window.reader(price))
+    fleet = ChaseFleet(gen, window.reader(energy), window.reader(price), record_slices=return_slices)
     for t in range(1, t_end + 1):
         window.end = min(t + lookahead, t_end)
         fleet.decide_next(window.end)
     y = np.array(fleet.series, dtype=float)
     if return_slices:
-        return y, np.array(fleet.slice_series, dtype=float).reshape(gen.count, t_end)
+        return y, np.array(fleet.slice_series, dtype=float).reshape(t_end, gen.count).T
     return y
 
 

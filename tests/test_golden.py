@@ -44,6 +44,17 @@ CASES = {
         ["compare", "--lookahead", "4"],
         "b49404b2779a20e5c4012e3bc825fab51f774e014c0c8afae9ea3320d0060a87",
     ),
+    # --lookahead 16 leaves CHASE a supply window (ep_window 8 for ny, 7 for sj)
+    "ny-compare-w16": (
+        {**BASE, "preset": "ny"},
+        ["compare", "--lookahead", "16"],
+        "96aa1fb9c7057275ff9e5306c6e2f5ba34c74225119aba4b68cb152b1082f000",
+    ),
+    "sj-compare-w16": (
+        {**BASE, "preset": "sj"},
+        ["compare", "--lookahead", "16"],
+        "35c25a9add8cfaa632614209e2bc2ed390149226b8173b389d211fb28986f049",
+    ),
     "ny-sweep": (
         {**BASE, "preset": "ny"},
         ["sweep"],
