@@ -10,6 +10,14 @@ enumeration are kept as reference oracles. The decomposition splits
 provisioning into M unit server slices solved by a break-even rule and
 supply into N unit generator slices solved by tracking a clamped cumulative
 savings process.
+
+Both the DP and the server slices walk the horizon in blocks of BLOCK_SLOTS
+slots, one demand grid per block. For the slices, idle_cost_block also
+continues each slice's running idle-cost sum P from the previous block's
+last row, and each idle gap is decided at the slot where it closes, so
+solve_cp_offline holds O(BLOCK_SLOTS * M + T) numbers, never a (T, M) array.
+The online look-ahead stream evaluates its blocks with the same function, so
+online and offline slice rules compare the same floats.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .model import (
 
 DEFAULT_STATE_BUDGET = 5_000_000
 DEFAULT_ENUM_BUDGET = 10_000_000
+BLOCK_SLOTS = 256  # slots per block evaluation of demand grids and idle-cost sums
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +115,11 @@ def solve_dcm_offline(
     layered state graph.
 
     Layer t keeps only its feasible rows x = ceil(a(t))..M, so work and
-    memory are O((M+1-ceil(a(t)))(N+1)) per layer. The state budget still
-    counts the full (M+1)(N+1)(T+2) grid. Ties resolve to the
-    lexicographically smallest x series, then y series.
+    memory are O((M+1-ceil(a(t)))(N+1)) per layer; the backward pass reads
+    each layer's demand row from one demand_table grid per block of
+    BLOCK_SLOTS slots. The state budget still counts the full
+    (M+1)(N+1)(T+2) grid. Ties resolve to the lexicographically smallest x
+    series, then y series.
     """
     m, n, t_end = instance.max_servers, instance.generator.count, instance.horizon
     states = (m + 1) * (n + 1) * (t_end + 2)
@@ -128,9 +139,13 @@ def solve_dcm_offline(
     # state (x, y) at slot t, for the feasible rows x >= lows[t] only
     value: list[np.ndarray | None] = [None] * (t_end + 2)
     value[t_end + 1] = np.zeros((m + 1, n + 1))
+    first = t_end + 1  # demand rows of slots first..first+len(grid)-1, read backward
     for t in range(t_end, 0, -1):
+        if t < first:
+            first = max(1, t - BLOCK_SLOTS + 1)
+            grid = instance.demand_table(first, t)
         lo = lows[t]
-        stage = supply_cost(gen, y_grid, instance.p(t), instance.demand_table(t)[lo:, None])
+        stage = supply_cost(gen, y_grid, instance.p(t), grid[t - first, lo:, None])
         over_x = _min_increase_transform(value[t + 1], beta_s, lows[t + 1], lo)
         value[t] = stage + _min_increase_transform(over_x.T, beta_g).T
 
@@ -242,9 +257,28 @@ def brute_force_dcm(instance: Instance, budget: int = DEFAULT_ENUM_BUDGET) -> Sc
 # provisioning decomposition (server slices)
 
 
-def marginal_demand_matrix(instance: Instance) -> np.ndarray:
-    """Matrix [t-1, i-1] = d_t(i) - d_t(i-1) for all slots and server slices."""
-    return np.diff(instance.demand_table(1, instance.horizon), axis=1)
+def idle_cost_block(
+    instance: Instance, start: int, end: int, carried
+) -> tuple[np.ndarray, np.ndarray]:
+    """Demand grid and running idle-cost sums for one block of slots.
+
+    The block runs from slot start through the later of end and
+    start + BLOCK_SLOTS - 1, capped at the horizon; call that slot stop.
+    Returns (grid, prefix). grid holds d_s(0..M) for s = start..stop, from
+    one demand_table(start, stop) call. prefix holds P(s) for
+    s = start-1..stop, shape (stop-start+2, M): row 0 is carried, the sum
+    P(start-1) (zeros at slot 1), and each later row continues it with one
+    sequential float add per slot, P_i(s) = P_i(s-1) + p(s) * (d_s(i+1) - d_s(i)).
+    The look-ahead stream and the offline slice rule both read P from here,
+    so they compare the same floats (see reaches_breakeven).
+    """
+    stop = min(instance.horizon, max(end, start + BLOCK_SLOTS - 1))
+    grid = instance.demand_table(start, stop)
+    prefix = np.empty((stop - start + 2, grid.shape[1] - 1))
+    prefix[0] = carried
+    np.multiply(instance.price[start - 1 : stop, None], np.diff(grid, axis=1), out=prefix[1:])
+    np.add.accumulate(prefix, axis=0, out=prefix)
+    return grid, prefix
 
 
 def reaches_breakeven(prefix, base, beta_s: float):
@@ -260,26 +294,80 @@ def reaches_breakeven(prefix, base, beta_s: float):
     return prefix - base >= beta_s
 
 
-def _cpoff_keep(busy: np.ndarray, idle_cost: np.ndarray, beta_s: float) -> np.ndarray:
-    """On/off matrix of the offline slice rule, one column per slice.
+class _GapCloser:
+    """The offline slice rule, decided gap by gap as each gap closes.
 
-    busy and idle_cost have shape (T, slices). A slot is on when busy, or
-    when it lies in a gap between two busy slots whose idle cost stays below
-    beta_s. The prefix sum P is nondecreasing along each column, so for an
-    idle slot the gap's anchor P[last busy] is the running maximum of P over
-    earlier busy slots, and its end P[next busy - 1] is the running minimum
-    over later busy slots; leading and trailing gaps get -inf / +inf there
-    and turn off.
+    Slices are nested: with c(s) = ceil(a(s)) busy slices at slot s, slices
+    0..c(s)-1 are busy. So a gap closes at slot s, the slice turning busy
+    again, for exactly the slices c(s-1)..c(s)-1, and opens for
+    c(s)..c(s-1)-1 when the count falls. Per slice the closer keeps the
+    anchor base_i, P at the slice's last busy slot (-inf before its first,
+    so a leading gap reaches break-even and turns off), and that slot. A gap
+    through slot s-1 stays on iff not reaches_breakeven(P(s-1), base_i,
+    beta_s), the offline rule's test on the floats GCSR reads. Gaps still
+    open at the horizon end never close, so trailing gaps stay off.
     """
-    prefix = np.zeros((len(busy) + 1, busy.shape[1]))
-    np.add.accumulate(idle_cost, axis=0, out=prefix[1:])
-    # P at the end of each busy slot, P just before it
-    base = np.where(busy, prefix[1:], -np.inf)
-    end = np.where(busy, prefix[:-1], np.inf)
-    del prefix
-    np.maximum.accumulate(base, axis=0, out=base)
-    end = np.minimum.accumulate(end[::-1], axis=0)[::-1]
-    return busy | ~reaches_breakeven(end, base, beta_s)
+
+    def __init__(self, slices: int, beta_s: float):
+        self.beta_s = beta_s
+        self._base = np.full(slices, -np.inf)
+        self._last = np.zeros(slices, dtype=int)
+
+    def close(self, need: np.ndarray, prefix: np.ndarray, start: int):
+        """Kept gaps that close in slots start..start+len(need)-2.
+
+        need[k] and prefix[k] are c(s) and P(s) for s = start-1+k. Returns
+        arrays (slices, first, last) of the kept gaps' slice indices and
+        first and last idle slots.
+        """
+        was, now = need[:-1], need[1:]
+        count = np.abs(now - was)
+        # one event per slice whose gap opens (count falls) or closes (count
+        # rises) at slot s = start + row; either event reads P(s-1) = prefix[row]
+        row = np.repeat(np.arange(len(count)), count)
+        i = np.arange(len(row)) + np.repeat(np.minimum(was, now) - np.cumsum(count) + count, count)
+        opens = np.repeat(now < was, count)
+        order = np.argsort(i, kind="stable")  # by slice, then by slot
+        i, row, opens = i[order], row[order], opens[order]
+        anchor = prefix[row, i]
+        slot = start + row - 1  # s-1: an open's last busy slot, a close's last idle slot
+        # a slice's events alternate, so an event that follows one of its own
+        # slice here is a close after its open; other closes end a carried gap
+        follows = np.flatnonzero(i[1:] == i[:-1]) + 1
+        base, last = self._base[i], self._last[i]
+        base[follows], last[follows] = anchor[follows - 1], slot[follows - 1]
+        kept = ~opens & ~reaches_breakeven(anchor, base, self.beta_s)
+        carry = opens.copy()  # opens that no close follows in this block
+        carry[follows - 1] = False
+        self._base[i[carry]], self._last[i[carry]] = anchor[carry], slot[carry]
+        return i[kept], last[kept] + 1, slot[kept]
+
+
+def _paint(need: np.ndarray, slices: int, gaps) -> np.ndarray:
+    """On/off matrix (slices, T): slice i is on where busy (need > i) or in a kept gap."""
+    t_end = len(need)
+    mark = np.zeros((slices, t_end + 1), dtype=int)
+    i, first, last = gaps
+    np.add.at(mark, (i, first - 1), 1)
+    np.add.at(mark, (i, last), -1)
+    on = np.cumsum(mark, axis=1)[:, :t_end] > 0
+    return (on | (np.arange(slices)[:, None] < need)).astype(float)
+
+
+def _instance_gaps(instance: Instance):
+    """Kept gaps of every server slice, one (slices, first, last) triple per
+    block of slots, walking the horizon with idle_cost_block."""
+    need = np.concatenate(([0], np.ceil(instance.workload).astype(int)))
+    closer = _GapCloser(instance.max_servers, instance.server.beta_s)
+    carried = np.zeros(instance.max_servers)
+    start = 1
+    while start <= instance.horizon:
+        _, prefix = idle_cost_block(instance, start, start, carried)
+        stop = start + len(prefix) - 2
+        yield closer.close(need[start - 1 : stop + 1], prefix, start)
+        carried = prefix[-1].copy()
+        del prefix  # not held while the next block's demand grid is built
+        start = stop + 1
 
 
 def cpoff_slice(workload_slice, price, marginal, beta_s: float) -> np.ndarray:
@@ -289,35 +377,42 @@ def cpoff_slice(workload_slice, price, marginal, beta_s: float) -> np.ndarray:
     slice stays on iff the idle energy cost over the gap is below the restart
     cost beta_s (a tie turns off). Leading and trailing idle runs are off.
     """
-    busy = np.asarray(workload_slice, dtype=float) > 0.0
+    need = (np.asarray(workload_slice, dtype=float) > 0.0).astype(int)
     idle_cost = np.asarray(price, dtype=float) * np.asarray(marginal, dtype=float)
-    return _cpoff_keep(busy[:, None], idle_cost[:, None], beta_s)[:, 0].astype(float)
+    prefix = np.add.accumulate(np.concatenate(([0.0], idle_cost)))[:, None]
+    gaps = _GapCloser(1, beta_s).close(np.concatenate(([0], need)), prefix, 1)
+    return _paint(need, 1, gaps)[0]
 
 
 def cp_offline_slices(instance: Instance) -> np.ndarray:
     """Per-slice optimal series, shape (max_servers, horizon).
 
-    All slices at once: slice i (1-based) is busy where a(t) > i-1, and its
-    gap costs are differences of the running idle-cost sum
-    P[s] = P[s-1] + p(s) * (d_s(i) - d_s(i-1)), which GCSR builds row by
-    row from the same floats (see reaches_breakeven).
+    Slice i (1-based) is busy where a(t) > i-1; the kept gaps are the ones
+    solve_cp_offline adds, painted into one row per slice. Unlike
+    solve_cp_offline this holds the whole (M, T) result.
     """
-    m = instance.max_servers
-    busy = instance.workload[:, None] > np.arange(m)
-    idle_cost = marginal_demand_matrix(instance)
-    idle_cost *= instance.price[:, None]
-    return _cpoff_keep(busy, idle_cost, instance.server.beta_s).T.astype(float)
+    gaps = [np.concatenate(parts) for parts in zip(*_instance_gaps(instance))]
+    need = np.ceil(instance.workload).astype(int)
+    return _paint(need, instance.max_servers, gaps)
 
 
 def solve_cp_offline(instance: Instance) -> np.ndarray:
     """Optimal provisioning series as the sum of unit-slice optima.
 
-    The offline rule knows where the horizon ends: trailing gaps (like
-    leading ones) turn off for free. The online rules treat the end as
+    Walks the horizon in blocks of BLOCK_SLOTS slots (idle_cost_block) and
+    decides each slice's idle gap at the slot where it closes (_GapCloser);
+    a kept gap adds one server to each of its slots through a length-(T+1)
+    difference array. Memory is O(BLOCK_SLOTS * M + T): no (T, M) array is
+    built. The offline rule knows where the horizon ends: trailing gaps
+    (like leading ones) turn off for free. The online rules treat the end as
     unknown and may hold through them (see online.gcsr).
     """
-    slices = cp_offline_slices(instance)
-    return slices.sum(axis=0) if len(slices) else np.zeros(instance.horizon)
+    t_end = instance.horizon
+    diff = np.zeros(t_end + 1, dtype=int)
+    for _, first, last in _instance_gaps(instance):
+        np.add.at(diff, first - 1, 1)
+        np.add.at(diff, last, -1)
+    return np.ceil(instance.workload) + np.cumsum(diff[:t_end])
 
 
 def brute_force_cp(instance: Instance, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[np.ndarray, float]:

@@ -10,8 +10,8 @@ P(j) - P(g-1) >= beta_s, which the offline slice rule shares, so online and
 offline agree at exact ties. Because P never decreases, the test is made
 once per slice, at the last idle slot of its run in the window (the slot
 before its first busy one), so a decision's work grows only as log w. The
-look-ahead stream evaluates demand and P in blocks of slots, one demand
-grid per block, and holds O((block + w) * M) floats.
+look-ahead stream evaluates demand and P in blocks of slots with the block
+evaluator the offline slice rule uses, and holds O((block + w) * M) floats.
 
 Supply (CHASE): each unit generator slice tracks R, its cumulative savings
 of running versus buying from the grid, clamped to [-beta_g, 0]. It is on at
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigError, LookaheadViolation
 from .model import GeneratorModel, Instance, Schedule, dispatched_schedule
-from .offline import reaches_breakeven, regret_steps, supply_series
+from .offline import idle_cost_block, reaches_breakeven, regret_steps, supply_series
 
 # ---------------------------------------------------------------------------
 # revealed-window plumbing
@@ -64,17 +64,16 @@ class LookaheadStream:
 
     The stream also serves the running idle-cost sum of every server slice,
     P_i(s) = P_i(s-1) + p(s) * (d_s(i+1) - d_s(i)) with P_i(0) = 0. It holds
-    the whole instance, so it evaluates demand in blocks of _BLOCK slots (or
-    more, when a request reaches further): one demand_table grid per block,
-    whose P rows continue the previous block's last row with sequential
-    float adds, the same sums the offline slice rule builds. The checked
-    readers still give out only revealed slots, whatever has been evaluated.
-    Each block evaluation drops the rows before the oldest slot of the
-    request that triggered it, so the stream holds O((_BLOCK + w) * M)
-    floats.
+    the whole instance, but evaluates lazily, when a reader first reaches
+    past what it holds: one offline.idle_cost_block call per block of
+    BLOCK_SLOTS slots (or more, when a request reaches further), whose P rows
+    continue the previous block's last row. The offline slice rule walks the
+    horizon with the same function, so both read the same floats. The
+    checked readers still give out only revealed slots, whatever has been
+    evaluated. Each block evaluation drops the rows before the oldest slot of
+    the request that triggered it, so the stream holds
+    O((BLOCK_SLOTS + w) * M) floats.
     """
-
-    _BLOCK = 256
 
     def __init__(self, instance: Instance, lookahead: int):
         self.instance = instance
@@ -134,18 +133,13 @@ class LookaheadStream:
 
     def _evaluate(self, first: int, end: int) -> None:
         """Evaluate the next block, reaching at least slot end; drop rows before first."""
-        start = self._last + 1
-        stop = min(self.instance.horizon, max(end, self._last + self._BLOCK))
-        grid = self.instance.demand_table(start, stop)
-        prefix = np.empty((stop - start + 2, grid.shape[1] - 1))
-        prefix[0] = self._prefix[-1] if len(self._prefix) else 0.0
-        np.multiply(self.instance.price[start - 1 : stop, None], np.diff(grid, axis=1), out=prefix[1:])
-        np.add.accumulate(prefix, axis=0, out=prefix)
+        carried = self._prefix[-1] if len(self._prefix) else np.zeros(self._prefix.shape[1])
+        grid, prefix = idle_cost_block(self.instance, self._last + 1, end, carried)
         drop = min(first - self._first, len(self._grid))
         self._grid = np.concatenate((self._grid[drop:], grid))
         self._prefix = np.concatenate((self._prefix[drop:], prefix[1:]))
         self._first += drop
-        self._last = stop
+        self._last += len(grid)
 
 
 class RevealedWindow:

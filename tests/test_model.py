@@ -28,7 +28,8 @@ from dcmkit import (
     total_power,
 )
 from dcmkit.model import FEAS_TOL
-from dcmkit.offline import marginal_demand_matrix
+from dcmkit import offline
+from dcmkit.offline import idle_cost_block
 from dcmkit.verify import random_tiny_instance
 
 GEN = GeneratorModel(capacity=60.0, c_o=0.08, c_m=1.2, beta_g=24.0, count=2)
@@ -156,7 +157,9 @@ def test_demand_series_matches_per_slot_tables():
             inst.demand_table(first, end)
 
 
-def test_marginal_demand_matrix_matches_stacked_tables():
+def test_block_evaluator_matches_stacked_tables(monkeypatch):
+    # grid rows are demand_table(t) and idle-cost sums continue sequentially
+    # across blocks, whatever the block size
     rng = np.random.default_rng(6)
     instances = [random_tiny_instance(rng) for _ in range(25)]
     instances += [
@@ -164,9 +167,19 @@ def test_marginal_demand_matrix_matches_stacked_tables():
         wraparound_instance("quadratic", (0.041, 0.144, 0.047), (0.03, 0.136, 0.042)),
     ]
     instances += [inst.truncated(max(1, inst.horizon - 2)) for inst in instances]
-    for inst in instances:
-        tables = np.stack([inst.demand_table(t) for t in range(1, inst.horizon + 1)])
-        assert np.array_equal(marginal_demand_matrix(inst), np.diff(tables, axis=1))
+    for block in (1, 2, 5, offline.BLOCK_SLOTS):
+        monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
+        for inst in instances:
+            tables = np.stack([inst.demand_table(t) for t in range(1, inst.horizon + 1)])
+            idle = inst.price[:, None] * np.diff(tables, axis=1)
+            sums = np.add.accumulate(np.vstack([np.zeros(inst.max_servers), idle]), axis=0)
+            carried, start = np.zeros(inst.max_servers), 1
+            while start <= inst.horizon:
+                grid, prefix = idle_cost_block(inst, start, start, carried)
+                stop = min(inst.horizon, start + block - 1)
+                assert np.array_equal(grid, tables[start - 1 : stop])
+                assert np.array_equal(prefix, sums[start - 1 : stop + 1])
+                carried, start = prefix[-1], stop + 1
 
 
 def test_marginal_demand_nondecreasing_in_unit_index():

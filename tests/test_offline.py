@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from dcmkit import (
     dispatched_schedule,
     ep_cost,
     evaluate,
+    harness,
     ofa_ep_slice,
     solve_cp_offline,
     solve_dcm_offline,
@@ -33,7 +35,7 @@ from dcmkit.offline import (
     clamped_regret,
     cpoff_slice,
     dcm_dijkstra,
-    marginal_demand_matrix,
+    idle_cost_block,
     regret_steps,
     slice_energy,
 )
@@ -106,6 +108,22 @@ def test_cp_slices_are_nested():
         slices = cp_offline_slices(inst)
         for hi, lo in zip(slices, slices[1:]):
             assert np.all(hi >= lo)
+
+
+def test_cpoff_memory_does_not_grow_with_horizon_times_fleet():
+    # a 90-day trace at M=552: a (T, M) float array alone is 9.1 MiB, and the
+    # whole-horizon rule peaked at 46.8 MiB; block-wise gap closing holds
+    # O(block * M + T) numbers
+    inst = harness.build_instance(harness.synthesize_trace(7, 90, 600),
+                                  harness.validate_config({"servers": 600}))
+    assert (inst.horizon, inst.max_servers) == (2160, 552)
+    tracemalloc.start()
+    try:
+        solve_cp_offline(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak / 2**20
 
 
 def test_cp_cost_rejects_uncovered_workload():
@@ -265,13 +283,15 @@ def test_feasible_row_dp_matches_the_full_layer_reference():
     assert min(seen.values()) >= 50, seen
 
 
-def test_marginal_matrix_matches_per_slot_increments():
+def test_block_idle_costs_match_per_slot_increments():
     rng = np.random.default_rng(12)
     inst = random_tiny_instance(rng)
-    marg = marginal_demand_matrix(inst)
+    _, prefix = idle_cost_block(inst, 1, inst.horizon, np.zeros(inst.max_servers))
+    idle = np.diff(prefix, axis=0)
     for t in range(1, inst.horizon + 1):
         for i in range(1, inst.max_servers + 1):
-            assert marg[t - 1, i - 1] == pytest.approx(inst.marginal_demand(t, i), abs=1e-12)
+            want = inst.p(t) * inst.marginal_demand(t, i)
+            assert idle[t - 1, i - 1] == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

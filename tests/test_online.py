@@ -31,7 +31,7 @@ from dcmkit import (
     rho_decomposition,
     solve_cp_offline,
 )
-from dcmkit import harness, online
+from dcmkit import harness, offline, online
 from dcmkit.analysis import grid_only_schedule
 from dcmkit.offline import slice_energy
 from dcmkit.online import GcsrFleet
@@ -98,8 +98,8 @@ def test_stream_demand_reads_one_checked_table_entry():
 
 def test_stream_block_readers_match_sequential_sums(monkeypatch):
     rng = np.random.default_rng(28)
-    for block in (1, 2, 5, LookaheadStream._BLOCK):
-        monkeypatch.setattr(LookaheadStream, "_BLOCK", block)
+    for block in (1, 2, 5, offline.BLOCK_SLOTS):
+        monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
         for k in range(12):
             inst = random_tiny_instance(rng) if k % 2 else random_bound_instance(rng)
             t_end = inst.horizon
@@ -141,7 +141,7 @@ def test_stream_readers_stay_checked_after_a_block_is_evaluated(monkeypatch):
     assert np.array_equal(stream.workloads(2, 3), [0.0, 0.0])
     assert evaluated == [(1, 5)]
     # rows before the oldest slot of a request are dropped when the next block is evaluated
-    monkeypatch.setattr(LookaheadStream, "_BLOCK", 1)
+    monkeypatch.setattr(offline, "BLOCK_SLOTS", 1)
     stream = LookaheadStream(inst, 0)
     stream.idle_prefix(1, 1)
     stream.advance()
@@ -264,7 +264,7 @@ def test_gcsr_and_dcmon_refill_the_stream_block_by_block(monkeypatch):
         for w in (0, 1, 3, inst.horizon):
             cases.append((inst, w, reference_gcsr(inst, w), dcmon(inst, w)))
     for block in (1, 2, 5):
-        monkeypatch.setattr(LookaheadStream, "_BLOCK", block)
+        monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
         for inst, w, (want_x, want_slices), want in cases:
             x, slices = gcsr(inst, w, return_slices=True)
             assert np.array_equal(x, want_x)
@@ -277,7 +277,7 @@ def test_gcsr_and_dcmon_refill_the_stream_block_by_block(monkeypatch):
 def test_gcsr_and_dcmon_over_more_than_one_default_block(monkeypatch):
     inst = harness.build_instance(harness.synthesize_trace(3, 12, 8, "ny"),
                                   harness.validate_config({"servers": 8}))
-    assert inst.horizon > LookaheadStream._BLOCK
+    assert inst.horizon > offline.BLOCK_SLOTS
     windows = (0, 4, 16, inst.horizon)
     scheds = []
     for w in windows:
@@ -287,7 +287,7 @@ def test_gcsr_and_dcmon_over_more_than_one_default_block(monkeypatch):
         assert np.array_equal(slices, want_slices)
         scheds.append(dcmon(inst, w))
         assert np.array_equal(scheds[-1].x, want_x)
-    monkeypatch.setattr(LookaheadStream, "_BLOCK", inst.horizon)  # one block, no refill
+    monkeypatch.setattr(offline, "BLOCK_SLOTS", inst.horizon)  # one block, no refill
     for w, want in zip(windows, scheds):
         sched = dcmon(inst, w)
         for name in "xyuv":
