@@ -55,6 +55,17 @@ CASES = {
         ["compare", "--lookahead", "16"],
         "35c25a9add8cfaa632614209e2bc2ed390149226b8173b389d211fb28986f049",
     ),
+    # the standalone CHASE driver, and DCMON with a wide supply window (ep_window 21)
+    "ny-solve-chase": (
+        {**BASE, "preset": "ny"},
+        ["solve", "--algo", "chase", "--lookahead", "4"],
+        "773ae207625b7e00dac4d02da16fb9cc8b1339ea0f959b44cda68f39b4256eac",
+    ),
+    "sj-solve-dcmon-w30": (
+        {**BASE, "preset": "sj"},
+        ["solve", "--algo", "dcmon", "--lookahead", "30"],
+        "17550779045c27bbd3e59b49d88d8ffe2fb2f67afdef55fc1479ee2b06db7f4c",
+    ),
     "ny-sweep": (
         {**BASE, "preset": "ny"},
         ["sweep"],
