@@ -57,21 +57,13 @@ class TraceFile:
 
     def dump(self, fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
-        if self.regimes is None:
-            writer.writerow(["t", "workload", "price"])
-            for k in range(self.horizon):
-                writer.writerow([k + 1, repr(float(self.workload[k])), repr(float(self.price[k]))])
-        else:
-            writer.writerow(["t", "workload", "price", "regime"])
-            for k in range(self.horizon):
-                writer.writerow(
-                    [
-                        k + 1,
-                        repr(float(self.workload[k])),
-                        repr(float(self.price[k])),
-                        self.regimes[k],
-                    ]
-                )
+        tagged = self.regimes is not None
+        writer.writerow(["t", "workload", "price", "regime"][: 3 + tagged])
+        for k in range(self.horizon):
+            row = [k + 1, repr(float(self.workload[k])), repr(float(self.price[k]))]
+            if tagged:
+                row.append(self.regimes[k])
+            writer.writerow(row)
 
     @classmethod
     def load(cls, path: str) -> "TraceFile":

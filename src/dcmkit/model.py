@@ -412,15 +412,6 @@ def demand_series(instance: Instance, x) -> np.ndarray:
     return instance._demand(slice(None), x)
 
 
-def server_power(server: ServerModel, x: int, a: float) -> float:
-    """Aggregate server draw for x powered-on servers serving workload a."""
-    if a < 0.0:
-        raise FeasibilityError(f"workload must be nonnegative, got {a}")
-    if x < math.ceil(a):
-        raise FeasibilityError(f"x={x} servers cannot serve workload a={a} (need >= {math.ceil(a)})")
-    return server.c_idle * x + (server.c_peak - server.c_idle) * a
-
-
 def total_power(instance: Instance, t: int, x: int) -> float:
     """Energy demand d_t(x): servers plus conditioning and cooling overheads."""
     if x < instance.min_servers(t):

@@ -16,8 +16,8 @@ slots, one demand grid per block. For the slices, idle_cost_block also
 continues each slice's running idle-cost sum P from the previous block's
 last row, and each idle gap is decided at the slot where it closes, so
 solve_cp_offline holds O(BLOCK_SLOTS * M + T) numbers, never a (T, M) array.
-The online look-ahead stream evaluates its blocks with the same function, so
-online and offline slice rules compare the same floats.
+The online GCSR fleet evaluates its blocks with the same function, so online
+and offline slice rules compare the same floats.
 """
 
 from __future__ import annotations
@@ -269,7 +269,7 @@ def idle_cost_block(
     s = start-1..stop, shape (stop-start+2, M): row 0 is carried, the sum
     P(start-1) (zeros at slot 1), and each later row continues it with one
     sequential float add per slot, P_i(s) = P_i(s-1) + p(s) * (d_s(i+1) - d_s(i)).
-    The look-ahead stream and the offline slice rule both read P from here,
+    The online GCSR fleet and the offline slice rule both read P from here,
     so they compare the same floats (see reaches_breakeven).
     """
     stop = min(instance.horizon, max(end, start + BLOCK_SLOTS - 1))

@@ -1,29 +1,27 @@
 """Look-ahead online algorithms and their competitive-ratio bounds.
 
-Provisioning (GCSR): each unit server slice idles through a workload gap
-until the idle cost since the gap began, plus what the look-ahead window
+Every online stage reads its inputs only through a RevealedWindow, slots
+1..end of the horizon. Before the decision for slot t the driver reveals up
+to t + w; a fleet's decide_next decides its next slot from window.end, and
+every read passes the window's one check, which raises LookaheadViolation
+outside [1, end]. A causality violation is thus a structural error rather
+than a silent bug.
+
+Provisioning (GCSR, GcsrFleet): each unit server slice idles through a
+workload gap until the idle cost since the gap began, plus what the window
 shows is still coming, reaches the restart cost beta_s; then it turns off.
-All M slices are decided together, one numpy step per slot: slice state is
-two length-M arrays (on/off, and the gap anchor P(g-1) of the running
-idle-cost sum P), and each slice tests the anchored predicate
-P(j) - P(g-1) >= beta_s, which the offline slice rule shares, so online and
-offline agree at exact ties. Because P never decreases, the test is made
-once per slice, at the last idle slot of its run in the window (the slot
-before its first busy one), so a decision's work grows only as log w. The
-look-ahead stream evaluates demand and P in blocks of slots with the block
-evaluator the offline slice rule uses, and holds O((block + w) * M) floats.
+It tests the offline slice rule's predicate on the same floats, so online
+and offline agree at exact ties.
 
-Supply (CHASE): each unit generator slice tracks R, its cumulative savings
-of running versus buying from the grid, clamped to [-beta_g, 0]. It is on at
-slot t iff the first extreme R touches at or after t is the top, the offline
-slice rule, once that extreme is in the window; until then it holds.
+Supply (CHASE, ChaseFleet): each unit generator slice tracks R, its
+cumulative savings of running versus buying from the grid, clamped to
+[-beta_g, 0]. It is on at slot t iff the first extreme R touches at or after
+t is the top, the offline slice rule, once that extreme is in the window;
+until then it holds.
 
-The combined pipeline (DCMON) feeds GCSR's provisioning decisions, computed
-slightly ahead of the output slot, to CHASE as its energy demand. Every read
-goes through a window object (LookaheadStream over the instance,
-RevealedWindow over the series CHASE reads) that raises on any access past
-the revealed window, so causality violations are structural errors rather
-than silent bugs.
+The combined pipeline (DCMON) runs GCSR under the master window t + w and
+CHASE under a second window t + ep_window(w) over GCSR's energy series,
+which grows as GCSR decides the slots that window reveals.
 
 A-priori values and bounds: besides the revealed window, the pipeline and
 every ratio bound read only declared values. OngridParams holds beta_s,
@@ -36,6 +34,7 @@ generator economics and P_max. A truncated replay passes its parent's params.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import asdict, dataclass
 
@@ -46,123 +45,44 @@ from .model import GeneratorModel, Instance, Schedule, dispatched_schedule
 from .offline import idle_cost_block, reaches_breakeven, regret_steps, supply_series
 
 # ---------------------------------------------------------------------------
-# revealed-window plumbing
+# the revealed window
 
 
 def _whole_slots(lookahead) -> int:
     """lookahead as an int; ConfigError unless it is a whole slot count >= 0."""
-    if not (lookahead >= 0 and float(lookahead).is_integer()):
-        raise ConfigError(f"lookahead must be a nonnegative integer, got {lookahead}")
+    if not (isinstance(lookahead, numbers.Real) and lookahead >= 0
+            and float(lookahead).is_integer()):
+        raise ConfigError(f"lookahead must be a nonnegative integer, got {lookahead!r}")
     return int(lookahead)
 
 
-class LookaheadStream:
-    """Sequential view of an instance with a fixed look-ahead window.
-
-    At cursor t, slots 1..min(T, t+w) are revealed. Reading any later slot
-    raises LookaheadViolation; the cursor only moves forward.
-
-    The stream also serves the running idle-cost sum of every server slice,
-    P_i(s) = P_i(s-1) + p(s) * (d_s(i+1) - d_s(i)) with P_i(0) = 0. It holds
-    the whole instance, but evaluates lazily, when a reader first reaches
-    past what it holds: one offline.idle_cost_block call per block of
-    BLOCK_SLOTS slots (or more, when a request reaches further), whose P rows
-    continue the previous block's last row. The offline slice rule walks the
-    horizon with the same function, so both read the same floats. The
-    checked readers still give out only revealed slots, whatever has been
-    evaluated. Each block evaluation drops the rows before the oldest slot of
-    the request that triggered it, so the stream holds
-    O((BLOCK_SLOTS + w) * M) floats.
-    """
-
-    def __init__(self, instance: Instance, lookahead: int):
-        self.instance = instance
-        self.lookahead = _whole_slots(lookahead)
-        self._cursor = 1
-        # demand rows d_s(0..M) and idle-cost sums P(s) for held slots s = _first.._last
-        m = instance.max_servers
-        self._first, self._last = 1, 0
-        self._grid = np.empty((0, m + 1))
-        self._prefix = np.empty((0, m))
-
-    @property
-    def cursor(self) -> int:
-        return self._cursor
-
-    @property
-    def revealed_end(self) -> int:
-        return min(self.instance.horizon, self._cursor + self.lookahead)
-
-    def advance(self) -> None:
-        if self._cursor <= self.instance.horizon:
-            self._cursor += 1
-
-    def _check(self, first: int, end: int | None = None) -> None:
-        """Raise LookaheadViolation unless slots first and end (if given) are revealed."""
-        revealed = self.revealed_end
-        for t in (first,) if end is None else (first, end):
-            if not 1 <= t <= revealed:
-                raise LookaheadViolation(
-                    f"slot {t} is outside the revealed window [1, {revealed}] "
-                    f"(cursor {self._cursor}, lookahead {self.lookahead})"
-                )
-
-    def demand(self, t: int, x) -> float:
-        """d_t(x) for one fleet size x: the same float as demand_table(t)[x]."""
-        self._check(t)
-        row, col = t - self._first, int(x)
-        if 0 <= row < len(self._grid) and col == x and 0 <= col < self._grid.shape[1]:
-            return float(self._grid[row, col])
-        return float(self.instance._demand(t - 1, float(x)))
-
-    def workloads(self, first: int, end: int) -> np.ndarray:
-        """a(s) for slots s = first..end (read-only)."""
-        self._check(first, end)
-        return self.instance.workload[first - 1 : end]
-
-    def idle_prefix(self, first: int, end: int) -> np.ndarray:
-        """Rows P(s) for slots s = first..end, shape (end-first+1, M), read-only."""
-        self._check(first, end)
-        if first < self._first:
-            raise ValueError(f"slot {first} was dropped; the stream holds slots from {self._first}")
-        if end > self._last:
-            self._evaluate(first, end)
-        rows = self._prefix[first - self._first : end + 1 - self._first]
-        rows.flags.writeable = False
-        return rows
-
-    def _evaluate(self, first: int, end: int) -> None:
-        """Evaluate the next block, reaching at least slot end; drop rows before first."""
-        carried = self._prefix[-1] if len(self._prefix) else np.zeros(self._prefix.shape[1])
-        grid, prefix = idle_cost_block(self.instance, self._last + 1, end, carried)
-        drop = min(first - self._first, len(self._grid))
-        self._grid = np.concatenate((self._grid[drop:], grid))
-        self._prefix = np.concatenate((self._prefix[drop:], prefix[1:]))
-        self._first += drop
-        self._last += len(grid)
-
-
 class RevealedWindow:
-    """Slots 1..end of slot-indexed series, read through checked readers.
+    """Slots 1..end of a horizon: all an online fleet may read.
 
-    The owner moves end forward as slots are revealed; a reader raises
-    LookaheadViolation for any slot outside [1, end]. A reader sees the
-    series object itself, so a list that grows as decisions are made can be
-    read as it grows.
+    The driver calls reveal before each decision; read and check raise
+    LookaheadViolation for any slot outside [1, end]. A read sees the series
+    object itself, so a list that grows as decisions are made can be read as
+    it grows.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, horizon: int) -> None:
+        self.horizon = horizon
         self.end = 0
 
-    def reader(self, series):
-        """Callable slot -> float over series, checked against this window."""
+    def reveal(self, end: int) -> None:
+        """Reveal slots up to end, clipped to the horizon."""
+        self.end = min(end, self.horizon)
 
-        def read(t: int) -> float:
+    def check(self, first: int, last: int | None = None) -> None:
+        """Raise LookaheadViolation unless slots first and last (if given) are revealed."""
+        for t in (first,) if last is None else (first, last):
             if not 1 <= t <= self.end:
-                raise LookaheadViolation(f"slot {t} beyond revealed window [1, {self.end}]")
-            return float(series[t - 1])
+                raise LookaheadViolation(f"slot {t} is outside the revealed window [1, {self.end}]")
 
-        return read
+    def read(self, series, first: int, last: int | None = None):
+        """series at slot first, or its slots first..last, once checked."""
+        self.check(first, last)
+        return series[first - 1] if last is None else series[first - 1 : last]
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +95,10 @@ class GcsrFleet:
     Slice i (0-based) is busy in slot t iff a(t) > i. Its state is two
     entries of length-M arrays: the previous on/off decision and the anchor
     base_i = P_i(g-1), the running idle-cost sum at the last busy slot (see
-    LookaheadStream.idle_prefix). An idle, powered slice turns off at slot t
-    once reaches_breakeven(P_i(j), base_i, beta_s) holds for some revealed
-    j >= t with no busy slot in t..j; the offline rule evaluates the same
-    predicate on the same floats.
+    idle_prefix). An idle, powered slice turns off at slot t once
+    reaches_breakeven(P_i(j), base_i, beta_s) holds for some revealed j >= t
+    with no busy slot in t..j; the offline rule evaluates the same predicate
+    on the same floats.
 
     Each decision is one numpy step over all slices. Slices are nested, so
     the running maximum of the workload over the window, searched for each
@@ -190,29 +110,57 @@ class GcsrFleet:
     some j in the run iff it holds at its end. A decision is therefore a
     running maximum over w+1 workloads and one binary search and one
     gathered P entry per slice, O(w + M log w) numpy work with no
-    (window x M) block; the fleet keeps no rows of its own, and per-slice
-    decisions are stored only when asked for.
+    (window x M) block. Per-slice decisions are stored only when asked for.
+
+    The fleet evaluates demand rows d_s(0..M) and the running idle-cost sums
+    P_i(s) = P_i(s-1) + p(s) * (d_s(i+1) - d_s(i)), P_i(0) = 0, lazily: one
+    offline.idle_cost_block call per block of BLOCK_SLOTS slots (or more,
+    when a read reaches further), whose P rows continue the previous block's
+    last row, so the offline slice rule reads the same floats. Each block
+    evaluation drops the rows before the slot being decided, so the fleet
+    holds O((BLOCK_SLOTS + w) * M) floats. Deciding slot t appends
+    d_t(x_t), read from the held demand row, to energy.
     """
 
-    def __init__(self, stream: LookaheadStream, record_slices: bool = False):
-        self.stream = stream
-        self.n_slices = stream.instance.max_servers
-        self.beta_s = stream.instance.server.beta_s
-        self._slices = np.arange(self.n_slices)
-        self._on = np.zeros(self.n_slices, dtype=bool)
-        self._base = np.zeros(self.n_slices)  # P(g-1) of each slice's current gap
+    def __init__(self, instance: Instance, window: RevealedWindow, record_slices: bool = False):
+        self.instance = instance
+        self.window = window
+        self.n_slices = m = instance.max_servers
+        self.beta_s = instance.server.beta_s
+        self._slices = np.arange(m)
+        self._on = np.zeros(m, dtype=bool)
+        self._base = np.zeros(m)  # P(g-1) of each slice's current gap
+        # demand rows d_s(0..M) and idle-cost sums P(s) for held slots s = _first.._last
+        self._first, self._last = 1, 0
+        self._grid = np.empty((0, m + 1))
+        self._prefix = np.empty((0, m))
         self.next_slot = 1
         self.series: list[int] = []
+        self.energy: list[float] = []  # energy[t-1] = d_t(series[t-1])
         self.slice_series: list[np.ndarray] | None = [] if record_slices else None
 
-    def decide_next(self, window_end: int) -> int:
-        """Decide slot self.next_slot using revealed data up to window_end."""
-        t = self.next_slot
-        window_end = min(window_end, self.stream.instance.horizon)
-        if window_end < t:
-            raise LookaheadViolation(f"window end {window_end} precedes decision slot {t}")
-        load = np.maximum.accumulate(self.stream.workloads(t, window_end))
-        rows = self.stream.idle_prefix(t, window_end)  # P(t..window_end)
+    def idle_prefix(self, first: int, last: int) -> np.ndarray:
+        """Rows P(s) for slots s = first..last, shape (last-first+1, M), read-only."""
+        self.window.check(first, last)
+        if first < self._first:
+            raise ValueError(f"slot {first} was dropped; the fleet holds slots from {self._first}")
+        if last > self._last:
+            carried = self._prefix[-1] if len(self._prefix) else np.zeros(self.n_slices)
+            grid, prefix = idle_cost_block(self.instance, self._last + 1, last, carried)
+            drop = min(first - self._first, len(self._grid))
+            self._grid = np.concatenate((self._grid[drop:], grid))
+            self._prefix = np.concatenate((self._prefix[drop:], prefix[1:]))
+            self._first += drop
+            self._last += len(grid)
+        rows = self._prefix[first - self._first : last + 1 - self._first]
+        rows.flags.writeable = False
+        return rows
+
+    def decide_next(self) -> int:
+        """Decide slot self.next_slot from the slots up to window.end."""
+        t, end = self.next_slot, self.window.end
+        load = np.maximum.accumulate(self.window.read(self.instance.workload, t, end))
+        rows = self.idle_prefix(t, end)  # P(t..end)
         run = np.searchsorted(load, self._slices, side="right")  # idle run length from t
         busy = run == 0  # busy slices read row -1 below; their verdict is discarded
         turn_off = reaches_breakeven(rows[run - 1, self._slices], self._base, self.beta_s)
@@ -222,6 +170,7 @@ class GcsrFleet:
             self.slice_series.append(self._on)
         total = int(np.count_nonzero(self._on))
         self.series.append(total)
+        self.energy.append(float(self._grid[t - self._first, total]))
         self.next_slot += 1
         return total
 
@@ -234,11 +183,12 @@ def gcsr(instance: Instance, lookahead: int, return_slices: bool = False):
     reaches beta_s, where the offline rule turns off for free. At w >= T it
     differs from solve_cp_offline only in trailing gaps.
     """
-    stream = LookaheadStream(instance, lookahead)
-    fleet = GcsrFleet(stream, record_slices=return_slices)
-    for _ in range(instance.horizon):
-        fleet.decide_next(stream.revealed_end)
-        stream.advance()
+    lookahead = _whole_slots(lookahead)
+    window = RevealedWindow(instance.horizon)
+    fleet = GcsrFleet(instance, window, record_slices=return_slices)
+    for t in range(1, instance.horizon + 1):
+        window.reveal(t + lookahead)
+        fleet.decide_next()
     x = np.array(fleet.series, dtype=float)
     if return_slices:
         slices = np.array(fleet.slice_series, dtype=float).reshape(
@@ -253,7 +203,7 @@ def gcsr(instance: Instance, lookahead: int, return_slices: bool = False):
 
 
 class ChaseFleet:
-    """All unit generator slices of one CHASE run.
+    """All unit generator slices of one CHASE run on an energy and a price series.
 
     Each revealed slot advances every slice's savings process R_i one
     clamped step, with the floats of offline.clamped_regret, and queues the
@@ -263,13 +213,16 @@ class ChaseFleet:
     an empty queue, and pops the head at its slot: O(N) work whatever the
     window. Past R_i's last extreme (the "end" segment of
     critical_segments) the slice holds where the offline rule, knowing the
-    horizon ends, turns off.
+    horizon ends, turns off. The series are read only through the window;
+    energy may be a list that grows as the provisioning stage decides.
     """
 
-    def __init__(self, gen: GeneratorModel, energy_at, price_at, record_slices: bool = False):
+    def __init__(self, gen: GeneratorModel, energy, price, window: RevealedWindow,
+                 record_slices: bool = False):
         self.gen = gen
-        self.energy_at = energy_at  # callable slot -> revealed energy demand
-        self.price_at = price_at
+        self.energy = energy
+        self.price = price
+        self.window = window
         self._offsets = np.arange(gen.count) * gen.capacity  # slice i starts at i*L
         self._revealed = 0
         self._regret = [-gen.beta_g] * gen.count  # R_i at slot self._revealed
@@ -283,8 +236,9 @@ class ChaseFleet:
     def _reveal(self) -> None:
         """Step every R_i over the next slot and queue the extremes it touches."""
         tau = self._revealed + 1
-        energy = np.clip(self.energy_at(tau) - self._offsets, 0.0, self.gen.capacity)
-        gains = regret_steps(self.gen, energy, self.price_at(tau)).tolist()
+        read = self.window.read
+        energy = np.clip(read(self.energy, tau) - self._offsets, 0.0, self.gen.capacity)
+        gains = regret_steps(self.gen, energy, read(self.price, tau)).tolist()
         bottom = -self.gen.beta_g
         for i, gain in enumerate(gains):
             r = self._regret[i] = min(0.0, max(bottom, self._regret[i] + gain))
@@ -292,12 +246,11 @@ class ChaseFleet:
                 self._extremes[i].append((tau, int(r == 0.0)))
         self._revealed = tau
 
-    def decide_next(self, window_end: int) -> int:
-        """Decide slot self.next_slot using revealed data up to window_end."""
+    def decide_next(self) -> int:
+        """Decide slot self.next_slot from the slots up to window.end."""
         t = self.next_slot
-        if window_end < t:
-            raise LookaheadViolation(f"window end {window_end} precedes decision slot {t}")
-        while self._revealed < window_end:
+        self.window.check(t)
+        while self._revealed < self.window.end:
             self._reveal()
         for i, pending in enumerate(self._extremes):
             if pending:
@@ -328,11 +281,11 @@ def chase(
     lookahead = _whole_slots(lookahead)
     energy, price = supply_series(energy, price)
     t_end = len(energy)
-    window = RevealedWindow()
-    fleet = ChaseFleet(gen, window.reader(energy), window.reader(price), record_slices=return_slices)
+    window = RevealedWindow(t_end)
+    fleet = ChaseFleet(gen, energy, price, window, record_slices=return_slices)
     for t in range(1, t_end + 1):
-        window.end = min(t + lookahead, t_end)
-        fleet.decide_next(window.end)
+        window.reveal(t + lookahead)
+        fleet.decide_next()
     y = np.array(fleet.series, dtype=float)
     if return_slices:
         return y, np.array(fleet.slice_series, dtype=float).reshape(t_end, gen.count).T
@@ -347,34 +300,28 @@ def dcmon(instance: Instance, lookahead: int, params: OngridParams | None = None
     """Run the full online pipeline and return a complete schedule.
 
     GCSR decides provisioning up to params.ep_window(lookahead) slots ahead
-    of the output cursor (its break-even scans clipped to the master window,
-    which changes nothing once the surplus exists), the induced energy
-    demand feeds CHASE, and the dispatch rule completes each slot from the
-    decided (x, y).
+    of the output slot under the master window (its break-even scans see
+    no further than t + w, which changes nothing once the surplus exists),
+    its energy series feeds CHASE through the supply window, and the
+    dispatch rule completes each slot from the decided (x, y).
 
     params holds the declared a-priori values (default: read off the
     instance); a replay of a truncated view passes its parent's.
     """
-    t_end = instance.horizon
-    gen = instance.generator
-    stream = LookaheadStream(instance, lookahead)
-    fleet = GcsrFleet(stream)
+    lookahead = _whole_slots(lookahead)
     if params is None:
         params = OngridParams.from_instance(instance)
     w_ep = params.ep_window(lookahead)
-
-    energy: list[float] = []  # energy[k] = demand at slot k+1 under GCSR fleet
-    window = RevealedWindow()
-    supply = ChaseFleet(gen, window.reader(energy), window.reader(instance.price))
+    t_end = instance.horizon
+    window, supply_window = RevealedWindow(t_end), RevealedWindow(t_end)
+    fleet = GcsrFleet(instance, window)
+    supply = ChaseFleet(instance.generator, fleet.energy, instance.price, supply_window)
     for t in range(1, t_end + 1):
-        ahead = min(t + w_ep, t_end)
-        while fleet.next_slot <= ahead:
-            tau = fleet.next_slot
-            x_tau = fleet.decide_next(stream.revealed_end)
-            energy.append(stream.demand(tau, x_tau))
-        window.end = ahead
-        supply.decide_next(ahead)
-        stream.advance()
+        window.reveal(t + lookahead)
+        supply_window.reveal(t + w_ep)
+        while fleet.next_slot <= supply_window.end:
+            fleet.decide_next()
+        supply.decide_next()
     return dispatched_schedule(instance, fleet.series, supply.series)
 
 

@@ -15,7 +15,6 @@ import pytest
 from dcmkit import (
     ConfigError,
     GeneratorModel,
-    LookaheadViolation,
     brute_force_ep,
     chase,
     critical_segments,
@@ -41,10 +40,11 @@ TIE_LEVELS = (0.0, 32.0, 64.0, 96.0, 128.0)
 class ReferenceChaseFleet:
     """Window-scan CHASE: per decision, a walk over the revealed window."""
 
-    def __init__(self, gen, energy_at, price_at):
+    def __init__(self, gen, energy, price, window):
         self.gen = gen
-        self.energy_at = energy_at
-        self.price_at = price_at
+        self.energy_at = lambda t: window.read(energy, t)
+        self.price_at = lambda t: window.read(price, t)
+        self.window = window
         self._offsets = np.arange(gen.count) * gen.capacity
         self._gains = []  # _gains[t-1][i] = savings of slice i in slot t
         self._regret = [-gen.beta_g] * gen.count
@@ -59,10 +59,9 @@ class ReferenceChaseFleet:
             energy = np.clip(self.energy_at(t) - self._offsets, 0.0, self.gen.capacity)
             self._gains.append(regret_steps(self.gen, energy, self.price_at(t)).tolist())
 
-    def decide_next(self, window_end):
-        t = self.next_slot
-        if window_end < t:
-            raise LookaheadViolation(f"window end {window_end} precedes decision slot {t}")
+    def decide_next(self):
+        t, window_end = self.next_slot, self.window.end
+        self.window.check(t)
         self._cache_to(window_end)
         gains = self._gains
         bottom = -self.gen.beta_g
@@ -91,11 +90,11 @@ class ReferenceChaseFleet:
 def reference_chase(gen, energy, price, lookahead):
     """(series, slices) of the window-scan CHASE, slices shaped (count, T)."""
     t_end = len(energy)
-    window = RevealedWindow()
-    fleet = ReferenceChaseFleet(gen, window.reader(energy), window.reader(price))
+    window = RevealedWindow(t_end)
+    fleet = ReferenceChaseFleet(gen, energy, price, window)
     for t in range(1, t_end + 1):
-        window.end = min(t + lookahead, t_end)
-        fleet.decide_next(window.end)
+        window.reveal(t + lookahead)
+        fleet.decide_next()
     slices = np.array(fleet.slice_series, dtype=float).reshape(gen.count, t_end)
     return np.array(fleet.series, dtype=float), slices
 

@@ -75,6 +75,9 @@ def test_trace_without_regime_column(tmp_path):
     workload, price = load_trace(str(path))
     assert np.array_equal(workload, [2.0, 0.0])
     assert np.array_equal(price, [0.1, 0.2])
+    out = io.StringIO()
+    trace.dump(out)
+    assert out.getvalue() == path.read_text()
 
 
 def test_trace_parse_rejects_bad_header():

@@ -23,7 +23,6 @@ from dcmkit import (
     dispatch,
     dispatched_schedule,
     evaluate,
-    server_power,
     supply_cost,
     total_power,
 )
@@ -73,25 +72,13 @@ def ny_overhead_instance(n_slots=9, servers=2500):
 # server power and total demand
 
 
-def test_server_power_linear_model():
-    srv = ServerModel(c_idle=0.1, c_peak=0.25, beta_s=0.08)
-    assert server_power(srv, 10, 4.0) == pytest.approx(1.6, abs=1e-12)
-    assert server_power(srv, 0, 0.0) == 0.0
-    # all-idle fleet draws c_idle per server
-    assert server_power(srv, 4, 0.0) == pytest.approx(0.4, abs=1e-12)
-
-
-def test_server_power_rejects_undersized_fleet():
-    srv = ServerModel(c_idle=0.1, c_peak=0.25, beta_s=0.08)
-    with pytest.raises(FeasibilityError):
-        server_power(srv, 3, 3.5)
-    with pytest.raises(FeasibilityError):
-        server_power(srv, 1, -0.1)
-
-
 def test_total_power_without_overheads_is_server_power():
     inst = bare_instance([4.0], [0.1])
     assert total_power(inst, 1, 10) == pytest.approx(1.6, abs=1e-12)
+    idle = bare_instance([0.0], [0.1])
+    assert total_power(idle, 1, 0) == 0.0
+    # an all-idle fleet draws c_idle per server
+    assert total_power(idle, 1, 4) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_total_power_with_overheads_day_regime():

@@ -12,7 +12,6 @@ from dcmkit import (
     ConfigError,
     GeneratorModel,
     Instance,
-    LookaheadStream,
     LookaheadViolation,
     OngridParams,
     ServerModel,
@@ -34,7 +33,7 @@ from dcmkit import (
 from dcmkit import harness, offline, online
 from dcmkit.analysis import grid_only_schedule
 from dcmkit.offline import slice_energy
-from dcmkit.online import GcsrFleet
+from dcmkit.online import ChaseFleet, GcsrFleet, RevealedWindow
 from dcmkit.verify import random_bound_instance, random_ep_problem, random_tiny_instance
 
 # dyadic idle economics: every server unit draws exactly 0.25, price 0.125,
@@ -56,47 +55,51 @@ def dyadic_instance(workload):
 # revealed-window plumbing
 
 
-def test_stream_reveals_exactly_the_window():
+def test_window_reveals_exactly_its_slots():
     inst = dyadic_instance([1, 0, 0, 1, 0])
-    stream = LookaheadStream(inst, 2)
-    assert stream.revealed_end == 3
-    assert np.array_equal(stream.workloads(1, 3), [1.0, 0.0, 0.0])
-    assert np.array_equal(stream.idle_prefix(1, 3), [[IDLE], [2 * IDLE], [3 * IDLE]])
+    window = RevealedWindow(inst.horizon)
+    fleet = GcsrFleet(inst, window)
+    window.reveal(3)
+    assert window.end == 3
+    assert np.array_equal(window.read(inst.workload, 1, 3), [1.0, 0.0, 0.0])
+    assert np.array_equal(fleet.idle_prefix(1, 3), [[IDLE], [2 * IDLE], [3 * IDLE]])
     with pytest.raises(LookaheadViolation):
-        stream.workloads(1, 4)
-    stream.advance()
-    assert stream.cursor == 2 and stream.revealed_end == 4
-    assert np.array_equal(stream.workloads(4, 4), [1.0])
-    assert stream.demand(4, 1) == 0.25
+        window.read(inst.workload, 1, 4)
+    assert fleet.decide_next() == 1 and fleet.energy == [0.25]
+    window.reveal(4)
+    assert window.end == 4
+    assert np.array_equal(window.read(inst.workload, 4, 4), [1.0])
+    assert window.read(inst.workload, 4) == 1.0
     with pytest.raises(LookaheadViolation):
-        stream.demand(5, 1)
+        window.read(inst.workload, 5)
     with pytest.raises(LookaheadViolation):
-        stream.idle_prefix(2, 5)
-    for _ in range(3):
-        stream.advance()
-    assert stream.revealed_end == 5  # clipped at the horizon
-    with pytest.raises(ConfigError):
-        LookaheadStream(inst, -1)
+        fleet.idle_prefix(2, 5)
+    window.reveal(8)
+    assert window.end == 5  # clipped at the horizon
 
 
-def test_stream_demand_reads_one_checked_table_entry():
+def test_fleet_energy_is_the_table_entry_of_each_decision():
     rng = np.random.default_rng(57)
     for _ in range(20):
         inst = random_tiny_instance(rng)
-        stream = LookaheadStream(inst, inst.horizon)
-        for t in range(1, inst.horizon + 1):
-            table = inst.demand_table(t)
-            for x in range(inst.max_servers + 1):
-                assert stream.demand(t, x) == table[x]
-    stream = LookaheadStream(dyadic_instance([1, 0, 1]), 1)
-    assert stream.demand(2, 1) == 0.25
+        for w in (0, inst.horizon):
+            window = RevealedWindow(inst.horizon)
+            fleet = GcsrFleet(inst, window)
+            for t in range(1, inst.horizon + 1):
+                window.reveal(t + w)
+                x = fleet.decide_next()
+                assert fleet.energy[t - 1] == inst.demand_table(t)[x]
+            assert len(fleet.energy) == inst.horizon
+    window = RevealedWindow(3)
+    window.reveal(2)
+    assert window.read([0.5, 0.25, 0.125], 2) == 0.25
     with pytest.raises(LookaheadViolation, match=r"slot 3 is outside the revealed window \[1, 2\]"):
-        stream.demand(3, 1)
+        window.read([0.5, 0.25, 0.125], 3)
     with pytest.raises(LookaheadViolation):
-        stream.demand(0, 1)
+        window.read([0.5, 0.25, 0.125], 0)
 
 
-def test_stream_block_readers_match_sequential_sums(monkeypatch):
+def test_fleet_block_rows_match_sequential_sums(monkeypatch):
     rng = np.random.default_rng(28)
     for block in (1, 2, 5, offline.BLOCK_SLOTS):
         monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
@@ -107,55 +110,83 @@ def test_stream_block_readers_match_sequential_sums(monkeypatch):
             idle = inst.price[:, None] * np.diff(tables, axis=1)
             prefix = np.add.accumulate(np.vstack([np.zeros(inst.max_servers), idle]), axis=0)[1:]
             w = int(rng.integers(0, 4))
-            stream = LookaheadStream(inst, w)
+            window = RevealedWindow(t_end)
+            fleet = GcsrFleet(inst, window)
             for t in range(1, t_end + 1):
-                end = stream.revealed_end
-                assert np.array_equal(stream.idle_prefix(t, end), prefix[t - 1 : end])
-                assert np.array_equal(stream.workloads(t, end), inst.workload[t - 1 : end])
-                for x in range(inst.max_servers + 1):
-                    assert stream.demand(t, x) == tables[t - 1, x]
-                assert len(stream._prefix) <= block + w  # O((block + w) * M) floats
-                stream.advance()
+                window.reveal(t + w)
+                end = window.end
+                assert np.array_equal(fleet.idle_prefix(t, end), prefix[t - 1 : end])
+                assert np.array_equal(window.read(inst.workload, t, end), inst.workload[t - 1 : end])
+                x = fleet.decide_next()
+                assert fleet.energy[t - 1] == tables[t - 1, x]
+                assert len(fleet._prefix) <= block + w  # O((block + w) * M) floats
 
 
-def test_stream_readers_stay_checked_after_a_block_is_evaluated(monkeypatch):
+def test_fleet_reads_stay_checked_after_a_block_is_evaluated(monkeypatch):
     inst = dyadic_instance([1, 0, 0, 1, 0])
     evaluated = []
     table = Instance.demand_table
     monkeypatch.setattr(Instance, "demand_table",
                         lambda self, t, end=None: evaluated.append((t, end)) or table(self, t, end))
-    stream = LookaheadStream(inst, 1)
-    assert np.array_equal(stream.idle_prefix(1, 2), [[IDLE], [2 * IDLE]])
+    window = RevealedWindow(inst.horizon)
+    fleet = GcsrFleet(inst, window)
+    window.reveal(2)
+    assert np.array_equal(fleet.idle_prefix(1, 2), [[IDLE], [2 * IDLE]])
     assert evaluated == [(1, 5)]  # the whole horizon is one block
     past = r"slot 3 is outside the revealed window \[1, 2\]"
     with pytest.raises(LookaheadViolation, match=past):
-        stream.idle_prefix(1, 3)
+        fleet.idle_prefix(1, 3)
     with pytest.raises(LookaheadViolation, match=past):
-        stream.workloads(2, 3)
+        window.read(inst.workload, 2, 3)
     with pytest.raises(LookaheadViolation, match=past):
-        stream.demand(3, 1)
+        window.read(inst.workload, 3)
     with pytest.raises(LookaheadViolation):
-        stream.idle_prefix(0, 1)
-    stream.advance()
-    assert stream.demand(3, 1) == 0.25
-    assert np.array_equal(stream.workloads(2, 3), [0.0, 0.0])
+        fleet.idle_prefix(0, 1)
+    fleet.decide_next()
+    window.reveal(3)
+    fleet.decide_next()
+    assert fleet.energy == [0.25, 0.25]
+    assert np.array_equal(window.read(inst.workload, 2, 3), [0.0, 0.0])
     assert evaluated == [(1, 5)]
-    # rows before the oldest slot of a request are dropped when the next block is evaluated
+    # rows before the slot being decided are dropped when the next block is evaluated
     monkeypatch.setattr(offline, "BLOCK_SLOTS", 1)
-    stream = LookaheadStream(inst, 0)
-    stream.idle_prefix(1, 1)
-    stream.advance()
-    stream.idle_prefix(2, 2)
+    window = RevealedWindow(inst.horizon)
+    fleet = GcsrFleet(inst, window)
+    for t in (1, 2):
+        window.reveal(t)
+        fleet.decide_next()
     with pytest.raises(ValueError, match="slot 1 was dropped"):
-        stream.idle_prefix(1, 2)
+        fleet.idle_prefix(1, 2)
+
+
+def reach_one_slot_further(monkeypatch, reads):
+    """Make every range read (reads="range") or every single-slot read
+    (reads="slot") of a RevealedWindow ask for one slot past the one its
+    fleet chose."""
+    read = RevealedWindow.read
+
+    def further(window, series, first, last=None):
+        if last is None:
+            return read(window, series, first + (reads == "slot"))
+        return read(window, series, first, last + (reads == "range"))
+
+    monkeypatch.setattr(RevealedWindow, "read", further)
+
+
+def test_gcsr_and_dcmon_reads_past_the_window_raise(monkeypatch):
+    # GCSR is the only fleet that reads slot ranges
+    reach_one_slot_further(monkeypatch, "range")
+    inst = dyadic_instance([1, 0, 0, 1, 0])
+    with pytest.raises(LookaheadViolation, match=r"slot 3 is outside the revealed window \[1, 2\]"):
+        gcsr(inst, 1)
+    with pytest.raises(LookaheadViolation, match=r"slot 2 is outside the revealed window \[1, 1\]"):
+        dcmon(inst, 0)
 
 
 def test_chase_and_dcmon_reads_past_the_window_raise(monkeypatch):
-    # make every CHASE decision ask for one slot more than was revealed
-    decide = online.ChaseFleet.decide_next
-    monkeypatch.setattr(online.ChaseFleet, "decide_next",
-                        lambda fleet, window_end: decide(fleet, window_end + 1))
-    with pytest.raises(LookaheadViolation, match=r"slot 3 beyond revealed window \[1, 2\]"):
+    # CHASE is the only fleet that reads single slots
+    reach_one_slot_further(monkeypatch, "slot")
+    with pytest.raises(LookaheadViolation, match=r"slot 3 is outside the revealed window \[1, 2\]"):
         chase(CH_GEN, np.full(5, 64.0), np.full(5, CH_PRICE), 1)
     inst = Instance(
         workload=[1.0, 0.0, 1.0, 1.0],
@@ -163,8 +194,19 @@ def test_chase_and_dcmon_reads_past_the_window_raise(monkeypatch):
         server=ServerModel(c_idle=0.25, c_peak=0.25, beta_s=BETA_S),
         generator=GeneratorModel(60.0, 0.08, 1.2, 24.0, 1),
     )
-    with pytest.raises(LookaheadViolation, match=r"slot 2 beyond revealed window \[1, 1\]"):
+    with pytest.raises(LookaheadViolation, match=r"slot 2 is outside the revealed window \[1, 1\]"):
         dcmon(inst, 0)
+
+
+@pytest.mark.parametrize("lookahead", [-1, 1.5, float("nan"), None, "3"])
+def test_online_entry_points_reject_a_lookahead_that_is_not_a_whole_slot_count(lookahead):
+    inst = dyadic_instance([1, 0, 1])
+    with pytest.raises(ConfigError, match="lookahead"):
+        gcsr(inst, lookahead)
+    with pytest.raises(ConfigError, match="lookahead"):
+        chase(CH_GEN, np.full(3, 64.0), np.full(3, CH_PRICE), lookahead)
+    with pytest.raises(ConfigError, match="lookahead"):
+        dcmon(inst, lookahead)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +298,7 @@ def test_gcsr_matches_the_slice_by_slice_reference():
 
 def test_gcsr_and_dcmon_refill_the_stream_block_by_block(monkeypatch):
     # random tiny instances fit in one default block; small blocks make the
-    # stream evaluate (and drop) rows many times within one run
+    # fleet evaluate (and drop) rows many times within one run
     rng = np.random.default_rng(29)
     cases = []
     for k in range(60):
@@ -296,10 +338,21 @@ def test_gcsr_and_dcmon_over_more_than_one_default_block(monkeypatch):
 
 def test_gcsr_decision_needs_its_own_slot_revealed():
     inst = dyadic_instance([1, 0, 0, 1])
-    fleet = GcsrFleet(LookaheadStream(inst, 0))
-    fleet.decide_next(1)
+    window = RevealedWindow(inst.horizon)
+    fleet = GcsrFleet(inst, window)
+    window.reveal(1)
+    fleet.decide_next()
     with pytest.raises(LookaheadViolation):
-        fleet.decide_next(1)
+        fleet.decide_next()
+
+
+def test_chase_decision_needs_its_own_slot_revealed():
+    window = RevealedWindow(3)
+    fleet = ChaseFleet(CH_GEN, np.full(3, 64.0), np.full(3, CH_PRICE), window)
+    window.reveal(1)
+    fleet.decide_next()
+    with pytest.raises(LookaheadViolation, match=r"slot 2 is outside the revealed window \[1, 1\]"):
+        fleet.decide_next()
 
 
 def test_gcsr_full_window_agrees_with_offline_at_exact_ties():
@@ -492,7 +545,7 @@ def test_dcmon_supply_window_comes_from_params(monkeypatch):
     ends = []
     decide = online.ChaseFleet.decide_next
     monkeypatch.setattr(online.ChaseFleet, "decide_next",
-                        lambda fleet, window_end: ends.append(window_end) or decide(fleet, window_end))
+                        lambda fleet: ends.append(fleet.window.end) or decide(fleet))
     inst = dyadic_instance([1, 0, 1, 0, 0, 0, 0, 0, 1, 0])  # span 4 slots
     t_end, w = inst.horizon, 6
     for params, w_ep in (
