@@ -66,6 +66,22 @@ CASES = {
         ["solve", "--algo", "dcmon", "--lookahead", "30"],
         "17550779045c27bbd3e59b49d88d8ffe2fb2f67afdef55fc1479ee2b06db7f4c",
     ),
+    # standalone GCSR, and 12-day runs whose 288 slots cross a 256-slot block
+    "ny-solve-gcsr-w0": (
+        {**BASE, "preset": "ny"},
+        ["solve", "--algo", "gcsr", "--lookahead", "0"],
+        "8ffbc63959b851b6fb0fbef17f20e45df02d7ddeeb1305a567b8a39cd58fb3e9",
+    ),
+    "ny-12d-solve-gcsr-w64": (
+        {**BASE, "preset": "ny", "days": 12},
+        ["solve", "--algo", "gcsr", "--lookahead", "64"],
+        "f63535924216398cc93c535976a041f708f37e71b8cec4a6d4e8aebba69672c3",
+    ),
+    "sj-12d-compare-w16": (
+        {**BASE, "preset": "sj", "days": 12},
+        ["compare", "--lookahead", "16"],
+        "593d046987788c553d7d04dd227767088a2335d1d58ffffbc50ab29c431bb828",
+    ),
     "ny-sweep": (
         {**BASE, "preset": "ny"},
         ["sweep"],
