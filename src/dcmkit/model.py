@@ -98,6 +98,19 @@ class GeneratorModel:
         return self.c_o + self.c_m / self.capacity
 
 
+def _scaled_quadratic(bh, q, l, c, scale, out=None):
+    """(q * bh * bh + l * bh + c) * scale, in that operation order, with one
+    buffer besides bh: the result, written to out when given. bh is
+    overwritten when it is an array."""
+    r = np.multiply(q, bh, out=out)
+    r *= bh
+    bh *= l
+    r += bh
+    r += c
+    r *= scale
+    return r
+
+
 @dataclass(frozen=True)
 class CoolingRegime:
     """One cooling operating regime, active on period hours [start, end).
@@ -180,17 +193,22 @@ class CoolingModel:
             return None
         return self.regimes[self._hour_regime[(t - 1) % self.period]]
 
-    def overhead(self, b, coeffs):
+    def overhead(self, b, coeffs, out=None):
         """Cooling power for server power b under regime coefficients coeffs.
 
         coeffs holds one entry per polynomial coefficient; each entry may be
-        a number or an array broadcastable against b.
+        a number or an array broadcastable against b (to b's shape when b is
+        an array). out, an array of the result's shape, receives the
+        result; it may be b itself.
         """
         bh = b / self.b_max
         if self.kind == "quadratic":
-            q, l, c = coeffs
-            return (q * bh * bh + l * bh + c) * self.b_max
-        return coeffs[0] * bh * bh * bh * self.b_max
+            return _scaled_quadratic(bh, *coeffs, self.b_max, out)
+        r = np.multiply(coeffs[0], bh, out=out)  # c * bh * bh * bh * b_max
+        r *= bh
+        r *= bh
+        r *= self.b_max
+        return r
 
 
 @dataclass(frozen=True)
@@ -216,8 +234,7 @@ class ConditioningModel:
     def power(self, b: float | np.ndarray) -> float | np.ndarray:
         if self.kind == "none":
             return np.zeros_like(b) if isinstance(b, np.ndarray) else 0.0
-        bh = b / self.b_max
-        return (self.quad * bh * bh + self.lin * bh + self.const) * self.b_max
+        return _scaled_quadratic(b / self.b_max, self.quad, self.lin, self.const, self.b_max)
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +337,12 @@ class Instance:
         float whichever path asks for it.
         """
         srv = self.server
-        b = srv.c_idle * x + (srv.c_peak - srv.c_idle) * self.workload[k]
-        out = b + self.conditioning.power(b)
-        if self._slot_coeffs is None:
-            return out
-        return out + self.cooling.overhead(b, self._slot_coeffs[:, k])
+        b = np.asarray(srv.c_idle * x + (srv.c_peak - srv.c_idle) * self.workload[k])
+        out = self.conditioning.power(b)
+        out += b  # b + power(b): the same float either way round
+        if self._slot_coeffs is not None:  # b is not read again, so it takes the overhead
+            out += self.cooling.overhead(b, self._slot_coeffs[:, k], out=b)
+        return out
 
     def demand_table(self, t: int, end: int | None = None) -> np.ndarray:
         """Vector of d_t(x) for x = 0..max_servers (read-only).

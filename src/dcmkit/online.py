@@ -11,7 +11,11 @@ Provisioning (GCSR, GcsrFleet): each unit server slice idles through a
 workload gap until the idle cost since the gap began, plus what the window
 shows is still coming, reaches the restart cost beta_s; then it turns off.
 It tests the offline slice rule's predicate on the same floats, so online
-and offline agree at exact ties.
+and offline agree at exact ties. Because idle cost only grows, the verdict
+hangs on one slot per gap, the first where the cost reaches beta_s; the
+fleet tests each slot once as the window reveals it and arms the turn-off
+for the first decision that sees that slot, so a decision's work does not
+grow with the window.
 
 Supply (CHASE, ChaseFleet): each unit generator slice tracks R, its
 cumulative savings of running versus buying from the grid, clamped to
@@ -90,27 +94,39 @@ class RevealedWindow:
 
 
 class GcsrFleet:
-    """All unit server slices of one GCSR run, decided slot by slot.
+    """All unit server slices of one GCSR run, as events on revealed slots.
 
-    Slice i (0-based) is busy in slot t iff a(t) > i. Its state is two
-    entries of length-M arrays: the previous on/off decision and the anchor
-    base_i = P_i(g-1), the running idle-cost sum at the last busy slot (see
-    idle_prefix). An idle, powered slice turns off at slot t once
-    reaches_breakeven(P_i(j), base_i, beta_s) holds for some revealed j >= t
-    with no busy slot in t..j; the offline rule evaluates the same predicate
-    on the same floats.
+    Slice i (0-based) is busy in slot s iff a(s) > i, so with
+    c(s) = ceil(a(s)) the busy slices are 0..c(s)-1. A gap of slice i is a
+    maximal run of idle slots g..h after a busy slot g-1; its anchor is
+    base_i = P_i(g-1), the running idle-cost sum at that busy slot (see
+    idle_prefix). The rule: an idle, powered slice turns off at decision t
+    once reaches_breakeven(P_i(j), base_i, beta_s) holds for some revealed
+    j >= t with no busy slot in t..j; the offline rule evaluates the same
+    predicate on the same floats. Slices in their leading gap were never
+    on and stay off.
 
-    Each decision is one numpy step over all slices. Slices are nested, so
-    the running maximum of the workload over the window, searched for each
-    slice index, gives each slice's idle run length k from t (k = 0: busy at
-    t). It suffices to test the last idle slot t+k-1: P_i is nondecreasing
-    (prices are nonnegative and d_s(x) is a nondecreasing float function of
-    x, being built from monotone float operations on nonnegative terms), and
-    float subtraction and comparison are monotone, so the predicate holds at
-    some j in the run iff it holds at its end. A decision is therefore a
-    running maximum over w+1 workloads and one binary search and one
-    gathered P entry per slice, O(w + M log w) numpy work with no
-    (window x M) block. Per-slice decisions are stored only when asked for.
+    The verdict depends only on j*, the first slot of the gap where the
+    predicate holds. P_i is nondecreasing (prices are nonnegative and d_s(x)
+    is a nondecreasing float function of x, built from monotone float
+    operations on nonnegative terms), and float subtraction and comparison
+    are monotone, so at decision t in the gap the rule turns off iff the
+    predicate holds at min(h, end_t), end_t being the window end; that is
+    iff end_t >= j*. The window end never falls, so the slice turns off at
+    max(g, t*), where t* is the first decision whose window reveals j*, and
+    stays off to the end of the gap. That holds for any window that never
+    shrinks: gcsr's t + w and DCMON's master window alike.
+
+    So the fleet steps once per revealed slot e, reading a(e) through the
+    window and then P(e), the held row of the slot just checked. Gaps that
+    open at e (slices c(e)..c(e-1)-1) take base = P(e-1) and start g = e
+    and are pending; gaps that close at e are no longer pending. The
+    pending slices are tested on P(e); each hit (e = j*) stops pending and
+    arms one turn-off at slot max(g, next_slot), which lies in the gap
+    (g, next_slot <= e <= h) and is never a slot already decided. A decision applies
+    the turn-offs armed for its slot, turns slices 0..c(t)-1 on and counts:
+    each revealed slot costs a few numpy operations over the slices,
+    whatever the window. Per-slice decisions are stored only when asked for.
 
     The fleet evaluates demand rows d_s(0..M) and the running idle-cost sums
     P_i(s) = P_i(s-1) + p(s) * (d_s(i+1) - d_s(i)), P_i(0) = 0, lazily: one
@@ -127,9 +143,16 @@ class GcsrFleet:
         self.window = window
         self.n_slices = m = instance.max_servers
         self.beta_s = instance.server.beta_s
-        self._slices = np.arange(m)
         self._on = np.zeros(m, dtype=bool)
-        self._base = np.zeros(m)  # P(g-1) of each slice's current gap
+        self._base = np.zeros(m)  # P(g-1) of each slice's latest gap
+        self._start = np.zeros(m, dtype=int)  # g of each slice's latest gap
+        self._pending = np.zeros(m, dtype=bool)  # idle in a gap, break-even not yet revealed
+        self._armed: dict[int, list[np.ndarray]] = {}  # slot -> slices that turn off there
+        # c(s) of the revealed slots not yet decided, and P(revealed)
+        self._revealed = 0
+        self._busy: deque[int] = deque()
+        self._busy_last = 0
+        self._row_last = np.zeros(m)
         # demand rows d_s(0..M) and idle-cost sums P(s) for held slots s = _first.._last
         self._first, self._last = 1, 0
         self._grid = np.empty((0, m + 1))
@@ -144,30 +167,59 @@ class GcsrFleet:
         self.window.check(first, last)
         if first < self._first:
             raise ValueError(f"slot {first} was dropped; the fleet holds slots from {self._first}")
-        if last > self._last:
-            carried = self._prefix[-1] if len(self._prefix) else np.zeros(self.n_slices)
-            grid, prefix = idle_cost_block(self.instance, self._last + 1, last, carried)
-            drop = min(first - self._first, len(self._grid))
-            self._grid = np.concatenate((self._grid[drop:], grid))
-            self._prefix = np.concatenate((self._prefix[drop:], prefix[1:]))
-            self._first += drop
-            self._last += len(grid)
+        self._hold(last)
         rows = self._prefix[first - self._first : last + 1 - self._first]
         rows.flags.writeable = False
         return rows
 
+    def _hold(self, last: int) -> None:
+        """Evaluate blocks until slot last is held, dropping rows before next_slot."""
+        if last > self._last:
+            carried = self._prefix[-1] if len(self._prefix) else np.zeros(self.n_slices)
+            grid, prefix = idle_cost_block(self.instance, self._last + 1, last, carried)
+            drop = min(self.next_slot - self._first, len(self._grid))
+            self._grid = np.concatenate((self._grid[drop:], grid))
+            self._prefix = np.concatenate((self._prefix[drop:], prefix[1:]))
+            self._first += drop
+            self._last += len(grid)
+
+    def _reveal(self) -> None:
+        """Step the gaps over the next revealed slot e and arm the turn-offs it certifies."""
+        e = self._revealed + 1
+        c = math.ceil(self.window.read(self.instance.workload, e))
+        self._hold(e)  # P(e) is read at the slot the window has just checked
+        row = self._prefix[e - self._first]
+        was = self._busy_last
+        if c < was:  # gaps open at e
+            self._base[c:was] = self._row_last[c:was]
+            self._start[c:was] = e
+            self._pending[c:was] = True
+        elif c > was:  # gaps close at e
+            self._pending[was:c] = False
+        due = self._pending[c:] & reaches_breakeven(row[c:], self._base[c:], self.beta_s)
+        hits = due.nonzero()[0]
+        if len(hits):
+            hits += c
+            self._pending[hits] = False
+            slots = np.maximum(self._start[hits], self.next_slot)
+            # one turn-off list per run of equal slots (gap starts fall along hits)
+            cuts = [0, *((slots[1:] != slots[:-1]).nonzero()[0] + 1).tolist(), len(hits)]
+            for lo, hi in zip(cuts, cuts[1:]):
+                self._armed.setdefault(int(slots[lo]), []).append(hits[lo:hi])
+        self._busy.append(c)
+        self._busy_last, self._row_last, self._revealed = c, row, e
+
     def decide_next(self) -> int:
         """Decide slot self.next_slot from the slots up to window.end."""
-        t, end = self.next_slot, self.window.end
-        load = np.maximum.accumulate(self.window.read(self.instance.workload, t, end))
-        rows = self.idle_prefix(t, end)  # P(t..end)
-        run = np.searchsorted(load, self._slices, side="right")  # idle run length from t
-        busy = run == 0  # busy slices read row -1 below; their verdict is discarded
-        turn_off = reaches_breakeven(rows[run - 1, self._slices], self._base, self.beta_s)
-        self._on = busy | (self._on & ~turn_off)
-        self._base = np.where(busy, rows[0], self._base)
+        t = self.next_slot
+        self.window.check(t)
+        while self._revealed < self.window.end:
+            self._reveal()
+        for slices in self._armed.pop(t, ()):
+            self._on[slices] = False
+        self._on[: self._busy.popleft()] = True
         if self.slice_series is not None:
-            self.slice_series.append(self._on)
+            self.slice_series.append(self._on.copy())
         total = int(np.count_nonzero(self._on))
         self.series.append(total)
         self.energy.append(float(self._grid[t - self._first, total]))
@@ -237,7 +289,7 @@ class ChaseFleet:
         """Step every R_i over the next slot and queue the extremes it touches."""
         tau = self._revealed + 1
         read = self.window.read
-        energy = np.clip(read(self.energy, tau) - self._offsets, 0.0, self.gen.capacity)
+        energy = np.maximum(read(self.energy, tau) - self._offsets, 0.0)  # capped in regret_steps
         gains = regret_steps(self.gen, energy, read(self.price, tau)).tolist()
         bottom = -self.gen.beta_g
         for i, gain in enumerate(gains):

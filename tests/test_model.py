@@ -144,6 +144,59 @@ def test_demand_series_matches_per_slot_tables():
             inst.demand_table(first, end)
 
 
+def polynomial_demand(inst, t, x):
+    """d_t(x) written out as the model's formulas, one Python float op at a time."""
+    srv = inst.server
+    b = srv.c_idle * x + (srv.c_peak - srv.c_idle) * inst.a(t)
+    d = b
+    cond = inst.conditioning
+    if cond.kind == "quadratic":
+        bh = b / cond.b_max
+        d = b + (cond.quad * bh * bh + cond.lin * bh + cond.const) * cond.b_max
+    cool = inst.cooling
+    bh = b / cool.b_max
+    if cool.kind == "quadratic":
+        q, l, c = cool.regime_at(t).coeffs
+        d = d + (q * bh * bh + l * bh + c) * cool.b_max
+    elif cool.kind == "cubic":
+        d = d + cool.regime_at(t).coeffs[0] * bh * bh * bh * cool.b_max
+    return d
+
+
+def test_grid_rows_match_scalar_demand_for_every_overhead_kind():
+    # grids larger than 128 KiB are evaluated through reused buffers; each
+    # row must still be the floats of one slot's table, of a scalar
+    # evaluation, and of the formulas written out
+    servers, n_slots = 2000, 40
+    b_max = 0.25 * servers
+    regimes = {
+        "quadratic": ((0.041, 0.144, 0.047), (0.03, 0.136, 0.042)),
+        "cubic": ((0.4,), (0.25,)),
+    }
+    coolings = [CoolingModel()] + [
+        CoolingModel(kind=kind, regimes=(CoolingRegime("day", 8, 20, day),
+                                         CoolingRegime("night", 20, 8, night)), b_max=b_max)
+        for kind, (day, night) in regimes.items()
+    ]
+    conditionings = [
+        ConditioningModel(),
+        ConditioningModel(kind="quadratic", quad=0.012, lin=0.046, const=0.056, b_max=b_max),
+    ]
+    rng = np.random.default_rng(12)
+    workload = rng.uniform(0.0, servers, n_slots)
+    for cooling in coolings:
+        for conditioning in conditionings:
+            inst = bare_instance(workload, np.full(n_slots, 0.1),
+                                 cooling=cooling, conditioning=conditioning)
+            grid = inst.demand_table(1, n_slots)
+            assert grid.nbytes > 128 * 1024
+            for t in range(1, n_slots + 1):
+                assert np.array_equal(grid[t - 1], inst.demand_table(t))
+                for x in (inst.min_servers(t), (inst.min_servers(t) + inst.max_servers) // 2,
+                          inst.max_servers):
+                    assert grid[t - 1, x] == total_power(inst, t, x) == polynomial_demand(inst, t, x)
+
+
 def test_block_evaluator_matches_stacked_tables(monkeypatch):
     # grid rows are demand_table(t) and idle-cost sums continue sequentially
     # across blocks, whatever the block size

@@ -159,23 +159,37 @@ def test_fleet_reads_stay_checked_after_a_block_is_evaluated(monkeypatch):
         fleet.idle_prefix(1, 2)
 
 
-def reach_one_slot_further(monkeypatch, reads):
-    """Make every range read (reads="range") or every single-slot read
-    (reads="slot") of a RevealedWindow ask for one slot past the one its
-    fleet chose."""
-    read = RevealedWindow.read
+class FurtherWindow:
+    """A fleet's view of its RevealedWindow in which every read asks for one
+    slot past the one the fleet chose: the next slot for a single-slot read,
+    one more slot for a range."""
 
-    def further(window, series, first, last=None):
+    def __init__(self, window):
+        self.window = window
+
+    def __getattr__(self, name):
+        return getattr(self.window, name)
+
+    def read(self, series, first, last=None):
         if last is None:
-            return read(window, series, first + (reads == "slot"))
-        return read(window, series, first, last + (reads == "range"))
+            return self.window.read(series, first + 1)
+        return self.window.read(series, first, last + 1)
 
-    monkeypatch.setattr(RevealedWindow, "read", further)
+
+def reach_one_slot_further(monkeypatch, fleet):
+    """Make every window read of the fleet class fleet reach one slot further."""
+    init = fleet.__init__
+
+    def further(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.window = FurtherWindow(self.window)
+
+    monkeypatch.setattr(fleet, "__init__", further)
 
 
 def test_gcsr_and_dcmon_reads_past_the_window_raise(monkeypatch):
-    # GCSR is the only fleet that reads slot ranges
-    reach_one_slot_further(monkeypatch, "range")
+    # only GCSR's reads reach further; CHASE's stay where they were
+    reach_one_slot_further(monkeypatch, GcsrFleet)
     inst = dyadic_instance([1, 0, 0, 1, 0])
     with pytest.raises(LookaheadViolation, match=r"slot 3 is outside the revealed window \[1, 2\]"):
         gcsr(inst, 1)
@@ -184,8 +198,8 @@ def test_gcsr_and_dcmon_reads_past_the_window_raise(monkeypatch):
 
 
 def test_chase_and_dcmon_reads_past_the_window_raise(monkeypatch):
-    # CHASE is the only fleet that reads single slots
-    reach_one_slot_further(monkeypatch, "slot")
+    # only CHASE's reads reach further; GCSR's stay where they were
+    reach_one_slot_further(monkeypatch, ChaseFleet)
     with pytest.raises(LookaheadViolation, match=r"slot 3 is outside the revealed window \[1, 2\]"):
         chase(CH_GEN, np.full(5, 64.0), np.full(5, CH_PRICE), 1)
     inst = Instance(
@@ -196,6 +210,26 @@ def test_chase_and_dcmon_reads_past_the_window_raise(monkeypatch):
     )
     with pytest.raises(LookaheadViolation, match=r"slot 2 is outside the revealed window \[1, 1\]"):
         dcmon(inst, 0)
+
+
+def test_gcsr_reads_each_slot_once_whatever_the_window(monkeypatch):
+    # one single-slot read, a(e), per revealed slot e: the same reads at
+    # every window, the whole horizon's included
+    inst = harness.build_instance(harness.synthesize_trace(3, 12, 8, "ny"),
+                                  harness.validate_config({"servers": 8}))
+    assert inst.horizon > offline.BLOCK_SLOTS
+    read = RevealedWindow.read
+    slots = []
+
+    def counted(window, series, first, last=None):
+        slots.append(1 if last is None else last - first + 1)
+        return read(window, series, first, last)
+
+    monkeypatch.setattr(RevealedWindow, "read", counted)
+    for w in (0, 16, inst.horizon):
+        slots.clear()
+        gcsr(inst, w)
+        assert slots == [1] * inst.horizon
 
 
 @pytest.mark.parametrize("lookahead", [-1, 1.5, float("nan"), None, "3"])
