@@ -117,16 +117,16 @@ class GcsrFleet:
     stays off to the end of the gap. That holds for any window that never
     shrinks: gcsr's t + w and DCMON's master window alike.
 
-    So the fleet steps once per revealed slot e, reading a(e) through the
-    window and then P(e), the held row of the slot just checked. Gaps that
-    open at e (slices c(e)..c(e-1)-1) take base = P(e-1) and start g = e
-    and are pending; gaps that close at e are no longer pending. The
-    pending slices are tested on P(e); each hit (e = j*) stops pending and
-    arms one turn-off at slot max(g, next_slot), which lies in the gap
-    (g, next_slot <= e <= h) and is never a slot already decided. A decision applies
-    the turn-offs armed for its slot, turns slices 0..c(t)-1 on and counts:
-    each revealed slot costs a few numpy operations over the slices,
-    whatever the window. Per-slice decisions are stored only when asked for.
+    So the fleet steps once per revealed slot e, reading a(e) and P(e)
+    through the window. Gaps that open at e (slices c(e)..c(e-1)-1) take
+    base = P(e-1) and start g = e and are pending; gaps that close at e
+    are no longer pending. The pending slices are tested on P(e). Each hit
+    (e = j*) stops pending and arms one turn-off at slot max(g, next_slot),
+    which lies in the gap (g <= e and next_slot <= e) and is never a slot
+    already decided. A decision applies the turn-offs armed for its slot,
+    turns slices 0..c(t)-1 on and counts. Each revealed slot thus costs a
+    few numpy operations over the slices, whatever the window. Per-slice
+    decisions are stored only when asked for.
 
     The fleet evaluates demand rows d_s(0..M) and the running idle-cost sums
     P_i(s) = P_i(s-1) + p(s) * (d_s(i+1) - d_s(i)), P_i(0) = 0, lazily: one
@@ -167,13 +167,6 @@ class GcsrFleet:
         self.window.check(first, last)
         if first < self._first:
             raise ValueError(f"slot {first} was dropped; the fleet holds slots from {self._first}")
-        self._hold(last)
-        rows = self._prefix[first - self._first : last + 1 - self._first]
-        rows.flags.writeable = False
-        return rows
-
-    def _hold(self, last: int) -> None:
-        """Evaluate blocks until slot last is held, dropping rows before next_slot."""
         if last > self._last:
             carried = self._prefix[-1] if len(self._prefix) else np.zeros(self.n_slices)
             grid, prefix = idle_cost_block(self.instance, self._last + 1, last, carried)
@@ -182,13 +175,15 @@ class GcsrFleet:
             self._prefix = np.concatenate((self._prefix[drop:], prefix[1:]))
             self._first += drop
             self._last += len(grid)
+        rows = self._prefix[first - self._first : last + 1 - self._first]
+        rows.flags.writeable = False
+        return rows
 
     def _reveal(self) -> None:
         """Step the gaps over the next revealed slot e and arm the turn-offs it certifies."""
         e = self._revealed + 1
         c = math.ceil(self.window.read(self.instance.workload, e))
-        self._hold(e)  # P(e) is read at the slot the window has just checked
-        row = self._prefix[e - self._first]
+        row = self.idle_prefix(e, e)[0]
         was = self._busy_last
         if c < was:  # gaps open at e
             self._base[c:was] = self._row_last[c:was]
