@@ -337,6 +337,7 @@ class Instance:
         float whichever path asks for it.
         """
         srv = self.server
+        # an array even for a scalar call, so the cooling overhead can be written into it
         b = np.asarray(srv.c_idle * x + (srv.c_peak - srv.c_idle) * self.workload[k])
         out = self.conditioning.power(b)
         out += b  # b + power(b): the same float either way round

@@ -148,7 +148,8 @@ class GcsrFleet:
         self._start = np.zeros(m, dtype=int)  # g of each slice's latest gap
         self._pending = np.zeros(m, dtype=bool)  # idle in a gap, break-even not yet revealed
         self._armed: dict[int, list[np.ndarray]] = {}  # slot -> slices that turn off there
-        # c(s) of the revealed slots not yet decided, and P(revealed)
+        # the last revealed slot, c(s) of the revealed slots not yet decided,
+        # and c and P of the last revealed slot
         self._revealed = 0
         self._busy: deque[int] = deque()
         self._busy_last = 0

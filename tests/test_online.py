@@ -213,23 +213,28 @@ def test_chase_and_dcmon_reads_past_the_window_raise(monkeypatch):
 
 
 def test_gcsr_reads_each_slot_once_whatever_the_window(monkeypatch):
-    # one single-slot read, a(e), per revealed slot e: the same reads at
-    # every window, the whole horizon's included
+    # one read of a(e) and one of P(e) per revealed slot e: the same reads
+    # at every window, the whole horizon's included
     inst = harness.build_instance(harness.synthesize_trace(3, 12, 8, "ny"),
                                   harness.validate_config({"servers": 8}))
     assert inst.horizon > offline.BLOCK_SLOTS
-    read = RevealedWindow.read
-    slots = []
+    read, idle_prefix = RevealedWindow.read, GcsrFleet.idle_prefix
+    reads = []
 
-    def counted(window, series, first, last=None):
-        slots.append(1 if last is None else last - first + 1)
+    def read_counted(window, series, first, last=None):
+        reads.append(("a", first, first if last is None else last))
         return read(window, series, first, last)
 
-    monkeypatch.setattr(RevealedWindow, "read", counted)
+    def idle_prefix_counted(fleet, first, last):
+        reads.append(("P", first, last))
+        return idle_prefix(fleet, first, last)
+
+    monkeypatch.setattr(RevealedWindow, "read", read_counted)
+    monkeypatch.setattr(GcsrFleet, "idle_prefix", idle_prefix_counted)
     for w in (0, 16, inst.horizon):
-        slots.clear()
+        reads.clear()
         gcsr(inst, w)
-        assert slots == [1] * inst.horizon
+        assert reads == [(kind, e, e) for e in range(1, inst.horizon + 1) for kind in "aP"]
 
 
 @pytest.mark.parametrize("lookahead", [-1, 1.5, float("nan"), None, "3"])
