@@ -9,6 +9,7 @@ reports serialize deterministically so a fixed seed reproduces output bytes.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -314,13 +315,20 @@ DEFAULT_CONFIG = {
 }
 
 
+@functools.cache
+def _config_validator():
+    """The validator of CONFIG_SCHEMA, built on first use. CONFIG_SCHEMA is a
+    constant, so the tests check it against its metaschema once; a check
+    per call (as jsonschema.validate makes) costs most of a validation."""
+    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def validate_config(raw: dict) -> dict:
     """Schema-check a config document and fill defaults (deep-merged)."""
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config {path}: {exc.message}") from None
+    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(raw))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config {path}: {error.message}")
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     for key, value in raw.items():
         if isinstance(value, dict) and isinstance(cfg.get(key), dict):

@@ -56,13 +56,6 @@ class ServerModel:
         if self.beta_s <= 0.0:
             raise ConfigError(f"beta_s must be positive, got {self.beta_s}")
 
-    @property
-    def peak_power_factor(self) -> float:
-        """Fraction of peak power attributable to load, (c_peak - c_idle)/c_peak."""
-        if self.c_peak == 0.0:
-            return 0.0
-        return (self.c_peak - self.c_idle) / self.c_peak
-
 
 @dataclass(frozen=True)
 class GeneratorModel:

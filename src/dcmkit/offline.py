@@ -18,6 +18,12 @@ last row, and each idle gap is decided at the slot where it closes, so
 solve_cp_offline holds O(BLOCK_SLOTS * M + T) numbers, never a (T, M) array.
 The online GCSR fleet evaluates its blocks with the same function, so online
 and offline slice rules compare the same floats.
+
+The generator slices share one kernel with online CHASE: regret_rows steps
+every slice's clamped savings over a block of slots, and next_extremes finds
+each row's next extreme. Offline the block is the whole horizon, and a slice
+is off past its last extreme; CHASE steps the same kernel in blocks of
+BLOCK_SLOTS decisions.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -465,6 +471,43 @@ def regret_steps(gen: GeneratorModel, energy, price) -> np.ndarray:
     return np.where(p <= gen.c_o, -gen.c_m, covered * (p - gen.c_o) - gen.c_m)
 
 
+def regret_rows(gen: GeneratorModel, energy, price, regret) -> np.ndarray:
+    """Clamped savings rows R(s), one column per slice, of a block of slots.
+
+    energy and price hold the block's slots; regret is R of the slot before
+    the block. Slice i sees max(e - i*L, 0), which regret_steps caps at L.
+    Each row takes one add and two clamps over the slices, in place: the
+    floats of min(0.0, max(-beta_g, R(s-1) + gain(s))), as clamped_regret
+    computes them one slice at a time.
+    """
+    offsets = np.arange(gen.count) * gen.capacity  # slice i starts at i*L
+    energy = np.maximum(np.asarray(energy, dtype=float)[:, None] - offsets, 0.0)
+    rows = regret_steps(gen, energy, np.asarray(price, dtype=float)[:, None])
+    bottom = -gen.beta_g
+    for row in rows:
+        np.add(regret, row, out=row)
+        np.maximum(row, bottom, out=row)
+        np.minimum(row, 0.0, out=row)
+        regret = row
+    return rows
+
+
+def next_extremes(regret: np.ndarray, bottom: float) -> tuple[np.ndarray, np.ndarray]:
+    """The next extreme of each slice at each row of clamped savings rows.
+
+    Returns (row, top), both shaped like regret: row[r, i] is the first row
+    at or after r where R_i touches 0 or bottom (len(regret) if none), and
+    top[r, i] whether that extreme is the top (False if none). One reversed
+    running minimum of the extreme rows gives them all.
+    """
+    rows, slices = regret.shape
+    top = np.zeros((rows + 1, slices), dtype=bool)  # row `rows`: no extreme
+    np.equal(regret, 0.0, out=top[:-1])
+    extreme = np.where(top[:-1] | (regret == bottom), np.arange(rows)[:, None], rows)
+    row = np.minimum.accumulate(extreme[::-1], axis=0)[::-1]
+    return row, top[row, np.arange(slices)]
+
+
 def clamped_regret(gain, beta_g: float) -> np.ndarray:
     """Cumulative savings clamped to [-beta_g, 0], starting at -beta_g."""
     r = -beta_g
@@ -542,22 +585,18 @@ def regret_process(gen: GeneratorModel, energy, price) -> RegretProcess:
 def ofa_ep_slice(gen: GeneratorModel, energy_slice, price) -> np.ndarray:
     """Optimal on/off series for one generator slice: on at slot t iff the
     first extreme of the clamped savings process at or after t is the top
-    (the "on" segments of critical_segments); off after the last extreme."""
-    regret = clamped_regret(regret_steps(gen, energy_slice, price), gen.beta_g)[1:]
-    top = regret == 0.0
-    t_end = len(regret)
-    extreme_slots = np.where(top | (regret == -gen.beta_g), np.arange(t_end), t_end)
-    next_extreme = np.minimum.accumulate(extreme_slots[::-1])[::-1]
-    return np.append(top, False)[next_extreme].astype(float)
+    (the "on" segments of critical_segments); off after the last extreme.
+    ep_offline_slices on one generator of the same economics."""
+    return ep_offline_slices(replace(gen, count=1), energy_slice, price)[0]
 
 
 def ep_offline_slices(gen: GeneratorModel, energy, price) -> np.ndarray:
-    """Per-slice optimal generator series, shape (count, horizon)."""
+    """Per-slice optimal generator series, shape (count, horizon): the
+    kernel online.ChaseFleet steps in blocks, over the whole horizon as one
+    block, with every slice off past its last extreme."""
     energy, price = supply_series(energy, price)
-    slices = np.zeros((gen.count, len(energy)))
-    for i in range(gen.count):
-        slices[i] = ofa_ep_slice(gen, slice_energy(energy, i + 1, gen.capacity), price)
-    return slices
+    regret = regret_rows(gen, energy, price, np.full(gen.count, -gen.beta_g))
+    return next_extremes(regret, -gen.beta_g)[1].T.astype(float)
 
 
 def solve_ep_offline(gen: GeneratorModel, energy, price) -> np.ndarray:

@@ -20,12 +20,19 @@ grow with the window.
 Supply (CHASE, ChaseFleet): each unit generator slice tracks R, its
 cumulative savings of running versus buying from the grid, clamped to
 [-beta_g, 0]. It is on at slot t iff the first extreme R touches at or after
-t is the top, the offline slice rule, once that extreme is in the window;
-until then it holds.
+t is the top, the offline slice rule, once that extreme lies within
+decision t's own window end; until then it holds. The fleet decides in
+blocks: the driver reveals the ends of BLOCK_SLOTS decisions, and one step
+of offline.regret_rows and offline.next_extremes, the offline rule's kernel,
+decides them all. The window gives each decision its end (s + w in chase,
+s + ep_window(w) in dcmon) and checks every extreme a decision used against
+it, so a block is as causal as a slot. CHASE holds O((BLOCK_SLOTS + w) * N)
+floats.
 
 The combined pipeline (DCMON) runs GCSR under the master window t + w and
-CHASE under a second window t + ep_window(w) over GCSR's energy series,
-which grows as GCSR decides the slots that window reveals.
+CHASE under a second window s + ep_window(w) over GCSR's energy series,
+which grows as GCSR decides the slots that window reveals; CHASE decides
+each block of output slots once GCSR has decided through its last end.
 
 A-priori values and bounds: besides the revealed window, the pipeline and
 every ratio bound read only declared values. OngridParams holds beta_s,
@@ -44,9 +51,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import offline
 from .errors import ConfigError, LookaheadViolation
 from .model import GeneratorModel, Instance, Schedule, dispatched_schedule
-from .offline import idle_cost_block, reaches_breakeven, regret_steps, supply_series
+from .offline import idle_cost_block, next_extremes, reaches_breakeven, regret_rows, supply_series
 
 # ---------------------------------------------------------------------------
 # the revealed window
@@ -67,10 +75,17 @@ class RevealedWindow:
     LookaheadViolation for any slot outside [1, end]. A read sees the series
     object itself, so a list that grows as decisions are made can be read as
     it grows.
+
+    A fleet that decides a block of slots at once (ChaseFleet) also needs
+    each decision's own window: decision s may read slots up to its end,
+    min(s + lookahead, horizon). ends gives the ends of the decisions a
+    fleet may make, and check_each raises LookaheadViolation for any slot a
+    decision used past its own end.
     """
 
-    def __init__(self, horizon: int) -> None:
+    def __init__(self, horizon: int, lookahead: int = 0) -> None:
         self.horizon = horizon
+        self.lookahead = lookahead
         self.end = 0
 
     def reveal(self, end: int) -> None:
@@ -87,6 +102,23 @@ class RevealedWindow:
         """series at slot first, or its slots first..last, once checked."""
         self.check(first, last)
         return series[first - 1] if last is None else series[first - 1 : last]
+
+    def ends(self, first: int) -> np.ndarray:
+        """Window ends of decisions first, first+1, ... through the last whose
+        end is revealed; LookaheadViolation unless decision first's is."""
+        self.check(min(first + self.lookahead, self.horizon))
+        last = self.horizon if self.end == self.horizon else self.end - self.lookahead
+        return np.minimum(np.arange(first, last + 1) + self.lookahead, self.horizon)
+
+    def check_each(self, first: int, slots: np.ndarray) -> None:
+        """Raise LookaheadViolation unless every slot in row k of slots lies
+        in the window of decision first + k."""
+        ends = np.minimum(np.arange(first, first + len(slots)) + self.lookahead, self.end)
+        late = slots > ends[:, None]
+        if late.any():
+            k, i = np.argwhere(late)[0]
+            raise LookaheadViolation(f"slot {slots[k, i]} is outside the window "
+                                     f"[1, {ends[k]}] of decision {first + k}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +164,9 @@ class GcsrFleet:
     P_i(s) = P_i(s-1) + p(s) * (d_s(i+1) - d_s(i)), P_i(0) = 0, lazily: one
     offline.idle_cost_block call per block of BLOCK_SLOTS slots (or more,
     when a read reaches further), whose P rows continue the previous block's
-    last row, so the offline slice rule reads the same floats. Each block
-    evaluation drops the rows before the slot being decided, so the fleet
+    last row, so the offline slice rule reads the same floats. The fleet
+    keeps the blocks as evaluated and drops a block whole once the slot
+    being decided has passed it, so no held row is copied and the fleet
     holds O((BLOCK_SLOTS + w) * M) floats. Deciding slot t appends
     d_t(x_t), read from the held demand row, to energy.
     """
@@ -154,10 +187,11 @@ class GcsrFleet:
         self._busy: deque[int] = deque()
         self._busy_last = 0
         self._row_last = np.zeros(m)
-        # demand rows d_s(0..M) and idle-cost sums P(s) for held slots s = _first.._last
+        # demand rows d_s(0..M) and idle-cost sums P(s), one array of each per
+        # held block; the held blocks run from slot _first through slot _last
         self._first, self._last = 1, 0
-        self._grid = np.empty((0, m + 1))
-        self._prefix = np.empty((0, m))
+        self._grid: deque[np.ndarray] = deque()
+        self._prefix: deque[np.ndarray] = deque()
         self.next_slot = 1
         self.series: list[int] = []
         self.energy: list[float] = []  # energy[t-1] = d_t(series[t-1])
@@ -169,14 +203,16 @@ class GcsrFleet:
         if first < self._first:
             raise ValueError(f"slot {first} was dropped; the fleet holds slots from {self._first}")
         if last > self._last:
-            carried = self._prefix[-1] if len(self._prefix) else np.zeros(self.n_slices)
+            carried = self._prefix[-1][-1] if self._prefix else np.zeros(self.n_slices)
             grid, prefix = idle_cost_block(self.instance, self._last + 1, last, carried)
-            drop = min(self.next_slot - self._first, len(self._grid))
-            self._grid = np.concatenate((self._grid[drop:], grid))
-            self._prefix = np.concatenate((self._prefix[drop:], prefix[1:]))
-            self._first += drop
+            self._grid.append(grid)
+            self._prefix.append(prefix[1:])
             self._last += len(grid)
-        rows = self._prefix[first - self._first : last + 1 - self._first]
+        start = self._last + 1 - len(self._prefix[-1])
+        if first >= start:  # the newest block, where the fleet's own reads fall
+            rows = self._prefix[-1][first - start : last + 1 - start]
+        else:  # a read across blocks copies them
+            rows = np.concatenate(self._prefix)[first - self._first : last + 1 - self._first]
         rows.flags.writeable = False
         return rows
 
@@ -218,7 +254,10 @@ class GcsrFleet:
             self.slice_series.append(self._on.copy())
         total = int(np.count_nonzero(self._on))
         self.series.append(total)
-        self.energy.append(float(self._grid[t - self._first, total]))
+        while t >= self._first + len(self._grid[0]):  # drop the blocks before slot t
+            self._first += len(self._grid.popleft())
+            self._prefix.popleft()
+        self.energy.append(float(self._grid[0][t - self._first, total]))
         self.next_slot += 1
         return total
 
@@ -253,16 +292,26 @@ def gcsr(instance: Instance, lookahead: int, return_slices: bool = False):
 class ChaseFleet:
     """All unit generator slices of one CHASE run on an energy and a price series.
 
-    Each revealed slot advances every slice's savings process R_i one
-    clamped step, with the floats of offline.clamped_regret, and queues the
-    slots where R_i touches an extreme (0: on, -beta_g: off). The window
-    never shrinks, so every queued slot is in view. A decision at t takes
-    the kind of each queue's head, the first extreme at or after t, holds on
-    an empty queue, and pops the head at its slot: O(N) work whatever the
-    window. Past R_i's last extreme (the "end" segment of
-    critical_segments) the slice holds where the offline rule, knowing the
-    horizon ends, turns off. The series are read only through the window;
-    energy may be a list that grows as the provisioning stage decides.
+    Slice i tracks R_i, its clamped savings of running versus buying from
+    the grid. It is on at slot t iff the first extreme R_i touches at or
+    after t is the top (0; the bottom, -beta_g, turns it off), once that
+    extreme lies within decision t's own window end, min(t + lookahead,
+    horizon) (RevealedWindow.ends); until then it holds. Past R_i's last
+    extreme (the "end" segment of critical_segments) the slice holds where
+    the offline rule, knowing the horizon ends, turns off.
+
+    decide_next decides a block of slots at once: every slot from next_slot
+    whose own end is revealed. It reads the new energy and price rows
+    through the window, steps every slice over them in one
+    offline.regret_rows call and finds each row's next extreme with
+    offline.next_extremes, the offline rule's kernel. A decision whose next
+    extreme lies past its own end holds: a running maximum of the decided
+    rows fills each slice forward from the last decided row, or from the
+    previous block's last decision. Every gathered extreme passes
+    window.check_each against its own decision's end. The fleet holds the
+    savings rows from next_slot - 1 on, O((BLOCK_SLOTS + w) * N) floats
+    when the driver reveals blocks of offline.BLOCK_SLOTS decisions. energy
+    may be a list that grows as the provisioning stage decides.
     """
 
     def __init__(self, gen: GeneratorModel, energy, price, window: RevealedWindow,
@@ -271,46 +320,36 @@ class ChaseFleet:
         self.energy = energy
         self.price = price
         self.window = window
-        self._offsets = np.arange(gen.count) * gen.capacity  # slice i starts at i*L
-        self._revealed = 0
-        self._regret = [-gen.beta_g] * gen.count  # R_i at slot self._revealed
-        # (slot, on) for each extreme of R_i at or after next_slot, in slot order
-        self._extremes: list[deque] = [deque() for _ in range(gen.count)]
-        self._on = [0] * gen.count
+        self._regret = np.full((1, gen.count), -gen.beta_g)  # R of slots next_slot-1..
+        self._on = np.zeros(gen.count, dtype=bool)  # the last decided slot
         self.next_slot = 1
         self.series: list[int] = []
-        self.slice_series: list[list[int]] | None = [] if record_slices else None
+        self.slice_series: list[list[bool]] | None = [] if record_slices else None
 
-    def _reveal(self) -> None:
-        """Step every R_i over the next slot and queue the extremes it touches."""
-        tau = self._revealed + 1
-        read = self.window.read
-        energy = np.maximum(read(self.energy, tau) - self._offsets, 0.0)  # capped in regret_steps
-        gains = regret_steps(self.gen, energy, read(self.price, tau)).tolist()
-        bottom = -self.gen.beta_g
-        for i, gain in enumerate(gains):
-            r = self._regret[i] = min(0.0, max(bottom, self._regret[i] + gain))
-            if r == 0.0 or r == bottom:
-                self._extremes[i].append((tau, int(r == 0.0)))
-        self._revealed = tau
-
-    def decide_next(self) -> int:
-        """Decide slot self.next_slot from the slots up to window.end."""
-        t = self.next_slot
-        self.window.check(t)
-        while self._revealed < self.window.end:
-            self._reveal()
-        for i, pending in enumerate(self._extremes):
-            if pending:
-                slot, self._on[i] = pending[0]
-                if slot == t:
-                    pending.popleft()
+    def decide_next(self) -> None:
+        """Decide slots self.next_slot.. through the last whose own window end is revealed."""
+        t, window = self.next_slot, self.window
+        ends = window.ends(t)
+        revealed = t + len(self._regret) - 2
+        if ends[-1] > revealed:
+            new = regret_rows(self.gen, window.read(self.energy, revealed + 1, ends[-1]),
+                              window.read(self.price, revealed + 1, ends[-1]), self._regret[-1])
+            self._regret = np.concatenate((self._regret, new))
+        k = len(ends)
+        row, top = next_extremes(self._regret[1:], -self.gen.beta_g)
+        slot = row[:k] + t  # each decision's next extreme, past the rows read if none
+        decided = slot <= ends[:, None]
+        window.check_each(t, np.where(decided, slot, 0))
+        # the decided row to copy, 0 for the previous block's last decision
+        source = np.where(decided, np.arange(1, k + 1)[:, None], 0)
+        np.maximum.accumulate(source, axis=0, out=source)
+        on = np.concatenate((self._on[None], top[:k]))[source, np.arange(len(self._on))]
+        self._on = on[-1]
+        self._regret = self._regret[k:]
         if self.slice_series is not None:
-            self.slice_series.append(list(self._on))
-        total = sum(self._on)
-        self.series.append(total)
-        self.next_slot += 1
-        return total
+            self.slice_series.extend(on.tolist())
+        self.series.extend(on.sum(axis=1).tolist())
+        self.next_slot += k
 
 
 def chase(
@@ -322,17 +361,19 @@ def chase(
 ):
     """Run CHASE on an energy-demand series; returns the commitment series.
 
-    The rule (see ChaseFleet) treats the series end as unknown even when
-    the window reaches it, so at w >= T its slices differ from
+    Decision t's window ends at t + lookahead. The driver reveals the ends
+    of offline.BLOCK_SLOTS decisions at a time and the fleet decides them
+    in one step (see ChaseFleet). The rule treats the series end as unknown
+    even when the window reaches it, so at w >= T its slices differ from
     ep_offline_slices only inside their "end" segments, where they hold.
     """
     lookahead = _whole_slots(lookahead)
     energy, price = supply_series(energy, price)
     t_end = len(energy)
-    window = RevealedWindow(t_end)
+    window = RevealedWindow(t_end, lookahead)
     fleet = ChaseFleet(gen, energy, price, window, record_slices=return_slices)
-    for t in range(1, t_end + 1):
-        window.reveal(t + lookahead)
+    while fleet.next_slot <= t_end:
+        window.reveal(fleet.next_slot + offline.BLOCK_SLOTS - 1 + lookahead)
         fleet.decide_next()
     y = np.array(fleet.series, dtype=float)
     if return_slices:
@@ -347,11 +388,15 @@ def chase(
 def dcmon(instance: Instance, lookahead: int, params: OngridParams | None = None) -> Schedule:
     """Run the full online pipeline and return a complete schedule.
 
-    GCSR decides provisioning up to params.ep_window(lookahead) slots ahead
-    of the output slot under the master window (its break-even scans see
-    no further than t + w, which changes nothing once the surplus exists),
-    its energy series feeds CHASE through the supply window, and the
-    dispatch rule completes each slot from the decided (x, y).
+    For each output slot t, GCSR decides provisioning through
+    t + params.ep_window(lookahead) under the master window t + w (its
+    break-even scans see no further than t + w, which changes nothing once
+    the surplus exists). Its energy series feeds CHASE, whose decision s
+    reads the supply window up to s + ep_window: once GCSR has decided
+    through the end of a block of offline.BLOCK_SLOTS output slots, CHASE
+    decides the block in one step. The dispatch rule completes each slot
+    from the decided (x, y). Once the supply window reaches the horizon,
+    GCSR has decided every slot and CHASE decides the rest at once.
 
     params holds the declared a-priori values (default: read off the
     instance); a replay of a truncated view passes its parent's.
@@ -361,14 +406,15 @@ def dcmon(instance: Instance, lookahead: int, params: OngridParams | None = None
         params = OngridParams.from_instance(instance)
     w_ep = params.ep_window(lookahead)
     t_end = instance.horizon
-    window, supply_window = RevealedWindow(t_end), RevealedWindow(t_end)
+    window, supply_window = RevealedWindow(t_end), RevealedWindow(t_end, w_ep)
     fleet = GcsrFleet(instance, window)
     supply = ChaseFleet(instance.generator, fleet.energy, instance.price, supply_window)
-    for t in range(1, t_end + 1):
-        window.reveal(t + lookahead)
-        supply_window.reveal(t + w_ep)
-        while fleet.next_slot <= supply_window.end:
-            fleet.decide_next()
+    while supply.next_slot <= t_end:
+        for t in range(supply.next_slot, min(supply.next_slot + offline.BLOCK_SLOTS, t_end + 1)):
+            window.reveal(t + lookahead)
+            supply_window.reveal(t + w_ep)
+            while fleet.next_slot <= supply_window.end:
+                fleet.decide_next()
         supply.decide_next()
     return dispatched_schedule(instance, fleet.series, supply.series)
 

@@ -1,12 +1,14 @@
 """CHASE and the offline supply slices against their window-scan references.
 
-ReferenceChaseFleet is the window-scan CHASE the queue-based ChaseFleet
-replaced: on every decision it rolls each slice's clamped savings process
-forward across the revealed window and takes the first extreme it meets.
-The offline reference is the "on" segments of critical_segments. Both
-rules now read the next extreme of the same clamped process; these tests
-pin them to the scans on random and dyadic-tie problems. The supply entry
-points share one check of their energy and price series, tested last.
+ReferenceChaseFleet is the window-scan CHASE that the block-stepped
+ChaseFleet replaced: on every decision it rolls each slice's clamped
+savings process forward across the revealed window and takes the first
+extreme it meets. The offline reference is the "on" segments of
+critical_segments. Both rules now read the next extreme of the same clamped
+process through one kernel; these tests pin them to the scans on random
+and dyadic-tie problems, with CHASE stepped in blocks of 1, 2, 5 and 256
+decisions. The supply entry points share one check of their energy and
+price series, tested last.
 """
 
 import numpy as np
@@ -24,7 +26,8 @@ from dcmkit import (
     ofa_ep_slice,
     solve_ep_offline,
 )
-from dcmkit import online
+from dcmkit import offline, online
+from dcmkit.model import dispatched_schedule
 from dcmkit.offline import clamped_regret, regret_steps, slice_energy
 from dcmkit.online import RevealedWindow
 from dcmkit.verify import random_bound_instance, random_ep_problem, random_tiny_instance
@@ -35,6 +38,7 @@ from dcmkit.verify import random_bound_instance, random_ep_problem, random_tiny_
 TIE_GEN = GeneratorModel(capacity=64.0, c_o=0.0625, c_m=1.25, beta_g=24.0, count=2)
 TIE_PRICES = (0.10546875, 0.0625, 0.1875)
 TIE_LEVELS = (0.0, 32.0, 64.0, 96.0, 128.0)
+BLOCKS = (1, 2, 5, 256)  # decisions per block: CHASE and GCSR refill often, or not at all
 
 
 class ReferenceChaseFleet:
@@ -122,16 +126,36 @@ def supply_problems():
     return problems
 
 
-def test_chase_matches_the_window_scan():
+def test_chase_matches_the_window_scan(monkeypatch):
     compared = 0
     for gen, energy, price in supply_problems():
         t_end = len(energy)
         for w in (0, 1, 3, 8, t_end):
-            y, on = chase(gen, energy, price, w, return_slices=True)
             y_ref, on_ref = reference_chase(gen, energy, price, w)
-            assert np.array_equal(y, y_ref) and np.array_equal(on, on_ref)
-            compared += 1
-    assert compared == 5 * 1653
+            for block in BLOCKS:
+                monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
+                y, on = chase(gen, energy, price, w, return_slices=True)
+                assert np.array_equal(y, y_ref) and np.array_equal(on, on_ref)
+                compared += 1
+    assert compared == len(BLOCKS) * 5 * 1653
+
+
+def per_slot_dcmon(instance, lookahead):
+    """DCMON's pipeline as one CHASE decision per output slot, with the
+    window-scan fleet: GCSR decides through t + ep_window under the master
+    window t + w, then the reference decides slot t."""
+    w_ep = online.OngridParams.from_instance(instance).ep_window(lookahead)
+    t_end = instance.horizon
+    window, supply_window = RevealedWindow(t_end), RevealedWindow(t_end)
+    fleet = online.GcsrFleet(instance, window)
+    supply = ReferenceChaseFleet(instance.generator, fleet.energy, instance.price, supply_window)
+    for t in range(1, t_end + 1):
+        window.reveal(t + lookahead)
+        supply_window.reveal(t + w_ep)
+        while fleet.next_slot <= supply_window.end:
+            fleet.decide_next()
+        supply.decide_next()
+    return dispatched_schedule(instance, fleet.series, supply.series)
 
 
 def test_dcmon_matches_a_run_with_the_window_scan_fleet(monkeypatch):
@@ -144,12 +168,13 @@ def test_dcmon_matches_a_run_with_the_window_scan_fleet(monkeypatch):
         for w in (1, 3, 8, 16, 32, inst.horizon):
             if params.ep_window(w) == 0:
                 continue
-            sched = dcmon(inst, w)
-            with monkeypatch.context() as patch:
-                patch.setattr(online, "ChaseFleet", ReferenceChaseFleet)
-                ref = dcmon(inst, w)
-            for field in ("x", "y", "u", "v"):
-                assert np.array_equal(getattr(sched, field), getattr(ref, field))
+            ref = per_slot_dcmon(inst, w)
+            for block in BLOCKS:
+                monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
+                sched = dcmon(inst, w)
+                for field in ("x", "y", "u", "v"):
+                    assert np.array_equal(getattr(sched, field), getattr(ref, field))
+            monkeypatch.undo()
             compared += 1
     assert compared >= 100
 

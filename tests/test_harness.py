@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -20,7 +21,7 @@ from dcmkit import (
     sweep_lookahead,
     synthesize_trace,
 )
-from dcmkit import cli
+from dcmkit import cli, harness
 from dcmkit.cli import main
 from dcmkit.harness import (
     DEFAULT_CONFIG,
@@ -193,6 +194,24 @@ def test_config_rejects_unknown_keys_and_bad_values():
         validate_config({"servers": 0})
     with pytest.raises(ConfigError):
         validate_config({"generator": {"count": -1}})
+
+
+def test_config_validator_is_built_once_from_a_valid_schema():
+    cls = jsonschema.validators.validator_for(harness.CONFIG_SCHEMA)
+    cls.check_schema(harness.CONFIG_SCHEMA)  # raises SchemaError if the schema is malformed
+    harness._config_validator.cache_clear()
+    bad = ({"mystery": 1}, {"sweep": {"axis": "lookahead"}}, {"servers": 0},
+           {"generator": {"count": -1}}, {"cooling": {"regimes": [{"name": "x"}]}})
+    for raw in bad:
+        # the message jsonschema.validate's error gives, as before the cache
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(raw, harness.CONFIG_SCHEMA)
+        path = "/".join(str(p) for p in want.value.absolute_path) or "<root>"
+        with pytest.raises(ConfigError) as got:
+            validate_config(raw)
+        assert str(got.value) == f"config {path}: {want.value.message}"
+        validate_config({"lookahead": 3})
+    assert harness._config_validator.cache_info().misses == 1
 
 
 def test_load_config_errors(tmp_path):

@@ -198,18 +198,64 @@ def test_gcsr_and_dcmon_reads_past_the_window_raise(monkeypatch):
 
 
 def test_chase_and_dcmon_reads_past_the_window_raise(monkeypatch):
-    # only CHASE's reads reach further; GCSR's stay where they were
+    # only CHASE's reads reach further; GCSR's stay where they were. CHASE
+    # reads the rows of one block of decisions at once, so its first read
+    # ends at the first block's last window end
     reach_one_slot_further(monkeypatch, ChaseFleet)
-    with pytest.raises(LookaheadViolation, match=r"slot 3 is outside the revealed window \[1, 2\]"):
-        chase(CH_GEN, np.full(5, 64.0), np.full(5, CH_PRICE), 1)
     inst = Instance(
         workload=[1.0, 0.0, 1.0, 1.0],
         price=np.full(4, 0.125),
         server=ServerModel(c_idle=0.25, c_peak=0.25, beta_s=BETA_S),
         generator=GeneratorModel(60.0, 0.08, 1.2, 24.0, 1),
     )
-    with pytest.raises(LookaheadViolation, match=r"slot 2 is outside the revealed window \[1, 1\]"):
-        dcmon(inst, 0)
+    for block, chase_past, dcmon_past in (
+        (1, r"slot 3 is outside the revealed window \[1, 2\]",
+         r"slot 2 is outside the revealed window \[1, 1\]"),
+        (256, r"slot 6 is outside the revealed window \[1, 5\]",
+         r"slot 5 is outside the revealed window \[1, 4\]"),
+    ):
+        monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
+        with pytest.raises(LookaheadViolation, match=chase_past):
+            chase(CH_GEN, np.full(5, 64.0), np.full(5, CH_PRICE), 1)
+        with pytest.raises(LookaheadViolation, match=dcmon_past):
+            dcmon(inst, 0)
+
+
+class LaterEnds:
+    """A fleet's view of its RevealedWindow whose decision ends reach one
+    slot further, within the revealed slots; its checks stay the window's."""
+
+    def __init__(self, window):
+        self.window = window
+
+    def __getattr__(self, name):
+        return getattr(self.window, name)
+
+    def ends(self, first):
+        return np.minimum(self.window.ends(first) + 1, self.window.end)
+
+
+def test_chase_extreme_past_its_own_decision_end_raises(monkeypatch):
+    # every row CHASE reads is revealed, but decision 15 takes the top its
+    # savings reach at slot 16, past its own end at w = 0
+    init = ChaseFleet.__init__
+
+    def later(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.window = LaterEnds(self.window)
+
+    monkeypatch.setattr(ChaseFleet, "__init__", later)
+    energy, price = np.full(20, 64.0), np.full(20, CH_PRICE)
+    for block in (4, 256):  # decision 15 is inside a block, not its last
+        monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
+        with pytest.raises(LookaheadViolation,
+                           match=r"slot 16 is outside the window \[1, 15\] of decision 15"):
+            chase(CH_GEN, energy, price, 0)
+    window = RevealedWindow(20, lookahead=2)
+    window.reveal(20)
+    window.check_each(3, np.array([[5], [6], [0]]))
+    with pytest.raises(LookaheadViolation, match=r"slot 7 is outside the window \[1, 6\] of decision 4"):
+        window.check_each(3, np.array([[5], [7], [0]]))
 
 
 def test_gcsr_reads_each_slot_once_whatever_the_window(monkeypatch):
@@ -583,21 +629,31 @@ def test_dcmon_supply_window_comes_from_params(monkeypatch):
     # CHASE decides slot t on the energy of slots up to t + params.ep_window(w)
     ends = []
     decide = online.ChaseFleet.decide_next
-    monkeypatch.setattr(online.ChaseFleet, "decide_next",
-                        lambda fleet: ends.append(fleet.window.end) or decide(fleet))
+
+    def decide_recorded(fleet):
+        first = fleet.next_slot
+        block = fleet.window.ends(first)  # the window ends of the decisions about to be made
+        decide(fleet)
+        assert fleet.next_slot == first + len(block)
+        assert fleet.window.end == block[-1]  # nothing revealed past the block's last end
+        ends.extend(block.tolist())
+
+    monkeypatch.setattr(online.ChaseFleet, "decide_next", decide_recorded)
     inst = dyadic_instance([1, 0, 1, 0, 0, 0, 0, 0, 1, 0])  # span 4 slots
     t_end, w = inst.horizon, 6
-    for params, w_ep in (
-        (None, 2),
-        (OngridParams.from_instance(inst), 2),
-        (OngridParams(beta_s=BETA_S, p_min=0.125, d_min=0.125), 0),  # span 8
-        (OngridParams(beta_s=IDLE, p_min=0.125, d_min=0.25), 5),  # span 1
-        (OngridParams(beta_s=BETA_S, p_min=0.0, d_min=0.25), 0),  # free idling
-    ):
-        ends.clear()
-        sched = dcmon(inst, w, params)
-        assert ends == [min(t + w_ep, t_end) for t in range(1, t_end + 1)]
-        assert np.array_equal(sched.x, gcsr(inst, w))
+    for block in (1, 3, offline.BLOCK_SLOTS):
+        monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
+        for params, w_ep in (
+            (None, 2),
+            (OngridParams.from_instance(inst), 2),
+            (OngridParams(beta_s=BETA_S, p_min=0.125, d_min=0.125), 0),  # span 8
+            (OngridParams(beta_s=IDLE, p_min=0.125, d_min=0.25), 5),  # span 1
+            (OngridParams(beta_s=BETA_S, p_min=0.0, d_min=0.25), 0),  # free idling
+        ):
+            ends.clear()
+            sched = dcmon(inst, w, params)
+            assert ends == [min(t + w_ep, t_end) for t in range(1, t_end + 1)]
+            assert np.array_equal(sched.x, gcsr(inst, w))
 
 
 def test_ep_window_is_the_surplus_over_the_breakeven_window():
