@@ -456,13 +456,6 @@ def supply_series(energy, price) -> tuple[np.ndarray, np.ndarray]:
     return energy, price
 
 
-def slice_energy(energy, i: int, capacity: float) -> np.ndarray:
-    """Unit supply slice i: e_i(t) = min(L, max(0, e(t) - (i-1)L))."""
-    if i < 1:
-        raise ValueError(f"slice index must be >= 1, got {i}")
-    return np.clip(np.asarray(energy, dtype=float) - (i - 1) * capacity, 0.0, capacity)
-
-
 def regret_steps(gen: GeneratorModel, energy, price) -> np.ndarray:
     """Per-slot savings of one generator over the grid, psi(0) - psi(1)."""
     e = np.asarray(energy, dtype=float)

@@ -108,17 +108,21 @@ class RevealedWindow:
         end is revealed; LookaheadViolation unless decision first's is."""
         self.check(min(first + self.lookahead, self.horizon))
         last = self.horizon if self.end == self.horizon else self.end - self.lookahead
-        return np.minimum(np.arange(first, last + 1) + self.lookahead, self.horizon)
+        return self._ends(first, last)
 
     def check_each(self, first: int, slots: np.ndarray) -> None:
         """Raise LookaheadViolation unless every slot in row k of slots lies
         in the window of decision first + k."""
-        ends = np.minimum(np.arange(first, first + len(slots)) + self.lookahead, self.end)
+        ends = self._ends(first, first + len(slots) - 1)
         late = slots > ends[:, None]
         if late.any():
             k, i = np.argwhere(late)[0]
             raise LookaheadViolation(f"slot {slots[k, i]} is outside the window "
                                      f"[1, {ends[k]}] of decision {first + k}")
+
+    def _ends(self, first: int, last: int) -> np.ndarray:
+        """Window ends of decisions first..last, within the revealed slots."""
+        return np.minimum(np.arange(first, last + 1) + self.lookahead, self.end)
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +170,14 @@ class GcsrFleet:
     when a read reaches further), whose P rows continue the previous block's
     last row, so the offline slice rule reads the same floats. The fleet
     keeps the blocks as evaluated and drops a block whole once the slot
-    being decided has passed it, so no held row is copied and the fleet
-    holds O((BLOCK_SLOTS + w) * M) floats. Deciding slot t appends
-    d_t(x_t), read from the held demand row, to energy.
+    being decided has passed it, so no held row is copied. The blocks the
+    fleet evaluates for its own reads hold BLOCK_SLOTS slots each, and at
+    decision t the held ones run from the block of slot t - 1 through at
+    most slot t + w + BLOCK_SLOTS - 1: at most 2 * BLOCK_SLOTS + w rows of
+    each array, O((BLOCK_SLOTS + w) * M) floats. A caller's idle_prefix
+    read through the window end evaluates through it, so a block can hold
+    w + 1 slots and the bound is 2 * (BLOCK_SLOTS + w) rows. Deciding slot
+    t appends d_t(x_t), read from the held demand row, to energy.
     """
 
     def __init__(self, instance: Instance, window: RevealedWindow, record_slices: bool = False):
@@ -187,11 +196,10 @@ class GcsrFleet:
         self._busy: deque[int] = deque()
         self._busy_last = 0
         self._row_last = np.zeros(m)
-        # demand rows d_s(0..M) and idle-cost sums P(s), one array of each per
-        # held block; the held blocks run from slot _first through slot _last
-        self._first, self._last = 1, 0
-        self._grid: deque[np.ndarray] = deque()
-        self._prefix: deque[np.ndarray] = deque()
+        # the held blocks, each its first slot, demand rows d_s(0..M) and
+        # idle-cost sums P(s); the newest ends at slot _last
+        self._last = 0
+        self._blocks: deque[tuple[int, np.ndarray, np.ndarray]] = deque()
         self.next_slot = 1
         self.series: list[int] = []
         self.energy: list[float] = []  # energy[t-1] = d_t(series[t-1])
@@ -200,19 +208,19 @@ class GcsrFleet:
     def idle_prefix(self, first: int, last: int) -> np.ndarray:
         """Rows P(s) for slots s = first..last, shape (last-first+1, M), read-only."""
         self.window.check(first, last)
-        if first < self._first:
-            raise ValueError(f"slot {first} was dropped; the fleet holds slots from {self._first}")
         if last > self._last:
-            carried = self._prefix[-1][-1] if self._prefix else np.zeros(self.n_slices)
+            carried = self._blocks[-1][2][-1] if self._blocks else np.zeros(self.n_slices)
             grid, prefix = idle_cost_block(self.instance, self._last + 1, last, carried)
-            self._grid.append(grid)
-            self._prefix.append(prefix[1:])
+            self._blocks.append((self._last + 1, grid, prefix[1:]))
             self._last += len(grid)
-        start = self._last + 1 - len(self._prefix[-1])
+        held = self._blocks[0][0]
+        if first < held:
+            raise ValueError(f"slot {first} was dropped; the fleet holds slots from {held}")
+        start, _, prefix = self._blocks[-1]
         if first >= start:  # the newest block, where the fleet's own reads fall
-            rows = self._prefix[-1][first - start : last + 1 - start]
+            rows = prefix[first - start : last + 1 - start]
         else:  # a read across blocks copies them
-            rows = np.concatenate(self._prefix)[first - self._first : last + 1 - self._first]
+            rows = np.concatenate([p for _, _, p in self._blocks])[first - held : last + 1 - held]
         rows.flags.writeable = False
         return rows
 
@@ -254,10 +262,10 @@ class GcsrFleet:
             self.slice_series.append(self._on.copy())
         total = int(np.count_nonzero(self._on))
         self.series.append(total)
-        while t >= self._first + len(self._grid[0]):  # drop the blocks before slot t
-            self._first += len(self._grid.popleft())
-            self._prefix.popleft()
-        self.energy.append(float(self._grid[0][t - self._first, total]))
+        while t >= self._blocks[0][0] + len(self._blocks[0][1]):  # drop the blocks before t
+            self._blocks.popleft()
+        start, grid, _ = self._blocks[0]
+        self.energy.append(float(grid[t - start, total]))
         self.next_slot += 1
         return total
 

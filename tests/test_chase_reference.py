@@ -28,7 +28,7 @@ from dcmkit import (
 )
 from dcmkit import offline, online
 from dcmkit.model import dispatched_schedule
-from dcmkit.offline import clamped_regret, regret_steps, slice_energy
+from dcmkit.offline import clamped_regret, regret_steps
 from dcmkit.online import RevealedWindow
 from dcmkit.verify import random_bound_instance, random_ep_problem, random_tiny_instance
 
@@ -177,6 +177,11 @@ def test_dcmon_matches_a_run_with_the_window_scan_fleet(monkeypatch):
             monkeypatch.undo()
             compared += 1
     assert compared >= 100
+
+
+def slice_energy(energy, i, capacity):
+    """Unit supply slice i: e_i(t) = min(L, max(0, e(t) - (i-1)L))."""
+    return np.clip(np.asarray(energy, dtype=float) - (i - 1) * capacity, 0.0, capacity)
 
 
 def on_segments(gen, energy_slice, price):

@@ -37,9 +37,9 @@ from dcmkit.offline import (
     dcm_dijkstra,
     idle_cost_block,
     regret_steps,
-    slice_energy,
 )
 from dcmkit.verify import random_bound_instance, random_ep_problem, random_tiny_instance
+from test_chase_reference import slice_energy
 
 
 def flat_power_instance(workload, price, beta_s=0.08):

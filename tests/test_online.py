@@ -32,9 +32,9 @@ from dcmkit import (
 )
 from dcmkit import harness, offline, online
 from dcmkit.analysis import grid_only_schedule
-from dcmkit.offline import slice_energy
 from dcmkit.online import ChaseFleet, GcsrFleet, RevealedWindow
 from dcmkit.verify import random_bound_instance, random_ep_problem, random_tiny_instance
+from test_chase_reference import slice_energy
 
 # dyadic idle economics: every server unit draws exactly 0.25, price 0.125,
 # so one idle slot costs 0.03125 and the break-even window is 4 slots sharp
@@ -119,7 +119,8 @@ def test_fleet_block_rows_match_sequential_sums(monkeypatch):
                 assert np.array_equal(window.read(inst.workload, t, end), inst.workload[t - 1 : end])
                 x = fleet.decide_next()
                 assert fleet.energy[t - 1] == tables[t - 1, x]
-                assert len(fleet._prefix) <= block + w  # O((block + w) * M) floats
+                # O((block + w) * M) floats: whole blocks from the one of slot t
+                assert sum(len(grid) for _, grid, _ in fleet._blocks) <= 2 * (block + w)
 
 
 def test_fleet_reads_stay_checked_after_a_block_is_evaluated(monkeypatch):
