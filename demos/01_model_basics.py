@@ -19,7 +19,6 @@ from dcmkit import (
     dispatched_schedule,
     evaluate,
     supply_cost,
-    total_power,
 )
 
 
@@ -60,10 +59,12 @@ def main() -> None:
 
     # Layer 1: facility power. Server draw is linear in fleet size and
     # workload; cooling and conditioning amplify it convexly.
+    # demand_table(5) stops at the peak fleet M=4, so a fleet series held
+    # at x gives the larger fleets too.
     print("power at slot 5 (peak workload, a=3.5) as the fleet grows:")
     for x in (4, 6, 9):
-        p = total_power(inst, 5, x)
-        print(f"  x={x}: total_power = {p:.4f} kW")
+        p = demand_series(inst, np.full(inst.horizon, float(x)))[4]
+        print(f"  x={x}: facility power = {p:.4f} kW")
     print("  every powered-on server adds idle draw plus overhead, which is")
     print("  why right-sizing the fleet matters at all.")
     print()

@@ -16,14 +16,14 @@ from dcmkit import (
     ServerModel,
     brute_force_dcm,
     decomposition_tightness,
+    ep_offline_slices,
     evaluate,
-    regret_process,
     solve_cp_offline,
     solve_dcm_offline,
     solve_ep_offline,
 )
 from dcmkit.analysis import decomposed_offline_schedule
-from dcmkit.offline import brute_force_ep, cp_offline_slices, ep_cost
+from dcmkit.offline import brute_force_ep, cp_offline_slices, ep_cost, regret_rows, regret_steps
 
 
 def tiny_instance(rng: np.random.Generator) -> Instance:
@@ -99,17 +99,19 @@ def main() -> None:
         np.zeros(6), np.full(18, 96.0), np.zeros(24), np.full(20, 96.0), np.zeros(4),
     ])
     price = np.full(len(energy), price_level)
-    proc = regret_process(gen, energy, price)
+    gain = regret_steps(gen, energy, price)
+    savings = regret_rows(gen, energy, price, np.full(1, -gen.beta_g))[:, 0]
+    y = ep_offline_slices(gen, energy, price)[0]
     print(f"series: 6 idle, 18 busy, 24 idle, 20 busy, 4 idle slots")
-    print(f"per-slot gain: busy {proc.gain.max():+.2f}, idle {proc.gain.min():+.2f}")
-    print("segments (start, end, kind):")
-    for seg in proc.segments:
-        print(f"  [{seg.start:3d}, {seg.end:3d}]  {seg.kind}")
-    y = solve_ep_offline(gen, energy, price)
-    on = np.flatnonzero(y > 0) + 1
-    print(f"optimal commitment: on over slots {on[0]}..{on[0] + 17} and {on[18]}..{on[-1]}")
-    print("the trailing 4-slot lull never certifies a shutdown, so the unit")
-    print("stays on to the end; the 24-slot lull does, so it cycles")
+    print(f"per-slot gain: busy {gain.max():+.2f}, idle {gain.min():+.2f}")
+    print("optimal on/off runs (start, end) and the savings R across each:")
+    for run in np.split(np.arange(len(y)), np.flatnonzero(np.diff(y)) + 1):
+        state = "on" if y[run[0]] else "off"
+        print(f"  [{run[0] + 1:3d}, {run[-1] + 1:3d}]  {state:3}  "
+              f"R {savings[run[0]]:6.2f} -> {savings[run[-1]]:6.2f}")
+    print("each on run ends at the top (R = 0) and the 24-slot lull at the")
+    print("bottom (-beta_g), so the unit cycles; the trailing 4-slot lull")
+    print("reaches neither extreme before the series ends, so the unit is off")
     print()
 
     print("enumeration check on random supply problems:")

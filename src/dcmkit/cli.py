@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import analysis, harness, online
-from .errors import CapacityError, ConfigError, DcmError, VerificationError
+from .errors import CapacityError, ConfigError, DcmError
 from .model import demand_series, dispatched_schedule, evaluate
 from .offline import brute_force_dcm, solve_dcm_offline
 from .verify import run_verification
@@ -191,9 +191,6 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (DcmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,7 +23,3 @@ class CapacityError(DcmError):
 
 class LookaheadViolation(DcmError):
     """An online algorithm tried to read past its revealed window."""
-
-
-class VerificationError(DcmError):
-    """A self-check suite found a violated invariant."""

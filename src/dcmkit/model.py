@@ -354,13 +354,6 @@ class Instance:
         out.setflags(write=False)
         return out
 
-    def marginal_demand(self, t: int, i: int) -> float:
-        """Per-unit demand increment d_t(i) - d_t(i-1) for unit i >= 1."""
-        if i < 1:
-            raise ValueError(f"unit index must be >= 1, got {i}")
-        d = self._demand(t - 1, np.array([i - 1, i], dtype=float))
-        return float(d[1] - d[0])
-
     def min_marginal_demand(self) -> float:
         """Model-wide lower bound on any demand increment.
 
@@ -422,15 +415,6 @@ def demand_series(instance: Instance, x) -> np.ndarray:
     if x.shape != instance.workload.shape:
         raise ConfigError(f"fleet series has shape {x.shape}, expected {instance.workload.shape}")
     return instance._demand(slice(None), x)
-
-
-def total_power(instance: Instance, t: int, x: int) -> float:
-    """Energy demand d_t(x): servers plus conditioning and cooling overheads."""
-    if x < instance.min_servers(t):
-        raise FeasibilityError(
-            f"slot {t}: x={x} below required fleet {instance.min_servers(t)}"
-        )
-    return float(instance._demand(t - 1, float(x)))
 
 
 def _supply_inputs(gen: GeneratorModel, y, p, d) -> tuple[np.ndarray, ...]:

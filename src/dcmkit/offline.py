@@ -31,7 +31,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -376,20 +375,6 @@ def _instance_gaps(instance: Instance):
         start = stop + 1
 
 
-def cpoff_slice(workload_slice, price, marginal, beta_s: float) -> np.ndarray:
-    """Optimal on/off series for one unit server slice.
-
-    On wherever the slice has workload. In an idle gap between busy slots the
-    slice stays on iff the idle energy cost over the gap is below the restart
-    cost beta_s (a tie turns off). Leading and trailing idle runs are off.
-    """
-    need = (np.asarray(workload_slice, dtype=float) > 0.0).astype(int)
-    idle_cost = np.asarray(price, dtype=float) * np.asarray(marginal, dtype=float)
-    prefix = np.add.accumulate(np.concatenate(([0.0], idle_cost)))[:, None]
-    gaps = _GapCloser(1, beta_s).close(np.concatenate(([0], need)), prefix, 1)
-    return _paint(need, 1, gaps)[0]
-
-
 def cp_offline_slices(instance: Instance) -> np.ndarray:
     """Per-slice optimal series, shape (max_servers, horizon).
 
@@ -470,8 +455,8 @@ def regret_rows(gen: GeneratorModel, energy, price, regret) -> np.ndarray:
     energy and price hold the block's slots; regret is R of the slot before
     the block. Slice i sees max(e - i*L, 0), which regret_steps caps at L.
     Each row takes one add and two clamps over the slices, in place: the
-    floats of min(0.0, max(-beta_g, R(s-1) + gain(s))), as clamped_regret
-    computes them one slice at a time.
+    floats of min(0.0, max(-beta_g, R(s-1) + gain(s))), the same as that
+    recurrence gives one slice and one slot at a time.
     """
     offsets = np.arange(gen.count) * gen.capacity  # slice i starts at i*L
     energy = np.maximum(np.asarray(energy, dtype=float)[:, None] - offsets, 0.0)
@@ -501,92 +486,14 @@ def next_extremes(regret: np.ndarray, bottom: float) -> tuple[np.ndarray, np.nda
     return row, top[row, np.arange(slices)]
 
 
-def clamped_regret(gain, beta_g: float) -> np.ndarray:
-    """Cumulative savings clamped to [-beta_g, 0], starting at -beta_g."""
-    r = -beta_g
-    out = [r]
-    for g in np.asarray(gain, dtype=float).tolist():
-        r = min(0.0, max(-beta_g, r + g))
-        out.append(r)
-    return np.array(out)
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Inclusive slot range with a behavior kind: start, on, off, or end."""
-
-    start: int
-    end: int
-    kind: str
-
-
-def critical_segments(regret: np.ndarray, beta_g: float) -> list[Segment]:
-    """Partition [1, T] by the last slots of each extreme-visit run.
-
-    The clamped process starts at -beta_g. Maximal runs of visits to one
-    extreme (with no opposite-extreme visit between them) end at critical
-    slots; the stretch between consecutive critical slots is "on" when it
-    carries the process from -beta_g up to 0 and "off" for the reverse.
-    Before the first critical slot the process has never completed a
-    traversal ("start"); after the last one it never reaches an extreme
-    again ("end").
-    """
-    t_end = len(regret) - 1
-    bottom = -beta_g
-    runs: list[tuple[bool, int]] = []  # (at_top, last slot of run)
-    at_top, last = False, 0  # slot 0 sits at the bottom
-    for t in range(1, t_end + 1):
-        v = regret[t]
-        if v == 0.0:
-            ext = True
-        elif v == bottom:
-            ext = False
-        else:
-            continue
-        if ext == at_top:
-            last = t
-        else:
-            runs.append((at_top, last))
-            at_top, last = ext, t
-    runs.append((at_top, last))
-
-    segments: list[Segment] = []
-    if runs[0][1] >= 1:
-        segments.append(Segment(1, runs[0][1], "start"))
-    for (left_top, left), (right_top, right) in zip(runs, runs[1:]):
-        segments.append(Segment(left + 1, right, "on" if right_top else "off"))
-    if runs[-1][1] < t_end:
-        segments.append(Segment(runs[-1][1] + 1, t_end, "end"))
-    return segments
-
-
-@dataclass(frozen=True)
-class RegretProcess:
-    """Savings process for one generator slice and its segment structure."""
-
-    gain: np.ndarray
-    regret: np.ndarray  # length T+1, index 0 is the initial state
-    segments: list[Segment]
-
-
-def regret_process(gen: GeneratorModel, energy, price) -> RegretProcess:
-    gain = regret_steps(gen, energy, price)
-    regret = clamped_regret(gain, gen.beta_g)
-    return RegretProcess(gain, regret, critical_segments(regret, gen.beta_g))
-
-
-def ofa_ep_slice(gen: GeneratorModel, energy_slice, price) -> np.ndarray:
-    """Optimal on/off series for one generator slice: on at slot t iff the
-    first extreme of the clamped savings process at or after t is the top
-    (the "on" segments of critical_segments); off after the last extreme.
-    ep_offline_slices on one generator of the same economics."""
-    return ep_offline_slices(replace(gen, count=1), energy_slice, price)[0]
-
-
 def ep_offline_slices(gen: GeneratorModel, energy, price) -> np.ndarray:
-    """Per-slice optimal generator series, shape (count, horizon): the
-    kernel online.ChaseFleet steps in blocks, over the whole horizon as one
-    block, with every slice off past its last extreme."""
+    """Per-slice optimal generator series, shape (count, horizon).
+
+    Slice i is on at slot t iff the first extreme its clamped savings touch
+    at or after t is the top (0), and off past its last extreme. This is the
+    kernel online.ChaseFleet steps in blocks, run over the whole horizon as
+    one block.
+    """
     energy, price = supply_series(energy, price)
     regret = regret_rows(gen, energy, price, np.full(gen.count, -gen.beta_g))
     return next_extremes(regret, -gen.beta_g)[1].T.astype(float)

@@ -166,18 +166,16 @@ class GcsrFleet:
 
     The fleet evaluates demand rows d_s(0..M) and the running idle-cost sums
     P_i(s) = P_i(s-1) + p(s) * (d_s(i+1) - d_s(i)), P_i(0) = 0, lazily: one
-    offline.idle_cost_block call per block of BLOCK_SLOTS slots (or more,
-    when a read reaches further), whose P rows continue the previous block's
-    last row, so the offline slice rule reads the same floats. The fleet
-    keeps the blocks as evaluated and drops a block whole once the slot
-    being decided has passed it, so no held row is copied. The blocks the
-    fleet evaluates for its own reads hold BLOCK_SLOTS slots each, and at
-    decision t the held ones run from the block of slot t - 1 through at
-    most slot t + w + BLOCK_SLOTS - 1: at most 2 * BLOCK_SLOTS + w rows of
-    each array, O((BLOCK_SLOTS + w) * M) floats. A caller's idle_prefix
-    read through the window end evaluates through it, so a block can hold
-    w + 1 slots and the bound is 2 * (BLOCK_SLOTS + w) rows. Deciding slot
-    t appends d_t(x_t), read from the held demand row, to energy.
+    offline.idle_cost_block call per block of BLOCK_SLOTS slots, whose P
+    rows continue the previous block's last row, so the offline slice rule
+    reads the same floats. The fleet keeps the blocks as evaluated and drops
+    a block whole once the slot being decided has passed it, so no held row
+    is copied. Rows are read one slot at a time, in slot order, so each
+    block holds BLOCK_SLOTS slots, and at decision t the held ones run from
+    the block of slot t - 1 through at most slot t + w + BLOCK_SLOTS - 1:
+    at most 2 * BLOCK_SLOTS + w rows of each array, O((BLOCK_SLOTS + w) * M)
+    floats. Deciding slot t appends d_t(x_t), read from the held demand row,
+    to energy.
     """
 
     def __init__(self, instance: Instance, window: RevealedWindow, record_slices: bool = False):
@@ -205,30 +203,29 @@ class GcsrFleet:
         self.energy: list[float] = []  # energy[t-1] = d_t(series[t-1])
         self.slice_series: list[np.ndarray] | None = [] if record_slices else None
 
-    def idle_prefix(self, first: int, last: int) -> np.ndarray:
-        """Rows P(s) for slots s = first..last, shape (last-first+1, M), read-only."""
-        self.window.check(first, last)
-        if last > self._last:
+    def idle_prefix(self, s: int) -> np.ndarray:
+        """Row P(s), shape (M,), read-only; the fleet holds the rows from
+        slot next_slot - 1 on."""
+        self.window.check(s)
+        if s > self._last:
             carried = self._blocks[-1][2][-1] if self._blocks else np.zeros(self.n_slices)
-            grid, prefix = idle_cost_block(self.instance, self._last + 1, last, carried)
-            self._blocks.append((self._last + 1, grid, prefix[1:]))
+            grid, prefix = idle_cost_block(self.instance, self._last + 1, s, carried)
+            prefix = prefix[1:]
+            prefix.flags.writeable = False
+            self._blocks.append((self._last + 1, grid, prefix))
             self._last += len(grid)
-        held = self._blocks[0][0]
-        if first < held:
-            raise ValueError(f"slot {first} was dropped; the fleet holds slots from {held}")
-        start, _, prefix = self._blocks[-1]
-        if first >= start:  # the newest block, where the fleet's own reads fall
-            rows = prefix[first - start : last + 1 - start]
-        else:  # a read across blocks copies them
-            rows = np.concatenate([p for _, _, p in self._blocks])[first - held : last + 1 - held]
-        rows.flags.writeable = False
-        return rows
+        k = -1
+        start, _, prefix = self._blocks[k]
+        while s < start:  # an older held block, when a caller reads behind the fleet
+            k -= 1
+            start, _, prefix = self._blocks[k]
+        return prefix[s - start]
 
     def _reveal(self) -> None:
         """Step the gaps over the next revealed slot e and arm the turn-offs it certifies."""
         e = self._revealed + 1
         c = math.ceil(self.window.read(self.instance.workload, e))
-        row = self.idle_prefix(e, e)[0]
+        row = self.idle_prefix(e)
         was = self._busy_last
         if c < was:  # gaps open at e
             self._base[c:was] = self._row_last[c:was]
@@ -305,8 +302,8 @@ class ChaseFleet:
     after t is the top (0; the bottom, -beta_g, turns it off), once that
     extreme lies within decision t's own window end, min(t + lookahead,
     horizon) (RevealedWindow.ends); until then it holds. Past R_i's last
-    extreme (the "end" segment of critical_segments) the slice holds where
-    the offline rule, knowing the horizon ends, turns off.
+    extreme, where no extreme follows, the slice holds where the offline
+    rule, knowing the horizon ends, turns off.
 
     decide_next decides a block of slots at once: every slot from next_slot
     whose own end is revealed. It reads the new energy and price rows
@@ -373,7 +370,7 @@ def chase(
     of offline.BLOCK_SLOTS decisions at a time and the fleet decides them
     in one step (see ChaseFleet). The rule treats the series end as unknown
     even when the window reaches it, so at w >= T its slices differ from
-    ep_offline_slices only inside their "end" segments, where they hold.
+    ep_offline_slices only past each slice's last extreme, where they hold.
     """
     lookahead = _whole_slots(lookahead)
     energy, price = supply_series(energy, price)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import gcsr_family_measurement
-from .errors import VerificationError
 from .model import (
     ConditioningModel,
     CoolingModel,
@@ -431,9 +430,3 @@ def run_verification(level: str = "quick") -> list[tuple[str, bool, str]]:
             ok, detail = False, f"crashed: {exc!r}"
         results.append((name, ok, detail))
     return results
-
-
-def require_all(results: list[tuple[str, bool, str]]) -> None:
-    bad = [f"{name}: {detail}" for name, ok, detail in results if not ok]
-    if bad:
-        raise VerificationError("; ".join(bad))

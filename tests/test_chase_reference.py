@@ -3,13 +3,16 @@
 ReferenceChaseFleet is the window-scan CHASE that the block-stepped
 ChaseFleet replaced: on every decision it rolls each slice's clamped
 savings process forward across the revealed window and takes the first
-extreme it meets. The offline reference is the "on" segments of
-critical_segments. Both rules now read the next extreme of the same clamped
-process through one kernel; these tests pin them to the scans on random
-and dyadic-tie problems, with CHASE stepped in blocks of 1, 2, 5 and 256
-decisions. The supply entry points share one check of their energy and
-price series, tested last.
+extreme it meets. The offline reference partitions each slice's clamped
+savings process into segments (critical_segments) and is on in the
+segments that climb from the bottom to the top. Both rules now read the
+next extreme of the same clamped process through one kernel; these tests
+pin them to the scans on random and dyadic-tie problems, with CHASE
+stepped in blocks of 1, 2, 5 and 256 decisions. The supply entry points
+share one check of their energy and price series, tested last.
 """
+
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -19,16 +22,14 @@ from dcmkit import (
     GeneratorModel,
     brute_force_ep,
     chase,
-    critical_segments,
     dcmon,
     ep_cost,
     ep_offline_slices,
-    ofa_ep_slice,
     solve_ep_offline,
 )
 from dcmkit import offline, online
 from dcmkit.model import dispatched_schedule
-from dcmkit.offline import clamped_regret, regret_steps
+from dcmkit.offline import regret_steps
 from dcmkit.online import RevealedWindow
 from dcmkit.verify import random_bound_instance, random_ep_problem, random_tiny_instance
 
@@ -184,6 +185,80 @@ def slice_energy(energy, i, capacity):
     return np.clip(np.asarray(energy, dtype=float) - (i - 1) * capacity, 0.0, capacity)
 
 
+def clamped_regret(gain, beta_g: float) -> np.ndarray:
+    """Cumulative savings clamped to [-beta_g, 0], starting at -beta_g."""
+    r = -beta_g
+    out = [r]
+    for g in np.asarray(gain, dtype=float).tolist():
+        r = min(0.0, max(-beta_g, r + g))
+        out.append(r)
+    return np.array(out)
+
+
+@dataclass(frozen=True)
+class Segment:
+    """Inclusive slot range with a behavior kind: start, on, off, or end."""
+
+    start: int
+    end: int
+    kind: str
+
+
+def critical_segments(regret: np.ndarray, beta_g: float) -> list[Segment]:
+    """Partition [1, T] by the last slots of each extreme-visit run.
+
+    The clamped process starts at -beta_g. Maximal runs of visits to one
+    extreme (with no opposite-extreme visit between them) end at critical
+    slots; the stretch between consecutive critical slots is "on" when it
+    carries the process from -beta_g up to 0 and "off" for the reverse.
+    Before the first critical slot the process has never completed a
+    traversal ("start"); after the last one it never reaches an extreme
+    again ("end").
+    """
+    t_end = len(regret) - 1
+    bottom = -beta_g
+    runs: list[tuple[bool, int]] = []  # (at_top, last slot of run)
+    at_top, last = False, 0  # slot 0 sits at the bottom
+    for t in range(1, t_end + 1):
+        v = regret[t]
+        if v == 0.0:
+            ext = True
+        elif v == bottom:
+            ext = False
+        else:
+            continue
+        if ext == at_top:
+            last = t
+        else:
+            runs.append((at_top, last))
+            at_top, last = ext, t
+    runs.append((at_top, last))
+
+    segments: list[Segment] = []
+    if runs[0][1] >= 1:
+        segments.append(Segment(1, runs[0][1], "start"))
+    for (left_top, left), (right_top, right) in zip(runs, runs[1:]):
+        segments.append(Segment(left + 1, right, "on" if right_top else "off"))
+    if runs[-1][1] < t_end:
+        segments.append(Segment(runs[-1][1] + 1, t_end, "end"))
+    return segments
+
+
+@dataclass(frozen=True)
+class RegretProcess:
+    """Savings process for one generator slice and its segment structure."""
+
+    gain: np.ndarray
+    regret: np.ndarray  # length T+1, index 0 is the initial state
+    segments: list[Segment]
+
+
+def regret_process(gen: GeneratorModel, energy, price) -> RegretProcess:
+    gain = regret_steps(gen, energy, price)
+    regret = clamped_regret(gain, gen.beta_g)
+    return RegretProcess(gain, regret, critical_segments(regret, gen.beta_g))
+
+
 def on_segments(gen, energy_slice, price):
     regret = clamped_regret(regret_steps(gen, energy_slice, price), gen.beta_g)
     y = np.zeros(len(energy_slice))
@@ -197,10 +272,11 @@ def test_offline_slices_are_the_on_segments():
     checked = 0
     for gen, energy, price in supply_problems():
         slices = ep_offline_slices(gen, energy, price)
+        one = replace(gen, count=1)
         for i in range(gen.count):
             energy_slice = slice_energy(energy, i + 1, gen.capacity)
             ref = on_segments(gen, energy_slice, price)
-            assert np.array_equal(ofa_ep_slice(gen, energy_slice, price), ref)
+            assert np.array_equal(ep_offline_slices(one, energy_slice, price)[0], ref)
             assert np.array_equal(slices[i], ref)
             checked += 1
     assert checked > 1650

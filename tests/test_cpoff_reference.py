@@ -3,10 +3,10 @@
 reference_cpoff_keep is the whole-column rule the gap-closing walk replaced:
 it builds the (T, M) busy and running idle-cost arrays and finds each idle
 slot's gap anchor and gap end with a running maximum and a reversed running
-minimum. solve_cp_offline, cp_offline_slices and cpoff_slice must give the
-same series at every block size, on random instances, dyadic exact-tie
-families, leading, trailing and empty workloads, and horizons one slot either
-side of a block boundary.
+minimum. solve_cp_offline and cp_offline_slices must give the same series
+at every block size, on random instances, dyadic exact-tie families,
+leading, trailing and empty workloads, and horizons one slot either side of
+a block boundary.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from dcmkit import (
 )
 from dcmkit import offline
 from dcmkit.analysis import worst_case_gcsr_instance, worst_case_rho_instance
-from dcmkit.offline import cpoff_slice, reaches_breakeven
+from dcmkit.offline import reaches_breakeven
 from dcmkit.verify import random_bound_instance, random_tiny_instance
 
 BLOCKS = (1, 2, 5, offline.BLOCK_SLOTS)
@@ -73,6 +73,7 @@ def _cases():
     cases += [
         flat_instance([0, 0, 2, 0, 1, 0, 0, 0, 0, 2, 0.5, 0, 0]),
         flat_instance([0.0, 0.0, 0.0]),
+        flat_instance([0.0, 0.4, 0.0], price=0.1, beta_s=0.08),  # a lone busy slot
         flat_instance([0.0]),
         flat_instance([1.5]),
         flat_instance([0, 3, 0, 0, 0, 3]),  # a 4-slot gap ties beta_s
@@ -106,13 +107,3 @@ def test_streaming_cpoff_matches_whole_horizon_reference(monkeypatch, block):
         x = solve_cp_offline(inst)
         assert x.dtype == float, k
         assert np.array_equal(x, want.sum(axis=0) if len(want) else np.zeros(inst.horizon)), k
-
-
-def test_cpoff_slice_matches_reference_columns():
-    for k, inst in enumerate(CASES):
-        want = reference_cp_offline_slices(inst)
-        marginal = reference_marginal(inst)
-        for i in range(inst.max_servers):
-            got = cpoff_slice(np.clip(inst.workload - i, 0.0, 1.0), inst.price,
-                              marginal[:, i], inst.server.beta_s)
-            assert np.array_equal(got, want[i]), (k, i)

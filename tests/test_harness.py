@@ -14,7 +14,6 @@ from dcmkit import (
     FeasibilityError,
     LookaheadViolation,
     TraceFile,
-    VerificationError,
     build_instance,
     load_trace,
     run_comparison,
@@ -388,7 +387,7 @@ def test_cli_non_finite_trace_exits_one(tmp_path, capsys, row):
 
 @pytest.mark.parametrize(
     "exc, code",
-    [(FeasibilityError("boom"), 1), (LookaheadViolation("boom"), 1), (VerificationError("boom"), 3)],
+    [(FeasibilityError("boom"), 1), (LookaheadViolation("boom"), 1)],
 )
 def test_cli_maps_package_errors_to_exit_codes(monkeypatch, capsys, exc, code):
     def fail(args):
@@ -397,6 +396,12 @@ def test_cli_maps_package_errors_to_exit_codes(monkeypatch, capsys, exc, code):
     monkeypatch.setitem(cli._COMMANDS, "synth", fail)
     assert main(["synth"]) == code
     assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_cli_verify_failure_exits_three(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_verification", lambda level: [("causality", False, "boom")])
+    assert main(["verify"]) == 3
+    assert capsys.readouterr().out == "causality: FAIL (boom)\n"
 
 
 def test_cli_capacity_exhaustion_exits_two(tmp_path, capsys):

@@ -24,7 +24,6 @@ from dcmkit import (
     dispatched_schedule,
     evaluate,
     supply_cost,
-    total_power,
 )
 from dcmkit.model import FEAS_TOL
 from dcmkit import offline
@@ -74,11 +73,11 @@ def ny_overhead_instance(n_slots=9, servers=2500):
 
 def test_total_power_without_overheads_is_server_power():
     inst = bare_instance([4.0], [0.1])
-    assert total_power(inst, 1, 10) == pytest.approx(1.6, abs=1e-12)
+    assert demand_series(inst, [10.0])[0] == pytest.approx(1.6, abs=1e-12)
     idle = bare_instance([0.0], [0.1])
-    assert total_power(idle, 1, 0) == 0.0
+    assert idle.demand_table(1)[0] == 0.0
     # an all-idle fleet draws c_idle per server
-    assert total_power(idle, 1, 4) == pytest.approx(0.4, abs=1e-12)
+    assert demand_series(idle, [4.0])[0] == pytest.approx(0.4, abs=1e-12)
 
 
 def test_total_power_with_overheads_day_regime():
@@ -86,19 +85,19 @@ def test_total_power_with_overheads_day_regime():
     # cooling (0.041*0.25 + 0.144*0.5 + 0.047)*625 = 80.78125
     # conditioning (0.012*0.25 + 0.046*0.5 + 0.056)*625 = 51.25
     inst = ny_overhead_instance()
-    assert total_power(inst, 9, 2500) == pytest.approx(444.53125, abs=1e-9)
+    assert demand_series(inst, np.full(9, 2500.0))[8] == pytest.approx(444.53125, abs=1e-9)
 
 
 def test_total_power_with_overheads_night_regime():
     # same operating point in slot 1 (hour 0) picks the night coefficients
     inst = ny_overhead_instance()
-    assert total_power(inst, 1, 2500) == pytest.approx(437.1875, abs=1e-9)
+    assert demand_series(inst, np.full(9, 2500.0))[0] == pytest.approx(437.1875, abs=1e-9)
 
 
 def test_total_power_rejects_undersized_fleet():
     inst = bare_instance([4.0], [0.1])
-    with pytest.raises(FeasibilityError):
-        total_power(inst, 1, 3)
+    with pytest.raises(FeasibilityError, match="x=3 below required fleet 4"):
+        dispatched_schedule(inst, [3.0], [0.0])
 
 
 def wraparound_instance(kind, day, night, n_slots=30):
@@ -165,8 +164,8 @@ def polynomial_demand(inst, t, x):
 
 def test_grid_rows_match_scalar_demand_for_every_overhead_kind():
     # grids larger than 128 KiB are evaluated through reused buffers; each
-    # row must still be the floats of one slot's table, of a scalar
-    # evaluation, and of the formulas written out
+    # row must still be the floats of one slot's table and of the formulas
+    # written out
     servers, n_slots = 2000, 40
     b_max = 0.25 * servers
     regimes = {
@@ -194,7 +193,7 @@ def test_grid_rows_match_scalar_demand_for_every_overhead_kind():
                 assert np.array_equal(grid[t - 1], inst.demand_table(t))
                 for x in (inst.min_servers(t), (inst.min_servers(t) + inst.max_servers) // 2,
                           inst.max_servers):
-                    assert grid[t - 1, x] == total_power(inst, t, x) == polynomial_demand(inst, t, x)
+                    assert grid[t - 1, x] == polynomial_demand(inst, t, x)
 
 
 def test_block_evaluator_matches_stacked_tables(monkeypatch):
@@ -228,7 +227,7 @@ def test_marginal_demand_nondecreasing_in_unit_index():
     for _ in range(50):
         inst = random_tiny_instance(rng)
         for t in range(1, inst.horizon + 1):
-            incs = [inst.marginal_demand(t, i) for i in range(1, inst.max_servers + 2)]
+            incs = np.diff(inst.demand_table(t))
             assert all(b >= a - 1e-12 for a, b in zip(incs, incs[1:]))
 
 
@@ -238,8 +237,7 @@ def test_min_marginal_demand_is_a_lower_bound():
         inst = random_tiny_instance(rng)
         floor = inst.min_marginal_demand()
         for t in range(1, inst.horizon + 1):
-            for i in range(1, inst.max_servers + 2):
-                assert inst.marginal_demand(t, i) >= floor - 1e-12
+            assert np.all(np.diff(inst.demand_table(t)) >= floor - 1e-12)
 
 
 def test_breakeven_idle_window_infinite_when_idling_is_free():
@@ -442,6 +440,7 @@ def test_check_schedule_names_first_bad_slot():
 def first_violation(inst, sched):
     """Slot-by-slot reference for check_schedule's verdict."""
     gen = inst.generator
+    demand = demand_series(inst, sched.x)
     for t in range(1, inst.horizon + 1):
         x, y, u, v = (s[t - 1] for s in (sched.x, sched.y, sched.u, sched.v))
         if x != int(x) or x < inst.min_servers(t):
@@ -452,7 +451,7 @@ def first_violation(inst, sched):
             return f"slot {t}: negative dispatch u={u}, v={v}"
         if u > gen.capacity * y + FEAS_TOL:
             return f"slot {t}: on-site supply u={u} exceeds active capacity {gen.capacity * y}"
-        d = total_power(inst, t, int(x))
+        d = demand[t - 1]
         if u + v < d - FEAS_TOL:
             return f"slot {t}: supply u+v={u + v} below demand {d}"
     return None
@@ -468,7 +467,7 @@ def test_schedule_kernels_match_slot_by_slot_reference():
         y = rng.integers(0, inst.generator.count + 1, t_end).astype(float)
         sched = dispatched_schedule(inst, x, y)
         for t in range(1, t_end + 1):
-            d = total_power(inst, t, int(x[t - 1]))
+            d = inst.demand_table(t)[int(x[t - 1])]
             split = dispatch(inst.generator, int(y[t - 1]), inst.p(t), d)
             assert (sched.u[t - 1], sched.v[t - 1]) == split
         cols = {name: getattr(sched, name).copy() for name in "xyuv"}

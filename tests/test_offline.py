@@ -18,13 +18,12 @@ from dcmkit import (
     brute_force_ep,
     cp_cost,
     cp_offline_slices,
-    critical_segments,
     demand_series,
     dispatched_schedule,
     ep_cost,
+    ep_offline_slices,
     evaluate,
     harness,
-    ofa_ep_slice,
     solve_cp_offline,
     solve_dcm_offline,
     solve_ep_offline,
@@ -32,14 +31,12 @@ from dcmkit import (
 )
 from dcmkit.offline import (
     _min_increase_transform,
-    clamped_regret,
-    cpoff_slice,
     dcm_dijkstra,
     idle_cost_block,
     regret_steps,
 )
 from dcmkit.verify import random_bound_instance, random_ep_problem, random_tiny_instance
-from test_chase_reference import slice_energy
+from test_chase_reference import clamped_regret, critical_segments, slice_energy
 
 
 def flat_power_instance(workload, price, beta_s=0.08):
@@ -130,12 +127,6 @@ def test_cp_cost_rejects_uncovered_workload():
     inst = flat_power_instance([1.0, 2.0], [0.1, 0.1])
     with pytest.raises(ConfigError, match="slot 2"):
         cp_cost(inst, [1.0, 1.0])
-
-
-def test_cpoff_slice_empty_and_tiny():
-    marg = np.full(3, 0.2)
-    assert np.array_equal(cpoff_slice(np.zeros(3), np.full(3, 0.1), marg, 0.08), np.zeros(3))
-    assert np.array_equal(cpoff_slice([0.0, 0.4, 0.0], np.full(3, 0.1), marg, 0.08), [0, 1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +280,9 @@ def test_block_idle_costs_match_per_slot_increments():
     _, prefix = idle_cost_block(inst, 1, inst.horizon, np.zeros(inst.max_servers))
     idle = np.diff(prefix, axis=0)
     for t in range(1, inst.horizon + 1):
+        marginal = np.diff(inst.demand_table(t))
         for i in range(1, inst.max_servers + 1):
-            want = inst.p(t) * inst.marginal_demand(t, i)
+            want = inst.p(t) * marginal[i - 1]
             assert idle[t - 1, i - 1] == pytest.approx(want, abs=1e-12)
 
 
@@ -347,9 +339,9 @@ def test_ofa_slice_follows_on_segments():
     gen = GeneratorModel(capacity=60.0, c_o=0.08, c_m=1.2, beta_g=24.0, count=1)
     # price 0.125 on a loaded slice: gain = 60*0.045 - 1.2 = 1.5 per slot
     price = np.full(24, 0.125)
-    y = ofa_ep_slice(gen, np.full(24, 60.0), price)
+    y = ep_offline_slices(gen, np.full(24, 60.0), price)[0]
     assert np.array_equal(y, np.ones(24))
-    y = ofa_ep_slice(gen, np.zeros(24), price)
+    y = ep_offline_slices(gen, np.zeros(24), price)[0]
     assert np.array_equal(y, np.zeros(24))
 
 

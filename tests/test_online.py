@@ -26,7 +26,6 @@ from dcmkit import (
     ratio_bound_hybrid,
     ratio_bound_hybrid_loose,
     ratio_bound_ongrid,
-    regret_process,
     rho_decomposition,
     solve_cp_offline,
 )
@@ -34,7 +33,7 @@ from dcmkit import harness, offline, online
 from dcmkit.analysis import grid_only_schedule
 from dcmkit.online import ChaseFleet, GcsrFleet, RevealedWindow
 from dcmkit.verify import random_bound_instance, random_ep_problem, random_tiny_instance
-from test_chase_reference import slice_energy
+from test_chase_reference import regret_process, slice_energy
 
 # dyadic idle economics: every server unit draws exactly 0.25, price 0.125,
 # so one idle slot costs 0.03125 and the break-even window is 4 slots sharp
@@ -62,7 +61,8 @@ def test_window_reveals_exactly_its_slots():
     window.reveal(3)
     assert window.end == 3
     assert np.array_equal(window.read(inst.workload, 1, 3), [1.0, 0.0, 0.0])
-    assert np.array_equal(fleet.idle_prefix(1, 3), [[IDLE], [2 * IDLE], [3 * IDLE]])
+    rows = [fleet.idle_prefix(s) for s in (1, 2, 3)]
+    assert np.array_equal(rows, [[IDLE], [2 * IDLE], [3 * IDLE]])
     with pytest.raises(LookaheadViolation):
         window.read(inst.workload, 1, 4)
     assert fleet.decide_next() == 1 and fleet.energy == [0.25]
@@ -73,7 +73,7 @@ def test_window_reveals_exactly_its_slots():
     with pytest.raises(LookaheadViolation):
         window.read(inst.workload, 5)
     with pytest.raises(LookaheadViolation):
-        fleet.idle_prefix(2, 5)
+        fleet.idle_prefix(5)
     window.reveal(8)
     assert window.end == 5  # clipped at the horizon
 
@@ -115,12 +115,13 @@ def test_fleet_block_rows_match_sequential_sums(monkeypatch):
             for t in range(1, t_end + 1):
                 window.reveal(t + w)
                 end = window.end
-                assert np.array_equal(fleet.idle_prefix(t, end), prefix[t - 1 : end])
+                for s in range(t, end + 1):
+                    assert np.array_equal(fleet.idle_prefix(s), prefix[s - 1])
                 assert np.array_equal(window.read(inst.workload, t, end), inst.workload[t - 1 : end])
                 x = fleet.decide_next()
                 assert fleet.energy[t - 1] == tables[t - 1, x]
                 # O((block + w) * M) floats: whole blocks from the one of slot t
-                assert sum(len(grid) for _, grid, _ in fleet._blocks) <= 2 * (block + w)
+                assert sum(len(grid) for _, grid, _ in fleet._blocks) <= 2 * block + w
 
 
 def test_fleet_reads_stay_checked_after_a_block_is_evaluated(monkeypatch):
@@ -132,32 +133,32 @@ def test_fleet_reads_stay_checked_after_a_block_is_evaluated(monkeypatch):
     window = RevealedWindow(inst.horizon)
     fleet = GcsrFleet(inst, window)
     window.reveal(2)
-    assert np.array_equal(fleet.idle_prefix(1, 2), [[IDLE], [2 * IDLE]])
+    assert np.array_equal([fleet.idle_prefix(s) for s in (1, 2)], [[IDLE], [2 * IDLE]])
     assert evaluated == [(1, 5)]  # the whole horizon is one block
     past = r"slot 3 is outside the revealed window \[1, 2\]"
     with pytest.raises(LookaheadViolation, match=past):
-        fleet.idle_prefix(1, 3)
+        fleet.idle_prefix(3)
     with pytest.raises(LookaheadViolation, match=past):
         window.read(inst.workload, 2, 3)
     with pytest.raises(LookaheadViolation, match=past):
         window.read(inst.workload, 3)
     with pytest.raises(LookaheadViolation):
-        fleet.idle_prefix(0, 1)
+        fleet.idle_prefix(0)
     fleet.decide_next()
     window.reveal(3)
     fleet.decide_next()
     assert fleet.energy == [0.25, 0.25]
     assert np.array_equal(window.read(inst.workload, 2, 3), [0.0, 0.0])
     assert evaluated == [(1, 5)]
-    # rows before the slot being decided are dropped when the next block is evaluated
+    # a block is dropped once the slot being decided has passed it
     monkeypatch.setattr(offline, "BLOCK_SLOTS", 1)
     window = RevealedWindow(inst.horizon)
     fleet = GcsrFleet(inst, window)
     for t in (1, 2):
         window.reveal(t)
         fleet.decide_next()
-    with pytest.raises(ValueError, match="slot 1 was dropped"):
-        fleet.idle_prefix(1, 2)
+    assert [start for start, _, _ in fleet._blocks] == [2]
+    assert np.array_equal(fleet.idle_prefix(2), [2 * IDLE])
 
 
 class FurtherWindow:
@@ -272,9 +273,9 @@ def test_gcsr_reads_each_slot_once_whatever_the_window(monkeypatch):
         reads.append(("a", first, first if last is None else last))
         return read(window, series, first, last)
 
-    def idle_prefix_counted(fleet, first, last):
-        reads.append(("P", first, last))
-        return idle_prefix(fleet, first, last)
+    def idle_prefix_counted(fleet, s):
+        reads.append(("P", s, s))
+        return idle_prefix(fleet, s)
 
     monkeypatch.setattr(RevealedWindow, "read", read_counted)
     monkeypatch.setattr(GcsrFleet, "idle_prefix", idle_prefix_counted)
