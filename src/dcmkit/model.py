@@ -141,9 +141,7 @@ class CoolingModel:
     regimes: tuple[CoolingRegime, ...] = ()
     b_max: float = 1.0
     period: int = 24
-    # per period hour h: index of the owning regime, and hour_coeffs[j, h],
-    # coefficient j of that regime; set once after validation
-    _hour_regime: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    # hour_coeffs[j, h]: coefficient j of the regime owning hour h, set after validation
     hour_coeffs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -177,14 +175,7 @@ class CoolingModel:
             hour_regime.append(owners[0])
         coeffs = np.array([self.regimes[k].coeffs for k in hour_regime], dtype=float).T
         coeffs.setflags(write=False)
-        object.__setattr__(self, "_hour_regime", tuple(hour_regime))
         object.__setattr__(self, "hour_coeffs", coeffs)
-
-    def regime_at(self, t: int) -> CoolingRegime | None:
-        """Regime active in slot t (slots are 1-based, slot 1 = hour 0)."""
-        if self.kind == "none":
-            return None
-        return self.regimes[self._hour_regime[(t - 1) % self.period]]
 
     def overhead(self, b, coeffs, out=None):
         """Cooling power for server power b under regime coefficients coeffs.
@@ -441,17 +432,25 @@ def supply_cost(gen: GeneratorModel, y, p, d):
     Maintenance for the y active units is included. Grid-first when the price
     beats incremental generation cost, otherwise generators up to capacity
     with the grid taking the remainder. y, p and d broadcast against each
-    other; scalar inputs give a float. A scalar price picks its branch once,
-    so only that branch is evaluated.
+    other; scalar inputs give a float.
     """
     y, p, d = _supply_inputs(gen, y, p, d)
+    return _unwrap(np.asarray(_supply_kernel(gen, p, d, *_fleet_terms(gen, y))))
+
+
+def _fleet_terms(gen: GeneratorModel, y) -> tuple:
+    """supply_cost's terms in y alone: c_m*y, cap = L*y, c_m*y + c_o*cap."""
+    maint, cap = gen.c_m * y, gen.capacity * y
+    return maint, cap, maint + gen.c_o * cap
+
+
+def _supply_kernel(gen: GeneratorModel, p, d, maint, cap, fixed):
+    """supply_cost of checked inputs (_supply_inputs) and y's _fleet_terms.
+    A scalar price picks its branch once; only that branch is evaluated."""
     if p.ndim == 0 and p <= gen.c_o:
-        return _unwrap(np.asarray(gen.c_m * y + p * d))
-    cap = gen.capacity * y
-    cost = np.where(d > cap, gen.c_m * y + gen.c_o * cap + p * (d - cap), gen.c_m * y + gen.c_o * d)
-    if p.ndim:
-        cost = np.where(p <= gen.c_o, gen.c_m * y + p * d, cost)
-    return _unwrap(cost)
+        return maint + p * d
+    cost = np.where(d > cap, fixed + p * (d - cap), maint + gen.c_o * d)
+    return np.where(p <= gen.c_o, maint + p * d, cost) if p.ndim else cost
 
 
 def dispatch(gen: GeneratorModel, y, p, d):

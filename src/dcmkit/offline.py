@@ -3,7 +3,7 @@ per-unit decomposition (server slices and generator slices).
 
 The joint problem is a shortest path over layered states (x, y) per slot with
 switching costs on increases only. A backward dynamic program over the
-layers solves it. Each value layer holds only the feasible rows
+layers solves it. Each value layer holds only the feasible states
 x = ceil(a(t))..M, so a layer costs O((M+1-ceil(a(t)))(N+1)) work and
 memory. A Dijkstra search over the same graph and an exhaustive
 enumeration are kept as reference oracles. The decomposition splits
@@ -43,6 +43,7 @@ from .model import (
     dispatched_schedule,
     supply_cost,
 )
+from .model import _fleet_terms, _supply_inputs, _supply_kernel
 
 DEFAULT_STATE_BUDGET = 5_000_000
 DEFAULT_ENUM_BUDGET = 10_000_000
@@ -85,31 +86,38 @@ def ep_cost(gen: GeneratorModel, energy, price, y) -> float:
 
 
 def _min_increase_transform(
-    values: np.ndarray, beta: float, start: int = 0, first: int | None = None
+    values: np.ndarray, offsets: np.ndarray, start: int = 0, first: int | None = None
 ) -> np.ndarray:
-    """B[i] = min_j values[j] + beta * max(0, j - i), along axis 0.
+    """B[:, i] = min_j values[:, j] + beta * max(0, j - i), along axis 1.
 
-    A one-dimensional distance transform with the asymmetric cost
-    beta * max(0, j - i): two running-minimum passes, one per direction,
-    replace the quadratic scan, as in Felzenszwalb & Huttenlocher,
-    "Distance Transforms of Sampled Functions", Theory of Computing 8 (2012).
-
-    values may hold rows start.. of a taller array whose rows below start
-    are +inf. Offsets are absolute (beta * row), so each output float is
-    the one the taller array gives. The output starts at row first
-    (default start). A row i below start can only climb into the block:
-    B[i] = min_j(values[j] + beta * j) - beta * i.
+    Two running-minimum passes, one per direction, replace the quadratic
+    scan (Felzenszwalb & Huttenlocher, "Distance Transforms of Sampled
+    Functions", Theory of Computing 8 (2012)). offsets[k] = beta * k, made
+    once per solve. values may hold columns start.. of a wider array whose
+    columns below start are +inf; offsets are absolute, so each output float
+    is the wider array's. The output starts at column first (default start);
+    a column i below start can only climb into the block:
+    B[:, i] = min_j(values[:, j] + beta * j) - beta * i.
     """
     first = start if first is None else first
-    n = values.shape[0]
-    shape = (-1,) + (1,) * (values.ndim - 1)
-    idx = beta * np.arange(start, start + n, dtype=float).reshape(shape)
-    reach = np.minimum.accumulate((values + idx)[::-1], axis=0)[::-1]
-    body = np.minimum(reach - idx, np.minimum.accumulate(values, axis=0))
+    k = max(first - start, 0)  # the output's first column inside the block
+    idx = offsets[start + k : start + values.shape[1]]
+    reach = np.minimum.accumulate((values[:, k:] + idx)[:, ::-1], axis=1)[:, ::-1]
+    body = np.minimum(reach - idx, np.minimum.accumulate(values, axis=1)[:, k:])
     if first >= start:
-        return body[first - start :]
-    climb = reach[:1] - beta * np.arange(first, start, dtype=float).reshape(shape)
-    return np.concatenate((climb, body))
+        return body
+    return np.concatenate((reach[:, :1] - offsets[first:start], body), axis=1)
+
+
+def _running_min(rows: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """np.minimum.accumulate(rows, axis=0), or over reversed rows, in place in
+    ceil(log2(len(rows))) doubling steps over contiguous rows. min selects one
+    of its operands, and each step passes second the row the scan reaches
+    later, as the accumulate does: the same floats, even for 0.0 and -0.0."""
+    for step in (1 << k for k in range((len(rows) - 1).bit_length())):
+        earlier, later = (rows[step:], rows[:-step]) if reverse else (rows[:-step], rows[step:])
+        np.minimum(earlier, later, out=later)
+    return rows
 
 
 def solve_dcm_offline(
@@ -119,12 +127,14 @@ def solve_dcm_offline(
     """Exact minimum-cost schedule via a backward dynamic program over the
     layered state graph.
 
-    Layer t keeps only its feasible rows x = ceil(a(t))..M, so work and
-    memory are O((M+1-ceil(a(t)))(N+1)) per layer; the backward pass reads
-    each layer's demand row from one demand_table grid per block of
-    BLOCK_SLOTS slots. The state budget still counts the full
-    (M+1)(N+1)(T+2) grid. Ties resolve to the lexicographically smallest x
-    series, then y series.
+    Layer t is stored y-major, shape (N+1, M+1-ceil(a(t))), C-contiguous,
+    holding only the feasible columns x = ceil(a(t))..M, so work and memory
+    are O((M+1-ceil(a(t)))(N+1)) per layer. The backward pass reads demand
+    from one demand_table grid per block of BLOCK_SLOTS slots, checks it
+    once (model._supply_inputs) and takes each layer's stage costs from
+    supply_cost's kernel. The state budget counts the full (M+1)(N+1)(T+2)
+    grid. Ties resolve to the lexicographically smallest x series, then y
+    series: the forward argmin scans x-major.
     """
     m, n, t_end = instance.max_servers, instance.generator.count, instance.horizon
     states = (m + 1) * (n + 1) * (t_end + 2)
@@ -137,22 +147,28 @@ def solve_dcm_offline(
     gen = instance.generator
     beta_s, beta_g = instance.server.beta_s, gen.beta_g
     x_grid = np.arange(m + 1, dtype=float)[:, None]
-    y_grid = np.arange(n + 1, dtype=float)[None, :]
-    # lows[t] = first feasible row of layer t; the end layer T+1 is all feasible
+    y_grid = np.arange(n + 1, dtype=float)[:, None]
+    x_offsets, y_offsets = beta_s * x_grid[:, 0], beta_g * y_grid
+    fleet = _fleet_terms(gen, y_grid)
+    # lows[t] = first feasible column of layer t; the end layer T+1 is all feasible
     lows = [0] + [instance.min_servers(t) for t in range(1, t_end + 1)] + [0]
-    # backward pass: value[t][x - lows[t], y] = cheapest completion from
-    # state (x, y) at slot t, for the feasible rows x >= lows[t] only
+    # backward pass: value[t][y, x - lows[t]] = cheapest completion from
+    # state (x, y) at slot t, for the feasible columns x >= lows[t] only
     value: list[np.ndarray | None] = [None] * (t_end + 2)
-    value[t_end + 1] = np.zeros((m + 1, n + 1))
+    value[t_end + 1] = np.zeros((n + 1, m + 1))
     first = t_end + 1  # demand rows of slots first..first+len(grid)-1, read backward
     for t in range(t_end, 0, -1):
         if t < first:
             first = max(1, t - BLOCK_SLOTS + 1)
-            grid = instance.demand_table(first, t)
+            demand = instance.demand_table(first, t)
+            _, price, grid = _supply_inputs(gen, y_grid, instance.price, demand)
         lo = lows[t]
-        stage = supply_cost(gen, y_grid, instance.p(t), grid[t - first, lo:, None])
-        over_x = _min_increase_transform(value[t + 1], beta_s, lows[t + 1], lo)
-        value[t] = stage + _min_increase_transform(over_x.T, beta_g).T
+        over_x = _min_increase_transform(value[t + 1], x_offsets, lows[t + 1], lo)
+        # the same transform over the generator axis, then the stage costs
+        value[t] = layer = _running_min(over_x + y_offsets, reverse=True)
+        layer -= y_offsets
+        np.minimum(layer, _running_min(over_x), out=layer)
+        layer += _supply_kernel(gen, price[t - 1], grid[t - first, lo:], *fleet)
 
     # forward pass: walk the argmin, scanning x-major so equal-cost choices
     # pick the smallest (x, y)
@@ -161,10 +177,8 @@ def solve_dcm_offline(
     px = py = 0
     for t in range(1, t_end + 1):
         lo = lows[t]
-        move = beta_s * np.clip(x_grid[lo:] - px, 0.0, None)
-        move = move + beta_g * np.clip(y_grid - py, 0.0, None)
-        flat = int(np.argmin(move + value[t]))
-        px, py = divmod(flat, n + 1)
+        move = beta_s * np.maximum(x_grid[lo:] - px, 0.0) + beta_g * np.maximum(y_grid.T - py, 0.0)
+        px, py = divmod(int(np.argmin(move + value[t].T)), n + 1)
         px += lo
         xs[t - 1], ys[t - 1] = px, py
     return dispatched_schedule(instance, xs, ys)
@@ -434,9 +448,11 @@ def supply_series(energy, price) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError("energy and price must be 1-d series")
     if len(energy) != len(price):
         raise ConfigError(f"series length mismatch: {len(energy)} energy vs {len(price)} price")
-    if not (np.isfinite(energy).all() and np.isfinite(price).all()):
-        raise ConfigError("energy and price must be finite")
-    if np.any(energy < 0.0) or np.any(price < 0.0):
+    both = np.concatenate((energy, price))  # NaN propagates through min and max
+    low, high = np.minimum.reduce(both, initial=0.0), np.maximum.reduce(both, initial=0.0)
+    if not (low >= 0.0 and high < np.inf):
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise ConfigError("energy and price must be finite")
         raise ConfigError("energy and price must be nonnegative")
     return energy, price
 

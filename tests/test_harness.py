@@ -31,6 +31,7 @@ from dcmkit.harness import (
     report_to_json,
     validate_config,
 )
+from test_model import regime_at
 
 TINY_CFG = {
     "servers": 6,
@@ -239,7 +240,7 @@ def test_build_instance_wires_the_preset_overheads():
     # b_max scales with the configured fleet: 0.25 * 6
     assert inst.cooling.b_max == pytest.approx(1.5)
     assert inst.conditioning.b_max == pytest.approx(1.5)
-    assert inst.cooling.regime_at(9).name == "day"
+    assert regime_at(inst.cooling, 9).name == "day"
     assert inst.label == "ny"
 
 

@@ -143,6 +143,12 @@ def test_demand_series_matches_per_slot_tables():
             inst.demand_table(first, end)
 
 
+def regime_at(cooling, t):
+    """The one regime of cooling's list whose hours hold slot t (slot 1 is hour 0)."""
+    (regime,) = [r for r in cooling.regimes if r.contains(t - 1, cooling.period)]
+    return regime
+
+
 def polynomial_demand(inst, t, x):
     """d_t(x) written out as the model's formulas, one Python float op at a time."""
     srv = inst.server
@@ -155,10 +161,10 @@ def polynomial_demand(inst, t, x):
     cool = inst.cooling
     bh = b / cool.b_max
     if cool.kind == "quadratic":
-        q, l, c = cool.regime_at(t).coeffs
+        q, l, c = regime_at(cool, t).coeffs
         d = d + (q * bh * bh + l * bh + c) * cool.b_max
     elif cool.kind == "cubic":
-        d = d + cool.regime_at(t).coeffs[0] * bh * bh * bh * cool.b_max
+        d = d + regime_at(cool, t).coeffs[0] * bh * bh * bh * cool.b_max
     return d
 
 

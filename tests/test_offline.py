@@ -29,8 +29,10 @@ from dcmkit import (
     solve_ep_offline,
     supply_cost,
 )
+from dcmkit import offline
 from dcmkit.offline import (
     _min_increase_transform,
+    _running_min,
     dcm_dijkstra,
     idle_cost_block,
     regret_steps,
@@ -168,35 +170,47 @@ def test_min_increase_transform_matches_quadratic_loop():
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(1, 9))
-        vals = rng.uniform(-5.0, 5.0, (n, int(rng.integers(1, 4))))
+        vals = rng.uniform(-5.0, 5.0, (int(rng.integers(1, 4)), n))
         beta = float(rng.uniform(0.0, 3.0))
-        got = _min_increase_transform(vals, beta)
+        got = _min_increase_transform(vals, beta * np.arange(n, dtype=float))
         want = np.array(
             [
-                [
-                    min(vals[j, c] + beta * max(0, j - i) for j in range(n))
-                    for c in range(vals.shape[1])
-                ]
-                for i in range(n)
+                [min(vals[r, j] + beta * max(0, j - i) for j in range(n)) for i in range(n)]
+                for r in range(vals.shape[0])
             ]
         )
         assert np.allclose(got, want, atol=1e-12)
 
 
 def test_min_increase_transform_on_a_block_matches_the_full_grid():
-    # a block of rows start.. of a grid whose lower rows are +inf gives the
-    # grid's own floats, for output rows starting below or inside the block
+    # a block of columns start.. of a grid whose lower columns are +inf gives
+    # the grid's own floats, for output columns starting below or inside the
+    # block
     rng = np.random.default_rng(15)
     for _ in range(200):
         n = int(rng.integers(1, 12))
         start = int(rng.integers(0, n))
-        grid = rng.uniform(-5.0, 5.0, (n, int(rng.integers(1, 4))))
-        grid[:start] = np.inf
+        grid = rng.uniform(-5.0, 5.0, (int(rng.integers(1, 4)), n))
+        grid[:, :start] = np.inf
         beta = float(rng.uniform(0.0, 3.0))
-        full = _min_increase_transform(grid, beta)
+        offsets = beta * np.arange(n, dtype=float)
+        full = _min_increase_transform(grid, offsets)
         first = int(rng.integers(0, n))
-        got = _min_increase_transform(grid[start:], beta, start, first)
-        assert np.array_equal(got, full[first:])
+        got = _min_increase_transform(grid[:, start:], offsets, start, first)
+        assert np.array_equal(got, full[:, first:])
+
+
+def test_doubling_running_min_is_the_accumulate_bit_for_bit():
+    # equal zeros of either sign and +inf entries; one row is the N = 0 layer
+    rng = np.random.default_rng(17)
+    for length in range(1, 18):
+        for _ in range(20):
+            shape = (length, int(rng.integers(1, 6)))
+            rows = rng.choice([0.0, -0.0, 0.5, 1.0, -1.0, np.inf], shape)
+            forward = _running_min(rows.copy())
+            assert forward.tobytes() == np.minimum.accumulate(rows, axis=0).tobytes()
+            backward = _running_min(rows.copy(), reverse=True)
+            assert backward.tobytes() == np.minimum.accumulate(rows[::-1], axis=0)[::-1].tobytes()
 
 
 def _full_grid_transform(values, beta):
@@ -274,6 +288,39 @@ def test_feasible_row_dp_matches_the_full_layer_reference():
     assert min(seen.values()) >= 50, seen
 
 
+def test_dp_stage_rows_are_supply_cost_in_both_price_branches(monkeypatch):
+    # every layer's stage costs, as the backward pass adds them, are the
+    # floats supply_cost gives that layer's feasible demand row, whether the
+    # price picks the grid-first (p <= c_o) or the generator-first branch
+    stages = []
+
+    def record(*args):
+        stages.append(kernel(*args))
+        return stages[-1]
+
+    kernel = offline._supply_kernel
+    monkeypatch.setattr(offline, "_supply_kernel", record)
+    rng = np.random.default_rng(18)
+    branches = set()
+    for k in range(40):
+        inst = random_tiny_instance(rng) if k % 2 else random_bound_instance(rng)
+        gen = inst.generator
+        c_o, high = gen.c_o, 2.0 * (gen.c_o + gen.c_m / gen.capacity)  # keeps gen economical
+        price = rng.choice([0.5 * c_o, c_o, 1.5 * c_o, high], inst.horizon)
+        price[rng.integers(0, inst.horizon)] = high
+        inst = dataclasses.replace(inst, price=price)
+        stages.clear()
+        solve_dcm_offline(inst)
+        y = np.arange(gen.count + 1, dtype=float)[:, None]
+        assert len(stages) == inst.horizon
+        for t, stage in zip(range(inst.horizon, 0, -1), stages):
+            d = inst.demand_table(t)[inst.min_servers(t) :]
+            want = supply_cost(gen, y, inst.p(t), d)
+            assert stage.shape == want.shape and stage.tobytes() == want.tobytes(), (k, t)
+            branches.add(inst.p(t) <= c_o)
+    assert branches == {True, False}
+
+
 def test_block_idle_costs_match_per_slot_increments():
     rng = np.random.default_rng(12)
     inst = random_tiny_instance(rng)
@@ -343,6 +390,28 @@ def test_ofa_slice_follows_on_segments():
     assert np.array_equal(y, np.ones(24))
     y = ep_offline_slices(gen, np.zeros(24), price)[0]
     assert np.array_equal(y, np.zeros(24))
+
+
+FINITE = "energy and price must be finite"
+
+
+@pytest.mark.parametrize(
+    "energy, price, message",
+    [
+        ([1.0, math.nan], [0.1, 0.2], FINITE),
+        ([1.0, 2.0], [0.1, math.inf], FINITE),
+        ([1.0, -math.inf], [0.1, 0.2], FINITE),
+        ([1.0, -2.0], [0.1, math.nan], FINITE),  # non-finite is reported before negative
+        ([1.0, -2.0], [0.1, 0.2], "energy and price must be nonnegative"),
+        ([1.0, 2.0], [-0.1, 0.2], "energy and price must be nonnegative"),
+        ([1.0, 2.0, 3.0], [0.1, 0.2], "series length mismatch: 3 energy vs 2 price"),
+        ([[1.0, 2.0]], [0.1, 0.2], "energy and price must be 1-d series"),
+    ],
+)
+def test_supply_series_rejections_pin_their_messages(energy, price, message):
+    with pytest.raises(ConfigError) as err:
+        offline.supply_series(energy, price)
+    assert str(err.value) == message
 
 
 def test_ep_solver_matches_brute_force_cost():
