@@ -68,8 +68,11 @@ class TraceFile:
 
     @classmethod
     def load(cls, path: str) -> "TraceFile":
-        with open(path, newline="") as fh:
-            return cls.parse(fh)
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                return cls.parse(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"trace {path} is not UTF-8 text: {exc}") from None
 
     @classmethod
     def parse(cls, fh) -> "TraceFile":
@@ -340,8 +343,10 @@ def validate_config(raw: dict) -> dict:
 
 def load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):

@@ -409,7 +409,7 @@ def demand_series(instance: Instance, x) -> np.ndarray:
 
 
 def _supply_inputs(gen: GeneratorModel, y, p, d) -> tuple[np.ndarray, ...]:
-    """Validated fleet, price and demand arrays for the supply kernel."""
+    """Validated fleet, price and demand arrays for split_cost and merit_split."""
     y = np.asarray(y)
     d = np.asarray(d, dtype=float)
     bad_y = (y < 0) | (y > gen.count)
@@ -426,40 +426,34 @@ def _unwrap(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
+def merit_split(gen: GeneratorModel, y, p, d):
+    """On-site share u of demand d under the merit order: the grid alone
+    when p <= c_o, else the y active generators up to their capacity L*y.
+    The grid takes v = d - u. Checked inputs (_supply_inputs); broadcasts."""
+    return np.where(p <= gen.c_o, 0.0, np.minimum(gen.capacity * y, d))
+
+
+def split_cost(gen: GeneratorModel, y, p, d):
+    """c_m*y + c_o*u + p*(d - u) for the merit_split u of checked inputs."""
+    u = merit_split(gen, y, p, d)
+    return gen.c_m * y + gen.c_o * u + p * (d - u)
+
+
 def supply_cost(gen: GeneratorModel, y, p, d):
-    """Cheapest energy cost for demand d with y active generators at price p.
-
-    Maintenance for the y active units is included. Grid-first when the price
-    beats incremental generation cost, otherwise generators up to capacity
-    with the grid taking the remainder. y, p and d broadcast against each
-    other; scalar inputs give a float.
+    """Cheapest energy cost for demand d with y active generators at price p:
+    the price of the merit_split, maintenance of the y units included.
+    y, p and d broadcast against each other; scalar inputs give a float.
     """
-    y, p, d = _supply_inputs(gen, y, p, d)
-    return _unwrap(np.asarray(_supply_kernel(gen, p, d, *_fleet_terms(gen, y))))
-
-
-def _fleet_terms(gen: GeneratorModel, y) -> tuple:
-    """supply_cost's terms in y alone: c_m*y, cap = L*y, c_m*y + c_o*cap."""
-    maint, cap = gen.c_m * y, gen.capacity * y
-    return maint, cap, maint + gen.c_o * cap
-
-
-def _supply_kernel(gen: GeneratorModel, p, d, maint, cap, fixed):
-    """supply_cost of checked inputs (_supply_inputs) and y's _fleet_terms.
-    A scalar price picks its branch once; only that branch is evaluated."""
-    if p.ndim == 0 and p <= gen.c_o:
-        return maint + p * d
-    cost = np.where(d > cap, fixed + p * (d - cap), maint + gen.c_o * d)
-    return np.where(p <= gen.c_o, maint + p * d, cost) if p.ndim else cost
+    return _unwrap(split_cost(gen, *_supply_inputs(gen, y, p, d)))
 
 
 def dispatch(gen: GeneratorModel, y, p, d):
-    """Split demand d into (on-site u, grid v) attaining supply_cost.
+    """(on-site u, grid v) of the merit_split, which attains supply_cost.
 
     Broadcasts like supply_cost.
     """
     y, p, d = _supply_inputs(gen, y, p, d)
-    u = np.where(p <= gen.c_o, 0.0, np.minimum(gen.capacity * y, d))
+    u = merit_split(gen, y, p, d)
     return _unwrap(u), _unwrap(d - u)
 
 
@@ -537,6 +531,12 @@ class CostBreakdown:
         }
 
 
+def positive_increases(series) -> float:
+    """Sum of positive one-step increases, counting the all-off start state."""
+    arr = np.asarray(series, dtype=float)
+    return float(np.diff(np.concatenate(([0.0], arr))).clip(min=0.0).sum())
+
+
 def check_schedule(instance: Instance, sched: Schedule) -> None:
     """Raise FeasibilityError naming the first violated constraint and slot.
 
@@ -579,19 +579,19 @@ def check_schedule(instance: Instance, sched: Schedule) -> None:
 
 
 def evaluate(instance: Instance, sched: Schedule) -> CostBreakdown:
-    """Exact cost of a feasible schedule; boundary state is all-off."""
+    """Exact cost of a feasible schedule; boundary state is all-off.
+
+    ConfigError names the first cost, total included, that is not finite:
+    the model's magnitudes overflowed, so no report can state it.
+    """
     check_schedule(instance, sched)
     grid = float(np.dot(sched.v, instance.price))
     onsite = float(instance.generator.c_o * sched.u.sum())
     maintenance = float(instance.generator.c_m * sched.y.sum())
-    dx = np.diff(np.concatenate(([0.0], sched.x)))
-    dy = np.diff(np.concatenate(([0.0], sched.y)))
-    switching = float(instance.server.beta_s * dx.clip(min=0.0).sum())
-    startup = float(instance.generator.beta_g * dy.clip(min=0.0).sum())
-    return CostBreakdown(
-        grid_energy=grid,
-        onsite_energy=onsite,
-        maintenance=maintenance,
-        server_switching=switching,
-        generator_startup=startup,
-    )
+    switching = instance.server.beta_s * positive_increases(sched.x)
+    startup = instance.generator.beta_g * positive_increases(sched.y)
+    costs = CostBreakdown(grid, onsite, maintenance, switching, startup)
+    for name, value in costs.as_dict().items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} cost is {value}: the model's magnitudes overflow")
+    return costs

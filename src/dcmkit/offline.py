@@ -41,9 +41,12 @@ from .model import (
     Schedule,
     demand_series,
     dispatched_schedule,
+    merit_split,
+    positive_increases,
+    split_cost,
     supply_cost,
 )
-from .model import _fleet_terms, _supply_inputs, _supply_kernel
+from .model import _supply_inputs
 
 DEFAULT_STATE_BUDGET = 5_000_000
 DEFAULT_ENUM_BUDGET = 10_000_000
@@ -52,12 +55,6 @@ BLOCK_SLOTS = 256  # slots per block evaluation of demand grids and idle-cost su
 
 # ---------------------------------------------------------------------------
 # shared pieces
-
-
-def positive_increases(series) -> float:
-    """Sum of positive one-step increases, counting the all-off start state."""
-    arr = np.asarray(series, dtype=float)
-    return float(np.diff(np.concatenate(([0.0], arr))).clip(min=0.0).sum())
 
 
 def cp_cost(instance: Instance, x) -> float:
@@ -132,9 +129,10 @@ def solve_dcm_offline(
     are O((M+1-ceil(a(t)))(N+1)) per layer. The backward pass reads demand
     from one demand_table grid per block of BLOCK_SLOTS slots, checks it
     once (model._supply_inputs) and takes each layer's stage costs from
-    supply_cost's kernel. The state budget counts the full (M+1)(N+1)(T+2)
-    grid. Ties resolve to the lexicographically smallest x series, then y
-    series: the forward argmin scans x-major.
+    model.split_cost, the pricing supply_cost reads. The state budget
+    counts the full (M+1)(N+1)(T+2) grid. Ties resolve to the
+    lexicographically smallest x series, then y series: the forward argmin
+    scans x-major.
     """
     m, n, t_end = instance.max_servers, instance.generator.count, instance.horizon
     states = (m + 1) * (n + 1) * (t_end + 2)
@@ -149,7 +147,6 @@ def solve_dcm_offline(
     x_grid = np.arange(m + 1, dtype=float)[:, None]
     y_grid = np.arange(n + 1, dtype=float)[:, None]
     x_offsets, y_offsets = beta_s * x_grid[:, 0], beta_g * y_grid
-    fleet = _fleet_terms(gen, y_grid)
     # lows[t] = first feasible column of layer t; the end layer T+1 is all feasible
     lows = [0] + [instance.min_servers(t) for t in range(1, t_end + 1)] + [0]
     # backward pass: value[t][y, x - lows[t]] = cheapest completion from
@@ -168,7 +165,7 @@ def solve_dcm_offline(
         value[t] = layer = _running_min(over_x + y_offsets, reverse=True)
         layer -= y_offsets
         np.minimum(layer, _running_min(over_x), out=layer)
-        layer += _supply_kernel(gen, price[t - 1], grid[t - first, lo:], *fleet)
+        layer += split_cost(gen, y_grid, price[t - 1], grid[t - first, lo:])
 
     # forward pass: walk the argmin, scanning x-major so equal-cost choices
     # pick the smallest (x, y)
@@ -458,11 +455,10 @@ def supply_series(energy, price) -> tuple[np.ndarray, np.ndarray]:
 
 
 def regret_steps(gen: GeneratorModel, energy, price) -> np.ndarray:
-    """Per-slot savings of one generator over the grid, psi(0) - psi(1)."""
-    e = np.asarray(energy, dtype=float)
+    """Per-slot savings of one generator over the grid, psi(0) - psi(1):
+    u1*(p - c_o) - c_m, u1 the one-unit merit_split (cap L) of the energy."""
     p = np.asarray(price, dtype=float)
-    covered = np.minimum(e, gen.capacity)
-    return np.where(p <= gen.c_o, -gen.c_m, covered * (p - gen.c_o) - gen.c_m)
+    return merit_split(gen, 1, p, np.asarray(energy, dtype=float)) * (p - gen.c_o) - gen.c_m
 
 
 def regret_rows(gen: GeneratorModel, energy, price, regret) -> np.ndarray:

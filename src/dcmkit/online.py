@@ -204,8 +204,8 @@ class GcsrFleet:
         self.slice_series: list[np.ndarray] | None = [] if record_slices else None
 
     def idle_prefix(self, s: int) -> np.ndarray:
-        """Row P(s), shape (M,), read-only; the fleet holds the rows from
-        slot next_slot - 1 on."""
+        """Row P(s), shape (M,), read-only, for s in the newest held block or
+        past it: the fleet reads each row once, in slot order."""
         self.window.check(s)
         if s > self._last:
             carried = self._blocks[-1][2][-1] if self._blocks else np.zeros(self.n_slices)
@@ -214,11 +214,9 @@ class GcsrFleet:
             prefix.flags.writeable = False
             self._blocks.append((self._last + 1, grid, prefix))
             self._last += len(grid)
-        k = -1
-        start, _, prefix = self._blocks[k]
-        while s < start:  # an older held block, when a caller reads behind the fleet
-            k -= 1
-            start, _, prefix = self._blocks[k]
+        start, _, prefix = self._blocks[-1]
+        if s < start:
+            raise ValueError(f"row {s} precedes the newest held block, which starts at {start}")
         return prefix[s - start]
 
     def _reveal(self) -> None:
@@ -319,8 +317,7 @@ class ChaseFleet:
     may be a list that grows as the provisioning stage decides.
     """
 
-    def __init__(self, gen: GeneratorModel, energy, price, window: RevealedWindow,
-                 record_slices: bool = False):
+    def __init__(self, gen: GeneratorModel, energy, price, window: RevealedWindow):
         self.gen = gen
         self.energy = energy
         self.price = price
@@ -329,7 +326,6 @@ class ChaseFleet:
         self._on = np.zeros(gen.count, dtype=bool)  # the last decided slot
         self.next_slot = 1
         self.series: list[int] = []
-        self.slice_series: list[list[bool]] | None = [] if record_slices else None
 
     def decide_next(self) -> None:
         """Decide slots self.next_slot.. through the last whose own window end is revealed."""
@@ -351,39 +347,30 @@ class ChaseFleet:
         on = np.concatenate((self._on[None], top[:k]))[source, np.arange(len(self._on))]
         self._on = on[-1]
         self._regret = self._regret[k:]
-        if self.slice_series is not None:
-            self.slice_series.extend(on.tolist())
         self.series.extend(on.sum(axis=1).tolist())
         self.next_slot += k
 
 
-def chase(
-    gen: GeneratorModel,
-    energy,
-    price,
-    lookahead: int,
-    return_slices: bool = False,
-):
+def chase(gen: GeneratorModel, energy, price, lookahead: int) -> np.ndarray:
     """Run CHASE on an energy-demand series; returns the commitment series.
 
     Decision t's window ends at t + lookahead. The driver reveals the ends
     of offline.BLOCK_SLOTS decisions at a time and the fleet decides them
-    in one step (see ChaseFleet). The rule treats the series end as unknown
-    even when the window reaches it, so at w >= T its slices differ from
-    ep_offline_slices only past each slice's last extreme, where they hold.
+    in one step (see ChaseFleet). Slices are independent: slice i is this
+    run with count=1 on max(e - i*L, 0). The rule treats the series end as
+    unknown even when the window reaches it, so at w >= T its slices differ
+    from ep_offline_slices only past each slice's last extreme, where they
+    hold.
     """
     lookahead = _whole_slots(lookahead)
     energy, price = supply_series(energy, price)
     t_end = len(energy)
     window = RevealedWindow(t_end, lookahead)
-    fleet = ChaseFleet(gen, energy, price, window, record_slices=return_slices)
+    fleet = ChaseFleet(gen, energy, price, window)
     while fleet.next_slot <= t_end:
         window.reveal(fleet.next_slot + offline.BLOCK_SLOTS - 1 + lookahead)
         fleet.decide_next()
-    y = np.array(fleet.series, dtype=float)
-    if return_slices:
-        return y, np.array(fleet.slice_series, dtype=float).reshape(t_end, gen.count).T
-    return y
+    return np.array(fleet.series, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +430,9 @@ class OngridParams:
             raise ConfigError(f"beta_s must be positive, got {self.beta_s}")
         if min(self.p_min, self.d_min) < 0.0:
             raise ConfigError("p_min and d_min must be nonnegative")
+        if self.breakeven_idle_window == 0.0:
+            raise ConfigError(f"break-even span beta_s/(d_min*p_min) is 0.0 (beta_s={self.beta_s}, "
+                              f"d_min={self.d_min}, p_min={self.p_min})")
 
     @classmethod
     def from_instance(cls, instance: Instance) -> "OngridParams":

@@ -104,6 +104,15 @@ def reference_chase(gen, energy, price, lookahead):
     return np.array(fleet.series, dtype=float), slices
 
 
+def chase_slices(gen, energy, price, lookahead):
+    """CHASE's slices, shaped (count, T): slice i is a one-unit CHASE run
+    on max(e - i*L, 0)."""
+    one = replace(gen, count=1)
+    energy = np.asarray(energy, dtype=float)
+    return np.array([chase(one, np.maximum(energy - i * gen.capacity, 0.0), price, lookahead)
+                     for i in range(gen.count)]).reshape(gen.count, len(energy))
+
+
 def tie_problem(rng):
     t_end = int(rng.integers(10, 61))
     energy = rng.choice(TIE_LEVELS, t_end)
@@ -135,7 +144,7 @@ def test_chase_matches_the_window_scan(monkeypatch):
             y_ref, on_ref = reference_chase(gen, energy, price, w)
             for block in BLOCKS:
                 monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
-                y, on = chase(gen, energy, price, w, return_slices=True)
+                y, on = chase(gen, energy, price, w), chase_slices(gen, energy, price, w)
                 assert np.array_equal(y, y_ref) and np.array_equal(on, on_ref)
                 compared += 1
     assert compared == len(BLOCKS) * 5 * 1653

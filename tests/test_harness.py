@@ -386,6 +386,44 @@ def test_cli_non_finite_trace_exits_one(tmp_path, capsys, row):
     assert err.startswith("error: line 3") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["compare"], ["solve", "--algo", "offline"], ["sweep"]])
+def test_cli_rejects_costs_that_overflow(tmp_path, capsys, command):
+    # an idle draw of 1e308 kW overflows the grid bill: exit 1, no report
+    # with Infinity or NaN in it
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"days": 1, "servers": 1,
+                               "server": {"c_idle": 1e308, "c_peak": 1e308}}))
+    out = tmp_path / "report.json"
+    with np.errstate(over="ignore"):
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: grid_energy cost is inf: the model's magnitudes overflow\n"
+    assert not out.exists()
+
+
+def test_cli_rejects_a_breakeven_span_that_underflows(tmp_path, capsys):
+    cfg = tmp_path / "tiny_beta.json"
+    cfg.write_text(json.dumps({"days": 1, "servers": 10, "generator": {"count": 0},
+                               "server": {"c_idle": 100, "c_peak": 100, "beta_s": 5e-324}}))
+    for command in (["sweep"], ["compare"]):
+        assert main([*command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: break-even span beta_s/(d_min*p_min) is 0.0")
+        assert captured.out == ""
+
+
+def test_cli_rejects_files_that_are_not_utf8(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(b"t,workload,price\n1,1.0,0.1\xff\n")
+    config = tmp_path / "run.json"
+    config.write_bytes(b'{"days": 1}\xff\n')
+    for args, name in ((["--trace", str(trace)], "trace"), (["--config", str(config)], "config")):
+        assert main(["compare", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {name} {args[1]} is not UTF-8 text: ")
+        assert "0xff" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize(
     "exc, code",
     [(FeasibilityError("boom"), 1), (LookaheadViolation("boom"), 1)],

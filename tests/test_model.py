@@ -419,6 +419,18 @@ def test_breakdown_components_sum_to_total():
         assert costs.total == parts["total"]
 
 
+def test_evaluate_names_a_cost_that_is_not_finite():
+    # no report may carry an inf or NaN total: the first cost that overflows,
+    # the total included, is named
+    inst = bare_instance([1.0, 1.0], [1.0, 1.0], beta_s=1e308)
+    one, zero = np.ones(2), np.zeros(2)
+    with pytest.raises(ConfigError, match=r"^total cost is inf: "):
+        evaluate(inst, Schedule(x=one, y=zero, u=zero, v=[1e308, 1.0]))
+    with np.errstate(over="ignore"), pytest.raises(ConfigError, match=r"^grid_energy cost is inf: "):
+        evaluate(inst, Schedule(x=one, y=zero, u=zero, v=[1e308, 1e308]))
+    assert math.isfinite(evaluate(inst, Schedule(x=one, y=zero, u=zero, v=[1e307, 1.0])).total)
+
+
 def test_zero_workload_all_off_costs_nothing():
     inst = bare_instance(np.zeros(5), np.full(5, 0.2))
     z = np.zeros(5)

@@ -295,11 +295,11 @@ def test_dp_stage_rows_are_supply_cost_in_both_price_branches(monkeypatch):
     stages = []
 
     def record(*args):
-        stages.append(kernel(*args))
+        stages.append(pricing(*args))
         return stages[-1]
 
-    kernel = offline._supply_kernel
-    monkeypatch.setattr(offline, "_supply_kernel", record)
+    pricing = offline.split_cost
+    monkeypatch.setattr(offline, "split_cost", record)
     rng = np.random.default_rng(18)
     branches = set()
     for k in range(40):
@@ -344,6 +344,25 @@ def test_regret_steps_three_regimes():
     assert r[0] == pytest.approx(-1.2)
     assert r[1] == pytest.approx(50 * 0.04 - 1.2)
     assert r[2] == pytest.approx(60 * 0.04 - 1.2)
+
+
+def test_regret_steps_are_the_one_unit_supply_cost_difference():
+    # the savings CHASE and the offline slices step are psi(0) - psi(1),
+    # both read from the one merit-order split, the ties p == c_o and
+    # e == L and free maintenance included
+    rng = np.random.default_rng(19)
+    seen = dict(price_tie=0, energy_tie=0, free_maintenance=0)
+    for k in range(300):
+        gen = GeneratorModel(float(rng.uniform(0.5, 100.0)), float(rng.uniform(0.0, 0.3)),
+                             0.0 if k % 3 == 0 else float(rng.uniform(0.0, 5.0)), 1.0, 1)
+        energy = rng.choice([0.0, gen.capacity, float(rng.uniform(0.0, 3.0 * gen.capacity))], 16)
+        price = rng.choice([gen.c_o, np.nextafter(gen.c_o, 1.0), float(rng.uniform(0.0, 0.5))], 16)
+        want = supply_cost(gen, 0, price, energy) - supply_cost(gen, 1, price, energy)
+        np.testing.assert_allclose(regret_steps(gen, energy, price), want, rtol=0.0, atol=1e-12)
+        seen["price_tie"] += bool(np.any(price == gen.c_o))
+        seen["energy_tie"] += bool(np.any(energy == gen.capacity))
+        seen["free_maintenance"] += gen.c_m == 0.0
+    assert min(seen.values()) >= 90, seen
 
 
 def test_clamped_regret_stays_in_band():

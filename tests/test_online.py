@@ -33,7 +33,7 @@ from dcmkit import harness, offline, online
 from dcmkit.analysis import grid_only_schedule
 from dcmkit.online import ChaseFleet, GcsrFleet, RevealedWindow
 from dcmkit.verify import random_bound_instance, random_ep_problem, random_tiny_instance
-from test_chase_reference import regret_process, slice_energy
+from test_chase_reference import chase_slices, regret_process, slice_energy
 
 # dyadic idle economics: every server unit draws exactly 0.25, price 0.125,
 # so one idle slot costs 0.03125 and the break-even window is 4 slots sharp
@@ -112,14 +112,22 @@ def test_fleet_block_rows_match_sequential_sums(monkeypatch):
             w = int(rng.integers(0, 4))
             window = RevealedWindow(t_end)
             fleet = GcsrFleet(inst, window)
+            held = set()
             for t in range(1, t_end + 1):
                 window.reveal(t + w)
                 end = window.end
-                for s in range(t, end + 1):
-                    assert np.array_equal(fleet.idle_prefix(s), prefix[s - 1])
                 assert np.array_equal(window.read(inst.workload, t, end), inst.workload[t - 1 : end])
                 x = fleet.decide_next()
                 assert fleet.energy[t - 1] == tables[t - 1, x]
+                # every held row is its slot's sequential sum and demand row,
+                # and every revealed slot's row has been held
+                for start, grid, rows in fleet._blocks:
+                    stop = start + len(grid) - 1
+                    assert np.array_equal(rows, prefix[start - 1 : stop])
+                    assert np.array_equal(grid, tables[start - 1 : stop])
+                    held.update(range(start, stop + 1))
+                assert held >= set(range(1, end + 1))
+                assert np.array_equal(fleet.idle_prefix(end), prefix[end - 1])
                 # O((block + w) * M) floats: whole blocks from the one of slot t
                 assert sum(len(grid) for _, grid, _ in fleet._blocks) <= 2 * block + w
 
@@ -159,6 +167,8 @@ def test_fleet_reads_stay_checked_after_a_block_is_evaluated(monkeypatch):
         fleet.decide_next()
     assert [start for start, _, _ in fleet._blocks] == [2]
     assert np.array_equal(fleet.idle_prefix(2), [2 * IDLE])
+    with pytest.raises(ValueError, match="row 1 precedes the newest held block"):
+        fleet.idle_prefix(1)  # rows are read in slot order, never behind the newest block
 
 
 class FurtherWindow:
@@ -579,7 +589,7 @@ def test_full_window_chase_differs_from_offline_only_in_end_segments():
     for _ in range(1500):
         gen, energy, price = random_ep_problem(rng)
         t_end = len(energy)
-        _, on = chase(gen, energy, price, t_end, return_slices=True)
+        on = chase_slices(gen, energy, price, t_end)
         off = ep_offline_slices(gen, energy, price)
         for i in range(gen.count):
             segments = regret_process(gen, slice_energy(energy, i + 1, gen.capacity), price).segments
@@ -756,6 +766,11 @@ def test_bound_params_extend_the_ongrid_params():
         OngridParams(beta_s=0.0, p_min=0.1, d_min=0.1)
     with pytest.raises(ConfigError):
         OngridParams(beta_s=0.1, p_min=-0.1, d_min=0.1)
+    # a span that underflows to 0.0 would divide alpha_s by zero; an
+    # infinite one (free idling) is valid
+    with pytest.raises(ConfigError, match=r"break-even span .* is 0\.0"):
+        OngridParams(beta_s=5e-324, p_min=0.1, d_min=100.0)
+    assert OngridParams(beta_s=5e-324, p_min=0.0, d_min=100.0).coverage(4) == 0.0
 
 
 def test_ep_bound_value_and_decay():
