@@ -238,7 +238,9 @@ class Instance:
     workload and price are 1-based conceptually: series index k holds slot
     t = k+1. Accessor methods take slot numbers, so off-by-one handling stays
     in one place. max_servers, the largest fleet any slot requires
-    (max_t ceil(a(t))), is computed once at construction.
+    (max_t ceil(a(t))), is computed once at construction. Construction
+    rejects magnitudes whose full-fleet grid bill, p(t)*d_t(M) summed over
+    the horizon, overflows, so no solver runs on inf demands or costs.
     """
 
     workload: np.ndarray
@@ -275,6 +277,13 @@ class Instance:
                 f"({self.generator.breakeven_price:.6g} >= {self.p_max:.6g})"
             )
         self._derive()
+        # demand is nondecreasing in x and prices are nonnegative, so the
+        # full fleet's grid bill bounds every demand, idle-cost sum and bill
+        with np.errstate(over="ignore", invalid="ignore"):
+            bill = float(np.dot(self.price, self._demand(slice(None), float(self.max_servers))))
+        if not math.isfinite(bill):
+            raise ConfigError(f"the full fleet's grid bill, p(t)*d_t(M) summed over the horizon, "
+                              f"is {bill}: the model's magnitudes overflow")
 
     def _derive(self) -> None:
         """Set the fields computed from the validated series."""
@@ -397,15 +406,17 @@ class Instance:
 # operating-point math
 
 
-def demand_series(instance: Instance, x) -> np.ndarray:
-    """Vector of d_t(x(t)) across the horizon for a fleet series x.
+def demand_series(instance: Instance, x, slots: slice = slice(None)) -> np.ndarray:
+    """Vector of d_t(x(t)) for a fleet series x over the horizon, or over
+    the slots that slots (a slice of the 0-based series) selects.
 
     No feasibility gate; callers decide whether x must cover the workload.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != instance.workload.shape:
-        raise ConfigError(f"fleet series has shape {x.shape}, expected {instance.workload.shape}")
-    return instance._demand(slice(None), x)
+    shape = instance.workload[slots].shape
+    if x.shape != shape:
+        raise ConfigError(f"fleet series has shape {x.shape}, expected {shape}")
+    return instance._demand(slots, x)
 
 
 def _supply_inputs(gen: GeneratorModel, y, p, d) -> tuple[np.ndarray, ...]:

@@ -12,12 +12,16 @@ supply into N unit generator slices solved by tracking a clamped cumulative
 savings process.
 
 Both the DP and the server slices walk the horizon in blocks of BLOCK_SLOTS
-slots, one demand grid per block. For the slices, idle_cost_block also
-continues each slice's running idle-cost sum P from the previous block's
-last row, and each idle gap is decided at the slot where it closes, so
-solve_cp_offline holds O(BLOCK_SLOTS * M + T) numbers, never a (T, M) array.
-The online GCSR fleet evaluates its blocks with the same function, so online
-and offline slice rules compare the same floats.
+slots. The DP reads one demand grid per block. For the slices,
+idle_cost_block returns only the running idle-cost sums P of a block,
+continued from the previous block's last row; it builds them from
+cache-sized chunks of demand rows (CHUNK_CELLS grid cells each) and holds no
+grid of the whole block. gap_pieces turns a block's changes in the busy
+count into the gaps of the nested slices, and each gap is decided at the
+slot where it closes, so solve_cp_offline holds O(BLOCK_SLOTS * M + T)
+numbers, never a (T, M) array. The online GCSR fleet steps the same two
+functions over its revealed slots, so online and offline slice rules
+compare the same floats.
 
 The generator slices share one kernel with online CHASE: regret_rows steps
 every slice's clamped savings over a block of slots, and next_extremes finds
@@ -50,7 +54,8 @@ from .model import _supply_inputs
 
 DEFAULT_STATE_BUDGET = 5_000_000
 DEFAULT_ENUM_BUDGET = 10_000_000
-BLOCK_SLOTS = 256  # slots per block evaluation of demand grids and idle-cost sums
+BLOCK_SLOTS = 256  # slots per block of demand grids, idle-cost sums and block-stepped decisions
+CHUNK_CELLS = 1 << 16  # demand-grid cells per idle_cost_block chunk: 512 KiB of floats
 
 
 # ---------------------------------------------------------------------------
@@ -273,28 +278,31 @@ def brute_force_dcm(instance: Instance, budget: int = DEFAULT_ENUM_BUDGET) -> Sc
 # provisioning decomposition (server slices)
 
 
-def idle_cost_block(
-    instance: Instance, start: int, end: int, carried
-) -> tuple[np.ndarray, np.ndarray]:
-    """Demand grid and running idle-cost sums for one block of slots.
+def idle_cost_block(instance: Instance, start: int, end: int, carried) -> np.ndarray:
+    """Running idle-cost sums P(s) for s = start-1..end, shape (end-start+2, M).
 
-    The block runs from slot start through the later of end and
-    start + BLOCK_SLOTS - 1, capped at the horizon; call that slot stop.
-    Returns (grid, prefix). grid holds d_s(0..M) for s = start..stop, from
-    one demand_table(start, stop) call. prefix holds P(s) for
-    s = start-1..stop, shape (stop-start+2, M): row 0 is carried, the sum
-    P(start-1) (zeros at slot 1), and each later row continues it with one
-    sequential float add per slot, P_i(s) = P_i(s-1) + p(s) * (d_s(i+1) - d_s(i)).
-    The online GCSR fleet and the offline slice rule both read P from here,
-    so they compare the same floats (see reaches_breakeven).
+    Row 0 is carried, the sum P(start-1) (zeros at slot 1), and each later
+    row continues it with one sequential float add per slot,
+    P_i(s) = P_i(s-1) + p(s) * (d_s(i+1) - d_s(i)). The demand rows come from
+    demand_table calls of at most max(1, CHUNK_CELLS // (M+1)) slots each, so
+    each chunk's grid stays cache-sized; a chunk is differenced and priced
+    straight into its P rows, and no grid of the whole block is held. The
+    floats do not depend on the chunking. The online GCSR fleet and the
+    offline slice rule both read P from here, so they compare the same
+    floats (see reaches_breakeven).
     """
-    stop = min(instance.horizon, max(end, start + BLOCK_SLOTS - 1))
-    grid = instance.demand_table(start, stop)
-    prefix = np.empty((stop - start + 2, grid.shape[1] - 1))
+    m = instance.max_servers
+    prefix = np.empty((end - start + 2, m))
     prefix[0] = carried
-    np.multiply(instance.price[start - 1 : stop, None], np.diff(grid, axis=1), out=prefix[1:])
-    np.add.accumulate(prefix, axis=0, out=prefix)
-    return grid, prefix
+    rows = max(1, CHUNK_CELLS // (m + 1))
+    for first in range(start, end + 1, rows):
+        last = min(first + rows - 1, end)
+        grid = instance.demand_table(first, last)
+        block = prefix[first - start : last - start + 2]  # the row before the chunk, then its rows
+        np.subtract(grid[:, 1:], grid[:, :-1], out=block[1:])
+        block[1:] *= instance.price[first - 1 : last, None]
+        np.add.accumulate(block, axis=0, out=block)
+    return prefix
 
 
 def reaches_breakeven(prefix, base, beta_s: float):
@@ -310,53 +318,49 @@ def reaches_breakeven(prefix, base, beta_s: float):
     return prefix - base >= beta_s
 
 
-class _GapCloser:
-    """The offline slice rule, decided gap by gap as each gap closes.
+def gap_pieces(need: np.ndarray, prefix: np.ndarray, start: int, carried):
+    """Every gap of the server slices that one block of slots shows.
 
     Slices are nested: with c(s) = ceil(a(s)) busy slices at slot s, slices
-    0..c(s)-1 are busy. So a gap closes at slot s, the slice turning busy
-    again, for exactly the slices c(s-1)..c(s)-1, and opens for
-    c(s)..c(s-1)-1 when the count falls. Per slice the closer keeps the
-    anchor base_i, P at the slice's last busy slot (-inf before its first,
-    so a leading gap reaches break-even and turns off), and that slot. A gap
-    through slot s-1 stays on iff not reaches_breakeven(P(s-1), base_i,
-    beta_s), the offline rule's test on the floats GCSR reads. Gaps still
-    open at the horizon end never close, so trailing gaps stay off.
+    0..c(s)-1 are busy. So a gap opens at slot s, the slice turning idle,
+    for exactly the slices c(s)..c(s-1)-1 when the count falls, and closes,
+    the slice turning busy again, for c(s-1)..c(s)-1 when it rises. need[k]
+    and prefix[k] are c(s) and P(s) for s = start-1+k, k = 0..n; carried is
+    (slices, first, base) of the gaps open at slot start-1 that the caller
+    still follows.
+
+    Returns (slices, first, base, last), one entry per gap carried into the
+    block or opening in it, sorted by slice and then slot: first is the
+    gap's first idle slot g, base its anchor P(g-1), and last the row of
+    prefix at its last idle slot in the block: the row before its close
+    (P(h) for the gap's last idle slot h = start-1+last) or n if the gap is
+    still open at the block's last slot. A close that ends no such gap (a
+    slice's leading gap, or one the caller no longer follows) is left out.
     """
-
-    def __init__(self, slices: int, beta_s: float):
-        self.beta_s = beta_s
-        self._base = np.full(slices, -np.inf)
-        self._last = np.zeros(slices, dtype=int)
-
-    def close(self, need: np.ndarray, prefix: np.ndarray, start: int):
-        """Kept gaps that close in slots start..start+len(need)-2.
-
-        need[k] and prefix[k] are c(s) and P(s) for s = start-1+k. Returns
-        arrays (slices, first, last) of the kept gaps' slice indices and
-        first and last idle slots.
-        """
-        was, now = need[:-1], need[1:]
-        count = np.abs(now - was)
-        # one event per slice whose gap opens (count falls) or closes (count
-        # rises) at slot s = start + row; either event reads P(s-1) = prefix[row]
-        row = np.repeat(np.arange(len(count)), count)
-        i = np.arange(len(row)) + np.repeat(np.minimum(was, now) - np.cumsum(count) + count, count)
-        opens = np.repeat(now < was, count)
-        order = np.argsort(i, kind="stable")  # by slice, then by slot
-        i, row, opens = i[order], row[order], opens[order]
-        anchor = prefix[row, i]
-        slot = start + row - 1  # s-1: an open's last busy slot, a close's last idle slot
-        # a slice's events alternate, so an event that follows one of its own
-        # slice here is a close after its open; other closes end a carried gap
-        follows = np.flatnonzero(i[1:] == i[:-1]) + 1
-        base, last = self._base[i], self._last[i]
-        base[follows], last[follows] = anchor[follows - 1], slot[follows - 1]
-        kept = ~opens & ~reaches_breakeven(anchor, base, self.beta_s)
-        carry = opens.copy()  # opens that no close follows in this block
-        carry[follows - 1] = False
-        self._base[i[carry]], self._last[i[carry]] = anchor[carry], slot[carry]
-        return i[kept], last[kept] + 1, slot[kept]
+    was, now = need[:-1], need[1:]
+    count = np.abs(now - was)
+    # one event per slice whose gap opens or closes at slot s = start + row;
+    # either reads its anchor P(s-1) = prefix[row]
+    row = np.repeat(np.arange(len(count)), count)
+    i = np.arange(len(row)) + np.repeat(np.minimum(was, now) - np.cumsum(count) + count, count)
+    opens = np.repeat(now < was, count)
+    # carried gaps go first, as opens at row 0, so the stable sort puts each
+    # before its slice's events
+    slices, first, base = carried
+    held = len(slices)
+    first = np.concatenate((first, start + row))
+    base = np.concatenate((base, prefix[row, i]))
+    i = np.concatenate((slices, i))
+    row = np.concatenate((np.zeros(held, dtype=int), row))
+    opens = np.concatenate((np.ones(held, dtype=bool), opens))
+    order = np.argsort(i, kind="stable")  # by slice, then by slot
+    i, row, opens, first, base = i[order], row[order], opens[order], first[order], base[order]
+    # a slice's events alternate, so an event that follows one of its own
+    # slice is the close of that open
+    last = np.full(len(i), len(need) - 1)
+    follows = np.flatnonzero(i[1:] == i[:-1]) + 1
+    last[follows - 1] = row[follows]
+    return i[opens], first[opens], base[opens], last[opens]
 
 
 def _paint(need: np.ndarray, slices: int, gaps) -> np.ndarray:
@@ -372,18 +376,22 @@ def _paint(need: np.ndarray, slices: int, gaps) -> np.ndarray:
 
 def _instance_gaps(instance: Instance):
     """Kept gaps of every server slice, one (slices, first, last) triple per
-    block of slots, walking the horizon with idle_cost_block."""
+    block of BLOCK_SLOTS slots. A gap is kept iff it closes and
+    not reaches_breakeven(P(h), base, beta_s) at its last idle slot h."""
+    t_end, m = instance.horizon, instance.max_servers
     need = np.concatenate(([0], np.ceil(instance.workload).astype(int)))
-    closer = _GapCloser(instance.max_servers, instance.server.beta_s)
-    carried = np.zeros(instance.max_servers)
-    start = 1
-    while start <= instance.horizon:
-        _, prefix = idle_cost_block(instance, start, start, carried)
-        stop = start + len(prefix) - 2
-        yield closer.close(need[start - 1 : stop + 1], prefix, start)
-        carried = prefix[-1].copy()
-        del prefix  # not held while the next block's demand grid is built
-        start = stop + 1
+    carried = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+    row = np.zeros(m)
+    for start in range(1, t_end + 1, BLOCK_SLOTS):
+        stop = min(start + BLOCK_SLOTS - 1, t_end)
+        prefix = idle_cost_block(instance, start, stop, row)
+        i, first, base, last = gap_pieces(need[start - 1 : stop + 1], prefix, start, carried)
+        closed = last < stop - start + 1
+        kept = closed & ~reaches_breakeven(prefix[last, i], base, instance.server.beta_s)
+        yield i[kept], first[kept], start - 1 + last[kept]
+        carried = (i[~closed], first[~closed], base[~closed])
+        row = prefix[-1].copy()
+        del prefix  # not held while the next block's P rows are built
 
 
 def cp_offline_slices(instance: Instance) -> np.ndarray:
@@ -402,7 +410,7 @@ def solve_cp_offline(instance: Instance) -> np.ndarray:
     """Optimal provisioning series as the sum of unit-slice optima.
 
     Walks the horizon in blocks of BLOCK_SLOTS slots (idle_cost_block) and
-    decides each slice's idle gap at the slot where it closes (_GapCloser);
+    decides each slice's idle gap at the slot where it closes (gap_pieces);
     a kept gap adds one server to each of its slots through a length-(T+1)
     difference array. Memory is O(BLOCK_SLOTS * M + T): no (T, M) array is
     built. The offline rule knows where the horizon ends: trailing gaps

@@ -2,20 +2,24 @@
 
 Every online stage reads its inputs only through a RevealedWindow, slots
 1..end of the horizon. Before the decision for slot t the driver reveals up
-to t + w; a fleet's decide_next decides its next slot from window.end, and
-every read passes the window's one check, which raises LookaheadViolation
-outside [1, end]. A causality violation is thus a structural error rather
-than a silent bug.
+to t + w; a fleet's decide_next decides every slot whose own window end is
+revealed, and every read passes the window's one check, which raises
+LookaheadViolation outside [1, end]. A causality violation is thus a
+structural error rather than a silent bug.
 
 Provisioning (GCSR, GcsrFleet): each unit server slice idles through a
 workload gap until the idle cost since the gap began, plus what the window
 shows is still coming, reaches the restart cost beta_s; then it turns off.
 It tests the offline slice rule's predicate on the same floats, so online
-and offline agree at exact ties. Because idle cost only grows, the verdict
-hangs on one slot per gap, the first where the cost reaches beta_s; the
-fleet tests each slot once as the window reveals it and arms the turn-off
-for the first decision that sees that slot, so a decision's work does not
-grow with the window.
+and offline agree at exact ties. The running idle-cost sum P is
+nondecreasing, so the predicate is monotone along a gap: it fails up to the
+gap's break-even slot j* and holds from there on. j* can thus be found by a
+binary search over the gap's P rows, and the slice turns off at max(g, t*),
+g the gap's first slot and t* the first decision whose window reveals j*.
+The fleet decides in blocks, like CHASE: one step evaluates the newly
+revealed P rows (offline.idle_cost_block), extracts the gaps they show with
+the offline rule's kernel (offline.gap_pieces) and searches each for j*, so
+its work is O(rows * M + gaps * log BLOCK_SLOTS), whatever the window.
 
 Supply (CHASE, ChaseFleet): each unit generator slice tracks R, its
 cumulative savings of running versus buying from the grid, clamped to
@@ -31,8 +35,9 @@ floats.
 
 The combined pipeline (DCMON) runs GCSR under the master window t + w and
 CHASE under a second window s + ep_window(w) over GCSR's energy series,
-which grows as GCSR decides the slots that window reveals; CHASE decides
-each block of output slots once GCSR has decided through its last end.
+which grows as GCSR decides the slots that window reveals: GCSR decides
+slot s when the driver stands at output slot max(1, s - ep_window(w)).
+Both stages step once per block of output slots.
 
 A-priori values and bounds: besides the revealed window, the pipeline and
 every ratio bound read only declared values. OngridParams holds beta_s,
@@ -46,15 +51,21 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import offline
 from .errors import ConfigError, LookaheadViolation
-from .model import GeneratorModel, Instance, Schedule, dispatched_schedule
-from .offline import idle_cost_block, next_extremes, reaches_breakeven, regret_rows, supply_series
+from .model import GeneratorModel, Instance, Schedule, demand_series, dispatched_schedule
+from .offline import (
+    gap_pieces,
+    idle_cost_block,
+    next_extremes,
+    reaches_breakeven,
+    regret_rows,
+    supply_series,
+)
 
 # ---------------------------------------------------------------------------
 # the revealed window
@@ -76,16 +87,19 @@ class RevealedWindow:
     object itself, so a list that grows as decisions are made can be read as
     it grows.
 
-    A fleet that decides a block of slots at once (ChaseFleet) also needs
-    each decision's own window: decision s may read slots up to its end,
-    min(s + lookahead, horizon). ends gives the ends of the decisions a
-    fleet may make, and check_each raises LookaheadViolation for any slot a
-    decision used past its own end.
+    A fleet that decides a block of slots at once (ChaseFleet, GcsrFleet)
+    also needs each decision's own window. Decision s is made when the
+    driver stands at slot max(1, s - lag) and may read slots up to its end,
+    min(max(1, s - lag) + lookahead, horizon); lag is 0 except for DCMON's
+    provisioning stage, which decides ahead of its output slot. ends gives
+    the ends of the decisions a fleet may make, and check_each raises
+    LookaheadViolation for any slot a decision used past its own end.
     """
 
-    def __init__(self, horizon: int, lookahead: int = 0) -> None:
+    def __init__(self, horizon: int, lookahead: int = 0, lag: int = 0) -> None:
         self.horizon = horizon
         self.lookahead = lookahead
+        self.lag = lag
         self.end = 0
 
     def reveal(self, end: int) -> None:
@@ -106,8 +120,8 @@ class RevealedWindow:
     def ends(self, first: int) -> np.ndarray:
         """Window ends of decisions first, first+1, ... through the last whose
         end is revealed; LookaheadViolation unless decision first's is."""
-        self.check(min(first + self.lookahead, self.horizon))
-        last = self.horizon if self.end == self.horizon else self.end - self.lookahead
+        self.check(min(max(1, first - self.lag) + self.lookahead, self.horizon))
+        last = self.horizon if self.end == self.horizon else self.end - self.lookahead + self.lag
         return self._ends(first, last)
 
     def check_each(self, first: int, slots: np.ndarray) -> None:
@@ -122,169 +136,170 @@ class RevealedWindow:
 
     def _ends(self, first: int, last: int) -> np.ndarray:
         """Window ends of decisions first..last, within the revealed slots."""
-        return np.minimum(np.arange(first, last + 1) + self.lookahead, self.end)
+        driver = np.maximum(np.arange(first, last + 1) - self.lag, 1)
+        return np.minimum(driver + self.lookahead, self.end)
 
 
 # ---------------------------------------------------------------------------
 # provisioning: GCSR
 
 
+def _breakeven_rows(prefix: np.ndarray, slices, base, first, last, beta_s: float) -> np.ndarray:
+    """For each gap k, the first row r in first[k]..last[k] where
+    reaches_breakeven(prefix[r, slices[k]], base[k], beta_s) holds, given
+    that it holds at last[k] and that P is nondecreasing down the rows.
+
+    A binary search on all gaps at once: ceil(log2(rows)) gathers of one
+    row per gap, rows the longest gap's count of candidate rows.
+    """
+    lo, hi = first.copy(), last.copy()
+    for _ in range(int((hi - lo).max()).bit_length()):
+        mid = (lo + hi) // 2
+        hit = reaches_breakeven(prefix[mid, slices], base, beta_s)
+        np.copyto(hi, mid, where=hit)
+        np.copyto(lo, mid + 1, where=~hit)
+    return hi
+
+
 class GcsrFleet:
-    """All unit server slices of one GCSR run, as events on revealed slots.
+    """All unit server slices of one GCSR run, decided gap by gap in blocks.
 
     Slice i (0-based) is busy in slot s iff a(s) > i, so with
     c(s) = ceil(a(s)) the busy slices are 0..c(s)-1. A gap of slice i is a
     maximal run of idle slots g..h after a busy slot g-1; its anchor is
-    base_i = P_i(g-1), the running idle-cost sum at that busy slot (see
-    idle_prefix). The rule: an idle, powered slice turns off at decision t
-    once reaches_breakeven(P_i(j), base_i, beta_s) holds for some revealed
-    j >= t with no busy slot in t..j; the offline rule evaluates the same
-    predicate on the same floats. Slices in their leading gap were never
-    on and stay off.
+    base_i = P_i(g-1), P_i the running idle-cost sum
+    (offline.idle_cost_block). The rule: an idle, powered slice turns off at
+    decision t once reaches_breakeven(P_i(j), base_i, beta_s) holds for some
+    j >= t in the gap within decision t's window; the offline rule evaluates
+    the same predicate on the same floats. Slices in their leading gap were
+    never on and stay off.
 
-    The verdict depends only on j*, the first slot of the gap where the
-    predicate holds. P_i is nondecreasing (prices are nonnegative and d_s(x)
-    is a nondecreasing float function of x, built from monotone float
-    operations on nonnegative terms), and float subtraction and comparison
-    are monotone, so at decision t in the gap the rule turns off iff the
-    predicate holds at min(h, end_t), end_t being the window end; that is
-    iff end_t >= j*. The window end never falls, so the slice turns off at
-    max(g, t*), where t* is the first decision whose window reveals j*, and
-    stays off to the end of the gap. That holds for any window that never
-    shrinks: gcsr's t + w and DCMON's master window alike.
+    P_i is nondecreasing (prices are nonnegative and d_s(x) is a
+    nondecreasing float function of x, built from monotone float operations
+    on nonnegative terms), and float subtraction and comparison are
+    monotone, so along a gap the predicate is false up to some slot j*, the
+    gap's break-even slot, and true from there on. j* can thus be found by
+    binary search over the gap's P rows, and at decision t in the gap the
+    rule turns off iff t's window end reaches j*. Window ends never fall, so
+    the slice turns off at max(g, t*), t* the first decision whose end is
+    >= j*, and stays off to the end of the gap; a gap with no j* stays on.
+    That holds for any window that never shrinks: gcsr's s + w and DCMON's
+    master window alike.
 
-    So the fleet steps once per revealed slot e, reading a(e) and P(e)
-    through the window. Gaps that open at e (slices c(e)..c(e-1)-1) take
-    base = P(e-1) and start g = e and are pending; gaps that close at e
-    are no longer pending. The pending slices are tested on P(e). Each hit
-    (e = j*) stops pending and arms one turn-off at slot max(g, next_slot),
-    which lies in the gap (g <= e and next_slot <= e) and is never a slot
-    already decided. A decision applies the turn-offs armed for its slot,
-    turns slices 0..c(t)-1 on and counts. Each revealed slot thus costs a
-    few numpy operations over the slices, whatever the window. Per-slice
-    decisions are stored only when asked for.
+    decide_next decides a block of slots at once: every slot from next_slot
+    whose own window end is revealed (RevealedWindow.ends). It first steps
+    over the newly revealed slots, in blocks of at most offline.BLOCK_SLOTS:
+    c(s) is read through the window, P from one offline.idle_cost_block
+    call, whose rows continue the previous block's last row, and
+    offline.gap_pieces, the offline rule's kernel, gives every gap the
+    block shows. A gap whose P reaches beta_s by its last row in the block
+    has its j* found by _breakeven_rows, O(gaps * log BLOCK_SLOTS) work, and
+    every j* passes window.check_each against the end of the decision t* it
+    is charged to. A gap with no j* that is still open at the block's end
+    is carried as (slice, g, base), so no P row outlives its block.
 
-    The fleet evaluates demand rows d_s(0..M) and the running idle-cost sums
-    P_i(s) = P_i(s-1) + p(s) * (d_s(i+1) - d_s(i)), P_i(0) = 0, lazily: one
-    offline.idle_cost_block call per block of BLOCK_SLOTS slots, whose P
-    rows continue the previous block's last row, so the offline slice rule
-    reads the same floats. The fleet keeps the blocks as evaluated and drops
-    a block whole once the slot being decided has passed it, so no held row
-    is copied. Rows are read one slot at a time, in slot order, so each
-    block holds BLOCK_SLOTS slots, and at decision t the held ones run from
-    the block of slot t - 1 through at most slot t + w + BLOCK_SLOTS - 1:
-    at most 2 * BLOCK_SLOTS + w rows of each array, O((BLOCK_SLOTS + w) * M)
-    floats. Deciding slot t appends d_t(x_t), read from the held demand row,
-    to energy.
+    Each resolved gap adds a kept interval, g through its turn-off or its
+    close, to a difference array over the slots. Every event at or before
+    a decided slot is known when it is decided, so decision t's fleet is
+    c(t) plus the kept intervals covering t. decide_next returns the kept
+    intervals it resolved, for painting slices; the fleet holds
+    O(BLOCK_SLOTS * M + T) numbers, and energy holds d_t(x_t) of the
+    decided slots (model.demand_series).
     """
 
-    def __init__(self, instance: Instance, window: RevealedWindow, record_slices: bool = False):
+    def __init__(self, instance: Instance, window: RevealedWindow):
         self.instance = instance
         self.window = window
-        self.n_slices = m = instance.max_servers
+        self.n_slices = instance.max_servers
         self.beta_s = instance.server.beta_s
-        self._on = np.zeros(m, dtype=bool)
-        self._base = np.zeros(m)  # P(g-1) of each slice's latest gap
-        self._start = np.zeros(m, dtype=int)  # g of each slice's latest gap
-        self._pending = np.zeros(m, dtype=bool)  # idle in a gap, break-even not yet revealed
-        self._armed: dict[int, list[np.ndarray]] = {}  # slot -> slices that turn off there
-        # the last revealed slot, c(s) of the revealed slots not yet decided,
-        # and c and P of the last revealed slot
+        t_end = instance.horizon
+        self._need = np.zeros(t_end + 1, dtype=int)  # c(s) of the revealed slots, c(0) = 0
+        self._diff = np.zeros(t_end + 1, dtype=int)  # +1 at a kept interval's first slot, -1 past its last
+        self._held = 0  # kept intervals covering the last decided slot
         self._revealed = 0
-        self._busy: deque[int] = deque()
-        self._busy_last = 0
-        self._row_last = np.zeros(m)
-        # the held blocks, each its first slot, demand rows d_s(0..M) and
-        # idle-cost sums P(s); the newest ends at slot _last
-        self._last = 0
-        self._blocks: deque[tuple[int, np.ndarray, np.ndarray]] = deque()
+        self._row = np.zeros(self.n_slices)  # P of the last revealed slot
+        # (slice, g, base) of the gaps still open with no j* revealed
+        self.open_gaps = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
         self.next_slot = 1
         self.series: list[int] = []
         self.energy: list[float] = []  # energy[t-1] = d_t(series[t-1])
-        self.slice_series: list[np.ndarray] | None = [] if record_slices else None
 
-    def idle_prefix(self, s: int) -> np.ndarray:
-        """Row P(s), shape (M,), read-only, for s in the newest held block or
-        past it: the fleet reads each row once, in slot order."""
-        self.window.check(s)
-        if s > self._last:
-            carried = self._blocks[-1][2][-1] if self._blocks else np.zeros(self.n_slices)
-            grid, prefix = idle_cost_block(self.instance, self._last + 1, s, carried)
-            prefix = prefix[1:]
-            prefix.flags.writeable = False
-            self._blocks.append((self._last + 1, grid, prefix))
-            self._last += len(grid)
-        start, _, prefix = self._blocks[-1]
-        if s < start:
-            raise ValueError(f"row {s} precedes the newest held block, which starts at {start}")
-        return prefix[s - start]
+    def _step(self, stop: int, t: int, ends: np.ndarray):
+        """Step the gaps over the revealed slots after the last stepped one
+        through stop, for decisions t.. with window ends ends; returns the
+        (slices, first, last) kept intervals of the gaps it resolved."""
+        start = self._revealed + 1
+        need = self._need[start - 1 : stop + 1]
+        need[1:] = np.ceil(self.window.read(self.instance.workload, start, stop))
+        # the read above checked slots start..stop, the P rows evaluated here
+        prefix = idle_cost_block(self.instance, start, stop, self._row)
+        slices, g, base, last = gap_pieces(need, prefix, start, self.open_gaps)
+        until = start + last  # one past the kept interval: a close, or stop + 1 while open
+        hit = np.flatnonzero(reaches_breakeven(prefix[last, slices], base, self.beta_s))
+        if len(hit):
+            rows = _breakeven_rows(prefix, slices[hit], base[hit],
+                                   np.maximum(g[hit] - start + 1, 1), last[hit], self.beta_s)
+            j_star = start - 1 + rows
+            decision = np.searchsorted(ends, j_star)  # t* - t
+            latest = np.zeros((len(ends), 1), dtype=int)
+            np.maximum.at(latest[:, 0], decision, j_star)
+            self.window.check_each(t, latest)
+            until[hit] = np.maximum(g[hit], t + decision)
+        np.add.at(self._diff, g[g >= start] - 1, 1)
+        done = until <= stop
+        np.add.at(self._diff, until[done] - 1, -1)
+        self.open_gaps = (slices[~done], g[~done], base[~done])
+        self._row = prefix[-1].copy()
+        self._revealed = stop
+        return slices[done], g[done], until[done] - 1
 
-    def _reveal(self) -> None:
-        """Step the gaps over the next revealed slot e and arm the turn-offs it certifies."""
-        e = self._revealed + 1
-        c = math.ceil(self.window.read(self.instance.workload, e))
-        row = self.idle_prefix(e)
-        was = self._busy_last
-        if c < was:  # gaps open at e
-            self._base[c:was] = self._row_last[c:was]
-            self._start[c:was] = e
-            self._pending[c:was] = True
-        elif c > was:  # gaps close at e
-            self._pending[was:c] = False
-        due = self._pending[c:] & reaches_breakeven(row[c:], self._base[c:], self.beta_s)
-        hits = due.nonzero()[0]
-        if len(hits):
-            hits += c
-            self._pending[hits] = False
-            slots = np.maximum(self._start[hits], self.next_slot)
-            # one turn-off list per run of equal slots (gap starts fall along hits)
-            cuts = [0, *((slots[1:] != slots[:-1]).nonzero()[0] + 1).tolist(), len(hits)]
-            for lo, hi in zip(cuts, cuts[1:]):
-                self._armed.setdefault(int(slots[lo]), []).append(hits[lo:hi])
-        self._busy.append(c)
-        self._busy_last, self._row_last, self._revealed = c, row, e
-
-    def decide_next(self) -> int:
-        """Decide slot self.next_slot from the slots up to window.end."""
+    def decide_next(self) -> list:
+        """Decide slots self.next_slot.. through the last whose own window end
+        is revealed; returns the kept intervals resolved on the way, one
+        (slices, first, last) triple per block of revealed slots."""
         t = self.next_slot
-        self.window.check(t)
-        while self._revealed < self.window.end:
-            self._reveal()
-        for slices in self._armed.pop(t, ()):
-            self._on[slices] = False
-        self._on[: self._busy.popleft()] = True
-        if self.slice_series is not None:
-            self.slice_series.append(self._on.copy())
-        total = int(np.count_nonzero(self._on))
-        self.series.append(total)
-        while t >= self._blocks[0][0] + len(self._blocks[0][1]):  # drop the blocks before t
-            self._blocks.popleft()
-        start, grid, _ = self._blocks[0]
-        self.energy.append(float(grid[t - start, total]))
-        self.next_slot += 1
-        return total
+        ends = self.window.ends(t)
+        kept = []
+        while self._revealed < ends[-1]:
+            kept.append(self._step(min(self._revealed + offline.BLOCK_SLOTS, ends[-1]), t, ends))
+        k = len(ends)
+        held = self._held + np.cumsum(self._diff[t - 1 : t - 1 + k])
+        self._held = int(held[-1])
+        fleet = self._need[t : t + k] + held
+        self.series.extend(fleet.tolist())
+        self.energy.extend(demand_series(self.instance, fleet, slice(t - 1, t - 1 + k)).tolist())
+        self.next_slot += k
+        return kept
 
 
 def gcsr(instance: Instance, lookahead: int, return_slices: bool = False):
-    """Run GCSR over the whole horizon; returns the provisioning series.
+    """Run GCSR over the whole horizon; returns the provisioning series, and
+    with return_slices the (max_servers, horizon) on/off matrix of its slices.
 
-    The rule treats the horizon end as unknown even when the window reaches
-    it: a powered slice in its trailing gap holds unless the gap's idle cost
-    reaches beta_s, where the offline rule turns off for free. At w >= T it
-    differs from solve_cp_offline only in trailing gaps.
+    Decision t's window ends at t + lookahead. The driver reveals the ends
+    of offline.BLOCK_SLOTS decisions at a time and the fleet decides them
+    in one step (see GcsrFleet). The rule treats the horizon end as unknown
+    even when the window reaches it: a powered slice in its trailing gap
+    holds unless the gap's idle cost reaches beta_s, where the offline rule
+    turns off for free. At w >= T it differs from solve_cp_offline only in
+    trailing gaps.
     """
     lookahead = _whole_slots(lookahead)
-    window = RevealedWindow(instance.horizon)
-    fleet = GcsrFleet(instance, window, record_slices=return_slices)
-    for t in range(1, instance.horizon + 1):
-        window.reveal(t + lookahead)
-        fleet.decide_next()
+    t_end = instance.horizon
+    window = RevealedWindow(t_end, lookahead)
+    fleet = GcsrFleet(instance, window)
+    kept = []
+    while fleet.next_slot <= t_end:
+        window.reveal(fleet.next_slot + offline.BLOCK_SLOTS - 1 + lookahead)
+        resolved = fleet.decide_next()
+        if return_slices:
+            kept += resolved
     x = np.array(fleet.series, dtype=float)
     if return_slices:
-        slices = np.array(fleet.slice_series, dtype=float).reshape(
-            instance.horizon, fleet.n_slices
-        )
-        return x, slices.T
+        slices, first, _ = fleet.open_gaps  # gaps still open at the end stay on through it
+        gaps = [np.concatenate(parts)
+                for parts in zip(*kept, (slices, first, np.full(len(slices), t_end)))]
+        return x, offline._paint(np.ceil(instance.workload).astype(int), fleet.n_slices, gaps)
     return x
 
 
@@ -380,15 +395,17 @@ def chase(gen: GeneratorModel, energy, price, lookahead: int) -> np.ndarray:
 def dcmon(instance: Instance, lookahead: int, params: OngridParams | None = None) -> Schedule:
     """Run the full online pipeline and return a complete schedule.
 
-    For each output slot t, GCSR decides provisioning through
-    t + params.ep_window(lookahead) under the master window t + w (its
-    break-even scans see no further than t + w, which changes nothing once
-    the surplus exists). Its energy series feeds CHASE, whose decision s
-    reads the supply window up to s + ep_window: once GCSR has decided
-    through the end of a block of offline.BLOCK_SLOTS output slots, CHASE
-    decides the block in one step. The dispatch rule completes each slot
-    from the decided (x, y). Once the supply window reaches the horizon,
-    GCSR has decided every slot and CHASE decides the rest at once.
+    Provisioning slot s is decided by GCSR when the driver stands at output
+    slot max(1, s - params.ep_window(lookahead)), under that slot's master
+    window (its break-even scans see no further than t + w, which changes
+    nothing once the surplus exists). Its energy series feeds CHASE, whose
+    decision s reads the supply window up to s + ep_window. The driver steps
+    in blocks of offline.BLOCK_SLOTS output slots: it reveals both windows
+    for the block's last slot, GCSR decides every slot whose own end is
+    revealed (through the supply window's end), and CHASE decides the block
+    in one step. The dispatch rule completes each slot from the decided
+    (x, y). Once the master window reaches the horizon, GCSR has decided
+    every slot and CHASE decides the rest at once.
 
     params holds the declared a-priori values (default: read off the
     instance); a replay of a truncated view passes its parent's.
@@ -398,15 +415,16 @@ def dcmon(instance: Instance, lookahead: int, params: OngridParams | None = None
         params = OngridParams.from_instance(instance)
     w_ep = params.ep_window(lookahead)
     t_end = instance.horizon
-    window, supply_window = RevealedWindow(t_end), RevealedWindow(t_end, w_ep)
+    window = RevealedWindow(t_end, lookahead, lag=w_ep)
+    supply_window = RevealedWindow(t_end, w_ep)
     fleet = GcsrFleet(instance, window)
     supply = ChaseFleet(instance.generator, fleet.energy, instance.price, supply_window)
     while supply.next_slot <= t_end:
-        for t in range(supply.next_slot, min(supply.next_slot + offline.BLOCK_SLOTS, t_end + 1)):
-            window.reveal(t + lookahead)
-            supply_window.reveal(t + w_ep)
-            while fleet.next_slot <= supply_window.end:
-                fleet.decide_next()
+        t = min(supply.next_slot + offline.BLOCK_SLOTS - 1, t_end)  # the block's last output slot
+        window.reveal(t + lookahead)
+        supply_window.reveal(t + w_ep)
+        while fleet.next_slot <= supply_window.end:
+            fleet.decide_next()
         supply.decide_next()
     return dispatched_schedule(instance, fleet.series, supply.series)
 

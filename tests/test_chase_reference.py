@@ -32,6 +32,7 @@ from dcmkit.model import dispatched_schedule
 from dcmkit.offline import regret_steps
 from dcmkit.online import RevealedWindow
 from dcmkit.verify import random_bound_instance, random_ep_problem, random_tiny_instance
+from test_gcsr_reference import ReferenceGcsrFleet
 
 # dyadic economics: a loaded slot at price 27/256 gains exactly 1.5, a
 # half-loaded one 0.125 and an idle one -1.25, so the process lands on 0
@@ -151,13 +152,13 @@ def test_chase_matches_the_window_scan(monkeypatch):
 
 
 def per_slot_dcmon(instance, lookahead):
-    """DCMON's pipeline as one CHASE decision per output slot, with the
-    window-scan fleet: GCSR decides through t + ep_window under the master
-    window t + w, then the reference decides slot t."""
+    """DCMON's pipeline as one decision per output slot, with the per-slot
+    references: the per-slot GCSR fleet decides through t + ep_window under
+    the master window t + w, then the window-scan CHASE decides slot t."""
     w_ep = online.OngridParams.from_instance(instance).ep_window(lookahead)
     t_end = instance.horizon
     window, supply_window = RevealedWindow(t_end), RevealedWindow(t_end)
-    fleet = online.GcsrFleet(instance, window)
+    fleet = ReferenceGcsrFleet(instance, window)
     supply = ReferenceChaseFleet(instance.generator, fleet.energy, instance.price, supply_window)
     for t in range(1, t_end + 1):
         window.reveal(t + lookahead)

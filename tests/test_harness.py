@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -32,6 +36,8 @@ from dcmkit.harness import (
     validate_config,
 )
 from test_model import regime_at
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 TINY_CFG = {
     "servers": 6,
@@ -387,17 +393,23 @@ def test_cli_non_finite_trace_exits_one(tmp_path, capsys, row):
 
 
 @pytest.mark.parametrize("command", [["compare"], ["solve", "--algo", "offline"], ["sweep"]])
-def test_cli_rejects_costs_that_overflow(tmp_path, capsys, command):
-    # an idle draw of 1e308 kW overflows the grid bill: exit 1, no report
-    # with Infinity or NaN in it
+def test_cli_rejects_costs_that_overflow(tmp_path, command):
+    # an idle draw of 1e308 kW overflows the grid bill: the instance is
+    # rejected before any solver runs, so stderr holds the one error line
+    # and no numpy overflow warning, and no report is written
     cfg = tmp_path / "huge.json"
     cfg.write_text(json.dumps({"days": 1, "servers": 1,
                                "server": {"c_idle": 1e308, "c_peak": 1e308}}))
     out = tmp_path / "report.json"
-    with np.errstate(over="ignore"):
-        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: grid_energy cost is inf: the model's magnitudes overflow\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dcmkit.cli", *command, "--config", str(cfg), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: the full fleet's grid bill, p(t)*d_t(M) summed over the "
+                           "horizon, is inf: the model's magnitudes overflow\n")
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Device models, demand evaluation, dispatch, and cost accounting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -203,7 +204,7 @@ def test_grid_rows_match_scalar_demand_for_every_overhead_kind():
 
 
 def test_block_evaluator_matches_stacked_tables(monkeypatch):
-    # grid rows are demand_table(t) and idle-cost sums continue sequentially
+    # idle-cost sums over the demand_table(t) rows continue sequentially
     # across blocks, whatever the block size
     rng = np.random.default_rng(6)
     instances = [random_tiny_instance(rng) for _ in range(25)]
@@ -220,9 +221,8 @@ def test_block_evaluator_matches_stacked_tables(monkeypatch):
             sums = np.add.accumulate(np.vstack([np.zeros(inst.max_servers), idle]), axis=0)
             carried, start = np.zeros(inst.max_servers), 1
             while start <= inst.horizon:
-                grid, prefix = idle_cost_block(inst, start, start, carried)
                 stop = min(inst.horizon, start + block - 1)
-                assert np.array_equal(grid, tables[start - 1 : stop])
+                prefix = idle_cost_block(inst, start, stop, carried)
                 assert np.array_equal(prefix, sums[start - 1 : stop + 1])
                 carried, start = prefix[-1], stop + 1
 
@@ -429,6 +429,29 @@ def test_evaluate_names_a_cost_that_is_not_finite():
     with np.errstate(over="ignore"), pytest.raises(ConfigError, match=r"^grid_energy cost is inf: "):
         evaluate(inst, Schedule(x=one, y=zero, u=zero, v=[1e308, 1e308]))
     assert math.isfinite(evaluate(inst, Schedule(x=one, y=zero, u=zero, v=[1e307, 1.0])).total)
+
+
+def test_instance_rejects_demand_that_overflows():
+    # the largest demand d_t(M), its grid price, or their sum over the
+    # horizon overflowing is rejected at construction, without a numpy
+    # overflow warning
+    def instance(c_idle, price):
+        return Instance(workload=[1.0, 2.0], price=price,
+                        server=ServerModel(c_idle=c_idle, c_peak=c_idle, beta_s=1.0),
+                        generator=GeneratorModel(60.0, 0.08, 1.2, 24.0, 0))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c_idle, price, bill in (
+            (1e308, [0.1, 0.1], "inf"),  # d_t(M) = 2e308
+            (1e300, [0.1, 1e10], "inf"),  # p(t)*d_t(M) = 2e310
+            (1e308, [0.0, 0.0], "nan"),  # inf demand at a zero price
+            (1e300, [0.6e8, 0.6e8], "inf"),  # 1.2e308 a slot, finite; the sum is not
+        ):
+            with pytest.raises(ConfigError, match=rf"^the full fleet's grid bill, .* is {bill}: "):
+                instance(c_idle, price)
+        inst = instance(1e300, [0.1, 1e7])  # a bill of 2e307 + 2e299: finite
+        assert inst.demand_table(2)[2] == 2e300
 
 
 def test_zero_workload_all_off_costs_nothing():

@@ -324,7 +324,7 @@ def test_dp_stage_rows_are_supply_cost_in_both_price_branches(monkeypatch):
 def test_block_idle_costs_match_per_slot_increments():
     rng = np.random.default_rng(12)
     inst = random_tiny_instance(rng)
-    _, prefix = idle_cost_block(inst, 1, inst.horizon, np.zeros(inst.max_servers))
+    prefix = idle_cost_block(inst, 1, inst.horizon, np.zeros(inst.max_servers))
     idle = np.diff(prefix, axis=0)
     for t in range(1, inst.horizon + 1):
         marginal = np.diff(inst.demand_table(t))

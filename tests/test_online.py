@@ -31,6 +31,7 @@ from dcmkit import (
 )
 from dcmkit import harness, offline, online
 from dcmkit.analysis import grid_only_schedule
+from dcmkit.offline import idle_cost_block
 from dcmkit.online import ChaseFleet, GcsrFleet, RevealedWindow
 from dcmkit.verify import random_bound_instance, random_ep_problem, random_tiny_instance
 from test_chase_reference import chase_slices, regret_process, slice_energy
@@ -61,35 +62,48 @@ def test_window_reveals_exactly_its_slots():
     window.reveal(3)
     assert window.end == 3
     assert np.array_equal(window.read(inst.workload, 1, 3), [1.0, 0.0, 0.0])
-    rows = [fleet.idle_prefix(s) for s in (1, 2, 3)]
-    assert np.array_equal(rows, [[IDLE], [2 * IDLE], [3 * IDLE]])
     with pytest.raises(LookaheadViolation):
         window.read(inst.workload, 1, 4)
-    assert fleet.decide_next() == 1 and fleet.energy == [0.25]
+    fleet.decide_next()  # at w = 0 every revealed slot's window end is revealed
+    assert fleet.series == [1, 1, 1] and fleet.energy == [0.25] * 3
+    with pytest.raises(LookaheadViolation, match=r"slot 4 is outside the revealed window \[1, 3\]"):
+        fleet.decide_next()
     window.reveal(4)
     assert window.end == 4
     assert np.array_equal(window.read(inst.workload, 4, 4), [1.0])
     assert window.read(inst.workload, 4) == 1.0
     with pytest.raises(LookaheadViolation):
         window.read(inst.workload, 5)
+    fleet.decide_next()
+    assert fleet.series == [1, 1, 1, 1]
     with pytest.raises(LookaheadViolation):
-        fleet.idle_prefix(5)
+        fleet.decide_next()
     window.reveal(8)
     assert window.end == 5  # clipped at the horizon
 
 
-def test_fleet_energy_is_the_table_entry_of_each_decision():
+def drive(fleet, window, lookahead, block):
+    """Reveal the ends of block decisions at a time, as gcsr does, and
+    decide them; yields after each step."""
+    while fleet.next_slot <= window.horizon:
+        window.reveal(fleet.next_slot + block - 1 + lookahead)
+        fleet.decide_next()
+        yield
+
+
+def test_fleet_energy_is_the_table_entry_of_each_decision(monkeypatch):
     rng = np.random.default_rng(57)
-    for _ in range(20):
-        inst = random_tiny_instance(rng)
-        for w in (0, inst.horizon):
-            window = RevealedWindow(inst.horizon)
-            fleet = GcsrFleet(inst, window)
-            for t in range(1, inst.horizon + 1):
-                window.reveal(t + w)
-                x = fleet.decide_next()
-                assert fleet.energy[t - 1] == inst.demand_table(t)[x]
-            assert len(fleet.energy) == inst.horizon
+    for block in (1, 5, offline.BLOCK_SLOTS):
+        monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
+        for _ in range(20):
+            inst = random_tiny_instance(rng)
+            for w in (0, inst.horizon):
+                window = RevealedWindow(inst.horizon, w)
+                fleet = GcsrFleet(inst, window)
+                for _ in drive(fleet, window, w, block):
+                    for t, x in enumerate(fleet.series, start=1):
+                        assert fleet.energy[t - 1] == inst.demand_table(t)[x]
+                assert len(fleet.energy) == len(fleet.series) == inst.horizon
     window = RevealedWindow(3)
     window.reveal(2)
     assert window.read([0.5, 0.25, 0.125], 2) == 0.25
@@ -99,8 +113,22 @@ def test_fleet_energy_is_the_table_entry_of_each_decision():
         window.read([0.5, 0.25, 0.125], 0)
 
 
+def record_blocks(monkeypatch):
+    """Record (start, stop, P rows) of every idle_cost_block call the fleet makes."""
+    blocks = []
+
+    def recorded(instance, start, end, carried):
+        prefix = idle_cost_block(instance, start, end, carried)
+        blocks.append((start, end, prefix))
+        return prefix
+
+    monkeypatch.setattr(online, "idle_cost_block", recorded)
+    return blocks
+
+
 def test_fleet_block_rows_match_sequential_sums(monkeypatch):
     rng = np.random.default_rng(28)
+    blocks = record_blocks(monkeypatch)
     for block in (1, 2, 5, offline.BLOCK_SLOTS):
         monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
         for k in range(12):
@@ -108,28 +136,23 @@ def test_fleet_block_rows_match_sequential_sums(monkeypatch):
             t_end = inst.horizon
             tables = np.stack([inst.demand_table(t) for t in range(1, t_end + 1)])
             idle = inst.price[:, None] * np.diff(tables, axis=1)
-            prefix = np.add.accumulate(np.vstack([np.zeros(inst.max_servers), idle]), axis=0)[1:]
+            prefix = np.add.accumulate(np.vstack([np.zeros(inst.max_servers), idle]), axis=0)
             w = int(rng.integers(0, 4))
-            window = RevealedWindow(t_end)
+            window = RevealedWindow(t_end, w)
             fleet = GcsrFleet(inst, window)
-            held = set()
-            for t in range(1, t_end + 1):
-                window.reveal(t + w)
-                end = window.end
-                assert np.array_equal(window.read(inst.workload, t, end), inst.workload[t - 1 : end])
-                x = fleet.decide_next()
-                assert fleet.energy[t - 1] == tables[t - 1, x]
-                # every held row is its slot's sequential sum and demand row,
-                # and every revealed slot's row has been held
-                for start, grid, rows in fleet._blocks:
-                    stop = start + len(grid) - 1
-                    assert np.array_equal(rows, prefix[start - 1 : stop])
-                    assert np.array_equal(grid, tables[start - 1 : stop])
-                    held.update(range(start, stop + 1))
-                assert held >= set(range(1, end + 1))
-                assert np.array_equal(fleet.idle_prefix(end), prefix[end - 1])
-                # O((block + w) * M) floats: whole blocks from the one of slot t
-                assert sum(len(grid) for _, grid, _ in fleet._blocks) <= 2 * block + w
+            blocks.clear()
+            for _ in drive(fleet, window, w, block):
+                # the rows evaluated so far are the revealed slots', each
+                # once, in order, and each its slot's sequential sum
+                assert blocks[-1][1] == window.end
+                assert [s for start, stop, _ in blocks for s in range(start, stop + 1)] \
+                    == list(range(1, window.end + 1))
+                for start, stop, rows in blocks:
+                    assert np.array_equal(rows, prefix[start - 1 : stop + 1])
+                    # O(block * M) floats a call, whatever the window
+                    assert stop - start + 1 <= block
+                for t, x in enumerate(fleet.series, start=1):
+                    assert fleet.energy[t - 1] == tables[t - 1, x]
 
 
 def test_fleet_reads_stay_checked_after_a_block_is_evaluated(monkeypatch):
@@ -141,40 +164,31 @@ def test_fleet_reads_stay_checked_after_a_block_is_evaluated(monkeypatch):
     window = RevealedWindow(inst.horizon)
     fleet = GcsrFleet(inst, window)
     window.reveal(2)
-    assert np.array_equal([fleet.idle_prefix(s) for s in (1, 2)], [[IDLE], [2 * IDLE]])
-    assert evaluated == [(1, 5)]  # the whole horizon is one block
+    fleet.decide_next()
+    assert evaluated == [(1, 2)]  # the revealed slots only, not a whole block
     past = r"slot 3 is outside the revealed window \[1, 2\]"
     with pytest.raises(LookaheadViolation, match=past):
-        fleet.idle_prefix(3)
+        fleet.decide_next()
     with pytest.raises(LookaheadViolation, match=past):
         window.read(inst.workload, 2, 3)
     with pytest.raises(LookaheadViolation, match=past):
         window.read(inst.workload, 3)
-    with pytest.raises(LookaheadViolation):
-        fleet.idle_prefix(0)
-    fleet.decide_next()
     window.reveal(3)
     fleet.decide_next()
-    assert fleet.energy == [0.25, 0.25]
+    assert fleet.energy == [0.25] * 3
     assert np.array_equal(window.read(inst.workload, 2, 3), [0.0, 0.0])
-    assert evaluated == [(1, 5)]
-    # a block is dropped once the slot being decided has passed it
-    monkeypatch.setattr(offline, "BLOCK_SLOTS", 1)
-    window = RevealedWindow(inst.horizon)
-    fleet = GcsrFleet(inst, window)
-    for t in (1, 2):
-        window.reveal(t)
-        fleet.decide_next()
-    assert [start for start, _, _ in fleet._blocks] == [2]
-    assert np.array_equal(fleet.idle_prefix(2), [2 * IDLE])
-    with pytest.raises(ValueError, match="row 1 precedes the newest held block"):
-        fleet.idle_prefix(1)  # rows are read in slot order, never behind the newest block
+    assert evaluated == [(1, 2), (3, 3)]
+    # no block of P rows is held past its evaluation: one row and the
+    # per-slot series remain
+    held = [v for v in vars(fleet).values() if isinstance(v, np.ndarray)]
+    assert held and all(v.ndim == 1 for v in held)
 
 
 class FurtherWindow:
-    """A fleet's view of its RevealedWindow in which every read asks for one
-    slot past the one the fleet chose: the next slot for a single-slot read,
-    one more slot for a range."""
+    """A fleet's view of its RevealedWindow in which every read reaches one
+    slot past the ones the fleet chose: the next slot for a single-slot
+    read, one more slot for a range. The reach is checked; the slots the
+    fleet chose are returned."""
 
     def __init__(self, window):
         self.window = window
@@ -184,8 +198,10 @@ class FurtherWindow:
 
     def read(self, series, first, last=None):
         if last is None:
-            return self.window.read(series, first + 1)
-        return self.window.read(series, first, last + 1)
+            self.window.check(first + 1)
+        else:
+            self.window.check(first, last + 1)
+        return self.window.read(series, first, last)
 
 
 def reach_one_slot_further(monkeypatch, fleet):
@@ -200,13 +216,22 @@ def reach_one_slot_further(monkeypatch, fleet):
 
 
 def test_gcsr_and_dcmon_reads_past_the_window_raise(monkeypatch):
-    # only GCSR's reads reach further; CHASE's stay where they were
+    # only GCSR's reads reach further; CHASE's stay where they were. GCSR
+    # reads the slots of one step at once, so at 256-slot blocks its first
+    # read ends at the horizon
     reach_one_slot_further(monkeypatch, GcsrFleet)
     inst = dyadic_instance([1, 0, 0, 1, 0])
-    with pytest.raises(LookaheadViolation, match=r"slot 3 is outside the revealed window \[1, 2\]"):
-        gcsr(inst, 1)
-    with pytest.raises(LookaheadViolation, match=r"slot 2 is outside the revealed window \[1, 1\]"):
-        dcmon(inst, 0)
+    for block, gcsr_past, dcmon_past in (
+        (1, r"slot 3 is outside the revealed window \[1, 2\]",
+         r"slot 2 is outside the revealed window \[1, 1\]"),
+        (256, r"slot 6 is outside the revealed window \[1, 5\]",
+         r"slot 6 is outside the revealed window \[1, 5\]"),
+    ):
+        monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
+        with pytest.raises(LookaheadViolation, match=gcsr_past):
+            gcsr(inst, 1)
+        with pytest.raises(LookaheadViolation, match=dcmon_past):
+            dcmon(inst, 0)
 
 
 def test_chase_and_dcmon_reads_past_the_window_raise(monkeypatch):
@@ -270,29 +295,49 @@ def test_chase_extreme_past_its_own_decision_end_raises(monkeypatch):
         window.check_each(3, np.array([[5], [7], [0]]))
 
 
+def test_gcsr_breakeven_slot_past_its_own_decision_end_raises(monkeypatch):
+    # every row GCSR reads is revealed, but the gap's break-even slot 5 is
+    # charged to decision 4, whose own end at w = 0 is slot 4
+    init = GcsrFleet.__init__
+
+    def later(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.window = LaterEnds(self.window)
+
+    monkeypatch.setattr(GcsrFleet, "__init__", later)
+    inst = dyadic_instance([1, 0, 0, 0, 0, 0, 0, 0, 1])
+    for block in (3, 256):  # decision 4 is inside a block, not its last
+        monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
+        with pytest.raises(LookaheadViolation,
+                           match=r"slot 5 is outside the window \[1, 4\] of decision 4"):
+            gcsr(inst, 0)
+    monkeypatch.undo()
+    assert np.array_equal(gcsr(inst, 0), [1, 1, 1, 1, 0, 0, 0, 0, 1])
+
+
 def test_gcsr_reads_each_slot_once_whatever_the_window(monkeypatch):
-    # one read of a(e) and one of P(e) per revealed slot e: the same reads
-    # at every window, the whole horizon's included
+    # a(s) and P(s) are read once per revealed slot s, in slot order: the
+    # same reads at every window, the whole horizon's included
     inst = harness.build_instance(harness.synthesize_trace(3, 12, 8, "ny"),
                                   harness.validate_config({"servers": 8}))
     assert inst.horizon > offline.BLOCK_SLOTS
-    read, idle_prefix = RevealedWindow.read, GcsrFleet.idle_prefix
+    read = RevealedWindow.read
     reads = []
 
     def read_counted(window, series, first, last=None):
         reads.append(("a", first, first if last is None else last))
         return read(window, series, first, last)
 
-    def idle_prefix_counted(fleet, s):
-        reads.append(("P", s, s))
-        return idle_prefix(fleet, s)
-
     monkeypatch.setattr(RevealedWindow, "read", read_counted)
-    monkeypatch.setattr(GcsrFleet, "idle_prefix", idle_prefix_counted)
+    blocks = record_blocks(monkeypatch)
     for w in (0, 16, inst.horizon):
         reads.clear()
+        blocks.clear()
         gcsr(inst, w)
-        assert reads == [(kind, e, e) for e in range(1, inst.horizon + 1) for kind in "aP"]
+        reads.extend(("P", start, stop) for start, stop, _ in blocks)
+        for kind in "aP":
+            slots = [s for k, first, last in reads if k == kind for s in range(first, last + 1)]
+            assert slots == list(range(1, inst.horizon + 1))
 
 
 @pytest.mark.parametrize("lookahead", [-1, 1.5, float("nan"), None, "3"])
