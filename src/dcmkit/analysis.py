@@ -58,13 +58,18 @@ def static_benchmark(instance: Instance) -> CostBreakdown:
     return evaluate(instance, static_schedule(instance))
 
 
-def decomposed_offline_schedule(instance: Instance) -> Schedule:
-    """Offline reference built stage-wise: slice-optimal provisioning, then
-    slice-optimal supply on the induced energy demand."""
-    x = solve_cp_offline(instance)
+def _staged_schedule(instance: Instance, x) -> Schedule:
+    """Complete a provisioning series with slice-optimal supply on the
+    energy demand it induces."""
     energy = demand_series(instance, x)
     y = solve_ep_offline(instance.generator, energy, instance.price)
     return dispatched_schedule(instance, x, y)
+
+
+def decomposed_offline_schedule(instance: Instance) -> Schedule:
+    """Offline reference built stage-wise: slice-optimal provisioning, then
+    slice-optimal supply on the induced energy demand."""
+    return _staged_schedule(instance, solve_cp_offline(instance))
 
 
 @dataclass(frozen=True)
@@ -130,19 +135,17 @@ class ExperimentReport:
 
 
 def offline_reference(
-    instance: Instance, state_budget: int = DEFAULT_STATE_BUDGET
+    instance: Instance, state_budget: int = DEFAULT_STATE_BUDGET, cpoff_x=None
 ) -> tuple[Schedule, str]:
     """Joint optimum when the state graph fits the budget, else the
-    stage-wise decomposition; the second element names which one ran."""
+    stage-wise decomposition on cpoff_x, cpoff's provisioning series
+    (solve_cp_offline when not given); the second element names which one
+    ran."""
     try:
         return solve_dcm_offline(instance, state_budget=state_budget), "exact"
     except CapacityError:
-        return decomposed_offline_schedule(instance), "decomposed"
-
-
-def _cp_offline_series(instance: Instance, reference: Schedule, kind: str) -> np.ndarray:
-    """cpoff's provisioning series; the decomposed reference already holds it."""
-    return reference.x if kind == "decomposed" else solve_cp_offline(instance)
+        x = solve_cp_offline(instance) if cpoff_x is None else cpoff_x
+        return _staged_schedule(instance, x), "decomposed"
 
 
 def run_comparison(
@@ -155,13 +158,18 @@ def run_comparison(
     static: peak fleet, grid only. offline: cost reference. cpoff: optimal
     provisioning, grid only. gcsr: online provisioning, grid only.
     dcmon: online provisioning and supply.
+
+    cpoff's series comes from the GCSR run, which applies the offline slice
+    rule to every gap it walks, and feeds the decomposed reference too; so
+    the comparison makes two P-row walks, GCSR's and DCMON's.
     """
-    reference, kind = offline_reference(instance, state_budget)
+    gcsr_x, cpoff_x = gcsr(instance, lookahead, return_offline=True)
+    reference, kind = offline_reference(instance, state_budget, cpoff_x)
     lineup = {
         "static": static_schedule(instance),
         "offline": reference,
-        "cpoff": grid_only_schedule(instance, _cp_offline_series(instance, reference, kind)),
-        "gcsr": grid_only_schedule(instance, gcsr(instance, lookahead)),
+        "cpoff": grid_only_schedule(instance, cpoff_x),
+        "gcsr": grid_only_schedule(instance, gcsr_x),
         "dcmon": dcmon(instance, lookahead),
     }
     results = {
@@ -217,10 +225,14 @@ def sweep_lookahead(
     ratios against the references, and the matching theory bounds (the
     hybrid bound only when the generator economics make it well defined;
     for a valid instance that is the only way BoundParams can fail).
+    cpoff's series comes from the first window's GCSR run.
     """
-    reference, kind = offline_reference(instance, state_budget)
+    lookaheads = [int(w) for w in lookaheads]
+    if not lookaheads:
+        return []
+    first_x, cpoff_x = gcsr(instance, lookaheads[0], return_offline=True)
+    reference, kind = offline_reference(instance, state_budget, cpoff_x)
     ref_total = evaluate(instance, reference).total
-    cpoff_x = _cp_offline_series(instance, reference, kind)
     cpoff_total = evaluate(instance, grid_only_schedule(instance, cpoff_x)).total
     ongrid = OngridParams.from_instance(instance)
     try:
@@ -228,9 +240,9 @@ def sweep_lookahead(
     except ConfigError:
         params = None
     rows = []
-    for w in lookaheads:
-        w = int(w)
-        gcsr_total = evaluate(instance, grid_only_schedule(instance, gcsr(instance, w))).total
+    for k, w in enumerate(lookaheads):
+        x = first_x if k == 0 else gcsr(instance, w)
+        gcsr_total = evaluate(instance, grid_only_schedule(instance, x)).total
         dcmon_total = evaluate(instance, dcmon(instance, w, ongrid)).total
         bounds = {"ongrid": ratio_bound_ongrid(w, ongrid)}
         if params is not None:

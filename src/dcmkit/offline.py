@@ -21,7 +21,11 @@ count into the gaps of the nested slices, and each gap is decided at the
 slot where it closes, so solve_cp_offline holds O(BLOCK_SLOTS * M + T)
 numbers, never a (T, M) array. The online GCSR fleet steps the same two
 functions over its revealed slots, so online and offline slice rules
-compare the same floats.
+compare the same floats. It also applies the offline rule (gap_verdicts)
+to every gap it sees, so a GCSR run yields cpoff's series as well, and
+compare makes two P-row walks, GCSR's and DCMON's, not three.
+solve_cp_offline stays the standalone solver and the reference the checks
+compare against.
 
 The generator slices share one kernel with online CHASE: regret_rows steps
 every slice's clamped savings over a block of slots, and next_extremes finds
@@ -318,6 +322,22 @@ def reaches_breakeven(prefix, base, beta_s: float):
     return prefix - base >= beta_s
 
 
+def gap_verdicts(prefix: np.ndarray, slices, base, last, beta_s: float):
+    """The offline slice rule on the gaps gap_pieces returns for one block.
+
+    Returns (reached, kept), one entry per gap: reached whether
+    reaches_breakeven holds at the gap's last idle slot in the block, and
+    kept whether the gap closes in the block without reaching it, so the
+    offline rule keeps the slice on through it. P is nondecreasing, so a
+    gap that reaches break-even anywhere reaches it at its close: the kept
+    gaps are exactly the closed gaps with no break-even slot, whatever
+    window a caller sees them through. solve_cp_offline and the online
+    GCSR fleet both decide gaps here.
+    """
+    reached = reaches_breakeven(prefix[last, slices], base, beta_s)
+    return reached, (last < len(prefix) - 1) & ~reached
+
+
 def gap_pieces(need: np.ndarray, prefix: np.ndarray, start: int, carried):
     """Every gap of the server slices that one block of slots shows.
 
@@ -353,7 +373,10 @@ def gap_pieces(need: np.ndarray, prefix: np.ndarray, start: int, carried):
     i = np.concatenate((slices, i))
     row = np.concatenate((np.zeros(held, dtype=int), row))
     opens = np.concatenate((np.ones(held, dtype=bool), opens))
-    order = np.argsort(i, kind="stable")  # by slice, then by slot
+    # by slice, then by slot; numpy's stable sort is a radix sort on
+    # integers of 16 bits or fewer, so the slice indices take the smallest
+    # unsigned type that holds M
+    order = np.argsort(i.astype(np.min_scalar_type(prefix.shape[1])), kind="stable")
     i, row, opens, first, base = i[order], row[order], opens[order], first[order], base[order]
     # a slice's events alternate, so an event that follows one of its own
     # slice is the close of that open
@@ -377,7 +400,8 @@ def _paint(need: np.ndarray, slices: int, gaps) -> np.ndarray:
 def _instance_gaps(instance: Instance):
     """Kept gaps of every server slice, one (slices, first, last) triple per
     block of BLOCK_SLOTS slots. A gap is kept iff it closes and
-    not reaches_breakeven(P(h), base, beta_s) at its last idle slot h."""
+    not reaches_breakeven(P(h), base, beta_s) at its last idle slot h
+    (gap_verdicts)."""
     t_end, m = instance.horizon, instance.max_servers
     need = np.concatenate(([0], np.ceil(instance.workload).astype(int)))
     carried = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
@@ -386,10 +410,10 @@ def _instance_gaps(instance: Instance):
         stop = min(start + BLOCK_SLOTS - 1, t_end)
         prefix = idle_cost_block(instance, start, stop, row)
         i, first, base, last = gap_pieces(need[start - 1 : stop + 1], prefix, start, carried)
-        closed = last < stop - start + 1
-        kept = closed & ~reaches_breakeven(prefix[last, i], base, instance.server.beta_s)
+        _, kept = gap_verdicts(prefix, i, base, last, instance.server.beta_s)
         yield i[kept], first[kept], start - 1 + last[kept]
-        carried = (i[~closed], first[~closed], base[~closed])
+        held = last == stop - start + 1  # still open at the block's last slot
+        carried = (i[held], first[held], base[held])
         row = prefix[-1].copy()
         del prefix  # not held while the next block's P rows are built
 

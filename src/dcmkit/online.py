@@ -20,6 +20,9 @@ The fleet decides in blocks, like CHASE: one step evaluates the newly
 revealed P rows (offline.idle_cost_block), extracts the gaps they show with
 the offline rule's kernel (offline.gap_pieces) and searches each for j*, so
 its work is O(rows * M + gaps * log BLOCK_SLOTS), whatever the window.
+Since the predicate is monotone, the gaps the offline rule keeps are the
+closed gaps with no j*, whatever the window: the fleet records them too, so
+one GCSR run also yields solve_cp_offline's series (gcsr's return_offline).
 
 Supply (CHASE, ChaseFleet): each unit generator slice tracks R, its
 cumulative savings of running versus buying from the grid, clamped to
@@ -60,6 +63,7 @@ from .errors import ConfigError, LookaheadViolation
 from .model import GeneratorModel, Instance, Schedule, demand_series, dispatched_schedule
 from .offline import (
     gap_pieces,
+    gap_verdicts,
     idle_cost_block,
     next_extremes,
     reaches_breakeven,
@@ -94,12 +98,16 @@ class RevealedWindow:
     provisioning stage, which decides ahead of its output slot. ends gives
     the ends of the decisions a fleet may make, and check_each raises
     LookaheadViolation for any slot a decision used past its own end.
+
+    lookahead and lag are held clamped to the horizon, so window ends stay
+    within int64 whatever the window. That changes no end: each is
+    min(., end) with end <= horizon, and a driver slot is at least 1.
     """
 
     def __init__(self, horizon: int, lookahead: int = 0, lag: int = 0) -> None:
         self.horizon = horizon
-        self.lookahead = lookahead
-        self.lag = lag
+        self.lookahead = min(lookahead, horizon)
+        self.lag = min(lag, horizon)
         self.end = 0
 
     def reveal(self, end: int) -> None:
@@ -205,6 +213,13 @@ class GcsrFleet:
     intervals it resolved, for painting slices; the fleet holds
     O(BLOCK_SLOTS * M + T) numbers, and energy holds d_t(x_t) of the
     decided slots (model.demand_series).
+
+    Every gap also gets the offline rule's verdict (offline.gap_verdicts):
+    the offline rule keeps a gap iff it closes with no j*, which does not
+    depend on the window, and every such gap closes while this fleet still
+    follows it. A second difference array adds these gaps, so once every
+    slot is revealed offline_series is solve_cp_offline's series, for
+    gcsr's window and DCMON's master window alike.
     """
 
     def __init__(self, instance: Instance, window: RevealedWindow):
@@ -215,6 +230,7 @@ class GcsrFleet:
         t_end = instance.horizon
         self._need = np.zeros(t_end + 1, dtype=int)  # c(s) of the revealed slots, c(0) = 0
         self._diff = np.zeros(t_end + 1, dtype=int)  # +1 at a kept interval's first slot, -1 past its last
+        self._offline = np.zeros(t_end + 1, dtype=int)  # the same for the offline rule's kept gaps
         self._held = 0  # kept intervals covering the last decided slot
         self._revealed = 0
         self._row = np.zeros(self.n_slices)  # P of the last revealed slot
@@ -235,7 +251,10 @@ class GcsrFleet:
         prefix = idle_cost_block(self.instance, start, stop, self._row)
         slices, g, base, last = gap_pieces(need, prefix, start, self.open_gaps)
         until = start + last  # one past the kept interval: a close, or stop + 1 while open
-        hit = np.flatnonzero(reaches_breakeven(prefix[last, slices], base, self.beta_s))
+        reached, offline_kept = gap_verdicts(prefix, slices, base, last, self.beta_s)
+        np.add.at(self._offline, g[offline_kept] - 1, 1)
+        np.add.at(self._offline, until[offline_kept] - 1, -1)
+        hit = np.flatnonzero(reached)
         if len(hit):
             rows = _breakeven_rows(prefix, slices[hit], base[hit],
                                    np.maximum(g[hit] - start + 1, 1), last[hit], self.beta_s)
@@ -271,10 +290,18 @@ class GcsrFleet:
         self.next_slot += k
         return kept
 
+    def offline_series(self) -> np.ndarray:
+        """solve_cp_offline's series, from the offline rule's kept gaps;
+        complete once every slot is revealed."""
+        return (self._need[1:] + np.cumsum(self._offline[:-1])).astype(float)
 
-def gcsr(instance: Instance, lookahead: int, return_slices: bool = False):
-    """Run GCSR over the whole horizon; returns the provisioning series, and
-    with return_slices the (max_servers, horizon) on/off matrix of its slices.
+
+def gcsr(instance: Instance, lookahead: int, return_slices: bool = False,
+         return_offline: bool = False):
+    """Run GCSR over the whole horizon; returns the provisioning series, then
+    with return_slices the (max_servers, horizon) on/off matrix of its
+    slices, and with return_offline solve_cp_offline's series, read off the
+    same walk (GcsrFleet.offline_series).
 
     Decision t's window ends at t + lookahead. The driver reveals the ends
     of offline.BLOCK_SLOTS decisions at a time and the fleet decides them
@@ -294,13 +321,15 @@ def gcsr(instance: Instance, lookahead: int, return_slices: bool = False):
         resolved = fleet.decide_next()
         if return_slices:
             kept += resolved
-    x = np.array(fleet.series, dtype=float)
+    out = [np.array(fleet.series, dtype=float)]
     if return_slices:
         slices, first, _ = fleet.open_gaps  # gaps still open at the end stay on through it
         gaps = [np.concatenate(parts)
                 for parts in zip(*kept, (slices, first, np.full(len(slices), t_end)))]
-        return x, offline._paint(np.ceil(instance.workload).astype(int), fleet.n_slices, gaps)
-    return x
+        out.append(offline._paint(np.ceil(instance.workload).astype(int), fleet.n_slices, gaps))
+    if return_offline:
+        out.append(fleet.offline_series())
+    return out[0] if len(out) == 1 else tuple(out)
 
 
 # ---------------------------------------------------------------------------

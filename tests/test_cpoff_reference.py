@@ -22,7 +22,7 @@ from dcmkit import (
 )
 from dcmkit import offline
 from dcmkit.analysis import worst_case_gcsr_instance, worst_case_rho_instance
-from dcmkit.offline import reaches_breakeven
+from dcmkit.offline import gap_pieces, reaches_breakeven
 from dcmkit.verify import random_bound_instance, random_tiny_instance
 
 BLOCKS = (1, 2, 5, offline.BLOCK_SLOTS)
@@ -107,3 +107,50 @@ def test_streaming_cpoff_matches_whole_horizon_reference(monkeypatch, block):
         x = solve_cp_offline(inst)
         assert x.dtype == float, k
         assert np.array_equal(x, want.sum(axis=0) if len(want) else np.zeros(inst.horizon)), k
+
+
+def stable_gap_pieces(need, prefix, start, carried):
+    """gap_pieces as first written: carried gaps and the block's events put
+    in slice order by a stable sort of their int64 slice indices."""
+    was, now = need[:-1], need[1:]
+    count = np.abs(now - was)
+    row = np.repeat(np.arange(len(count)), count)
+    i = np.arange(len(row)) + np.repeat(np.minimum(was, now) - np.cumsum(count) + count, count)
+    opens = np.repeat(now < was, count)
+    slices, first, base = carried
+    held = len(slices)
+    first = np.concatenate((first, start + row))
+    base = np.concatenate((base, prefix[row, i]))
+    i = np.concatenate((slices, i))
+    row = np.concatenate((np.zeros(held, dtype=int), row))
+    opens = np.concatenate((np.ones(held, dtype=bool), opens))
+    order = np.argsort(i, kind="stable")
+    i, row, opens, first, base = i[order], row[order], opens[order], first[order], base[order]
+    last = np.full(len(i), len(need) - 1)
+    follows = np.flatnonzero(i[1:] == i[:-1]) + 1
+    last[follows - 1] = row[follows]
+    return i[opens], first[opens], base[opens], last[opens]
+
+
+def test_gap_pieces_sorts_as_the_stable_sort_did():
+    # M sets the type gap_pieces sorts: uint8 up to 255, uint16 (both
+    # radix sorts) up to 65535, uint32 past it
+    rng = np.random.default_rng(16)
+    checked = 0
+    for k in range(400):
+        m, rows = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+        if k % 100 == 0:
+            m, rows = (300, 20) if k % 200 else (70_000, 3)
+        need = rng.integers(0, m + 1, size=rows + 1)
+        prefix = np.cumsum(rng.random((rows + 1, m)), axis=0)
+        start = int(rng.integers(1, 500))
+        # gaps open at slot start-1 on some of its idle slices
+        idle = np.arange(need[0], m)
+        slices = np.sort(rng.choice(idle, size=int(rng.integers(0, len(idle) + 1)), replace=False))
+        carried = (slices, start - rng.integers(1, 50, size=len(slices)), rng.random(len(slices)))
+        got = gap_pieces(need, prefix, start, carried)
+        want = stable_gap_pieces(need, prefix, start, carried)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        checked += len(carried[0]) > 0 and len(got[0]) > len(carried[0])
+    assert checked > 100  # draws with carried gaps and gaps opening in the block

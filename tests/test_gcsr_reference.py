@@ -9,7 +9,8 @@ a whole (block, M+1) demand grid and differences it in one go. These tests
 pin gcsr, its slices and dcmon's provisioning stage to the reference on
 random tiny and bound instances at several windows, with the fleets
 stepped in blocks of 1, 2, 5 and 256 slots, and the chunked evaluator's P
-rows to the one-shot rows bit for bit.
+rows to the one-shot rows bit for bit. The offline series a GCSR walk
+records, under gcsr's window and dcmon's, is pinned to solve_cp_offline.
 """
 
 import math
@@ -17,7 +18,7 @@ from collections import deque
 
 import numpy as np
 
-from dcmkit import dcmon, gcsr, harness, offline, online
+from dcmkit import dcmon, gcsr, harness, offline, online, solve_cp_offline
 from dcmkit.offline import idle_cost_block, reaches_breakeven
 from dcmkit.online import RevealedWindow
 from dcmkit.verify import random_bound_instance, random_tiny_instance
@@ -176,6 +177,48 @@ def test_gcsr_and_dcmon_match_the_per_slot_fleet(monkeypatch):
                 compared += 1
             monkeypatch.undo()
     assert compared >= 101 * 4 * 4
+
+
+def dcmon_fleet(instance, lookahead):
+    """The block fleet driven as dcmon drives its provisioning stage."""
+    w_ep = online.OngridParams.from_instance(instance).ep_window(lookahead)
+    t_end = instance.horizon
+    window = RevealedWindow(t_end, lookahead, lag=w_ep)
+    fleet = online.GcsrFleet(instance, window)
+    for t in range(offline.BLOCK_SLOTS, t_end + offline.BLOCK_SLOTS, offline.BLOCK_SLOTS):
+        window.reveal(t + lookahead)
+        while fleet.next_slot <= min(t + w_ep, t_end):
+            fleet.decide_next()
+    return fleet
+
+
+def test_gcsr_walk_yields_the_offline_series(monkeypatch):
+    # the offline rule keeps the closed gaps with no break-even slot, which
+    # the GCSR walk sees whatever its window: its record is cpoff bit for bit
+    compared = 0
+    for inst in reference_cases():
+        want = solve_cp_offline(inst).tobytes()
+        for w in sorted({0, 1, 3, 8, inst.horizon}):
+            for block in BLOCKS:
+                monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
+                x, cpoff = gcsr(inst, w, return_offline=True)
+                assert cpoff.tobytes() == want
+                assert np.array_equal(x, gcsr(inst, w))
+                assert dcmon_fleet(inst, w).offline_series().tobytes() == want
+                compared += 1
+            monkeypatch.undo()
+    assert compared >= 101 * 4 * 4
+
+
+def test_gcsr_walk_yields_the_offline_series_on_the_presets():
+    cfg = harness.validate_config({})
+    traces = [harness.synthesize_trace(0, 22, 600, p) for p in ("ny", "sj", "flat")]
+    traces.append(harness.synthesize_trace(0, 90, 600, "ny"))
+    for trace in traces:
+        inst = harness.build_instance(trace, cfg)
+        want = solve_cp_offline(inst).tobytes()
+        for w in (0, 4, 16):
+            assert gcsr(inst, w, return_offline=True)[1].tobytes() == want
 
 
 def test_fleet_energy_matches_the_per_slot_fleet(monkeypatch):

@@ -373,6 +373,32 @@ def test_cli_sweep_generator_axis(tmp_path, capsys):
     assert [row["value"] for row in doc["rows"]] == [0, 1, 2]
 
 
+def test_cli_huge_lookaheads_give_the_widest_window_report(tmp_path):
+    # a window past the horizon is the horizon, however many slots it
+    # names: 2**63 - 1 and 10**20 overflow int64 sums, 10**15 does not
+    trace = str(tmp_path / "ny.csv")
+    assert main(["synth", "--days", "22", "--preset", "ny", "--out", trace]) == 0
+    docs = {}
+    for w in (10**15, 2**63 - 1, 10**20):
+        out = tmp_path / f"w{w}.json"
+        assert main(["compare", "--trace", trace, "--lookahead", str(w), "--out", str(out)]) == 0
+        docs[w] = json.loads(out.read_text())
+        assert docs[w].pop("lookahead") == w
+    assert docs[2**63 - 1] == docs[10**15]
+    assert docs[10**20] == docs[10**15]
+
+
+def test_python_m_dcmkit_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dcmkit", "synth", "--days", "1", "--servers", "5"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert TraceFile.parse(io.StringIO(proc.stdout)).horizon == 24
+
+
 def test_cli_validation_errors_exit_one(tmp_path, capsys):
     assert main(["solve", "--algo", "warp", "--config", "x"]) == 1
     assert main(["frobnicate"]) == 1

@@ -82,6 +82,19 @@ def test_window_reveals_exactly_its_slots():
     assert window.end == 5  # clipped at the horizon
 
 
+def test_window_past_the_horizon_is_the_horizon():
+    # lookahead and lag are clamped to the horizon, so ends that would
+    # overflow int64 come out as the ones a horizon-wide window gives
+    inst = dyadic_instance([1, 0, 0, 1, 0, 0, 0, 0, 0, 2, 0])
+    t_end = inst.horizon
+    for w in (2**63 - 1, 10**20):
+        window = RevealedWindow(t_end, w, lag=w)
+        window.reveal(w)
+        assert np.array_equal(window.ends(1), np.full(t_end, t_end))
+        assert np.array_equal(gcsr(inst, w), gcsr(inst, t_end))
+        assert np.array_equal(dcmon(inst, w).x, dcmon(inst, t_end).x)
+
+
 def drive(fleet, window, lookahead, block):
     """Reveal the ends of block decisions at a time, as gcsr does, and
     decide them; yields after each step."""
