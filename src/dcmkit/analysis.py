@@ -5,6 +5,7 @@ theoretical ratios measurable on real runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -135,16 +136,17 @@ class ExperimentReport:
 
 
 def offline_reference(
-    instance: Instance, state_budget: int = DEFAULT_STATE_BUDGET, cpoff_x=None
+    instance: Instance, state_budget: int = DEFAULT_STATE_BUDGET, cpoff=None
 ) -> tuple[Schedule, str]:
     """Joint optimum when the state graph fits the budget, else the
-    stage-wise decomposition on cpoff_x, cpoff's provisioning series
-    (solve_cp_offline when not given); the second element names which one
+    stage-wise decomposition on cpoff's provisioning series, which the
+    zero-argument function cpoff returns (solve_cp_offline when not given)
+    and which is asked for only then; the second element names which one
     ran."""
     try:
         return solve_dcm_offline(instance, state_budget=state_budget), "exact"
     except CapacityError:
-        x = solve_cp_offline(instance) if cpoff_x is None else cpoff_x
+        x = solve_cp_offline(instance) if cpoff is None else cpoff()
         return _staged_schedule(instance, x), "decomposed"
 
 
@@ -164,7 +166,7 @@ def run_comparison(
     the comparison makes two P-row walks, GCSR's and DCMON's.
     """
     gcsr_x, cpoff_x = gcsr(instance, lookahead, return_offline=True)
-    reference, kind = offline_reference(instance, state_budget, cpoff_x)
+    reference, kind = offline_reference(instance, state_budget, lambda: cpoff_x)
     lineup = {
         "static": static_schedule(instance),
         "offline": reference,
@@ -231,7 +233,7 @@ def sweep_lookahead(
     if not lookaheads:
         return []
     first_x, cpoff_x = gcsr(instance, lookaheads[0], return_offline=True)
-    reference, kind = offline_reference(instance, state_budget, cpoff_x)
+    reference, kind = offline_reference(instance, state_budget, lambda: cpoff_x)
     ref_total = evaluate(instance, reference).total
     cpoff_total = evaluate(instance, grid_only_schedule(instance, cpoff_x)).total
     ongrid = OngridParams.from_instance(instance)
@@ -274,11 +276,15 @@ def sweep_generators(
     lookahead: int,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> list[dict]:
-    """Cost as the generator fleet grows; everything re-solved per count."""
+    """Cost as the generator fleet grows; everything re-solved per count
+    except cpoff's provisioning series, which does not depend on the
+    generators: it is solved once, for the first count whose reference
+    falls back to the decomposition."""
+    cpoff = functools.cache(lambda: solve_cp_offline(instance))
     rows = []
     for n in counts:
         inst = instance.with_generator_count(int(n))
-        reference, kind = offline_reference(inst, state_budget)
+        reference, kind = offline_reference(inst, state_budget, cpoff)
         ref_total = evaluate(inst, reference).total
         dcmon_total = evaluate(inst, dcmon(inst, lookahead)).total
         rows.append(

@@ -26,6 +26,7 @@ from .model import (
     GeneratorModel,
     Instance,
     ServerModel,
+    check_size,
 )
 
 # ---------------------------------------------------------------------------
@@ -203,6 +204,7 @@ def synthesize_trace(seed: int, days: int, servers: int, preset: str = "ny") -> 
         raise ConfigError(f"servers must be >= 1, got {servers}")
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
+    check_size(days * 24, servers, 0)  # the peak workload is at most servers
     spec = PRESETS[preset]
     rng = np.random.default_rng(seed)
     t_end = days * 24

@@ -24,10 +24,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FeasibilityError
+from .errors import CapacityError, ConfigError, FeasibilityError
 
 # Absolute tolerance for feasibility comparisons on continuous quantities.
 FEAS_TOL = 1e-9
+
+# Size limits, checked before any array of that size is built. The largest
+# arrays are blocks of demand rows and idle-cost sums with one column per
+# server (256 x (M+1) floats) and the generator slices' savings rows over the
+# whole horizon (T x N floats).
+MAX_SLOTS = 1 << 20  # slots of one horizon: about 120 years of hours
+MAX_SERVERS = 1 << 16  # the peak fleet M: one block of its rows is 128 MiB
+MAX_SUPPLY_CELLS = 1 << 24  # slots x (generators + 1): 128 MiB of floats
+
+
+def check_size(slots, servers, generators) -> None:
+    """CapacityError unless a horizon of `slots` slots, a peak fleet of
+    `servers` servers and `generators` generators fit the size limits."""
+    if slots > MAX_SLOTS:
+        raise CapacityError(f"a horizon of {slots} slots exceeds the limit of {MAX_SLOTS}")
+    if servers > MAX_SERVERS:
+        raise CapacityError(f"a fleet of {servers} servers exceeds the limit of {MAX_SERVERS}")
+    if slots * (generators + 1) > MAX_SUPPLY_CELLS:
+        raise CapacityError(
+            f"{slots} slots x {generators + 1} generator states exceed the limit of "
+            f"{MAX_SUPPLY_CELLS} cells"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +262,8 @@ class Instance:
     in one place. max_servers, the largest fleet any slot requires
     (max_t ceil(a(t))), is computed once at construction. Construction
     rejects magnitudes whose full-fleet grid bill, p(t)*d_t(M) summed over
-    the horizon, overflows, so no solver runs on inf demands or costs.
+    the horizon, overflows, so no solver runs on inf demands or costs, and
+    sizes past the limits of check_size (CapacityError).
     """
 
     workload: np.ndarray
@@ -271,6 +294,7 @@ class Instance:
             raise ConfigError("workload must be nonnegative")
         if np.any(self.price < 0.0):
             raise ConfigError("prices must be nonnegative")
+        check_size(self.horizon, math.ceil(self.workload.max()), self.generator.count)
         if self.generator.count >= 1 and self.generator.breakeven_price >= self.p_max:
             raise ConfigError(
                 "uneconomical generators: need c_o + c_m/capacity < max price "

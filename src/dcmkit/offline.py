@@ -3,13 +3,23 @@ per-unit decomposition (server slices and generator slices).
 
 The joint problem is a shortest path over layered states (x, y) per slot with
 switching costs on increases only. A backward dynamic program over the
-layers solves it. Each value layer holds only the feasible states
-x = ceil(a(t))..M, so a layer costs O((M+1-ceil(a(t)))(N+1)) work and
-memory. A Dijkstra search over the same graph and an exhaustive
-enumeration are kept as reference oracles. The decomposition splits
-provisioning into M unit server slices solved by a break-even rule and
-supply into N unit generator slices solved by tracking a clamped cumulative
-savings process.
+layers solves it. Each value layer holds only the fleet sizes an optimum can
+use, the band x = ceil(a(t))..U(t) with U(t) the peak need ceil(a(s)) over
+s in [t, min(T, t+D)]. D = floor(beta_s/(r*d_min)) + 1 is one break-even span:
+d_min is the least demand increment of a server and r = min(c_o, p_min)
+(p_min without generators) the least rate at which a slot's supply cost
+falls per unit of demand at fixed y. Above U(t) the top server idles
+through slots t..t+D; turning it off until it is next needed (or for good,
+when its run ends) saves at least (D+1)*r*d_min and costs at most one
+restart beta_s, so every optimal schedule, from any state, stays inside the
+band by a margin of at least r*d_min (the exchange argument of lazy
+capacity provisioning; Lin et al., INFOCOM 2011). When r*d_min is 0 the band
+is the full row. A layer costs O((U(t)+1-ceil(a(t)))(N+1)) work and memory;
+the state budget still counts the full (M+1)(N+1)(T+2) grid. A Dijkstra
+search over the same graph and an exhaustive enumeration are kept as
+reference oracles. The decomposition splits provisioning into M unit server
+slices solved by a break-even rule and supply into N unit generator slices
+solved by tracking a clamped cumulative savings process.
 
 Both the DP and the server slices walk the horizon in blocks of BLOCK_SLOTS
 slots. The DP reads one demand grid per block. For the slices,
@@ -92,27 +102,40 @@ def ep_cost(gen: GeneratorModel, energy, price, y) -> float:
 
 
 def _min_increase_transform(
-    values: np.ndarray, offsets: np.ndarray, start: int = 0, first: int | None = None
+    values: np.ndarray,
+    offsets: np.ndarray,
+    start: int = 0,
+    first: int | None = None,
+    last: int | None = None,
 ) -> np.ndarray:
     """B[:, i] = min_j values[:, j] + beta * max(0, j - i), along axis 1.
 
     Two running-minimum passes, one per direction, replace the quadratic
     scan (Felzenszwalb & Huttenlocher, "Distance Transforms of Sampled
     Functions", Theory of Computing 8 (2012)). offsets[k] = beta * k, made
-    once per solve. values may hold columns start.. of a wider array whose
-    columns below start are +inf; offsets are absolute, so each output float
-    is the wider array's. The output starts at column first (default start);
-    a column i below start can only climb into the block:
-    B[:, i] = min_j(values[:, j] + beta * j) - beta * i.
+    once per solve. values may hold columns start..stop of a wider array
+    whose other columns are +inf; offsets are absolute, so each output float
+    is the wider array's. The output holds columns first..last (default
+    start..stop). A column i below start can only climb into the block:
+    B[:, i] = min_j(values[:, j] + beta * j) - beta * i. A column above stop
+    can only fall into it: B[:, i] is the row minimum, the last entry of the
+    running minimum.
     """
+    width = values.shape[1]
+    stop = start + width - 1
     first = start if first is None else first
-    k = max(first - start, 0)  # the output's first column inside the block
-    idx = offsets[start + k : start + values.shape[1]]
+    last = stop if last is None else last
+    k = min(max(first - start, 0), width)  # block columns k..j-1 are output columns
+    j = max(min(last - start + 1, width), k)
+    idx = offsets[start + k : stop + 1]
     reach = np.minimum.accumulate((values[:, k:] + idx)[:, ::-1], axis=1)[:, ::-1]
-    body = np.minimum(reach - idx, np.minimum.accumulate(values, axis=1)[:, k:])
-    if first >= start:
-        return body
-    return np.concatenate((reach[:, :1] - offsets[first:start], body), axis=1)
+    fall = np.minimum.accumulate(values[:, : width if last > stop else j], axis=1)
+    parts = [np.minimum(reach[:, : j - k] - idx[: j - k], fall[:, k:j])]
+    if first < start:
+        parts.insert(0, reach[:, :1] - offsets[first : min(last + 1, start)])
+    if last > stop:
+        parts.append(np.repeat(fall[:, -1:], last - max(first, stop + 1) + 1, axis=1))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def _running_min(rows: np.ndarray, reverse: bool = False) -> np.ndarray:
@@ -126,6 +149,37 @@ def _running_min(rows: np.ndarray, reverse: bool = False) -> np.ndarray:
     return rows
 
 
+def _window_max(values: np.ndarray, span: int) -> np.ndarray:
+    """out[k] = max(values[k : k + span]), the window cut at the series end,
+    in ceil(log2(span)) doubling steps."""
+    out = values.copy()
+    width = 1
+    while width < min(span, len(out)):
+        step = min(width, span - width)
+        np.maximum(out[:-step], out[step:], out=out[:-step])
+        width += step
+    return out
+
+
+def _dp_band(instance: Instance, need: np.ndarray) -> np.ndarray:
+    """Top column U(t) of each layer of the exact DP, given need = ceil(a).
+
+    U(t) = max need(s) over s in [t, min(T, t+D)] with
+    D = floor(beta_s/(r*d_min)) + 1, d_min = Instance.min_marginal_demand()
+    and r = min(c_o, p_min) (p_min without generators); the full row M when
+    r*d_min is 0. The module docstring gives the exchange argument that
+    keeps every optimal schedule, from any state, inside the band.
+    """
+    gen = instance.generator
+    rate = min(gen.c_o, instance.p_min) if gen.count else instance.p_min
+    margin = rate * instance.min_marginal_demand()
+    if not margin > 0.0:
+        return np.full(len(need), instance.max_servers)
+    slots = instance.server.beta_s / margin  # D = floor(slots) + 1
+    span = int(slots) + 2 if slots < len(need) else len(need)  # slots t..t+D
+    return _window_max(need, span)
+
+
 def solve_dcm_offline(
     instance: Instance,
     state_budget: int = DEFAULT_STATE_BUDGET,
@@ -133,15 +187,20 @@ def solve_dcm_offline(
     """Exact minimum-cost schedule via a backward dynamic program over the
     layered state graph.
 
-    Layer t is stored y-major, shape (N+1, M+1-ceil(a(t))), C-contiguous,
-    holding only the feasible columns x = ceil(a(t))..M, so work and memory
-    are O((M+1-ceil(a(t)))(N+1)) per layer. The backward pass reads demand
+    Layer t is stored y-major, shape (N+1, U(t)+1-ceil(a(t))), C-contiguous,
+    holding only the columns x = ceil(a(t))..U(t) of the break-even band
+    (_dp_band): U(t) is the peak need within one break-even span D of slot
+    t. A schedule above U(t) idles its top server through slots t..t+D, and
+    turning that server off until it is next needed gains at least r*d_min
+    net, so no optimal schedule from any state leaves the band. The optimal
+    set and the tie order are those of the full layers. Work and memory are
+    O((U(t)+1-ceil(a(t)))(N+1)) per layer. The backward pass reads demand
     from one demand_table grid per block of BLOCK_SLOTS slots, checks it
     once (model._supply_inputs) and takes each layer's stage costs from
     model.split_cost, the pricing supply_cost reads. The state budget
-    counts the full (M+1)(N+1)(T+2) grid. Ties resolve to the
-    lexicographically smallest x series, then y series: the forward argmin
-    scans x-major.
+    counts the full (M+1)(N+1)(T+2) grid, checked before any band work.
+    Ties resolve to the lexicographically smallest x series, then y series:
+    the forward argmin scans x-major.
     """
     m, n, t_end = instance.max_servers, instance.generator.count, instance.horizon
     states = (m + 1) * (n + 1) * (t_end + 2)
@@ -153,37 +212,42 @@ def solve_dcm_offline(
 
     gen = instance.generator
     beta_s, beta_g = instance.server.beta_s, gen.beta_g
-    x_grid = np.arange(m + 1, dtype=float)[:, None]
     y_grid = np.arange(n + 1, dtype=float)[:, None]
-    x_offsets, y_offsets = beta_s * x_grid[:, 0], beta_g * y_grid
-    # lows[t] = first feasible column of layer t; the end layer T+1 is all feasible
-    lows = [0] + [instance.min_servers(t) for t in range(1, t_end + 1)] + [0]
+    x_offsets, y_offsets = beta_s * np.arange(m + 1, dtype=float), beta_g * y_grid
+    # layer t holds columns lows[t]..highs[t]; the end layer T+1 is all zeros,
+    # so its column 0 stands for every column
+    need = np.ceil(instance.workload).astype(int)
+    lows = [0, *need.tolist(), 0]
+    highs = [0, *_dp_band(instance, need).tolist(), 0]
     # backward pass: value[t][y, x - lows[t]] = cheapest completion from
-    # state (x, y) at slot t, for the feasible columns x >= lows[t] only
+    # state (x, y) at slot t, for the band's columns only
     value: list[np.ndarray | None] = [None] * (t_end + 2)
-    value[t_end + 1] = np.zeros((n + 1, m + 1))
+    value[t_end + 1] = np.zeros((n + 1, 1))
     first = t_end + 1  # demand rows of slots first..first+len(grid)-1, read backward
     for t in range(t_end, 0, -1):
         if t < first:
             first = max(1, t - BLOCK_SLOTS + 1)
             demand = instance.demand_table(first, t)
             _, price, grid = _supply_inputs(gen, y_grid, instance.price, demand)
-        lo = lows[t]
-        over_x = _min_increase_transform(value[t + 1], x_offsets, lows[t + 1], lo)
+        lo, hi = lows[t], highs[t]
+        over_x = _min_increase_transform(value[t + 1], x_offsets, lows[t + 1], lo, hi)
         # the same transform over the generator axis, then the stage costs
         value[t] = layer = _running_min(over_x + y_offsets, reverse=True)
         layer -= y_offsets
         np.minimum(layer, _running_min(over_x), out=layer)
-        layer += split_cost(gen, y_grid, price[t - 1], grid[t - first, lo:])
+        layer += split_cost(gen, y_grid, price[t - 1], grid[t - first, lo : hi + 1])
 
-    # forward pass: walk the argmin, scanning x-major so equal-cost choices
-    # pick the smallest (x, y)
+    # forward pass: walk the argmin over the band, scanning x-major so
+    # equal-cost choices pick the smallest (x, y); the move costs are read
+    # from tables of beta_s*max(k, 0), k = -M..M, and beta_g*max(y - py, 0)
+    x_moves = beta_s * np.maximum(np.arange(-m, m + 1, dtype=float), 0.0)
+    y_moves = beta_g * np.maximum(y_grid.T - y_grid, 0.0)
     xs = np.empty(t_end)
     ys = np.empty(t_end)
     px = py = 0
     for t in range(1, t_end + 1):
-        lo = lows[t]
-        move = beta_s * np.maximum(x_grid[lo:] - px, 0.0) + beta_g * np.maximum(y_grid.T - py, 0.0)
+        lo, hi = lows[t], highs[t]
+        move = x_moves[lo - px + m : hi - px + m + 1, None] + y_moves[py]
         px, py = divmod(int(np.argmin(move + value[t].T)), n + 1)
         px += lo
         xs[t - 1], ys[t - 1] = px, py

@@ -26,7 +26,7 @@ from dcmkit import (
     worst_case_gcsr_instance,
     worst_case_rho_instance,
 )
-from dcmkit import analysis
+from dcmkit import analysis, harness
 from dcmkit.analysis import (
     AlgoResult,
     ExperimentReport,
@@ -224,6 +224,29 @@ def test_sweep_generators_flattens_once_demand_is_covered():
     offline = [r["costs"]["offline"] for r in rows]
     assert all(a >= b - 1e-9 for a, b in zip(offline, offline[1:]))
     assert offline[2] == pytest.approx(offline[4], abs=1e-9)
+
+
+def test_sweep_generators_solves_cpoff_once(monkeypatch):
+    # 90 days: the exact DP fits the budget with no generators only, so the
+    # counts 5 and 10 fall back to the decomposition; its provisioning
+    # series does not depend on the generators and is solved once, and the
+    # rows are those of a per-count solve
+    trace = harness.synthesize_trace(seed=2, days=90, servers=600)
+    inst = harness.build_instance(trace, harness.validate_config({}))
+    calls = []
+
+    def spy(instance):
+        calls.append(instance.generator.count)
+        return solve_cp_offline(instance)
+
+    monkeypatch.setattr(analysis, "solve_cp_offline", spy)
+    rows = sweep_generators(inst, [0, 5, 10], lookahead=4)
+    assert len(calls) == 1
+    assert [r["reference_kind"] for r in rows] == ["exact", "decomposed", "decomposed"]
+    for row in rows[1:]:
+        each = inst.with_generator_count(row["value"])
+        reference, _ = analysis.offline_reference(each)
+        assert row["costs"]["offline"] == evaluate(each, reference).total
 
 
 # ---------------------------------------------------------------------------

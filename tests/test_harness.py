@@ -439,6 +439,31 @@ def test_cli_rejects_costs_that_overflow(tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"days": 10**8}, "a horizon of 2400000000 slots exceeds the limit of 1048576"),
+        ({"days": 43691}, "a horizon of 1048584 slots exceeds the limit of 1048576"),
+        ({"servers": 10**8}, "a fleet of 100000000 servers exceeds the limit of 65536"),
+        ({"days": 1, "generator": {"count": 10**8}},
+         "24 slots x 100000001 generator states exceed the limit of 16777216 cells"),
+    ],
+)
+def test_cli_rejects_oversized_inputs_before_building_them(tmp_path, capsys, config, message):
+    # sizes too large for the solvers' arrays exit 2 with one error line,
+    # rejected before the trace or any solver array of that size is built
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    for command in (["compare"], ["sweep"], ["solve", "--algo", "offline"]):
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+    if "days" in config and "generator" not in config:
+        assert main(["synth", "--days", str(config["days"])]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cli_rejects_a_breakeven_span_that_underflows(tmp_path, capsys):
     cfg = tmp_path / "tiny_beta.json"
     cfg.write_text(json.dumps({"days": 1, "servers": 10, "generator": {"count": 0},

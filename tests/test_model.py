@@ -26,7 +26,8 @@ from dcmkit import (
     evaluate,
     supply_cost,
 )
-from dcmkit.model import FEAS_TOL
+from dcmkit.errors import CapacityError
+from dcmkit.model import FEAS_TOL, MAX_SERVERS, MAX_SUPPLY_CELLS
 from dcmkit import offline
 from dcmkit.offline import idle_cost_block
 from dcmkit.verify import random_tiny_instance
@@ -452,6 +453,20 @@ def test_instance_rejects_demand_that_overflows():
                 instance(c_idle, price)
         inst = instance(1e300, [0.1, 1e7])  # a bill of 2e307 + 2e299: finite
         assert inst.demand_table(2)[2] == 2e300
+
+
+def test_instance_rejects_sizes_past_the_limits():
+    # a peak fleet or a generator fleet too large for the solvers' arrays is
+    # rejected at construction, from the input series alone
+    with pytest.raises(CapacityError, match=r"^a fleet of 100000000 servers exceeds the limit of 65536$"):
+        bare_instance([1.0, 1e8], [0.1, 0.2])
+    with pytest.raises(CapacityError, match=r"^a fleet of 65537 servers exceeds"):
+        bare_instance([float(MAX_SERVERS) + 0.5], [0.1])
+    assert bare_instance([float(MAX_SERVERS)], [0.1]).max_servers == MAX_SERVERS
+    with pytest.raises(CapacityError, match=r"^2 slots x 100000001 generator states exceed the limit "
+                                            r"of 16777216 cells$"):
+        bare_instance([1.0, 1.0], [0.1, 0.2], count=10**8)
+    assert bare_instance([1.0], [0.2], count=MAX_SUPPLY_CELLS - 1).generator.count + 1 == MAX_SUPPLY_CELLS
 
 
 def test_zero_workload_all_off_costs_nothing():

@@ -200,6 +200,25 @@ def test_min_increase_transform_on_a_block_matches_the_full_grid():
         assert np.array_equal(got, full[:, first:])
 
 
+def test_min_increase_transform_past_the_block_matches_the_padded_grid():
+    # a block of columns start..stop of a grid that is +inf below and above
+    # it gives the grid's own floats for any output columns first..last,
+    # including columns past stop and outputs wholly outside the block
+    rng = np.random.default_rng(19)
+    for _ in range(400):
+        n = int(rng.integers(1, 12))
+        start, stop = sorted(int(v) for v in rng.integers(0, n, 2))
+        grid = np.full((int(rng.integers(1, 4)), n), np.inf)
+        shape = (len(grid), stop + 1 - start)
+        ties = rng.choice([0.0, -0.0, 1.0, -2.5, 0.75], shape)  # equal and signed zeros
+        grid[:, start : stop + 1] = np.where(rng.random(shape) < 0.5, ties, rng.uniform(-5.0, 5.0, shape))
+        offsets = float(rng.choice([0.0, 0.5, rng.uniform(0.0, 3.0)])) * np.arange(n, dtype=float)
+        full = _min_increase_transform(grid, offsets)
+        first, last = sorted(int(v) for v in rng.integers(0, n, 2))
+        got = _min_increase_transform(grid[:, start : stop + 1], offsets, start, first, last)
+        assert got.tobytes() == full[:, first : last + 1].tobytes(), (start, stop, first, last)
+
+
 def test_doubling_running_min_is_the_accumulate_bit_for_bit():
     # equal zeros of either sign and +inf entries; one row is the N = 0 layer
     rng = np.random.default_rng(17)
@@ -290,8 +309,9 @@ def test_feasible_row_dp_matches_the_full_layer_reference():
 
 def test_dp_stage_rows_are_supply_cost_in_both_price_branches(monkeypatch):
     # every layer's stage costs, as the backward pass adds them, are the
-    # floats supply_cost gives that layer's feasible demand row, whether the
-    # price picks the grid-first (p <= c_o) or the generator-first branch
+    # floats supply_cost gives that layer's band of the feasible demand row,
+    # columns ceil(a(t))..U(t), whether the price picks the grid-first
+    # (p <= c_o) or the generator-first branch
     stages = []
 
     def record(*args):
@@ -312,13 +332,75 @@ def test_dp_stage_rows_are_supply_cost_in_both_price_branches(monkeypatch):
         stages.clear()
         solve_dcm_offline(inst)
         y = np.arange(gen.count + 1, dtype=float)[:, None]
+        tops = offline._dp_band(inst, np.ceil(inst.workload).astype(int))
         assert len(stages) == inst.horizon
         for t, stage in zip(range(inst.horizon, 0, -1), stages):
-            d = inst.demand_table(t)[inst.min_servers(t) :]
-            want = supply_cost(gen, y, inst.p(t), d)
-            assert stage.shape == want.shape and stage.tobytes() == want.tobytes(), (k, t)
+            lo, hi = inst.min_servers(t), int(tops[t - 1])
+            d = inst.demand_table(t)[lo:]
+            want = supply_cost(gen, y, inst.p(t), d)[:, : hi - lo + 1]
+            assert stage.shape == (gen.count + 1, hi - lo + 1), (k, t)
+            assert stage.tobytes() == want.tobytes(), (k, t)
             branches.add(inst.p(t) <= c_o)
     assert branches == {True, False}
+
+
+def test_dp_band_is_the_peak_need_within_one_breakeven_span():
+    # U(t) = max ceil(a(s)) over s in [t, min(T, t+D)], D = floor(beta_s /
+    # (r*d_min)) + 1 with r = min(c_o, p_min), or p_min with no generators;
+    # r*d_min = 0 (free generation with generators, or a zero price) gives
+    # the full row
+    rng = np.random.default_rng(20)
+    seen = dict(narrow=0, free_generation=0, zero_price=0)
+    for k in range(300):
+        inst = random_bound_instance(rng)
+        if k % 3 == 1:
+            inst = dataclasses.replace(
+                inst,
+                server=dataclasses.replace(inst.server, beta_s=0.05 * inst.server.beta_s),
+            )
+        elif k % 3 == 2 and inst.generator.count:
+            inst = dataclasses.replace(inst, generator=dataclasses.replace(inst.generator, c_o=0.0))
+        elif k % 3 == 2:
+            price = inst.price.copy()
+            price[rng.integers(0, inst.horizon)] = 0.0
+            inst = dataclasses.replace(inst, price=price)
+        need = np.ceil(inst.workload).astype(int)
+        tops = offline._dp_band(inst, need)
+        gen = inst.generator
+        rate = min(gen.c_o, inst.p_min) if gen.count else inst.p_min
+        margin = rate * inst.min_marginal_demand()
+        if margin == 0.0:
+            assert np.array_equal(tops, np.full(inst.horizon, inst.max_servers))
+            seen["free_generation" if gen.count else "zero_price"] += 1
+            continue
+        span = math.floor(inst.server.beta_s / margin) + 1
+        want = [need[t : t + span + 1].max() for t in range(inst.horizon)]
+        assert np.array_equal(tops, want), k
+        seen["narrow"] += bool(np.any(tops < inst.max_servers))
+    assert min(seen.values()) >= 20, seen
+
+
+def test_banded_dp_matches_the_full_layer_reference_at_short_breakeven_spans():
+    # beta_s scaled down narrows the band to a few slots' peak need; the
+    # schedules stay those of the full layers bit for bit, ties included
+    rng = np.random.default_rng(21)
+    narrowed = slots = 0
+    for k in range(480):
+        inst = random_tiny_instance(rng) if k % 2 else random_bound_instance(rng)
+        if k % 3 == 0:
+            inst = dyadic_tie_instance(inst, rng)
+        scale = (0.01, 0.1, 0.3, 1.0)[k % 4]
+        inst = dataclasses.replace(
+            inst, server=dataclasses.replace(inst.server, beta_s=scale * inst.server.beta_s)
+        )
+        want, _ = reference_dcm_offline(inst)
+        got = solve_dcm_offline(inst)
+        for field in ("x", "y", "u", "v"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (k, field)
+        tops = offline._dp_band(inst, np.ceil(inst.workload).astype(int))
+        narrowed += int(np.count_nonzero(tops < inst.max_servers))
+        slots += inst.horizon
+    assert narrowed >= 0.3 * slots, (narrowed, slots)
 
 
 def test_block_idle_costs_match_per_slot_increments():
