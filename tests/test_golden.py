@@ -82,6 +82,23 @@ CASES = {
         ["compare", "--lookahead", "16"],
         "593d046987788c553d7d04dd227767088a2335d1d58ffffbc50ab29c431bb828",
     ),
+    # DCMON and CHASE across the 256-slot block with a supply window
+    # (ep_window 8 for ny at w=16, 55 for sj at w=64)
+    "ny-12d-solve-dcmon-w16": (
+        {**BASE, "preset": "ny", "days": 12},
+        ["solve", "--algo", "dcmon", "--lookahead", "16"],
+        "84426012341f6857fcb5374f69e59bdb384b45769d994e7fe0682a619f33e0ec",
+    ),
+    "sj-12d-solve-dcmon-w64": (
+        {**BASE, "preset": "sj", "days": 12},
+        ["solve", "--algo", "dcmon", "--lookahead", "64"],
+        "a7fae9c14f885d958bddffc292a66120aa0da703d37b98da8dc8df8f04d43149",
+    ),
+    "ny-12d-solve-chase-w16": (
+        {**BASE, "preset": "ny", "days": 12},
+        ["solve", "--algo", "chase", "--lookahead", "16"],
+        "cd022f59ca8cffd4a4be35b4f5eec345036889515e5e633b053b5ca3a44d6cfc",
+    ),
     "ny-sweep": (
         {**BASE, "preset": "ny"},
         ["sweep"],
