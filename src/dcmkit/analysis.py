@@ -18,9 +18,9 @@ from .model import (
     Instance,
     Schedule,
     ServerModel,
-    demand_series,
     dispatched_schedule,
     evaluate,
+    staged_schedule,
 )
 from .offline import (
     DEFAULT_STATE_BUDGET,
@@ -48,10 +48,14 @@ def grid_only_schedule(instance: Instance, x) -> Schedule:
     return dispatched_schedule(instance, np.asarray(x, dtype=float), np.zeros(instance.horizon))
 
 
+def static_fleet(instance: Instance) -> np.ndarray:
+    """The peak fleet in every slot."""
+    return np.full(instance.horizon, float(instance.max_servers))
+
+
 def static_schedule(instance: Instance) -> Schedule:
     """The do-nothing benchmark: peak fleet always on, everything from the grid."""
-    x = np.full(instance.horizon, float(instance.max_servers))
-    return grid_only_schedule(instance, x)
+    return grid_only_schedule(instance, static_fleet(instance))
 
 
 def static_benchmark(instance: Instance) -> CostBreakdown:
@@ -59,18 +63,10 @@ def static_benchmark(instance: Instance) -> CostBreakdown:
     return evaluate(instance, static_schedule(instance))
 
 
-def _staged_schedule(instance: Instance, x) -> Schedule:
-    """Complete a provisioning series with slice-optimal supply on the
-    energy demand it induces."""
-    energy = demand_series(instance, x)
-    y = solve_ep_offline(instance.generator, energy, instance.price)
-    return dispatched_schedule(instance, x, y)
-
-
 def decomposed_offline_schedule(instance: Instance) -> Schedule:
     """Offline reference built stage-wise: slice-optimal provisioning, then
     slice-optimal supply on the induced energy demand."""
-    return _staged_schedule(instance, solve_cp_offline(instance))
+    return staged_schedule(instance, solve_cp_offline(instance), solve_ep_offline)
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,7 @@ def offline_reference(
         return solve_dcm_offline(instance, state_budget=state_budget), "exact"
     except CapacityError:
         x = solve_cp_offline(instance) if cpoff is None else cpoff()
-        return _staged_schedule(instance, x), "decomposed"
+        return staged_schedule(instance, x, solve_ep_offline), "decomposed"
 
 
 def run_comparison(
@@ -193,10 +189,7 @@ def run_comparison(
 
 def ep_only_schedule(instance: Instance) -> Schedule:
     """Supply lever alone: static peak fleet, offline-optimal generator use."""
-    x = np.full(instance.horizon, float(instance.max_servers))
-    energy = demand_series(instance, x)
-    y = solve_ep_offline(instance.generator, energy, instance.price)
-    return dispatched_schedule(instance, x, y)
+    return staged_schedule(instance, static_fleet(instance), solve_ep_offline)
 
 
 def cp_only_schedule(instance: Instance) -> Schedule:

@@ -10,13 +10,12 @@ other model error, 2 solver capacity error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-
-import numpy as np
 
 from . import analysis, harness, online
 from .errors import CapacityError, ConfigError, DcmError
-from .model import demand_series, dispatched_schedule, evaluate
+from .model import evaluate, staged_schedule
 from .offline import brute_force_dcm, solve_dcm_offline
 from .verify import run_verification
 
@@ -61,11 +60,13 @@ def _build_parser() -> _Parser:
 
 
 def _load_setup(args):
-    cfg = harness.load_config(args.config) if args.config else harness.validate_config({})
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.lookahead is not None:
-        cfg["lookahead"] = args.lookahead
+    # --seed and --lookahead replace the config's keys before the schema check
+    given = {"seed": args.seed, "lookahead": args.lookahead}
+    overrides = {key: value for key, value in given.items() if value is not None}
+    if args.config:
+        cfg = harness.load_config(args.config, overrides)
+    else:
+        cfg = harness.validate_config(overrides)
     if args.trace:
         trace = harness.TraceFile.load(args.trace)
     else:
@@ -98,10 +99,8 @@ def _solve_schedule(instance, algo: str, lookahead: int):
     if algo == "gcsr":
         return analysis.grid_only_schedule(instance, online.gcsr(instance, lookahead))
     if algo == "chase":
-        x = np.full(instance.horizon, float(instance.max_servers))
-        energy = demand_series(instance, x)
-        y = online.chase(instance.generator, energy, instance.price, lookahead)
-        return dispatched_schedule(instance, x, y)
+        chase = functools.partial(online.chase, lookahead=lookahead)
+        return staged_schedule(instance, analysis.static_fleet(instance), chase)
     if algo == "dcmon":
         return online.dcmon(instance, lookahead)
     raise ConfigError(f"unknown algorithm {algo!r}")

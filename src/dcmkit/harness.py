@@ -202,6 +202,8 @@ def synthesize_trace(seed: int, days: int, servers: int, preset: str = "ny") -> 
         raise ConfigError(f"days must be >= 1, got {days}")
     if servers < 1:
         raise ConfigError(f"servers must be >= 1, got {servers}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     check_size(days * 24, servers, 0)  # the peak workload is at most servers
@@ -324,8 +326,14 @@ DEFAULT_CONFIG = {
 def _config_validator():
     """The validator of CONFIG_SCHEMA, built on first use. CONFIG_SCHEMA is a
     constant, so the tests check it against its metaschema once; a check
-    per call (as jsonschema.validate makes) costs most of a validation."""
-    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+    per call (as jsonschema.validate makes) costs most of a validation.
+
+    "integer" matches JSON integers only: jsonschema's own check also takes
+    integral floats such as 2.0, which would reach the model as floats."""
+    base = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    types = base.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
+    return jsonschema.validators.extend(base, type_checker=types)(CONFIG_SCHEMA)
 
 
 def validate_config(raw: dict) -> dict:
@@ -343,7 +351,9 @@ def validate_config(raw: dict) -> dict:
     return cfg
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, overrides: dict | None = None) -> dict:
+    """Read a config document, replace its top-level keys by overrides, and
+    validate the result (validate_config)."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -353,7 +363,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    return validate_config(raw)
+    return validate_config({**raw, **(overrides or {})})
 
 
 def _cooling_from_config(cfg: dict, b_max_default: float) -> CoolingModel:

@@ -430,17 +430,15 @@ class Instance:
 # operating-point math
 
 
-def demand_series(instance: Instance, x, slots: slice = slice(None)) -> np.ndarray:
-    """Vector of d_t(x(t)) for a fleet series x over the horizon, or over
-    the slots that slots (a slice of the 0-based series) selects.
+def demand_series(instance: Instance, x) -> np.ndarray:
+    """Vector of d_t(x(t)) for a fleet series x over the horizon.
 
     No feasibility gate; callers decide whether x must cover the workload.
     """
     x = np.asarray(x, dtype=float)
-    shape = instance.workload[slots].shape
-    if x.shape != shape:
-        raise ConfigError(f"fleet series has shape {x.shape}, expected {shape}")
-    return instance._demand(slots, x)
+    if x.shape != instance.workload.shape:
+        raise ConfigError(f"fleet series has shape {x.shape}, expected {instance.workload.shape}")
+    return instance._demand(slice(None), x)
 
 
 def _supply_inputs(gen: GeneratorModel, y, p, d) -> tuple[np.ndarray, ...]:
@@ -533,6 +531,14 @@ def dispatched_schedule(instance: Instance, x, y) -> Schedule:
         )
     u, v = dispatch(instance.generator, np.round(y), instance.price, demand)
     return Schedule(x=x, y=y, u=u, v=v)
+
+
+def staged_schedule(instance: Instance, x, supply) -> Schedule:
+    """Complete a provisioning series x with the commitment series that the
+    supply rule supply(generator, energy, price) chooses on the energy
+    demand x induces, then the cost-optimal dispatch."""
+    y = supply(instance.generator, demand_series(instance, x), instance.price)
+    return dispatched_schedule(instance, x, y)
 
 
 @dataclass(frozen=True)

@@ -36,11 +36,11 @@ s + ep_window(w) in dcmon) and checks every extreme a decision used against
 it, so a block is as causal as a slot. CHASE holds O((BLOCK_SLOTS + w) * N)
 floats.
 
-The combined pipeline (DCMON) runs GCSR under the master window t + w and
-CHASE under a second window s + ep_window(w) over GCSR's energy series,
-which grows as GCSR decides the slots that window reveals: GCSR decides
-slot s when the driver stands at output slot max(1, s - ep_window(w)).
-Both stages step once per block of output slots.
+One driver (_drive) steps every fleet: it reveals the window ends of the
+next offline.BLOCK_SLOTS decisions and lets the fleet decide them. The
+combined pipeline (DCMON) is the composition of the two stages: a GCSR run
+whose decisions lag ep_window(w) slots behind the master window, then CHASE
+with window ep_window(w) on the energy series of the decided fleet.
 
 A-priori values and bounds: besides the revealed window, the pipeline and
 every ratio bound read only declared values. OngridParams holds beta_s,
@@ -52,6 +52,7 @@ generator economics and P_max. A truncated replay passes its parent's params.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import asdict, dataclass
@@ -60,7 +61,7 @@ import numpy as np
 
 from . import offline
 from .errors import ConfigError, LookaheadViolation
-from .model import GeneratorModel, Instance, Schedule, demand_series, dispatched_schedule
+from .model import GeneratorModel, Instance, Schedule, staged_schedule
 from .offline import (
     gap_pieces,
     gap_verdicts,
@@ -87,9 +88,7 @@ class RevealedWindow:
     """Slots 1..end of a horizon: all an online fleet may read.
 
     The driver calls reveal before each decision; read and check raise
-    LookaheadViolation for any slot outside [1, end]. A read sees the series
-    object itself, so a list that grows as decisions are made can be read as
-    it grows.
+    LookaheadViolation for any slot outside [1, end].
 
     A fleet that decides a block of slots at once (ChaseFleet, GcsrFleet)
     also needs each decision's own window. Decision s is made when the
@@ -146,6 +145,20 @@ class RevealedWindow:
         """Window ends of decisions first..last, within the revealed slots."""
         driver = np.maximum(np.arange(first, last + 1) - self.lag, 1)
         return np.minimum(driver + self.lookahead, self.end)
+
+
+def _drive(fleet, window: RevealedWindow, keep: bool = False) -> list:
+    """Step fleet over the whole horizon: reveal the window ends of the next
+    offline.BLOCK_SLOTS decisions, then let the fleet decide every slot
+    whose end is revealed. With keep, returns the decide_next results."""
+    kept = []
+    while fleet.next_slot <= window.horizon:
+        window.reveal(max(1, fleet.next_slot + offline.BLOCK_SLOTS - 1 - window.lag)
+                      + window.lookahead)
+        step = fleet.decide_next()
+        if keep:
+            kept += step
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +224,7 @@ class GcsrFleet:
     a decided slot is known when it is decided, so decision t's fleet is
     c(t) plus the kept intervals covering t. decide_next returns the kept
     intervals it resolved, for painting slices; the fleet holds
-    O(BLOCK_SLOTS * M + T) numbers, and energy holds d_t(x_t) of the
-    decided slots (model.demand_series).
+    O(BLOCK_SLOTS * M + T) numbers.
 
     Every gap also gets the offline rule's verdict (offline.gap_verdicts):
     the offline rule keeps a gap iff it closes with no j*, which does not
@@ -238,7 +250,6 @@ class GcsrFleet:
         self.open_gaps = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
         self.next_slot = 1
         self.series: list[int] = []
-        self.energy: list[float] = []  # energy[t-1] = d_t(series[t-1])
 
     def _step(self, stop: int, t: int, ends: np.ndarray):
         """Step the gaps over the revealed slots after the last stepped one
@@ -286,7 +297,6 @@ class GcsrFleet:
         self._held = int(held[-1])
         fleet = self._need[t : t + k] + held
         self.series.extend(fleet.tolist())
-        self.energy.extend(demand_series(self.instance, fleet, slice(t - 1, t - 1 + k)).tolist())
         self.next_slot += k
         return kept
 
@@ -311,16 +321,10 @@ def gcsr(instance: Instance, lookahead: int, return_slices: bool = False,
     turns off for free. At w >= T it differs from solve_cp_offline only in
     trailing gaps.
     """
-    lookahead = _whole_slots(lookahead)
     t_end = instance.horizon
-    window = RevealedWindow(t_end, lookahead)
+    window = RevealedWindow(t_end, _whole_slots(lookahead))
     fleet = GcsrFleet(instance, window)
-    kept = []
-    while fleet.next_slot <= t_end:
-        window.reveal(fleet.next_slot + offline.BLOCK_SLOTS - 1 + lookahead)
-        resolved = fleet.decide_next()
-        if return_slices:
-            kept += resolved
+    kept = _drive(fleet, window, keep=return_slices)
     out = [np.array(fleet.series, dtype=float)]
     if return_slices:
         slices, first, _ = fleet.open_gaps  # gaps still open at the end stay on through it
@@ -357,8 +361,7 @@ class ChaseFleet:
     previous block's last decision. Every gathered extreme passes
     window.check_each against its own decision's end. The fleet holds the
     savings rows from next_slot - 1 on, O((BLOCK_SLOTS + w) * N) floats
-    when the driver reveals blocks of offline.BLOCK_SLOTS decisions. energy
-    may be a list that grows as the provisioning stage decides.
+    when the driver reveals blocks of offline.BLOCK_SLOTS decisions.
     """
 
     def __init__(self, gen: GeneratorModel, energy, price, window: RevealedWindow):
@@ -408,12 +411,9 @@ def chase(gen: GeneratorModel, energy, price, lookahead: int) -> np.ndarray:
     """
     lookahead = _whole_slots(lookahead)
     energy, price = supply_series(energy, price)
-    t_end = len(energy)
-    window = RevealedWindow(t_end, lookahead)
+    window = RevealedWindow(len(energy), lookahead)
     fleet = ChaseFleet(gen, energy, price, window)
-    while fleet.next_slot <= t_end:
-        window.reveal(fleet.next_slot + offline.BLOCK_SLOTS - 1 + lookahead)
-        fleet.decide_next()
+    _drive(fleet, window)
     return np.array(fleet.series, dtype=float)
 
 
@@ -424,17 +424,13 @@ def chase(gen: GeneratorModel, energy, price, lookahead: int) -> np.ndarray:
 def dcmon(instance: Instance, lookahead: int, params: OngridParams | None = None) -> Schedule:
     """Run the full online pipeline and return a complete schedule.
 
-    Provisioning slot s is decided by GCSR when the driver stands at output
-    slot max(1, s - params.ep_window(lookahead)), under that slot's master
-    window (its break-even scans see no further than t + w, which changes
-    nothing once the surplus exists). Its energy series feeds CHASE, whose
-    decision s reads the supply window up to s + ep_window. The driver steps
-    in blocks of offline.BLOCK_SLOTS output slots: it reveals both windows
-    for the block's last slot, GCSR decides every slot whose own end is
-    revealed (through the supply window's end), and CHASE decides the block
-    in one step. The dispatch rule completes each slot from the decided
-    (x, y). Once the master window reaches the horizon, GCSR has decided
-    every slot and CHASE decides the rest at once.
+    A GCSR run decides slot s under the master window of output slot
+    max(1, s - w_ep), w_ep = params.ep_window(lookahead), so its window ends
+    at max(1, s - w_ep) + w. CHASE then runs with window w_ep on the energy
+    series of that fleet, and the dispatch rule completes each slot
+    (model.staged_schedule). Causal: CHASE decision s reads energy up to slot
+    s + w_ep, whose fleet was decided on inputs up to max(1, s) + w; so no
+    decision for slot s depends on an input past s + w.
 
     params holds the declared a-priori values (default: read off the
     instance); a replay of a truncated view passes its parent's.
@@ -443,19 +439,10 @@ def dcmon(instance: Instance, lookahead: int, params: OngridParams | None = None
     if params is None:
         params = OngridParams.from_instance(instance)
     w_ep = params.ep_window(lookahead)
-    t_end = instance.horizon
-    window = RevealedWindow(t_end, lookahead, lag=w_ep)
-    supply_window = RevealedWindow(t_end, w_ep)
+    window = RevealedWindow(instance.horizon, lookahead, lag=w_ep)
     fleet = GcsrFleet(instance, window)
-    supply = ChaseFleet(instance.generator, fleet.energy, instance.price, supply_window)
-    while supply.next_slot <= t_end:
-        t = min(supply.next_slot + offline.BLOCK_SLOTS - 1, t_end)  # the block's last output slot
-        window.reveal(t + lookahead)
-        supply_window.reveal(t + w_ep)
-        while fleet.next_slot <= supply_window.end:
-            fleet.decide_next()
-        supply.decide_next()
-    return dispatched_schedule(instance, fleet.series, supply.series)
+    _drive(fleet, window)
+    return staged_schedule(instance, fleet.series, functools.partial(chase, lookahead=w_ep))
 
 
 # ---------------------------------------------------------------------------

@@ -464,6 +464,47 @@ def test_cli_rejects_oversized_inputs_before_building_them(tmp_path, capsys, con
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"days": 1.0}, "days: 1.0"),
+        ({"days": 1, "generator": {"count": 2.0}}, "generator/count: 2.0"),
+        ({"days": 1, "lookahead": 4.0}, "lookahead: 4.0"),
+        ({"days": 1, "sweep": {"axis": "lookahead", "values": [0, 2.0]}}, "sweep/values/1: 2.0"),
+    ],
+)
+def test_cli_rejects_integral_floats_for_integer_keys(tmp_path, capsys, config, key):
+    # JSON 2.0 is a float: an integer key holding one is a config error,
+    # not a float that reaches the solvers or the report
+    cfg = tmp_path / "floats.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "report.json"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: config {key} is not of type 'integer'\n")
+    assert not out.exists()
+
+
+def test_cli_rejects_a_negative_seed(tmp_path, capsys):
+    # --seed overrides the config's seed before the schema check
+    cfg = write_tiny_config(tmp_path)
+    out = tmp_path / "report.json"
+    for command in (["compare"], ["sweep"], ["solve", "--algo", "gcsr"]):
+        for config in ([], ["--config", cfg]):
+            assert main([*command, *config, "--seed", "-1", "--out", str(out)]) == 1
+            assert capsys.readouterr() == ("", "error: config seed: -1 is less than the minimum of 0\n")
+            assert not out.exists()
+    assert main(["synth", "--days", "1", "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+    assert not out.exists()
+    # a valid override replaces the config's seed and lookahead
+    assert main(["compare", "--config", cfg, "--seed", "3", "--lookahead", "1", "--out", str(out)]) == 0
+    same = tmp_path / "same.json"
+    same.write_text(json.dumps({**TINY_CFG, "seed": 3, "lookahead": 1}))
+    want = tmp_path / "want.json"
+    assert main(["compare", "--config", str(same), "--out", str(want)]) == 0
+    assert out.read_bytes() == want.read_bytes()
+
+
 def test_cli_rejects_a_breakeven_span_that_underflows(tmp_path, capsys):
     cfg = tmp_path / "tiny_beta.json"
     cfg.write_text(json.dumps({"days": 1, "servers": 10, "generator": {"count": 0},

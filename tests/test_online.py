@@ -65,7 +65,7 @@ def test_window_reveals_exactly_its_slots():
     with pytest.raises(LookaheadViolation):
         window.read(inst.workload, 1, 4)
     fleet.decide_next()  # at w = 0 every revealed slot's window end is revealed
-    assert fleet.series == [1, 1, 1] and fleet.energy == [0.25] * 3
+    assert fleet.series == [1, 1, 1]
     with pytest.raises(LookaheadViolation, match=r"slot 4 is outside the revealed window \[1, 3\]"):
         fleet.decide_next()
     window.reveal(4)
@@ -80,6 +80,9 @@ def test_window_reveals_exactly_its_slots():
         fleet.decide_next()
     window.reveal(8)
     assert window.end == 5  # clipped at the horizon
+    fleet.decide_next()
+    assert fleet.series == [1] * 5
+    assert np.array_equal(demand_series(inst, fleet.series), [0.25] * 5)
 
 
 def test_window_past_the_horizon_is_the_horizon():
@@ -114,9 +117,11 @@ def test_fleet_energy_is_the_table_entry_of_each_decision(monkeypatch):
                 window = RevealedWindow(inst.horizon, w)
                 fleet = GcsrFleet(inst, window)
                 for _ in drive(fleet, window, w, block):
-                    for t, x in enumerate(fleet.series, start=1):
-                        assert fleet.energy[t - 1] == inst.demand_table(t)[x]
-                assert len(fleet.energy) == len(fleet.series) == inst.horizon
+                    assert len(fleet.series) == fleet.next_slot - 1
+                assert len(fleet.series) == inst.horizon
+                energy = demand_series(inst, fleet.series)
+                for t, x in enumerate(fleet.series, start=1):
+                    assert energy[t - 1] == inst.demand_table(t)[x]
     window = RevealedWindow(3)
     window.reveal(2)
     assert window.read([0.5, 0.25, 0.125], 2) == 0.25
@@ -164,8 +169,8 @@ def test_fleet_block_rows_match_sequential_sums(monkeypatch):
                     assert np.array_equal(rows, prefix[start - 1 : stop + 1])
                     # O(block * M) floats a call, whatever the window
                     assert stop - start + 1 <= block
-                for t, x in enumerate(fleet.series, start=1):
-                    assert fleet.energy[t - 1] == tables[t - 1, x]
+            energy = demand_series(inst, fleet.series)
+            assert np.array_equal(energy, tables[np.arange(t_end), fleet.series])
 
 
 def test_fleet_reads_stay_checked_after_a_block_is_evaluated(monkeypatch):
@@ -188,13 +193,17 @@ def test_fleet_reads_stay_checked_after_a_block_is_evaluated(monkeypatch):
         window.read(inst.workload, 3)
     window.reveal(3)
     fleet.decide_next()
-    assert fleet.energy == [0.25] * 3
+    assert fleet.series == [1, 1, 1]
     assert np.array_equal(window.read(inst.workload, 2, 3), [0.0, 0.0])
     assert evaluated == [(1, 2), (3, 3)]
     # no block of P rows is held past its evaluation: one row and the
     # per-slot series remain
     held = [v for v in vars(fleet).values() if isinstance(v, np.ndarray)]
     assert held and all(v.ndim == 1 for v in held)
+    window.reveal(5)
+    fleet.decide_next()
+    assert evaluated[2:] == [(4, 5)]
+    assert np.array_equal(demand_series(inst, fleet.series), [0.25] * 5)
 
 
 class FurtherWindow:
