@@ -14,12 +14,22 @@ when its run ends) saves at least (D+1)*r*d_min and costs at most one
 restart beta_s, so every optimal schedule, from any state, stays inside the
 band by a margin of at least r*d_min (the exchange argument of lazy
 capacity provisioning; Lin et al., INFOCOM 2011). When r*d_min is 0 the band
-is the full row. A layer costs O((U(t)+1-ceil(a(t)))(N+1)) work and memory;
-the state budget still counts the full (M+1)(N+1)(T+2) grid. A Dijkstra
-search over the same graph and an exhaustive enumeration are kept as
-reference oracles. The decomposition splits provisioning into M unit server
-slices solved by a break-even rule and supply into N unit generator slices
-solved by tracking a clamped cumulative savings process.
+is the full row. The same argument bands the generator axis to
+y = 0..Y(t): Y(t) is the peak of useful(s) over s in [t, min(T, t+D_g)],
+useful(s) counts the units k with L*(k-1) < d_s(U(s)), and
+D_g = floor(beta_g/c_m) + 1. Demand is nondecreasing in x and an optimum
+keeps x(s) <= U(s), so a unit above useful(s) leaves the merit-order split
+u = min(L*y, d) as it is and only costs c_m. Above Y(t) the top unit is
+such a unit through slots t..t+D_g. Turning it off through t+D_g saves
+c_m*(D_g+1) for at most one startup beta_g; if its run ends sooner,
+turning it off for the rest of the run costs nothing. Either way the gain
+is at least c_m. When c_m is 0 the rows are all N+1. A layer costs
+O((Y(t)+1)(U(t)+1-ceil(a(t)))) work and memory; the state budget still
+counts the full (M+1)(N+1)(T+2) grid. A Dijkstra search over the same graph
+and an exhaustive enumeration are kept as reference oracles. The
+decomposition splits provisioning into M unit server slices solved by a
+break-even rule and supply into N unit generator slices solved by tracking
+a clamped cumulative savings process.
 
 Both the DP and the server slices walk the horizon in blocks of BLOCK_SLOTS
 slots. The DP reads one demand grid per block. For the slices,
@@ -180,6 +190,25 @@ def _dp_band(instance: Instance, need: np.ndarray) -> np.ndarray:
     return _window_max(need, span)
 
 
+def _dp_rows(instance: Instance, band: np.ndarray) -> np.ndarray:
+    """Top row Y(t) of each layer of the exact DP, given band = U from _dp_band.
+
+    useful(s) counts the units k in 1..N with L*(k-1) < d_s(U(s)), the
+    units a fleet inside the band can load at slot s. Y(t) = max useful(s)
+    over s in [t, min(T, t+D_g)] with D_g = floor(beta_g/c_m) + 1; N when
+    c_m is 0 or N is 0. The module docstring gives the exchange argument.
+    """
+    gen = instance.generator
+    if not (gen.count and gen.c_m > 0.0):
+        return np.full(len(band), gen.count)
+    demand = demand_series(instance, band)
+    # searchsorted counts the loads L*(k-1), k = 1..N, below each demand
+    useful = np.searchsorted(gen.capacity * np.arange(gen.count, dtype=float), demand)
+    slots = gen.beta_g / gen.c_m  # D_g = floor(slots) + 1
+    span = int(slots) + 2 if slots < len(band) else len(band)  # slots t..t+D_g
+    return _window_max(useful, span)
+
+
 def solve_dcm_offline(
     instance: Instance,
     state_budget: int = DEFAULT_STATE_BUDGET,
@@ -187,14 +216,19 @@ def solve_dcm_offline(
     """Exact minimum-cost schedule via a backward dynamic program over the
     layered state graph.
 
-    Layer t is stored y-major, shape (N+1, U(t)+1-ceil(a(t))), C-contiguous,
-    holding only the columns x = ceil(a(t))..U(t) of the break-even band
-    (_dp_band): U(t) is the peak need within one break-even span D of slot
-    t. A schedule above U(t) idles its top server through slots t..t+D, and
-    turning that server off until it is next needed gains at least r*d_min
-    net, so no optimal schedule from any state leaves the band. The optimal
-    set and the tie order are those of the full layers. Work and memory are
-    O((U(t)+1-ceil(a(t)))(N+1)) per layer. The backward pass reads demand
+    Layer t is stored y-major, shape (Y(t)+1, U(t)+1-ceil(a(t))),
+    C-contiguous, holding only the states of two bands. The columns
+    x = ceil(a(t))..U(t) are the break-even band (_dp_band): U(t) is the
+    peak need within one break-even span D of slot t. A schedule above U(t)
+    idles its top server through slots t..t+D, and turning that server off
+    until it is next needed gains at least r*d_min net. The rows
+    y = 0..Y(t) are the startup band (_dp_rows): Y(t) is the most units the
+    demand at fleet U(s) can load over slots s = t..t+D_g. A schedule above
+    Y(t) pays c_m for a unit that carries nothing through slots t..t+D_g,
+    and turning that unit off gains at least c_m net. So no optimal
+    schedule from any state leaves either band, and the optimal set and the
+    tie order are those of the full layers. Work and memory are
+    O((Y(t)+1)(U(t)+1-ceil(a(t)))) per layer. The backward pass reads demand
     from one demand_table grid per block of BLOCK_SLOTS slots, checks it
     once (model._supply_inputs) and takes each layer's stage costs from
     model.split_cost, the pricing supply_cost reads. The state budget
@@ -214,28 +248,36 @@ def solve_dcm_offline(
     beta_s, beta_g = instance.server.beta_s, gen.beta_g
     y_grid = np.arange(n + 1, dtype=float)[:, None]
     x_offsets, y_offsets = beta_s * np.arange(m + 1, dtype=float), beta_g * y_grid
-    # layer t holds columns lows[t]..highs[t]; the end layer T+1 is all zeros,
-    # so its column 0 stands for every column
+    # layer t holds rows 0..tops[t] and columns lows[t]..highs[t]; the end
+    # layer T+1 is all zeros, so its row 0 and column 0 stand for every state
     need = np.ceil(instance.workload).astype(int)
+    band = _dp_band(instance, need)
     lows = [0, *need.tolist(), 0]
-    highs = [0, *_dp_band(instance, need).tolist(), 0]
+    highs = [0, *band.tolist(), 0]
+    tops = [0, *_dp_rows(instance, band).tolist(), 0]
     # backward pass: value[t][y, x - lows[t]] = cheapest completion from
-    # state (x, y) at slot t, for the band's columns only
+    # state (x, y) at slot t, for the band's states only
     value: list[np.ndarray | None] = [None] * (t_end + 2)
-    value[t_end + 1] = np.zeros((n + 1, 1))
+    value[t_end + 1] = np.zeros((1, 1))
     first = t_end + 1  # demand rows of slots first..first+len(grid)-1, read backward
     for t in range(t_end, 0, -1):
         if t < first:
             first = max(1, t - BLOCK_SLOTS + 1)
             demand = instance.demand_table(first, t)
             _, price, grid = _supply_inputs(gen, y_grid, instance.price, demand)
-        lo, hi = lows[t], highs[t]
+        lo, hi, top = lows[t], highs[t], tops[t]
         over_x = _min_increase_transform(value[t + 1], x_offsets, lows[t + 1], lo, hi)
-        # the same transform over the generator axis, then the stage costs
-        value[t] = layer = _running_min(over_x + y_offsets, reverse=True)
-        layer -= y_offsets
-        np.minimum(layer, _running_min(over_x), out=layer)
-        layer += split_cost(gen, y_grid, price[t - 1], grid[t - first, lo : hi + 1])
+        # the same transform over the generator axis: rows 0..k-1 are in
+        # both layers, and a row above layer t+1's can only fall into it, so
+        # it takes the column minimum, the last row of the running minimum
+        k = min(top + 1, len(over_x))
+        value[t] = layer = np.empty((top + 1, hi + 1 - lo))
+        reach = _running_min(over_x + y_offsets[: len(over_x)], reverse=True)
+        np.subtract(reach[:k], y_offsets[:k], out=layer[:k])
+        fall = _running_min(over_x[:k])
+        np.minimum(layer[:k], fall, out=layer[:k])
+        layer[k:] = fall[-1]
+        layer += split_cost(gen, y_grid[: top + 1], price[t - 1], grid[t - first, lo : hi + 1])
 
     # forward pass: walk the argmin over the band, scanning x-major so
     # equal-cost choices pick the smallest (x, y); the move costs are read
@@ -246,9 +288,9 @@ def solve_dcm_offline(
     ys = np.empty(t_end)
     px = py = 0
     for t in range(1, t_end + 1):
-        lo, hi = lows[t], highs[t]
-        move = x_moves[lo - px + m : hi - px + m + 1, None] + y_moves[py]
-        px, py = divmod(int(np.argmin(move + value[t].T)), n + 1)
+        lo, hi, top = lows[t], highs[t], tops[t]
+        move = x_moves[lo - px + m : hi - px + m + 1, None] + y_moves[py, : top + 1]
+        px, py = divmod(int(np.argmin(move + value[t].T)), top + 1)
         px += lo
         xs[t - 1], ys[t - 1] = px, py
     return dispatched_schedule(instance, xs, ys)

@@ -1,16 +1,21 @@
 """Trace files, synthesis, run configuration, report emission, and the CLI."""
 
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcmkit import (
     PRESETS,
@@ -552,3 +557,69 @@ def test_cli_capacity_exhaustion_exits_two(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path, {"servers": 600, "days": 1})
     assert main(["solve", "--algo", "bruteforce", "--config", cfg]) == 2
     capsys.readouterr()
+
+
+def _totals(node):
+    """Every value under a "total" key of a report, at any depth."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "total":
+                yield value
+            else:
+                yield from _totals(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _totals(value)
+
+
+def _log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+
+
+@given(
+    servers=st.integers(1, 24),
+    preset=st.sampled_from(sorted(PRESETS)),
+    seed=st.integers(0, 2**16),
+    lookahead=st.integers(0, 30),
+    capacity=_log_uniform(0.1, 100.0),
+    c_o=st.floats(0.0, 0.2),
+    c_m=st.just(0.0) | _log_uniform(1e-4, 2.0),
+    beta_g=_log_uniform(1e-3, 1e3),
+    count=st.integers(0, 10),
+)
+@settings(max_examples=100, deadline=None)
+def test_cli_offline_path_exits_cleanly_and_its_exact_total_is_never_beaten(
+    servers, preset, seed, lookahead, capacity, c_o, c_m, beta_g, count
+):
+    # solve --algo offline and compare on one-day configs: every run exits
+    # 0, 1 or 2; a failure prints one error line and writes no report; a
+    # report's totals are finite, and an exact offline reference costs no
+    # more than any algorithm it is compared with
+    cfg = {
+        "days": 1, "servers": servers, "preset": preset, "seed": seed, "lookahead": lookahead,
+        "generator": {"capacity": capacity, "c_o": c_o, "c_m": c_m, "beta_g": beta_g,
+                      "count": count},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = pathlib.Path(tmp, "run.json"), pathlib.Path(tmp, "report.json")
+        config.write_text(json.dumps(cfg))
+        for command in (["solve", "--algo", "offline"], ["compare"]):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = main([*command, "--config", str(config), "--out", str(out)])
+            assert rc in (0, 1, 2)
+            assert stdout.getvalue() == ""
+            if rc:
+                err = stderr.getvalue()
+                assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+                assert not out.exists()
+                continue
+            assert stderr.getvalue() == ""
+            report = json.loads(out.read_text())
+            out.unlink()
+            totals = list(_totals(report))
+            assert totals and all(math.isfinite(total) for total in totals)
+            if report.get("reference_kind") == "exact":
+                best = report["algorithms"]["offline"]["total"]
+                for entry in report["algorithms"].values():
+                    assert best <= entry["total"] + 1e-9 * abs(entry["total"]), entry["name"]

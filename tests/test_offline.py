@@ -310,8 +310,9 @@ def test_feasible_row_dp_matches_the_full_layer_reference():
 def test_dp_stage_rows_are_supply_cost_in_both_price_branches(monkeypatch):
     # every layer's stage costs, as the backward pass adds them, are the
     # floats supply_cost gives that layer's band of the feasible demand row,
-    # columns ceil(a(t))..U(t), whether the price picks the grid-first
-    # (p <= c_o) or the generator-first branch
+    # rows 0..Y(t) and columns ceil(a(t))..U(t), whether the price picks the
+    # grid-first (p <= c_o) or the generator-first branch; some layers keep
+    # fewer rows than N+1
     stages = []
 
     def record(*args):
@@ -322,6 +323,7 @@ def test_dp_stage_rows_are_supply_cost_in_both_price_branches(monkeypatch):
     monkeypatch.setattr(offline, "split_cost", record)
     rng = np.random.default_rng(18)
     branches = set()
+    narrowed = 0
     for k in range(40):
         inst = random_tiny_instance(rng) if k % 2 else random_bound_instance(rng)
         gen = inst.generator
@@ -333,15 +335,18 @@ def test_dp_stage_rows_are_supply_cost_in_both_price_branches(monkeypatch):
         solve_dcm_offline(inst)
         y = np.arange(gen.count + 1, dtype=float)[:, None]
         tops = offline._dp_band(inst, np.ceil(inst.workload).astype(int))
+        rows = offline._dp_rows(inst, tops)
         assert len(stages) == inst.horizon
         for t, stage in zip(range(inst.horizon, 0, -1), stages):
-            lo, hi = inst.min_servers(t), int(tops[t - 1])
+            lo, hi, top = inst.min_servers(t), int(tops[t - 1]), int(rows[t - 1])
             d = inst.demand_table(t)[lo:]
-            want = supply_cost(gen, y, inst.p(t), d)[:, : hi - lo + 1]
-            assert stage.shape == (gen.count + 1, hi - lo + 1), (k, t)
+            want = supply_cost(gen, y, inst.p(t), d)[: top + 1, : hi - lo + 1]
+            assert stage.shape == (top + 1, hi - lo + 1), (k, t)
             assert stage.tobytes() == want.tobytes(), (k, t)
             branches.add(inst.p(t) <= c_o)
+            narrowed += top < gen.count
     assert branches == {True, False}
+    assert narrowed >= 30, narrowed
 
 
 def test_dp_band_is_the_peak_need_within_one_breakeven_span():
@@ -380,6 +385,37 @@ def test_dp_band_is_the_peak_need_within_one_breakeven_span():
     assert min(seen.values()) >= 20, seen
 
 
+def test_dp_rows_are_the_loadable_generators_within_one_startup_span():
+    # Y(t) = max useful(s) over s in [t, min(T, t+D_g)], D_g =
+    # floor(beta_g/c_m) + 1, where useful(s) counts the units k = 1..N with
+    # L*(k-1) < d_s(U(s)); free maintenance (c_m = 0) and no generators give N
+    rng = np.random.default_rng(22)
+    seen = dict(narrow=0, free_maintenance=0, no_generators=0)
+    for k in range(300):
+        inst = random_bound_instance(rng, generators=int(rng.integers(0, 6)))
+        gen = inst.generator
+        if k % 3 == 1:
+            gen = dataclasses.replace(gen, beta_g=0.05 * gen.beta_g)
+        elif k % 3 == 2:
+            gen = dataclasses.replace(gen, c_m=0.0)
+        inst = dataclasses.replace(inst, generator=gen)
+        tops = offline._dp_band(inst, np.ceil(inst.workload).astype(int))
+        rows = offline._dp_rows(inst, tops)
+        if gen.count == 0 or gen.c_m == 0.0:
+            assert np.array_equal(rows, np.full(inst.horizon, gen.count)), k
+            seen["no_generators" if gen.count == 0 else "free_maintenance"] += 1
+            continue
+        useful = [
+            sum(gen.capacity * (unit - 1) < d for unit in range(1, gen.count + 1))
+            for d in demand_series(inst, tops).tolist()
+        ]
+        span = math.floor(gen.beta_g / gen.c_m) + 1
+        want = [max(useful[t : t + span + 1]) for t in range(inst.horizon)]
+        assert np.array_equal(rows, want), k
+        seen["narrow"] += bool(np.any(rows < gen.count))
+    assert min(seen.values()) >= 20, seen
+
+
 def test_banded_dp_matches_the_full_layer_reference_at_short_breakeven_spans():
     # beta_s scaled down narrows the band to a few slots' peak need; the
     # schedules stay those of the full layers bit for bit, ties included
@@ -401,6 +437,40 @@ def test_banded_dp_matches_the_full_layer_reference_at_short_breakeven_spans():
         narrowed += int(np.count_nonzero(tops < inst.max_servers))
         slots += inst.horizon
     assert narrowed >= 0.3 * slots, (narrowed, slots)
+
+
+def test_banded_dp_matches_the_full_layer_reference_at_short_startup_spans():
+    # beta_g scaled down narrows the generator rows to the units a few
+    # slots' demand can load; the schedules stay those of the full layers
+    # bit for bit, ties and free maintenance (every row kept) included
+    rng = np.random.default_rng(23)
+    narrowed = slots = 0
+    seen = dict(dyadic_ties=0, free_maintenance=0)
+    for k in range(480):
+        if k % 2:
+            inst = random_tiny_instance(rng)
+        else:
+            inst = random_bound_instance(rng, generators=int(rng.integers(1, 6)))
+        if k % 3 == 0:
+            inst = dyadic_tie_instance(inst, rng)
+        gen = inst.generator
+        gen = dataclasses.replace(
+            gen,
+            beta_g=(0.02, 0.1, 0.5, 1.0)[k % 4] * gen.beta_g,
+            c_m=0.0 if k % 10 == 5 else gen.c_m,
+        )
+        inst = dataclasses.replace(inst, generator=gen)
+        want, ties = reference_dcm_offline(inst)
+        got = solve_dcm_offline(inst)
+        for field in ("x", "y", "u", "v"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (k, field)
+        rows = offline._dp_rows(inst, offline._dp_band(inst, np.ceil(inst.workload).astype(int)))
+        narrowed += int(np.count_nonzero(rows < gen.count))
+        slots += inst.horizon
+        seen["dyadic_ties"] += k % 3 == 0 and ties > 0
+        seen["free_maintenance"] += gen.c_m == 0.0
+    assert narrowed >= 0.3 * slots, (narrowed, slots)
+    assert min(seen.values()) >= 30, seen
 
 
 def test_block_idle_costs_match_per_slot_increments():
