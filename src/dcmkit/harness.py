@@ -15,7 +15,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import jsonschema
 import numpy as np
 
 from .errors import ConfigError
@@ -329,7 +328,9 @@ def _config_validator():
     per call (as jsonschema.validate makes) costs most of a validation.
 
     "integer" matches JSON integers only: jsonschema's own check also takes
-    integral floats such as 2.0, which would reach the model as floats."""
+    integral floats such as 2.0, which would reach the model as floats.
+    jsonschema, a third of import dcmkit, is imported on first validation."""
+    import jsonschema
     base = jsonschema.validators.validator_for(CONFIG_SCHEMA)
     types = base.TYPE_CHECKER.redefine(
         "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
@@ -338,6 +339,7 @@ def _config_validator():
 
 def validate_config(raw: dict) -> dict:
     """Schema-check a config document and fill defaults (deep-merged)."""
+    import jsonschema
     error = jsonschema.exceptions.best_match(_config_validator().iter_errors(raw))
     if error is not None:
         path = "/".join(str(p) for p in error.absolute_path) or "<root>"

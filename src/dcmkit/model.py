@@ -179,6 +179,9 @@ class CoolingModel:
             raise ConfigError(f"cooling kind {self.kind!r} requires at least one regime")
         n_coef = 3 if self.kind == "quadratic" else 1
         for reg in self.regimes:
+            if not (0 <= reg.start < self.period and 0 <= reg.end < self.period):
+                raise ConfigError(f"regime {reg.name!r}: start {reg.start} and end {reg.end} "
+                                  f"must lie in [0, {self.period})")
             if len(reg.coeffs) != n_coef:
                 raise ConfigError(
                     f"regime {reg.name!r}: expected {n_coef} coefficients, got {len(reg.coeffs)}"
@@ -334,14 +337,20 @@ class Instance:
 
     # -- per-slot series access (1-based slots) -----------------------------
 
+    def _index(self, t: int) -> int:
+        """0-based index of slot t; ValueError unless 1 <= t <= horizon."""
+        if not 1 <= t <= self.horizon:
+            raise ValueError(f"slot {t} is outside 1..{self.horizon}")
+        return t - 1
+
     def a(self, t: int) -> float:
-        return float(self.workload[t - 1])
+        return float(self.workload[self._index(t)])
 
     def p(self, t: int) -> float:
-        return float(self.price[t - 1])
+        return float(self.price[self._index(t)])
 
     def min_servers(self, t: int) -> int:
-        return int(math.ceil(self.workload[t - 1]))
+        return int(math.ceil(self.workload[self._index(t)]))
 
     # -- demand -------------------------------------------------------------
 
@@ -370,7 +379,7 @@ class Instance:
         """
         x = np.arange(self.max_servers + 1, dtype=float)
         if end is None:
-            out = self._demand(t - 1, x)
+            out = self._demand(self._index(t), x)
         elif 1 <= t <= end <= self.horizon:
             out = self._demand(np.arange(t - 1, end)[:, None], x)
         else:

@@ -37,13 +37,14 @@ idle_cost_block returns only the running idle-cost sums P of a block,
 continued from the previous block's last row; it builds them from
 cache-sized chunks of demand rows (CHUNK_CELLS grid cells each) and holds no
 grid of the whole block. gap_pieces turns a block's changes in the busy
-count into the gaps of the nested slices, and each gap is decided at the
-slot where it closes, so solve_cp_offline holds O(BLOCK_SLOTS * M + T)
-numbers, never a (T, M) array. The online GCSR fleet steps the same two
-functions over its revealed slots, so online and offline slice rules
-compare the same floats. It also applies the offline rule (gap_verdicts)
-to every gap it sees, so a GCSR run yields cpoff's series as well, and
-compare makes two P-row walks, GCSR's and DCMON's, not three.
+count into the gaps of the nested slices. GapWalk is the one walk over
+them: it steps both functions block by block, decides each gap at the slot
+where it closes, follows the open gaps that have not reached break-even and
+records the gaps the offline rule keeps, so solve_cp_offline holds
+O(BLOCK_SLOTS * M + T) numbers, never a (T, M) array. The online GCSR fleet
+is a GapWalk stepped over its revealed slots, so online and offline slice
+rules compare the same floats, and a GCSR run yields cpoff's series as
+well: compare makes two P-row walks, GCSR's and DCMON's, not three.
 solve_cp_offline stays the standalone solver and the reference the checks
 compare against.
 
@@ -397,9 +398,9 @@ def idle_cost_block(instance: Instance, start: int, end: int, carried) -> np.nda
     demand_table calls of at most max(1, CHUNK_CELLS // (M+1)) slots each, so
     each chunk's grid stays cache-sized; a chunk is differenced and priced
     straight into its P rows, and no grid of the whole block is held. The
-    floats do not depend on the chunking. The online GCSR fleet and the
-    offline slice rule both read P from here, so they compare the same
-    floats (see reaches_breakeven).
+    floats do not depend on the chunking. GapWalk, and so the online GCSR
+    fleet and the offline slice rule, reads P from here, so both rules
+    compare the same floats (see reaches_breakeven).
     """
     m = instance.max_servers
     prefix = np.empty((end - start + 2, m))
@@ -426,22 +427,6 @@ def reaches_breakeven(prefix, base, beta_s: float):
     at exact ties (a tie turns off).
     """
     return prefix - base >= beta_s
-
-
-def gap_verdicts(prefix: np.ndarray, slices, base, last, beta_s: float):
-    """The offline slice rule on the gaps gap_pieces returns for one block.
-
-    Returns (reached, kept), one entry per gap: reached whether
-    reaches_breakeven holds at the gap's last idle slot in the block, and
-    kept whether the gap closes in the block without reaching it, so the
-    offline rule keeps the slice on through it. P is nondecreasing, so a
-    gap that reaches break-even anywhere reaches it at its close: the kept
-    gaps are exactly the closed gaps with no break-even slot, whatever
-    window a caller sees them through. solve_cp_offline and the online
-    GCSR fleet both decide gaps here.
-    """
-    reached = reaches_breakeven(prefix[last, slices], base, beta_s)
-    return reached, (last < len(prefix) - 1) & ~reached
 
 
 def gap_pieces(need: np.ndarray, prefix: np.ndarray, start: int, carried):
@@ -503,56 +488,90 @@ def _paint(need: np.ndarray, slices: int, gaps) -> np.ndarray:
     return (on | (np.arange(slices)[:, None] < need)).astype(float)
 
 
-def _instance_gaps(instance: Instance):
-    """Kept gaps of every server slice, one (slices, first, last) triple per
-    block of BLOCK_SLOTS slots. A gap is kept iff it closes and
-    not reaches_breakeven(P(h), base, beta_s) at its last idle slot h
-    (gap_verdicts)."""
-    t_end, m = instance.horizon, instance.max_servers
-    need = np.concatenate(([0], np.ceil(instance.workload).astype(int)))
-    carried = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
-    row = np.zeros(m)
-    for start in range(1, t_end + 1, BLOCK_SLOTS):
-        stop = min(start + BLOCK_SLOTS - 1, t_end)
-        prefix = idle_cost_block(instance, start, stop, row)
-        i, first, base, last = gap_pieces(need[start - 1 : stop + 1], prefix, start, carried)
-        _, kept = gap_verdicts(prefix, i, base, last, instance.server.beta_s)
-        yield i[kept], first[kept], start - 1 + last[kept]
-        held = last == stop - start + 1  # still open at the block's last slot
-        carried = (i[held], first[held], base[held])
-        row = prefix[-1].copy()
-        del prefix  # not held while the next block's P rows are built
+class GapWalk:
+    """The one walk of the server-slice rules, offline and online (GCSR).
+
+    step walks the next slots as one block: c(s) = ceil(a(s)), the P rows of
+    idle_cost_block continued from the last stepped row, and the gaps of
+    gap_pieces, each decided at its last idle slot in the block: reached iff
+    reaches_breakeven holds there, kept iff it closes in the block unreached.
+    P is nondecreasing, so the offline rule keeps exactly the kept gaps, and
+    a reached gap stays reached: only the open, unreached gaps are followed
+    into the next block (open_gaps). Between steps the walk holds c(s) of
+    the stepped slots, one P row, the open gaps and a difference array of
+    the kept gaps: O(M + T) numbers.
+    """
+
+    def __init__(self, instance: Instance):
+        self.instance = instance
+        self.need = np.zeros(instance.horizon + 1, dtype=int)  # c(s) of the stepped slots, c(0) = 0
+        self.stepped = 0  # the last stepped slot
+        self._row = np.zeros(instance.max_servers)  # P of the last stepped slot
+        # +1 at a kept gap's first slot, -1 at the slot that closes it
+        self._kept = np.zeros(instance.horizon + 1, dtype=int)
+        # (slice, g, base) of the unreached gaps open at the last stepped slot
+        self.open_gaps = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+
+    def step(self, workload, stop: int):
+        """Walk slots stepped+1..stop, given their workload a(s). Returns
+        (prefix, slices, first, base, last, reached, kept): the block's P
+        rows, then per gap gap_pieces' four arrays and the two verdicts."""
+        start = self.stepped + 1
+        need = self.need[start - 1 : stop + 1]
+        need[1:] = np.ceil(workload)
+        prefix = idle_cost_block(self.instance, start, stop, self._row)
+        slices, first, base, last = gap_pieces(need, prefix, start, self.open_gaps)
+        reached = reaches_breakeven(prefix[last, slices], base, self.instance.server.beta_s)
+        closed = last < stop - start + 1
+        kept = closed & ~reached
+        np.add.at(self._kept, first[kept] - 1, 1)
+        np.add.at(self._kept, start - 1 + last[kept], -1)
+        held = ~(closed | reached)
+        self.open_gaps = (slices[held], first[held], base[held])
+        self._row = prefix[-1].copy()
+        self.stepped = stop
+        return prefix, slices, first, base, last, reached, kept
+
+    def offline_series(self) -> np.ndarray:
+        """solve_cp_offline's series: c(s) plus the kept gaps covering s;
+        complete once every slot is stepped."""
+        return (self.need[1:] + np.cumsum(self._kept[:-1])).astype(float)
 
 
 def cp_offline_slices(instance: Instance) -> np.ndarray:
     """Per-slice optimal series, shape (max_servers, horizon).
 
-    Slice i (1-based) is busy where a(t) > i-1; the kept gaps are the ones
-    solve_cp_offline adds, painted into one row per slice. Unlike
+    Slice i (1-based) is busy where a(t) > i-1; the kept gaps of the walk
+    solve_cp_offline makes are painted into one row per slice. Unlike
     solve_cp_offline this holds the whole (M, T) result.
     """
-    gaps = [np.concatenate(parts) for parts in zip(*_instance_gaps(instance))]
-    need = np.ceil(instance.workload).astype(int)
-    return _paint(need, instance.max_servers, gaps)
+    t_end = instance.horizon
+    walk = GapWalk(instance)
+    gaps = []
+    for start in range(1, t_end + 1, BLOCK_SLOTS):
+        stop = min(start + BLOCK_SLOTS - 1, t_end)
+        _, slices, first, _, last, _, kept = walk.step(instance.workload[start - 1 : stop], stop)
+        gaps.append((slices[kept], first[kept], start - 1 + last[kept]))
+    return _paint(walk.need[1:], instance.max_servers,
+                  [np.concatenate(parts) for parts in zip(*gaps)])
 
 
 def solve_cp_offline(instance: Instance) -> np.ndarray:
     """Optimal provisioning series as the sum of unit-slice optima.
 
-    Walks the horizon in blocks of BLOCK_SLOTS slots (idle_cost_block) and
-    decides each slice's idle gap at the slot where it closes (gap_pieces);
-    a kept gap adds one server to each of its slots through a length-(T+1)
-    difference array. Memory is O(BLOCK_SLOTS * M + T): no (T, M) array is
-    built. The offline rule knows where the horizon ends: trailing gaps
-    (like leading ones) turn off for free. The online rules treat the end as
-    unknown and may hold through them (see online.gcsr).
+    Steps a GapWalk over the horizon in blocks of BLOCK_SLOTS slots, which
+    decides each slice's idle gap at the slot where it closes. Memory is
+    O(BLOCK_SLOTS * M + T): no (T, M) array is built. The offline rule knows
+    where the horizon ends: trailing gaps (like leading ones) turn off for
+    free. The online rules treat the end as unknown and may hold through
+    them (see online.gcsr).
     """
     t_end = instance.horizon
-    diff = np.zeros(t_end + 1, dtype=int)
-    for _, first, last in _instance_gaps(instance):
-        np.add.at(diff, first - 1, 1)
-        np.add.at(diff, last, -1)
-    return np.ceil(instance.workload) + np.cumsum(diff[:t_end])
+    walk = GapWalk(instance)
+    for start in range(1, t_end + 1, BLOCK_SLOTS):
+        stop = min(start + BLOCK_SLOTS - 1, t_end)
+        walk.step(instance.workload[start - 1 : stop], stop)
+    return walk.offline_series()
 
 
 def brute_force_cp(instance: Instance, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[np.ndarray, float]:

@@ -16,13 +16,13 @@ nondecreasing, so the predicate is monotone along a gap: it fails up to the
 gap's break-even slot j* and holds from there on. j* can thus be found by a
 binary search over the gap's P rows, and the slice turns off at max(g, t*),
 g the gap's first slot and t* the first decision whose window reveals j*.
-The fleet decides in blocks, like CHASE: one step evaluates the newly
-revealed P rows (offline.idle_cost_block), extracts the gaps they show with
-the offline rule's kernel (offline.gap_pieces) and searches each for j*, so
-its work is O(rows * M + gaps * log BLOCK_SLOTS), whatever the window.
-Since the predicate is monotone, the gaps the offline rule keeps are the
-closed gaps with no j*, whatever the window: the fleet records them too, so
-one GCSR run also yields solve_cp_offline's series (gcsr's return_offline).
+The fleet is the offline rule's walk (offline.GapWalk) stepped in blocks
+like CHASE: each step decides the gaps the newly revealed P rows show, and
+the fleet searches the ones that reached break-even for j*, so its work is
+O(rows * M + gaps * log BLOCK_SLOTS), whatever the window. The gaps the
+offline rule keeps, the closed gaps with no j*, do not depend on the
+window: the walk records them, so one GCSR run also yields
+solve_cp_offline's series (gcsr's return_offline).
 
 Supply (CHASE, ChaseFleet): each unit generator slice tracks R, its
 cumulative savings of running versus buying from the grid, clamped to
@@ -62,15 +62,7 @@ import numpy as np
 from . import offline
 from .errors import ConfigError, LookaheadViolation
 from .model import GeneratorModel, Instance, Schedule, staged_schedule
-from .offline import (
-    gap_pieces,
-    gap_verdicts,
-    idle_cost_block,
-    next_extremes,
-    reaches_breakeven,
-    regret_rows,
-    supply_series,
-)
+from .offline import GapWalk, next_extremes, reaches_breakeven, regret_rows, supply_series
 
 # ---------------------------------------------------------------------------
 # the revealed window
@@ -182,7 +174,7 @@ def _breakeven_rows(prefix: np.ndarray, slices, base, first, last, beta_s: float
     return hi
 
 
-class GcsrFleet:
+class GcsrFleet(GapWalk):
     """All unit server slices of one GCSR run, decided gap by gap in blocks.
 
     Slice i (0-based) is busy in slot s iff a(s) > i, so with
@@ -209,66 +201,46 @@ class GcsrFleet:
 
     decide_next decides a block of slots at once: every slot from next_slot
     whose own window end is revealed (RevealedWindow.ends). It first steps
-    over the newly revealed slots, in blocks of at most offline.BLOCK_SLOTS:
-    c(s) is read through the window, P from one offline.idle_cost_block
-    call, whose rows continue the previous block's last row, and
-    offline.gap_pieces, the offline rule's kernel, gives every gap the
-    block shows. A gap whose P reaches beta_s by its last row in the block
-    has its j* found by _breakeven_rows, O(gaps * log BLOCK_SLOTS) work, and
-    every j* passes window.check_each against the end of the decision t* it
-    is charged to. A gap with no j* that is still open at the block's end
-    is carried as (slice, g, base), so no P row outlives its block.
+    the walk (offline.GapWalk) over the newly revealed slots, in blocks of
+    at most offline.BLOCK_SLOTS, with a(s) read through the window. A gap
+    whose P reaches beta_s by its last row in the block has its j* found by
+    _breakeven_rows, O(gaps * log BLOCK_SLOTS) work, and every j* passes
+    window.check_each against the end of the decision t* it is charged to.
+    Since t* <= j*, such a gap resolves in its block, and the walk carries
+    only the others still open, so no P row outlives its block.
 
     Each resolved gap adds a kept interval, g through its turn-off or its
     close, to a difference array over the slots. Every event at or before
     a decided slot is known when it is decided, so decision t's fleet is
     c(t) plus the kept intervals covering t. decide_next returns the kept
     intervals it resolved, for painting slices; the fleet holds
-    O(BLOCK_SLOTS * M + T) numbers.
-
-    Every gap also gets the offline rule's verdict (offline.gap_verdicts):
-    the offline rule keeps a gap iff it closes with no j*, which does not
-    depend on the window, and every such gap closes while this fleet still
-    follows it. A second difference array adds these gaps, so once every
-    slot is revealed offline_series is solve_cp_offline's series, for
-    gcsr's window and DCMON's master window alike.
+    O(BLOCK_SLOTS * M + T) numbers. Once every slot is revealed the walk's
+    offline_series is solve_cp_offline's series, whatever the window.
     """
 
     def __init__(self, instance: Instance, window: RevealedWindow):
-        self.instance = instance
+        super().__init__(instance)
         self.window = window
-        self.n_slices = instance.max_servers
-        self.beta_s = instance.server.beta_s
-        t_end = instance.horizon
-        self._need = np.zeros(t_end + 1, dtype=int)  # c(s) of the revealed slots, c(0) = 0
-        self._diff = np.zeros(t_end + 1, dtype=int)  # +1 at a kept interval's first slot, -1 past its last
-        self._offline = np.zeros(t_end + 1, dtype=int)  # the same for the offline rule's kept gaps
+        # +1 at a kept interval's first slot, -1 past its last
+        self._diff = np.zeros(instance.horizon + 1, dtype=int)
         self._held = 0  # kept intervals covering the last decided slot
-        self._revealed = 0
-        self._row = np.zeros(self.n_slices)  # P of the last revealed slot
-        # (slice, g, base) of the gaps still open with no j* revealed
-        self.open_gaps = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
         self.next_slot = 1
         self.series: list[int] = []
 
     def _step(self, stop: int, t: int, ends: np.ndarray):
-        """Step the gaps over the revealed slots after the last stepped one
+        """Step the walk over the revealed slots after the last stepped one
         through stop, for decisions t.. with window ends ends; returns the
         (slices, first, last) kept intervals of the gaps it resolved."""
-        start = self._revealed + 1
-        need = self._need[start - 1 : stop + 1]
-        need[1:] = np.ceil(self.window.read(self.instance.workload, start, stop))
-        # the read above checked slots start..stop, the P rows evaluated here
-        prefix = idle_cost_block(self.instance, start, stop, self._row)
-        slices, g, base, last = gap_pieces(need, prefix, start, self.open_gaps)
+        start = self.stepped + 1
+        # the read checks slots start..stop, the P rows the walk evaluates
+        prefix, slices, g, base, last, reached, _ = self.step(
+            self.window.read(self.instance.workload, start, stop), stop)
         until = start + last  # one past the kept interval: a close, or stop + 1 while open
-        reached, offline_kept = gap_verdicts(prefix, slices, base, last, self.beta_s)
-        np.add.at(self._offline, g[offline_kept] - 1, 1)
-        np.add.at(self._offline, until[offline_kept] - 1, -1)
         hit = np.flatnonzero(reached)
         if len(hit):
             rows = _breakeven_rows(prefix, slices[hit], base[hit],
-                                   np.maximum(g[hit] - start + 1, 1), last[hit], self.beta_s)
+                                   np.maximum(g[hit] - start + 1, 1), last[hit],
+                                   self.instance.server.beta_s)
             j_star = start - 1 + rows
             decision = np.searchsorted(ends, j_star)  # t* - t
             latest = np.zeros((len(ends), 1), dtype=int)
@@ -278,9 +250,6 @@ class GcsrFleet:
         np.add.at(self._diff, g[g >= start] - 1, 1)
         done = until <= stop
         np.add.at(self._diff, until[done] - 1, -1)
-        self.open_gaps = (slices[~done], g[~done], base[~done])
-        self._row = prefix[-1].copy()
-        self._revealed = stop
         return slices[done], g[done], until[done] - 1
 
     def decide_next(self) -> list:
@@ -290,20 +259,15 @@ class GcsrFleet:
         t = self.next_slot
         ends = self.window.ends(t)
         kept = []
-        while self._revealed < ends[-1]:
-            kept.append(self._step(min(self._revealed + offline.BLOCK_SLOTS, ends[-1]), t, ends))
+        while self.stepped < ends[-1]:
+            kept.append(self._step(min(self.stepped + offline.BLOCK_SLOTS, ends[-1]), t, ends))
         k = len(ends)
         held = self._held + np.cumsum(self._diff[t - 1 : t - 1 + k])
         self._held = int(held[-1])
-        fleet = self._need[t : t + k] + held
+        fleet = self.need[t : t + k] + held
         self.series.extend(fleet.tolist())
         self.next_slot += k
         return kept
-
-    def offline_series(self) -> np.ndarray:
-        """solve_cp_offline's series, from the offline rule's kept gaps;
-        complete once every slot is revealed."""
-        return (self._need[1:] + np.cumsum(self._offline[:-1])).astype(float)
 
 
 def gcsr(instance: Instance, lookahead: int, return_slices: bool = False,
@@ -311,7 +275,7 @@ def gcsr(instance: Instance, lookahead: int, return_slices: bool = False,
     """Run GCSR over the whole horizon; returns the provisioning series, then
     with return_slices the (max_servers, horizon) on/off matrix of its
     slices, and with return_offline solve_cp_offline's series, read off the
-    same walk (GcsrFleet.offline_series).
+    same walk (offline.GapWalk.offline_series).
 
     Decision t's window ends at t + lookahead. The driver reveals the ends
     of offline.BLOCK_SLOTS decisions at a time and the fleet decides them
@@ -330,7 +294,7 @@ def gcsr(instance: Instance, lookahead: int, return_slices: bool = False,
         slices, first, _ = fleet.open_gaps  # gaps still open at the end stay on through it
         gaps = [np.concatenate(parts)
                 for parts in zip(*kept, (slices, first, np.full(len(slices), t_end)))]
-        out.append(offline._paint(np.ceil(instance.workload).astype(int), fleet.n_slices, gaps))
+        out.append(offline._paint(fleet.need[1:], instance.max_servers, gaps))
     if return_offline:
         out.append(fleet.offline_series())
     return out[0] if len(out) == 1 else tuple(out)

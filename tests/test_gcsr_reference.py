@@ -10,7 +10,9 @@ pin gcsr, its slices and dcmon's provisioning stage to the reference on
 random tiny and bound instances at several windows, with the fleets
 stepped in blocks of 1, 2, 5 and 256 slots, and the chunked evaluator's P
 rows to the one-shot rows bit for bit. The offline series a GCSR walk
-records, under gcsr's window and dcmon's, is pinned to solve_cp_offline.
+records, under gcsr's window and dcmon's, is pinned to solve_cp_offline,
+and the gaps the walk follows after each step to the open gaps short of
+break-even.
 """
 
 import math
@@ -208,6 +210,32 @@ def test_gcsr_walk_yields_the_offline_series(monkeypatch):
                 compared += 1
             monkeypatch.undo()
     assert compared >= 101 * 4 * 4
+
+
+def test_walk_follows_exactly_the_open_gaps_short_of_breakeven():
+    # after every step the walk follows the gaps open at its last slot whose
+    # idle cost since their anchor is below beta_s, and no others
+    for inst in reference_cases():
+        t_end, m, beta_s = inst.horizon, inst.max_servers, inst.server.beta_s
+        idle = inst.price[:, None] * np.diff(inst.demand_table(1, t_end), axis=1)
+        prefix = np.add.accumulate(np.vstack([np.zeros(m), idle]), axis=0)
+        need = np.ceil(inst.workload).astype(int)
+        for block in BLOCKS:
+            walk = offline.GapWalk(inst)
+            busy = np.zeros(m, dtype=int)  # each slice's last busy slot, 0 before it is busy
+            for start in range(1, t_end + 1, block):
+                stop = min(start + block - 1, t_end)
+                walk.step(inst.workload[start - 1 : stop], stop)
+                for s in range(start, stop + 1):
+                    busy[: need[s - 1]] = s
+                idle_now = np.flatnonzero((np.arange(m) >= need[stop - 1]) & (busy > 0))
+                base = prefix[busy[idle_now], idle_now]
+                short = ~reaches_breakeven(prefix[stop, idle_now], base, beta_s)
+                want = zip(idle_now[short], busy[idle_now][short] + 1, base[short])
+                slices, first, base = walk.open_gaps
+                assert sorted(zip(slices, first, base)) == sorted(want)
+                assert not reaches_breakeven(prefix[stop, slices], base, beta_s).any()
+            assert walk.offline_series().tobytes() == solve_cp_offline(inst).tobytes()
 
 
 def test_gcsr_walk_yields_the_offline_series_on_the_presets():

@@ -510,6 +510,19 @@ def test_cli_rejects_a_negative_seed(tmp_path, capsys):
     assert out.read_bytes() == want.read_bytes()
 
 
+def test_cli_rejects_cooling_regime_bounds_outside_the_period(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path, {"cooling": {"kind": "cubic", "regimes": [
+        {"name": "first", "start": 26, "end": 4, "coeffs": [0.3]},
+        {"name": "second", "start": 4, "end": 26, "coeffs": [0.2]},
+    ]}})
+    out = tmp_path / "report.json"
+    for command in (["compare"], ["sweep"], ["solve", "--algo", "gcsr"]):
+        assert main([*command, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: regime 'first': start 26 and end 4 must lie in [0, 24)\n")
+        assert not out.exists()
+
+
 def test_cli_rejects_a_breakeven_span_that_underflows(tmp_path, capsys):
     cfg = tmp_path / "tiny_beta.json"
     cfg.write_text(json.dumps({"days": 1, "servers": 10, "generator": {"count": 0},

@@ -577,6 +577,29 @@ def test_cooling_regimes_must_tile_the_period():
         CoolingModel(kind="quadratic", regimes=(day, night, overlap), b_max=1.0)
 
 
+def test_cooling_regime_bounds_must_lie_in_the_period():
+    # (26, 4) and (4, 26) tile the hours when compared raw, but the first
+    # would own hours 0-3 rather than 2-3: bounds are hours of the period
+    for start, end in ((26, 4), (4, 26), (24, 8), (8, 24)):
+        first = CoolingRegime("first", start, end, (0.1,))
+        second = CoolingRegime("second", end, start, (0.2,))
+        with pytest.raises(ConfigError, match=r"must lie in \[0, 24\)"):
+            CoolingModel(kind="cubic", regimes=(first, second), b_max=1.0)
+    with pytest.raises(ConfigError, match=r"start 0 and end 6 must lie in \[0, 6\)"):
+        CoolingModel(kind="cubic", regimes=(CoolingRegime("all", 0, 6, (0.1,)),), period=6)
+    CoolingModel(kind="cubic", regimes=(CoolingRegime("all", 0, 0, (0.1,)),), period=6)
+
+
+def test_slot_accessors_reject_slots_outside_the_horizon():
+    inst = bare_instance([1.0, 2.5, 0.0], [0.1, 0.2, 0.3])
+    assert (inst.a(2), inst.p(3), inst.min_servers(2)) == (2.5, 0.3, 3)
+    assert inst.demand_table(3).tobytes() == inst.demand_table(3, 3)[0].tobytes()
+    for t in (0, -1, 4):
+        for accessor in (inst.a, inst.p, inst.min_servers, inst.demand_table):
+            with pytest.raises(ValueError, match=rf"^slot {t} is outside 1\.\.3$"):
+                accessor(t)
+
+
 def test_instance_series_validation():
     with pytest.raises(ConfigError, match="mismatch"):
         bare_instance([1.0, 2.0], [0.1])

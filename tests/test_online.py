@@ -140,7 +140,7 @@ def record_blocks(monkeypatch):
         blocks.append((start, end, prefix))
         return prefix
 
-    monkeypatch.setattr(online, "idle_cost_block", recorded)
+    monkeypatch.setattr(offline, "idle_cost_block", recorded)
     return blocks
 
 

@@ -19,6 +19,17 @@ def test_every_export_resolves():
     assert missing == []
 
 
+def test_import_leaves_jsonschema_unloaded():
+    # only config validation needs jsonschema, so a fresh import skips it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, dcmkit; print('jsonschema' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr[-2000:]
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
