@@ -2,8 +2,10 @@
 
 Traces are hourly CSV files mapped to unit slots. Synthetic traces carry
 diurnal and weekly structure under named regional presets; configs are a
-single JSON document validated against a schema before anything runs; and
-reports serialize deterministically so a fixed seed reproduces output bytes.
+single JSON document checked before anything runs; and reports serialize
+deterministically so a fixed seed reproduces output bytes. The schema checks
+a config's shape and types, and the ranges of the run keys no model owns;
+the model dataclasses check every model number's range and finiteness.
 """
 
 from __future__ import annotations
@@ -231,83 +233,47 @@ def synthesize_trace(seed: int, days: int, servers: int, preset: str = "ny") -> 
 # ---------------------------------------------------------------------------
 # run configuration
 
-_NONNEG = {"type": "number", "minimum": 0}
+_NUMBER = {"type": "number"}
+_INTEGER = {"type": "integer"}
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "label": {"type": "string"},
-        "preset": {"enum": sorted(PRESETS)},
-        "servers": {"type": "integer", "minimum": 1},
-        "days": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "lookahead": {"type": "integer", "minimum": 0},
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["axis", "values"],
-            "properties": {
-                "axis": {"enum": ["lookahead", "generators"]},
-                "values": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "integer", "minimum": 0},
-                },
-            },
-        },
-        "server": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"c_idle": _NONNEG, "c_peak": _NONNEG, "beta_s": _NONNEG},
-        },
-        "generator": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "capacity": _NONNEG,
-                "c_o": _NONNEG,
-                "c_m": _NONNEG,
-                "beta_g": _NONNEG,
-                "count": {"type": "integer", "minimum": 0},
-            },
-        },
-        "cooling": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["none", "quadratic", "cubic"]},
-                "b_max": {"type": "number", "exclusiveMinimum": 0},
-                "period": {"type": "integer", "minimum": 1},
-                "regimes": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["name", "start", "end", "coeffs"],
-                        "properties": {
-                            "name": {"type": "string"},
-                            "start": {"type": "integer", "minimum": 0},
-                            "end": {"type": "integer", "minimum": 0},
-                            "coeffs": {"type": "array", "items": {"type": "number"}},
-                        },
-                    },
-                },
-            },
-        },
-        "conditioning": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["none", "quadratic"]},
-                "quad": _NONNEG,
-                "lin": _NONNEG,
-                "const": _NONNEG,
-                "b_max": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-    },
-}
+
+def _object(properties: dict, **keywords) -> dict:
+    """Schema of a JSON object that has only the given properties."""
+    return {"type": "object", "additionalProperties": False, "properties": properties, **keywords}
+
+
+CONFIG_SCHEMA = _object({
+    "label": {"type": "string"},
+    "preset": {"enum": sorted(PRESETS)},
+    "servers": {"type": "integer", "minimum": 1},
+    "days": {"type": "integer", "minimum": 1},
+    "seed": {"type": "integer", "minimum": 0},
+    "lookahead": {"type": "integer", "minimum": 0},
+    "sweep": _object({
+        "axis": {"enum": ["lookahead", "generators"]},
+        "values": {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 0}},
+    }, required=["axis", "values"]),
+    "server": _object(dict.fromkeys(("c_idle", "c_peak", "beta_s"), _NUMBER)),
+    "generator": _object({
+        **dict.fromkeys(("capacity", "c_o", "c_m", "beta_g"), _NUMBER),
+        "count": {"type": "integer", "minimum": 0},
+    }),
+    "cooling": _object({
+        "kind": {"enum": ["none", "quadratic", "cubic"]},
+        "b_max": _NUMBER,
+        "period": _INTEGER,
+        "regimes": {"type": "array", "items": _object({
+            "name": {"type": "string"},
+            "start": _INTEGER,
+            "end": _INTEGER,
+            "coeffs": {"type": "array", "items": _NUMBER},
+        }, required=["name", "start", "end", "coeffs"])},
+    }),
+    "conditioning": _object({
+        "kind": {"enum": ["none", "quadratic"]},
+        **dict.fromkeys(("quad", "lin", "const", "b_max"), _NUMBER),
+    }),
+})
 
 DEFAULT_CONFIG = {
     "label": "",
@@ -368,21 +334,23 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
     return validate_config({**raw, **(overrides or {})})
 
 
+def _section_b_max(section: dict, b_max_default: float) -> float:
+    # kind "none" draws no power, so the server scale, 0.0 when c_peak is, is no default for it
+    return section.get("b_max", b_max_default if section.get("kind", "none") != "none" else 1.0)
+
+
 def _cooling_from_config(cfg: dict, b_max_default: float) -> CoolingModel:
     section = cfg.get("cooling")
     if section is None:
         return PRESETS[cfg["preset"]].cooling_model(b_max_default)
-    kind = section.get("kind", "none")
-    if kind == "none":
-        return CoolingModel()
     regimes = tuple(
         CoolingRegime(r["name"], r["start"], r["end"], tuple(r["coeffs"]))
         for r in section.get("regimes", ())
     )
     return CoolingModel(
-        kind=kind,
+        kind=section.get("kind", "none"),
         regimes=regimes,
-        b_max=section.get("b_max", b_max_default),
+        b_max=_section_b_max(section, b_max_default),
         period=section.get("period", 24),
     )
 
@@ -391,15 +359,12 @@ def _conditioning_from_config(cfg: dict, b_max_default: float) -> ConditioningMo
     section = cfg.get("conditioning")
     if section is None:
         return PRESETS[cfg["preset"]].conditioning_model(b_max_default)
-    kind = section.get("kind", "none")
-    if kind == "none":
-        return ConditioningModel()
     return ConditioningModel(
-        kind=kind,
+        kind=section.get("kind", "none"),
         quad=section.get("quad", 0.0),
         lin=section.get("lin", 0.0),
         const=section.get("const", 0.0),
-        b_max=section.get("b_max", b_max_default),
+        b_max=_section_b_max(section, b_max_default),
     )
 
 

@@ -52,6 +52,21 @@ def check_size(slots, servers, generators) -> None:
         )
 
 
+def check_scalar(name: str, value, low: float = 0.0, *, strict: bool = False,
+                 whole: bool = False) -> None:
+    """ConfigError naming `name` unless value is a finite number >= low (> low
+    when strict), and a whole number when whole: the one range check of every
+    model scalar, so NaN cannot pass a range test by failing its comparison."""
+    try:
+        ok = math.isfinite(value) and (value > low if strict else value >= low)
+        ok = ok and not (whole and value != int(value))
+    except (TypeError, OverflowError):  # not a number, or an int past the float range
+        ok = False
+    if not ok:
+        need = f"{'a whole' if whole else 'a finite'} number {'>' if strict else '>='} {low:g}"
+        raise ConfigError(f"{name} must be {need}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # device models
 
@@ -61,9 +76,9 @@ class ServerModel:
     """Linear server power model with switching cost.
 
     Attributes:
-        c_idle: idle power draw per powered-on server (kW), >= 0.
-        c_peak: power draw of a fully utilized server (kW), >= c_idle.
-        beta_s: cost of turning one server on, > 0.
+        c_idle: idle power draw per powered-on server (kW), finite, >= 0.
+        c_peak: power draw of a fully utilized server (kW), finite, >= c_idle.
+        beta_s: cost of turning one server on, finite, > 0.
     """
 
     c_idle: float
@@ -71,12 +86,9 @@ class ServerModel:
     beta_s: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.c_idle <= self.c_peak:
-            raise ConfigError(
-                f"need 0 <= c_idle <= c_peak, got c_idle={self.c_idle}, c_peak={self.c_peak}"
-            )
-        if self.beta_s <= 0.0:
-            raise ConfigError(f"beta_s must be positive, got {self.beta_s}")
+        check_scalar("server c_idle", self.c_idle)
+        check_scalar("server c_peak", self.c_peak, self.c_idle)
+        check_scalar("server beta_s", self.beta_s, strict=True)
 
 
 @dataclass(frozen=True)
@@ -84,11 +96,11 @@ class GeneratorModel:
     """A fleet of N identical on-site generators.
 
     Attributes:
-        capacity: output cap L per active generator (kW), > 0.
-        c_o: incremental generation cost per kWh.
-        c_m: maintenance cost per generator per active slot.
-        beta_g: cost of starting one generator, > 0.
-        count: fleet size N, >= 0.
+        capacity: output cap L per active generator (kW), finite, > 0.
+        c_o: incremental generation cost per kWh, finite, >= 0.
+        c_m: maintenance cost per generator per active slot, finite, >= 0.
+        beta_g: cost of starting one generator, finite, > 0.
+        count: fleet size N, a whole number >= 0.
     """
 
     capacity: float
@@ -98,14 +110,11 @@ class GeneratorModel:
     count: int
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0.0:
-            raise ConfigError(f"generator capacity must be positive, got {self.capacity}")
-        if self.c_o < 0.0 or self.c_m < 0.0:
-            raise ConfigError("generator costs c_o, c_m must be nonnegative")
-        if self.beta_g <= 0.0:
-            raise ConfigError(f"beta_g must be positive, got {self.beta_g}")
-        if self.count < 0 or self.count != int(self.count):
-            raise ConfigError(f"generator count must be a nonnegative integer, got {self.count}")
+        check_scalar("generator capacity", self.capacity, strict=True)
+        check_scalar("generator c_o", self.c_o)
+        check_scalar("generator c_m", self.c_m)
+        check_scalar("generator beta_g", self.beta_g, strict=True)
+        check_scalar("generator count", self.count, whole=True)
 
     @property
     def breakeven_price(self) -> float:
@@ -156,7 +165,9 @@ class CoolingModel:
 
     kind "none" has no overhead; "quadratic" regimes carry (quad, lin, const)
     coefficients, "cubic" regimes carry a single leading coefficient. The
-    polynomial is evaluated at b/b_max and the result scaled by b_max.
+    polynomial is evaluated at b/b_max and the result scaled by b_max. b_max
+    is finite and > 0; regime bounds are whole hours in [0, period) and
+    coefficients finite and >= 0.
     """
 
     kind: str = "none"
@@ -169,25 +180,24 @@ class CoolingModel:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "quadratic", "cubic"):
             raise ConfigError(f"unknown cooling kind {self.kind!r}")
+        check_scalar("cooling b_max", self.b_max, strict=True)
+        check_scalar("cooling period", self.period, 1, whole=True)
+        for reg in self.regimes:
+            check_scalar(f"regime {reg.name!r}: start", reg.start, whole=True)
+            check_scalar(f"regime {reg.name!r}: end", reg.end, whole=True)
         if self.kind == "none":
             return
-        if self.b_max <= 0.0:
-            raise ConfigError("cooling b_max must be positive")
-        if self.period <= 0:
-            raise ConfigError("cooling period must be positive")
-        if not self.regimes:
-            raise ConfigError(f"cooling kind {self.kind!r} requires at least one regime")
         n_coef = 3 if self.kind == "quadratic" else 1
         for reg in self.regimes:
-            if not (0 <= reg.start < self.period and 0 <= reg.end < self.period):
+            if not (reg.start < self.period and reg.end < self.period):
                 raise ConfigError(f"regime {reg.name!r}: start {reg.start} and end {reg.end} "
                                   f"must lie in [0, {self.period})")
             if len(reg.coeffs) != n_coef:
                 raise ConfigError(
                     f"regime {reg.name!r}: expected {n_coef} coefficients, got {len(reg.coeffs)}"
                 )
-            if any(c < 0.0 for c in reg.coeffs):
-                raise ConfigError(f"regime {reg.name!r}: coefficients must be nonnegative")
+            for k, c in enumerate(reg.coeffs):
+                check_scalar(f"regime {reg.name!r}: coeffs[{k}]", c)
         # every hour of the period must belong to exactly one regime
         hour_regime = []
         for h in range(self.period):
@@ -222,7 +232,8 @@ class CoolingModel:
 
 @dataclass(frozen=True)
 class ConditioningModel:
-    """Power conditioning overhead, time-invariant quadratic in b/b_max."""
+    """Power conditioning overhead, time-invariant quadratic in b/b_max, with
+    finite coefficients >= 0 and a finite b_max > 0."""
 
     kind: str = "none"
     quad: float = 0.0
@@ -233,12 +244,9 @@ class ConditioningModel:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "quadratic"):
             raise ConfigError(f"unknown conditioning kind {self.kind!r}")
-        if self.kind == "none":
-            return
-        if self.b_max <= 0.0:
-            raise ConfigError("conditioning b_max must be positive")
-        if min(self.quad, self.lin, self.const) < 0.0:
-            raise ConfigError("conditioning coefficients must be nonnegative")
+        for name in ("quad", "lin", "const"):
+            check_scalar(f"conditioning {name}", getattr(self, name))
+        check_scalar("conditioning b_max", self.b_max, strict=True)
 
     def power(self, b: float | np.ndarray) -> float | np.ndarray:
         if self.kind == "none":
@@ -264,9 +272,11 @@ class Instance:
     t = k+1. Accessor methods take slot numbers, so off-by-one handling stays
     in one place. max_servers, the largest fleet any slot requires
     (max_t ceil(a(t))), is computed once at construction. Construction
-    rejects magnitudes whose full-fleet grid bill, p(t)*d_t(M) summed over
-    the horizon, overflows, so no solver runs on inf demands or costs, and
-    sizes past the limits of check_size (CapacityError).
+    rejects magnitudes that overflow, so no solver runs on inf demands or
+    costs: the full fleet's grid bill, p(t)*d_t(M) summed over the horizon,
+    and the static plan, that bill plus beta_s*M + (beta_g + c_m*T)*N with
+    capacity L*N. It rejects sizes past the limits of check_size too
+    (CapacityError).
     """
 
     workload: np.ndarray
@@ -305,19 +315,28 @@ class Instance:
             )
         self._derive()
         # demand is nondecreasing in x and prices are nonnegative, so the
-        # full fleet's grid bill bounds every demand, idle-cost sum and bill
+        # full fleet's grid bill bounds every demand, idle-cost sum and bill;
+        # the static plan, all M servers and N generators on, adds the
+        # solvers' start-up offsets and maintenance
+        gen = self.generator
         with np.errstate(over="ignore", invalid="ignore"):
             bill = float(np.dot(self.price, self._demand(slice(None), float(self.max_servers))))
+            plan = (bill + self.server.beta_s * self.max_servers
+                    + (gen.beta_g + gen.c_m * self.horizon) * gen.count)
         if not math.isfinite(bill):
             raise ConfigError(f"the full fleet's grid bill, p(t)*d_t(M) summed over the horizon, "
                               f"is {bill}: the model's magnitudes overflow")
+        if not (math.isfinite(plan) and math.isfinite(gen.capacity * gen.count)):
+            raise ConfigError(f"the static plan's cost, the grid bill + beta_s*M + (beta_g + c_m*T)*N, "
+                              f"is {plan} with capacity L*N = {gen.capacity * gen.count}: "
+                              "the model's magnitudes overflow")
 
     def _derive(self) -> None:
         """Set the fields computed from the validated series."""
         object.__setattr__(self, "max_servers", int(np.ceil(self.workload).max()))
         cool = self.cooling
         coeffs = None
-        if cool.kind != "none":  # period is only validated for real regimes
+        if cool.kind != "none":
             coeffs = cool.hour_coeffs[:, np.arange(self.horizon) % cool.period]
         object.__setattr__(self, "_slot_coeffs", coeffs)
 

@@ -54,14 +54,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import offline
 from .errors import ConfigError, LookaheadViolation
-from .model import GeneratorModel, Instance, Schedule, staged_schedule
+from .model import GeneratorModel, Instance, Schedule, check_scalar, staged_schedule
 from .offline import GapWalk, next_extremes, reaches_breakeven, regret_rows, supply_series
 
 # ---------------------------------------------------------------------------
@@ -70,9 +69,7 @@ from .offline import GapWalk, next_extremes, reaches_breakeven, regret_rows, sup
 
 def _whole_slots(lookahead) -> int:
     """lookahead as an int; ConfigError unless it is a whole slot count >= 0."""
-    if not (isinstance(lookahead, numbers.Real) and lookahead >= 0
-            and float(lookahead).is_integer()):
-        raise ConfigError(f"lookahead must be a nonnegative integer, got {lookahead!r}")
+    check_scalar("lookahead", lookahead, whole=True)
     return int(lookahead)
 
 
@@ -417,17 +414,17 @@ def dcmon(instance: Instance, lookahead: int, params: OngridParams | None = None
 class OngridParams:
     """Declared a-priori values of the provisioning stage: restart cost
     beta_s, price floor p_min, and d_min, the floor on any demand increment
-    (Instance.min_marginal_demand)."""
+    (Instance.min_marginal_demand). Each is finite; beta_s > 0, the others
+    >= 0."""
 
     beta_s: float
     p_min: float
     d_min: float
 
     def __post_init__(self) -> None:
-        if self.beta_s <= 0.0:
-            raise ConfigError(f"beta_s must be positive, got {self.beta_s}")
-        if min(self.p_min, self.d_min) < 0.0:
-            raise ConfigError("p_min and d_min must be nonnegative")
+        check_scalar("beta_s", self.beta_s, strict=True)
+        check_scalar("p_min", self.p_min)
+        check_scalar("d_min", self.d_min)
         if self.breakeven_idle_window == 0.0:
             raise ConfigError(f"break-even span beta_s/(d_min*p_min) is 0.0 (beta_s={self.beta_s}, "
                               f"d_min={self.d_min}, p_min={self.p_min})")
@@ -463,7 +460,8 @@ class OngridParams:
 @dataclass(frozen=True, kw_only=True)
 class BoundParams(OngridParams):
     """Everything the closed-form ratio bounds need to know about a model:
-    the on-grid values plus generator economics and the price peak."""
+    the on-grid values plus generator economics, checked by the
+    GeneratorModel they describe, and the price peak, finite and >= p_min."""
 
     beta_g: float
     c_o: float
@@ -473,14 +471,13 @@ class BoundParams(OngridParams):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if min(self.beta_g, self.capacity) <= 0.0:
-            raise ConfigError("beta_g, capacity must be positive")
-        if min(self.c_o, self.c_m) < 0.0:
-            raise ConfigError("generator costs must be nonnegative")
-        if self.c_o + self.c_m / self.capacity >= self.p_max:
+        check_scalar("p_max", self.p_max, self.p_min)
+        unit = GeneratorModel(self.capacity, self.c_o, self.c_m, self.beta_g, count=1)
+        # the hybrid bound and rho divide by the break-even price
+        if not 0.0 < unit.breakeven_price < self.p_max:
             raise ConfigError(
-                "bounds require economical generation: c_o + c_m/capacity < p_max "
-                f"({self.c_o + self.c_m / self.capacity:.6g} >= {self.p_max:.6g})"
+                "bounds require economical generation: 0 < c_o + c_m/capacity < p_max, "
+                f"got {unit.breakeven_price:.6g} and p_max {self.p_max:.6g}"
             )
 
     @classmethod

@@ -7,9 +7,11 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import jsonschema
 import numpy as np
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from dcmkit import (
     PRESETS,
+    BoundParams,
     ConfigError,
     FeasibilityError,
     LookaheadViolation,
@@ -636,3 +639,202 @@ def test_cli_offline_path_exits_cleanly_and_its_exact_total_is_never_beaten(
                 best = report["algorithms"]["offline"]["total"]
                 for entry in report["algorithms"].values():
                     assert best <= entry["total"] + 1e-9 * abs(entry["total"]), entry["name"]
+
+
+# ---------------------------------------------------------------------------
+# model inputs: checked once, in the model
+
+_CUBIC = '"kind": "cubic", "regimes": [{"name": "all", "start": 0, "end": 0, "coeffs": [%s]}]'
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"server": {"beta_s": NaN}}', "server beta_s"),
+        ('{"server": {"beta_s": Infinity}}', "server beta_s"),
+        ('{"server": {"c_peak": 1e400}}', "server c_peak"),
+        ('{"server": {"beta_s": 0}}', "server beta_s"),
+        ('{"generator": {"capacity": Infinity}}', "generator capacity"),
+        ('{"generator": {"beta_g": NaN}}', "generator beta_g"),
+        ('{"generator": {"c_o": NaN}}', "generator c_o"),
+        ('{"generator": {"c_m": -Infinity}}', "generator c_m"),
+        ('{"cooling": {%s, "b_max": NaN}}' % (_CUBIC % "0.1"), "cooling b_max"),
+        ('{"cooling": {%s}}' % (_CUBIC % "NaN"), r"regime 'all': coeffs\[0\]"),
+        ('{"cooling": {"kind": "none", "b_max": -1}}', "cooling b_max"),
+        ('{"conditioning": {"kind": "quadratic", "lin": Infinity}}', "conditioning lin"),
+        ('{"conditioning": {"quad": -1}}', "conditioning quad"),
+    ],
+)
+def test_cli_rejects_model_values_out_of_range_with_one_line(tmp_path, capsys, text, key):
+    # NaN, the infinities and overflowing literals such as 1e400 (which json
+    # reads as inf) fail the model's range check, which names the key, before
+    # any solver runs: one error line, no numpy warning and no report
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text[:-1] + ', "days": 1}')
+    out = tmp_path / "report.json"
+    for command in (["compare"], ["sweep"], ["solve", "--algo", "dcmon"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*command, "--config", str(cfg), "--out", str(out)]) == 1
+        out_text, err = capsys.readouterr()
+        assert (out_text, caught) == ("", [])
+        assert re.fullmatch(rf"error: {key} must be a finite number [>=]+ \S+, got \S+\n", err), err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "model, plan, capacity",
+    [
+        ({"server": {"beta_s": 1e308}}, "inf", "600.0"),
+        ({"generator": {"beta_g": 1e308}}, "inf", "600.0"),
+        ({"generator": {"c_m": 1e306, "capacity": 1e308}}, "inf", "inf"),
+        ({"generator": {"capacity": 1e308}}, r"[0-9.]+", "inf"),
+    ],
+)
+def test_cli_rejects_a_static_plan_that_overflows(tmp_path, capsys, model, plan, capacity):
+    # beta_s*M, beta_g*N, c_m*T*N or the fleet's capacity L*N past the float
+    # range is rejected when the instance is built, before the solvers'
+    # offsets and generator slices overflow
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"days": 1, **model}))
+    out = tmp_path / "report.json"
+    for command in (["compare"], ["sweep"], ["solve", "--algo", "dcmon"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*command, "--config", str(cfg), "--out", str(out)]) == 1
+        out_text, err = capsys.readouterr()
+        assert (out_text, caught) == ("", [])
+        assert re.fullmatch(r"error: the static plan's cost, the grid bill \+ beta_s\*M \+ "
+                            rf"\(beta_g \+ c_m\*T\)\*N, is {plan} with capacity L\*N = {capacity}: "
+                            r"the model's magnitudes overflow\n", err), err
+        assert not out.exists()
+
+
+def test_sweep_omits_the_hybrid_bound_when_generation_is_free(tmp_path, capsys):
+    # c_o = c_m = 0 prices generation at 0, and the hybrid bound and rho
+    # divide by that price: BoundParams rejects it, so the sweep reports only
+    # the on-grid bound rather than dying with a ZeroDivisionError
+    cfg = write_tiny_config(tmp_path, {"generator": {"count": 2, "c_o": 0, "c_m": 0}})
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    rows = json.loads(out.read_text())["rows"]
+    assert rows and all(set(row["bounds"]) == {"ongrid"} for row in rows)
+    with pytest.raises(ConfigError, match="economical generation"):
+        BoundParams(beta_s=0.08, p_min=0.1, d_min=0.1, beta_g=24.0, c_o=0.0, c_m=0.0,
+                    capacity=60.0, p_max=0.2)
+
+
+def test_schema_leaves_model_ranges_to_the_model():
+    # each model scalar's range is written once, in its dataclass; the schema
+    # keeps only generator/count's minimum, which the schema tests exercise
+    def ranged(node, path):
+        if isinstance(node, dict):
+            if node.keys() & {"minimum", "exclusiveMinimum", "maximum", "exclusiveMaximum"}:
+                yield path
+            for key, child in node.items():
+                yield from ranged(child, f"{path}/{key}")
+        elif isinstance(node, list):
+            for k, child in enumerate(node):
+                yield from ranged(child, f"{path}/{k}")
+
+    sections = ("server", "generator", "cooling", "conditioning")
+    props = harness.CONFIG_SCHEMA["properties"]
+    found = [path for name in sections for path in ranged(props[name], name)]
+    assert found == ["generator/properties/count"]
+
+
+_LITERALS = ("NaN", "Infinity", "-Infinity", "1e400")  # json reads 1e400 as inf
+_MODEL_KEYS = {
+    "server": ("c_idle", "c_peak", "beta_s"),
+    "generator": ("capacity", "c_o", "c_m", "beta_g"),
+    "conditioning": ("quad", "lin", "const", "b_max"),
+}
+_COMMANDS = (["sweep"], ["solve", "--algo", "gcsr"], ["solve", "--algo", "chase"],
+             ["solve", "--algo", "dcmon"], ["solve", "--algo", "cpoff"], ["synth"])
+
+
+@st.composite
+def _model_sections(draw):
+    """Config sections with some model keys set to finite floats up to 1e308
+    or to a literal that json reads as NaN or an infinity."""
+    value = st.floats(-1.0, 1e308) | _log_uniform(1e-9, 1e308) | st.sampled_from(_LITERALS)
+    sections = {}
+    for section, keys in _MODEL_KEYS.items():
+        chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=2))
+        if chosen:
+            sections[section] = {key: draw(value) for key in chosen}
+    if "conditioning" in sections and draw(st.booleans()):
+        sections["conditioning"]["kind"] = "quadratic"
+    return sections
+
+
+def _config_text(cfg):
+    text = json.dumps(cfg)
+    for literal in _LITERALS:
+        text = text.replace(f'"{literal}"', literal)
+    return text
+
+
+@given(
+    command=st.sampled_from(_COMMANDS),
+    days=st.integers(1, 2),
+    servers=st.integers(1, 24),
+    seed=st.integers(-1, 2**16),
+    count=st.integers(0, 10),
+    lookahead=st.integers(0, 30) | st.integers(0, 10**30),
+    lookahead_flag=st.booleans(),
+    model=_model_sections(),
+    trace=st.sampled_from([None, "plain", "1e308 price", "non-UTF-8"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_cli_exits_cleanly_on_extreme_inputs(
+    command, days, servers, seed, count, lookahead, lookahead_flag, model, trace
+):
+    # every run exits 0, 1, 2 or 3; a failure prints one error line, no
+    # warning and writes no output; a success writes a report (a trace, for
+    # synth) whose totals are finite, and prints nothing to stderr
+    cfg = {"days": days, "servers": servers, "seed": seed, **model}
+    cfg["generator"] = {**cfg.get("generator", {}), "count": count}
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = pathlib.Path(tmp, "run.json"), pathlib.Path(tmp, "out")
+        if command == ["synth"]:
+            args = ["synth", "--days", str(days), "--servers", str(servers), "--seed", str(seed)]
+        else:
+            if not lookahead_flag:
+                cfg["lookahead"] = lookahead
+            config.write_text(_config_text(cfg))
+            args = [*command, "--config", str(config)]
+            if lookahead_flag:
+                args += ["--lookahead", str(lookahead)]
+            if trace is not None:
+                path = pathlib.Path(tmp, "trace.csv")
+                series = synthesize_trace(max(seed, 0), days, servers)
+                if trace == "1e308 price":
+                    series.price[seed % series.horizon] = 1e308
+                series.write(str(path))
+                if trace == "non-UTF-8":
+                    path.write_bytes(path.read_bytes()[:40] + b"\xff\n")
+                args += ["--trace", str(path)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([*args, "--out", str(out)])
+        assert rc in (0, 1, 2, 3)
+        assert stdout.getvalue() == "" and caught == []
+        if rc:
+            err = stderr.getvalue()
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+            assert not out.exists()
+            return
+        assert stderr.getvalue() == ""
+        if command == ["synth"]:
+            assert TraceFile.load(str(out)).horizon == 24 * days
+            return
+        report = json.loads(out.read_text())
+        if report["kind"] == "sweep":
+            totals = [cost for row in report["rows"] for cost in row["costs"].values()]
+        else:
+            totals = list(_totals(report))
+        assert totals and all(math.isfinite(total) for total in totals)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcmkit import (
+    BoundParams,
     ConditioningModel,
     ConfigError,
     CoolingModel,
@@ -613,6 +614,50 @@ def test_instance_series_validation():
         bare_instance([math.nan], [0.1])
     with pytest.raises(ConfigError, match="finite"):
         bare_instance([1.0], [math.inf])
+
+
+VALID_MODELS = {
+    ServerModel: dict(c_idle=0.1, c_peak=0.25, beta_s=0.08),
+    GeneratorModel: dict(capacity=60.0, c_o=0.08, c_m=1.2, beta_g=24.0, count=2),
+    CoolingModel: dict(kind="none", b_max=1.0, period=24),
+    ConditioningModel: dict(kind="quadratic", quad=0.1, lin=0.1, const=0.1, b_max=1.0),
+    OngridParams: dict(beta_s=0.08, p_min=0.1, d_min=0.1),
+    BoundParams: dict(beta_s=0.08, p_min=0.1, d_min=0.1, beta_g=24.0, c_o=0.08, c_m=1.2,
+                      capacity=60.0, p_max=0.2),
+}
+
+
+def _one_regime(**fields):
+    regime = {"name": "all", "start": 0, "end": 0, "coeffs": (0.1, 0.2, 0.3), **fields}
+    return CoolingModel(kind="quadratic", regimes=(CoolingRegime(**regime),))
+
+
+def _scalar_cases():
+    """pytest params (field, build, valid value): build(value) is a model
+    with one scalar, the named field, set to value."""
+    for cls, valid in VALID_MODELS.items():
+        for name, good in valid.items():
+            if name != "kind":
+                build = lambda v, cls=cls, valid=valid, name=name: cls(**{**valid, name: v})
+                yield pytest.param(name, build, good, id=f"{cls.__name__}.{name}")
+    # kind "none" reads no conditioning scalar, yet checks each one
+    yield pytest.param("quad", lambda v: ConditioningModel(quad=v), 0.0, id="ConditioningModel.none")
+    for k in range(3):
+        build = lambda v, k=k: _one_regime(coeffs=tuple(v if j == k else 0.1 for j in range(3)))
+        yield pytest.param(rf"coeffs\[{k}\]", build, 0.1, id=f"CoolingRegime.coeffs[{k}]")
+    for name in ("start", "end"):
+        build = lambda v, name=name: _one_regime(**{name: v})
+        yield pytest.param(name, build, 0, id=f"CoolingRegime.{name}")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field, build, good", list(_scalar_cases()))
+def test_every_model_scalar_rejects_non_finite_values(field, build, good, value):
+    # each model scalar's range is checked once, in its dataclass, and NaN
+    # and the infinities fail it with a ConfigError that names the field
+    build(good)
+    with pytest.raises(ConfigError, match=rf"{field} must be a (finite|whole) number"):
+        build(value)
 
 
 def test_instance_rejects_uneconomical_fleet():
