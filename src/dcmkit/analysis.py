@@ -24,6 +24,7 @@ from .model import (
 )
 from .offline import (
     DEFAULT_STATE_BUDGET,
+    GapWalk,
     cp_cost,
     solve_cp_offline,
     solve_dcm_offline,
@@ -157,18 +158,21 @@ def run_comparison(
     provisioning, grid only. gcsr: online provisioning, grid only.
     dcmon: online provisioning and supply.
 
-    cpoff's series comes from the GCSR run, which applies the offline slice
-    rule to every gap it walks, and feeds the decomposed reference too; so
-    the comparison makes two P-row walks, GCSR's and DCMON's.
+    gcsr and dcmon read one GapWalk, which gcsr steps and whose
+    window-free verdicts dcmon's lagged fleet reads through its own window;
+    the walk applies the offline slice rule to every gap, so it gives
+    cpoff's series and feeds the decomposed reference too. The comparison
+    makes one P-row walk.
     """
-    gcsr_x, cpoff_x = gcsr(instance, lookahead, return_offline=True)
+    walk = GapWalk(instance)
+    gcsr_x, cpoff_x = gcsr(instance, lookahead, return_offline=True, walk=walk)
     reference, kind = offline_reference(instance, state_budget, lambda: cpoff_x)
     lineup = {
         "static": static_schedule(instance),
         "offline": reference,
         "cpoff": grid_only_schedule(instance, cpoff_x),
         "gcsr": grid_only_schedule(instance, gcsr_x),
-        "dcmon": dcmon(instance, lookahead),
+        "dcmon": dcmon(instance, lookahead, walk=walk),
     }
     results = {
         name: AlgoResult(name, sched, evaluate(instance, sched))
@@ -218,14 +222,17 @@ def sweep_lookahead(
 
     Offline references are computed once; each row carries online costs,
     ratios against the references, and the matching theory bounds (the
-    hybrid bound only when the generator economics make it well defined;
-    for a valid instance that is the only way BoundParams can fail).
-    cpoff's series comes from the first window's GCSR run.
+    hybrid bound only when the generator economics make it well defined,
+    for a valid instance the only way BoundParams can fail, and its value
+    is finite). Every window's gcsr and dcmon read one GapWalk, stepped by
+    the first window's gcsr run, which also gives cpoff's series: the
+    sweep makes one P-row walk.
     """
     lookaheads = [int(w) for w in lookaheads]
     if not lookaheads:
         return []
-    first_x, cpoff_x = gcsr(instance, lookaheads[0], return_offline=True)
+    walk = GapWalk(instance)
+    first_x, cpoff_x = gcsr(instance, lookaheads[0], return_offline=True, walk=walk)
     reference, kind = offline_reference(instance, state_budget, lambda: cpoff_x)
     ref_total = evaluate(instance, reference).total
     cpoff_total = evaluate(instance, grid_only_schedule(instance, cpoff_x)).total
@@ -236,12 +243,13 @@ def sweep_lookahead(
         params = None
     rows = []
     for k, w in enumerate(lookaheads):
-        x = first_x if k == 0 else gcsr(instance, w)
+        x = first_x if k == 0 else gcsr(instance, w, walk=walk)
         gcsr_total = evaluate(instance, grid_only_schedule(instance, x)).total
-        dcmon_total = evaluate(instance, dcmon(instance, w, ongrid)).total
+        dcmon_total = evaluate(instance, dcmon(instance, w, ongrid, walk=walk)).total
         bounds = {"ongrid": ratio_bound_ongrid(w, ongrid)}
-        if params is not None:
-            bounds["hybrid"] = ratio_bound_hybrid(w, params)
+        hybrid = math.inf if params is None else ratio_bound_hybrid(w, params)
+        if math.isfinite(hybrid):
+            bounds["hybrid"] = hybrid
         rows.append(
             {
                 "axis": "lookahead",

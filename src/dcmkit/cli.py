@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import sys
 
 from . import analysis, harness, online
@@ -77,12 +78,14 @@ def _load_setup(args):
 
 
 def _emit(report: dict, args) -> None:
-    fmt = getattr(args, "format", "json")
+    # serialize first, so a report that fails to serialize leaves no file
+    text = io.StringIO()
+    harness.emit_report(report, getattr(args, "format", "json"), text)
     if args.out:
         with open(args.out, "w") as fh:
-            harness.emit_report(report, fmt, fh)
+            fh.write(text.getvalue())
     else:
-        harness.emit_report(report, fmt, sys.stdout)
+        sys.stdout.write(text.getvalue())
 
 
 def _solve_schedule(instance, algo: str, lookahead: int):

@@ -418,8 +418,12 @@ def _algo_metrics(entry: dict) -> dict[str, float]:
 
 
 def report_to_json(report: dict) -> str:
+    """Strict JSON: ConfigError rather than an Infinity or NaN literal."""
     doc = {"schema_version": SCHEMA_VERSION, **report}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ConfigError(f"report holds a value JSON cannot represent: {exc}") from None
 
 
 def report_to_csv(report: dict) -> str:

@@ -39,14 +39,15 @@ cache-sized chunks of demand rows (CHUNK_CELLS grid cells each) and holds no
 grid of the whole block. gap_pieces turns a block's changes in the busy
 count into the gaps of the nested slices. GapWalk is the one walk over
 them: it steps both functions block by block, decides each gap at the slot
-where it closes, follows the open gaps that have not reached break-even and
-records the gaps the offline rule keeps, so solve_cp_offline holds
-O(BLOCK_SLOTS * M + T) numbers, never a (T, M) array. The online GCSR fleet
-is a GapWalk stepped over its revealed slots, so online and offline slice
-rules compare the same floats, and a GCSR run yields cpoff's series as
-well: compare makes two P-row walks, GCSR's and DCMON's, not three.
-solve_cp_offline stays the standalone solver and the reference the checks
-compare against.
+where it closes, follows the open gaps that have not reached break-even,
+finds each reached gap's break-even slot j* and records, per slot, the
+kept gaps' opens and closes and, in j* order, one (slice, g, j*) record per
+reached gap. None of that depends on a window, so solve_cp_offline holds
+O(BLOCK_SLOTS * M + T + reached gaps) numbers, never a (T, M) array, and
+every online GCSR fleet of an instance can read one walk: online and
+offline slice rules compare the same floats, and compare and sweep make
+one P-row walk for GCSR, DCMON and cpoff together. solve_cp_offline stays
+the standalone solver and the reference the checks compare against.
 
 The generator slices share one kernel with online CHASE: regret_rows steps
 every slice's clamped savings over a block of slots, and next_extremes finds
@@ -57,6 +58,7 @@ BLOCK_SLOTS decisions.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -80,7 +82,7 @@ from .model import _supply_inputs
 DEFAULT_STATE_BUDGET = 5_000_000
 DEFAULT_ENUM_BUDGET = 10_000_000
 BLOCK_SLOTS = 256  # slots per block of demand grids, idle-cost sums and block-stepped decisions
-CHUNK_CELLS = 1 << 16  # demand-grid cells per idle_cost_block chunk: 512 KiB of floats
+CHUNK_CELLS = 1 << 15  # demand-grid cells per idle_cost_block chunk: 256 KiB of floats
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +431,26 @@ def reaches_breakeven(prefix, base, beta_s: float):
     return prefix - base >= beta_s
 
 
+def _breakeven_rows(prefix: np.ndarray, slices, base, first, last, beta_s: float) -> np.ndarray:
+    """For each gap k, the first row r in first[k]..last[k] where
+    reaches_breakeven(prefix[r, slices[k]], base[k], beta_s) holds, given
+    that it holds at last[k] and that P is nondecreasing down the rows.
+
+    A binary search on all gaps at once: ceil(log2(rows)) gathers of one
+    row per gap, rows the longest gap's count of candidate rows. Each gather
+    takes flat indices into the C-contiguous rows, about twice as fast as a
+    two-array index.
+    """
+    flat, width = prefix.ravel(), prefix.shape[1]
+    lo, hi = first.copy(), last.copy()
+    for _ in range(int((hi - lo).max()).bit_length()):
+        mid = (lo + hi) // 2
+        hit = reaches_breakeven(flat.take(mid * width + slices), base, beta_s)
+        np.copyto(hi, mid, where=hit)
+        np.copyto(lo, mid + 1, where=~hit)
+    return hi
+
+
 def gap_pieces(need: np.ndarray, prefix: np.ndarray, start: int, carried):
     """Every gap of the server slices that one block of slots shows.
 
@@ -477,15 +499,21 @@ def gap_pieces(need: np.ndarray, prefix: np.ndarray, start: int, carried):
     return i[opens], first[opens], base[opens], last[opens]
 
 
-def _paint(need: np.ndarray, slices: int, gaps) -> np.ndarray:
-    """On/off matrix (slices, T): slice i is on where busy (need > i) or in a kept gap."""
+def _paint(need: np.ndarray, slices: int, offs) -> np.ndarray:
+    """On/off matrix (slices, T) of nested slices, given need = c(s) and
+    offs = (slice, slot) of every turn-off in a gap: slice i is on where it
+    is busy (need > i) and in each gap after its first busy slot up to the
+    gap's turn-off, if any."""
     t_end = len(need)
-    mark = np.zeros((slices, t_end + 1), dtype=int)
-    i, first, last = gaps
-    np.add.at(mark, (i, first - 1), 1)
-    np.add.at(mark, (i, last), -1)
-    on = np.cumsum(mark, axis=1)[:, :t_end] > 0
-    return (on | (np.arange(slices)[:, None] < need)).astype(float)
+    slot = np.arange(1, t_end + 1)
+    busy = np.arange(slices)[:, None] < need
+    # the last busy slot and the last turn-off at or before each slot, 0 if none
+    last_busy = np.maximum.accumulate(np.where(busy, slot, 0), axis=1)
+    last_off = np.zeros((slices, t_end), dtype=int)
+    i, s = offs
+    last_off[i, s - 1] = s
+    np.maximum.accumulate(last_off, axis=1, out=last_off)
+    return (busy | (last_off < last_busy)).astype(float)
 
 
 class GapWalk:
@@ -497,63 +525,115 @@ class GapWalk:
     reaches_breakeven holds there, kept iff it closes in the block unreached.
     P is nondecreasing, so the offline rule keeps exactly the kept gaps, and
     a reached gap stays reached: only the open, unreached gaps are followed
-    into the next block (open_gaps). Between steps the walk holds c(s) of
-    the stepped slots, one P row, the open gaps and a difference array of
-    the kept gaps: O(M + T) numbers.
+    into the next block (open_gaps). A reached gap's break-even slot j*, the
+    first slot of the gap where the predicate holds, is found by
+    _breakeven_rows over the block's rows, O(gaps * log BLOCK_SLOTS) work.
+
+    Nothing here reads a window, and nothing depends on how the slots are
+    cut into blocks: j*, both verdicts and the P floats are the same for
+    every window and every block size. So one walk serves every GCSR fleet
+    of an instance (online.GcsrFleet), whatever its window, and the offline
+    rule. It keeps:
+    - c(s) of the stepped slots (need)
+    - per slot, the kept gaps that open there and that close there
+      (kept_opens, kept_closes)
+    - one record (slice, g, j*) per reached gap, in j* order, in the
+      smallest unsigned type that holds T and M (breakevens reads them)
+    - one P row and the open gaps it still follows
+
+    That is O(M + T + reached gaps) numbers between steps; no P row outlives
+    its block. The records are 6 bytes a gap at uint16: 0.2 MB for the 34.5k
+    reached gaps of a 90-day trace at M=552, 8.4 MB for the 1.4M of a
+    365-day trace at M=5520.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self.need = np.zeros(instance.horizon + 1, dtype=int)  # c(s) of the stepped slots, c(0) = 0
+        t_end = instance.horizon
+        self.need = np.zeros(t_end + 1, dtype=int)  # c(s) of the stepped slots, c(0) = 0
         self.stepped = 0  # the last stepped slot
         self._row = np.zeros(instance.max_servers)  # P of the last stepped slot
-        # +1 at a kept gap's first slot, -1 at the slot that closes it
-        self._kept = np.zeros(instance.horizon + 1, dtype=int)
+        self.kept_opens = np.zeros(t_end + 1, dtype=int)  # at index s: kept gaps with g = s
+        self.kept_closes = np.zeros(t_end + 1, dtype=int)  # kept gaps whose close is slot s
+        # (slice, g, j*) of the reached gaps, by j*: one array per step that
+        # reached any, of the smallest unsigned type that holds T and M, and
+        # one past each array's last record index
+        self._records: list[np.ndarray] = []
+        self._stops: list[int] = []
+        self._dtype = np.min_scalar_type(max(t_end, instance.max_servers))
         # (slice, g, base) of the unreached gaps open at the last stepped slot
         self.open_gaps = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
 
-    def step(self, workload, stop: int):
-        """Walk slots stepped+1..stop, given their workload a(s). Returns
-        (prefix, slices, first, base, last, reached, kept): the block's P
-        rows, then per gap gap_pieces' four arrays and the two verdicts."""
+    def step(self, workload, stop: int) -> None:
+        """Walk slots stepped+1..stop, given their workload a(s)."""
         start = self.stepped + 1
+        beta_s = self.instance.server.beta_s
         need = self.need[start - 1 : stop + 1]
         need[1:] = np.ceil(workload)
         prefix = idle_cost_block(self.instance, start, stop, self._row)
         slices, first, base, last = gap_pieces(need, prefix, start, self.open_gaps)
-        reached = reaches_breakeven(prefix[last, slices], base, self.instance.server.beta_s)
+        reached = reaches_breakeven(prefix.ravel().take(last * prefix.shape[1] + slices), base, beta_s)
         closed = last < stop - start + 1
         kept = closed & ~reached
-        np.add.at(self._kept, first[kept] - 1, 1)
-        np.add.at(self._kept, start - 1 + last[kept], -1)
+        np.add.at(self.kept_opens, first[kept], 1)
+        np.add.at(self.kept_closes, start + last[kept], 1)
+        hit = np.flatnonzero(reached)
+        if len(hit):
+            rows = _breakeven_rows(prefix, slices[hit], base[hit],
+                                   np.maximum(first[hit] - start + 1, 1), last[hit], beta_s)
+            # a radix sort, as in gap_pieces: rows take the smallest type that holds them
+            order = np.argsort(rows.astype(np.min_scalar_type(len(prefix))), kind="stable")
+            records = np.array((slices[hit], first[hit], start - 1 + rows), dtype=self._dtype)
+            self._records.append(records[:, order])
+            self._stops.append(self._stops[-1] + len(hit) if self._stops else len(hit))
         held = ~(closed | reached)
         self.open_gaps = (slices[held], first[held], base[held])
         self._row = prefix[-1].copy()
         self.stepped = stop
-        return prefix, slices, first, base, last, reached, kept
+
+    def breakevens(self, taken: int, end: int) -> np.ndarray:
+        """Records taken, taken+1, ... of the reached gaps through the last
+        whose j* is at most end, as int rows (slices, g, j*); every gap whose
+        j* is at most end is recorded once the walk has stepped to end."""
+        parts = [np.zeros((3, 0), dtype=self._dtype)]
+        k = bisect.bisect_right(self._stops, taken)  # the array holding record taken
+        for stop, records in zip(self._stops[k:], self._records[k:]):
+            part = records[:, records.shape[1] - (stop - taken) :]
+            cut = np.searchsorted(part[2], end, side="right")
+            parts.append(part[:, :cut])
+            if cut < part.shape[1]:
+                break
+            taken = stop
+        return np.concatenate(parts, axis=1).astype(int)
 
     def offline_series(self) -> np.ndarray:
         """solve_cp_offline's series: c(s) plus the kept gaps covering s;
         complete once every slot is stepped."""
-        return (self.need[1:] + np.cumsum(self._kept[:-1])).astype(float)
+        return (self.need[1:] + np.cumsum(self.kept_opens - self.kept_closes)[1:]).astype(float)
+
+    def walk_to_end(self) -> "GapWalk":
+        """Step the rest of the horizon in blocks of BLOCK_SLOTS slots."""
+        t_end = self.instance.horizon
+        while self.stepped < t_end:
+            stop = min(self.stepped + BLOCK_SLOTS, t_end)
+            self.step(self.instance.workload[self.stepped : stop], stop)
+        return self
 
 
 def cp_offline_slices(instance: Instance) -> np.ndarray:
     """Per-slice optimal series, shape (max_servers, horizon).
 
-    Slice i (1-based) is busy where a(t) > i-1; the kept gaps of the walk
-    solve_cp_offline makes are painted into one row per slice. Unlike
-    solve_cp_offline this holds the whole (M, T) result.
+    Slice i (1-based) is busy where a(t) > i-1. The offline rule turns a
+    slice off for the whole of every gap that reaches break-even or is
+    still open at the horizon end, and keeps it on through the others;
+    the walk solve_cp_offline makes gives those gaps, painted into one row
+    per slice. Unlike solve_cp_offline this holds the whole (M, T) result.
     """
-    t_end = instance.horizon
-    walk = GapWalk(instance)
-    gaps = []
-    for start in range(1, t_end + 1, BLOCK_SLOTS):
-        stop = min(start + BLOCK_SLOTS - 1, t_end)
-        _, slices, first, _, last, _, kept = walk.step(instance.workload[start - 1 : stop], stop)
-        gaps.append((slices[kept], first[kept], start - 1 + last[kept]))
+    walk = GapWalk(instance).walk_to_end()
+    slices, first, _ = walk.open_gaps
+    reached = walk.breakevens(0, instance.horizon)
     return _paint(walk.need[1:], instance.max_servers,
-                  [np.concatenate(parts) for parts in zip(*gaps)])
+                  (np.concatenate((reached[0], slices)), np.concatenate((reached[1], first))))
 
 
 def solve_cp_offline(instance: Instance) -> np.ndarray:
@@ -561,17 +641,12 @@ def solve_cp_offline(instance: Instance) -> np.ndarray:
 
     Steps a GapWalk over the horizon in blocks of BLOCK_SLOTS slots, which
     decides each slice's idle gap at the slot where it closes. Memory is
-    O(BLOCK_SLOTS * M + T): no (T, M) array is built. The offline rule knows
-    where the horizon ends: trailing gaps (like leading ones) turn off for
-    free. The online rules treat the end as unknown and may hold through
-    them (see online.gcsr).
+    O(BLOCK_SLOTS * M + T + reached gaps): no (T, M) array is built. The
+    offline rule knows where the horizon ends: trailing gaps (like leading
+    ones) turn off for free. The online rules treat the end as unknown and
+    may hold through them (see online.gcsr).
     """
-    t_end = instance.horizon
-    walk = GapWalk(instance)
-    for start in range(1, t_end + 1, BLOCK_SLOTS):
-        stop = min(start + BLOCK_SLOTS - 1, t_end)
-        walk.step(instance.workload[start - 1 : stop], stop)
-    return walk.offline_series()
+    return GapWalk(instance).walk_to_end().offline_series()
 
 
 def brute_force_cp(instance: Instance, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[np.ndarray, float]:

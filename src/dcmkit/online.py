@@ -16,13 +16,16 @@ nondecreasing, so the predicate is monotone along a gap: it fails up to the
 gap's break-even slot j* and holds from there on. j* can thus be found by a
 binary search over the gap's P rows, and the slice turns off at max(g, t*),
 g the gap's first slot and t* the first decision whose window reveals j*.
-The fleet is the offline rule's walk (offline.GapWalk) stepped in blocks
-like CHASE: each step decides the gaps the newly revealed P rows show, and
-the fleet searches the ones that reached break-even for j*, so its work is
-O(rows * M + gaps * log BLOCK_SLOTS), whatever the window. The gaps the
-offline rule keeps, the closed gaps with no j*, do not depend on the
-window: the walk records them, so one GCSR run also yields
-solve_cp_offline's series (gcsr's return_offline).
+Only t* depends on the window. The offline rule's walk (offline.GapWalk)
+finds j* and both verdicts of every gap, the same for every window, so the
+fleet (GcsrFleet) reads a walk that other fleets of the instance may share.
+It steps the walk, reading a(s) through its own window, only past where
+some fleet already has, and takes only the walk's records whose evidence
+lies within its own window end, each checked against its own decision's
+end: a shared walk is as causal as a private one. The walk costs
+O(rows * M + gaps * log BLOCK_SLOTS) work once; each fleet that reads it
+O(T + reached gaps). One walk serves gcsr, dcmon and solve_cp_offline's
+series (gcsr's return_offline) in a compare, and every window of a sweep.
 
 Supply (CHASE, ChaseFleet): each unit generator slice tracks R, its
 cumulative savings of running versus buying from the grid, clamped to
@@ -61,7 +64,7 @@ import numpy as np
 from . import offline
 from .errors import ConfigError, LookaheadViolation
 from .model import GeneratorModel, Instance, Schedule, check_scalar, staged_schedule
-from .offline import GapWalk, next_extremes, reaches_breakeven, regret_rows, supply_series
+from .offline import GapWalk, next_extremes, regret_rows, supply_series
 
 # ---------------------------------------------------------------------------
 # the revealed window
@@ -146,7 +149,7 @@ def _drive(fleet, window: RevealedWindow, keep: bool = False) -> list:
                       + window.lookahead)
         step = fleet.decide_next()
         if keep:
-            kept += step
+            kept.append(step)
     return kept
 
 
@@ -154,24 +157,7 @@ def _drive(fleet, window: RevealedWindow, keep: bool = False) -> list:
 # provisioning: GCSR
 
 
-def _breakeven_rows(prefix: np.ndarray, slices, base, first, last, beta_s: float) -> np.ndarray:
-    """For each gap k, the first row r in first[k]..last[k] where
-    reaches_breakeven(prefix[r, slices[k]], base[k], beta_s) holds, given
-    that it holds at last[k] and that P is nondecreasing down the rows.
-
-    A binary search on all gaps at once: ceil(log2(rows)) gathers of one
-    row per gap, rows the longest gap's count of candidate rows.
-    """
-    lo, hi = first.copy(), last.copy()
-    for _ in range(int((hi - lo).max()).bit_length()):
-        mid = (lo + hi) // 2
-        hit = reaches_breakeven(prefix[mid, slices], base, beta_s)
-        np.copyto(hi, mid, where=hit)
-        np.copyto(lo, mid + 1, where=~hit)
-    return hi
-
-
-class GcsrFleet(GapWalk):
+class GcsrFleet:
     """All unit server slices of one GCSR run, decided gap by gap in blocks.
 
     Slice i (0-based) is busy in slot s iff a(s) > i, so with
@@ -188,110 +174,108 @@ class GcsrFleet(GapWalk):
     nondecreasing float function of x, built from monotone float operations
     on nonnegative terms), and float subtraction and comparison are
     monotone, so along a gap the predicate is false up to some slot j*, the
-    gap's break-even slot, and true from there on. j* can thus be found by
-    binary search over the gap's P rows, and at decision t in the gap the
-    rule turns off iff t's window end reaches j*. Window ends never fall, so
-    the slice turns off at max(g, t*), t* the first decision whose end is
-    >= j*, and stays off to the end of the gap; a gap with no j* stays on.
-    That holds for any window that never shrinks: gcsr's s + w and DCMON's
-    master window alike.
+    gap's break-even slot, and true from there on. At decision t in the gap
+    the rule thus turns off iff t's window end reaches j*. Window ends never
+    fall, so the slice turns off at max(g, t*), t* the first decision whose
+    end is >= j*, and stays off to the end of the gap; a gap with no j*
+    stays on. That holds for any window that never shrinks: gcsr's s + w
+    and DCMON's master window alike.
 
-    decide_next decides a block of slots at once: every slot from next_slot
-    whose own window end is revealed (RevealedWindow.ends). It first steps
-    the walk (offline.GapWalk) over the newly revealed slots, in blocks of
-    at most offline.BLOCK_SLOTS, with a(s) read through the window. A gap
-    whose P reaches beta_s by its last row in the block has its j* found by
-    _breakeven_rows, O(gaps * log BLOCK_SLOTS) work, and every j* passes
-    window.check_each against the end of the decision t* it is charged to.
-    Since t* <= j*, such a gap resolves in its block, and the walk carries
-    only the others still open, so no P row outlives its block.
+    The fleet reads a walk (offline.GapWalk) of its instance, its own or
+    one that other fleets share: the walk finds j* and both verdicts of
+    every gap, and none of them depends on the window. decide_next decides
+    every slot from next_slot whose own window end is revealed
+    (RevealedWindow.ends); the last of those ends is E. It steps the walk
+    only if the walk has not yet reached E, in blocks of at most
+    offline.BLOCK_SLOTS, with a(s) read through this fleet's window. It then
+    takes the walk's records of the reached gaps with j* <= E not taken
+    before, maps each j* to its t* by a search over the ends, and passes
+    every j* through window.check_each against the end of its t*. With
+    opens(s) = max(c(s-1) - c(s), 0), decision t's fleet is
 
-    Each resolved gap adds a kept interval, g through its turn-off or its
-    close, to a difference array over the slots. Every event at or before
-    a decided slot is known when it is decided, so decision t's fleet is
-    c(t) plus the kept intervals covering t. decide_next returns the kept
-    intervals it resolved, for painting slices; the fleet holds
-    O(BLOCK_SLOTS * M + T) numbers. Once every slot is revealed the walk's
-    offline_series is solve_cp_offline's series, whatever the window.
+        x(t) = c(t) + sum over s <= t of (opens(s) - kept closes(s))
+               - #{reached gaps with max(g, t*) <= t},
+
+    every non-leading gap open since g, less the kept gaps closed and the
+    reached gaps turned off by t (gap_pieces leaves out only leading gaps).
+
+    Causal by construction: every fact a decision uses has an evidence
+    slot within E. A turn-off's is j*, which the fleet takes only once
+    j* <= E and which check_each ties to t*'s own end. A kept close's is
+    its close slot s <= t, and c(s) is read for s <= t only. A walk
+    stepped past E by another fleet thus gives this one nothing it could
+    not have computed itself. The fleet holds O(T) numbers, and the walk
+    O(M + T + reached gaps). decide_next returns the (slices, slots) of the
+    turn-offs it took, for painting slices.
     """
 
-    def __init__(self, instance: Instance, window: RevealedWindow):
-        super().__init__(instance)
+    def __init__(self, instance: Instance, window: RevealedWindow, walk: GapWalk | None = None):
+        if walk is not None and walk.instance is not instance:
+            raise ConfigError("a GCSR fleet reads a walk of its own instance")
+        self.instance = instance
         self.window = window
-        # +1 at a kept interval's first slot, -1 past its last
-        self._diff = np.zeros(instance.horizon + 1, dtype=int)
-        self._held = 0  # kept intervals covering the last decided slot
+        self.walk = GapWalk(instance) if walk is None else walk
+        self._offs = np.zeros(instance.horizon + 1, dtype=int)  # turn-offs taken, by slot
+        self._held = 0  # sum over s <= the last decided slot of opens - kept closes - offs
+        self._taken = 0  # the walk's reached-gap records taken
         self.next_slot = 1
         self.series: list[int] = []
 
-    def _step(self, stop: int, t: int, ends: np.ndarray):
-        """Step the walk over the revealed slots after the last stepped one
-        through stop, for decisions t.. with window ends ends; returns the
-        (slices, first, last) kept intervals of the gaps it resolved."""
-        start = self.stepped + 1
-        # the read checks slots start..stop, the P rows the walk evaluates
-        prefix, slices, g, base, last, reached, _ = self.step(
-            self.window.read(self.instance.workload, start, stop), stop)
-        until = start + last  # one past the kept interval: a close, or stop + 1 while open
-        hit = np.flatnonzero(reached)
-        if len(hit):
-            rows = _breakeven_rows(prefix, slices[hit], base[hit],
-                                   np.maximum(g[hit] - start + 1, 1), last[hit],
-                                   self.instance.server.beta_s)
-            j_star = start - 1 + rows
-            decision = np.searchsorted(ends, j_star)  # t* - t
-            latest = np.zeros((len(ends), 1), dtype=int)
-            np.maximum.at(latest[:, 0], decision, j_star)
-            self.window.check_each(t, latest)
-            until[hit] = np.maximum(g[hit], t + decision)
-        np.add.at(self._diff, g[g >= start] - 1, 1)
-        done = until <= stop
-        np.add.at(self._diff, until[done] - 1, -1)
-        return slices[done], g[done], until[done] - 1
-
-    def decide_next(self) -> list:
+    def decide_next(self) -> tuple:
         """Decide slots self.next_slot.. through the last whose own window end
-        is revealed; returns the kept intervals resolved on the way, one
-        (slices, first, last) triple per block of revealed slots."""
-        t = self.next_slot
-        ends = self.window.ends(t)
-        kept = []
-        while self.stepped < ends[-1]:
-            kept.append(self._step(min(self.stepped + offline.BLOCK_SLOTS, ends[-1]), t, ends))
+        is revealed; returns the (slices, slots) of the turn-offs taken."""
+        t, walk, window = self.next_slot, self.walk, self.window
+        ends = window.ends(t)
+        while walk.stepped < ends[-1]:
+            stop = min(walk.stepped + offline.BLOCK_SLOTS, ends[-1])
+            walk.step(window.read(self.instance.workload, walk.stepped + 1, stop), stop)
+        slices, g, j_star = walk.breakevens(self._taken, ends[-1])
+        self._taken += len(j_star)
         k = len(ends)
-        held = self._held + np.cumsum(self._diff[t - 1 : t - 1 + k])
+        off = g  # the turn-off slots, none without records
+        if len(j_star):
+            decision = np.searchsorted(ends, j_star)  # t* - t
+            latest = np.zeros((k, 1), dtype=int)
+            np.maximum.at(latest[:, 0], decision, j_star)
+            window.check_each(t, latest)
+            off = np.maximum(g, t + decision)
+            np.add.at(self._offs, off, 1)
+        need = walk.need[t - 1 : t + k]
+        held = self._held + np.cumsum(np.maximum(need[:-1] - need[1:], 0)
+                                      - walk.kept_closes[t : t + k] - self._offs[t : t + k])
         self._held = int(held[-1])
-        fleet = self.need[t : t + k] + held
-        self.series.extend(fleet.tolist())
+        self.series.extend((need[1:] + held).tolist())
         self.next_slot += k
-        return kept
+        return slices, off
+
+    def offline_series(self) -> np.ndarray:
+        """solve_cp_offline's series, read off the walk once it is complete."""
+        return self.walk.offline_series()
 
 
 def gcsr(instance: Instance, lookahead: int, return_slices: bool = False,
-         return_offline: bool = False):
+         return_offline: bool = False, *, walk: GapWalk | None = None):
     """Run GCSR over the whole horizon; returns the provisioning series, then
     with return_slices the (max_servers, horizon) on/off matrix of its
     slices, and with return_offline solve_cp_offline's series, read off the
     same walk (offline.GapWalk.offline_series).
 
-    Decision t's window ends at t + lookahead. The driver reveals the ends
-    of offline.BLOCK_SLOTS decisions at a time and the fleet decides them
-    in one step (see GcsrFleet). The rule treats the horizon end as unknown
-    even when the window reaches it: a powered slice in its trailing gap
-    holds unless the gap's idle cost reaches beta_s, where the offline rule
-    turns off for free. At w >= T it differs from solve_cp_offline only in
-    trailing gaps.
+    walk is a GapWalk of instance that other runs may share, a new one when
+    None; the result is the same either way. Decision t's window ends at
+    t + lookahead. The driver reveals the ends of offline.BLOCK_SLOTS
+    decisions at a time and the fleet decides them in one step (see
+    GcsrFleet). The rule treats the horizon end as unknown even when the
+    window reaches it: a powered slice in its trailing gap holds unless the
+    gap's idle cost reaches beta_s, where the offline rule turns off for
+    free. At w >= T it differs from solve_cp_offline only in trailing gaps.
     """
-    t_end = instance.horizon
-    window = RevealedWindow(t_end, _whole_slots(lookahead))
-    fleet = GcsrFleet(instance, window)
-    kept = _drive(fleet, window, keep=return_slices)
+    window = RevealedWindow(instance.horizon, _whole_slots(lookahead))
+    fleet = GcsrFleet(instance, window, walk)
+    offs = _drive(fleet, window, keep=return_slices)
     out = [np.array(fleet.series, dtype=float)]
     if return_slices:
-        slices, first, _ = fleet.open_gaps  # gaps still open at the end stay on through it
-        gaps = [np.concatenate(parts)
-                for parts in zip(*kept, (slices, first, np.full(len(slices), t_end)))]
-        out.append(offline._paint(fleet.need[1:], instance.max_servers, gaps))
+        out.append(offline._paint(fleet.walk.need[1:], instance.max_servers,
+                                  [np.concatenate(parts) for parts in zip(*offs)]))
     if return_offline:
         out.append(fleet.offline_series())
     return out[0] if len(out) == 1 else tuple(out)
@@ -382,16 +366,19 @@ def chase(gen: GeneratorModel, energy, price, lookahead: int) -> np.ndarray:
 # combined pipeline: DCMON
 
 
-def dcmon(instance: Instance, lookahead: int, params: OngridParams | None = None) -> Schedule:
+def dcmon(instance: Instance, lookahead: int, params: OngridParams | None = None, *,
+          walk: GapWalk | None = None) -> Schedule:
     """Run the full online pipeline and return a complete schedule.
 
     A GCSR run decides slot s under the master window of output slot
     max(1, s - w_ep), w_ep = params.ep_window(lookahead), so its window ends
-    at max(1, s - w_ep) + w. CHASE then runs with window w_ep on the energy
-    series of that fleet, and the dispatch rule completes each slot
-    (model.staged_schedule). Causal: CHASE decision s reads energy up to slot
-    s + w_ep, whose fleet was decided on inputs up to max(1, s) + w; so no
-    decision for slot s depends on an input past s + w.
+    at max(1, s - w_ep) + w. It reads walk, a GapWalk of instance that other
+    runs may share (a new one when None; see GcsrFleet). CHASE then runs
+    with window w_ep on the energy series of that fleet, and the dispatch
+    rule completes each slot (model.staged_schedule). Causal: CHASE decision
+    s reads energy up to slot s + w_ep, whose fleet was decided on inputs up
+    to max(1, s) + w; so no decision for slot s depends on an input past
+    s + w.
 
     params holds the declared a-priori values (default: read off the
     instance); a replay of a truncated view passes its parent's.
@@ -401,7 +388,7 @@ def dcmon(instance: Instance, lookahead: int, params: OngridParams | None = None
         params = OngridParams.from_instance(instance)
     w_ep = params.ep_window(lookahead)
     window = RevealedWindow(instance.horizon, lookahead, lag=w_ep)
-    fleet = GcsrFleet(instance, window)
+    fleet = GcsrFleet(instance, window, walk)
     _drive(fleet, window)
     return staged_schedule(instance, fleet.series, functools.partial(chase, lookahead=w_ep))
 

@@ -25,6 +25,7 @@ from .model import (
     supply_cost,
 )
 from .offline import (
+    GapWalk,
     brute_force_cp,
     brute_force_dcm,
     brute_force_ep,
@@ -273,8 +274,9 @@ def verify_gcsr_bounds(
         off = cp_cost(inst, xbar)
         params = OngridParams.from_instance(inst)
         span = params.breakeven_idle_window
+        walk = GapWalk(inst)  # every window's run reads it; xbar stays independent
         for w in lookaheads:
-            xon = gcsr(inst, w)
+            xon = gcsr(inst, w, walk=walk)
             on = cp_cost(inst, xon)
             bound = ratio_bound_ongrid(w, params)
             if on > bound * off + TOL:
@@ -315,6 +317,7 @@ def verify_ep_hybrid_bounds(
         ybar = solve_ep_offline(gen, energy, inst.price)
         ep_off = ep_cost(gen, energy, inst.price, ybar)
         joint = evaluate(inst, solve_dcm_offline(inst)).total
+        walk = GapWalk(inst)
         for w in lookaheads:
             y_on = chase(gen, energy, inst.price, w)
             ep_on = ep_cost(gen, energy, inst.price, y_on)
@@ -323,7 +326,7 @@ def verify_ep_hybrid_bounds(
                 return False, (
                     f"instance {k} w={w}: chase ratio {ep_on / ep_off} above bound {bound}"
                 )
-            total = evaluate(inst, dcmon(inst, w)).total
+            total = evaluate(inst, dcmon(inst, w, walk=walk)).total
             hybrid = ratio_bound_hybrid(w, params)
             if total > hybrid * joint + TOL:
                 return False, (

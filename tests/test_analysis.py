@@ -1,5 +1,8 @@
 """Experiment lineup, ablations, sweeps, and the worst-case families."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from dcmkit import (
     decomposition_tightness,
     evaluate,
     gcsr,
+    ratio_bound_hybrid,
     ratio_bound_ongrid,
     run_comparison,
     solve_cp_offline,
@@ -26,7 +30,7 @@ from dcmkit import (
     worst_case_gcsr_instance,
     worst_case_rho_instance,
 )
-from dcmkit import analysis, harness
+from dcmkit import analysis, harness, offline
 from dcmkit.analysis import (
     AlgoResult,
     ExperimentReport,
@@ -113,6 +117,44 @@ def test_decomposed_reference_solves_cpoff_once(monkeypatch):
     rows = sweep_lookahead(inst, (0, 2), state_budget=1)
     assert len(calls) == 0
     assert rows[1]["costs"]["cpoff"] == want.results["cpoff"].total
+
+
+def test_comparison_and_sweep_walk_each_slots_idle_costs_once(monkeypatch):
+    # gcsr, dcmon and cpoff read one walk: each slot's P row is evaluated
+    # once per compare and once per sweep, whatever the number of windows
+    inst = harness.build_instance(harness.synthesize_trace(3, 12, 8, "ny"),
+                                  harness.validate_config({"servers": 8}))
+    assert inst.horizon > offline.BLOCK_SLOTS
+    slots = []
+    block = offline.idle_cost_block
+
+    def recorded(instance, start, end, carried):
+        slots.extend(range(start, end + 1))
+        return block(instance, start, end, carried)
+
+    monkeypatch.setattr(offline, "idle_cost_block", recorded)
+    for lookahead in (0, 16):
+        slots.clear()
+        run_comparison(inst, lookahead)
+        assert slots == list(range(1, inst.horizon + 1))
+    slots.clear()
+    sweep_lookahead(inst, (0, 1, 16), state_budget=1)  # decomposed reference: cpoff too
+    assert slots == list(range(1, inst.horizon + 1))
+
+
+def test_sweep_leaves_out_a_hybrid_bound_that_overflows():
+    # c_o + c_m/L = 1e-310 is economical, but p_max over it overflows: the
+    # row keeps only the finite ongrid bound, and the report is strict JSON
+    inst = Instance(
+        workload=[2.0, 0.0, 0.0, 2.0, 1.0],
+        price=np.full(5, 0.1),
+        server=ServerModel(c_idle=0.1, c_peak=0.25, beta_s=0.08),
+        generator=GeneratorModel(capacity=1e10, c_o=0.0, c_m=1e-300, beta_g=24.0, count=2),
+    )
+    assert math.isinf(ratio_bound_hybrid(0, BoundParams.from_instance(inst)))
+    rows = sweep_lookahead(inst, (0, 2))
+    assert [set(row["bounds"]) for row in rows] == [{"ongrid"}, {"ongrid"}]
+    json.loads(harness.report_to_json({"rows": rows}), parse_constant=pytest.fail)
 
 
 def test_run_comparison_without_generators_collapses_to_ongrid():

@@ -296,3 +296,31 @@ def test_chunked_prefix_rows_are_the_one_shot_rows(monkeypatch):
                     want_row, got_row, start = want[-1], got[-1], stop + 1
                 monkeypatch.undo()
                 monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
+
+
+def test_runs_on_one_shared_walk_equal_solo_runs(monkeypatch):
+    # every window's gcsr and dcmon read one walk, stepped by whichever run
+    # asks first, gcsr's or dcmon's lagged fleet: each result is the solo
+    # run's bit for bit. Solo runs take one default block, since the tests
+    # above pin every block size to the per-slot fleet. dcmon's x is its
+    # provisioning series, which CHASE does not change, so a stub stands in
+    # for CHASE in the shared runs.
+    compared = 0
+    for inst in reference_cases():
+        windows = sorted({0, 1, 3, 8, inst.horizon})
+        solo = {w: (*gcsr(inst, w, return_slices=True, return_offline=True), dcmon(inst, w).x)
+                for w in windows}
+        monkeypatch.setattr(online, "chase", lambda gen, energy, price, lookahead: 0 * energy)
+        for block in BLOCKS:
+            monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
+            gcsr_first, dcmon_first = offline.GapWalk(inst), offline.GapWalk(inst)
+            # dcmon steps one of the walks, at a window that changes per instance
+            dcmon(inst, windows[compared % len(windows)], walk=dcmon_first)
+            for w in windows:
+                for walk in (gcsr_first, dcmon_first):
+                    got = (*gcsr(inst, w, return_slices=True, return_offline=True, walk=walk),
+                           dcmon(inst, w, walk=walk).x)
+                    assert [a.tobytes() for a in got] == [b.tobytes() for b in solo[w]]
+                compared += 1
+        monkeypatch.undo()
+    assert compared >= 101 * 4 * 4

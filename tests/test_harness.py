@@ -838,3 +838,25 @@ def test_cli_exits_cleanly_on_extreme_inputs(
         else:
             totals = list(_totals(report))
         assert totals and all(math.isfinite(total) for total in totals)
+
+
+def test_reports_are_strict_json(tmp_path, monkeypatch, capsys):
+    # a hybrid bound that overflows is left out of the sweep rows, and a
+    # report that still holds a non-finite number fails with one error
+    # line and writes no file
+    config, out = tmp_path / "run.json", tmp_path / "out.json"
+    config.write_text(json.dumps({"days": 1, "servers": 4, "generator": {
+        "capacity": 1e10, "c_m": 1e-300, "c_o": 0, "count": 2}}))
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    report = json.loads(out.read_text(), parse_constant=pytest.fail)
+    assert [set(row["bounds"]) for row in report["rows"]] == [{"ongrid"}] * 5
+    with pytest.raises(ConfigError, match="JSON"):
+        harness.report_to_json({"ratio": math.inf})
+    out.unlink()
+    rows = [{"axis": "lookahead", "value": 0, "costs": {}, "ratios": {"x": math.nan}, "bounds": {}}]
+    monkeypatch.setattr(cli.analysis, "sweep_lookahead", lambda instance, values: rows)
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

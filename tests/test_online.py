@@ -337,6 +337,35 @@ def test_gcsr_breakeven_slot_past_its_own_decision_end_raises(monkeypatch):
     assert np.array_equal(gcsr(inst, 0), [1, 1, 1, 1, 0, 0, 0, 0, 1])
 
 
+def test_lagged_fleet_on_a_walk_stepped_to_the_end_raises_as_standalone(monkeypatch):
+    # dcmon at w = 5 lags its provisioning by ep_window = 1: decision 3 ends
+    # at slot 7, but the gap's break-even slot 8 is charged to it. A walk
+    # that gcsr stepped to the horizon holds that record already; the fleet
+    # takes it through its own ends and its own check, as it does standalone
+    inst = dyadic_instance([1, 1, 1, 1, 0, 0, 0, 0, 0, 1])
+    assert OngridParams.from_instance(inst).ep_window(5) == 1
+    init = GcsrFleet.__init__
+
+    def later(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.window = LaterEnds(self.window)
+
+    past = r"slot 8 is outside the window \[1, 7\] of decision 3"
+    for block in (2, 256):  # decision 3 is inside a block, not its last
+        monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
+        walk = offline.GapWalk(inst)
+        gcsr(inst, 5, walk=walk)
+        assert walk.stepped == inst.horizon
+        monkeypatch.setattr(GcsrFleet, "__init__", later)
+        with pytest.raises(LookaheadViolation, match=past):
+            dcmon(inst, 5)
+        with pytest.raises(LookaheadViolation, match=past):
+            dcmon(inst, 5, walk=walk)
+        monkeypatch.setattr(GcsrFleet, "__init__", init)
+    with pytest.raises(ConfigError, match="walk of its own instance"):
+        gcsr(inst, 5, walk=offline.GapWalk(inst.truncated(9)))
+
+
 def test_gcsr_reads_each_slot_once_whatever_the_window(monkeypatch):
     # a(s) and P(s) are read once per revealed slot s, in slot order: the
     # same reads at every window, the whole horizon's included
