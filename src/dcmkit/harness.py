@@ -334,9 +334,15 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
     return validate_config({**raw, **(overrides or {})})
 
 
+def _takes_fleet_scale(section: dict | None) -> bool:
+    """Whether an overhead section (None: the preset's model) takes c_peak *
+    servers as its b_max: it sets no b_max and draws power."""
+    return section is None or ("b_max" not in section and section.get("kind", "none") != "none")
+
+
 def _section_b_max(section: dict, b_max_default: float) -> float:
     # kind "none" draws no power, so the server scale, 0.0 when c_peak is, is no default for it
-    return section.get("b_max", b_max_default if section.get("kind", "none") != "none" else 1.0)
+    return b_max_default if _takes_fleet_scale(section) else section.get("b_max", 1.0)
 
 
 def _cooling_from_config(cfg: dict, b_max_default: float) -> CoolingModel:
@@ -376,14 +382,21 @@ def build_instance(trace: TraceFile, cfg: dict) -> Instance:
     """
     srv = cfg["server"]
     gen = cfg["generator"]
+    # the models check their own keys first, so a bad c_peak is named as such
+    server = ServerModel(srv["c_idle"], srv["c_peak"], srv["beta_s"])
+    generator = GeneratorModel(gen["capacity"], gen["c_o"], gen["c_m"], gen["beta_g"], gen["count"])
     b_max = srv["c_peak"] * cfg["servers"]
+    scaled = " and ".join(name for name in ("cooling", "conditioning")
+                          if _takes_fleet_scale(cfg.get(name)))
+    if scaled and not 0.0 < b_max < math.inf:
+        raise ConfigError(
+            f"server c_peak × servers = {b_max:g} is the overhead scale b_max of {scaled}, "
+            f'which must be a finite number > 0: set a "b_max" or "kind": "none" in {scaled}')
     return Instance(
         workload=trace.workload,
         price=trace.price,
-        server=ServerModel(srv["c_idle"], srv["c_peak"], srv["beta_s"]),
-        generator=GeneratorModel(
-            gen["capacity"], gen["c_o"], gen["c_m"], gen["beta_g"], gen["count"]
-        ),
+        server=server,
+        generator=generator,
         cooling=_cooling_from_config(cfg, b_max),
         conditioning=_conditioning_from_config(cfg, b_max),
         label=cfg["label"] or cfg["preset"],

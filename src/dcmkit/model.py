@@ -654,11 +654,12 @@ def evaluate(instance: Instance, sched: Schedule) -> CostBreakdown:
     the model's magnitudes overflowed, so no report can state it.
     """
     check_schedule(instance, sched)
-    grid = float(np.dot(sched.v, instance.price))
-    onsite = float(instance.generator.c_o * sched.u.sum())
-    maintenance = float(instance.generator.c_m * sched.y.sum())
-    switching = instance.server.beta_s * positive_increases(sched.x)
-    startup = instance.generator.beta_g * positive_increases(sched.y)
+    with np.errstate(over="ignore"):  # an overflowed sum is named below
+        grid = float(np.dot(sched.v, instance.price))
+        onsite = float(instance.generator.c_o * sched.u.sum())
+        maintenance = float(instance.generator.c_m * sched.y.sum())
+        switching = instance.server.beta_s * positive_increases(sched.x)
+        startup = instance.generator.beta_g * positive_increases(sched.y)
     costs = CostBreakdown(grid, onsite, maintenance, switching, startup)
     for name, value in costs.as_dict().items():
         if not math.isfinite(value):

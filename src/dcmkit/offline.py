@@ -31,18 +31,21 @@ decomposition splits provisioning into M unit server slices solved by a
 break-even rule and supply into N unit generator slices solved by tracking
 a clamped cumulative savings process.
 
-Both the DP and the server slices walk the horizon in blocks of BLOCK_SLOTS
-slots. The DP reads one demand grid per block. For the slices,
-idle_cost_block returns only the running idle-cost sums P of a block,
-continued from the previous block's last row; it builds them from
-cache-sized chunks of demand rows (CHUNK_CELLS grid cells each) and holds no
-grid of the whole block. gap_pieces turns a block's changes in the busy
-count into the gaps of the nested slices. GapWalk is the one walk over
-them: it steps both functions block by block, decides each gap at the slot
-where it closes, follows the open gaps that have not reached break-even,
-finds each reached gap's break-even slot j* and records, per slot, the
-kept gaps' opens and closes and, in j* order, one (slice, g, j*) record per
-reached gap. None of that depends on a window, so solve_cp_offline holds
+Both the DP and the server slices walk the horizon in blocks of at most
+BLOCK_SLOTS slots, and both read demand in cache-sized chunks of
+demand_table rows (CHUNK_CELLS grid cells each), holding no grid of a whole
+block. A DP block is one such chunk: _band_costs gathers the cells
+x = ceil(a(t))..U(t) of each of its layers into one flat array and makes
+one split_cost call per generator count y = 0..max Y(t); the layers then
+run only the value recursion. For the slices, idle_cost_block returns only
+the running idle-cost sums P of a block, continued from the previous
+block's last row, and gap_pieces turns a block's changes in the busy count
+into the gaps of the nested slices. GapWalk is the one walk over them: it
+steps both functions block by block, decides each gap at the slot where it
+closes, follows the open gaps that have not reached break-even, finds each
+reached gap's break-even slot j* and records, per slot, the kept gaps'
+opens and closes and, in j* order, one (slice, g, j*) record per reached
+gap. None of that depends on a window, so solve_cp_offline holds
 O(BLOCK_SLOTS * M + T + reached gaps) numbers, never a (T, M) array, and
 every online GCSR fleet of an instance can read one walk: online and
 offline slice rules compare the same floats, and compare and sweep make
@@ -81,8 +84,8 @@ from .model import _supply_inputs
 
 DEFAULT_STATE_BUDGET = 5_000_000
 DEFAULT_ENUM_BUDGET = 10_000_000
-BLOCK_SLOTS = 256  # slots per block of demand grids, idle-cost sums and block-stepped decisions
-CHUNK_CELLS = 1 << 15  # demand-grid cells per idle_cost_block chunk: 256 KiB of floats
+BLOCK_SLOTS = 256  # slots per block of DP stage costs, idle-cost sums and block-stepped decisions
+CHUNK_CELLS = 1 << 15  # demand-grid cells per chunk of demand rows: 256 KiB of floats
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +215,32 @@ def _dp_rows(instance: Instance, band: np.ndarray) -> np.ndarray:
     return _window_max(useful, span)
 
 
+def _band_costs(instance: Instance, first: int, lows, highs, tops) -> tuple[np.ndarray, list[int]]:
+    """Stage costs of the band cells of the DP layers first..first+len(lows)-1,
+    given their ceil(a(t)), U(t) and Y(t) (lows, highs, tops).
+
+    Returns (rows, starts): layer k's cells x = lows[k]..highs[k] are the
+    columns starts[k]..starts[k+1]-1, and rows[y] their split_cost at y
+    generators, y = 0..max(tops). solve_dcm_offline says why these are the
+    floats of a per-layer call.
+    """
+    gen, m = instance.generator, instance.max_servers
+    y_grid = np.arange(gen.count + 1, dtype=float)[:, None]
+    width = highs - lows + 1
+    starts = np.zeros(len(width) + 1, dtype=int)
+    np.cumsum(width, out=starts[1:])
+    demand = instance.demand_table(first, first + len(width) - 1)
+    grid = _supply_inputs(gen, y_grid, instance.price, demand)[2]
+    # cell j, of layer k, is grid cell k*(M+1) + lows[k] + j - starts[k]
+    shift = np.arange(len(width)) * (m + 1) + lows - starts[:-1]
+    cells = grid.take(np.arange(starts[-1]) + np.repeat(shift, width))
+    price = np.repeat(instance.price[first - 1 : first - 1 + len(width)], width)
+    rows = np.empty((int(tops.max()) + 1, len(cells)))
+    for y, row in enumerate(rows):
+        row[:] = split_cost(gen, float(y), price, cells)
+    return rows, starts.tolist()
+
+
 def solve_dcm_offline(
     instance: Instance,
     state_budget: int = DEFAULT_STATE_BUDGET,
@@ -231,13 +260,28 @@ def solve_dcm_offline(
     and turning that unit off gains at least c_m net. So no optimal
     schedule from any state leaves either band, and the optimal set and the
     tie order are those of the full layers. Work and memory are
-    O((Y(t)+1)(U(t)+1-ceil(a(t)))) per layer. The backward pass reads demand
-    from one demand_table grid per block of BLOCK_SLOTS slots, checks it
-    once (model._supply_inputs) and takes each layer's stage costs from
-    model.split_cost, the pricing supply_cost reads. The state budget
-    counts the full (M+1)(N+1)(T+2) grid, checked before any band work.
+    O((Y(t)+1)(U(t)+1-ceil(a(t)))) per layer. The state budget counts the
+    full (M+1)(N+1)(T+2) grid, checked before any band work.
+
+    The backward pass prices the stage costs a block of layers at a time
+    (_band_costs). A block is at most BLOCK_SLOTS slots and one cache-sized
+    chunk of demand rows, max(1, CHUNK_CELLS // (M+1)) slots. Its demand
+    comes from one demand_table call, checked as supply_cost checks its
+    inputs (model._supply_inputs), and only each layer's band cells are
+    kept, in one flat array; no demand grid outlives its block's pricing.
+    One model.split_cost call per generator count y = 0..max Y(t) of the
+    block prices all those cells, with a price per cell, and layer t adds
+    its (Y(t)+1, width) slice of the block's rows. So the stage costs held
+    at any time are at most (max Y(t)+1) * max(CHUNK_CELLS, M+1) floats.
+    The floats are those of a per-layer call: add, multiply, min and where
+    act element by element, so an element's bits do not depend on the
+    shape of the array around it, and the value layers, the band rules and
+    the tie order stay as they were.
+
     Ties resolve to the lexicographically smallest x series, then y series:
-    the forward argmin scans x-major.
+    the forward pass takes, on the y-major sum of move costs and layer, the
+    first column that holds the layer's minimum, then the first row of that
+    column, which is the (x, y) an x-major argmin gives.
     """
     m, n, t_end = instance.max_servers, instance.generator.count, instance.horizon
     states = (m + 1) * (n + 1) * (t_end + 2)
@@ -255,19 +299,23 @@ def solve_dcm_offline(
     # layer T+1 is all zeros, so its row 0 and column 0 stand for every state
     need = np.ceil(instance.workload).astype(int)
     band = _dp_band(instance, need)
+    row_tops = _dp_rows(instance, band)
     lows = [0, *need.tolist(), 0]
     highs = [0, *band.tolist(), 0]
-    tops = [0, *_dp_rows(instance, band).tolist(), 0]
+    tops = [0, *row_tops.tolist(), 0]
     # backward pass: value[t][y, x - lows[t]] = cheapest completion from
     # state (x, y) at slot t, for the band's states only
     value: list[np.ndarray | None] = [None] * (t_end + 2)
     value[t_end + 1] = np.zeros((1, 1))
-    first = t_end + 1  # demand rows of slots first..first+len(grid)-1, read backward
+    # stage costs of slots first..first+len(starts)-2, read backward in
+    # blocks of at most BLOCK_SLOTS slots and one cache-sized demand chunk
+    span = min(BLOCK_SLOTS, max(1, CHUNK_CELLS // (m + 1)))
+    first = t_end + 1
     for t in range(t_end, 0, -1):
         if t < first:
-            first = max(1, t - BLOCK_SLOTS + 1)
-            demand = instance.demand_table(first, t)
-            _, price, grid = _supply_inputs(gen, y_grid, instance.price, demand)
+            first = max(1, t - span + 1)
+            block, stage = slice(first - 1, t), None  # drop the last block's rows first
+            stage, starts = _band_costs(instance, first, need[block], band[block], row_tops[block])
         lo, hi, top = lows[t], highs[t], tops[t]
         over_x = _min_increase_transform(value[t + 1], x_offsets, lows[t + 1], lo, hi)
         # the same transform over the generator axis: rows 0..k-1 are in
@@ -280,11 +328,12 @@ def solve_dcm_offline(
         fall = _running_min(over_x[:k])
         np.minimum(layer[:k], fall, out=layer[:k])
         layer[k:] = fall[-1]
-        layer += split_cost(gen, y_grid[: top + 1], price[t - 1], grid[t - first, lo : hi + 1])
+        layer += stage[: top + 1, starts[t - first] : starts[t - first + 1]]
 
-    # forward pass: walk the argmin over the band, scanning x-major so
-    # equal-cost choices pick the smallest (x, y); the move costs are read
-    # from tables of beta_s*max(k, 0), k = -M..M, and beta_g*max(y - py, 0)
+    # forward pass: walk the argmin over the band; equal-cost choices pick
+    # the smallest x, then the smallest y: the first column holding the
+    # minimum, then that column's first row. The move costs are read from
+    # tables of beta_s*max(k, 0), k = -M..M, and beta_g*max(y - py, 0)
     x_moves = beta_s * np.maximum(np.arange(-m, m + 1, dtype=float), 0.0)
     y_moves = beta_g * np.maximum(y_grid.T - y_grid, 0.0)
     xs = np.empty(t_end)
@@ -292,9 +341,9 @@ def solve_dcm_offline(
     px = py = 0
     for t in range(1, t_end + 1):
         lo, hi, top = lows[t], highs[t], tops[t]
-        move = x_moves[lo - px + m : hi - px + m + 1, None] + y_moves[py, : top + 1]
-        px, py = divmod(int(np.argmin(move + value[t].T)), top + 1)
-        px += lo
+        total = y_moves[py, : top + 1, None] + x_moves[lo - px + m : hi - px + m + 1] + value[t]
+        column = int(total.min(axis=0).argmin())
+        px, py = lo + column, int(total[:, column].argmin())
         xs[t - 1], ys[t - 1] = px, py
     return dispatched_schedule(instance, xs, ys)
 

@@ -683,6 +683,40 @@ def test_cli_rejects_model_values_out_of_range_with_one_line(tmp_path, capsys, t
 
 
 @pytest.mark.parametrize(
+    "model, scale, scaled",
+    [
+        ({}, "0", "cooling and conditioning"),
+        ({"cooling": {"kind": "none"}}, "0", "conditioning"),
+        ({"conditioning": {"kind": "quadratic"}}, "0", "cooling and conditioning"),
+        ({"conditioning": {"kind": "none"}, "cooling": {"kind": "quadratic"}}, "0", "cooling"),
+        ({"server": {"c_peak": 1e308}}, "inf", "cooling and conditioning"),
+    ],
+)
+def test_cli_names_the_fleet_scale_that_sets_no_overhead_b_max(tmp_path, capsys, model, scale, scaled):
+    # an overhead section without b_max (or the preset's, when the config has
+    # none) is scaled by server c_peak × servers; a zero or overflowing scale
+    # is reported as that product, naming the sections that take it, not as
+    # a b_max the config never wrote
+    cfg = tmp_path / "run.json"
+    server = {"c_idle": 0, "c_peak": 0} if scale == "0" else {}
+    cfg.write_text(json.dumps({"days": 1, "servers": 5, **model,
+                               "server": {**server, **model.get("server", {})}}))
+    out = tmp_path / "report.json"
+    for command in (["compare"], ["sweep"], ["solve", "--algo", "dcmon"]):
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 1
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err == (f"error: server c_peak × servers = {scale} is the overhead scale b_max of "
+                       f'{scaled}, which must be a finite number > 0: set a "b_max" or "kind": '
+                       f'"none" in {scaled}\n'), err
+        assert not out.exists()
+    # a b_max, or kind "none", in each section that took the scale mends it
+    fixed = {"cooling": {"kind": "none"}, "conditioning": {"kind": "none"}}
+    cfg.write_text(json.dumps({"days": 1, "servers": 5, **fixed, "server": server}))
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
     "model, plan, capacity",
     [
         ({"server": {"beta_s": 1e308}}, "inf", "600.0"),
@@ -707,6 +741,24 @@ def test_cli_rejects_a_static_plan_that_overflows(tmp_path, capsys, model, plan,
         assert re.fullmatch(r"error: the static plan's cost, the grid bill \+ beta_s\*M \+ "
                             rf"\(beta_g \+ c_m\*T\)\*N, is {plan} with capacity L\*N = {capacity}: "
                             r"the model's magnitudes overflow\n", err), err
+        assert not out.exists()
+
+
+def test_cli_names_a_cost_that_overflows_without_a_warning(tmp_path, capsys):
+    # the static plan is finite, but the on-site energy the schedules
+    # dispatch sums past the float range; evaluate names that cost, and
+    # numpy's overflow warning on the way there stays quiet
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "days": 1, "servers": 23, "generator": {"capacity": 2.1931089889566915e306, "count": 8},
+        "conditioning": {"kind": "quadratic", "quad": 3.4931941360138745e306, "lin": 0.0}}))
+    out = tmp_path / "report.json"
+    for command in (["compare"], ["sweep"], ["solve", "--algo", "dcmon"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert (capsys.readouterr(), caught) == (
+            ("", "error: onsite_energy cost is inf: the model's magnitudes overflow\n"), [])
         assert not out.exists()
 
 

@@ -312,15 +312,19 @@ def test_dp_stage_rows_are_supply_cost_in_both_price_branches(monkeypatch):
     # floats supply_cost gives that layer's band of the feasible demand row,
     # rows 0..Y(t) and columns ceil(a(t))..U(t), whether the price picks the
     # grid-first (p <= c_o) or the generator-first branch; some layers keep
-    # fewer rows than N+1
+    # fewer rows than N+1. The backward pass prices a block of layers at
+    # once and adds layer t its slice of the block's rows, which the
+    # recorder cuts out the same way
     stages = []
 
-    def record(*args):
-        stages.append(pricing(*args))
-        return stages[-1]
+    def record(instance, first, lows, highs, tops):
+        costs, starts = pricing(instance, first, lows, highs, tops)
+        for k, top in enumerate(tops.tolist()):
+            stages.append((first + k, costs[: top + 1, starts[k] : starts[k + 1]]))
+        return costs, starts
 
-    pricing = offline.split_cost
-    monkeypatch.setattr(offline, "split_cost", record)
+    pricing = offline._band_costs
+    monkeypatch.setattr(offline, "_band_costs", record)
     rng = np.random.default_rng(18)
     branches = set()
     narrowed = 0
@@ -336,8 +340,8 @@ def test_dp_stage_rows_are_supply_cost_in_both_price_branches(monkeypatch):
         y = np.arange(gen.count + 1, dtype=float)[:, None]
         tops = offline._dp_band(inst, np.ceil(inst.workload).astype(int))
         rows = offline._dp_rows(inst, tops)
-        assert len(stages) == inst.horizon
-        for t, stage in zip(range(inst.horizon, 0, -1), stages):
+        assert sorted(t for t, _ in stages) == list(range(1, inst.horizon + 1))
+        for t, stage in stages:
             lo, hi, top = inst.min_servers(t), int(tops[t - 1]), int(rows[t - 1])
             d = inst.demand_table(t)[lo:]
             want = supply_cost(gen, y, inst.p(t), d)[: top + 1, : hi - lo + 1]
@@ -347,6 +351,77 @@ def test_dp_stage_rows_are_supply_cost_in_both_price_branches(monkeypatch):
             narrowed += top < gen.count
     assert branches == {True, False}
     assert narrowed >= 30, narrowed
+
+
+def test_dp_schedules_do_not_depend_on_block_or_chunk_size(monkeypatch):
+    # the backward pass prices a block's band cells at once, a block being
+    # at most BLOCK_SLOTS slots and one demand chunk of
+    # max(1, CHUNK_CELLS // (M+1)) slots; no cut moves a float, so the
+    # schedules are the full-layer reference's, ties included, with prices
+    # on both sides of c_o
+    rng = np.random.default_rng(24)
+    draws = []
+    for k in range(24):
+        inst = random_tiny_instance(rng) if k % 3 == 1 else random_bound_instance(rng)
+        if k % 3 == 2:
+            inst = dyadic_tie_instance(inst, rng)
+        elif inst.generator.count:
+            gen = inst.generator
+            high = 2.0 * gen.breakeven_price
+            price = rng.choice([0.5 * gen.c_o, gen.c_o, 1.5 * gen.c_o, high], inst.horizon)
+            price[rng.integers(0, inst.horizon)] = high
+            inst = dataclasses.replace(inst, price=price)
+        draws.append((inst, reference_dcm_offline(inst)[0]))
+    for block in (1, 2, 5, 256):
+        for chunk in (1, 64, offline.CHUNK_CELLS):
+            with monkeypatch.context() as patch:
+                patch.setattr(offline, "BLOCK_SLOTS", block)
+                patch.setattr(offline, "CHUNK_CELLS", chunk)
+                for k, (inst, want) in enumerate(draws):
+                    got = solve_dcm_offline(inst)
+                    for field in ("x", "y", "u", "v"):
+                        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), \
+                            (block, chunk, k, field)
+
+
+def test_dp_forward_pass_breaks_ties_by_smallest_fleet_then_fewest_generators():
+    # every cost is dyadic, so the ties are exact. Slot 3 needs one server
+    # of the two that run, and with c_o = c_m = 0 any generators that carry
+    # the whole demand make supply free: (x, y) = (1, 1), (1, 2) and (2, 2)
+    # all complete at cost 0 from (2, 2), while (1, 0), (2, 0) and (2, 1)
+    # pay the grid. The pick is the smallest x, then the smallest y
+    inst = Instance(
+        workload=[2.0, 2.0, 1.0],
+        price=[1.0, 1.0, 1.0],
+        server=ServerModel(0.25, 0.25, beta_s=0.25),
+        generator=GeneratorModel(0.25, 0.0, 0.0, 0.125, 2),
+    )
+    got = solve_dcm_offline(inst)
+    assert (got.x.tolist(), got.y.tolist()) == ([2.0, 2.0, 1.0], [2.0, 2.0, 1.0])
+    best = evaluate(inst, got).total
+    for x, y in (([2, 2, 1], [2, 2, 2]), ([2, 2, 2], [2, 2, 2])):
+        assert evaluate(inst, dispatched_schedule(inst, x, y)).total == best
+    for x, y in (([2, 2, 1], [2, 2, 0]), ([2, 2, 2], [2, 2, 1])):
+        assert evaluate(inst, dispatched_schedule(inst, x, y)).total > best
+    want, ties = reference_dcm_offline(inst)  # slot 3 is the one step with several minima
+    assert (want.x.tolist(), want.y.tolist(), ties) == (got.x.tolist(), got.y.tolist(), 1)
+
+
+def test_dp_memory_holds_no_demand_grid_of_a_block():
+    # a 22-day trace at M=552: the value layers are 3.0 MiB, and the stage
+    # costs of a block, one cache-sized chunk of demand rows, keep only its
+    # band cells; a (256, 553) demand grid held through a block's layers,
+    # with its clamped copy, would add 2.2 MiB
+    inst = harness.build_instance(harness.synthesize_trace(0, 22, 600, "ny"),
+                                  harness.validate_config({"servers": 600}))
+    assert (inst.horizon, inst.max_servers) == (528, 552)
+    tracemalloc.start()
+    try:
+        solve_dcm_offline(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.2 * 2**20, peak / 2**20
 
 
 def test_dp_band_is_the_peak_need_within_one_breakeven_span():
