@@ -165,7 +165,8 @@ def run_comparison(
     makes one P-row walk.
     """
     walk = GapWalk(instance)
-    gcsr_x, cpoff_x = gcsr(instance, lookahead, return_offline=True, walk=walk)
+    gcsr_x = gcsr(instance, lookahead, walk=walk)
+    cpoff_x = walk.offline_series()
     reference, kind = offline_reference(instance, state_budget, lambda: cpoff_x)
     lineup = {
         "static": static_schedule(instance),
@@ -225,14 +226,15 @@ def sweep_lookahead(
     hybrid bound only when the generator economics make it well defined,
     for a valid instance the only way BoundParams can fail, and its value
     is finite). Every window's gcsr and dcmon read one GapWalk, stepped by
-    the first window's gcsr run, which also gives cpoff's series: the
-    sweep makes one P-row walk.
+    the first window's gcsr run; once every gcsr has run, the walk gives
+    cpoff's series. The sweep makes one P-row walk.
     """
     lookaheads = [int(w) for w in lookaheads]
     if not lookaheads:
         return []
     walk = GapWalk(instance)
-    first_x, cpoff_x = gcsr(instance, lookaheads[0], return_offline=True, walk=walk)
+    gcsr_xs = [gcsr(instance, w, walk=walk) for w in lookaheads]
+    cpoff_x = walk.offline_series()
     reference, kind = offline_reference(instance, state_budget, lambda: cpoff_x)
     ref_total = evaluate(instance, reference).total
     cpoff_total = evaluate(instance, grid_only_schedule(instance, cpoff_x)).total
@@ -242,8 +244,7 @@ def sweep_lookahead(
     except ConfigError:
         params = None
     rows = []
-    for k, w in enumerate(lookaheads):
-        x = first_x if k == 0 else gcsr(instance, w, walk=walk)
+    for w, x in zip(lookaheads, gcsr_xs):
         gcsr_total = evaluate(instance, grid_only_schedule(instance, x)).total
         dcmon_total = evaluate(instance, dcmon(instance, w, ongrid, walk=walk)).total
         bounds = {"ongrid": ratio_bound_ongrid(w, ongrid)}

@@ -71,7 +71,7 @@ class TraceFile:
     @classmethod
     def load(cls, path: str) -> "TraceFile":
         try:
-            with open(path, newline="", encoding="utf-8") as fh:
+            with open(path, newline="", encoding="utf-8-sig") as fh:  # spreadsheets write a BOM
                 return cls.parse(fh)
         except UnicodeDecodeError as exc:
             raise ConfigError(f"trace {path} is not UTF-8 text: {exc}") from None
@@ -136,7 +136,7 @@ def load_trace(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Preset:
-    """Regional price levels and overhead polynomials for synthesis."""
+    """Regional price levels for synthesis, and the default overhead models."""
 
     name: str
     day_price: float
@@ -146,19 +146,17 @@ class Preset:
     cooling_night: tuple[float, float, float]
     conditioning: tuple[float, float, float] = (0.012, 0.046, 0.056)
 
-    def cooling_model(self, b_max: float) -> CoolingModel:
-        return CoolingModel(
-            kind="quadratic",
-            regimes=(
-                CoolingRegime("day", 8, 20, self.cooling_day),
-                CoolingRegime("night", 20, 8, self.cooling_night),
-            ),
-            b_max=b_max,
-        )
-
-    def conditioning_model(self, b_max: float) -> ConditioningModel:
+    def overheads(self) -> dict:
+        """The cooling and conditioning sections a config would write for
+        the preset's models, without b_max (build_instance decides it)."""
         q, l, c = self.conditioning
-        return ConditioningModel(kind="quadratic", quad=q, lin=l, const=c, b_max=b_max)
+        return {
+            "cooling": {"kind": "quadratic", "regimes": [
+                {"name": "day", "start": 8, "end": 20, "coeffs": list(self.cooling_day)},
+                {"name": "night", "start": 20, "end": 8, "coeffs": list(self.cooling_night)},
+            ]},
+            "conditioning": {"kind": "quadratic", "quad": q, "lin": l, "const": c},
+        }
 
 
 PRESETS: dict[str, Preset] = {
@@ -334,71 +332,57 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
     return validate_config({**raw, **(overrides or {})})
 
 
-def _takes_fleet_scale(section: dict | None) -> bool:
-    """Whether an overhead section (None: the preset's model) takes c_peak *
-    servers as its b_max: it sets no b_max and draws power."""
-    return section is None or ("b_max" not in section and section.get("kind", "none") != "none")
-
-
-def _section_b_max(section: dict, b_max_default: float) -> float:
-    # kind "none" draws no power, so the server scale, 0.0 when c_peak is, is no default for it
-    return b_max_default if _takes_fleet_scale(section) else section.get("b_max", 1.0)
-
-
-def _cooling_from_config(cfg: dict, b_max_default: float) -> CoolingModel:
-    section = cfg.get("cooling")
-    if section is None:
-        return PRESETS[cfg["preset"]].cooling_model(b_max_default)
-    regimes = tuple(
-        CoolingRegime(r["name"], r["start"], r["end"], tuple(r["coeffs"]))
-        for r in section.get("regimes", ())
-    )
-    return CoolingModel(
-        kind=section.get("kind", "none"),
-        regimes=regimes,
-        b_max=_section_b_max(section, b_max_default),
-        period=section.get("period", 24),
-    )
-
-
-def _conditioning_from_config(cfg: dict, b_max_default: float) -> ConditioningModel:
-    section = cfg.get("conditioning")
-    if section is None:
-        return PRESETS[cfg["preset"]].conditioning_model(b_max_default)
-    return ConditioningModel(
-        kind=section.get("kind", "none"),
-        quad=section.get("quad", 0.0),
-        lin=section.get("lin", 0.0),
-        const=section.get("const", 0.0),
-        b_max=_section_b_max(section, b_max_default),
-    )
-
-
 def build_instance(trace: TraceFile, cfg: dict) -> Instance:
     """Assemble a problem instance from a trace plus a validated config.
 
-    Overhead polynomials default to the preset's, scaled by the configured
-    server count (peak server draw times fleet size).
+    Each overhead section, cooling and conditioning, is the config's, or
+    else the preset's (Preset.overheads): a section replaces the preset's
+    model as a whole. Its b_max is the section's own; else 1.0 for kind
+    "none", which draws no power; else the fleet scale, server c_peak times
+    the configured server count.
     """
     srv = cfg["server"]
     gen = cfg["generator"]
     # the models check their own keys first, so a bad c_peak is named as such
     server = ServerModel(srv["c_idle"], srv["c_peak"], srv["beta_s"])
     generator = GeneratorModel(gen["capacity"], gen["c_o"], gen["c_m"], gen["beta_g"], gen["count"])
-    b_max = srv["c_peak"] * cfg["servers"]
-    scaled = " and ".join(name for name in ("cooling", "conditioning")
-                          if _takes_fleet_scale(cfg.get(name)))
-    if scaled and not 0.0 < b_max < math.inf:
+    scale = srv["c_peak"] * cfg["servers"]
+    sections = {name: cfg.get(name, preset)
+                for name, preset in PRESETS[cfg["preset"]].overheads().items()}
+    b_max, scaled = {}, []
+    for name, section in sections.items():
+        if "b_max" in section:
+            b_max[name] = section["b_max"]
+        elif section.get("kind", "none") == "none":
+            b_max[name] = 1.0  # draws no power: no need of the fleet scale, 0.0 when c_peak is
+        else:
+            b_max[name] = scale
+            scaled.append(name)
+    if scaled and not 0.0 < scale < math.inf:
+        scaled = " and ".join(scaled)
         raise ConfigError(
-            f"server c_peak × servers = {b_max:g} is the overhead scale b_max of {scaled}, "
+            f"server c_peak × servers = {scale:g} is the overhead scale b_max of {scaled}, "
             f'which must be a finite number > 0: set a "b_max" or "kind": "none" in {scaled}')
+    cooling, conditioning = sections["cooling"], sections["conditioning"]
     return Instance(
         workload=trace.workload,
         price=trace.price,
         server=server,
         generator=generator,
-        cooling=_cooling_from_config(cfg, b_max),
-        conditioning=_conditioning_from_config(cfg, b_max),
+        cooling=CoolingModel(
+            kind=cooling.get("kind", "none"),
+            regimes=tuple(CoolingRegime(r["name"], r["start"], r["end"], tuple(r["coeffs"]))
+                          for r in cooling.get("regimes", ())),
+            b_max=b_max["cooling"],
+            period=cooling.get("period", 24),
+        ),
+        conditioning=ConditioningModel(
+            kind=conditioning.get("kind", "none"),
+            quad=conditioning.get("quad", 0.0),
+            lin=conditioning.get("lin", 0.0),
+            const=conditioning.get("const", 0.0),
+            b_max=b_max["conditioning"],
+        ),
         label=cfg["label"] or cfg["preset"],
     )
 

@@ -269,14 +269,15 @@ class Instance:
     """A complete scheduling problem over a finite horizon.
 
     workload and price are 1-based conceptually: series index k holds slot
-    t = k+1. Accessor methods take slot numbers, so off-by-one handling stays
-    in one place. max_servers, the largest fleet any slot requires
-    (max_t ceil(a(t))), is computed once at construction. Construction
-    rejects magnitudes that overflow, so no solver runs on inf demands or
-    costs: the full fleet's grid bill, p(t)*d_t(M) summed over the horizon,
-    and the static plan, that bill plus beta_s*M + (beta_g + c_m*T)*N with
-    capacity L*N. It rejects sizes past the limits of check_size too
-    (CapacityError).
+    t = k+1. The accessor methods (a, p, min_servers, demand_table) take slot
+    numbers and reject slots outside 1..T; the solvers read whole blocks by
+    slicing the 0-based arrays directly, slots t..end at [t-1:end].
+    max_servers, the largest fleet any slot requires (max_t ceil(a(t))), is
+    computed once at construction. Construction rejects magnitudes that
+    overflow, so no solver runs on inf demands or costs: the full fleet's
+    grid bill, p(t)*d_t(M) summed over the horizon, and the static plan,
+    that bill plus beta_s*M + (beta_g + c_m*T)*N with capacity L*N. It
+    rejects sizes past the limits of check_size too (CapacityError).
     """
 
     workload: np.ndarray

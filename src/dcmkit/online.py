@@ -25,7 +25,7 @@ lies within its own window end, each checked against its own decision's
 end: a shared walk is as causal as a private one. The walk costs
 O(rows * M + gaps * log BLOCK_SLOTS) work once; each fleet that reads it
 O(T + reached gaps). One walk serves gcsr, dcmon and solve_cp_offline's
-series (gcsr's return_offline) in a compare, and every window of a sweep.
+series (GapWalk.offline_series) in a compare, and every window of a sweep.
 
 Supply (CHASE, ChaseFleet): each unit generator slice tracks R, its
 cumulative savings of running versus buying from the grid, clamped to
@@ -248,37 +248,32 @@ class GcsrFleet:
         self.next_slot += k
         return slices, off
 
-    def offline_series(self) -> np.ndarray:
-        """solve_cp_offline's series, read off the walk once it is complete."""
-        return self.walk.offline_series()
 
-
-def gcsr(instance: Instance, lookahead: int, return_slices: bool = False,
-         return_offline: bool = False, *, walk: GapWalk | None = None):
-    """Run GCSR over the whole horizon; returns the provisioning series, then
-    with return_slices the (max_servers, horizon) on/off matrix of its
-    slices, and with return_offline solve_cp_offline's series, read off the
-    same walk (offline.GapWalk.offline_series).
+def gcsr(instance: Instance, lookahead: int, return_slices: bool = False, *,
+         walk: GapWalk | None = None):
+    """Run GCSR over the whole horizon; returns the provisioning series, and
+    with return_slices also the (max_servers, horizon) on/off matrix of its
+    slices.
 
     walk is a GapWalk of instance that other runs may share, a new one when
-    None; the result is the same either way. Decision t's window ends at
-    t + lookahead. The driver reveals the ends of offline.BLOCK_SLOTS
-    decisions at a time and the fleet decides them in one step (see
-    GcsrFleet). The rule treats the horizon end as unknown even when the
-    window reaches it: a powered slice in its trailing gap holds unless the
-    gap's idle cost reaches beta_s, where the offline rule turns off for
-    free. At w >= T it differs from solve_cp_offline only in trailing gaps.
+    None; the result is the same either way. The run steps the walk to the
+    end, so the walk's offline_series is then solve_cp_offline's series.
+    Decision t's window ends at t + lookahead. The driver reveals the ends
+    of offline.BLOCK_SLOTS decisions at a time and the fleet decides them in
+    one step (see GcsrFleet). The rule treats the horizon end as unknown
+    even when the window reaches it: a powered slice in its trailing gap
+    holds unless the gap's idle cost reaches beta_s, where the offline rule
+    turns off for free. At w >= T it differs from solve_cp_offline only in
+    trailing gaps.
     """
     window = RevealedWindow(instance.horizon, _whole_slots(lookahead))
     fleet = GcsrFleet(instance, window, walk)
     offs = _drive(fleet, window, keep=return_slices)
-    out = [np.array(fleet.series, dtype=float)]
-    if return_slices:
-        out.append(offline._paint(fleet.walk.need[1:], instance.max_servers,
-                                  [np.concatenate(parts) for parts in zip(*offs)]))
-    if return_offline:
-        out.append(fleet.offline_series())
-    return out[0] if len(out) == 1 else tuple(out)
+    x = np.array(fleet.series, dtype=float)
+    if not return_slices:
+        return x
+    return x, offline._paint(fleet.walk.need[1:], instance.max_servers,
+                             [np.concatenate(parts) for parts in zip(*offs)])
 
 
 # ---------------------------------------------------------------------------

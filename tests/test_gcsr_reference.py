@@ -203,10 +203,10 @@ def test_gcsr_walk_yields_the_offline_series(monkeypatch):
         for w in sorted({0, 1, 3, 8, inst.horizon}):
             for block in BLOCKS:
                 monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
-                x, cpoff = gcsr(inst, w, return_offline=True)
-                assert cpoff.tobytes() == want
-                assert np.array_equal(x, gcsr(inst, w))
-                assert dcmon_fleet(inst, w).offline_series().tobytes() == want
+                walk = offline.GapWalk(inst)
+                gcsr(inst, w, walk=walk)
+                assert walk.offline_series().tobytes() == want
+                assert dcmon_fleet(inst, w).walk.offline_series().tobytes() == want
                 compared += 1
             monkeypatch.undo()
     assert compared >= 101 * 4 * 4
@@ -246,7 +246,9 @@ def test_gcsr_walk_yields_the_offline_series_on_the_presets():
         inst = harness.build_instance(trace, cfg)
         want = solve_cp_offline(inst).tobytes()
         for w in (0, 4, 16):
-            assert gcsr(inst, w, return_offline=True)[1].tobytes() == want
+            walk = offline.GapWalk(inst)
+            gcsr(inst, w, walk=walk)
+            assert walk.offline_series().tobytes() == want
 
 
 def test_fleet_energy_matches_the_per_slot_fleet(monkeypatch):
@@ -308,8 +310,8 @@ def test_runs_on_one_shared_walk_equal_solo_runs(monkeypatch):
     compared = 0
     for inst in reference_cases():
         windows = sorted({0, 1, 3, 8, inst.horizon})
-        solo = {w: (*gcsr(inst, w, return_slices=True, return_offline=True), dcmon(inst, w).x)
-                for w in windows}
+        cpoff = solve_cp_offline(inst)
+        solo = {w: (*gcsr(inst, w, return_slices=True), cpoff, dcmon(inst, w).x) for w in windows}
         monkeypatch.setattr(online, "chase", lambda gen, energy, price, lookahead: 0 * energy)
         for block in BLOCKS:
             monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
@@ -318,7 +320,7 @@ def test_runs_on_one_shared_walk_equal_solo_runs(monkeypatch):
             dcmon(inst, windows[compared % len(windows)], walk=dcmon_first)
             for w in windows:
                 for walk in (gcsr_first, dcmon_first):
-                    got = (*gcsr(inst, w, return_slices=True, return_offline=True, walk=walk),
+                    got = (*gcsr(inst, w, return_slices=True, walk=walk), walk.offline_series(),
                            dcmon(inst, w, walk=walk).x)
                     assert [a.tobytes() for a in got] == [b.tobytes() for b in solo[w]]
                 compared += 1

@@ -268,6 +268,56 @@ def test_build_instance_explicit_overheads_override_preset():
     assert inst.conditioning.kind == "none"
 
 
+def _overhead_cases():
+    """(section name, section or None, built kind, built b_max) for a 6-server fleet."""
+    drawing = {
+        "cooling": {"kind": "cubic",
+                    "regimes": [{"name": "all", "start": 0, "end": 0, "coeffs": [0.2]}]},
+        "conditioning": {"kind": "quadratic", "quad": 0.02, "lin": 0.05, "const": 0.04},
+    }
+    for name, section in drawing.items():
+        yield name, None, "quadratic", 1.5  # the preset's model at the fleet scale, 0.25 * 6
+        yield name, {"kind": "none"}, "none", 1.0
+        yield name, {"kind": "none", "b_max": 7.0}, "none", 7.0
+        yield name, section, section["kind"], 1.5
+        yield name, {**section, "b_max": 200.0}, section["kind"], 200.0
+        # a section replaces the preset's model as a whole, and kind defaults to none
+        yield name, {"b_max": 200}, "none", 200.0
+
+
+@pytest.mark.parametrize("name, section, kind, b_max", list(_overhead_cases()))
+def test_build_instance_picks_each_overhead_model_and_b_max(name, section, kind, b_max):
+    raw = TINY_CFG if section is None else {**TINY_CFG, name: section}
+    inst = build_instance(synthesize_trace(seed=0, days=1, servers=6), validate_config(raw))
+    model = getattr(inst, name)
+    assert (model.kind, model.b_max) == (kind, pytest.approx(b_max))
+    preset = PRESETS["ny"]
+    if section is None and name == "cooling":
+        assert [(r.name, r.start, r.end, r.coeffs) for r in model.regimes] == [
+            ("day", 8, 20, preset.cooling_day), ("night", 20, 8, preset.cooling_night)]
+    elif section is None:
+        assert (model.quad, model.lin, model.const) == preset.conditioning
+
+
+def test_the_preset_overheads_written_out_give_the_same_report(tmp_path):
+    # writing the preset's sections explicitly, without b_max, changes nothing
+    preset = PRESETS["ny"]
+    quad, lin, const = preset.conditioning
+    explicit = {
+        "cooling": {"kind": "quadratic", "regimes": [
+            {"name": "day", "start": 8, "end": 20, "coeffs": list(preset.cooling_day)},
+            {"name": "night", "start": 20, "end": 8, "coeffs": list(preset.cooling_night)}]},
+        "conditioning": {"kind": "quadratic", "quad": quad, "lin": lin, "const": const},
+    }
+    reports = []
+    for extra in (None, explicit):
+        out = tmp_path / "report.json"
+        cfg = write_tiny_config(tmp_path, extra)
+        assert main(["compare", "--config", cfg, "--lookahead", "4", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 # ---------------------------------------------------------------------------
 # report emission
 
@@ -547,6 +597,17 @@ def test_cli_rejects_files_that_are_not_utf8(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {name} {args[1]} is not UTF-8 text: ")
         assert "0xff" in captured.err and captured.out == ""
+
+
+def test_cli_reads_a_trace_saved_with_a_byte_order_mark(tmp_path):
+    # spreadsheets often save CSV files with a UTF-8 BOM, which is not part of the header
+    reports = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        trace, out = tmp_path / f"{encoding}.csv", tmp_path / f"{encoding}.json"
+        trace.write_text("t,workload,price\n1,1.5,0.1\n2,0.5,0.2\n3,2.0,0.1\n", encoding=encoding)
+        assert main(["compare", "--trace", str(trace), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize(
