@@ -34,23 +34,23 @@ a clamped cumulative savings process.
 Both the DP and the server slices walk the horizon in blocks of at most
 BLOCK_SLOTS slots, and both read demand in cache-sized chunks of
 demand_table rows (CHUNK_CELLS grid cells each), holding no grid of a whole
-block. A DP block is one such chunk: _band_costs gathers the cells
-x = ceil(a(t))..U(t) of each of its layers into one flat array and makes
-one split_cost call per generator count y = 0..max Y(t); the layers then
-run only the value recursion. For the slices, idle_cost_block returns only
-the running idle-cost sums P of a block, continued from the previous
-block's last row, and gap_pieces turns a block's changes in the busy count
-into the gaps of the nested slices. GapWalk is the one walk over them: it
-steps both functions block by block, decides each gap at the slot where it
-closes, follows the open gaps that have not reached break-even, finds each
-reached gap's break-even slot j* and records, per slot, the kept gaps'
-opens and closes and, in j* order, one (slice, g, j*) record per reached
-gap. None of that depends on a window, so solve_cp_offline holds
-O(BLOCK_SLOTS * M + T + reached gaps) numbers, never a (T, M) array, and
-every online GCSR fleet of an instance can read one walk: online and
-offline slice rules compare the same floats, and compare and sweep make
-one P-row walk for GCSR, DCMON and cpoff together. solve_cp_offline stays
-the standalone solver and the reference the checks compare against.
+block. A DP block is one such chunk: _band_costs reads only the band cells
+x = ceil(a(t))..U(t) of its layers and makes one split_cost call per
+generator count y = 0..max Y(t); the layers then run only the value
+recursion. For the slices, idle_cost_block returns only the running
+idle-cost sums P of a block, continued from the previous block's last row,
+and gap_pieces turns a block's changes in the busy count into the gaps of
+the nested slices. GapWalk is the one walk over them: it steps both
+functions block by block, decides each gap at the slot where it closes,
+follows the open gaps that have not reached break-even and records, per
+slot, the kept gaps' opens and closes; for the GCSR fleets that read it, it
+also finds each reached gap's break-even slot j* and keeps, in j* order,
+one (slice, g, j*) record per reached gap. None of that depends on a
+window, so solve_cp_offline holds O(BLOCK_SLOTS * M + T) numbers, never a
+(T, M) array, and every online GCSR fleet of an instance can read one walk:
+online and offline slice rules compare the same floats, and compare and
+sweep make one P-row walk for GCSR, DCMON and cpoff together.
+solve_cp_offline stays the standalone solver and the checks' reference.
 
 The generator slices share one kernel with online CHASE: regret_rows steps
 every slice's clamped savings over a block of slots, and next_extremes finds
@@ -117,51 +117,36 @@ def ep_cost(gen: GeneratorModel, energy, price, y) -> float:
 # joint exact solvers
 
 
-def _min_increase_transform(
-    values: np.ndarray,
-    offsets: np.ndarray,
-    start: int = 0,
-    first: int | None = None,
-    last: int | None = None,
-) -> np.ndarray:
-    """B[:, i] = min_j values[:, j] + beta * max(0, j - i), along axis 1.
+def _min_increase_transform(values: np.ndarray, offsets: np.ndarray, first: int = 0,
+                            last: int | None = None, start: int = 0,
+                            stop: int | None = None) -> np.ndarray:
+    """B[:, i] = min_j values[:, j] + beta * max(0, j - i) for the columns
+    i = first..last (default all), given offsets[k] = beta * k.
 
     Two running-minimum passes, one per direction, replace the quadratic
     scan (Felzenszwalb & Huttenlocher, "Distance Transforms of Sampled
-    Functions", Theory of Computing 8 (2012)). offsets[k] = beta * k, made
-    once per solve. values may hold columns start..stop of a wider array
-    whose other columns are +inf; offsets are absolute, so each output float
-    is the wider array's. The output holds columns first..last (default
-    start..stop). A column i below start can only climb into the block:
-    B[:, i] = min_j(values[:, j] + beta * j) - beta * i. A column above stop
-    can only fall into it: B[:, i] is the row minimum, the last entry of the
-    running minimum.
+    Functions", Theory of Computing 8 (2012)). values is +inf outside its
+    columns start..stop (default all), so the climb scans only columns
+    first..max(last, stop) and the fall min(first, start)..last; as
+    min(v, +inf) = v and +inf - beta*i = +inf, no column is a case of its own.
     """
-    width = values.shape[1]
-    stop = start + width - 1
-    first = start if first is None else first
-    last = stop if last is None else last
-    k = min(max(first - start, 0), width)  # block columns k..j-1 are output columns
-    j = max(min(last - start + 1, width), k)
-    idx = offsets[start + k : stop + 1]
-    reach = np.minimum.accumulate((values[:, k:] + idx)[:, ::-1], axis=1)[:, ::-1]
-    fall = np.minimum.accumulate(values[:, : width if last > stop else j], axis=1)
-    parts = [np.minimum(reach[:, : j - k] - idx[: j - k], fall[:, k:j])]
-    if first < start:
-        parts.insert(0, reach[:, :1] - offsets[first : min(last + 1, start)])
-    if last > stop:
-        parts.append(np.repeat(fall[:, -1:], last - max(first, stop + 1) + 1, axis=1))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    last = values.shape[1] - 1 if last is None else last
+    stop = values.shape[1] - 1 if stop is None else stop
+    high, low = max(last, stop) + 1, min(first, start)
+    reach = np.minimum.accumulate((values[:, first:high] + offsets[first:high])[:, ::-1], axis=1)
+    out = reach[:, ::-1][:, : last + 1 - first] - offsets[first : last + 1]
+    fall = np.minimum.accumulate(values[:, low : last + 1], axis=1)
+    return np.minimum(out, fall[:, first - low :], out=out)
 
 
-def _running_min(rows: np.ndarray, reverse: bool = False) -> np.ndarray:
-    """np.minimum.accumulate(rows, axis=0), or over reversed rows, in place in
-    ceil(log2(len(rows))) doubling steps over contiguous rows. min selects one
-    of its operands, and each step passes second the row the scan reaches
-    later, as the accumulate does: the same floats, even for 0.0 and -0.0."""
-    for step in (1 << k for k in range((len(rows) - 1).bit_length())):
-        earlier, later = (rows[step:], rows[:-step]) if reverse else (rows[:-step], rows[step:])
-        np.minimum(earlier, later, out=later)
+def _scan_rows(rows: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """np.minimum.accumulate(rows, axis=0), or over reversed rows, in place
+    with one np.minimum per row, whose output never overlaps its other
+    operand. Each call passes second the row the scan reaches later, as the
+    accumulate does: the same floats, even for 0.0 and -0.0."""
+    step = 1 if reverse else -1
+    for r in range(len(rows) - 2, -1, -1) if reverse else range(1, len(rows)):
+        np.minimum(rows[r + step], rows[r], out=rows[r])
     return rows
 
 
@@ -224,77 +209,27 @@ def _band_costs(instance: Instance, first: int, lows, highs, tops) -> tuple[np.n
     generators, y = 0..max(tops). solve_dcm_offline says why these are the
     floats of a per-layer call.
     """
-    gen, m = instance.generator, instance.max_servers
+    gen = instance.generator
     y_grid = np.arange(gen.count + 1, dtype=float)[:, None]
+    end = first + len(lows) - 1
     width = highs - lows + 1
     starts = np.zeros(len(width) + 1, dtype=int)
     np.cumsum(width, out=starts[1:])
-    demand = instance.demand_table(first, first + len(width) - 1)
-    grid = _supply_inputs(gen, y_grid, instance.price, demand)[2]
-    # cell j, of layer k, is grid cell k*(M+1) + lows[k] + j - starts[k]
-    shift = np.arange(len(width)) * (m + 1) + lows - starts[:-1]
-    cells = grid.take(np.arange(starts[-1]) + np.repeat(shift, width))
-    price = np.repeat(instance.price[first - 1 : first - 1 + len(width)], width)
+    demand = instance.demand_table(first, end, lows, highs)
+    cells = _supply_inputs(gen, y_grid, instance.price, demand)[2]
+    price = np.repeat(instance.price[first - 1 : end], width)
     rows = np.empty((int(tops.max()) + 1, len(cells)))
     for y, row in enumerate(rows):
         row[:] = split_cost(gen, float(y), price, cells)
     return rows, starts.tolist()
 
 
-def solve_dcm_offline(
-    instance: Instance,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-) -> Schedule:
-    """Exact minimum-cost schedule via a backward dynamic program over the
-    layered state graph.
-
-    Layer t is stored y-major, shape (Y(t)+1, U(t)+1-ceil(a(t))),
-    C-contiguous, holding only the states of two bands. The columns
-    x = ceil(a(t))..U(t) are the break-even band (_dp_band): U(t) is the
-    peak need within one break-even span D of slot t. A schedule above U(t)
-    idles its top server through slots t..t+D, and turning that server off
-    until it is next needed gains at least r*d_min net. The rows
-    y = 0..Y(t) are the startup band (_dp_rows): Y(t) is the most units the
-    demand at fleet U(s) can load over slots s = t..t+D_g. A schedule above
-    Y(t) pays c_m for a unit that carries nothing through slots t..t+D_g,
-    and turning that unit off gains at least c_m net. So no optimal
-    schedule from any state leaves either band, and the optimal set and the
-    tie order are those of the full layers. Work and memory are
-    O((Y(t)+1)(U(t)+1-ceil(a(t)))) per layer. The state budget counts the
-    full (M+1)(N+1)(T+2) grid, checked before any band work.
-
-    The backward pass prices the stage costs a block of layers at a time
-    (_band_costs). A block is at most BLOCK_SLOTS slots and one cache-sized
-    chunk of demand rows, max(1, CHUNK_CELLS // (M+1)) slots. Its demand
-    comes from one demand_table call, checked as supply_cost checks its
-    inputs (model._supply_inputs), and only each layer's band cells are
-    kept, in one flat array; no demand grid outlives its block's pricing.
-    One model.split_cost call per generator count y = 0..max Y(t) of the
-    block prices all those cells, with a price per cell, and layer t adds
-    its (Y(t)+1, width) slice of the block's rows. So the stage costs held
-    at any time are at most (max Y(t)+1) * max(CHUNK_CELLS, M+1) floats.
-    The floats are those of a per-layer call: add, multiply, min and where
-    act element by element, so an element's bits do not depend on the
-    shape of the array around it, and the value layers, the band rules and
-    the tie order stay as they were.
-
-    Ties resolve to the lexicographically smallest x series, then y series:
-    the forward pass takes, on the y-major sum of move costs and layer, the
-    first column that holds the layer's minimum, then the first row of that
-    column, which is the (x, y) an x-major argmin gives.
-    """
+def _value_layers(instance: Instance) -> tuple[list, list[int], list[int], list[int]]:
+    """The backward pass of solve_dcm_offline: (value, lows, highs, tops),
+    value[t][y, x - lows[t]] the cheapest completion from state (x, y) at t."""
     m, n, t_end = instance.max_servers, instance.generator.count, instance.horizon
-    states = (m + 1) * (n + 1) * (t_end + 2)
-    if states > state_budget:
-        raise CapacityError(
-            f"state graph needs {states} nodes, budget is {state_budget}; "
-            "use the decomposed pipeline instead"
-        )
-
-    gen = instance.generator
-    beta_s, beta_g = instance.server.beta_s, gen.beta_g
-    y_grid = np.arange(n + 1, dtype=float)[:, None]
-    x_offsets, y_offsets = beta_s * np.arange(m + 1, dtype=float), beta_g * y_grid
+    x_offsets = instance.server.beta_s * np.arange(m + 1, dtype=float)
+    y_offsets = instance.generator.beta_g * np.arange(n + 1, dtype=float)[:, None]
     # layer t holds rows 0..tops[t] and columns lows[t]..highs[t]; the end
     # layer T+1 is all zeros, so its row 0 and column 0 stand for every state
     need = np.ceil(instance.workload).astype(int)
@@ -303,10 +238,11 @@ def solve_dcm_offline(
     lows = [0, *need.tolist(), 0]
     highs = [0, *band.tolist(), 0]
     tops = [0, *row_tops.tolist(), 0]
-    # backward pass: value[t][y, x - lows[t]] = cheapest completion from
-    # state (x, y) at slot t, for the band's states only
+    # padded holds layer t+1 at its band's place and +inf everywhere else
     value: list[np.ndarray | None] = [None] * (t_end + 2)
     value[t_end + 1] = np.zeros((1, 1))
+    padded = np.full((max(tops) + 1, m + 1), np.inf)
+    padded[0, 0] = 0.0
     # stage costs of slots first..first+len(starts)-2, read backward in
     # blocks of at most BLOCK_SLOTS slots and one cache-sized demand chunk
     span = min(BLOCK_SLOTS, max(1, CHUNK_CELLS // (m + 1)))
@@ -317,33 +253,70 @@ def solve_dcm_offline(
             block, stage = slice(first - 1, t), None  # drop the last block's rows first
             stage, starts = _band_costs(instance, first, need[block], band[block], row_tops[block])
         lo, hi, top = lows[t], highs[t], tops[t]
-        over_x = _min_increase_transform(value[t + 1], x_offsets, lows[t + 1], lo, hi)
-        # the same transform over the generator axis: rows 0..k-1 are in
-        # both layers, and a row above layer t+1's can only fall into it, so
-        # it takes the column minimum, the last row of the running minimum
-        k = min(top + 1, len(over_x))
-        value[t] = layer = np.empty((top + 1, hi + 1 - lo))
-        reach = _running_min(over_x + y_offsets[: len(over_x)], reverse=True)
-        np.subtract(reach[:k], y_offsets[:k], out=layer[:k])
-        fall = _running_min(over_x[:k])
-        np.minimum(layer[:k], fall, out=layer[:k])
-        layer[k:] = fall[-1]
+        below, above, under = lows[t + 1], highs[t + 1], tops[t + 1]
+        rows = max(top, under) + 1  # rows past layer t+1's are +inf
+        over_x = _min_increase_transform(padded[:rows], x_offsets, lo, hi, below, above)
+        # the same transform over the generator axis; a row above layer
+        # t+1's climbs from +inf, so it takes the column minimum
+        reach = _scan_rows(over_x + y_offsets[:rows], reverse=True)
+        value[t] = layer = reach[: top + 1] - y_offsets[: top + 1]
+        np.minimum(layer, _scan_rows(over_x[: top + 1]), out=layer)
         layer += stage[: top + 1, starts[t - first] : starts[t - first + 1]]
+        padded[: under + 1, below : above + 1] = np.inf
+        padded[: top + 1, lo : hi + 1] = layer
+    return value, lows, highs, tops
 
+
+def solve_dcm_offline(instance: Instance, state_budget: int = DEFAULT_STATE_BUDGET) -> Schedule:
+    """Exact minimum-cost schedule via a backward dynamic program over the
+    layered state graph.
+
+    Layer t holds only the states of two bands, columns x = ceil(a(t))..U(t)
+    (_dp_band) and rows y = 0..Y(t) (_dp_rows), y-major and C-contiguous; the
+    module docstring gives the exchange argument that keeps every optimal
+    schedule, from any state, inside both, so the optimal set and the tie
+    order are those of the full layers. The state budget counts the full
+    (M+1)(N+1)(T+2) grid, checked before any band work.
+
+    The backward pass (_value_layers) prices a block of layers at a time
+    (_band_costs): at most BLOCK_SLOTS slots and max(1, CHUNK_CELLS // (M+1))
+    of them. Their band cells alone are read, one demand_table call with one
+    slot and one x per cell checked as supply_cost checks its inputs, and
+    priced by one split_cost call per y, so no demand grid is built. Each
+    layer then makes the same numpy calls: the x-transform reads layer t+1
+    from one buffer that is +inf outside its band, the generator-axis
+    transform scans rows one at a time, and the layer goes back into the
+    buffer, whose old band is reset to +inf. No float differs from full
+    layers: every operation acts element by element, min(v, +inf) = v and
+    +inf - beta*k = +inf, and each scan passes min its operands in the order
+    np.minimum.accumulate does, so even signed zeros come out the same.
+
+    Ties resolve to the lexicographically smallest x series, then y series:
+    the forward pass takes the first minimum, in column-major order, of the
+    y-major sum of move costs and layer.
+    """
+    m, n, t_end = instance.max_servers, instance.generator.count, instance.horizon
+    states = (m + 1) * (n + 1) * (t_end + 2)
+    if states > state_budget:
+        raise CapacityError(
+            f"state graph needs {states} nodes, budget is {state_budget}; "
+            "use the decomposed pipeline instead"
+        )
+    value, lows, highs, tops = _value_layers(instance)
     # forward pass: walk the argmin over the band; equal-cost choices pick
-    # the smallest x, then the smallest y: the first column holding the
-    # minimum, then that column's first row. The move costs are read from
+    # the smallest x, then the smallest y. The move costs are read from
     # tables of beta_s*max(k, 0), k = -M..M, and beta_g*max(y - py, 0)
-    x_moves = beta_s * np.maximum(np.arange(-m, m + 1, dtype=float), 0.0)
-    y_moves = beta_g * np.maximum(y_grid.T - y_grid, 0.0)
-    xs = np.empty(t_end)
-    ys = np.empty(t_end)
+    y_grid = np.arange(n + 1, dtype=float)
+    x_moves = instance.server.beta_s * np.maximum(np.arange(-m, m + 1, dtype=float), 0.0)
+    y_moves = instance.generator.beta_g * np.maximum(y_grid - y_grid[:, None], 0.0)
+    xs, ys = np.empty(t_end), np.empty(t_end)
     px = py = 0
     for t in range(1, t_end + 1):
         lo, hi, top = lows[t], highs[t], tops[t]
-        total = y_moves[py, : top + 1, None] + x_moves[lo - px + m : hi - px + m + 1] + value[t]
-        column = int(total.min(axis=0).argmin())
-        px, py = lo + column, int(total[:, column].argmin())
+        total = y_moves[py, : top + 1, None] + x_moves[lo - px + m : hi - px + m + 1]
+        total += value[t]
+        column, py = divmod(int(total.T.argmin()), top + 1)
+        px = lo + column
         xs[t - 1], ys[t - 1] = px, py
     return dispatched_schedule(instance, xs, ys)
 
@@ -576,7 +549,8 @@ class GapWalk:
     a reached gap stays reached: only the open, unreached gaps are followed
     into the next block (open_gaps). A reached gap's break-even slot j*, the
     first slot of the gap where the predicate holds, is found by
-    _breakeven_rows over the block's rows, O(gaps * log BLOCK_SLOTS) work.
+    _breakeven_rows over the block's rows, O(gaps * log BLOCK_SLOTS) work,
+    once a GCSR fleet or cp_offline_slices asks (record_breakevens).
 
     Nothing here reads a window, and nothing depends on how the slots are
     cut into blocks: j*, both verdicts and the P floats are the same for
@@ -586,8 +560,8 @@ class GapWalk:
     - c(s) of the stepped slots (need)
     - per slot, the kept gaps that open there and that close there
       (kept_opens, kept_closes)
-    - one record (slice, g, j*) per reached gap, in j* order, in the
-      smallest unsigned type that holds T and M (breakevens reads them)
+    - if asked, one record (slice, g, j*) per reached gap, in j* order, in
+      the smallest unsigned type that holds T and M (breakevens reads them)
     - one P row and the open gaps it still follows
 
     That is O(M + T + reached gaps) numbers between steps; no P row outlives
@@ -606,8 +580,8 @@ class GapWalk:
         self.kept_closes = np.zeros(t_end + 1, dtype=int)  # kept gaps whose close is slot s
         # (slice, g, j*) of the reached gaps, by j*: one array per step that
         # reached any, of the smallest unsigned type that holds T and M, and
-        # one past each array's last record index
-        self._records: list[np.ndarray] = []
+        # one past each array's last record index; None while not recording
+        self._records: list[np.ndarray] | None = None
         self._stops: list[int] = []
         self._dtype = np.min_scalar_type(max(t_end, instance.max_servers))
         # (slice, g, base) of the unreached gaps open at the last stepped slot
@@ -627,7 +601,7 @@ class GapWalk:
         np.add.at(self.kept_opens, first[kept], 1)
         np.add.at(self.kept_closes, start + last[kept], 1)
         hit = np.flatnonzero(reached)
-        if len(hit):
+        if len(hit) and self._records is not None:
             rows = _breakeven_rows(prefix, slices[hit], base[hit],
                                    np.maximum(first[hit] - start + 1, 1), last[hit], beta_s)
             # a radix sort, as in gap_pieces: rows take the smallest type that holds them
@@ -640,10 +614,19 @@ class GapWalk:
         self._row = prefix[-1].copy()
         self.stepped = stop
 
+    def record_breakevens(self) -> "GapWalk":
+        """Find and keep each reached gap's j* for breakevens, from the first
+        step on: ConfigError once the walk has stepped without them."""
+        if self._records is None and self.stepped:
+            raise ConfigError(f"the walk stepped to slot {self.stepped} without recording "
+                              "break-even slots; a GCSR fleet must read it from the start")
+        self._records = [] if self._records is None else self._records
+        return self
+
     def breakevens(self, taken: int, end: int) -> np.ndarray:
         """Records taken, taken+1, ... of the reached gaps through the last
         whose j* is at most end, as int rows (slices, g, j*); every gap whose
-        j* is at most end is recorded once the walk has stepped to end."""
+        j* is at most end is recorded once a recording walk stepped to end."""
         parts = [np.zeros((3, 0), dtype=self._dtype)]
         k = bisect.bisect_right(self._stops, taken)  # the array holding record taken
         for stop, records in zip(self._stops[k:], self._records[k:]):
@@ -678,7 +661,7 @@ def cp_offline_slices(instance: Instance) -> np.ndarray:
     the walk solve_cp_offline makes gives those gaps, painted into one row
     per slice. Unlike solve_cp_offline this holds the whole (M, T) result.
     """
-    walk = GapWalk(instance).walk_to_end()
+    walk = GapWalk(instance).record_breakevens().walk_to_end()
     slices, first, _ = walk.open_gaps
     reached = walk.breakevens(0, instance.horizon)
     return _paint(walk.need[1:], instance.max_servers,
@@ -690,7 +673,7 @@ def solve_cp_offline(instance: Instance) -> np.ndarray:
 
     Steps a GapWalk over the horizon in blocks of BLOCK_SLOTS slots, which
     decides each slice's idle gap at the slot where it closes. Memory is
-    O(BLOCK_SLOTS * M + T + reached gaps): no (T, M) array is built. The
+    O(BLOCK_SLOTS * M + T): no (T, M) array and no break-even slot. The
     offline rule knows where the horizon ends: trailing gaps (like leading
     ones) turn off for free. The online rules treat the end as unknown and
     may hold through them (see online.gcsr).

@@ -181,10 +181,11 @@ class GcsrFleet:
     stays on. That holds for any window that never shrinks: gcsr's s + w
     and DCMON's master window alike.
 
-    The fleet reads a walk (offline.GapWalk) of its instance, its own or
-    one that other fleets share: the walk finds j* and both verdicts of
-    every gap, and none of them depends on the window. decide_next decides
-    every slot from next_slot whose own window end is revealed
+    The fleet reads a walk (offline.GapWalk) of its instance, its own or one
+    that other fleets share: the walk finds j* and both verdicts of every
+    gap, and none of them depends on the window; the fleet asks for j*
+    (GapWalk.record_breakevens) before the walk's first step. decide_next
+    decides every slot from next_slot whose own window end is revealed
     (RevealedWindow.ends); the last of those ends is E. It steps the walk
     only if the walk has not yet reached E, in blocks of at most
     offline.BLOCK_SLOTS, with a(s) read through this fleet's window. It then
@@ -214,7 +215,7 @@ class GcsrFleet:
             raise ConfigError("a GCSR fleet reads a walk of its own instance")
         self.instance = instance
         self.window = window
-        self.walk = GapWalk(instance) if walk is None else walk
+        self.walk = (GapWalk(instance) if walk is None else walk).record_breakevens()
         self._offs = np.zeros(instance.horizon + 1, dtype=int)  # turn-offs taken, by slot
         self._held = 0  # sum over s <= the last decided slot of opens - kept closes - offs
         self._taken = 0  # the walk's reached-gap records taken

@@ -32,7 +32,7 @@ from dcmkit import (
 from dcmkit import offline
 from dcmkit.offline import (
     _min_increase_transform,
-    _running_min,
+    _scan_rows,
     dcm_dijkstra,
     idle_cost_block,
     regret_steps,
@@ -182,10 +182,10 @@ def test_min_increase_transform_matches_quadratic_loop():
         assert np.allclose(got, want, atol=1e-12)
 
 
-def test_min_increase_transform_on_a_block_matches_the_full_grid():
-    # a block of columns start.. of a grid whose lower columns are +inf gives
-    # the grid's own floats, for output columns starting below or inside the
-    # block
+def test_padded_min_increase_transform_matches_the_full_grid():
+    # a grid whose columns below start are +inf, scanned only over the
+    # columns that can change the output, gives the full scan's floats, for
+    # output columns starting below or inside the finite block
     rng = np.random.default_rng(15)
     for _ in range(200):
         n = int(rng.integers(1, 12))
@@ -196,14 +196,15 @@ def test_min_increase_transform_on_a_block_matches_the_full_grid():
         offsets = beta * np.arange(n, dtype=float)
         full = _min_increase_transform(grid, offsets)
         first = int(rng.integers(0, n))
-        got = _min_increase_transform(grid[:, start:], offsets, start, first)
+        got = _min_increase_transform(grid, offsets, first, n - 1, start, n - 1)
         assert np.array_equal(got, full[:, first:])
 
 
-def test_min_increase_transform_past_the_block_matches_the_padded_grid():
-    # a block of columns start..stop of a grid that is +inf below and above
-    # it gives the grid's own floats for any output columns first..last,
-    # including columns past stop and outputs wholly outside the block
+def test_padded_min_increase_transform_past_the_block_matches_the_full_grid():
+    # a grid that is +inf below and above its columns start..stop, scanned
+    # only over the columns that can change the output, gives the full
+    # scan's floats for any output columns first..last, including columns
+    # past stop and outputs wholly outside the finite block
     rng = np.random.default_rng(19)
     for _ in range(400):
         n = int(rng.integers(1, 12))
@@ -215,20 +216,20 @@ def test_min_increase_transform_past_the_block_matches_the_padded_grid():
         offsets = float(rng.choice([0.0, 0.5, rng.uniform(0.0, 3.0)])) * np.arange(n, dtype=float)
         full = _min_increase_transform(grid, offsets)
         first, last = sorted(int(v) for v in rng.integers(0, n, 2))
-        got = _min_increase_transform(grid[:, start : stop + 1], offsets, start, first, last)
+        got = _min_increase_transform(grid, offsets, first, last, start, stop)
         assert got.tobytes() == full[:, first : last + 1].tobytes(), (start, stop, first, last)
 
 
-def test_doubling_running_min_is_the_accumulate_bit_for_bit():
+def test_row_scan_is_the_accumulate_bit_for_bit():
     # equal zeros of either sign and +inf entries; one row is the N = 0 layer
     rng = np.random.default_rng(17)
     for length in range(1, 18):
         for _ in range(20):
             shape = (length, int(rng.integers(1, 6)))
             rows = rng.choice([0.0, -0.0, 0.5, 1.0, -1.0, np.inf], shape)
-            forward = _running_min(rows.copy())
+            forward = _scan_rows(rows.copy())
             assert forward.tobytes() == np.minimum.accumulate(rows, axis=0).tobytes()
-            backward = _running_min(rows.copy(), reverse=True)
+            backward = _scan_rows(rows.copy(), reverse=True)
             assert backward.tobytes() == np.minimum.accumulate(rows[::-1], axis=0)[::-1].tobytes()
 
 
