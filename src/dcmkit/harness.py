@@ -3,18 +3,21 @@
 Traces are hourly CSV files mapped to unit slots. Synthetic traces carry
 diurnal and weekly structure under named regional presets; configs are a
 single JSON document checked before anything runs; and reports serialize
-deterministically so a fixed seed reproduces output bytes. The schema checks
-a config's shape and types, and the ranges of the run keys no model owns;
-the model dataclasses check every model number's range and finiteness.
+deterministically so a fixed seed reproduces output bytes. The schema,
+CONFIG_SCHEMA, checks a config's shape and types, and the ranges of the run
+keys no model owns; the model dataclasses check every model number's range
+and finiteness. A small interpreter of the JSON Schema keywords it uses
+checks it, with jsonschema's messages, so no command imports jsonschema.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
-import functools
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,31 +288,72 @@ DEFAULT_CONFIG = {
 }
 
 
-@functools.cache
-def _config_validator():
-    """The validator of CONFIG_SCHEMA, built on first use. CONFIG_SCHEMA is a
-    constant, so the tests check it against its metaschema once; a check
-    per call (as jsonschema.validate makes) costs most of a validation.
+_TYPES = {"object": dict, "array": list, "string": str, "number": numbers.Number, "integer": int}
 
-    "integer" matches JSON integers only: jsonschema's own check also takes
-    integral floats such as 2.0, which would reach the model as floats.
-    jsonschema, a third of import dcmkit, is imported on first validation."""
-    import jsonschema
-    base = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-    types = base.TYPE_CHECKER.redefine(
-        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
-    return jsonschema.validators.extend(base, type_checker=types)(CONFIG_SCHEMA)
+
+def _is_type(value, name: str) -> bool:
+    return isinstance(value, _TYPES[name]) and not isinstance(value, bool)
+
+
+def _schema_errors(schema: dict, value, path: tuple = ()):
+    """(path, message) for each keyword of schema, or of a subschema it
+    descends into, that value fails: the errors jsonschema's iter_errors
+    yields, in its order and with its messages.
+
+    Only the keywords CONFIG_SCHEMA uses are known, additionalProperties
+    only as false; any other raises. Unlike jsonschema's, "integer" excludes
+    integral floats such as 2.0, which would reach the model as floats; no
+    type includes bools."""
+    mapping = value if isinstance(value, dict) else {}
+    for keyword, arg in schema.items():
+        if keyword == "type":
+            if not _is_type(value, arg):
+                yield path, f"{value!r} is not of type {arg!r}"
+        elif keyword == "enum":
+            if value not in arg:
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif keyword == "minimum":
+            if _is_type(value, "number") and value < arg:
+                yield path, f"{value!r} is less than the minimum of {arg!r}"
+        elif keyword == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                yield path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif keyword == "required":
+            for name in arg:
+                if isinstance(value, dict) and name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif keyword == "additionalProperties" and arg is False:
+            extras = sorted((k for k in mapping if k not in schema["properties"]), key=str)
+            if extras:
+                listed = ", ".join(map(repr, extras))
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({listed} {verb} unexpected)"
+        elif keyword == "properties":
+            for name, sub in arg.items():
+                if name in mapping:
+                    yield from _schema_errors(sub, mapping[name], path + (name,))
+        elif keyword == "items":
+            for index, item in enumerate(value if isinstance(value, list) else ()):
+                yield from _schema_errors(arg, item, path + (index,))
+        else:
+            raise ValueError(f"no check for schema keyword {keyword}: {arg!r}")
 
 
 def validate_config(raw: dict) -> dict:
-    """Schema-check a config document and fill defaults (deep-merged)."""
-    import jsonschema
-    error = jsonschema.exceptions.best_match(_config_validator().iter_errors(raw))
-    if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config {path}: {error.message}")
-    cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
-    for key, value in raw.items():
+    """Schema-check a config document and fill defaults (deep-merged).
+
+    An invalid document raises one ConfigError, for the error jsonschema's
+    best_match picks: of those with the shortest path, the first with the
+    largest path. (Its later keys never decide here: CONFIG_SCHEMA has one
+    subschema per path, so errors at one path agree on them.) The result
+    shares no dict or list with raw."""
+    best = max(_schema_errors(CONFIG_SCHEMA, raw), default=None,
+               key=lambda error: (-len(error[0]), error[0]))
+    if best is not None:
+        path = "/".join(map(str, best[0])) or "<root>"
+        raise ConfigError(f"config {path}: {best[1]}")
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    for key, value in copy.deepcopy(raw).items():
         if isinstance(value, dict) and isinstance(cfg.get(key), dict):
             cfg[key].update(value)
         else:
@@ -321,7 +365,7 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
     """Read a config document, replace its top-level keys by overrides, and
     validate the result (validate_config)."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # as traces: a BOM is no error
             raw = json.load(fh)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None

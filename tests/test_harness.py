@@ -1,12 +1,14 @@
 """Trace files, synthesis, run configuration, report emission, and the CLI."""
 
 import contextlib
+import copy
 import csv
 import io
 import json
 import math
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -213,7 +215,6 @@ def test_config_rejects_unknown_keys_and_bad_values():
 def test_config_validator_is_built_once_from_a_valid_schema():
     cls = jsonschema.validators.validator_for(harness.CONFIG_SCHEMA)
     cls.check_schema(harness.CONFIG_SCHEMA)  # raises SchemaError if the schema is malformed
-    harness._config_validator.cache_clear()
     bad = ({"mystery": 1}, {"sweep": {"axis": "lookahead"}}, {"servers": 0},
            {"generator": {"count": -1}}, {"cooling": {"regimes": [{"name": "x"}]}})
     for raw in bad:
@@ -225,7 +226,118 @@ def test_config_validator_is_built_once_from_a_valid_schema():
             validate_config(raw)
         assert str(got.value) == f"config {path}: {want.value.message}"
         validate_config({"lookahead": 3})
-    assert harness._config_validator.cache_info().misses == 1
+
+
+# every section and key of the schema, with valid values
+_FULL_CONFIG = {
+    "label": "full", "preset": "sj", "servers": 6, "days": 2, "seed": 1, "lookahead": 2,
+    "sweep": {"axis": "lookahead", "values": [0, 2, 4]},
+    "server": {"c_idle": 0.1, "c_peak": 0.25, "beta_s": 0.08},
+    "generator": {"capacity": 60.0, "c_o": 0.08, "c_m": 1.2, "beta_g": 24.0, "count": 2},
+    "cooling": {"kind": "quadratic", "b_max": 1.5, "period": 24, "regimes": [
+        {"name": "day", "start": 8, "end": 20, "coeffs": [0.041, 0.144, 0.047]},
+        {"name": "night", "start": 20, "end": 8, "coeffs": [0.03, 0.136, 0.042]},
+    ]},
+    "conditioning": {"kind": "quadratic", "quad": 0.012, "lin": 0.046, "const": 0.056, "b_max": 1.5},
+}
+
+
+def test_validate_config_result_shares_nothing_with_its_input():
+    def mutate(node):
+        for child in list(node.values() if isinstance(node, dict) else node):
+            if isinstance(child, (dict, list)):
+                mutate(child)
+        if isinstance(node, dict):
+            node["zz"] = 0
+        else:
+            node.append(0)
+
+    raw = copy.deepcopy(_FULL_CONFIG)
+    cfg = validate_config(raw)
+    assert cfg == raw
+    mutate(cfg)
+    assert raw == _FULL_CONFIG
+
+
+def test_every_schema_keyword_has_a_check():
+    # a keyword the validator does not know (here "maximum") raises rather
+    # than passing every value unchecked
+    def subschemas(schema):
+        yield schema
+        for sub in schema.get("properties", {}).values():
+            yield from subschemas(sub)
+        if "items" in schema:
+            yield from subschemas(schema["items"])
+
+    for schema in subschemas(harness.CONFIG_SCHEMA):
+        for keyword, arg in schema.items():
+            list(harness._schema_errors({keyword: arg}, None))
+    with pytest.raises(ValueError, match="no check for schema keyword maximum"):
+        list(harness._schema_errors({"maximum": 5}, 6))
+
+
+def _oracle_validator():
+    """jsonschema's validator of CONFIG_SCHEMA, with "integer" matching JSON
+    integers only, as validate_config's rule."""
+    base = jsonschema.validators.validator_for(harness.CONFIG_SCHEMA)
+    types = base.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
+    return jsonschema.validators.extend(base, type_checker=types)(harness.CONFIG_SCHEMA)
+
+
+_ORACLE = _oracle_validator()
+_BAD_VALUES = (True, False, None, "x", "mars", "none", [], [1], [{}], {}, {"zz": 1},
+               2.0, 0.0, 1.5, -1, 0, -7)
+
+
+def _containers(node, path=()):
+    """Path of every dict and list in a document, the root first."""
+    yield path
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(child, (dict, list)):
+            yield from _containers(child, path + (key,))
+
+
+def _config_document(rng):
+    """A valid document with 0-3 defects, often several under one parent."""
+    doc = copy.deepcopy(_FULL_CONFIG)
+    for key in rng.sample(sorted(doc), rng.randrange(6)):
+        del doc[key]
+    focus = rng.choice(list(_containers(doc)))
+    for _ in range(rng.randrange(4)):
+        paths = list(_containers(doc))
+        if focus not in paths or rng.random() < 0.25:
+            focus = rng.choice(paths)
+        parent = doc
+        for key in focus:
+            parent = parent[key]
+        kind = rng.choice(("bad value", "unknown key", "missing key"))
+        if isinstance(parent, dict) and kind == "unknown key":
+            parent[rng.choice(("aa", "mystery", "zz", "days", "count"))] = 1
+        elif isinstance(parent, dict) and parent and kind == "missing key":
+            del parent[rng.choice(sorted(parent))]
+        elif isinstance(parent, dict) and parent:
+            parent[rng.choice(sorted(parent))] = rng.choice(_BAD_VALUES)
+        elif isinstance(parent, list) and kind == "missing key":
+            parent.clear()
+        elif isinstance(parent, list) and parent:
+            parent[rng.randrange(len(parent))] = rng.choice(_BAD_VALUES)
+    return doc
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=500, deadline=None)
+def test_validate_config_reports_the_error_jsonschema_picks(seed):
+    # documents are drawn from a seed: a draw per choice would take most of the test's time
+    raw = _config_document(random.Random(seed))
+    error = jsonschema.exceptions.best_match(_ORACLE.iter_errors(raw))
+    if error is None:
+        validate_config(raw)
+        return
+    path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+    with pytest.raises(ConfigError) as got:
+        validate_config(raw)
+    assert str(got.value) == f"config {path}: {error.message}", raw
 
 
 def test_load_config_errors(tmp_path):
@@ -606,6 +718,16 @@ def test_cli_reads_a_trace_saved_with_a_byte_order_mark(tmp_path):
         trace, out = tmp_path / f"{encoding}.csv", tmp_path / f"{encoding}.json"
         trace.write_text("t,workload,price\n1,1.5,0.1\n2,0.5,0.2\n3,2.0,0.1\n", encoding=encoding)
         assert main(["compare", "--trace", str(trace), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_cli_reads_a_config_saved_with_a_byte_order_mark(tmp_path):
+    reports = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        config, out = tmp_path / f"{encoding}.json", tmp_path / f"{encoding}.out"
+        config.write_text(json.dumps(TINY_CFG), encoding=encoding)
+        assert main(["compare", "--config", str(config), "--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
 

@@ -30,6 +30,32 @@ def test_import_leaves_jsonschema_unloaded():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr[-2000:]
 
 
+_COMMANDS_SCRIPT = """
+import json, sys
+before = set(sys.modules)
+from dcmkit import cli
+for command in (["solve", "--algo", "offline"], ["compare"], ["sweep"]):
+    assert cli.main([*command, "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+# numpy.random's Cython extensions register a Cython runtime module
+added = {name for name in added if not name.startswith(("_cython_", "cython_runtime"))}
+print(json.dumps(sorted(added - set(sys.stdlib_module_names) - {"numpy", "dcmkit"})))
+"""
+
+
+def test_commands_load_only_the_standard_library_and_numpy(tmp_path):
+    # solve, compare and sweep check their config without a third-party validator
+    config = tmp_path / "run.json"
+    config.write_text('{"servers": 6, "days": 2, "lookahead": 2, "generator": {"count": 2}}')
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COMMANDS_SCRIPT, str(config), str(tmp_path / "out.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stdout + proc.stderr[-2000:]
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
