@@ -30,11 +30,11 @@ from .errors import CapacityError, ConfigError, FeasibilityError
 FEAS_TOL = 1e-9
 
 # Size limits, checked before any array of that size is built. The largest
-# arrays are blocks of demand rows and idle-cost sums with one column per
-# server (256 x (M+1) floats) and the generator slices' savings rows over the
-# whole horizon (T x N floats).
+# arrays are chunks of demand rows and idle-cost sums with one column per
+# server (at least one row of M+1 floats) and the generator slices' savings
+# rows over the whole horizon (T x N floats).
 MAX_SLOTS = 1 << 20  # slots of one horizon: about 120 years of hours
-MAX_SERVERS = 1 << 16  # the peak fleet M: one block of its rows is 128 MiB
+MAX_SERVERS = 1 << 16  # the peak fleet M: one row of its cells is 512 KiB
 MAX_SUPPLY_CELLS = 1 << 24  # slots x (generators + 1): 128 MiB of floats
 
 
@@ -212,15 +212,15 @@ class CoolingModel:
         coeffs.setflags(write=False)
         object.__setattr__(self, "hour_coeffs", coeffs)
 
-    def overhead(self, b, coeffs, out=None):
+    def overhead(self, b, coeffs, out=None, scaled=None):
         """Cooling power for server power b under regime coefficients coeffs.
 
         coeffs holds one entry per polynomial coefficient; each entry may be
         a number or an array broadcastable against b (to b's shape when b is
-        an array). out, an array of the result's shape, receives the
-        result; it may be b itself.
+        an array). out and scaled, arrays of the result's shape, receive the
+        result and b/b_max; out may be b itself.
         """
-        bh = b / self.b_max
+        bh = np.divide(b, self.b_max, out=scaled)
         if self.kind == "quadratic":
             return _scaled_quadratic(bh, *coeffs, self.b_max, out)
         r = np.multiply(coeffs[0], bh, out=out)  # c * bh * bh * bh * b_max
@@ -248,10 +248,16 @@ class ConditioningModel:
             check_scalar(f"conditioning {name}", getattr(self, name))
         check_scalar("conditioning b_max", self.b_max, strict=True)
 
-    def power(self, b: float | np.ndarray) -> float | np.ndarray:
+    def power(self, b: float | np.ndarray, out=None, scaled=None) -> float | np.ndarray:
+        """Conditioning power for server power b; out and scaled, arrays of
+        b's shape, receive the result and b/b_max."""
         if self.kind == "none":
-            return np.zeros_like(b) if isinstance(b, np.ndarray) else 0.0
-        return _scaled_quadratic(b / self.b_max, self.quad, self.lin, self.const, self.b_max)
+            if out is None:
+                return np.zeros_like(b) if isinstance(b, np.ndarray) else 0.0
+            out.fill(0.0)
+            return out
+        scaled = np.divide(b, self.b_max, out=scaled)
+        return _scaled_quadratic(scaled, self.quad, self.lin, self.const, self.b_max, out)
 
 
 # ---------------------------------------------------------------------------
@@ -374,42 +380,48 @@ class Instance:
 
     # -- demand -------------------------------------------------------------
 
-    def _demand(self, k, x):
+    def _demand(self, k, x, work=(None, None, None)):
         """d(x) at 0-based slot index k, without the x >= ceil(a) gate.
 
         k is anything that indexes the series (an int, a slice, an index
         array) and x broadcasts against the indexed workload. Every per-slot
         demand number in the package comes from here, so a value is the same
-        float whichever path asks for it.
+        float whichever path asks for it. work, three arrays of the result's
+        shape, receives the result, b and b/b_max in place of new arrays:
+        the same operations in the same order.
         """
         srv = self.server
+        out, b, scaled = work
         # an array even for a scalar call, so the cooling overhead can be written into it
-        b = np.asarray(srv.c_idle * x + (srv.c_peak - srv.c_idle) * self.workload[k])
-        out = self.conditioning.power(b)
+        b = np.asarray(np.add(srv.c_idle * x, (srv.c_peak - srv.c_idle) * self.workload[k], out=b))
+        out = self.conditioning.power(b, out, scaled)
         out += b  # b + power(b): the same float either way round
         if self._slot_coeffs is not None:  # b is not read again, so it takes the overhead
             # take gathers an index array's columns several times faster than [:, k]
             coeffs = self._slot_coeffs
             coeffs = coeffs.take(k, axis=1) if isinstance(k, np.ndarray) else coeffs[:, k]
-            out += self.cooling.overhead(b, coeffs, out=b)
+            out += self.cooling.overhead(b, coeffs, out=b, scaled=scaled)
         return out
 
-    def demand_table(self, t: int, end: int | None = None, lows=None, highs=None) -> np.ndarray:
+    def demand_table(self, t: int, end: int | None = None, lows=None, highs=None,
+                     work=(None, None, None)) -> np.ndarray:
         """Vector of d_t(x) for x = 0..max_servers (read-only).
 
         With end, the (end-t+1) x (max_servers+1) grid for slots t..end from
         one evaluation; row s-t is the same floats as demand_table(s). With
         lows and highs too, one per slot, only the cells lows[s-t]..highs[s-t]
         of each row, flat, with one slot and one x per cell: the grid's floats,
-        as the demand model acts element by element.
+        as the demand model acts element by element. work, three arrays of
+        the result's shape, holds the result and the demand model's
+        temporaries (_demand), so the call allocates no array of that shape.
         """
         x = np.arange(self.max_servers + 1, dtype=float)
         if end is None:
-            out = self._demand(self._index(t), x)
+            out = self._demand(self._index(t), x, work)
         elif not 1 <= t <= end <= self.horizon:
             raise ValueError(f"need 1 <= t <= end <= {self.horizon}, got t={t}, end={end}")
         elif lows is None:
-            out = self._demand(np.arange(t - 1, end)[:, None], x)
+            out = self._demand(np.arange(t - 1, end)[:, None], x, work)
         else:
             lows, highs = np.asarray(lows), np.asarray(highs)
             width = highs - lows + 1
@@ -419,7 +431,8 @@ class Instance:
             # cell j of slot s is x = lows[s-t] + j - (cells before slot s)
             shift = np.repeat(lows - np.cumsum(width) + width, width)
             out = self._demand(np.repeat(np.arange(t - 1, end), width),
-                               x.take(np.arange(len(shift)) + shift))
+                               x.take(np.arange(len(shift)) + shift), work)
+        out = out if work[0] is None else out.view()  # the caller's buffer stays writable
         out.setflags(write=False)
         return out
 

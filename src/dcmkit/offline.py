@@ -38,16 +38,18 @@ block. A DP block is one such chunk: _band_costs reads only the band cells
 x = ceil(a(t))..U(t) of its layers and makes one split_cost call per
 generator count y = 0..max Y(t); the layers then run only the value
 recursion. For the slices, idle_cost_block returns only the running
-idle-cost sums P of a block, continued from the previous block's last row,
-and gap_pieces turns a block's changes in the busy count into the gaps of
-the nested slices. GapWalk is the one walk over them: it steps both
-functions block by block, decides each gap at the slot where it closes,
-follows the open gaps that have not reached break-even and records, per
-slot, the kept gaps' opens and closes; for the GCSR fleets that read it, it
-also finds each reached gap's break-even slot j* and keeps, in j* order,
-one (slice, g, j*) record per reached gap. None of that depends on a
-window, so solve_cp_offline holds O(BLOCK_SLOTS * M + T) numbers, never a
-(T, M) array, and every online GCSR fleet of an instance can read one walk:
+idle-cost sums P of a run of slots, continued from the previous row, and
+gap_pieces turns their changes in the busy count into the gaps of the
+nested slices. GapWalk is the one walk over them: it steps both functions
+one demand chunk of slots at a time, through one buffer it allocates once,
+decides each gap at the slot where it closes, follows the open gaps that
+have not reached break-even and records, per slot, the kept gaps' opens
+and closes; for the GCSR fleets that read it, it also finds each reached
+gap's break-even slot j* and keeps, in j* order, one (slice, g, j*)
+record per reached gap. None of that depends on a window, so
+solve_cp_offline holds one chunk of CHUNK_CELLS cells, reused by every
+step, plus O(M + T) numbers, never a (T, M) array or a block of P rows,
+and every online GCSR fleet of an instance can read one walk:
 online and offline slice rules compare the same floats, and compare and
 sweep make one P-row walk for GCSR, DCMON and cpoff together.
 solve_cp_offline stays the standalone solver and the checks' reference.
@@ -413,7 +415,7 @@ def brute_force_dcm(instance: Instance, budget: int = DEFAULT_ENUM_BUDGET) -> Sc
 # provisioning decomposition (server slices)
 
 
-def idle_cost_block(instance: Instance, start: int, end: int, carried) -> np.ndarray:
+def idle_cost_block(instance: Instance, start: int, end: int, carried, work=None) -> np.ndarray:
     """Running idle-cost sums P(s) for s = start-1..end, shape (end-start+2, M).
 
     Row 0 is carried, the sum P(start-1) (zeros at slot 1), and each later
@@ -425,14 +427,20 @@ def idle_cost_block(instance: Instance, start: int, end: int, carried) -> np.nda
     floats do not depend on the chunking. GapWalk, and so the online GCSR
     fleet and the offline slice rule, reads P from here, so both rules
     compare the same floats (see reaches_breakeven).
+
+    work, arrays shaped (n+1, M) and (3, n, M+1) with end-start+1 <= n <=
+    max(1, CHUNK_CELLS // (M+1)), takes the P rows and the demand chunk, so
+    no array of the chunk's size is allocated: the result is then a view of
+    work[0], valid until work is written again.
     """
     m = instance.max_servers
-    prefix = np.empty((end - start + 2, m))
+    prefix = np.empty((end - start + 2, m)) if work is None else work[0][: end - start + 2]
     prefix[0] = carried
     rows = max(1, CHUNK_CELLS // (m + 1))
     for first in range(start, end + 1, rows):
         last = min(first + rows - 1, end)
-        grid = instance.demand_table(first, last)
+        chunk = (None,) * 3 if work is None else work[1][:, : last - first + 1]
+        grid = instance.demand_table(first, last, work=chunk)
         block = prefix[first - start : last - start + 2]  # the row before the chunk, then its rows
         np.subtract(grid[:, 1:], grid[:, :-1], out=block[1:])
         block[1:] *= instance.price[first - 1 : last, None]
@@ -464,12 +472,12 @@ def _breakeven_rows(prefix: np.ndarray, slices, base, first, last, beta_s: float
     two-array index.
     """
     flat, width = prefix.ravel(), prefix.shape[1]
-    lo, hi = first.copy(), last.copy()
+    lo, hi = first, last
     for _ in range(int((hi - lo).max()).bit_length()):
-        mid = (lo + hi) // 2
+        mid = (lo + hi) >> 1
         hit = reaches_breakeven(flat.take(mid * width + slices), base, beta_s)
-        np.copyto(hi, mid, where=hit)
-        np.copyto(lo, mid + 1, where=~hit)
+        hi = np.where(hit, mid, hi)
+        lo = np.where(hit, lo, mid + 1)
     return hi
 
 
@@ -496,29 +504,31 @@ def gap_pieces(need: np.ndarray, prefix: np.ndarray, start: int, carried):
     count = np.abs(now - was)
     # one event per slice whose gap opens or closes at slot s = start + row;
     # either reads its anchor P(s-1) = prefix[row]
-    row = np.repeat(np.arange(len(count)), count)
-    i = np.arange(len(row)) + np.repeat(np.minimum(was, now) - np.cumsum(count) + count, count)
-    opens = np.repeat(now < was, count)
+    row = np.arange(len(count)).repeat(count)
+    i = np.arange(len(row)) + (np.minimum(was, now) - count.cumsum() + count).repeat(count)
+    opens = (now < was).repeat(count)
     # carried gaps go first, as opens at row 0, so the stable sort puts each
-    # before its slice's events
+    # before its slice's events; those of slices at or above every c(s), the
+    # last in slice order, see no event and stay open, so they skip the sort
     slices, first, base = carried
-    held = len(slices)
-    first = np.concatenate((first, start + row))
-    base = np.concatenate((base, prefix[row, i]))
-    i = np.concatenate((slices, i))
+    held = int(slices.searchsorted(need.max()))
+    first = np.concatenate((first[:held], start + row))
+    base = np.concatenate((base[:held], prefix[row, i]))
+    i = np.concatenate((slices[:held], i))
     row = np.concatenate((np.zeros(held, dtype=int), row))
     opens = np.concatenate((np.ones(held, dtype=bool), opens))
     # by slice, then by slot; numpy's stable sort is a radix sort on
     # integers of 16 bits or fewer, so the slice indices take the smallest
     # unsigned type that holds M
-    order = np.argsort(i.astype(np.min_scalar_type(prefix.shape[1])), kind="stable")
-    i, row, opens, first, base = i[order], row[order], opens[order], first[order], base[order]
+    order = i.astype(np.min_scalar_type(prefix.shape[1])).argsort(kind="stable")
+    i, row, opens, first, base = (part.take(order) for part in (i, row, opens, first, base))
     # a slice's events alternate, so an event that follows one of its own
     # slice is the close of that open
     last = np.full(len(i), len(need) - 1)
-    follows = np.flatnonzero(i[1:] == i[:-1]) + 1
+    follows = (i[1:] == i[:-1]).nonzero()[0] + 1
     last[follows - 1] = row[follows]
-    return i[opens], first[opens], base[opens], last[opens]
+    idle = (*(part[held:] for part in carried), np.full(len(slices) - held, len(need) - 1))
+    return tuple(np.concatenate((part[opens], rest)) for part, rest in zip((i, first, base, last), idle))
 
 
 def _paint(need: np.ndarray, slices: int, offs) -> np.ndarray:
@@ -541,16 +551,17 @@ def _paint(need: np.ndarray, slices: int, offs) -> np.ndarray:
 class GapWalk:
     """The one walk of the server-slice rules, offline and online (GCSR).
 
-    step walks the next slots as one block: c(s) = ceil(a(s)), the P rows of
+    step walks the next slots in sub-steps of one demand chunk, at most
+    max(1, CHUNK_CELLS // (M+1)) slots each: c(s) = ceil(a(s)), the P rows of
     idle_cost_block continued from the last stepped row, and the gaps of
-    gap_pieces, each decided at its last idle slot in the block: reached iff
-    reaches_breakeven holds there, kept iff it closes in the block unreached.
-    P is nondecreasing, so the offline rule keeps exactly the kept gaps, and
-    a reached gap stays reached: only the open, unreached gaps are followed
-    into the next block (open_gaps). A reached gap's break-even slot j*, the
-    first slot of the gap where the predicate holds, is found by
-    _breakeven_rows over the block's rows, O(gaps * log BLOCK_SLOTS) work,
-    once a GCSR fleet or cp_offline_slices asks (record_breakevens).
+    gap_pieces, each decided at its last idle slot in the sub-step: reached
+    iff reaches_breakeven holds there, kept iff it closes in the sub-step
+    unreached. P is nondecreasing, so the offline rule keeps exactly the kept
+    gaps, and a reached gap stays reached: only the open, unreached gaps are
+    followed into the next sub-step (open_gaps). A reached gap's break-even
+    slot j*, the first slot of the gap where the predicate holds, is found by
+    _breakeven_rows over the sub-step's rows, O(gaps * log chunk) work, once
+    a GCSR fleet or cp_offline_slices asks (record_breakevens).
 
     Nothing here reads a window, and nothing depends on how the slots are
     cut into blocks: j*, both verdicts and the P floats are the same for
@@ -564,8 +575,10 @@ class GapWalk:
       the smallest unsigned type that holds T and M (breakevens reads them)
     - one P row and the open gaps it still follows
 
-    That is O(M + T + reached gaps) numbers between steps; no P row outlives
-    its block. The records are 6 bytes a gap at uint16: 0.2 MB for the 34.5k
+    That is one chunk of CHUNK_CELLS cells, the P rows and demand scratch
+    of a sub-step (allocated once, reused by every step and dropped at the
+    horizon), plus O(M + T + reached gaps) numbers; no P row outlives its
+    sub-step. The records are 6 bytes a gap at uint16: 0.2 MB for the 34.5k
     reached gaps of a 90-day trace at M=552, 8.4 MB for the 1.4M of a
     365-day trace at M=5520.
     """
@@ -575,10 +588,14 @@ class GapWalk:
         t_end = instance.horizon
         self.need = np.zeros(t_end + 1, dtype=int)  # c(s) of the stepped slots, c(0) = 0
         self.stepped = 0  # the last stepped slot
-        self._row = np.zeros(instance.max_servers)  # P of the last stepped slot
+        m = instance.max_servers
+        self._row = np.zeros(m)  # P of the last stepped slot
+        # the P rows and demand chunk of a sub-step (idle_cost_block), until the horizon
+        span = min(max(1, CHUNK_CELLS // (m + 1)), t_end)
+        self._work = (np.empty((span + 1, m)), np.empty((3, span, m + 1)))
         self.kept_opens = np.zeros(t_end + 1, dtype=int)  # at index s: kept gaps with g = s
         self.kept_closes = np.zeros(t_end + 1, dtype=int)  # kept gaps whose close is slot s
-        # (slice, g, j*) of the reached gaps, by j*: one array per step that
+        # (slice, g, j*) of the reached gaps, by j*: one array per sub-step that
         # reached any, of the smallest unsigned type that holds T and M, and
         # one past each array's last record index; None while not recording
         self._records: list[np.ndarray] | None = None
@@ -588,12 +605,20 @@ class GapWalk:
         self.open_gaps = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
 
     def step(self, workload, stop: int) -> None:
-        """Walk slots stepped+1..stop, given their workload a(s)."""
+        """Walk slots stepped+1..stop, given their workload a(s), in sub-steps
+        of at most one demand chunk's slots, through the walk's buffers."""
+        start, span = self.stepped + 1, len(self._work[0]) - 1
+        for first in range(start, stop + 1, span):
+            self._step(workload[first - start : first - start + span], min(first + span - 1, stop))
+        if stop == self.instance.horizon:
+            self._work = None  # no step follows, and CHASE runs on after the walk
+
+    def _step(self, workload, stop: int) -> None:
         start = self.stepped + 1
         beta_s = self.instance.server.beta_s
         need = self.need[start - 1 : stop + 1]
         need[1:] = np.ceil(workload)
-        prefix = idle_cost_block(self.instance, start, stop, self._row)
+        prefix = idle_cost_block(self.instance, start, stop, self._row, self._work)
         slices, first, base, last = gap_pieces(need, prefix, start, self.open_gaps)
         reached = reaches_breakeven(prefix.ravel().take(last * prefix.shape[1] + slices), base, beta_s)
         closed = last < stop - start + 1
@@ -611,7 +636,7 @@ class GapWalk:
             self._stops.append(self._stops[-1] + len(hit) if self._stops else len(hit))
         held = ~(closed | reached)
         self.open_gaps = (slices[held], first[held], base[held])
-        self._row = prefix[-1].copy()
+        self._row[:] = prefix[-1]
         self.stepped = stop
 
     def record_breakevens(self) -> "GapWalk":
@@ -671,9 +696,10 @@ def cp_offline_slices(instance: Instance) -> np.ndarray:
 def solve_cp_offline(instance: Instance) -> np.ndarray:
     """Optimal provisioning series as the sum of unit-slice optima.
 
-    Steps a GapWalk over the horizon in blocks of BLOCK_SLOTS slots, which
-    decides each slice's idle gap at the slot where it closes. Memory is
-    O(BLOCK_SLOTS * M + T): no (T, M) array and no break-even slot. The
+    Steps a GapWalk over the horizon, which decides each slice's idle gap
+    at the slot where it closes. Memory is one demand chunk of CHUNK_CELLS
+    cells, reused by every step, plus O(M + T): no (T, M) array, no block of
+    P rows and no break-even slot. The
     offline rule knows where the horizon ends: trailing gaps (like leading
     ones) turn off for free. The online rules treat the end as unknown and
     may hold through them (see online.gcsr).

@@ -23,7 +23,7 @@ It steps the walk, reading a(s) through its own window, only past where
 some fleet already has, and takes only the walk's records whose evidence
 lies within its own window end, each checked against its own decision's
 end: a shared walk is as causal as a private one. The walk costs
-O(rows * M + gaps * log BLOCK_SLOTS) work once; each fleet that reads it
+O(rows * M + gaps * log chunk) work once; each fleet that reads it
 O(T + reached gaps). One walk serves gcsr, dcmon and solve_cp_offline's
 series (GapWalk.offline_series) in a compare, and every window of a sweep.
 
@@ -205,9 +205,9 @@ class GcsrFleet:
     j* <= E and which check_each ties to t*'s own end. A kept close's is
     its close slot s <= t, and c(s) is read for s <= t only. A walk
     stepped past E by another fleet thus gives this one nothing it could
-    not have computed itself. The fleet holds O(T) numbers, and the walk
-    O(M + T + reached gaps). decide_next returns the (slices, slots) of the
-    turn-offs it took, for painting slices.
+    not have computed itself. The fleet holds O(T) numbers, and the walk one
+    demand chunk plus O(M + T + reached gaps). decide_next returns the
+    (slices, slots) of the turn-offs it took, for painting slices.
     """
 
     def __init__(self, instance: Instance, window: RevealedWindow, walk: GapWalk | None = None):

@@ -128,9 +128,9 @@ def test_comparison_and_sweep_walk_each_slots_idle_costs_once(monkeypatch):
     slots = []
     block = offline.idle_cost_block
 
-    def recorded(instance, start, end, carried):
+    def recorded(instance, start, end, carried, *args):
         slots.extend(range(start, end + 1))
-        return block(instance, start, end, carried)
+        return block(instance, start, end, carried, *args)
 
     monkeypatch.setattr(offline, "idle_cost_block", recorded)
     for lookahead in (0, 16):

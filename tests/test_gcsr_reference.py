@@ -326,3 +326,32 @@ def test_runs_on_one_shared_walk_equal_solo_runs(monkeypatch):
                 compared += 1
         monkeypatch.undo()
     assert compared >= 101 * 4 * 4
+
+
+def test_walk_results_do_not_depend_on_the_chunk_or_block_cut(monkeypatch):
+    # a walk steps its blocks of BLOCK_SLOTS slots in sub-steps of one demand
+    # chunk, max(1, CHUNK_CELLS // (M+1)) slots: chunks of 1, 1, 3 and (the
+    # default) 59 slots at M=552, none of which moves a result's bytes
+    default = offline.CHUNK_CELLS
+    rng = np.random.default_rng(31)
+    cases = [random_tiny_instance(rng) if k % 2 else random_bound_instance(rng) for k in range(8)]
+    cases.append(exact_peak_instance(9, 552))
+    assert cases[-1].horizon > offline.BLOCK_SLOTS
+
+    def results(inst):
+        walk = offline.GapWalk(inst).record_breakevens().walk_to_end()
+        got = [walk.offline_series(), walk.breakevens(0, inst.horizon)]
+        for w in (0, 3, 16):
+            sched = dcmon(inst, w)
+            got.extend((gcsr(inst, w), sched.x, sched.y, sched.u, sched.v))
+        return [a.tobytes() for a in got]
+
+    for inst in cases:
+        want = results(inst)
+        m = inst.max_servers
+        for cells in (1, m + 1, 3 * (m + 1), default):
+            for block in (1, 5, 256):
+                monkeypatch.setattr(offline, "CHUNK_CELLS", cells)
+                monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
+                assert results(inst) == want, (inst.horizon, m, cells, block)
+        monkeypatch.undo()

@@ -317,11 +317,11 @@ def _config_document(rng):
         elif isinstance(parent, dict) and parent and kind == "missing key":
             del parent[rng.choice(sorted(parent))]
         elif isinstance(parent, dict) and parent:
-            parent[rng.choice(sorted(parent))] = rng.choice(_BAD_VALUES)
+            parent[rng.choice(sorted(parent))] = copy.deepcopy(rng.choice(_BAD_VALUES))
         elif isinstance(parent, list) and kind == "missing key":
             parent.clear()
         elif isinstance(parent, list) and parent:
-            parent[rng.randrange(len(parent))] = rng.choice(_BAD_VALUES)
+            parent[rng.randrange(len(parent))] = copy.deepcopy(rng.choice(_BAD_VALUES))
     return doc
 
 
@@ -709,6 +709,17 @@ def test_cli_rejects_files_that_are_not_utf8(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {name} {args[1]} is not UTF-8 text: ")
         assert "0xff" in captured.err and captured.out == ""
+
+
+def test_cli_rejects_an_integer_past_the_digit_limit_with_one_line(tmp_path, capsys):
+    # json.load raises a plain ValueError, not JSONDecodeError, for an
+    # integer literal longer than Python's int digit limit (4300)
+    config = tmp_path / "run.json"
+    config.write_text('{"servers": ' + "9" * 5000 + "}")
+    assert main(["compare", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: config is not valid JSON: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 def test_cli_reads_a_trace_saved_with_a_byte_order_mark(tmp_path):

@@ -125,6 +125,24 @@ def test_cpoff_memory_does_not_grow_with_horizon_times_fleet():
     assert peak < 16 * 2**20, peak / 2**20
 
 
+def test_slice_walk_memory_is_one_demand_chunk_not_a_block_of_rows():
+    # a 22-day trace at M=5520: a (257, M) block of P rows alone is 10.8 MiB;
+    # the walk holds one chunk's P rows and demand scratch, 5 slots of
+    # M+1 cells each, reused by every step
+    inst = harness.build_instance(harness.synthesize_trace(7, 22, 6000, "ny"),
+                                  harness.validate_config({"servers": 6000}))
+    assert (inst.horizon, inst.max_servers) == (528, 5520)
+    for run in (lambda: offline.GapWalk(inst).record_breakevens().walk_to_end(),
+                lambda: solve_cp_offline(inst)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak / 2**20
+
+
 def test_cp_cost_rejects_uncovered_workload():
     inst = flat_power_instance([1.0, 2.0], [0.1, 0.1])
     with pytest.raises(ConfigError, match="slot 2"):

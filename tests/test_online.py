@@ -135,9 +135,9 @@ def record_blocks(monkeypatch):
     """Record (start, stop, P rows) of every idle_cost_block call the fleet makes."""
     blocks = []
 
-    def recorded(instance, start, end, carried):
-        prefix = idle_cost_block(instance, start, end, carried)
-        blocks.append((start, end, prefix))
+    def recorded(instance, start, end, carried, *args):
+        prefix = idle_cost_block(instance, start, end, carried, *args)
+        blocks.append((start, end, prefix.copy()))
         return prefix
 
     monkeypatch.setattr(offline, "idle_cost_block", recorded)
@@ -178,7 +178,8 @@ def test_fleet_reads_stay_checked_after_a_block_is_evaluated(monkeypatch):
     evaluated = []
     table = Instance.demand_table
     monkeypatch.setattr(Instance, "demand_table",
-                        lambda self, t, end=None: evaluated.append((t, end)) or table(self, t, end))
+                        lambda self, t, end=None, *args, **kwargs:
+                        evaluated.append((t, end)) or table(self, t, end, *args, **kwargs))
     window = RevealedWindow(inst.horizon)
     fleet = GcsrFleet(inst, window)
     window.reveal(2)
