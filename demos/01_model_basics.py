@@ -14,7 +14,6 @@ from dcmkit import (
     GeneratorModel,
     Instance,
     ServerModel,
-    demand_series,
     dispatch,
     dispatched_schedule,
     evaluate,
@@ -59,12 +58,11 @@ def main() -> None:
 
     # Layer 1: facility power. Server draw is linear in fleet size and
     # workload; cooling and conditioning amplify it convexly.
-    # demand_table(5) stops at the peak fleet M=4, so a fleet series held
-    # at x gives the larger fleets too.
+    # Instance.demand reads any fleet size, past the peak fleet M=4 too.
     print("power at slot 5 (peak workload, a=3.5) as the fleet grows:")
-    for x in (4, 6, 9):
-        p = demand_series(inst, np.full(inst.horizon, float(x)))[4]
-        print(f"  x={x}: facility power = {p:.4f} kW")
+    fleets = np.array([4.0, 6.0, 9.0])
+    for x, p in zip(fleets, inst.demand(fleets, 5)):
+        print(f"  x={x:.0f}: facility power = {p:.4f} kW")
     print("  every powered-on server adds idle draw plus overhead, which is")
     print("  why right-sizing the fleet matters at all.")
     print()
@@ -98,7 +96,7 @@ def main() -> None:
     print("hand schedule (track workload + 1 spare, generator on slots 4-6):")
     print(f"  x = {sched.x.astype(int).tolist()}")
     print(f"  y = {sched.y.astype(int).tolist()}")
-    d = demand_series(inst, sched.x)
+    d = inst.demand(sched.x)
     print(f"  demand (kWh)  = {[round(v, 2) for v in d.tolist()]}")
     print(f"  on-site (kWh) = {[round(v, 2) for v in sched.u.tolist()]}")
     print()

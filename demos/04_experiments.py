@@ -21,7 +21,6 @@ from dcmkit import (
     synthesize_trace,
 )
 from dcmkit.harness import validate_config
-from dcmkit.model import demand_series
 import numpy as np
 
 
@@ -64,7 +63,7 @@ def main() -> None:
 
     # -- generator fleet sweep ----------------------------------------------
     print("=== generator fleet sweep (look-ahead 4) ===")
-    peak_energy = demand_series(ny, np.full(ny.horizon, float(ny.max_servers))).max()
+    peak_energy = ny.demand(np.full(ny.horizon, float(ny.max_servers))).max()
     cover = math.ceil(peak_energy / ny.generator.capacity)
     rows = sweep_generators(ny, [0, 1, 2, 3, cover, cover + 2], lookahead=4)
     print(f"{'N':>3}  {'offline':>10}  {'dcmon':>10}")

@@ -12,6 +12,7 @@ and an electricity price trace p(t) with four device models:
 
 Slots are of unit length, so power (kW) and energy (kWh) coincide and a single
 demand number d_t(x) per slot captures everything downstream solvers need.
+Instance.demand is its one evaluator, at any slots and fleets.
 
 All dataclasses are frozen and arrays are marked read-only: instances can be
 shared freely between threads and memoized solvers.
@@ -56,10 +57,11 @@ def check_scalar(name: str, value, low: float = 0.0, *, strict: bool = False,
                  whole: bool = False) -> None:
     """ConfigError naming `name` unless value is a finite number >= low (> low
     when strict), and a whole number when whole: the one range check of every
-    model scalar, so NaN cannot pass a range test by failing its comparison."""
+    model scalar, so NaN cannot pass a range test by failing its comparison.
+    Bools are not numbers here, as in the config schema."""
     try:
         ok = math.isfinite(value) and (value > low if strict else value >= low)
-        ok = ok and not (whole and value != int(value))
+        ok = ok and not (whole and value != int(value) or isinstance(value, (bool, np.bool_)))
     except (TypeError, OverflowError):  # not a number, or an int past the float range
         ok = False
     if not ok:
@@ -275,9 +277,10 @@ class Instance:
     """A complete scheduling problem over a finite horizon.
 
     workload and price are 1-based conceptually: series index k holds slot
-    t = k+1. The accessor methods (a, p, min_servers, demand_table) take slot
-    numbers and reject slots outside 1..T; the solvers read whole blocks by
-    slicing the 0-based arrays directly, slots t..end at [t-1:end].
+    t = k+1. The accessor methods (a, p, min_servers, demand, demand_table)
+    take slot numbers and reject slots outside 1..T; demand is the one
+    evaluator of d_t(x). The solvers read whole blocks by slicing the
+    0-based arrays directly, slots t..end at [t-1:end].
     max_servers, the largest fleet any slot requires (max_t ceil(a(t))), is
     computed once at construction. Construction rejects magnitudes that
     overflow, so no solver runs on inf demands or costs: the full fleet's
@@ -327,7 +330,8 @@ class Instance:
         # solvers' start-up offsets and maintenance
         gen = self.generator
         with np.errstate(over="ignore", invalid="ignore"):
-            bill = float(np.dot(self.price, self._demand(slice(None), float(self.max_servers))))
+            full = np.full(self.horizon, float(self.max_servers))
+            bill = float(np.dot(self.price, self.demand(full)))
             plan = (bill + self.server.beta_s * self.max_servers
                     + (gen.beta_g + gen.c_m * self.horizon) * gen.count)
         if not math.isfinite(bill):
@@ -380,16 +384,26 @@ class Instance:
 
     # -- demand -------------------------------------------------------------
 
-    def _demand(self, k, x, work=(None, None, None)):
-        """d(x) at 0-based slot index k, without the x >= ceil(a) gate.
+    def demand(self, x, slots=None, work=(None, None, None)):
+        """d_t(x) at slots t, without the x >= ceil(a(t)) gate.
 
-        k is anything that indexes the series (an int, a slice, an index
-        array) and x broadcasts against the indexed workload. Every per-slot
-        demand number in the package comes from here, so a value is the same
-        float whichever path asks for it. work, three arrays of the result's
-        shape, receives the result, b and b/b_max in place of new arrays:
-        the same operations in the same order.
+        slots is a 1-based slot number or an int array of them (ValueError
+        outside 1..T), and x broadcasts against it; None means every slot, and
+        x is then a fleet series of shape (T,) (ConfigError otherwise). Every
+        per-slot demand number in the package but min_marginal_demand's comes
+        from here, so a value is the same float whichever path asks for it.
+        work, three arrays of the result's shape, receives the result, b and
+        b/b_max in place of new arrays: the same operations in the same order.
         """
+        x = np.asarray(x, dtype=float)
+        if slots is None:
+            k = slice(None)
+            if x.shape != self.workload.shape:
+                raise ConfigError(f"fleet series has shape {x.shape}, expected ({self.horizon},)")
+        else:
+            k = np.asarray(slots) - 1
+            if k.size and not 0 <= k.min() <= k.max() < self.horizon:  # name the first bad slot
+                self._index(int(k[(k < 0) | (k >= self.horizon)][0]) + 1)
         srv = self.server
         out, b, scaled = work
         # an array even for a scalar call, so the cooling overhead can be written into it
@@ -412,16 +426,16 @@ class Instance:
         lows and highs too, one per slot, only the cells lows[s-t]..highs[s-t]
         of each row, flat, with one slot and one x per cell: the grid's floats,
         as the demand model acts element by element. work, three arrays of
-        the result's shape, holds the result and the demand model's
-        temporaries (_demand), so the call allocates no array of that shape.
+        the result's shape, holds the result and the temporaries of demand,
+        which each mode calls once, so the call allocates no array of that shape.
         """
         x = np.arange(self.max_servers + 1, dtype=float)
         if end is None:
-            out = self._demand(self._index(t), x, work)
+            out = self.demand(x, t, work)
         elif not 1 <= t <= end <= self.horizon:
             raise ValueError(f"need 1 <= t <= end <= {self.horizon}, got t={t}, end={end}")
         elif lows is None:
-            out = self._demand(np.arange(t - 1, end)[:, None], x, work)
+            out = self.demand(x, np.arange(t, end + 1)[:, None], work)
         else:
             lows, highs = np.asarray(lows), np.asarray(highs)
             width = highs - lows + 1
@@ -429,9 +443,9 @@ class Instance:
                     and width.min() >= 0 and highs.max() <= self.max_servers):
                 raise ValueError(f"need 0 <= lows <= highs + 1 <= {self.max_servers + 1}, one per slot")
             # cell j of slot s is x = lows[s-t] + j - (cells before slot s)
-            shift = np.repeat(lows - np.cumsum(width) + width, width)
-            out = self._demand(np.repeat(np.arange(t - 1, end), width),
-                               x.take(np.arange(len(shift)) + shift), work)
+            x = np.repeat(lows - np.cumsum(width) + width, width).astype(float)
+            x += np.arange(len(x))
+            out = self.demand(x, np.repeat(np.arange(t, end + 1), width), work)
         out = out if work[0] is None else out.view()  # the caller's buffer stays writable
         out.setflags(write=False)
         return out
@@ -486,17 +500,6 @@ class Instance:
 
 # ---------------------------------------------------------------------------
 # operating-point math
-
-
-def demand_series(instance: Instance, x) -> np.ndarray:
-    """Vector of d_t(x(t)) for a fleet series x over the horizon.
-
-    No feasibility gate; callers decide whether x must cover the workload.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != instance.workload.shape:
-        raise ConfigError(f"fleet series has shape {x.shape}, expected {instance.workload.shape}")
-    return instance._demand(slice(None), x)
 
 
 def _supply_inputs(gen: GeneratorModel, y, p, d) -> tuple[np.ndarray, ...]:
@@ -580,7 +583,7 @@ def dispatched_schedule(instance: Instance, x, y) -> Schedule:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     fleet = np.round(x)
-    demand = demand_series(instance, fleet)
+    demand = instance.demand(fleet)
     short = fleet < np.ceil(instance.workload)
     if short.any():
         t = int(short.argmax()) + 1
@@ -595,7 +598,7 @@ def staged_schedule(instance: Instance, x, supply) -> Schedule:
     """Complete a provisioning series x with the commitment series that the
     supply rule supply(generator, energy, price) chooses on the energy
     demand x induces, then the cost-optimal dispatch."""
-    y = supply(instance.generator, demand_series(instance, x), instance.price)
+    y = supply(instance.generator, instance.demand(x), instance.price)
     return dispatched_schedule(instance, x, y)
 
 
@@ -648,7 +651,7 @@ def check_schedule(instance: Instance, sched: Schedule) -> None:
         )
     gen = instance.generator
     x, y, u, v = sched.x, sched.y, sched.u, sched.v
-    demand = demand_series(instance, x)
+    demand = instance.demand(x)
     checks = (
         (x != np.trunc(x)) | (x < np.ceil(instance.workload)),
         (y != np.trunc(y)) | (y < 0) | (y > gen.count),

@@ -31,6 +31,8 @@ decomposition splits provisioning into M unit server slices solved by a
 break-even rule and supply into N unit generator slices solved by tracking
 a clamped cumulative savings process.
 
+Every demand number here comes from Instance.demand, whole series for
+cp_cost and _dp_rows and demand_table cells for the rest.
 Both the DP and the server slices walk the horizon in blocks of at most
 BLOCK_SLOTS slots, and both read demand in cache-sized chunks of
 demand_table rows (CHUNK_CELLS grid cells each), holding no grid of a whole
@@ -75,7 +77,6 @@ from .model import (
     GeneratorModel,
     Instance,
     Schedule,
-    demand_series,
     dispatched_schedule,
     merit_split,
     positive_increases,
@@ -97,11 +98,11 @@ CHUNK_CELLS = 1 << 15  # demand-grid cells per chunk of demand rows: 256 KiB of 
 def cp_cost(instance: Instance, x) -> float:
     """Provisioning-side objective: grid-priced demand plus server switching."""
     x = np.asarray(x, dtype=float)
+    energy = float(np.dot(instance.price, instance.demand(x)))  # checks x's shape
     need = np.ceil(instance.workload)
     if np.any(x < need):
         t = int(np.argmax(x < need)) + 1
         raise ConfigError(f"slot {t}: fleet {x[t - 1]} below required {need[t - 1]}")
-    energy = float(np.dot(instance.price, demand_series(instance, x)))
     return energy + instance.server.beta_s * positive_increases(x)
 
 
@@ -194,7 +195,7 @@ def _dp_rows(instance: Instance, band: np.ndarray) -> np.ndarray:
     gen = instance.generator
     if not (gen.count and gen.c_m > 0.0):
         return np.full(len(band), gen.count)
-    demand = demand_series(instance, band)
+    demand = instance.demand(band)
     # searchsorted counts the loads L*(k-1), k = 1..N, below each demand
     useful = np.searchsorted(gen.capacity * np.arange(gen.count, dtype=float), demand)
     slots = gen.beta_g / gen.c_m  # D_g = floor(slots) + 1
@@ -669,11 +670,9 @@ class GapWalk:
         return (self.need[1:] + np.cumsum(self.kept_opens - self.kept_closes)[1:]).astype(float)
 
     def walk_to_end(self) -> "GapWalk":
-        """Step the rest of the horizon in blocks of BLOCK_SLOTS slots."""
-        t_end = self.instance.horizon
-        while self.stepped < t_end:
-            stop = min(self.stepped + BLOCK_SLOTS, t_end)
-            self.step(self.instance.workload[self.stepped : stop], stop)
+        """Step the rest of the horizon in one step call (a no-op at the end)."""
+        if self.stepped < self.instance.horizon:
+            self.step(self.instance.workload[self.stepped :], self.instance.horizon)
         return self
 
 

@@ -19,7 +19,6 @@ from .model import (
     GeneratorModel,
     Instance,
     ServerModel,
-    demand_series,
     dispatch,
     evaluate,
     supply_cost,
@@ -313,7 +312,7 @@ def verify_ep_hybrid_bounds(
         inst = random_bound_instance(rng, generators=int(rng.integers(1, 3)))
         params = BoundParams.from_instance(inst)
         gen = inst.generator
-        energy = demand_series(inst, solve_cp_offline(inst))
+        energy = inst.demand(solve_cp_offline(inst))
         ybar = solve_ep_offline(gen, energy, inst.price)
         ep_off = ep_cost(gen, energy, inst.price, ybar)
         joint = evaluate(inst, solve_dcm_offline(inst)).total

@@ -17,7 +17,6 @@ from dcmkit import (
     OngridParams,
     build_instance,
     dcmon,
-    demand_series,
     evaluate,
     gcsr,
     run_comparison,
@@ -124,7 +123,7 @@ def test_accept_08_qualitative_directions():
 
     # generator sweep: non-increasing, exactly flat once the fleet covers
     # the peak energy demand
-    energy = demand_series(ny, gcsr(ny, 0))
+    energy = ny.demand(gcsr(ny, 0))
     cover = math.ceil(float(energy.max()) / ny.generator.capacity)
     counts = sorted({0, 1, 2, 3, cover, cover + 2, 10})
     by_count = {}

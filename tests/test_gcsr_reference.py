@@ -20,7 +20,7 @@ from collections import deque
 
 import numpy as np
 
-from dcmkit import dcmon, demand_series, gcsr, harness, offline, online, solve_cp_offline
+from dcmkit import dcmon, gcsr, harness, offline, online, solve_cp_offline
 from dcmkit.offline import idle_cost_block, reaches_breakeven
 from dcmkit.online import RevealedWindow
 from dcmkit.verify import random_bound_instance, random_tiny_instance
@@ -252,7 +252,7 @@ def test_gcsr_walk_yields_the_offline_series_on_the_presets():
 
 
 def test_fleet_energy_matches_the_per_slot_fleet(monkeypatch):
-    # demand_series prices the block fleet's decided series with the floats
+    # Instance.demand prices the block fleet's decided series with the floats
     # the per-slot fleet read off its demand grid
     for inst in reference_cases()[::8]:
         for w in (0, 3, inst.horizon):
@@ -264,7 +264,7 @@ def test_fleet_energy_matches_the_per_slot_fleet(monkeypatch):
                 while fleet.next_slot <= inst.horizon:
                     window.reveal(fleet.next_slot + block - 1 + w)
                     fleet.decide_next()
-                assert demand_series(inst, fleet.series).tobytes() == np.array(want).tobytes()
+                assert inst.demand(fleet.series).tobytes() == np.array(want).tobytes()
             monkeypatch.undo()
 
 

@@ -99,6 +99,29 @@ CASES = {
         ["solve", "--algo", "chase", "--lookahead", "16"],
         "cd022f59ca8cffd4a4be35b4f5eec345036889515e5e633b053b5ca3a44d6cfc",
     ),
+    # the presets' own scale, M = 552 servers: a demand chunk is 59 rows, so the
+    # DP's stage-cost blocks and the walk's sub-steps are cut every 59 slots.
+    # 22 days run the exact DP; 90 days are over its budget (decomposed reference)
+    "ny-22d-compare": (
+        {"preset": "ny"},
+        ["compare", "--lookahead", "4"],
+        "76d91b707c7affb5acb0054c00d36bb5d461450e043630ff50f296eee79d1a48",
+    ),
+    "sj-22d-compare": (
+        {"preset": "sj"},
+        ["compare", "--lookahead", "4"],
+        "18d35bd14793cc16b60ae81c98e06a9b19ad14954c3888afb98e8a132a74358f",
+    ),
+    "flat-22d-compare": (
+        {"preset": "flat"},
+        ["compare", "--lookahead", "4"],
+        "63abac7bff29a49d008269abe8e2ff3a80024f8100fff4fa13210e771c7c8daa",
+    ),
+    "ny-90d-compare-w16": (
+        {"preset": "ny", "days": 90},
+        ["compare", "--lookahead", "16"],
+        "6306729f6ba180e53d969d96c9e5d4ed5c714af03437d81f96cb5cde830b99f7",
+    ),
     "ny-sweep": (
         {**BASE, "preset": "ny"},
         ["sweep"],

@@ -21,14 +21,15 @@ from dcmkit import (
     Schedule,
     ServerModel,
     check_schedule,
-    demand_series,
+    cp_cost,
     dispatch,
     dispatched_schedule,
     evaluate,
+    gcsr,
     supply_cost,
 )
 from dcmkit.errors import CapacityError
-from dcmkit.model import FEAS_TOL, MAX_SERVERS, MAX_SUPPLY_CELLS
+from dcmkit.model import FEAS_TOL, MAX_SERVERS, MAX_SUPPLY_CELLS, staged_schedule
 from dcmkit import offline
 from dcmkit.offline import idle_cost_block
 from dcmkit.verify import random_tiny_instance
@@ -76,11 +77,11 @@ def ny_overhead_instance(n_slots=9, servers=2500):
 
 def test_total_power_without_overheads_is_server_power():
     inst = bare_instance([4.0], [0.1])
-    assert demand_series(inst, [10.0])[0] == pytest.approx(1.6, abs=1e-12)
+    assert inst.demand([10.0])[0] == pytest.approx(1.6, abs=1e-12)
     idle = bare_instance([0.0], [0.1])
     assert idle.demand_table(1)[0] == 0.0
     # an all-idle fleet draws c_idle per server
-    assert demand_series(idle, [4.0])[0] == pytest.approx(0.4, abs=1e-12)
+    assert idle.demand([4.0])[0] == pytest.approx(0.4, abs=1e-12)
 
 
 def test_total_power_with_overheads_day_regime():
@@ -88,13 +89,13 @@ def test_total_power_with_overheads_day_regime():
     # cooling (0.041*0.25 + 0.144*0.5 + 0.047)*625 = 80.78125
     # conditioning (0.012*0.25 + 0.046*0.5 + 0.056)*625 = 51.25
     inst = ny_overhead_instance()
-    assert demand_series(inst, np.full(9, 2500.0))[8] == pytest.approx(444.53125, abs=1e-9)
+    assert inst.demand(np.full(9, 2500.0))[8] == pytest.approx(444.53125, abs=1e-9)
 
 
 def test_total_power_with_overheads_night_regime():
     # same operating point in slot 1 (hour 0) picks the night coefficients
     inst = ny_overhead_instance()
-    assert demand_series(inst, np.full(9, 2500.0))[0] == pytest.approx(437.1875, abs=1e-9)
+    assert inst.demand(np.full(9, 2500.0))[0] == pytest.approx(437.1875, abs=1e-9)
 
 
 def test_total_power_rejects_undersized_fleet():
@@ -128,10 +129,10 @@ def test_demand_series_matches_per_slot_tables():
         x = np.array([rng.integers(inst.min_servers(t), inst.max_servers + 1)
                       for t in range(1, inst.horizon + 1)], dtype=float)
         gathered = [inst.demand_table(t)[int(x[t - 1])] for t in range(1, inst.horizon + 1)]
-        assert np.array_equal(demand_series(inst, x), gathered)
+        assert np.array_equal(inst.demand(x), gathered)
         # every slot at every fleet size at once
         fleets = np.arange(inst.max_servers + 1, dtype=float)
-        grid = np.stack([demand_series(inst, np.full(inst.horizon, x_)) for x_ in fleets], axis=1)
+        grid = np.stack([inst.demand(np.full(inst.horizon, x_)) for x_ in fleets], axis=1)
         tables = np.stack([inst.demand_table(t) for t in range(1, inst.horizon + 1)])
         assert np.array_equal(grid, tables)
         # slot ranges in one evaluation
@@ -144,6 +145,52 @@ def test_demand_series_matches_per_slot_tables():
     for first, end in ((0, 1), (2, 1), (1, inst.horizon + 1)):
         with pytest.raises(ValueError):
             inst.demand_table(first, end)
+
+
+def test_demand_at_slots_is_the_whole_horizon_series_at_those_slots():
+    # demand reads any slots at any fleets, past the peak fleet M too, with
+    # the floats of the whole-horizon series; each demand_table mode is the
+    # bytes of demand on its own cells
+    rng = np.random.default_rng(4)
+    instances = [random_tiny_instance(rng) for _ in range(25)]
+    instances += [wraparound_instance("cubic", (0.4,), (0.25,)),
+                  wraparound_instance("quadratic", (0.041, 0.144, 0.047), (0.03, 0.136, 0.042))]
+    for inst in instances:
+        t_end, m = inst.horizon, inst.max_servers
+        fleets = np.arange(2 * m + 3, dtype=float)
+        series = np.stack([inst.demand(np.full(t_end, x)) for x in fleets], axis=1)
+        for s in range(1, t_end + 1):
+            assert inst.demand(fleets, s).tobytes() == series[s - 1].tobytes()
+            assert inst.demand(fleets[-1], s) == series[s - 1, -1]
+        slots = np.arange(1, t_end + 1)
+        assert inst.demand(fleets, slots[:, None]).tobytes() == series.tobytes()
+        assert inst.demand(fleets[-1], slots).tobytes() == series[:, -1].tobytes()
+        # demand_table's row, grid and band-cell modes
+        for t in slots.tolist():
+            assert inst.demand_table(t).tobytes() == inst.demand(fleets[: m + 1], t).tobytes()
+        first = int(rng.integers(1, t_end + 1))
+        end = int(rng.integers(first, t_end + 1))
+        grid = inst.demand(fleets[: m + 1], slots[first - 1 : end, None])
+        assert inst.demand_table(first, end).tobytes() == grid.tobytes()
+        lows = rng.integers(0, m + 1, end - first + 1)
+        highs = np.minimum(lows + rng.integers(-1, m + 1, len(lows)), m)
+        cells = np.concatenate([inst.demand(np.arange(lo, hi + 1), s)
+                                for s, lo, hi in zip(range(first, end + 1), lows, highs)])
+        assert inst.demand_table(first, end, lows, highs).tobytes() == cells.tobytes()
+
+
+def test_fleet_series_of_the_wrong_length_is_refused():
+    inst = bare_instance([1.0, 2.5, 0.0, 1.0, 3.0, 0.5], np.full(6, 0.1))
+    def supply(gen, energy, price):
+        return np.zeros(len(energy))
+    for length in (1, inst.horizon + 1):
+        x = np.full(length, 3.0)
+        for call in (lambda: inst.demand(x), lambda: cp_cost(inst, x),
+                     lambda: dispatched_schedule(inst, x, np.zeros(length)),
+                     lambda: staged_schedule(inst, x, supply)):
+            with pytest.raises(ConfigError, match=rf"^fleet series has shape \({length},\), "
+                                                  r"expected \(6,\)$"):
+                call()
 
 
 def regime_at(cooling, t):
@@ -497,7 +544,7 @@ def test_check_schedule_names_first_bad_slot():
 def first_violation(inst, sched):
     """Slot-by-slot reference for check_schedule's verdict."""
     gen = inst.generator
-    demand = demand_series(inst, sched.x)
+    demand = inst.demand(sched.x)
     for t in range(1, inst.horizon + 1):
         x, y, u, v = (s[t - 1] for s in (sched.x, sched.y, sched.u, sched.v))
         if x != int(x) or x < inst.min_servers(t):
@@ -568,6 +615,18 @@ def test_model_parameter_validation():
         ConditioningModel(kind="quadratic", quad=-0.1, b_max=1.0)
 
 
+def test_model_scalars_reject_bools():
+    # bools are not numbers to the config schema, nor to the models
+    with pytest.raises(ConfigError, match="server c_idle must be a finite number"):
+        ServerModel(False, True, True)
+    with pytest.raises(ConfigError, match="generator count must be a whole number"):
+        GeneratorModel(60.0, 0.08, 1.2, 24.0, True)
+    with pytest.raises(ConfigError, match="server beta_s must be a finite number"):
+        ServerModel(0.1, 0.25, np.True_)
+    with pytest.raises(ConfigError, match="lookahead must be a whole number"):
+        gcsr(bare_instance([1.0, 2.0], [0.1, 0.2]), True)
+
+
 def test_cooling_regimes_must_tile_the_period():
     day = CoolingRegime("day", 8, 20, (0.1, 0.1, 0.1))
     with pytest.raises(ConfigError, match="hour"):
@@ -596,7 +655,9 @@ def test_slot_accessors_reject_slots_outside_the_horizon():
     assert (inst.a(2), inst.p(3), inst.min_servers(2)) == (2.5, 0.3, 3)
     assert inst.demand_table(3).tobytes() == inst.demand_table(3, 3)[0].tobytes()
     for t in (0, -1, 4):
-        for accessor in (inst.a, inst.p, inst.min_servers, inst.demand_table):
+        for accessor in (inst.a, inst.p, inst.min_servers, inst.demand_table,
+                         lambda t: inst.demand(1.0, t), lambda t: inst.demand(1.0, [1, t, 2]),
+                         lambda t: inst.demand([[1.0, 2.0]], [[3], [t]])):
             with pytest.raises(ValueError, match=rf"^slot {t} is outside 1\.\.3$"):
                 accessor(t)
 

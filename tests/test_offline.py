@@ -18,7 +18,6 @@ from dcmkit import (
     brute_force_ep,
     cp_cost,
     cp_offline_slices,
-    demand_series,
     dispatched_schedule,
     ep_cost,
     ep_offline_slices,
@@ -501,7 +500,7 @@ def test_dp_rows_are_the_loadable_generators_within_one_startup_span():
             continue
         useful = [
             sum(gen.capacity * (unit - 1) < d for unit in range(1, gen.count + 1))
-            for d in demand_series(inst, tops).tolist()
+            for d in inst.demand(tops).tolist()
         ]
         span = math.floor(gen.beta_g / gen.c_m) + 1
         want = [max(useful[t : t + span + 1]) for t in range(inst.horizon)]
@@ -701,6 +700,6 @@ def test_decomposed_pipeline_never_beats_joint_optimum():
         inst = random_tiny_instance(rng)
         joint = evaluate(inst, solve_dcm_offline(inst)).total
         x = solve_cp_offline(inst)
-        y = solve_ep_offline(inst.generator, demand_series(inst, x), inst.price)
+        y = solve_ep_offline(inst.generator, inst.demand(x), inst.price)
         staged = evaluate(inst, dispatched_schedule(inst, x, y)).total
         assert staged >= joint - 1e-9

@@ -18,7 +18,6 @@ from dcmkit import (
     chase,
     cp_offline_slices,
     dcmon,
-    demand_series,
     ep_offline_slices,
     evaluate,
     gcsr,
@@ -82,7 +81,7 @@ def test_window_reveals_exactly_its_slots():
     assert window.end == 5  # clipped at the horizon
     fleet.decide_next()
     assert fleet.series == [1] * 5
-    assert np.array_equal(demand_series(inst, fleet.series), [0.25] * 5)
+    assert np.array_equal(inst.demand(fleet.series), [0.25] * 5)
 
 
 def test_window_past_the_horizon_is_the_horizon():
@@ -119,7 +118,7 @@ def test_fleet_energy_is_the_table_entry_of_each_decision(monkeypatch):
                 for _ in drive(fleet, window, w, block):
                     assert len(fleet.series) == fleet.next_slot - 1
                 assert len(fleet.series) == inst.horizon
-                energy = demand_series(inst, fleet.series)
+                energy = inst.demand(fleet.series)
                 for t, x in enumerate(fleet.series, start=1):
                     assert energy[t - 1] == inst.demand_table(t)[x]
     window = RevealedWindow(3)
@@ -169,7 +168,7 @@ def test_fleet_block_rows_match_sequential_sums(monkeypatch):
                     assert np.array_equal(rows, prefix[start - 1 : stop + 1])
                     # O(block * M) floats a call, whatever the window
                     assert stop - start + 1 <= block
-            energy = demand_series(inst, fleet.series)
+            energy = inst.demand(fleet.series)
             assert np.array_equal(energy, tables[np.arange(t_end), fleet.series])
 
 
@@ -204,7 +203,7 @@ def test_fleet_reads_stay_checked_after_a_block_is_evaluated(monkeypatch):
     window.reveal(5)
     fleet.decide_next()
     assert evaluated[2:] == [(4, 5)]
-    assert np.array_equal(demand_series(inst, fleet.series), [0.25] * 5)
+    assert np.array_equal(inst.demand(fleet.series), [0.25] * 5)
 
 
 class FurtherWindow:
@@ -750,7 +749,7 @@ def test_dcmon_schedule_is_feasible_and_dispatch_optimal():
         inst = random_tiny_instance(rng)
         sched = dcmon(inst, 2)
         costs = evaluate(inst, sched)  # evaluate re-checks feasibility
-        d = demand_series(inst, sched.x)
+        d = inst.demand(sched.x)
         assert np.allclose(sched.u + sched.v, d, atol=1e-9)
 
 

@@ -20,7 +20,8 @@ def test_every_export_resolves():
 
 
 def test_import_leaves_jsonschema_unloaded():
-    # only config validation needs jsonschema, so a fresh import skips it
+    # configs are checked by the package's own schema interpreter and nothing
+    # imports jsonschema, so a fresh import leaves it unloaded
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
