@@ -29,6 +29,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every main call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dcmkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -278,9 +278,10 @@ class Instance:
 
     workload and price are 1-based conceptually: series index k holds slot
     t = k+1. The accessor methods (a, p, min_servers, demand, demand_table)
-    take slot numbers and reject slots outside 1..T; demand is the one
-    evaluator of d_t(x). The solvers read whole blocks by slicing the
-    0-based arrays directly, slots t..end at [t-1:end].
+    take int slot numbers and reject bools, fractions and slots outside
+    1..T with ValueError; demand is the one evaluator of d_t(x). The solvers
+    read whole blocks by slicing the 0-based arrays directly, slots t..end
+    at [t-1:end].
     max_servers, the largest fleet any slot requires (max_t ceil(a(t))), is
     computed once at construction. Construction rejects magnitudes that
     overflow, so no solver runs on inf demands or costs: the full fleet's
@@ -368,7 +369,10 @@ class Instance:
     # -- per-slot series access (1-based slots) -----------------------------
 
     def _index(self, t: int) -> int:
-        """0-based index of slot t; ValueError unless 1 <= t <= horizon."""
+        """0-based index of slot t; ValueError unless t is an int (a Python or
+        numpy integer, not a bool) in 1..horizon."""
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+            raise ValueError(f"slot {t!r} is not an int")
         if not 1 <= t <= self.horizon:
             raise ValueError(f"slot {t} is outside 1..{self.horizon}")
         return t - 1
@@ -388,10 +392,11 @@ class Instance:
         """d_t(x) at slots t, without the x >= ceil(a(t)) gate.
 
         slots is a 1-based slot number or an int array of them (ValueError
-        outside 1..T), and x broadcasts against it; None means every slot, and
-        x is then a fleet series of shape (T,) (ConfigError otherwise). Every
-        per-slot demand number in the package but min_marginal_demand's comes
-        from here, so a value is the same float whichever path asks for it.
+        for any other dtype, bool included, and outside 1..T), and x
+        broadcasts against it; None means every slot, and x is then a fleet
+        series of shape (T,) (ConfigError otherwise). Every per-slot demand
+        number in the package but min_marginal_demand's comes from here, so
+        a value is the same float whichever path asks for it.
         work, three arrays of the result's shape, receives the result, b and
         b/b_max in place of new arrays: the same operations in the same order.
         """
@@ -401,7 +406,10 @@ class Instance:
             if x.shape != self.workload.shape:
                 raise ConfigError(f"fleet series has shape {x.shape}, expected ({self.horizon},)")
         else:
-            k = np.asarray(slots) - 1
+            k = np.asarray(slots)
+            if k.dtype.kind not in "iu":  # no bool or fractional slot numbers
+                raise ValueError(f"slot numbers must be ints, got {k.dtype}")
+            k = k - 1
             if k.size and not 0 <= k.min() <= k.max() < self.horizon:  # name the first bad slot
                 self._index(int(k[(k < 0) | (k >= self.horizon)][0]) + 1)
         srv = self.server
@@ -431,9 +439,9 @@ class Instance:
         """
         x = np.arange(self.max_servers + 1, dtype=float)
         if end is None:
-            out = self.demand(x, t, work)
-        elif not 1 <= t <= end <= self.horizon:
-            raise ValueError(f"need 1 <= t <= end <= {self.horizon}, got t={t}, end={end}")
+            out = self.demand(x, self._index(t) + 1, work)  # t=None would mean every slot
+        elif self._index(t) > self._index(end):
+            raise ValueError(f"need t <= end, got t={t}, end={end}")
         elif lows is None:
             out = self.demand(x, np.arange(t, end + 1)[:, None], work)
         else:

@@ -60,7 +60,13 @@ The generator slices share one kernel with online CHASE: regret_rows steps
 every slice's clamped savings over a block of slots, and next_extremes finds
 each row's next extreme. Offline the block is the whole horizon, and a slice
 is off past its last extreme; CHASE steps the same kernel in blocks of
-BLOCK_SLOTS decisions.
+BLOCK_SLOTS decisions. The savings recurrence is sequential in time, so
+regret_rows prices a block's gains in one numpy call, then steps each moving
+slice's column in Python floats (about 0.13 us per slot and moving slice)
+and fills a slice held at a clamp for the whole block without stepping it.
+That beats the row loop of three ufunc calls per slot it replaced (2.3-3 us
+per slot, whatever the fleet) below about 20 moving slices; past that the
+row loop would win, by about 2x at 40, and no switch picks it.
 """
 
 from __future__ import annotations
@@ -754,20 +760,44 @@ def regret_rows(gen: GeneratorModel, energy, price, regret) -> np.ndarray:
     """Clamped savings rows R(s), one column per slice, of a block of slots.
 
     energy and price hold the block's slots; regret is R of the slot before
-    the block. Slice i sees max(e - i*L, 0), which regret_steps caps at L.
-    Each row takes one add and two clamps over the slices, in place: the
-    floats of min(0.0, max(-beta_g, R(s-1) + gain(s))), the same as that
-    recurrence gives one slice and one slot at a time.
+    the block. Slice i sees max(e - i*L, 0), which regret_steps caps at L,
+    and the whole block's gains are priced in one vectorised call. The
+    recurrence R(s) = min(0.0, max(-beta_g, R(s-1) + gain(s))) is
+    sequential in s, so each slice's column is stepped in Python floats in
+    that order: r += gain, then r if r > bottom else bottom, then r if
+    r < 0.0 else 0.0. On a tie that keeps the second operand, as
+    np.maximum and np.minimum do, so the floats, signed zeros included,
+    are those of one np.add and two clamps over a row per slot (the
+    reference in tests/test_regret_reference.py). A slice that stays at a
+    clamp for the whole block (R = -beta_g with every gain <= 0, or R = 0
+    with every gain >= 0) is filled with that clamp without stepping; on
+    the perfbench traces 3 of 10 slices move in every block and the other
+    7 sit at -beta_g throughout.
+
+    Cost on a 2-core Xeon: about 0.13 us per (slot, moving slice) and a few
+    numpy calls per slice, against 2.3-3 us per slot for the row loop's
+    three ufunc calls, whatever the fleet. With every slice moving that is
+    0.5-0.6x the row loop's time at 10 slices, 1.0-1.1x at 20 and 1.8-2.1x
+    at 40 (BENCH_30.json); there is one path, with no switch on that
+    crossover.
     """
     offsets = np.arange(gen.count) * gen.capacity  # slice i starts at i*L
     energy = np.maximum(np.asarray(energy, dtype=float)[:, None] - offsets, 0.0)
     rows = regret_steps(gen, energy, np.asarray(price, dtype=float)[:, None])
-    bottom = -gen.beta_g
-    for row in rows:
-        np.add(regret, row, out=row)
-        np.maximum(row, bottom, out=row)
-        np.minimum(row, 0.0, out=row)
-        regret = row
+    bottom = -gen.beta_g  # < 0: GeneratorModel takes beta_g > 0
+    rising, falling = (rows >= 0.0).all(axis=0).tolist(), (rows <= 0.0).all(axis=0).tolist()
+    for i, r in enumerate(np.asarray(regret, dtype=float).tolist()):
+        if r == 0.0 and rising[i] or r == bottom and falling[i]:
+            rows[:, i] = 0.0 if r == 0.0 else bottom  # held at a clamp: no step moves it
+            continue
+        column = []
+        append = column.append
+        for gain in memoryview(rows[:, i].copy()):  # one Python float at a time
+            r += gain
+            r = r if r > bottom else bottom
+            r = r if r < 0.0 else 0.0
+            append(r)
+        rows[:, i] = column
     return rows
 
 

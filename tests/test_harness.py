@@ -503,6 +503,22 @@ def test_cli_synth_stdout_parses(capsys):
     assert trace.horizon == 24
 
 
+def test_cli_builds_its_parser_once_and_reuses_it(capsys):
+    # a rejected argument or another subcommand leaves nothing behind for the next call
+    parser = cli._build_parser()
+    assert main(["synth", "--days", "1", "--servers", "5", "--seed", "3"]) == 0
+    first = capsys.readouterr().out
+    assert main(["synth", "--days", "x"]) == 1
+    assert "argument --days: invalid int value" in capsys.readouterr().err
+    assert main(["solve", "--algo", "nope"]) == 1
+    capsys.readouterr()
+    assert main(["synth", "--days", "1", "--servers", "5", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == first
+    assert main(["synth", "--days", "1", "--servers", "5"]) == 0
+    assert capsys.readouterr().out != first  # --seed took its default again
+    assert cli._build_parser() is parser
+
+
 def test_cli_solve_each_algorithm(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path)
     for algo in ("offline", "static", "cpoff", "ofa", "chase", "dcmon"):

@@ -662,6 +662,28 @@ def test_slot_accessors_reject_slots_outside_the_horizon():
                 accessor(t)
 
 
+def test_slot_accessors_reject_slots_that_are_not_ints():
+    inst = bare_instance([1.0, 2.5, 0.0], [0.1, 0.2, 0.3])
+    assert inst.a(np.int64(2)) == 2.5 and inst.demand_table(np.uint8(3)).shape == (4,)
+    for t in (True, False, np.bool_(True), 1.0, 1.5, np.float64(2.0), "1", None):
+        for accessor in (inst.a, inst.p, inst.min_servers, inst.demand_table):
+            with pytest.raises(ValueError, match=r"^slot .* is not an int$"):
+                accessor(t)
+        with pytest.raises(ValueError, match=r"^slot .* is not an int$"):
+            inst.demand_table(t, 3)
+        if t is not None:  # end=None is the one-slot table
+            with pytest.raises(ValueError, match=r"^slot .* is not an int$"):
+                inst.demand_table(1, t)
+    for slots in (True, 1.5, 2.0, [1.0, 2.0], [True, False], np.array([[1.5], [2.5]]), []):
+        with pytest.raises(ValueError, match=r"^slot numbers must be ints, got (bool|float64)$"):
+            inst.demand(1.0, slots)
+    assert inst.demand(1.0, np.array([3, 1], dtype=np.int32)).tobytes() == inst.demand(1.0, [3, 1]).tobytes()
+    with pytest.raises(ValueError, match=r"^need t <= end, got t=3, end=2$"):
+        inst.demand_table(3, 2)
+    with pytest.raises(ValueError, match=r"^slot 4 is outside 1\.\.3$"):
+        inst.demand_table(1, 4)
+
+
 def test_instance_series_validation():
     with pytest.raises(ConfigError, match="mismatch"):
         bare_instance([1.0, 2.0], [0.1])
