@@ -5,7 +5,6 @@ theoretical ratios measurable on real runs.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +32,7 @@ from .offline import (
 from .online import (
     BoundParams,
     OngridParams,
+    _whole_slots,
     dcmon,
     gcsr,
     ratio_bound_hybrid,
@@ -133,17 +133,16 @@ class ExperimentReport:
 
 
 def offline_reference(
-    instance: Instance, state_budget: int = DEFAULT_STATE_BUDGET, cpoff=None
+    instance: Instance, state_budget: int = DEFAULT_STATE_BUDGET, cpoff_x=None
 ) -> tuple[Schedule, str]:
     """Joint optimum when the state graph fits the budget, else the
-    stage-wise decomposition on cpoff's provisioning series, which the
-    zero-argument function cpoff returns (solve_cp_offline when not given)
-    and which is asked for only then; the second element names which one
-    ran."""
+    stage-wise decomposition on cpoff's provisioning series cpoff_x (a
+    GapWalk's offline_series; solve_cp_offline's, solved only then, when
+    not given); the second element names which one ran."""
     try:
         return solve_dcm_offline(instance, state_budget=state_budget), "exact"
     except CapacityError:
-        x = solve_cp_offline(instance) if cpoff is None else cpoff()
+        x = solve_cp_offline(instance) if cpoff_x is None else cpoff_x
         return staged_schedule(instance, x, solve_ep_offline), "decomposed"
 
 
@@ -167,7 +166,7 @@ def run_comparison(
     walk = GapWalk(instance)
     gcsr_x = gcsr(instance, lookahead, walk=walk)
     cpoff_x = walk.offline_series()
-    reference, kind = offline_reference(instance, state_budget, lambda: cpoff_x)
+    reference, kind = offline_reference(instance, state_budget, cpoff_x)
     lineup = {
         "static": static_schedule(instance),
         "offline": reference,
@@ -229,13 +228,13 @@ def sweep_lookahead(
     the first window's gcsr run; once every gcsr has run, the walk gives
     cpoff's series. The sweep makes one P-row walk.
     """
-    lookaheads = [int(w) for w in lookaheads]
+    lookaheads = [_whole_slots(w) for w in lookaheads]
     if not lookaheads:
         return []
     walk = GapWalk(instance)
     gcsr_xs = [gcsr(instance, w, walk=walk) for w in lookaheads]
     cpoff_x = walk.offline_series()
-    reference, kind = offline_reference(instance, state_budget, lambda: cpoff_x)
+    reference, kind = offline_reference(instance, state_budget, cpoff_x)
     ref_total = evaluate(instance, reference).total
     cpoff_total = evaluate(instance, grid_only_schedule(instance, cpoff_x)).total
     ongrid = OngridParams.from_instance(instance)
@@ -278,21 +277,20 @@ def sweep_generators(
     lookahead: int,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> list[dict]:
-    """Cost as the generator fleet grows; everything re-solved per count
-    except cpoff's provisioning series, which does not depend on the
-    generators: it is solved once, for the first count whose reference
-    falls back to the decomposition."""
-    cpoff = functools.cache(lambda: solve_cp_offline(instance))
+    """Cost as the generator fleet grows. Provisioning does not read the
+    generators, so every count's dcmon reads one GapWalk, stepped by the
+    first count's run, which then gives cpoff's series to every decomposed
+    reference. The sweep makes one P-row walk."""
+    walk = GapWalk(instance)
     rows = []
-    for n in counts:
-        inst = instance.with_generator_count(int(n))
-        reference, kind = offline_reference(inst, state_budget, cpoff)
+    for inst in [instance.with_generator_count(n) for n in counts]:  # every count checked first
+        dcmon_total = evaluate(inst, dcmon(inst, lookahead, walk=walk)).total
+        reference, kind = offline_reference(inst, state_budget, walk.offline_series())
         ref_total = evaluate(inst, reference).total
-        dcmon_total = evaluate(inst, dcmon(inst, lookahead)).total
         rows.append(
             {
                 "axis": "generators",
-                "value": int(n),
+                "value": inst.generator.count,
                 "reference_kind": kind,
                 "costs": {"offline": ref_total, "dcmon": dcmon_total},
                 "ratios": {

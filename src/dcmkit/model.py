@@ -21,7 +21,7 @@ shared freely between threads and memoized solvers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -117,6 +117,7 @@ class GeneratorModel:
         check_scalar("generator c_m", self.c_m)
         check_scalar("generator beta_g", self.beta_g, strict=True)
         check_scalar("generator count", self.count, whole=True)
+        object.__setattr__(self, "count", int(self.count))  # 2.0 or a numpy int as an int
 
     @property
     def breakeven_price(self) -> float:
@@ -494,16 +495,12 @@ class Instance:
         return clone
 
     def with_generator_count(self, count: int) -> "Instance":
-        gen = self.generator
-        return Instance(
-            workload=self.workload,
-            price=self.price,
-            server=self.server,
-            generator=GeneratorModel(gen.capacity, gen.c_o, gen.c_m, gen.beta_g, count),
-            cooling=self.cooling,
-            conditioning=self.conditioning,
-            label=self.label,
-        )
+        """This instance with count generators, checked as at construction;
+        it shares every other input and derived field, so one GapWalk serves both."""
+        clone = replace(self, generator=replace(self.generator, count=count))
+        for name in ("workload", "price", "_slot_coeffs"):
+            object.__setattr__(clone, name, getattr(self, name))
+        return clone
 
 
 # ---------------------------------------------------------------------------

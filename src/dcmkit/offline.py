@@ -48,12 +48,12 @@ decides each gap at the slot where it closes, follows the open gaps that
 have not reached break-even and records, per slot, the kept gaps' opens
 and closes; for the GCSR fleets that read it, it also finds each reached
 gap's break-even slot j* and keeps, in j* order, one (slice, g, j*)
-record per reached gap. None of that depends on a window, so
-solve_cp_offline holds one chunk of CHUNK_CELLS cells, reused by every
-step, plus O(M + T) numbers, never a (T, M) array or a block of P rows,
-and every online GCSR fleet of an instance can read one walk:
-online and offline slice rules compare the same floats, and compare and
-sweep make one P-row walk for GCSR, DCMON and cpoff together.
+record per reached gap. None of that depends on a window or the
+generators, so solve_cp_offline holds one chunk of CHUNK_CELLS cells,
+reused by every step, plus O(M + T) numbers, never a (T, M) array or a
+block of P rows, and GCSR fleets of the same provisioning inputs can read
+one walk: online and offline slice rules compare the same floats, and
+compare and sweep make one P-row walk for GCSR, DCMON and cpoff together.
 solve_cp_offline stays the standalone solver and the checks' reference.
 
 The generator slices share one kernel with online CHASE: regret_rows steps
@@ -570,11 +570,12 @@ class GapWalk:
     _breakeven_rows over the sub-step's rows, O(gaps * log chunk) work, once
     a GCSR fleet or cp_offline_slices asks (record_breakevens).
 
-    Nothing here reads a window, and nothing depends on how the slots are
-    cut into blocks: j*, both verdicts and the P floats are the same for
-    every window and every block size. So one walk serves every GCSR fleet
-    of an instance (online.GcsrFleet), whatever its window, and the offline
-    rule. It keeps:
+    Nothing here reads a window or the generators, and nothing depends on
+    how the slots are cut into blocks: j*, both verdicts and the P floats
+    are the same for every window, generator fleet and block size. So one
+    walk serves every GCSR fleet of the instance's provisioning inputs
+    (workload, price, server, cooling and conditioning; online.GcsrFleet),
+    whatever its window and generator count, and the offline rule. It keeps:
     - c(s) of the stepped slots (need)
     - per slot, the kept gaps that open there and that close there
       (kept_opens, kept_closes)

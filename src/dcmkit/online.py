@@ -17,15 +17,15 @@ gap's break-even slot j* and holds from there on. j* can thus be found by a
 binary search over the gap's P rows, and the slice turns off at max(g, t*),
 g the gap's first slot and t* the first decision whose window reveals j*.
 Only t* depends on the window. The offline rule's walk (offline.GapWalk)
-finds j* and both verdicts of every gap, the same for every window, so the
-fleet (GcsrFleet) reads a walk that other fleets of the instance may share.
-It steps the walk, reading a(s) through its own window, only past where
-some fleet already has, and takes only the walk's records whose evidence
-lies within its own window end, each checked against its own decision's
-end: a shared walk is as causal as a private one. The walk costs
-O(rows * M + gaps * log chunk) work once; each fleet that reads it
-O(T + reached gaps). One walk serves gcsr, dcmon and solve_cp_offline's
-series (GapWalk.offline_series) in a compare, and every window of a sweep.
+finds j* and both verdicts of every gap, the same for every window and
+generator fleet, so the fleet (GcsrFleet) reads a walk that fleets of the
+same provisioning inputs may share. It steps the walk, reading a(s) through
+its own window, only past where some fleet has, and takes only the walk's
+records whose evidence lies within its own window end, each checked against
+its own decision's end: a shared walk is as causal as a private one. The
+walk costs O(rows * M + gaps * log chunk) work once, each fleet O(T +
+reached gaps). One walk serves a compare's gcsr, dcmon and cpoff, and every
+window and generator count of a sweep.
 
 Supply (CHASE, ChaseFleet): each unit generator slice tracks R, its
 cumulative savings of running versus buying from the grid, clamped to
@@ -181,9 +181,10 @@ class GcsrFleet:
     stays on. That holds for any window that never shrinks: gcsr's s + w
     and DCMON's master window alike.
 
-    The fleet reads a walk (offline.GapWalk) of its instance, its own or one
-    that other fleets share: the walk finds j* and both verdicts of every
-    gap, and none of them depends on the window; the fleet asks for j*
+    The fleet reads a walk (offline.GapWalk) of its instance's provisioning
+    inputs, its own or one that other fleets share, whatever their generator
+    counts: the walk finds j* and both verdicts of every gap, and none of
+    them depends on the window or the generators; the fleet asks for j*
     (GapWalk.record_breakevens) before the walk's first step. decide_next
     decides every slot from next_slot whose own window end is revealed
     (RevealedWindow.ends); the last of those ends is E. It steps the walk
@@ -211,8 +212,9 @@ class GcsrFleet:
     """
 
     def __init__(self, instance: Instance, window: RevealedWindow, walk: GapWalk | None = None):
-        if walk is not None and walk.instance is not instance:
-            raise ConfigError("a GCSR fleet reads a walk of its own instance")
+        if walk is not None and any(getattr(walk.instance, k) is not getattr(instance, k) for k in
+                                    ("workload", "price", "server", "cooling", "conditioning")):
+            raise ConfigError("a GCSR fleet reads a walk of its own instance's provisioning inputs")
         self.instance = instance
         self.window = window
         self.walk = (GapWalk(instance) if walk is None else walk).record_breakevens()
@@ -256,9 +258,9 @@ def gcsr(instance: Instance, lookahead: int, return_slices: bool = False, *,
     with return_slices also the (max_servers, horizon) on/off matrix of its
     slices.
 
-    walk is a GapWalk of instance that other runs may share, a new one when
-    None; the result is the same either way. The run steps the walk to the
-    end, so the walk's offline_series is then solve_cp_offline's series.
+    walk is a GapWalk of instance's provisioning inputs (see GcsrFleet), a
+    new one when None; the result is the same either way. The run steps it
+    to the end, so its offline_series is then solve_cp_offline's series.
     Decision t's window ends at t + lookahead. The driver reveals the ends
     of offline.BLOCK_SLOTS decisions at a time and the fleet decides them in
     one step (see GcsrFleet). The rule treats the horizon end as unknown
@@ -368,8 +370,8 @@ def dcmon(instance: Instance, lookahead: int, params: OngridParams | None = None
 
     A GCSR run decides slot s under the master window of output slot
     max(1, s - w_ep), w_ep = params.ep_window(lookahead), so its window ends
-    at max(1, s - w_ep) + w. It reads walk, a GapWalk of instance that other
-    runs may share (a new one when None; see GcsrFleet). CHASE then runs
+    at max(1, s - w_ep) + w. It reads walk, a GapWalk of instance's
+    provisioning inputs (a new one when None; see GcsrFleet). CHASE then runs
     with window w_ep on the energy series of that fleet, and the dispatch
     rule completes each slot (model.staged_schedule). Causal: CHASE decision
     s reads energy up to slot s + w_ep, whose fleet was decided on inputs up

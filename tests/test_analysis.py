@@ -140,6 +140,9 @@ def test_comparison_and_sweep_walk_each_slots_idle_costs_once(monkeypatch):
     slots.clear()
     sweep_lookahead(inst, (0, 1, 16), state_budget=1)  # decomposed reference: cpoff too
     assert slots == list(range(1, inst.horizon + 1))
+    slots.clear()
+    sweep_generators(inst, (0, 1, 2), 16, state_budget=1)  # every count's dcmon and cpoff
+    assert slots == list(range(1, inst.horizon + 1))
 
 
 def test_sweep_leaves_out_a_hybrid_bound_that_overflows():
@@ -271,8 +274,8 @@ def test_sweep_generators_flattens_once_demand_is_covered():
 def test_sweep_generators_solves_cpoff_once(monkeypatch):
     # 90 days: the exact DP fits the budget with no generators only, so the
     # counts 5 and 10 fall back to the decomposition; its provisioning
-    # series does not depend on the generators and is solved once, and the
-    # rows are those of a per-count solve
+    # series does not depend on the generators and is read off the sweep's
+    # one walk, never solved, and the rows are those of a per-count solve
     trace = harness.synthesize_trace(seed=2, days=90, servers=600)
     inst = harness.build_instance(trace, harness.validate_config({}))
     calls = []
@@ -283,12 +286,25 @@ def test_sweep_generators_solves_cpoff_once(monkeypatch):
 
     monkeypatch.setattr(analysis, "solve_cp_offline", spy)
     rows = sweep_generators(inst, [0, 5, 10], lookahead=4)
-    assert len(calls) == 1
+    assert len(calls) == 0
     assert [r["reference_kind"] for r in rows] == ["exact", "decomposed", "decomposed"]
     for row in rows[1:]:
         each = inst.with_generator_count(row["value"])
         reference, _ = analysis.offline_reference(each)
         assert row["costs"]["offline"] == evaluate(each, reference).total
+
+
+def test_sweep_axis_values_must_be_whole_numbers():
+    # each value is checked as the solvers check it, not truncated by int()
+    inst = toy_instance([1.0, 0.0, 0.0, 2.0], [0.1, 0.3, 0.1, 0.3])
+    for values in ([2.5], [True], [-1], [float("nan")], ["2"]):
+        with pytest.raises(ConfigError, match="lookahead must be a whole number"):
+            sweep_lookahead(inst, values)
+        with pytest.raises(ConfigError, match="generator count must be a whole number"):
+            sweep_generators(inst, [1] + values, 2)
+    rows = sweep_lookahead(inst, [np.int64(2), 2.0]) + sweep_generators(inst, [np.int64(2), 2.0], 2)
+    assert [(type(r["value"]), r["value"]) for r in rows] == [(int, 2)] * 4
+    assert rows[0] == rows[1] and rows[2] == rows[3]
 
 
 # ---------------------------------------------------------------------------

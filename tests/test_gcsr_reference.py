@@ -328,6 +328,28 @@ def test_runs_on_one_shared_walk_equal_solo_runs(monkeypatch):
     assert compared >= 101 * 4 * 4
 
 
+def test_runs_of_every_generator_count_on_one_walk_equal_private_runs():
+    # provisioning does not read the generators: gcsr and dcmon on
+    # inst.with_generator_count(n) read one walk of inst, stepped by the first
+    # count's lagged dcmon fleet, and each result, dcmon's supply stage and
+    # the walk's offline series included, is the private-walk run's bit for bit
+    rng = np.random.default_rng(313)
+    cases = [random_bound_instance(rng) for _ in range(30)]
+    cfg = harness.validate_config({})
+    cases += [harness.build_instance(harness.synthesize_trace(0, 22, 600, p), cfg)
+              for p in ("ny", "sj", "flat")]
+    for inst in cases:
+        walk = offline.GapWalk(inst)
+        for w in (4, 0):
+            for n in (0, 1, 3, 10):
+                each = inst.with_generator_count(n)
+                got, want = dcmon(each, w, walk=walk), dcmon(each, w)
+                assert [getattr(got, f).tobytes() for f in "xyuv"] == \
+                    [getattr(want, f).tobytes() for f in "xyuv"], (n, w)
+                assert gcsr(each, w, walk=walk).tobytes() == gcsr(each, w).tobytes()
+        assert walk.offline_series().tobytes() == solve_cp_offline(inst).tobytes()
+
+
 def test_walk_results_do_not_depend_on_the_chunk_or_block_cut(monkeypatch):
     # a walk steps its blocks of BLOCK_SLOTS slots in sub-steps of one demand
     # chunk, max(1, CHUNK_CELLS // (M+1)) slots: chunks of 1, 1, 3 and (the

@@ -127,6 +127,19 @@ CASES = {
         ["sweep"],
         "3226616bd67f0ab140f36f592ec320ac0527b67f4cce8ac076e570b5a0e509d3",
     ),
+    # the generator axis: every count's reference is exact at 3 days; at 90 days
+    # count 0 is exact and counts 5 and 10 fall back to the decomposition
+    "ny-sweep-generators": (
+        {**BASE, "lookahead": 4, "sweep": {"axis": "generators", "values": [0, 1, 2, 3]}},
+        ["sweep"],
+        "09bdd375dbe017158a0ed246d41b65d5134a5b8d8f64e87bca470d30ddfd7328",
+    ),
+    "ny-90d-sweep-generators-w16": (
+        {"preset": "ny", "days": 90, "lookahead": 16,
+         "sweep": {"axis": "generators", "values": [0, 5, 10]}},
+        ["sweep"],
+        "58f107d6d98ae0e2463a0221c547522d305e6c242b4f538ff816ce44c31cc98f",
+    ),
 }
 
 

@@ -22,6 +22,7 @@ from dcmkit import (
     ServerModel,
     check_schedule,
     cp_cost,
+    dcmon,
     dispatch,
     dispatched_schedule,
     evaluate,
@@ -773,6 +774,45 @@ def test_with_generator_count_swaps_only_the_fleet():
     assert alt.generator.count == 0
     assert alt.generator.capacity == inst.generator.capacity
     assert alt.server is inst.server
+
+
+def test_generator_count_is_held_as_an_int():
+    # a whole float or a numpy int passes the count check and is held as an
+    # int, so the supply stage can size its arrays by it
+    inst = bare_instance([1.0, 2.0, 0.0, 1.0], [0.11, 0.3, 0.2, 0.3], count=2.0)
+    for gen in (inst.generator, inst.with_generator_count(np.int64(3)).generator):
+        assert type(gen.count) is int
+    assert inst.generator.count == 2
+    assert dcmon(inst, 2).horizon == 4
+
+
+def test_with_generator_count_shares_the_provisioning_inputs_and_checks_the_fleet():
+    # the fleet's instance shares the arrays, the fields derived from them
+    # and the server, cooling and conditioning models, so a GapWalk of one
+    # serves the other; the new fleet is checked as at construction
+    base = ny_overhead_instance()
+    inst = Instance(workload=np.linspace(0.0, 4.0, 9), price=np.linspace(0.05, 0.3, 9),
+                    server=base.server, generator=GEN, cooling=base.cooling,
+                    conditioning=base.conditioning, label="shared")
+    alt = inst.with_generator_count(5)
+    assert alt.generator == GeneratorModel(60.0, 0.08, 1.2, 24.0, 5)
+    for name in ("workload", "price", "server", "cooling", "conditioning", "_slot_coeffs", "label"):
+        assert getattr(alt, name) is getattr(inst, name), name
+    assert alt.max_servers == inst.max_servers == 4
+    assert alt.demand_table(3).tobytes() == inst.demand_table(3).tobytes()
+    with pytest.raises(ConfigError, match=r"^uneconomical generators: need c_o \+ c_m/capacity "
+                                          r"< max price \(0\.1 >= 0\.1\)$"):
+        base.with_generator_count(1)
+    with pytest.raises(CapacityError, match=r"^9 slots x 10000001 generator states exceed"):
+        inst.with_generator_count(10**7)
+    with pytest.raises(ConfigError, match=r"^generator count must be a whole number >= 0, "
+                                          r"got 2\.5$"):
+        inst.with_generator_count(2.5)
+    huge = Instance(workload=[1.0], price=[0.2], server=base.server,
+                    generator=GeneratorModel(1e308, 0.0, 0.0, 24.0, 0))
+    with pytest.raises(ConfigError, match=r"^the static plan's cost, .* "
+                                          r"with capacity L\*N = inf: "):
+        huge.with_generator_count(2)
 
 
 def test_instance_arrays_are_frozen():

@@ -366,6 +366,29 @@ def test_lagged_fleet_on_a_walk_stepped_to_the_end_raises_as_standalone(monkeypa
         gcsr(inst, 5, walk=offline.GapWalk(inst.truncated(9)))
 
 
+def test_gcsr_fleet_refuses_a_walk_of_other_provisioning_inputs():
+    # a walk serves every generator count of its instance's workload, price,
+    # server, cooling and conditioning, compared by identity: a walk of an
+    # instance that differs in one of them, or of an equal copy, is refused
+    inst = dyadic_instance([1, 1, 0, 0, 0, 0, 1, 0, 1])
+    fleets = inst.with_generator_count(3)
+    for walk_of, run_on in ((inst, fleets), (fleets, inst)):
+        walk = offline.GapWalk(walk_of)
+        assert np.array_equal(gcsr(run_on, 2, walk=walk), gcsr(inst, 2))
+    others = [dataclasses.replace(inst)]
+    for name in ("workload", "price", "server", "cooling", "conditioning"):
+        other = inst.with_generator_count(1)
+        value = getattr(inst, name)
+        object.__setattr__(other, name, value.copy() if name in ("workload", "price")
+                           else dataclasses.replace(value))
+        others.append(other)
+    for other in others:
+        with pytest.raises(ConfigError, match="walk of its own instance's provisioning inputs"):
+            gcsr(inst, 2, walk=offline.GapWalk(other))
+        with pytest.raises(ConfigError, match="walk of its own instance's provisioning inputs"):
+            dcmon(other, 2, walk=offline.GapWalk(inst))
+
+
 def test_walk_searches_breakeven_slots_only_for_a_fleet(monkeypatch):
     # standalone cpoff reads only the kept gaps and never searches for j*;
     # a GCSR fleet asks its walk to record j* before the first step, so a
