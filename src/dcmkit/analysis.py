@@ -70,6 +70,14 @@ def decomposed_offline_schedule(instance: Instance) -> Schedule:
     return staged_schedule(instance, solve_cp_offline(instance), solve_ep_offline)
 
 
+def cost_ratio(total: float, reference: float) -> float:
+    """total / reference, the competitive ratio of a cost: 1.0 when both
+    costs are 0, inf when only the reference is."""
+    if reference == 0.0:
+        return 1.0 if total == 0.0 else math.inf
+    return total / reference
+
+
 @dataclass(frozen=True)
 class AlgoResult:
     """One algorithm's schedule and its evaluated cost on an instance."""
@@ -110,10 +118,7 @@ class ExperimentReport:
         return 1.0 - self.results[name].total / base
 
     def ratio(self, name: str, reference: str) -> float:
-        ref = self.results[reference].total
-        if ref == 0.0:
-            return 1.0 if self.results[name].total == 0.0 else math.inf
-        return self.results[name].total / ref
+        return cost_ratio(self.results[name].total, self.results[reference].total)
 
     def to_dict(self) -> dict:
         return {
@@ -262,8 +267,8 @@ def sweep_lookahead(
                     "dcmon": dcmon_total,
                 },
                 "ratios": {
-                    "gcsr_vs_cpoff": gcsr_total / cpoff_total if cpoff_total else 1.0,
-                    "dcmon_vs_offline": dcmon_total / ref_total if ref_total else 1.0,
+                    "gcsr_vs_cpoff": cost_ratio(gcsr_total, cpoff_total),
+                    "dcmon_vs_offline": cost_ratio(dcmon_total, ref_total),
                 },
                 "bounds": bounds,
             }
@@ -293,9 +298,7 @@ def sweep_generators(
                 "value": inst.generator.count,
                 "reference_kind": kind,
                 "costs": {"offline": ref_total, "dcmon": dcmon_total},
-                "ratios": {
-                    "dcmon_vs_offline": dcmon_total / ref_total if ref_total else 1.0
-                },
+                "ratios": {"dcmon_vs_offline": cost_ratio(dcmon_total, ref_total)},
                 "bounds": {},
             }
         )

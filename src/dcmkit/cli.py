@@ -20,7 +20,21 @@ from .model import evaluate, staged_schedule
 from .offline import brute_force_dcm, solve_dcm_offline
 from .verify import run_verification
 
-ALGORITHMS = ("offline", "bruteforce", "gcsr", "chase", "dcmon", "static", "cpoff", "ofa")
+# algorithm -> its schedule on (instance, look-ahead window), in --algo's order.
+# Each entry looks its solver up when called, so a name rebound in this module
+# (a tracer's wrapper, say) is the one that runs.
+_SCHEDULES = {
+    "offline": lambda instance, w: solve_dcm_offline(instance),
+    "bruteforce": lambda instance, w: brute_force_dcm(instance),
+    "gcsr": lambda instance, w: analysis.grid_only_schedule(instance, online.gcsr(instance, w)),
+    "chase": lambda instance, w: staged_schedule(
+        instance, analysis.static_fleet(instance), functools.partial(online.chase, lookahead=w)),
+    "dcmon": lambda instance, w: online.dcmon(instance, w),
+    "static": lambda instance, w: analysis.static_schedule(instance),
+    "cpoff": lambda instance, w: analysis.cp_only_schedule(instance),
+    "ofa": lambda instance, w: analysis.ep_only_schedule(instance),
+}
+ALGORITHMS = tuple(_SCHEDULES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,30 +103,9 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text.getvalue())
 
 
-def _solve_schedule(instance, algo: str, lookahead: int):
-    if algo == "offline":
-        return solve_dcm_offline(instance)
-    if algo == "bruteforce":
-        return brute_force_dcm(instance)
-    if algo == "static":
-        return analysis.static_schedule(instance)
-    if algo == "cpoff":
-        return analysis.cp_only_schedule(instance)
-    if algo == "ofa":
-        return analysis.ep_only_schedule(instance)
-    if algo == "gcsr":
-        return analysis.grid_only_schedule(instance, online.gcsr(instance, lookahead))
-    if algo == "chase":
-        chase = functools.partial(online.chase, lookahead=lookahead)
-        return staged_schedule(instance, analysis.static_fleet(instance), chase)
-    if algo == "dcmon":
-        return online.dcmon(instance, lookahead)
-    raise ConfigError(f"unknown algorithm {algo!r}")
-
-
 def _cmd_solve(args) -> int:
     instance, cfg = _load_setup(args)
-    sched = _solve_schedule(instance, args.algo, cfg["lookahead"])
+    sched = _SCHEDULES[args.algo](instance, cfg["lookahead"])
     result = analysis.AlgoResult(args.algo, sched, evaluate(instance, sched))
     _emit(
         {

@@ -379,54 +379,42 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
 def build_instance(trace: TraceFile, cfg: dict) -> Instance:
     """Assemble a problem instance from a trace plus a validated config.
 
-    Each overhead section, cooling and conditioning, is the config's, or
-    else the preset's (Preset.overheads): a section replaces the preset's
-    model as a whole. Its b_max is the section's own; else 1.0 for kind
-    "none", which draws no power; else the fleet scale, server c_peak times
-    the configured server count.
+    Each model is built from its config section as keyword arguments, so a
+    key a section leaves out takes the model's default (cooling and
+    conditioning kind "none", cooling period 24, conditioning quad, lin and
+    const 0.0); the schema lets only field names through. Each overhead
+    section, cooling and conditioning, is the config's, or else the
+    preset's (Preset.overheads): a section replaces the preset's model as a
+    whole. Its b_max is the section's own; else, for kind "none", which
+    draws no power, the model's default 1.0; else the fleet scale, server
+    c_peak times the configured server count.
     """
-    srv = cfg["server"]
-    gen = cfg["generator"]
     # the models check their own keys first, so a bad c_peak is named as such
-    server = ServerModel(srv["c_idle"], srv["c_peak"], srv["beta_s"])
-    generator = GeneratorModel(gen["capacity"], gen["c_o"], gen["c_m"], gen["beta_g"], gen["count"])
-    scale = srv["c_peak"] * cfg["servers"]
-    sections = {name: cfg.get(name, preset)
-                for name, preset in PRESETS[cfg["preset"]].overheads().items()}
-    b_max, scaled = {}, []
-    for name, section in sections.items():
-        if "b_max" in section:
-            b_max[name] = section["b_max"]
-        elif section.get("kind", "none") == "none":
-            b_max[name] = 1.0  # draws no power: no need of the fleet scale, 0.0 when c_peak is
-        else:
-            b_max[name] = scale
+    server = ServerModel(**cfg["server"])
+    generator = GeneratorModel(**cfg["generator"])
+    scale = server.c_peak * cfg["servers"]
+    presets = PRESETS[cfg["preset"]].overheads()
+    sections, scaled = {}, []
+    for name, model in (("cooling", CoolingModel), ("conditioning", ConditioningModel)):
+        section = sections[name] = dict(cfg.get(name, presets[name]))
+        # kind "none" draws no power: it keeps the model's b_max, not the scale (0.0 when c_peak is)
+        if "b_max" not in section and section.get("kind", model.kind) != "none":
+            section["b_max"] = scale
             scaled.append(name)
     if scaled and not 0.0 < scale < math.inf:
         scaled = " and ".join(scaled)
         raise ConfigError(
             f"server c_peak × servers = {scale:g} is the overhead scale b_max of {scaled}, "
             f'which must be a finite number > 0: set a "b_max" or "kind": "none" in {scaled}')
-    cooling, conditioning = sections["cooling"], sections["conditioning"]
+    regimes = tuple(CoolingRegime(**{**r, "coeffs": tuple(r["coeffs"])})
+                    for r in sections["cooling"].get("regimes", ()))
     return Instance(
         workload=trace.workload,
         price=trace.price,
         server=server,
         generator=generator,
-        cooling=CoolingModel(
-            kind=cooling.get("kind", "none"),
-            regimes=tuple(CoolingRegime(r["name"], r["start"], r["end"], tuple(r["coeffs"]))
-                          for r in cooling.get("regimes", ())),
-            b_max=b_max["cooling"],
-            period=cooling.get("period", 24),
-        ),
-        conditioning=ConditioningModel(
-            kind=conditioning.get("kind", "none"),
-            quad=conditioning.get("quad", 0.0),
-            lin=conditioning.get("lin", 0.0),
-            const=conditioning.get("const", 0.0),
-            b_max=b_max["conditioning"],
-        ),
+        cooling=CoolingModel(**{**sections["cooling"], "regimes": regimes}),
+        conditioning=ConditioningModel(**sections["conditioning"]),
         label=cfg["label"] or cfg["preset"],
     )
 
@@ -447,15 +435,6 @@ _METRICS = (
     "peak_servers",
     "mean_generators",
 )
-
-
-def _algo_metrics(entry: dict) -> dict[str, float]:
-    flat = dict(entry["breakdown"])
-    flat["total"] = entry["total"]
-    flat["mean_servers"] = entry["mean_servers"]
-    flat["peak_servers"] = entry["peak_servers"]
-    flat["mean_generators"] = entry["mean_generators"]
-    return flat
 
 
 def report_to_json(report: dict) -> str:
@@ -482,8 +461,8 @@ def report_to_csv(report: dict) -> str:
                 writer.writerow([row["axis"], row["value"], name, "bound", repr(row["bounds"][name])])
     else:
         writer.writerow(["algorithm", "metric", "value"])
-        for name in sorted(report["algorithms"]):
-            flat = _algo_metrics(report["algorithms"][name])
+        for name, entry in sorted(report["algorithms"].items()):
+            flat = {**entry["breakdown"], **entry}
             for metric in _METRICS:
                 writer.writerow([name, metric, repr(float(flat[metric]))])
     return out.getvalue()

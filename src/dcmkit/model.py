@@ -410,9 +410,10 @@ class Instance:
             k = np.asarray(slots)
             if k.dtype.kind not in "iu":  # no bool or fractional slot numbers
                 raise ValueError(f"slot numbers must be ints, got {k.dtype}")
+            # checked before the shift, which would wrap an unsigned 0 round to its dtype's top
+            if k.size and not 1 <= k.min() <= k.max() <= self.horizon:  # name the first bad slot
+                self._index(int(k[(k < 1) | (k > self.horizon)][0]))
             k = k - 1
-            if k.size and not 0 <= k.min() <= k.max() < self.horizon:  # name the first bad slot
-                self._index(int(k[(k < 0) | (k >= self.horizon)][0]) + 1)
         srv = self.server
         out, b, scaled = work
         # an array even for a scalar call, so the cooling overhead can be written into it

@@ -159,9 +159,11 @@ def _scan_rows(rows: np.ndarray, reverse: bool = False) -> np.ndarray:
     return rows
 
 
-def _window_max(values: np.ndarray, span: int) -> np.ndarray:
-    """out[k] = max(values[k : k + span]), the window cut at the series end,
-    in ceil(log2(span)) doubling steps."""
+def _window_max(values: np.ndarray, slots: float) -> np.ndarray:
+    """out[k] = max(values[k : k + D + 1]) with D = floor(slots) + 1, a band
+    bound's break-even window, cut at the series end, in ceil(log2(D + 1))
+    doubling steps."""
+    span = int(slots) + 2 if slots < len(values) else len(values)  # slots k..k+D
     out = values.copy()
     width = 1
     while width < min(span, len(out)):
@@ -185,9 +187,7 @@ def _dp_band(instance: Instance, need: np.ndarray) -> np.ndarray:
     margin = rate * instance.min_marginal_demand()
     if not margin > 0.0:
         return np.full(len(need), instance.max_servers)
-    slots = instance.server.beta_s / margin  # D = floor(slots) + 1
-    span = int(slots) + 2 if slots < len(need) else len(need)  # slots t..t+D
-    return _window_max(need, span)
+    return _window_max(need, instance.server.beta_s / margin)
 
 
 def _dp_rows(instance: Instance, band: np.ndarray) -> np.ndarray:
@@ -204,9 +204,7 @@ def _dp_rows(instance: Instance, band: np.ndarray) -> np.ndarray:
     demand = instance.demand(band)
     # searchsorted counts the loads L*(k-1), k = 1..N, below each demand
     useful = np.searchsorted(gen.capacity * np.arange(gen.count, dtype=float), demand)
-    slots = gen.beta_g / gen.c_m  # D_g = floor(slots) + 1
-    span = int(slots) + 2 if slots < len(band) else len(band)  # slots t..t+D_g
-    return _window_max(useful, span)
+    return _window_max(useful, gen.beta_g / gen.c_m)
 
 
 def _band_costs(instance: Instance, first: int, lows, highs, tops) -> tuple[np.ndarray, list[int]]:

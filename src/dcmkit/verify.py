@@ -397,24 +397,15 @@ def verify_causality(
 # ---------------------------------------------------------------------------
 # orchestration
 
+# suite name -> (suite, its sample count at level "quick")
 _SUITES = {
-    "dispatch": verify_dispatch,
-    "offline-oracle": verify_offline_oracle,
-    "decomposition-oracle": verify_decomposition_oracle,
-    "gcsr-bounds": verify_gcsr_bounds,
-    "ep-hybrid-bounds": verify_ep_hybrid_bounds,
-    "slice-structure": verify_slice_structure,
-    "causality": verify_causality,
-}
-
-_QUICK = {
-    "dispatch": {"samples": 100},
-    "offline-oracle": {"samples": 25},
-    "decomposition-oracle": {"samples": 25},
-    "gcsr-bounds": {"samples": 40},
-    "ep-hybrid-bounds": {"samples": 30},
-    "slice-structure": {"samples": 25},
-    "causality": {"samples": 8},
+    "dispatch": (verify_dispatch, 100),
+    "offline-oracle": (verify_offline_oracle, 25),
+    "decomposition-oracle": (verify_decomposition_oracle, 25),
+    "gcsr-bounds": (verify_gcsr_bounds, 40),
+    "ep-hybrid-bounds": (verify_ep_hybrid_bounds, 30),
+    "slice-structure": (verify_slice_structure, 25),
+    "causality": (verify_causality, 8),
 }
 
 
@@ -424,10 +415,9 @@ def run_verification(level: str = "quick") -> list[tuple[str, bool, str]]:
     if level not in ("quick", "full"):
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
     results = []
-    for name, fn in _SUITES.items():
-        kwargs = _QUICK[name] if level == "quick" else {}
+    for name, (suite, quick) in _SUITES.items():
         try:
-            ok, detail = fn(**kwargs)
+            ok, detail = suite(samples=quick) if level == "quick" else suite()
         except Exception as exc:  # suite crash is a failure, not an abort
             ok, detail = False, f"crashed: {exc!r}"
         results.append((name, ok, detail))

@@ -187,6 +187,28 @@ def test_zero_cost_reference_reports_neutral_numbers():
     assert report.ratio("dcmon", "offline") == 1.0
 
 
+def test_all_idle_workload_reports_ratios_of_one_everywhere():
+    # an all-idle workload is the one way to a zero reference cost, and then
+    # every lineup cost is 0 too: the comparison and both sweeps read 1.0
+    for count in (0, 2):
+        inst = toy_instance(np.zeros(5), np.full(5, 0.2), count=count)
+        report = run_comparison(inst, 2)
+        assert all(res.total == 0.0 for res in report.results.values())
+        assert report.to_dict()["ratios"] == {"gcsr_vs_cpoff": 1.0, "dcmon_vs_offline": 1.0}
+        rows = sweep_lookahead(inst, (0, 1, 4)) + sweep_generators(inst, (0, 1, 3), 2)
+        assert len(rows) == 6
+        for row in rows:
+            assert set(row["costs"].values()) == {0.0}
+            assert row["ratios"] and set(row["ratios"].values()) == {1.0}
+
+
+def test_cost_ratio_is_total_over_reference():
+    assert analysis.cost_ratio(3.0, 2.0) == 1.5
+    assert analysis.cost_ratio(0.0, 2.0) == 0.0
+    assert analysis.cost_ratio(0.0, 0.0) == 1.0
+    assert analysis.cost_ratio(1e-300, 0.0) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # ablations
 

@@ -23,6 +23,13 @@ CUBIC = {
     ],
 }
 
+# sections that leave keys out: each missing key takes the model's default
+# (no cooling period: 24; no conditioning lin or const: 0.0)
+PARTIAL = {
+    "cooling": {"kind": "cubic", "regimes": [{"name": "all", "start": 0, "end": 0, "coeffs": [0.2]}]},
+    "conditioning": {"kind": "quadratic", "quad": 0.01},
+}
+
 CASES = {
     "ny-compare": (
         {**BASE, "preset": "ny"},
@@ -139,6 +146,42 @@ CASES = {
          "sweep": {"axis": "generators", "values": [0, 5, 10]}},
         ["sweep"],
         "58f107d6d98ae0e2463a0221c547522d305e6c242b4f538ff816ce44c31cc98f",
+    ),
+    # the solvers --algo runs alone, and the CSV writers of both report kinds
+    "ny-solve-offline": (
+        {**BASE, "preset": "ny"},
+        ["solve", "--algo", "offline"],
+        "596cf4bd467c66d1f4a4b5cdf24d2bd3546c45200b4bdea10742bc5a50f35539",
+    ),
+    "ny-solve-static": (
+        {**BASE, "preset": "ny"},
+        ["solve", "--algo", "static"],
+        "52368e73acd44ee80d115c9fec396a4c3a1a38abe8fcb900f799b60dafc1add5",
+    ),
+    "ny-solve-cpoff": (
+        {**BASE, "preset": "ny"},
+        ["solve", "--algo", "cpoff"],
+        "6c17dc1f85ede19c61882af6c8503304a36f970d9a9606f515e6223d194a4452",
+    ),
+    "ny-solve-ofa": (
+        {**BASE, "preset": "ny"},
+        ["solve", "--algo", "ofa"],
+        "37a881810da352487dd25905f707e4f7f920b793efa022f0c6fbb8105f0229a0",
+    ),
+    "ny-compare-csv": (
+        {**BASE, "preset": "ny"},
+        ["compare", "--lookahead", "4", "--format", "csv"],
+        "52eade843f2da14b5f8fe6506e959c990a7b96aebf38619d0449ff8cf947e202",
+    ),
+    "ny-sweep-generators-csv": (
+        {**BASE, "lookahead": 4, "sweep": {"axis": "generators", "values": [0, 1, 2, 3]}},
+        ["sweep", "--format", "csv"],
+        "b2e7b5adeed6d3a8802fb7d5feb9150811a497caca1fc0b79fb571f62bc35ba0",
+    ),
+    "ny-partial-overheads-compare": (
+        {**BASE, "preset": "ny", **PARTIAL},
+        ["compare", "--lookahead", "4"],
+        "455191c09964dc746d38bdbd9b257de0bba84b03366409c6e19c12adcdeae941",
     ),
 }
 

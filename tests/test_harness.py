@@ -527,6 +527,23 @@ def test_cli_solve_each_algorithm(tmp_path, capsys):
         assert set(doc["algorithms"]) == {algo}
 
 
+def test_cli_solve_runs_every_listed_algorithm(tmp_path, capsys):
+    # three slots keep bruteforce inside its enumeration budget
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,workload,price\n1,1.5,0.2\n2,0.0,0.1\n3,2.0,0.3\n")
+    cfg = write_tiny_config(tmp_path)
+    assert cli.ALGORITHMS == (
+        "offline", "bruteforce", "gcsr", "chase", "dcmon", "static", "cpoff", "ofa")
+    totals = {}
+    for algo in cli.ALGORITHMS:
+        assert main(["solve", "--algo", algo, "--trace", str(trace), "--config", cfg]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc["algorithms"]) == [algo] and doc["horizon"] == 3
+        totals[algo] = doc["algorithms"][algo]["total"]
+    assert totals["bruteforce"] == pytest.approx(totals["offline"], rel=1e-12)
+    assert totals["offline"] <= min(totals.values()) + 1e-12
+
+
 def test_cli_compare_reruns_are_byte_identical(tmp_path):
     cfg = write_tiny_config(tmp_path)
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -663,6 +663,17 @@ def test_slot_accessors_reject_slots_outside_the_horizon():
                 accessor(t)
 
 
+def test_demand_names_unsigned_slot_numbers_outside_the_horizon_as_given():
+    # an unsigned 0 must not wrap round to its dtype's top before the check
+    inst = bare_instance([1.0, 2.5, 0.0], [0.1, 0.2, 0.3])
+    for dtype in (np.uint8, np.uint16, np.uint64):
+        for t in (0, 4, np.iinfo(dtype).max):
+            with pytest.raises(ValueError, match=rf"^slot {t} is outside 1\.\.3$"):
+                inst.demand(1.0, np.array([2, t], dtype))
+        inside = inst.demand([1.0, 2.0, 3.0], np.array([3, 1, 2], dtype))
+        assert inside.tobytes() == inst.demand([1.0, 2.0, 3.0], [3, 1, 2]).tobytes()
+
+
 def test_slot_accessors_reject_slots_that_are_not_ints():
     inst = bare_instance([1.0, 2.5, 0.0], [0.1, 0.2, 0.3])
     assert inst.a(np.int64(2)) == 2.5 and inst.demand_table(np.uint8(3)).shape == (4,)

@@ -442,6 +442,18 @@ def test_dp_memory_holds_no_demand_grid_of_a_block():
     assert peak < 6.2 * 2**20, peak / 2**20
 
 
+def test_window_max_spans_the_breakeven_window_cut_at_the_series_end():
+    # out[k] = max(values[k : k + D + 1]) with D = floor(slots) + 1, for slots
+    # short of the series, past it, on whole numbers and far out of int range
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 7, 40):
+        values = rng.integers(0, 50, n)
+        for slots in (0.0, 0.5, 1.0, 2.999, 3.0, n - 1.0, n - 0.5, n, n + 0.5, 1e300):
+            got = offline._window_max(values, slots)
+            span = math.floor(min(slots, 10 * n)) + 2
+            assert got.tolist() == [values[k : k + span].max() for k in range(n)], (n, slots)
+
+
 def test_dp_band_is_the_peak_need_within_one_breakeven_span():
     # U(t) = max ceil(a(s)) over s in [t, min(T, t+D)], D = floor(beta_s /
     # (r*d_min)) + 1 with r = min(c_o, p_min), or p_min with no generators;
