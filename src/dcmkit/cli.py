@@ -92,15 +92,19 @@ def _load_setup(args):
     return harness.build_instance(trace, cfg), cfg
 
 
+def _write(text: str, args) -> None:
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(report: dict, args) -> None:
     # serialize first, so a report that fails to serialize leaves no file
     text = io.StringIO()
     harness.emit_report(report, getattr(args, "format", "json"), text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text.getvalue())
-    else:
-        sys.stdout.write(text.getvalue())
+    _write(text.getvalue(), args)
 
 
 def _cmd_solve(args) -> int:
@@ -161,12 +165,7 @@ def _cmd_verify(args) -> int:
     lines = [
         f"{name}: {'PASS' if ok else 'FAIL'} ({detail})" for name, ok, detail in results
     ]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args)
     return 0 if all(ok for _, ok, _ in results) else 3
 
 

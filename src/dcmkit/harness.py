@@ -137,6 +137,10 @@ def load_trace(path: str) -> tuple[np.ndarray, np.ndarray]:
 # regional presets and synthesis
 
 
+# the day's hours [8, 20) of every preset: the day price and the day cooling regime
+DAY_HOURS = (8, 20)
+
+
 @dataclass(frozen=True)
 class Preset:
     """Regional price levels for synthesis, and the default overhead models."""
@@ -153,10 +157,11 @@ class Preset:
         """The cooling and conditioning sections a config would write for
         the preset's models, without b_max (build_instance decides it)."""
         q, l, c = self.conditioning
+        dawn, dusk = DAY_HOURS
         return {
             "cooling": {"kind": "quadratic", "regimes": [
-                {"name": "day", "start": 8, "end": 20, "coeffs": list(self.cooling_day)},
-                {"name": "night", "start": 20, "end": 8, "coeffs": list(self.cooling_night)},
+                {"name": "day", "start": dawn, "end": dusk, "coeffs": list(self.cooling_day)},
+                {"name": "night", "start": dusk, "end": dawn, "coeffs": list(self.cooling_night)},
             ]},
             "conditioning": {"kind": "quadratic", "quad": q, "lin": l, "const": c},
         }
@@ -222,7 +227,7 @@ def synthesize_trace(seed: int, days: int, servers: int, preset: str = "ny") -> 
     workload = util * servers
     workload[-1] = workload.max()
 
-    is_day = (hour >= 8) & (hour < 20)
+    is_day = (hour >= DAY_HOURS[0]) & (hour < DAY_HOURS[1])
     price = np.where(is_day, spec.day_price, spec.night_price)
     if spec.price_noise > 0.0:
         price = price + rng.uniform(-spec.price_noise, spec.price_noise, t_end)

@@ -69,6 +69,26 @@ def check_scalar(name: str, value, low: float = 0.0, *, strict: bool = False,
         raise ConfigError(f"{name} must be {need}, got {value!r}")
 
 
+def check_series(names, *series) -> tuple[np.ndarray, ...]:
+    """The series as float arrays, one per name in names; ConfigError unless
+    they are 1-d, of equal length, finite and nonnegative: the one check of
+    every input series. Non-finite values are named before negative ones."""
+    series = tuple(np.asarray(s, dtype=float) for s in series)
+    joined = " and ".join(names)
+    if any(s.ndim != 1 for s in series):
+        raise ConfigError(f"{joined} must be 1-d series")
+    if len({len(s) for s in series}) > 1:
+        counts = " vs ".join(f"{len(s)} {name}" for s, name in zip(series, names))
+        raise ConfigError(f"series length mismatch: {counts}")
+    values = np.concatenate(series)  # NaN propagates through min and max
+    low, high = np.minimum.reduce(values, initial=0.0), np.maximum.reduce(values, initial=0.0)
+    if not (low >= 0.0 and high < np.inf):
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise ConfigError(f"{joined} must be finite")
+        raise ConfigError(f"{joined} must be nonnegative")
+    return series
+
+
 # ---------------------------------------------------------------------------
 # device models
 
@@ -153,13 +173,14 @@ class CoolingRegime:
     end: int
     coeffs: tuple[float, ...]
 
-    def contains(self, hour: int, period: int) -> bool:
+    def contains(self, hour, period: int):
+        """Whether this regime owns hour modulo period: a bool for an int
+        hour, a bool array for an int array of hours. start == end owns
+        every hour, as a wrap-around interval holding all of them."""
         h = hour % period
-        if self.start == self.end:  # full-period regime
-            return True
         if self.start < self.end:
-            return self.start <= h < self.end
-        return h >= self.start or h < self.end
+            return (self.start <= h) & (h < self.end)
+        return (h >= self.start) | (h < self.end)
 
 
 @dataclass(frozen=True)
@@ -169,16 +190,16 @@ class CoolingModel:
     kind "none" has no overhead; "quadratic" regimes carry (quad, lin, const)
     coefficients, "cubic" regimes carry a single leading coefficient. The
     polynomial is evaluated at b/b_max and the result scaled by b_max. b_max
-    is finite and > 0; regime bounds are whole hours in [0, period) and
-    coefficients finite and >= 0.
+    is finite and > 0; period is a whole number >= 1, regime bounds are
+    whole hours in [0, period) and coefficients finite and >= 0. The regimes
+    tile the period, one per hour; that is checked at hour 0 and at the
+    bounds, where ownership can change, so no cost grows with the period.
     """
 
     kind: str = "none"
     regimes: tuple[CoolingRegime, ...] = ()
     b_max: float = 1.0
     period: int = 24
-    # hour_coeffs[j, h]: coefficient j of the regime owning hour h, set after validation
-    hour_coeffs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("none", "quadratic", "cubic"):
@@ -201,19 +222,19 @@ class CoolingModel:
                 )
             for k, c in enumerate(reg.coeffs):
                 check_scalar(f"regime {reg.name!r}: coeffs[{k}]", c)
-        # every hour of the period must belong to exactly one regime
-        hour_regime = []
-        for h in range(self.period):
-            owners = [k for k, r in enumerate(self.regimes) if r.contains(h, self.period)]
+        # every hour of the period must belong to exactly one regime. Ownership
+        # changes only at regime bounds, so hour 0 and the bounds, in order,
+        # meet the first hour that breaks this, with the owners it has
+        for h in sorted({0, *(int(b) for r in self.regimes for b in (r.start, r.end))}):
+            owners = [r.name for r in self.regimes if r.contains(h, self.period)]
             if len(owners) != 1:
-                names = [self.regimes[k].name for k in owners]
                 raise ConfigError(
-                    f"hour {h} covered by {len(owners)} cooling regimes ({names}); need exactly 1"
+                    f"hour {h} covered by {len(owners)} cooling regimes ({owners}); need exactly 1"
                 )
-            hour_regime.append(owners[0])
-        coeffs = np.array([self.regimes[k].coeffs for k in hour_regime], dtype=float).T
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "hour_coeffs", coeffs)
+
+    def regime_coeffs(self) -> np.ndarray:
+        """Coefficient j of regime k at [j, k]."""
+        return np.array([r.coeffs for r in self.regimes], dtype=float).T
 
     def overhead(self, b, coeffs, out=None, scaled=None):
         """Cooling power for server power b under regime coefficients coeffs.
@@ -277,8 +298,8 @@ def _frozen_array(values) -> np.ndarray:
 class Instance:
     """A complete scheduling problem over a finite horizon.
 
-    workload and price are 1-based conceptually: series index k holds slot
-    t = k+1. The accessor methods (a, p, min_servers, demand, demand_table)
+    workload and price pass check_series and hold at least one slot. They
+    are 1-based conceptually: series index k holds slot t = k+1. The accessor methods (a, p, min_servers, demand, demand_table)
     take int slot numbers and reject bools, fractions and slots outside
     1..T with ValueError; demand is the one evaluator of d_t(x). The solvers
     read whole blocks by slicing the 0-based arrays directly, slots t..end
@@ -303,22 +324,11 @@ class Instance:
     _slot_coeffs: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "workload", _frozen_array(self.workload))
-        object.__setattr__(self, "price", _frozen_array(self.price))
-        if self.workload.ndim != 1 or self.price.ndim != 1:
-            raise ConfigError("workload and price must be 1-d series")
-        if len(self.workload) != len(self.price):
-            raise ConfigError(
-                f"series length mismatch: {len(self.workload)} workload vs {len(self.price)} price"
-            )
-        if len(self.workload) == 0:
+        series = check_series(("workload", "price"), self.workload, self.price)
+        object.__setattr__(self, "workload", _frozen_array(series[0]))
+        object.__setattr__(self, "price", _frozen_array(series[1]))
+        if self.horizon == 0:
             raise ConfigError("horizon must have at least one slot")
-        if not (np.isfinite(self.workload).all() and np.isfinite(self.price).all()):
-            raise ConfigError("workload and price must be finite")
-        if np.any(self.workload < 0.0):
-            raise ConfigError("workload must be nonnegative")
-        if np.any(self.price < 0.0):
-            raise ConfigError("prices must be nonnegative")
         check_size(self.horizon, math.ceil(self.workload.max()), self.generator.count)
         if self.generator.count >= 1 and self.generator.breakeven_price >= self.p_max:
             raise ConfigError(
@@ -347,10 +357,14 @@ class Instance:
     def _derive(self) -> None:
         """Set the fields computed from the validated series."""
         object.__setattr__(self, "max_servers", int(np.ceil(self.workload).max()))
-        cool = self.cooling
-        coeffs = None
-        if cool.kind != "none":
-            coeffs = cool.hour_coeffs[:, np.arange(self.horizon) % cool.period]
+        cool, coeffs = self.cooling, None
+        if cool.kind != "none":  # each slot takes the coefficients of the regime owning its hour
+            hours, owner = np.arange(self.horizon), np.zeros(self.horizon, dtype=np.intp)
+            for k, reg in enumerate(cool.regimes):
+                # every hour is below T, so % min(period, T) is % period; an int
+                # array cannot take % period itself once it passes 2**63 - 1
+                owner[reg.contains(hours, min(cool.period, self.horizon))] = k
+            coeffs = cool.regime_coeffs()[:, owner]
         object.__setattr__(self, "_slot_coeffs", coeffs)
 
     # -- basic dimensions ---------------------------------------------------
@@ -474,7 +488,8 @@ class Instance:
         cool = self.cooling
         if cool.kind == "none":
             return base
-        deltas = cool.overhead(b1, cool.hour_coeffs) - cool.overhead(b0, cool.hour_coeffs)
+        coeffs = cool.regime_coeffs()  # each regime of a tiling owns an hour: the minimum over hours
+        deltas = cool.overhead(b1, coeffs) - cool.overhead(b0, coeffs)
         return base + float(deltas.min())
 
     def truncated(self, length: int) -> "Instance":

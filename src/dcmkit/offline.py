@@ -83,6 +83,7 @@ from .model import (
     GeneratorModel,
     Instance,
     Schedule,
+    check_series,
     dispatched_schedule,
     merit_split,
     positive_increases,
@@ -328,6 +329,15 @@ def solve_dcm_offline(instance: Instance, state_budget: int = DEFAULT_STATE_BUDG
     return dispatched_schedule(instance, xs, ys)
 
 
+def _stage_table(instance: Instance) -> np.ndarray:
+    """Supply cost of slot t at fleet x with y generators on, at [t-1, x, y],
+    for the oracles: one demand_table(1, T) grid, whose row t-1 holds the
+    floats of demand_table(t)."""
+    y_grid = np.arange(instance.generator.count + 1, dtype=float)
+    grid = instance.demand_table(1, instance.horizon)[:, :, None]
+    return supply_cost(instance.generator, y_grid, instance.price[:, None, None], grid)
+
+
 def dcm_dijkstra(instance: Instance) -> Schedule:
     """Exact minimum-cost schedule by Dijkstra search over the same state
     graph as solve_dcm_offline; a slow reference oracle for cross-checks."""
@@ -335,13 +345,8 @@ def dcm_dijkstra(instance: Instance) -> Schedule:
     edges = (m + 1) * (n + 1) * (m + 1) * (n + 1) * t_end
     if edges > 20_000_000:
         raise CapacityError(f"dijkstra edge count {edges} too large; use solve_dcm_offline")
-    gen = instance.generator
-    beta_s, beta_g = instance.server.beta_s, gen.beta_g
-    y_grid = np.arange(n + 1, dtype=float)[None, :]
-    stages = [
-        supply_cost(gen, y_grid, instance.p(t), instance.demand_table(t)[:, None])
-        for t in range(1, t_end + 1)
-    ]
+    beta_s, beta_g = instance.server.beta_s, instance.generator.beta_g
+    stages = _stage_table(instance)
     los = [instance.min_servers(t) for t in range(1, t_end + 1)]
 
     start = (0, 0, 0)  # (t, x, y)
@@ -398,13 +403,10 @@ def brute_force_dcm(instance: Instance, budget: int = DEFAULT_ENUM_BUDGET) -> Sc
     yt = np.array(list(itertools.product(range(n + 1), repeat=t_end)), dtype=int).reshape(
         n_y, t_end
     )
-    gen = instance.generator
-    y_grid = np.arange(n + 1, dtype=float)[None, :]
     cost = np.zeros((n_x, n_y))
-    for t in range(1, t_end + 1):
-        psi = supply_cost(gen, y_grid, instance.p(t), instance.demand_table(t)[:, None])
-        cost += psi[xt[:, t - 1][:, None], yt[:, t - 1][None, :]]
-    beta_s, beta_g = instance.server.beta_s, gen.beta_g
+    for t, psi in enumerate(_stage_table(instance)):
+        cost += psi[xt[:, t][:, None], yt[:, t][None, :]]
+    beta_s, beta_g = instance.server.beta_s, instance.generator.beta_g
     sw_x = beta_s * np.diff(np.hstack([np.zeros((n_x, 1), dtype=int), xt]), axis=1).clip(
         min=0
     ).sum(axis=1)
@@ -731,21 +733,8 @@ def brute_force_cp(instance: Instance, budget: int = DEFAULT_ENUM_BUDGET) -> tup
 
 
 def supply_series(energy, price) -> tuple[np.ndarray, np.ndarray]:
-    """Energy-demand and price series as float arrays; ConfigError unless
-    both are 1-d, of equal length, finite and nonnegative."""
-    energy = np.asarray(energy, dtype=float)
-    price = np.asarray(price, dtype=float)
-    if energy.ndim != 1 or price.ndim != 1:
-        raise ConfigError("energy and price must be 1-d series")
-    if len(energy) != len(price):
-        raise ConfigError(f"series length mismatch: {len(energy)} energy vs {len(price)} price")
-    both = np.concatenate((energy, price))  # NaN propagates through min and max
-    low, high = np.minimum.reduce(both, initial=0.0), np.maximum.reduce(both, initial=0.0)
-    if not (low >= 0.0 and high < np.inf):
-        if not (np.isfinite(low) and np.isfinite(high)):
-            raise ConfigError("energy and price must be finite")
-        raise ConfigError("energy and price must be nonnegative")
-    return energy, price
+    """Energy-demand and price series as float arrays, by check_series."""
+    return check_series(("energy", "price"), energy, price)
 
 
 def regret_steps(gen: GeneratorModel, energy, price) -> np.ndarray:

@@ -30,6 +30,28 @@ PARTIAL = {
     "conditioning": {"kind": "quadratic", "quad": 0.01},
 }
 
+# two regimes at a period shorter than the 72-slot horizon, so slot hours wrap
+# (hours 7-9 and 0-2 are "cool"), and at a period of 1000, where they never do
+PERIOD_10 = {
+    "kind": "cubic",
+    "b_max": 15.0,
+    "period": 10,
+    "regimes": [
+        {"name": "warm", "start": 3, "end": 7, "coeffs": [0.3]},
+        {"name": "cool", "start": 7, "end": 3, "coeffs": [0.2]},
+    ],
+}
+PERIOD_1000 = {
+    "kind": "quadratic",
+    "period": 1000,
+    "regimes": [
+        {"name": "early", "start": 0, "end": 40, "coeffs": [0.05, 0.15, 0.05]},
+        {"name": "late", "start": 40, "end": 0, "coeffs": [0.03, 0.13, 0.04]},
+    ],
+}
+# one regime owning every hour of the period
+FULL_PERIOD = {"kind": "cubic", "regimes": [{"name": "all", "start": 0, "end": 0, "coeffs": [0.2]}]}
+
 CASES = {
     "ny-compare": (
         {**BASE, "preset": "ny"},
@@ -183,6 +205,21 @@ CASES = {
         ["compare", "--lookahead", "4"],
         "455191c09964dc746d38bdbd9b257de0bba84b03366409c6e19c12adcdeae941",
     ),
+    "ny-period10-compare": (
+        {**BASE, "preset": "ny", "cooling": PERIOD_10},
+        ["compare", "--lookahead", "4"],
+        "71d13158c5adf68af332b7f389f7440c41f2a1bee6b46e395b002ea167c56a9d",
+    ),
+    "sj-period1000-compare": (
+        {**BASE, "preset": "sj", "cooling": PERIOD_1000},
+        ["compare", "--lookahead", "4"],
+        "ca6460d5ca43973dcc5e63031565ad823ccdd93ebcda99fcef283eaf9c7ab152",
+    ),
+    "ny-full-period-solve-static": (
+        {**BASE, "preset": "ny", "cooling": {**FULL_PERIOD, "period": 24}},
+        ["solve", "--algo", "static"],
+        "6312d5c6c3bd5fdb2276dbc0b4707476b47b97d73947e42843d0c494ba5f04f9",
+    ),
 }
 
 
@@ -191,5 +228,15 @@ def test_report_bytes_match_golden_digest(tmp_path, name):
     cfg, argv, digest = CASES[name]
     cfg_path, out_path = tmp_path / "run.json", tmp_path / "report.json"
     cfg_path.write_text(json.dumps(cfg))
+    assert main(argv + ["--config", str(cfg_path), "--out", str(out_path)]) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+def test_a_full_period_regime_reports_the_same_bytes_at_any_period(tmp_path):
+    # the regimes are checked at their bounds, so a period past int64 costs
+    # no more than period 24 and gives its bytes
+    cfg, argv, digest = CASES["ny-full-period-solve-static"]
+    cfg_path, out_path = tmp_path / "run.json", tmp_path / "report.json"
+    cfg_path.write_text(json.dumps({**cfg, "cooling": {**FULL_PERIOD, "period": 10**30}}))
     assert main(argv + ["--config", str(cfg_path), "--out", str(out_path)]) == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest

@@ -36,6 +36,7 @@ from dcmkit import (
 )
 from dcmkit import cli, harness
 from dcmkit.cli import main
+from dcmkit.verify import _SUITES
 from dcmkit.harness import (
     DEFAULT_CONFIG,
     SCHEMA_VERSION,
@@ -793,6 +794,19 @@ def test_cli_verify_failure_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_verification", lambda level: [("causality", False, "boom")])
     assert main(["verify"]) == 3
     assert capsys.readouterr().out == "causality: FAIL (boom)\n"
+
+
+@pytest.mark.parametrize("results", [None, [("dispatch", True, "ok"), ("causality", False, "boom")]])
+def test_cli_verify_out_writes_the_lines_stdout_gets(monkeypatch, tmp_path, capsys, results):
+    # None runs the quick suites, which pass (exit 0); the stub fails one (exit 3)
+    if results is not None:
+        monkeypatch.setattr(cli, "run_verification", lambda level: results)
+    code = main(["verify"])
+    printed = capsys.readouterr().out
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--out", str(out)]) == code == (0 if results is None else 3)
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed and printed.count("\n") == len(results or _SUITES)
 
 
 def test_cli_capacity_exhaustion_exits_two(tmp_path, capsys):

@@ -651,6 +651,100 @@ def test_cooling_regime_bounds_must_lie_in_the_period():
     CoolingModel(kind="cubic", regimes=(CoolingRegime("all", 0, 0, (0.1,)),), period=6)
 
 
+def reference_tiling(regimes, period, horizon):
+    """The tiling rule as a scan of every hour of the period, with a regime's
+    hours written out: (error text, None, None) for the first hour without
+    exactly one regime, else (None, the slots' coefficients, the hours')."""
+    def owns(reg, hour):
+        h = hour % period
+        if reg.start == reg.end:
+            return True
+        if reg.start < reg.end:
+            return reg.start <= h < reg.end
+        return h >= reg.start or h < reg.end
+
+    hour_regime = []
+    for h in range(period):
+        owners = [k for k, r in enumerate(regimes) if owns(r, h)]
+        if len(owners) != 1:
+            names = [regimes[k].name for k in owners]
+            return f"hour {h} covered by {len(owners)} cooling regimes ({names}); need exactly 1", None, None
+        hour_regime.append(owners[0])
+    hour_coeffs = np.array([regimes[k].coeffs for k in hour_regime], dtype=float).T
+    return None, hour_coeffs[:, np.arange(horizon) % period], hour_coeffs
+
+
+def _random_regimes(rng, period, n_coef):
+    """1-4 regimes with bounds in [0, period): half tile the period from random
+    cuts, in a shuffled order, and one bound of some of those is then moved."""
+    coeffs = lambda: tuple(rng.uniform(0.0, 0.3, n_coef).tolist())
+    count = int(rng.integers(1, 5))
+    if rng.random() < 0.5:
+        bounds = [(int(s), int(e)) for s, e in rng.integers(0, period, (count, 2))]
+    else:
+        cuts = sorted(set(rng.integers(0, period, count).tolist()))
+        bounds = [(cuts[k], cuts[(k + 1) % len(cuts)]) for k in range(len(cuts))]
+        rng.shuffle(bounds)
+        if rng.random() < 0.3:
+            k = int(rng.integers(len(bounds)))
+            bounds[k] = (bounds[k][0], int(rng.integers(0, period)))
+    return tuple(CoolingRegime(f"r{k}", s, e, coeffs()) for k, (s, e) in enumerate(bounds))
+
+
+def test_tiling_checked_at_the_bounds_matches_the_per_hour_scan():
+    rng = np.random.default_rng(33)
+    outcomes = {"raised": 0, "tiled": 0, "wrapped": 0}
+    for _ in range(500):
+        period = int(rng.integers(1, 49))
+        kind, n_coef = ("quadratic", 3) if rng.random() < 0.5 else ("cubic", 1)
+        horizon = int(rng.integers(1, 100))
+        regimes = _random_regimes(rng, period, n_coef)
+        cooling_kw = dict(kind=kind, regimes=regimes, b_max=float(rng.uniform(0.5, 20.0)),
+                          period=period)
+        error, slot_coeffs, hour_coeffs = reference_tiling(regimes, period, horizon)
+        if error is not None:
+            with pytest.raises(ConfigError) as err:
+                CoolingModel(**cooling_kw)
+            assert str(err.value) == error
+            outcomes["raised"] += 1
+            continue
+        inst = bare_instance(rng.uniform(0.0, 3.0, horizon), rng.uniform(0.05, 0.2, horizon),
+                             cooling=CoolingModel(**cooling_kw))
+        assert inst._slot_coeffs.shape == slot_coeffs.shape
+        assert inst._slot_coeffs.tobytes() == slot_coeffs.tobytes()
+        # min_marginal_demand with the minimum taken over every hour of the period
+        cool, c_idle = inst.cooling, inst.server.c_idle
+        deltas = cool.overhead(c_idle, hour_coeffs) - cool.overhead(0.0, hour_coeffs)
+        reference = c_idle + float(deltas.min())
+        assert inst.min_marginal_demand() == reference
+        outcomes["tiled"] += 1
+        outcomes["wrapped"] += horizon > period
+    # both outcomes occur often, and slot hours wrap past the period in many tilings
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_cooling_period_sets_no_cost():
+    # one regime owning every hour: a period past int64 gives the period-24 floats
+    regime = CoolingRegime("all", 0, 0, (0.2,))
+    workload, price = [1.0, 2.5, 0.5], [0.1, 0.2, 0.15]
+    reference = bare_instance(workload, price, cooling=CoolingModel("cubic", (regime,)))
+    for period in (1, 3, 4, 2**63, 10**30):
+        inst = bare_instance(workload, price, cooling=CoolingModel("cubic", (regime,), period=period))
+        assert inst._slot_coeffs.tobytes() == reference._slot_coeffs.tobytes()
+        assert inst.min_marginal_demand() == reference.min_marginal_demand()
+        assert inst.truncated(2)._slot_coeffs.tobytes() == reference._slot_coeffs[:, :2].tobytes()
+
+
+def test_regime_owns_an_hour_array_as_it_owns_each_hour():
+    for start, end in ((0, 0), (3, 3), (2, 5), (5, 2), (0, 4), (4, 0)):
+        regime = CoolingRegime("r", start, end, (0.1,))
+        hours = np.arange(20)
+        owned = regime.contains(hours, 6)
+        assert owned.dtype == bool
+        assert owned.tolist() == [regime.contains(int(h), 6) for h in hours]
+        assert all(type(regime.contains(int(h), 6)) is bool for h in hours)
+
+
 def test_slot_accessors_reject_slots_outside_the_horizon():
     inst = bare_instance([1.0, 2.5, 0.0], [0.1, 0.2, 0.3])
     assert (inst.a(2), inst.p(3), inst.min_servers(2)) == (2.5, 0.3, 3)
@@ -709,6 +803,28 @@ def test_instance_series_validation():
         bare_instance([math.nan], [0.1])
     with pytest.raises(ConfigError, match="finite"):
         bare_instance([1.0], [math.inf])
+
+
+@pytest.mark.parametrize(
+    "workload, price, message",
+    [
+        ([1.0, math.nan], [0.1, 0.2], "finite"),
+        ([1.0, -2.0], [0.1, math.inf], "finite"),  # non-finite is reported before negative
+        ([1.0, -2.0], [0.1, 0.2], "nonnegative"),
+        ([1.0, 2.0], [-0.1, 0.2], "nonnegative"),
+        ([1.0, 2.0, 3.0], [0.1, 0.2], None),
+        ([[1.0, 2.0]], [0.1, 0.2], "1-d series"),
+    ],
+)
+def test_instance_and_supply_series_share_one_check(workload, price, message):
+    # the same rule and message, with each caller's names for its series
+    for call, first in ((bare_instance, "workload"), (offline.supply_series, "energy")):
+        with pytest.raises(ConfigError) as err:
+            call(workload, price)
+        if message is None:
+            assert str(err.value) == f"series length mismatch: 3 {first} vs 2 price"
+        else:
+            assert str(err.value) == f"{first} and price must be {message}"
 
 
 VALID_MODELS = {

@@ -183,6 +183,31 @@ def test_solver_budgets_raise_capacity_error():
         brute_force_ep(GeneratorModel(60.0, 0.08, 1.2, 24.0, 2), np.ones(3), np.ones(3), budget=3)
 
 
+def test_oracle_stage_table_holds_each_slots_supply_costs():
+    # one grid for the whole horizon, each slot's row the floats of the per-slot table
+    rng = np.random.default_rng(33)
+    for _ in range(40):
+        inst = random_tiny_instance(rng)
+        y_grid = np.arange(inst.generator.count + 1, dtype=float)[None, :]
+        table = offline._stage_table(inst)
+        assert table.shape == (inst.horizon, inst.max_servers + 1, inst.generator.count + 1)
+        for t in range(1, inst.horizon + 1):
+            row = supply_cost(inst.generator, y_grid, inst.p(t), inst.demand_table(t)[:, None])
+            assert table[t - 1].tobytes() == row.tobytes()
+
+
+def test_oracle_budgets_are_checked_before_any_demand_is_read(monkeypatch):
+    inst = flat_power_instance([1, 0, 1], np.full(3, 0.1))
+    def unread(*args, **kwargs):
+        raise AssertionError("demand read before the budget check")
+    monkeypatch.setattr(Instance, "demand_table", unread)
+    with pytest.raises(CapacityError):
+        brute_force_dcm(inst, budget=1)
+    big = flat_power_instance(np.full(300, 300.0), np.full(300, 0.1))  # 301 * 301 * 300 edges
+    with pytest.raises(CapacityError, match="dijkstra edge count"):
+        dcm_dijkstra(big)
+
+
 def test_min_increase_transform_matches_quadratic_loop():
     rng = np.random.default_rng(11)
     for _ in range(20):
