@@ -31,8 +31,7 @@ def run(argv: list[str]) -> int:
     return code
 
 
-def main() -> None:
-    work = pathlib.Path(tempfile.mkdtemp(prefix="dcmkit-demo-"))
+def walkthrough(work: pathlib.Path) -> None:
     trace_path = work / "trace.csv"
     config_path = work / "run.json"
     report_path = work / "report.json"
@@ -102,7 +101,12 @@ def main() -> None:
     code = run(["compare", "--trace", str(work / "missing.csv")])
     assert code == 1
     print("missing trace: configuration error, exit 1")
-    print(f"\nartifacts left in {work} for inspection")
+
+
+def main() -> None:
+    # the files live in a temporary directory, removed when the demo ends
+    with tempfile.TemporaryDirectory(prefix="dcmkit-demo-") as work:
+        walkthrough(pathlib.Path(work))
 
 
 if __name__ == "__main__":

@@ -309,6 +309,17 @@ def sweep_generators(
 # worst-case family 1: decomposition penalty
 
 
+def _spike_train(periods: int, gap: int) -> np.ndarray:
+    """The worst-case families' trace shape: 1.0 at slot 1 and every gap+1
+    slots after it, 0.0 between; periods spikes each followed by gap empty
+    slots, then a closing spike. ValueError unless periods and gap are >= 1."""
+    if periods < 1 or gap < 1:
+        raise ValueError("periods and gap must be >= 1")
+    train = np.zeros(periods * (gap + 1) + 1)
+    train[:: gap + 1] = 1.0
+    return train
+
+
 def worst_case_rho_instance(
     periods: int = 40,
     capacity: float = 64.0,
@@ -333,18 +344,14 @@ def worst_case_rho_instance(
     Defaults are dyadic so every break-even comparison is float-exact (the
     construction lives on knife-edge ties); they give a penalty of exactly 2.
     """
-    if periods < 1 or gap < 1:
-        raise ValueError("periods and gap must be >= 1")
+    spikes = _spike_train(periods, gap)
     beta_s = gap * unit_power * p_max
     servers = capacity * generators / unit_power
     if abs(servers - round(servers)) > 1e-12:
         raise ValueError("capacity * generators must be a multiple of unit_power")
-    t_end = periods * (gap + 1) + 1
-    workload = np.zeros(t_end)
-    workload[:: gap + 1] = servers
     return Instance(
-        workload=workload,
-        price=np.full(t_end, p_max),
+        workload=spikes * servers,
+        price=np.full(len(spikes), p_max),
         server=ServerModel(c_idle=unit_power, c_peak=unit_power, beta_s=beta_s),
         generator=GeneratorModel(
             capacity=capacity, c_o=c_o, c_m=c_m, beta_g=beta_g, count=generators
@@ -405,14 +412,10 @@ def worst_case_gcsr_instance(
     keeps the online rule holding almost to the end of the stretch. The
     default per-slot idle cost is dyadic so tie comparisons are float-exact.
     """
-    if periods < 1 or gap < 1:
-        raise ValueError("periods and gap must be >= 1")
-    t_end = periods * (gap + 1) + 1
-    workload = np.zeros(t_end)
-    workload[:: gap + 1] = 1.0
+    workload = _spike_train(periods, gap)
     return Instance(
         workload=workload,
-        price=np.full(t_end, price),
+        price=np.full(len(workload), price),
         server=ServerModel(
             c_idle=unit_power, c_peak=unit_power, beta_s=idle_ratio * unit_power * price
         ),

@@ -183,12 +183,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (DcmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, CapacityError) else 1
 
 
 if __name__ == "__main__":

@@ -33,27 +33,29 @@ a clamped cumulative savings process.
 
 Every demand number here comes from Instance.demand, whole series for
 cp_cost and _dp_rows and demand_table cells for the rest.
-Both the DP and the server slices walk the horizon in blocks of at most
-BLOCK_SLOTS slots, and both read demand in cache-sized chunks of
-demand_table rows (CHUNK_CELLS grid cells each), holding no grid of a whole
-block. A DP block is one such chunk: _band_costs reads only the band cells
-x = ceil(a(t))..U(t) of its layers and makes one split_cost call per
+Both the DP and the server slices walk the horizon in blocks of slots, and
+block_span is the one rule for a block's size: at most BLOCK_SLOTS slots,
+and at most one cache-sized chunk of demand_table rows, CHUNK_CELLS grid
+cells at M+1 cells a slot (but at least one slot). Each block reads its
+demand in one demand_table call, so no demand grid outgrows one chunk
+unless one slot does. In the DP, _band_costs reads only the band cells
+x = ceil(a(t))..U(t) of a block's layers and makes one split_cost call per
 generator count y = 0..max Y(t); the layers then run only the value
 recursion. For the slices, idle_cost_block returns only the running
-idle-cost sums P of a run of slots, continued from the previous row, and
+idle-cost sums P of one block, continued from the previous row, and
 gap_pieces turns their changes in the busy count into the gaps of the
 nested slices. GapWalk is the one walk over them: it steps both functions
-one demand chunk of slots at a time, through one buffer it allocates once,
+one block at a time, through one buffer of one block it allocates once,
 decides each gap at the slot where it closes, follows the open gaps that
-have not reached break-even and records, per slot, the kept gaps' opens
-and closes; for the GCSR fleets that read it, it also finds each reached
-gap's break-even slot j* and keeps, in j* order, one (slice, g, j*)
-record per reached gap. None of that depends on a window or the
-generators, so solve_cp_offline holds one chunk of CHUNK_CELLS cells,
-reused by every step, plus O(M + T) numbers, never a (T, M) array or a
-block of P rows, and GCSR fleets of the same provisioning inputs can read
-one walk: online and offline slice rules compare the same floats, and
-compare and sweep make one P-row walk for GCSR, DCMON and cpoff together.
+have not reached break-even and records, per slot, the kept gaps' opens and
+closes; for the GCSR fleets that read it, it also finds each reached gap's
+break-even slot j* and keeps, in j* order, one (slice, g, j*) record per
+reached gap. None of that depends on a window or the generators, so
+solve_cp_offline holds one block's buffer, reused by every step, plus
+O(M + T) numbers, never a (T, M) array, and GCSR fleets of the same
+provisioning inputs can read one walk: online and offline slice rules compare the same
+floats, and compare and sweep make one P-row walk for GCSR, DCMON and cpoff
+together.
 solve_cp_offline stays the standalone solver and the checks' reference.
 
 The generator slices share one kernel with online CHASE: regret_rows steps
@@ -94,12 +96,19 @@ from .model import _supply_inputs
 
 DEFAULT_STATE_BUDGET = 5_000_000
 DEFAULT_ENUM_BUDGET = 10_000_000
-BLOCK_SLOTS = 256  # slots per block of DP stage costs, idle-cost sums and block-stepped decisions
-CHUNK_CELLS = 1 << 15  # demand-grid cells per chunk of demand rows: 256 KiB of floats
+BLOCK_SLOTS = 256  # most slots of a block (block_span) and of a driver's batch of online decisions
+CHUNK_CELLS = 1 << 15  # most demand-grid cells a block reads at once: 256 KiB of floats
 
 
 # ---------------------------------------------------------------------------
 # shared pieces
+
+
+def block_span(max_servers: int) -> int:
+    """Slots of a block at M = max_servers: at most BLOCK_SLOTS, and at most
+    one chunk of CHUNK_CELLS demand-grid cells, M+1 to a slot. The one block
+    rule of the DP's stage costs and the slice walk's steps."""
+    return min(BLOCK_SLOTS, max(1, CHUNK_CELLS // (max_servers + 1)))
 
 
 def cp_cost(instance: Instance, x) -> float:
@@ -251,9 +260,8 @@ def _value_layers(instance: Instance) -> tuple[list, list[int], list[int], list[
     value[t_end + 1] = np.zeros((1, 1))
     padded = np.full((max(tops) + 1, m + 1), np.inf)
     padded[0, 0] = 0.0
-    # stage costs of slots first..first+len(starts)-2, read backward in
-    # blocks of at most BLOCK_SLOTS slots and one cache-sized demand chunk
-    span = min(BLOCK_SLOTS, max(1, CHUNK_CELLS // (m + 1)))
+    # stage costs of slots first..first+len(starts)-2, read backward a block at a time
+    span = block_span(m)
     first = t_end + 1
     for t in range(t_end, 0, -1):
         if t < first:
@@ -287,15 +295,14 @@ def solve_dcm_offline(instance: Instance, state_budget: int = DEFAULT_STATE_BUDG
     (M+1)(N+1)(T+2) grid, checked before any band work.
 
     The backward pass (_value_layers) prices a block of layers at a time
-    (_band_costs): at most BLOCK_SLOTS slots and max(1, CHUNK_CELLS // (M+1))
-    of them. Their band cells alone are read, one demand_table call with one
-    slot and one x per cell checked as supply_cost checks its inputs, and
-    priced by one split_cost call per y, so no demand grid is built. Each
-    layer then makes the same numpy calls: the x-transform reads layer t+1
-    from one buffer that is +inf outside its band, the generator-axis
-    transform scans rows one at a time, and the layer goes back into the
-    buffer, whose old band is reset to +inf. No float differs from full
-    layers: every operation acts element by element, min(v, +inf) = v and
+    (_band_costs), block_span(M) slots. Their band cells alone are read, one
+    demand_table call with one slot and one x per cell checked as supply_cost
+    checks its inputs, and priced by one split_cost call per y, so no demand
+    grid is built. Each layer then makes the same numpy calls: the x-transform
+    reads layer t+1 from one buffer that is +inf outside its band, the
+    generator-axis transform scans rows one at a time, and the layer goes back
+    into the buffer, whose old band is reset to +inf. No float differs from
+    full layers: every operation acts element by element, min(v, +inf) = v and
     +inf - beta*k = +inf, and each scan passes min its operands in the order
     np.minimum.accumulate does, so even signed zeros come out the same.
 
@@ -427,31 +434,26 @@ def idle_cost_block(instance: Instance, start: int, end: int, carried, work=None
 
     Row 0 is carried, the sum P(start-1) (zeros at slot 1), and each later
     row continues it with one sequential float add per slot,
-    P_i(s) = P_i(s-1) + p(s) * (d_s(i+1) - d_s(i)). The demand rows come from
-    demand_table calls of at most max(1, CHUNK_CELLS // (M+1)) slots each, so
-    each chunk's grid stays cache-sized; a chunk is differenced and priced
-    straight into its P rows, and no grid of the whole block is held. The
-    floats do not depend on the chunking. GapWalk, and so the online GCSR
-    fleet and the offline slice rule, reads P from here, so both rules
-    compare the same floats (see reaches_breakeven).
+    P_i(s) = P_i(s-1) + p(s) * (d_s(i+1) - d_s(i)). The slots start..end are
+    one block: one demand_table call reads their grid, which is differenced
+    and priced straight into the P rows. The caller cuts the blocks
+    (GapWalk, by block_span), so the grid stays one cache-sized chunk; the
+    floats do not depend on the cut. GapWalk, and so the online GCSR fleet
+    and the offline slice rule, reads P from here, so both rules compare the
+    same floats (see reaches_breakeven).
 
-    work, arrays shaped (n+1, M) and (3, n, M+1) with end-start+1 <= n <=
-    max(1, CHUNK_CELLS // (M+1)), takes the P rows and the demand chunk, so
-    no array of the chunk's size is allocated: the result is then a view of
-    work[0], valid until work is written again.
+    work, arrays shaped (n+1, M) and (3, n, M+1) with end-start+1 <= n,
+    takes the P rows and the demand grid, so no array of the block's size is
+    allocated: the result is then a view of work[0], valid until work is
+    written again.
     """
-    m = instance.max_servers
-    prefix = np.empty((end - start + 2, m)) if work is None else work[0][: end - start + 2]
+    rows = end - start + 1
+    prefix = np.empty((rows + 1, instance.max_servers)) if work is None else work[0][: rows + 1]
     prefix[0] = carried
-    rows = max(1, CHUNK_CELLS // (m + 1))
-    for first in range(start, end + 1, rows):
-        last = min(first + rows - 1, end)
-        chunk = (None,) * 3 if work is None else work[1][:, : last - first + 1]
-        grid = instance.demand_table(first, last, work=chunk)
-        block = prefix[first - start : last - start + 2]  # the row before the chunk, then its rows
-        np.subtract(grid[:, 1:], grid[:, :-1], out=block[1:])
-        block[1:] *= instance.price[first - 1 : last, None]
-        np.add.accumulate(block, axis=0, out=block)
+    grid = instance.demand_table(start, end, work=(None,) * 3 if work is None else work[1][:, :rows])
+    np.subtract(grid[:, 1:], grid[:, :-1], out=prefix[1:])
+    prefix[1:] *= instance.price[start - 1 : end, None]
+    np.add.accumulate(prefix, axis=0, out=prefix)
     return prefix
 
 
@@ -558,17 +560,17 @@ def _paint(need: np.ndarray, slices: int, offs) -> np.ndarray:
 class GapWalk:
     """The one walk of the server-slice rules, offline and online (GCSR).
 
-    step walks the next slots in sub-steps of one demand chunk, at most
-    max(1, CHUNK_CELLS // (M+1)) slots each: c(s) = ceil(a(s)), the P rows of
-    idle_cost_block continued from the last stepped row, and the gaps of
-    gap_pieces, each decided at its last idle slot in the sub-step: reached
+    step walks the next slots in sub-steps of one block, block_span(M) slots
+    each (fewer at the horizon or the step's end): c(s) = ceil(a(s)), the P
+    rows of idle_cost_block continued from the last stepped row, and the gaps
+    of gap_pieces, each decided at its last idle slot in the sub-step: reached
     iff reaches_breakeven holds there, kept iff it closes in the sub-step
     unreached. P is nondecreasing, so the offline rule keeps exactly the kept
     gaps, and a reached gap stays reached: only the open, unreached gaps are
     followed into the next sub-step (open_gaps). A reached gap's break-even
     slot j*, the first slot of the gap where the predicate holds, is found by
-    _breakeven_rows over the sub-step's rows, O(gaps * log chunk) work, once
-    a GCSR fleet or cp_offline_slices asks (record_breakevens).
+    _breakeven_rows over the sub-step's rows, O(gaps * log block) work, once a
+    GCSR fleet or cp_offline_slices asks (record_breakevens).
 
     Nothing here reads a window or the generators, and nothing depends on
     how the slots are cut into blocks: j*, both verdicts and the P floats
@@ -583,8 +585,8 @@ class GapWalk:
       the smallest unsigned type that holds T and M (breakevens reads them)
     - one P row and the open gaps it still follows
 
-    That is one chunk of CHUNK_CELLS cells, the P rows and demand scratch
-    of a sub-step (allocated once, reused by every step and dropped at the
+    That is one block's P rows and demand scratch, at most CHUNK_CELLS
+    cells each (allocated once, reused by every step and dropped at the
     horizon), plus O(M + T + reached gaps) numbers; no P row outlives its
     sub-step. The records are 6 bytes a gap at uint16: 0.2 MB for the 34.5k
     reached gaps of a 90-day trace at M=552, 8.4 MB for the 1.4M of a
@@ -598,8 +600,8 @@ class GapWalk:
         self.stepped = 0  # the last stepped slot
         m = instance.max_servers
         self._row = np.zeros(m)  # P of the last stepped slot
-        # the P rows and demand chunk of a sub-step (idle_cost_block), until the horizon
-        span = min(max(1, CHUNK_CELLS // (m + 1)), t_end)
+        # the P rows and demand grid of a sub-step (idle_cost_block), until the horizon
+        span = min(block_span(m), t_end)
         self._work = (np.empty((span + 1, m)), np.empty((3, span, m + 1)))
         self.kept_opens = np.zeros(t_end + 1, dtype=int)  # at index s: kept gaps with g = s
         self.kept_closes = np.zeros(t_end + 1, dtype=int)  # kept gaps whose close is slot s
@@ -614,7 +616,7 @@ class GapWalk:
 
     def step(self, workload, stop: int) -> None:
         """Walk slots stepped+1..stop, given their workload a(s), in sub-steps
-        of at most one demand chunk's slots, through the walk's buffers."""
+        of one block (block_span), through the walk's buffers."""
         start, span = self.stepped + 1, len(self._work[0]) - 1
         for first in range(start, stop + 1, span):
             self._step(workload[first - start : first - start + span], min(first + span - 1, stop))
@@ -703,11 +705,11 @@ def solve_cp_offline(instance: Instance) -> np.ndarray:
     """Optimal provisioning series as the sum of unit-slice optima.
 
     Steps a GapWalk over the horizon, which decides each slice's idle gap
-    at the slot where it closes. Memory is one demand chunk of CHUNK_CELLS
-    cells, reused by every step, plus O(M + T): no (T, M) array, no block of
-    P rows and no break-even slot. The
-    offline rule knows where the horizon ends: trailing gaps (like leading
-    ones) turn off for free. The online rules treat the end as unknown and
+    at the slot where it closes. Memory is one block's P rows and demand
+    grid, at most CHUNK_CELLS cells each and reused by every step, plus
+    O(M + T): no (T, M) array and no break-even slot. The offline rule
+    knows where the horizon ends: trailing gaps (like leading ones) turn
+    off for free. The online rules treat the end as unknown and
     may hold through them (see online.gcsr).
     """
     return GapWalk(instance).walk_to_end().offline_series()

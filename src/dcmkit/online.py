@@ -23,7 +23,7 @@ same provisioning inputs may share. It steps the walk, reading a(s) through
 its own window, only past where some fleet has, and takes only the walk's
 records whose evidence lies within its own window end, each checked against
 its own decision's end: a shared walk is as causal as a private one. The
-walk costs O(rows * M + gaps * log chunk) work once, each fleet O(T +
+walk costs O(rows * M + gaps * log block) work once, each fleet O(T +
 reached gaps). One walk serves a compare's gcsr, dcmon and cpoff, and every
 window and generator count of a sweep.
 
@@ -85,10 +85,13 @@ class RevealedWindow:
     A fleet that decides a block of slots at once (ChaseFleet, GcsrFleet)
     also needs each decision's own window. Decision s is made when the
     driver stands at slot max(1, s - lag) and may read slots up to its end,
-    min(max(1, s - lag) + lookahead, horizon); lag is 0 except for DCMON's
-    provisioning stage, which decides ahead of its output slot. ends gives
-    the ends of the decisions a fleet may make, and check_each raises
-    LookaheadViolation for any slot a decision used past its own end.
+    min(max(1, s - lag) + lookahead, horizon) (decision_end, the one rule
+    for it); lag is 0 except for DCMON's provisioning stage, which decides
+    ahead of its output slot. ends gives the ends of the decisions a fleet
+    may make, and check_each raises LookaheadViolation for any slot a
+    decision used past its own end. check_each computes those ends itself
+    and takes none from the fleet, so a fleet that miscounts its ends is
+    still caught.
 
     lookahead and lag are held clamped to the horizon, so window ends stay
     within int64 whatever the window. That changes no end: each is
@@ -116,12 +119,18 @@ class RevealedWindow:
         self.check(first, last)
         return series[first - 1] if last is None else series[first - 1 : last]
 
+    def decision_end(self, s):
+        """The window end of decision s, an int or an int array:
+        min(max(1, s - lag) + lookahead, horizon), revealed or not."""
+        return np.minimum(np.maximum(s - self.lag, 1) + self.lookahead, self.horizon)
+
     def ends(self, first: int) -> np.ndarray:
         """Window ends of decisions first, first+1, ... through the last whose
         end is revealed; LookaheadViolation unless decision first's is."""
-        self.check(min(max(1, first - self.lag) + self.lookahead, self.horizon))
-        last = self.horizon if self.end == self.horizon else self.end - self.lookahead + self.lag
-        return self._ends(first, last)
+        self.check(self.decision_end(first))
+        # the one inverse of decision_end: the last decision whose end is revealed
+        last = self.end - self.lookahead + self.lag if self.end < self.horizon else self.horizon
+        return self._ends(first, min(last, self.horizon))
 
     def check_each(self, first: int, slots: np.ndarray) -> None:
         """Raise LookaheadViolation unless every slot in row k of slots lies
@@ -135,8 +144,7 @@ class RevealedWindow:
 
     def _ends(self, first: int, last: int) -> np.ndarray:
         """Window ends of decisions first..last, within the revealed slots."""
-        driver = np.maximum(np.arange(first, last + 1) - self.lag, 1)
-        return np.minimum(driver + self.lookahead, self.end)
+        return np.minimum(self.decision_end(np.arange(first, last + 1)), self.end)
 
 
 def _drive(fleet, window: RevealedWindow, keep: bool = False) -> list:
@@ -145,8 +153,7 @@ def _drive(fleet, window: RevealedWindow, keep: bool = False) -> list:
     whose end is revealed. With keep, returns the decide_next results."""
     kept = []
     while fleet.next_slot <= window.horizon:
-        window.reveal(max(1, fleet.next_slot + offline.BLOCK_SLOTS - 1 - window.lag)
-                      + window.lookahead)
+        window.reveal(window.decision_end(fleet.next_slot + offline.BLOCK_SLOTS - 1))
         step = fleet.decide_next()
         if keep:
             kept.append(step)
@@ -188,8 +195,8 @@ class GcsrFleet:
     (GapWalk.record_breakevens) before the walk's first step. decide_next
     decides every slot from next_slot whose own window end is revealed
     (RevealedWindow.ends); the last of those ends is E. It steps the walk
-    only if the walk has not yet reached E, in blocks of at most
-    offline.BLOCK_SLOTS, with a(s) read through this fleet's window. It then
+    to E, with a(s) read through this fleet's window, only if the walk has
+    not yet reached E; the walk cuts the step into its own blocks. It then
     takes the walk's records of the reached gaps with j* <= E not taken
     before, maps each j* to its t* by a search over the ends, and passes
     every j* through window.check_each against the end of its t*. With
@@ -207,7 +214,7 @@ class GcsrFleet:
     its close slot s <= t, and c(s) is read for s <= t only. A walk
     stepped past E by another fleet thus gives this one nothing it could
     not have computed itself. The fleet holds O(T) numbers, and the walk one
-    demand chunk plus O(M + T + reached gaps). decide_next returns the
+    block's buffer plus O(M + T + reached gaps). decide_next returns the
     (slices, slots) of the turn-offs it took, for painting slices.
     """
 
@@ -229,9 +236,8 @@ class GcsrFleet:
         is revealed; returns the (slices, slots) of the turn-offs taken."""
         t, walk, window = self.next_slot, self.walk, self.window
         ends = window.ends(t)
-        while walk.stepped < ends[-1]:
-            stop = min(walk.stepped + offline.BLOCK_SLOTS, ends[-1])
-            walk.step(window.read(self.instance.workload, walk.stepped + 1, stop), stop)
+        if walk.stepped < ends[-1]:
+            walk.step(window.read(self.instance.workload, walk.stepped + 1, ends[-1]), ends[-1])
         slices, g, j_star = walk.breakevens(self._taken, ends[-1])
         self._taken += len(j_star)
         k = len(ends)
@@ -477,6 +483,27 @@ class BoundParams(OngridParams):
             p_max=instance.p_max,
         )
 
+    # the terms of the ratio bounds, each written once; with L = capacity,
+    # P_max = p_max, alpha_s = coverage(w) and w_ep = ep_window(w)
+
+    def alpha_g(self, lookahead: int) -> float:
+        """alpha_g = c_m * w_ep / beta_g: the supply window in units of beta_g/c_m."""
+        return self.c_m * self.ep_window(lookahead) / self.beta_g
+
+    @property
+    def margin(self) -> float:
+        """L*P_max - L*c_o - c_m: a full unit's saving over the grid at the price peak."""
+        return self.capacity * self.p_max - self.capacity * self.c_o - self.c_m
+
+    @property
+    def slope(self) -> float:
+        """L - c_m/(P_max - c_o): the window's weight in the bounds' denominators."""
+        return self.capacity - self.c_m / (self.p_max - self.c_o)
+
+    def head(self, lookahead: int) -> float:
+        """P_max(2 - alpha_s)/(c_o + c_m/L): the hybrid bounds' provisioning factor."""
+        return self.p_max * ratio_bound_ongrid(lookahead, self) / (self.c_o + self.c_m / self.capacity)
+
 
 def ratio_bound_ongrid(lookahead: int, params: OngridParams) -> float:
     """Worst-case GCSR / offline ratio for grid-only provisioning, 2 - alpha_s."""
@@ -484,32 +511,25 @@ def ratio_bound_ongrid(lookahead: int, params: OngridParams) -> float:
 
 
 def ratio_bound_ep(lookahead: int, params: BoundParams) -> float:
-    """Worst-case CHASE / offline ratio for the supply subproblem."""
-    cap, p = params.capacity, params.p_max
-    margin = cap * p - cap * params.c_o - params.c_m
-    denom = params.beta_g * cap * p + lookahead * params.c_m * p * (
-        cap - params.c_m / (p - params.c_o)
-    )
-    return 1.0 + 2.0 * params.beta_g * margin / denom
+    """Worst-case CHASE / offline ratio for the supply subproblem,
+    1 + 2*beta_g*margin / (beta_g*L*P_max + w*c_m*P_max*slope)."""
+    p = params.p_max
+    denom = params.beta_g * params.capacity * p + lookahead * params.c_m * p * params.slope
+    return 1.0 + 2.0 * params.beta_g * params.margin / denom
 
 
 def ratio_bound_hybrid(lookahead: int, params: BoundParams) -> float:
-    """Worst-case pipeline / joint-offline ratio for hybrid supply."""
+    """Worst-case pipeline / joint-offline ratio for hybrid supply: the
+    paper's product head * [1 + 2*margin / (L*P_max + alpha_g*P_max*slope)]."""
     cap, p = params.capacity, params.p_max
-    alpha_g = params.c_m * params.ep_window(lookahead) / params.beta_g
-    margin = cap * p - cap * params.c_o - params.c_m
-    bracket = 1.0 + 2.0 * margin / (
-        cap * p + alpha_g * p * (cap - params.c_m / (p - params.c_o))
-    )
-    return (p * (2.0 - params.coverage(lookahead)) / (params.c_o + params.c_m / cap)) * bracket
+    bracket = 1.0 + 2.0 * params.margin / (cap * p + params.alpha_g(lookahead) * p * params.slope)
+    return params.head(lookahead) * bracket
 
 
 def ratio_bound_hybrid_loose(lookahead: int, params: BoundParams) -> float:
     """Simpler, weaker form of the hybrid bound (no-look-ahead tabletop form)."""
-    p = params.p_max
-    alpha_g = params.c_m * params.ep_window(lookahead) / params.beta_g
-    head = p * (2.0 - params.coverage(lookahead)) / (params.c_o + params.c_m / params.capacity)
-    return head * (1.0 + 2.0 * (p - params.c_o) / p / (1.0 + alpha_g))
+    p, alpha_g = params.p_max, params.alpha_g(lookahead)
+    return params.head(lookahead) * (1.0 + 2.0 * (p - params.c_o) / p / (1.0 + alpha_g))
 
 
 def rho_decomposition(params: BoundParams) -> float:

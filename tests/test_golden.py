@@ -220,6 +220,20 @@ CASES = {
         ["solve", "--algo", "static"],
         "6312d5c6c3bd5fdb2276dbc0b4707476b47b97d73947e42843d0c494ba5f04f9",
     ),
+    # the look-ahead axis at the presets' scale: windows 0-8 cover part of the
+    # break-even span (alpha_s < 1, no supply window), 16 and up all of it
+    # (alpha_s = 1) with a supply window, so the hybrid bounds have alpha_g > 0
+    "sj-22d-sweep-lookahead": (
+        {"preset": "sj", "sweep": {"axis": "lookahead", "values": [0, 4, 8, 16, 32, 64, 200]}},
+        ["sweep"],
+        "3eaee7e5611b28cbf8743ea110012dfd82c6f15bbdbabf06c388ac66746f216b",
+    ),
+    # a standalone slice walk at M = 56, whose 288 slots a block cuts at 256
+    "ny-12d-solve-cpoff": (
+        {**BASE, "preset": "ny", "days": 12},
+        ["solve", "--algo", "cpoff"],
+        "9a3b715082101ffecb703b5445ec267d0b0f058b97de5cc93f8d536e5b5d5896",
+    ),
 }
 
 

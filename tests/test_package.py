@@ -59,10 +59,14 @@ def test_commands_load_only_the_standard_library_and_numpy(tmp_path):
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
+    # each demo cleans up after itself: the temporary directory it is given stays empty
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    env = dict(os.environ, TMPDIR=str(temp))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert sorted(path.name for path in temp.iterdir()) == []
