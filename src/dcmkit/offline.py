@@ -4,32 +4,48 @@ per-unit decomposition (server slices and generator slices).
 The joint problem is a shortest path over layered states (x, y) per slot with
 switching costs on increases only. A backward dynamic program over the
 layers solves it. Each value layer holds only the fleet sizes an optimum can
-use, the band x = ceil(a(t))..U(t) with U(t) the peak need ceil(a(s)) over
-s in [t, min(T, t+D)]. D = floor(beta_s/(r*d_min)) + 1 is one break-even span:
-d_min is the least demand increment of a server and r = min(c_o, p_min)
-(p_min without generators) the least rate at which a slot's supply cost
-falls per unit of demand at fixed y. Above U(t) the top server idles
-through slots t..t+D; turning it off until it is next needed (or for good,
-when its run ends) saves at least (D+1)*r*d_min and costs at most one
-restart beta_s, so every optimal schedule, from any state, stays inside the
-band by a margin of at least r*d_min (the exchange argument of lazy
-capacity provisioning; Lin et al., INFOCOM 2011). When r*d_min is 0 the band
-is the full row. The same argument bands the generator axis to
-y = 0..Y(t): Y(t) is the peak of useful(s) over s in [t, min(T, t+D_g)],
-useful(s) counts the units k with L*(k-1) < d_s(U(s)), and
-D_g = floor(beta_g/c_m) + 1. Demand is nondecreasing in x and an optimum
-keeps x(s) <= U(s), so a unit above useful(s) leaves the merit-order split
-u = min(L*y, d) as it is and only costs c_m. Above Y(t) the top unit is
-such a unit through slots t..t+D_g. Turning it off through t+D_g saves
-c_m*(D_g+1) for at most one startup beta_g; if its run ends sooner,
-turning it off for the rest of the run costs nothing. Either way the gain
-is at least c_m. When c_m is 0 the rows are all N+1. A layer costs
-O((Y(t)+1)(U(t)+1-ceil(a(t)))) work and memory; the state budget still
-counts the full (M+1)(N+1)(T+2) grid. A Dijkstra search over the same graph
-and an exhaustive enumeration are kept as reference oracles. The
-decomposition splits provisioning into M unit server slices solved by a
-break-even rule and supply into N unit generator slices solved by tracking
-a clamped cumulative savings process.
+use, the band x = ceil(a(t))..U(t). D = floor(beta_s/(r*d_min)) + 1 is one
+break-even span: d_min is the least demand increment of a server and
+r = min(c_o, p_min) (p_min without generators) the least rate at which a
+slot's supply cost falls per unit of demand at fixed y, so an idle server
+costs at least r*d_min a slot. Server i is busy at slot s when
+ceil(a(s)) > i and idle in the gaps between. U(t) is the largest fleet a
+short gap can hold: the largest of ceil(a(t)) and
+min(ceil(a(s1)), ceil(a(s2))) over s1 < t < s2 with s2 - s1 - 1 <= D. A
+leading gap (no busy slot before it) and a trailing gap (none after it)
+hold nothing. A schedule with x(t) > U(t) keeps its top server
+i = x(t) - 1 on at t, in a gap of i that is leading, trailing or at least
+D+1 slots long. Lower x by one over the longest run of slots around t
+inside that gap where x >= i+1: demand stays covered, and each slot of the
+run saves at least r*d_min. If the run starts after the gap does, it saves
+one restart; if it ends before the gap does, it adds none; if it is the
+whole gap, the gap is leading (the first start is saved), trailing (no
+restart follows) or so long that its idle cost (D+1)*r*d_min exceeds
+beta_s + r*d_min. Every case saves at least r*d_min, so every optimal
+schedule from the start state stays inside the band by that margin (the
+exchange argument of lazy capacity provisioning; Lin et al., INFOCOM 2011).
+When r*d_min is 0 the band is the full row. The same argument bands the
+generator axis to y = 0..Y(t): Y(t) is the peak of useful(s) over s in
+[t, min(T, t+D_g)], useful(s) counts the units k with L*(k-1) < d_s(U(s)),
+and D_g = floor(beta_g/c_m) + 1. Demand is nondecreasing in x and an
+optimum keeps x(s) <= U(s), so a unit above useful(s) leaves the
+merit-order split u = min(L*y, d) as it is and only costs c_m. Above Y(t)
+the top unit is such a unit through slots t..t+D_g. Turning it off through
+t+D_g saves c_m*(D_g+1) for at most one startup beta_g; if its run ends
+sooner, turning it off for the rest of the run costs nothing. Either way
+the gain is at least c_m. When c_m is 0 the rows are all N+1. Neither band
+bounds the completions from other states: a band state that no optimal
+schedule passes through may hold a value above its full-layer one. The
+forward pass never steps there, as even its full-layer value exceeds the
+optimum. A state that an optimal schedule passes through has all its
+optimal completions inside the bands, so it holds the full-layer float,
+and the forward pass picks what the full layers pick, in the same tie
+order. A layer costs O((Y(t)+1)(U(t)+1-ceil(a(t)))) work and memory; the
+state budget still counts the full (M+1)(N+1)(T+2) grid. A Dijkstra search
+over the same graph and an exhaustive enumeration are kept as reference
+oracles. The decomposition splits provisioning into M unit server slices
+solved by a break-even rule and supply into N unit generator slices solved
+by tracking a clamped cumulative savings process.
 
 Every demand number here comes from Instance.demand, whole series for
 cp_cost and _dp_rows and demand_table cells for the rest.
@@ -186,18 +202,45 @@ def _window_max(values: np.ndarray, slots: float) -> np.ndarray:
 def _dp_band(instance: Instance, need: np.ndarray) -> np.ndarray:
     """Top column U(t) of each layer of the exact DP, given need = ceil(a).
 
-    U(t) = max need(s) over s in [t, min(T, t+D)] with
-    D = floor(beta_s/(r*d_min)) + 1, d_min = Instance.min_marginal_demand()
-    and r = min(c_o, p_min) (p_min without generators); the full row M when
-    r*d_min is 0. The module docstring gives the exchange argument that
-    keeps every optimal schedule, from any state, inside the band.
+    U(t) is the largest fleet a short idle gap can hold: the largest of
+    need(t) and min(need(s1), need(s2)) over the slot pairs s1 < t < s2 with
+    s2 - s1 - 1 <= D, D = floor(beta_s/(r*d_min)) + 1, d_min =
+    Instance.min_marginal_demand() and r = min(c_o, p_min) (p_min without
+    generators); the full row M when r*d_min is 0. A leading or trailing gap
+    holds nothing. The module docstring gives the exchange argument that
+    keeps every optimal schedule from the start state inside the band; from
+    other states a completion may leave it.
+
+    Only the pairs that a stack of strictly falling needs meets can set U: a
+    pair with a need of at least their minimum between them holds no more
+    than that need or the shorter pairs on either side of it. Those pairs
+    nest, and of two nested pairs the outer holds at least the inner's
+    fleet, so each slot takes the fleet of the outermost short pair around
+    it. One pass over the slots finds the pairs and one writes the
+    outermost: O(T) steps, whatever D is.
     """
     gen = instance.generator
     rate = min(gen.c_o, instance.p_min) if gen.count else instance.p_min
     margin = rate * instance.min_marginal_demand()
     if not margin > 0.0:
         return np.full(len(need), instance.max_servers)
-    return _window_max(need, instance.server.beta_s / margin)
+    span = instance.server.beta_s / margin  # a gap of g slots is short when g - 1 <= span
+    values = need.tolist()
+    stack: list[int] = []  # slots of strictly falling need
+    pairs = []  # short (s1, s2), found by s2, inner before outer
+    for s2, high in enumerate(values):
+        while stack and values[stack[-1]] <= high:
+            stack.pop()
+            if stack and s2 - stack[-1] - 2 <= span:
+                pairs.append((stack[-1], s2))
+        stack.append(s2)
+    band = need.copy()
+    left = len(values)  # least s1 written: a later pair starting at or past it lies inside
+    for s1, s2 in reversed(pairs):  # outer before inner
+        if s1 < left:
+            band[s1 + 1 : s2] = min(values[s1], values[s2])
+            left = s1
+    return band
 
 
 def _dp_rows(instance: Instance, band: np.ndarray) -> np.ndarray:
@@ -206,7 +249,10 @@ def _dp_rows(instance: Instance, band: np.ndarray) -> np.ndarray:
     useful(s) counts the units k in 1..N with L*(k-1) < d_s(U(s)), the
     units a fleet inside the band can load at slot s. Y(t) = max useful(s)
     over s in [t, min(T, t+D_g)] with D_g = floor(beta_g/c_m) + 1; N when
-    c_m is 0 or N is 0. The module docstring gives the exchange argument.
+    c_m is 0 or N is 0. An optimal schedule from the start state keeps
+    x(s) <= U(s), so a unit above useful(s) only costs c_m there; the module
+    docstring gives the exchange argument. Like the band's, it bounds the
+    optimal schedules from the start state, not completions from any state.
     """
     gen = instance.generator
     if not (gen.count and gen.c_m > 0.0):
@@ -290,9 +336,12 @@ def solve_dcm_offline(instance: Instance, state_budget: int = DEFAULT_STATE_BUDG
     Layer t holds only the states of two bands, columns x = ceil(a(t))..U(t)
     (_dp_band) and rows y = 0..Y(t) (_dp_rows), y-major and C-contiguous; the
     module docstring gives the exchange argument that keeps every optimal
-    schedule, from any state, inside both, so the optimal set and the tie
-    order are those of the full layers. The state budget counts the full
-    (M+1)(N+1)(T+2) grid, checked before any band work.
+    schedule from the start state inside both. A band state that no optimal
+    schedule passes through may hold a value above its full-layer one, but
+    the forward pass never steps there, and the states it steps through hold
+    the full-layer floats, so the optimal set and the tie order are those of
+    the full layers. The state budget counts the full (M+1)(N+1)(T+2) grid,
+    checked before any band work.
 
     The backward pass (_value_layers) prices a block of layers at a time
     (_band_costs), block_span(M) slots. Their band cells alone are read, one

@@ -8,11 +8,11 @@ from one_shot_block, the evaluator idle_cost_block replaced, which builds
 a whole (block, M+1) demand grid and differences it in one go. These tests
 pin gcsr, its slices and dcmon's provisioning stage to the reference on
 random tiny and bound instances at several windows, with the fleets
-stepped in blocks of 1, 2, 5 and 256 slots, and the chunked evaluator's P
-rows to the one-shot rows bit for bit. The offline series a GCSR walk
-records, under gcsr's window and dcmon's, is pinned to solve_cp_offline,
-and the gaps the walk follows after each step to the open gaps short of
-break-even.
+stepped in blocks of 1, 2, 5 and 256 slots, and idle_cost_block's P rows,
+one block at a time, to the one-shot rows bit for bit. The offline series
+a GCSR walk records, under gcsr's window and dcmon's, is pinned to
+solve_cp_offline, and the gaps the walk follows after each step to the
+open gaps short of break-even.
 """
 
 import math
@@ -278,26 +278,21 @@ def exact_peak_instance(seed, m, days=12):
     return inst
 
 
-def test_chunked_prefix_rows_are_the_one_shot_rows(monkeypatch):
-    # blocks of BLOCK_SLOTS slots, each evaluated in chunks of CHUNK_CELLS
-    # grid cells: the default (a 256-slot block at M=552 takes three
-    # chunks) and budgets that cut a block every 1, 3 or 7 rows
+def test_block_prefix_rows_are_the_one_shot_rows(monkeypatch):
+    # blocks of BLOCK_SLOTS slots, each evaluated by idle_cost_block in one
+    # demand_table call, against the one-shot grid at M = 1, 8 and 552
     for m in (1, 8, 552):
         inst = exact_peak_instance(9, m)
         for block in BLOCKS:
             monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
-            for cells in (offline.CHUNK_CELLS, m + 1, 3 * (m + 1), 7 * (m + 1)):
-                monkeypatch.setattr(offline, "CHUNK_CELLS", cells)
-                want_row = got_row = np.zeros(m)
-                start = 1
-                while start <= inst.horizon:
-                    _, want = one_shot_block(inst, start, start, want_row)
-                    stop = start + len(want) - 2
-                    got = idle_cost_block(inst, start, stop, got_row)
-                    assert got.tobytes() == want.tobytes(), (m, block, cells, start)
-                    want_row, got_row, start = want[-1], got[-1], stop + 1
-                monkeypatch.undo()
-                monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
+            want_row = got_row = np.zeros(m)
+            start = 1
+            while start <= inst.horizon:
+                _, want = one_shot_block(inst, start, start, want_row)
+                stop = start + len(want) - 2
+                got = idle_cost_block(inst, start, stop, got_row)
+                assert got.tobytes() == want.tobytes(), (m, block, start)
+                want_row, got_row, start = want[-1], got[-1], stop + 1
 
 
 def test_runs_on_one_shared_walk_equal_solo_runs(monkeypatch):

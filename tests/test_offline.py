@@ -1,7 +1,9 @@
 """Offline solvers: exact joint optimum, slice decomposition, critical segments."""
 
 import dataclasses
+import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -451,7 +453,7 @@ def test_dp_forward_pass_breaks_ties_by_smallest_fleet_then_fewest_generators():
 
 
 def test_dp_memory_holds_no_demand_grid_of_a_block():
-    # a 22-day trace at M=552: the value layers are 3.0 MiB, and the stage
+    # a 22-day trace at M=552: the value layers are 0.8 MiB, and the stage
     # costs of a block, one cache-sized chunk of demand rows, keep only its
     # band cells; a (256, 553) demand grid held through a block's layers,
     # with its clamped copy, would add 2.2 MiB
@@ -464,7 +466,7 @@ def test_dp_memory_holds_no_demand_grid_of_a_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6.2 * 2**20, peak / 2**20
+    assert peak < 2.5 * 2**20, peak / 2**20
 
 
 def test_window_max_spans_the_breakeven_window_cut_at_the_series_end():
@@ -479,13 +481,37 @@ def test_window_max_spans_the_breakeven_window_cut_at_the_series_end():
             assert got.tolist() == [values[k : k + span].max() for k in range(n)], (n, slots)
 
 
-def test_dp_band_is_the_peak_need_within_one_breakeven_span():
-    # U(t) = max ceil(a(s)) over s in [t, min(T, t+D)], D = floor(beta_s /
-    # (r*d_min)) + 1 with r = min(c_o, p_min), or p_min with no generators;
-    # r*d_min = 0 (free generation with generators, or a zero price) gives
-    # the full row
+def band_margin(inst):
+    """r*d_min of the DP band: r = min(c_o, p_min), or p_min with no generators."""
+    gen = inst.generator
+    rate = min(gen.c_o, inst.p_min) if gen.count else inst.p_min
+    return rate * inst.min_marginal_demand()
+
+
+def window_peak_band(inst, need):
+    """The band before the gap rule: the peak need over [t, min(T, t+D)]."""
+    return offline._window_max(need, inst.server.beta_s / band_margin(inst))
+
+
+def short_gap_fleets(need, span):
+    """max(need(t), min(need(s1), need(s2))) over the pairs s1 < t < s2 with
+    s2 - s1 - 1 <= floor(span) + 1, by brute force over the pairs."""
+    want = np.array(need)
+    longest = math.floor(min(span, len(need))) + 1
+    for s1 in range(len(need)):
+        for s2 in range(s1 + 2, min(len(need), s1 + longest + 2)):
+            np.maximum(want[s1 + 1 : s2], min(need[s1], need[s2]), out=want[s1 + 1 : s2])
+    return want
+
+
+def test_dp_band_is_the_largest_fleet_a_short_gap_keeps():
+    # U(t) = max(ceil(a(t)), min(ceil(a(s1)), ceil(a(s2)))) over s1 < t < s2
+    # with s2 - s1 - 1 <= D, D = floor(beta_s / (r*d_min)) + 1 with r =
+    # min(c_o, p_min), or p_min with no generators; never above the peak
+    # need within one span. r*d_min = 0 (free generation with generators,
+    # or a zero price) gives the full row
     rng = np.random.default_rng(20)
-    seen = dict(narrow=0, free_generation=0, zero_price=0)
+    seen = dict(narrow=0, narrower_than_window=0, free_generation=0, zero_price=0)
     for k in range(300):
         inst = random_bound_instance(rng)
         if k % 3 == 1:
@@ -501,18 +527,93 @@ def test_dp_band_is_the_peak_need_within_one_breakeven_span():
             inst = dataclasses.replace(inst, price=price)
         need = np.ceil(inst.workload).astype(int)
         tops = offline._dp_band(inst, need)
-        gen = inst.generator
-        rate = min(gen.c_o, inst.p_min) if gen.count else inst.p_min
-        margin = rate * inst.min_marginal_demand()
+        margin = band_margin(inst)
         if margin == 0.0:
             assert np.array_equal(tops, np.full(inst.horizon, inst.max_servers))
-            seen["free_generation" if gen.count else "zero_price"] += 1
+            seen["free_generation" if inst.generator.count else "zero_price"] += 1
             continue
-        span = math.floor(inst.server.beta_s / margin) + 1
-        want = [need[t : t + span + 1].max() for t in range(inst.horizon)]
-        assert np.array_equal(tops, want), k
+        assert np.array_equal(tops, short_gap_fleets(need, inst.server.beta_s / margin)), k
+        window = window_peak_band(inst, need)
+        assert np.all(tops <= window), k
         seen["narrow"] += bool(np.any(tops < inst.max_servers))
+        seen["narrower_than_window"] += bool(np.any(tops < window))
     assert min(seen.values()) >= 20, seen
+    # spans short of a T = 4000 series and past it: once D + 1 >= T - 1 every
+    # gap between two busy slots is short, so U(t) is need(t) or the smaller
+    # of the peak needs before and after t, and the huge span is one pass too
+    need = np.where(rng.random(4000) < 0.3, 0, rng.integers(0, 60, 4000))
+    for slots in (0.5, 3.0, 3999.0, 4000.0, 1e300):
+        inst = Instance(
+            workload=need.astype(float),
+            price=np.full(4000, 0.5),
+            server=ServerModel(0.25, 0.25, beta_s=0.125 * slots),  # r*d_min = 0.5 * 0.25
+            generator=GeneratorModel(1.0, 0.1, 0.1, 1.0, 0),
+        )
+        start = time.perf_counter()
+        tops = offline._dp_band(inst, need)
+        elapsed = time.perf_counter() - start
+        if math.floor(slots) + 2 < 4000 - 1:  # D + 1 < T - 1
+            want = short_gap_fleets(need, slots)
+        else:
+            before = np.maximum.accumulate(np.concatenate([[0], need[:-1]]))
+            after = np.maximum.accumulate(np.concatenate([[0], need[:0:-1]]))[::-1]
+            want = np.maximum(need, np.minimum(before, after))
+        assert np.array_equal(tops, want), slots
+        assert elapsed < 0.5, (slots, elapsed)
+
+
+def trajectory_costs(inst):
+    """Every feasible (x, y) trajectory of inst, enumerated as brute_force_dcm
+    does: (x series, cost[x series, y series])."""
+    m, n, t_end = inst.max_servers, inst.generator.count, inst.horizon
+    xt = np.array(list(itertools.product(*(range(inst.min_servers(t), m + 1)
+                                           for t in range(1, t_end + 1)))))
+    yt = np.array(list(itertools.product(range(n + 1), repeat=t_end)))
+    cost = np.zeros((len(xt), len(yt)))
+    for t, psi in enumerate(offline._stage_table(inst)):
+        cost += psi[xt[:, t][:, None], yt[:, t][None, :]]
+    x_starts = inst.server.beta_s * np.diff(xt, axis=1, prepend=0).clip(min=0).sum(axis=1)
+    y_starts = inst.generator.beta_g * np.diff(yt, axis=1, prepend=0).clip(min=0).sum(axis=1)
+    return xt, cost + x_starts[:, None] + y_starts[None, :]
+
+
+def test_near_optimal_schedules_stay_inside_the_dp_band():
+    # the exchange argument, not only the DP's pick: a fleet above U(t) can
+    # drop its top server over part of a leading, trailing or long gap and
+    # save at least r*d_min, so every trajectory from the start state within
+    # r*d_min/2 of the minimum keeps x(t) <= U(t) at every slot
+    rng = np.random.default_rng(27)
+    narrower = 0
+    draws = 240
+    for k in range(draws):
+        inst = random_tiny_instance(rng)
+        if k % 2:
+            inst = dyadic_tie_instance(inst, rng)
+        scale = (0.01, 0.1, 0.3, 1.0)[k // 2 % 4]
+        inst = dataclasses.replace(
+            inst, server=dataclasses.replace(inst.server, beta_s=scale * inst.server.beta_s)
+        )
+        need = np.ceil(inst.workload).astype(int)
+        tops = offline._dp_band(inst, need)
+        xt, cost = trajectory_costs(inst)
+        near = np.any(cost <= cost.min() + 0.5 * band_margin(inst), axis=1)
+        assert np.all(xt[near] <= tops), k
+        narrower += band_margin(inst) > 0.0 and bool(np.any(tops < window_peak_band(inst, need)))
+    assert narrower >= 0.3 * draws, narrower
+
+
+def test_gap_band_keeps_a_third_of_the_window_peak_states_on_the_presets():
+    # on a diurnal trace the peak need within one span takes in the morning
+    # ramp, while a gap of D slots holds only what is needed on both sides
+    for preset in ("ny", "sj", "flat"):
+        inst = harness.build_instance(harness.synthesize_trace(0, 22, 600, preset),
+                                      harness.validate_config({"servers": 600}))
+        need = np.ceil(inst.workload).astype(int)
+        states = []
+        for band in (offline._dp_band(inst, need), window_peak_band(inst, need)):
+            rows = offline._dp_rows(inst, band)
+            states.append(int(((rows + 1) * (band - need + 1)).sum()))
+        assert 3 * states[0] <= states[1], (preset, states)
 
 
 def test_dp_rows_are_the_loadable_generators_within_one_startup_span():
