@@ -3,37 +3,39 @@ per-unit decomposition (server slices and generator slices).
 
 The joint problem is a shortest path over layered states (x, y) per slot with
 switching costs on increases only. A backward dynamic program over the
-layers solves it. Each value layer holds only the fleet sizes an optimum can
-use, the band x = ceil(a(t))..U(t). D = floor(beta_s/(r*d_min)) + 1 is one
-break-even span: d_min is the least demand increment of a server and
-r = min(c_o, p_min) (p_min without generators) the least rate at which a
-slot's supply cost falls per unit of demand at fixed y, so an idle server
-costs at least r*d_min a slot. Server i is busy at slot s when
-ceil(a(s)) > i and idle in the gaps between. U(t) is the largest fleet a
-short gap can hold: the largest of ceil(a(t)) and
-min(ceil(a(s1)), ceil(a(s2))) over s1 < t < s2 with s2 - s1 - 1 <= D. A
-leading gap (no busy slot before it) and a trailing gap (none after it)
-hold nothing. A schedule with x(t) > U(t) keeps its top server
-i = x(t) - 1 on at t, in a gap of i that is leading, trailing or at least
-D+1 slots long. Lower x by one over the longest run of slots around t
-inside that gap where x >= i+1: demand stays covered, and each slot of the
-run saves at least r*d_min. If the run starts after the gap does, it saves
-one restart; if it ends before the gap does, it adds none; if it is the
-whole gap, the gap is leading (the first start is saved), trailing (no
-restart follows) or so long that its idle cost (D+1)*r*d_min exceeds
-beta_s + r*d_min. Every case saves at least r*d_min, so every optimal
-schedule from the start state stays inside the band by that margin (the
-exchange argument of lazy capacity provisioning; Lin et al., INFOCOM 2011).
-When r*d_min is 0 the band is the full row. The same argument bands the
-generator axis to y = 0..Y(t): Y(t) is the peak of useful(s) over s in
-[t, min(T, t+D_g)], useful(s) counts the units k with L*(k-1) < d_s(U(s)),
-and D_g = floor(beta_g/c_m) + 1. Demand is nondecreasing in x and an
-optimum keeps x(s) <= U(s), so a unit above useful(s) leaves the
-merit-order split u = min(L*y, d) as it is and only costs c_m. Above Y(t)
-the top unit is such a unit through slots t..t+D_g. Turning it off through
-t+D_g saves c_m*(D_g+1) for at most one startup beta_g; if its run ends
-sooner, turning it off for the rest of the run costs nothing. Either way
-the gain is at least c_m. When c_m is 0 the rows are all N+1. Neither band
+layers solves it. Each value layer holds only the states an optimum can
+use, columns x = ceil(a(t))..U(t) and rows y = 0..Y(t), and one gap rule
+(_short_gaps) sets both bounds. Take a count series c, a restart cost beta
+and a rate: a unit above c(s) at slot s costs at least the rate there, and
+D = floor(beta/rate) + 1 is one break-even span. Unit i is busy at s when
+c(s) >= i and idle in the gaps between; a gap of at most D slots between
+two busy slots is short, and a leading gap (no busy slot before it) or a
+trailing gap (none after it) is not. The bound at t is the largest unit a
+short gap can hold: the largest of c(t) and min(c(s1), c(s2)) over
+s1 < t < s2 with s2 - s1 - 1 <= D. A schedule above the bound at t keeps
+its top unit i on at t in a gap of i that is leading, trailing or at least
+D+1 slots long. Lower the count by one over the longest run of slots around
+t inside that gap where it is >= i: each slot of the run saves at least
+the rate. If the run starts after the gap does, it saves one restart; if it
+ends before the gap does, it adds none; if it is the whole gap, the gap is
+leading (the first start is saved), trailing (no restart follows) or so
+long that its cost (D+1)*rate exceeds beta + rate. Every case saves at
+least the rate, so every optimal schedule from the start state stays inside
+the bound by that margin (the exchange argument of lazy capacity
+provisioning; Lin et al., INFOCOM 2011).
+
+The fleet band takes c = ceil(a), beta = beta_s and the rate r*d_min: d_min
+is the least demand increment of a server and r = min(c_o, p_min) (p_min
+without generators) the least rate at which a slot's supply cost falls per
+unit of demand at fixed y, so lowering x where x(s) > ceil(a(s)) keeps
+demand covered and saves at least r*d_min a slot. When r*d_min is 0 the
+band is the full row. The generator rows take c = useful, beta = beta_g and
+the rate c_m, so D_g = floor(beta_g/c_m) + 1: useful(s) counts the units k
+with L*(k-1) < d_s(U(s)), and unit k is busy at s when useful(s) >= k.
+Demand is nondecreasing in x and an optimum keeps x(s) <= U(s), so lowering
+y by one where y(s) > useful(s) leaves the merit-order split u = min(L*y, d)
+as it is and saves c_m a slot; on a leading, trailing or > D_g gap the
+exchange saves at least c_m. When c_m is 0 the rows are all N+1. Neither band
 bounds the completions from other states: a band state that no optimal
 schedule passes through may hold a value above its full-layer one. The
 forward pass never steps there, as even its full-layer value exceeds the
@@ -174,85 +176,66 @@ def _min_increase_transform(values: np.ndarray, offsets: np.ndarray, first: int 
     return np.minimum(out, fall[:, first - low :], out=out)
 
 
-def _scan_rows(rows: np.ndarray, reverse: bool = False) -> np.ndarray:
-    """np.minimum.accumulate(rows, axis=0), or over reversed rows, in place
-    with one np.minimum per row, whose output never overlaps its other
-    operand. Each call passes second the row the scan reaches later, as the
-    accumulate does: the same floats, even for 0.0 and -0.0."""
-    step = 1 if reverse else -1
-    for r in range(len(rows) - 2, -1, -1) if reverse else range(1, len(rows)):
-        np.minimum(rows[r + step], rows[r], out=rows[r])
-    return rows
+def _short_gaps(values: np.ndarray, span: float) -> np.ndarray:
+    """out[t] = max(values[t], min(values[s1], values[s2])) over the slot
+    pairs s1 < t < s2 with s2 - s1 - 1 <= floor(span) + 1: the largest unit
+    that a short gap can hold, the one band rule of both DP axes (module
+    docstring). A leading or trailing gap holds nothing.
 
-
-def _window_max(values: np.ndarray, slots: float) -> np.ndarray:
-    """out[k] = max(values[k : k + D + 1]) with D = floor(slots) + 1, a band
-    bound's break-even window, cut at the series end, in ceil(log2(D + 1))
-    doubling steps."""
-    span = int(slots) + 2 if slots < len(values) else len(values)  # slots k..k+D
+    Only the pairs that a stack of strictly falling values meets can set
+    out: a pair with a value of at least their minimum between them holds
+    no more than that value or the shorter pairs on either side of it. Those
+    pairs nest, and of two nested pairs the outer holds at least the
+    inner's unit, so each slot takes the unit of the outermost short pair
+    around it. One pass over the slots finds the pairs and one writes the
+    outermost: O(T) steps, whatever span is.
+    """
+    items = values.tolist()
+    stack: list[int] = []  # slots of strictly falling values
+    pairs = []  # short (s1, s2), found by s2, inner before outer
+    for s2, high in enumerate(items):
+        while stack and items[stack[-1]] <= high:
+            stack.pop()
+            if stack and s2 - stack[-1] - 2 <= span:
+                pairs.append((stack[-1], s2))
+        stack.append(s2)
     out = values.copy()
-    width = 1
-    while width < min(span, len(out)):
-        step = min(width, span - width)
-        np.maximum(out[:-step], out[step:], out=out[:-step])
-        width += step
+    left = len(items)  # least s1 written: a later pair starting at or past it lies inside
+    for s1, s2 in reversed(pairs):  # outer before inner
+        if s1 < left:
+            out[s1 + 1 : s2] = min(items[s1], items[s2])
+            left = s1
     return out
 
 
 def _dp_band(instance: Instance, need: np.ndarray) -> np.ndarray:
-    """Top column U(t) of each layer of the exact DP, given need = ceil(a).
-
-    U(t) is the largest fleet a short idle gap can hold: the largest of
-    need(t) and min(need(s1), need(s2)) over the slot pairs s1 < t < s2 with
-    s2 - s1 - 1 <= D, D = floor(beta_s/(r*d_min)) + 1, d_min =
+    """Top column U(t) of each layer of the exact DP, given need = ceil(a):
+    _short_gaps(need, beta_s/(r*d_min)), so a gap of at most D =
+    floor(beta_s/(r*d_min)) + 1 slots is short, with d_min =
     Instance.min_marginal_demand() and r = min(c_o, p_min) (p_min without
-    generators); the full row M when r*d_min is 0. A leading or trailing gap
-    holds nothing. The module docstring gives the exchange argument that
-    keeps every optimal schedule from the start state inside the band; from
-    other states a completion may leave it.
-
-    Only the pairs that a stack of strictly falling needs meets can set U: a
-    pair with a need of at least their minimum between them holds no more
-    than that need or the shorter pairs on either side of it. Those pairs
-    nest, and of two nested pairs the outer holds at least the inner's
-    fleet, so each slot takes the fleet of the outermost short pair around
-    it. One pass over the slots finds the pairs and one writes the
-    outermost: O(T) steps, whatever D is.
+    generators); the full row M when r*d_min is 0. The module docstring
+    gives the exchange argument that keeps every optimal schedule from the
+    start state inside the band; from other states a completion may leave it.
     """
     gen = instance.generator
     rate = min(gen.c_o, instance.p_min) if gen.count else instance.p_min
     margin = rate * instance.min_marginal_demand()
     if not margin > 0.0:
         return np.full(len(need), instance.max_servers)
-    span = instance.server.beta_s / margin  # a gap of g slots is short when g - 1 <= span
-    values = need.tolist()
-    stack: list[int] = []  # slots of strictly falling need
-    pairs = []  # short (s1, s2), found by s2, inner before outer
-    for s2, high in enumerate(values):
-        while stack and values[stack[-1]] <= high:
-            stack.pop()
-            if stack and s2 - stack[-1] - 2 <= span:
-                pairs.append((stack[-1], s2))
-        stack.append(s2)
-    band = need.copy()
-    left = len(values)  # least s1 written: a later pair starting at or past it lies inside
-    for s1, s2 in reversed(pairs):  # outer before inner
-        if s1 < left:
-            band[s1 + 1 : s2] = min(values[s1], values[s2])
-            left = s1
-    return band
+    return _short_gaps(need, instance.server.beta_s / margin)
 
 
 def _dp_rows(instance: Instance, band: np.ndarray) -> np.ndarray:
     """Top row Y(t) of each layer of the exact DP, given band = U from _dp_band.
 
     useful(s) counts the units k in 1..N with L*(k-1) < d_s(U(s)), the
-    units a fleet inside the band can load at slot s. Y(t) = max useful(s)
-    over s in [t, min(T, t+D_g)] with D_g = floor(beta_g/c_m) + 1; N when
-    c_m is 0 or N is 0. An optimal schedule from the start state keeps
-    x(s) <= U(s), so a unit above useful(s) only costs c_m there; the module
-    docstring gives the exchange argument. Like the band's, it bounds the
-    optimal schedules from the start state, not completions from any state.
+    units a fleet inside the band can load at slot s, and Y(t) =
+    _short_gaps(useful, beta_g/c_m), so a gap of at most D_g =
+    floor(beta_g/c_m) + 1 slots is short; N when c_m is 0 or N is 0. An
+    optimal schedule from the start state keeps x(s) <= U(s), so a unit
+    above useful(s) only costs c_m there; the module docstring gives the
+    exchange argument. Like the band's, it bounds the optimal schedules from
+    the start state, not completions from any state.
     """
     gen = instance.generator
     if not (gen.count and gen.c_m > 0.0):
@@ -260,7 +243,7 @@ def _dp_rows(instance: Instance, band: np.ndarray) -> np.ndarray:
     demand = instance.demand(band)
     # searchsorted counts the loads L*(k-1), k = 1..N, below each demand
     useful = np.searchsorted(gen.capacity * np.arange(gen.count, dtype=float), demand)
-    return _window_max(useful, gen.beta_g / gen.c_m)
+    return _short_gaps(useful, gen.beta_g / gen.c_m)
 
 
 def _band_costs(instance: Instance, first: int, lows, highs, tops) -> tuple[np.ndarray, list[int]]:
@@ -320,9 +303,9 @@ def _value_layers(instance: Instance) -> tuple[list, list[int], list[int], list[
         over_x = _min_increase_transform(padded[:rows], x_offsets, lo, hi, below, above)
         # the same transform over the generator axis; a row above layer
         # t+1's climbs from +inf, so it takes the column minimum
-        reach = _scan_rows(over_x + y_offsets[:rows], reverse=True)
+        reach = np.minimum.accumulate((over_x + y_offsets[:rows])[::-1], axis=0)[::-1]
         value[t] = layer = reach[: top + 1] - y_offsets[: top + 1]
-        np.minimum(layer, _scan_rows(over_x[: top + 1]), out=layer)
+        np.minimum(layer, np.minimum.accumulate(over_x[: top + 1], axis=0), out=layer)
         layer += stage[: top + 1, starts[t - first] : starts[t - first + 1]]
         padded[: under + 1, below : above + 1] = np.inf
         padded[: top + 1, lo : hi + 1] = layer
@@ -349,11 +332,11 @@ def solve_dcm_offline(instance: Instance, state_budget: int = DEFAULT_STATE_BUDG
     checks its inputs, and priced by one split_cost call per y, so no demand
     grid is built. Each layer then makes the same numpy calls: the x-transform
     reads layer t+1 from one buffer that is +inf outside its band, the
-    generator-axis transform scans rows one at a time, and the layer goes back
-    into the buffer, whose old band is reset to +inf. No float differs from
-    full layers: every operation acts element by element, min(v, +inf) = v and
-    +inf - beta*k = +inf, and each scan passes min its operands in the order
-    np.minimum.accumulate does, so even signed zeros come out the same.
+    generator-axis transform is one np.minimum.accumulate over the rows each
+    way, and the layer goes back into the buffer, whose old band is reset to
+    +inf. No float differs from full layers: every operation acts element by
+    element, min(v, +inf) = v and +inf - beta*k = +inf, and each scan is the
+    accumulate a full layer takes, so even signed zeros come out the same.
 
     Ties resolve to the lexicographically smallest x series, then y series:
     the forward pass takes the first minimum, in column-major order, of the

@@ -33,7 +33,6 @@ from dcmkit import (
 from dcmkit import offline
 from dcmkit.offline import (
     _min_increase_transform,
-    _scan_rows,
     dcm_dijkstra,
     idle_cost_block,
     regret_steps,
@@ -264,19 +263,6 @@ def test_padded_min_increase_transform_past_the_block_matches_the_full_grid():
         assert got.tobytes() == full[:, first : last + 1].tobytes(), (start, stop, first, last)
 
 
-def test_row_scan_is_the_accumulate_bit_for_bit():
-    # equal zeros of either sign and +inf entries; one row is the N = 0 layer
-    rng = np.random.default_rng(17)
-    for length in range(1, 18):
-        for _ in range(20):
-            shape = (length, int(rng.integers(1, 6)))
-            rows = rng.choice([0.0, -0.0, 0.5, 1.0, -1.0, np.inf], shape)
-            forward = _scan_rows(rows.copy())
-            assert forward.tobytes() == np.minimum.accumulate(rows, axis=0).tobytes()
-            backward = _scan_rows(rows.copy(), reverse=True)
-            assert backward.tobytes() == np.minimum.accumulate(rows[::-1], axis=0)[::-1].tobytes()
-
-
 def _full_grid_transform(values, beta):
     """Two-pass distance transform over the whole grid, offsets beta * row."""
     n = values.shape[0]
@@ -469,18 +455,6 @@ def test_dp_memory_holds_no_demand_grid_of_a_block():
     assert peak < 2.5 * 2**20, peak / 2**20
 
 
-def test_window_max_spans_the_breakeven_window_cut_at_the_series_end():
-    # out[k] = max(values[k : k + D + 1]) with D = floor(slots) + 1, for slots
-    # short of the series, past it, on whole numbers and far out of int range
-    rng = np.random.default_rng(21)
-    for n in (1, 2, 7, 40):
-        values = rng.integers(0, 50, n)
-        for slots in (0.0, 0.5, 1.0, 2.999, 3.0, n - 1.0, n - 0.5, n, n + 0.5, 1e300):
-            got = offline._window_max(values, slots)
-            span = math.floor(min(slots, 10 * n)) + 2
-            assert got.tolist() == [values[k : k + span].max() for k in range(n)], (n, slots)
-
-
 def band_margin(inst):
     """r*d_min of the DP band: r = min(c_o, p_min), or p_min with no generators."""
     gen = inst.generator
@@ -489,8 +463,10 @@ def band_margin(inst):
 
 
 def window_peak_band(inst, need):
-    """The band before the gap rule: the peak need over [t, min(T, t+D)]."""
-    return offline._window_max(need, inst.server.beta_s / band_margin(inst))
+    """The band before the gap rule: the peak need over [t, min(T, t+D)],
+    D = floor(beta_s/(r*d_min)) + 1, by brute force over the windows."""
+    span = math.floor(min(inst.server.beta_s / band_margin(inst), len(need))) + 1
+    return np.array([need[t : t + span + 1].max() for t in range(len(need))])
 
 
 def short_gap_fleets(need, span):
@@ -502,6 +478,14 @@ def short_gap_fleets(need, span):
         for s2 in range(s1 + 2, min(len(need), s1 + longest + 2)):
             np.maximum(want[s1 + 1 : s2], min(need[s1], need[s2]), out=want[s1 + 1 : s2])
     return want
+
+
+def every_gap_held(values):
+    """short_gap_fleets(values, span) once every gap between two busy slots
+    is short: values(t), or the smaller of the peaks before and after t."""
+    before = np.maximum.accumulate(np.concatenate([[0], values[:-1]]))
+    after = np.maximum.accumulate(np.concatenate([[0], values[:0:-1]]))[::-1]
+    return np.maximum(values, np.minimum(before, after))
 
 
 def test_dp_band_is_the_largest_fleet_a_short_gap_keeps():
@@ -555,9 +539,7 @@ def test_dp_band_is_the_largest_fleet_a_short_gap_keeps():
         if math.floor(slots) + 2 < 4000 - 1:  # D + 1 < T - 1
             want = short_gap_fleets(need, slots)
         else:
-            before = np.maximum.accumulate(np.concatenate([[0], need[:-1]]))
-            after = np.maximum.accumulate(np.concatenate([[0], need[:0:-1]]))[::-1]
-            want = np.maximum(need, np.minimum(before, after))
+            want = every_gap_held(need)
         assert np.array_equal(tops, want), slots
         assert elapsed < 0.5, (slots, elapsed)
 
@@ -616,10 +598,20 @@ def test_gap_band_keeps_a_third_of_the_window_peak_states_on_the_presets():
         assert 3 * states[0] <= states[1], (preset, states)
 
 
-def test_dp_rows_are_the_loadable_generators_within_one_startup_span():
-    # Y(t) = max useful(s) over s in [t, min(T, t+D_g)], D_g =
-    # floor(beta_g/c_m) + 1, where useful(s) counts the units k = 1..N with
-    # L*(k-1) < d_s(U(s)); free maintenance (c_m = 0) and no generators give N
+def useful_units(inst, tops):
+    """The units k = 1..N with L*(k-1) < d_s(U(s)), counted at each slot s."""
+    gen = inst.generator
+    return np.array([
+        sum(gen.capacity * (unit - 1) < d for unit in range(1, gen.count + 1))
+        for d in inst.demand(tops).tolist()
+    ])
+
+
+def test_dp_rows_are_the_loadable_generators_a_short_gap_keeps():
+    # Y(t) = max(useful(t), min(useful(s1), useful(s2))) over s1 < t < s2
+    # with s2 - s1 - 1 <= D_g, D_g = floor(beta_g/c_m) + 1, where useful(s)
+    # counts the units k = 1..N with L*(k-1) < d_s(U(s)); free maintenance
+    # (c_m = 0) and no generators give N
     rng = np.random.default_rng(22)
     seen = dict(narrow=0, free_maintenance=0, no_generators=0)
     for k in range(300):
@@ -636,20 +628,43 @@ def test_dp_rows_are_the_loadable_generators_within_one_startup_span():
             assert np.array_equal(rows, np.full(inst.horizon, gen.count)), k
             seen["no_generators" if gen.count == 0 else "free_maintenance"] += 1
             continue
-        useful = [
-            sum(gen.capacity * (unit - 1) < d for unit in range(1, gen.count + 1))
-            for d in inst.demand(tops).tolist()
-        ]
-        span = math.floor(gen.beta_g / gen.c_m) + 1
-        want = [max(useful[t : t + span + 1]) for t in range(inst.horizon)]
+        want = short_gap_fleets(useful_units(inst, tops), gen.beta_g / gen.c_m)
         assert np.array_equal(rows, want), k
         seen["narrow"] += bool(np.any(rows < gen.count))
     assert min(seen.values()) >= 20, seen
+    # spans short of a T = 4000 series and past it, and a subnormal c_m
+    # (beta_g/c_m = inf): once D_g + 1 >= T - 1 every gap between two
+    # loaded slots is short, and the huge spans are one pass too
+    need = np.where(rng.random(4000) < 0.3, 0, rng.integers(0, 60, 4000))
+    held = []
+    spans = [(0.1, 0.1 * slots) for slots in (0.5, 3.0, 3999.0, 4000.0, 1e300)]
+    for c_m, beta_g in spans + [(5e-324, 1.0)]:
+        inst = Instance(
+            workload=need.astype(float),
+            price=np.full(4000, 0.5),
+            server=ServerModel(0.25, 0.25, beta_s=0.001),  # D = 1: U fills one-slot gaps only
+            generator=GeneratorModel(1.5, 0.1, c_m, beta_g, 10),
+        )
+        tops = offline._dp_band(inst, need)
+        start = time.perf_counter()
+        rows = offline._dp_rows(inst, tops)
+        elapsed = time.perf_counter() - start
+        useful = useful_units(inst, tops)
+        span = beta_g / c_m
+        if span + 2 < 4000 - 1:  # D_g + 1 < T - 1
+            want = short_gap_fleets(useful, span)
+        else:
+            want = every_gap_held(useful)
+        assert np.array_equal(rows, want), (c_m, beta_g)
+        assert elapsed < 0.5, (c_m, beta_g, elapsed)
+        held.append(int(np.count_nonzero(rows > useful)))
+    assert 0 < held[1] < held[-1], held  # a short span holds fewer gaps than every one
 
 
 def test_banded_dp_matches_the_full_layer_reference_at_short_breakeven_spans():
-    # beta_s scaled down narrows the band to a few slots' peak need; the
-    # schedules stay those of the full layers bit for bit, ties included
+    # beta_s scaled down narrows the band to the fleets that gaps of a few
+    # slots can hold; the schedules stay those of the full layers bit for
+    # bit, ties included
     rng = np.random.default_rng(21)
     narrowed = slots = 0
     for k in range(480):
@@ -671,9 +686,10 @@ def test_banded_dp_matches_the_full_layer_reference_at_short_breakeven_spans():
 
 
 def test_banded_dp_matches_the_full_layer_reference_at_short_startup_spans():
-    # beta_g scaled down narrows the generator rows to the units a few
-    # slots' demand can load; the schedules stay those of the full layers
-    # bit for bit, ties and free maintenance (every row kept) included
+    # beta_g scaled down narrows the generator rows to the loadable units
+    # that gaps of a few slots can hold; the schedules stay those of the
+    # full layers bit for bit, ties and free maintenance (every row kept)
+    # included
     rng = np.random.default_rng(23)
     narrowed = slots = 0
     seen = dict(dyadic_ties=0, free_maintenance=0)
