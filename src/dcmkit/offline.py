@@ -59,7 +59,13 @@ demand in one demand_table call, so no demand grid outgrows one chunk
 unless one slot does. In the DP, _band_costs reads only the band cells
 x = ceil(a(t))..U(t) of a block's layers and makes one split_cost call per
 generator count y = 0..max Y(t); the layers then run only the value
-recursion. For the slices, idle_cost_block returns only the running
+recursion. A layer is small (about 5 rows by 100 columns on the 22-day
+presets), so much of its time is numpy's fixed cost per call. A layer of
+one fleet column over a layer t+1 of one column (about half of them there)
+is therefore stepped on 1-D views of the two columns: that skips the buffer
+writes and the x-axis scans, and a 1-D call costs less than a call on a
+2-D column, at any number of rows.
+For the slices, idle_cost_block returns only the running
 idle-cost sums P of one block, continued from the previous row, and
 gap_pieces turns their changes in the busy count into the gaps of the
 nested slices. GapWalk is the one walk over them: it steps both functions
@@ -284,11 +290,12 @@ def _value_layers(instance: Instance) -> tuple[list, list[int], list[int], list[
     lows = [0, *need.tolist(), 0]
     highs = [0, *band.tolist(), 0]
     tops = [0, *row_tops.tolist(), 0]
-    # padded holds layer t+1 at its band's place and +inf everywhere else
+    # padded holds layer `held` at its band's place and +inf everywhere else;
+    # only wide steps read it, so it takes layer t+1 just before one
     value: list[np.ndarray | None] = [None] * (t_end + 2)
     value[t_end + 1] = np.zeros((1, 1))
     padded = np.full((max(tops) + 1, m + 1), np.inf)
-    padded[0, 0] = 0.0
+    held, steps, tail = t_end + 1, y_offsets[:, 0], np.full(n + 1, np.inf)
     # stage costs of slots first..first+len(starts)-2, read backward a block at a time
     span = block_span(m)
     first = t_end + 1
@@ -300,15 +307,30 @@ def _value_layers(instance: Instance) -> tuple[list, list[int], list[int], list[
         lo, hi, top = lows[t], highs[t], tops[t]
         below, above, under = lows[t + 1], highs[t + 1], tops[t + 1]
         rows = max(top, under) + 1  # rows past layer t+1's are +inf
-        over_x = _min_increase_transform(padded[:rows], x_offsets, lo, hi, below, above)
+        flat = lo == hi and below == above  # one column over one column, on 1-D views
+        if flat:
+            over = value[t + 1][:, 0]
+            if below >= lo:
+                climb = over + x_offsets[below]
+                climb -= x_offsets[lo]
+                over = np.minimum(climb, over, out=climb) if below == lo else climb
+            if top > under:
+                over = np.concatenate((over, tail[: top - under]))
+            offsets, cells = steps, starts[t - first]
+        else:
+            padded[: tops[held] + 1, lows[held] : highs[held] + 1] = np.inf
+            padded[: under + 1, below : above + 1] = value[t + 1]
+            held = t + 1
+            over = _min_increase_transform(padded[:rows], x_offsets, lo, hi, below, above)
+            offsets, cells = y_offsets, slice(starts[t - first], starts[t - first + 1])
         # the same transform over the generator axis; a row above layer
         # t+1's climbs from +inf, so it takes the column minimum
-        reach = np.minimum.accumulate((over_x + y_offsets[:rows])[::-1], axis=0)[::-1]
-        value[t] = layer = reach[: top + 1] - y_offsets[: top + 1]
-        np.minimum(layer, np.minimum.accumulate(over_x[: top + 1], axis=0), out=layer)
-        layer += stage[: top + 1, starts[t - first] : starts[t - first + 1]]
-        padded[: under + 1, below : above + 1] = np.inf
-        padded[: top + 1, lo : hi + 1] = layer
+        reach = np.minimum.accumulate((over + offsets[:rows])[::-1], axis=0)[::-1]
+        value[t] = layer = np.empty((top + 1, hi + 1 - lo))
+        out = layer[:, 0] if flat else layer
+        np.subtract(reach[: top + 1], offsets[: top + 1], out=out)
+        np.minimum(out, np.minimum.accumulate(over[: top + 1], axis=0), out=out)
+        out += stage[: top + 1, cells]
     return value, lows, highs, tops
 
 
@@ -330,13 +352,21 @@ def solve_dcm_offline(instance: Instance, state_budget: int = DEFAULT_STATE_BUDG
     (_band_costs), block_span(M) slots. Their band cells alone are read, one
     demand_table call with one slot and one x per cell checked as supply_cost
     checks its inputs, and priced by one split_cost call per y, so no demand
-    grid is built. Each layer then makes the same numpy calls: the x-transform
-    reads layer t+1 from one buffer that is +inf outside its band, the
-    generator-axis transform is one np.minimum.accumulate over the rows each
-    way, and the layer goes back into the buffer, whose old band is reset to
-    +inf. No float differs from full layers: every operation acts element by
-    element, min(v, +inf) = v and +inf - beta*k = +inf, and each scan is the
-    accumulate a full layer takes, so even signed zeros come out the same.
+    grid is built. A wide layer's x-transform reads layer t+1 from one buffer
+    that is +inf outside its band, written just before that layer (the band
+    it held reset to +inf). A layer of one column x over a layer t+1 of one
+    column x' takes that column v as a 1-D view instead, and its x-transform
+    is what the two scans give on one finite column: the climb (v +
+    beta_s*x') - beta_s*x when x' >= x, else +inf, the fall v when x' <= x,
+    else +inf, and np.minimum(climb, fall), each +inf case left out as
+    min(w, +inf) = w; a row above layer t+1's is padded with +inf.
+    Every layer's generator-axis transform is one np.minimum.accumulate over
+    the rows each way, on the 1-D column or the 2-D layer. No float differs
+    from full layers: every operation acts element by element, min(v, +inf)
+    = v and +inf - beta*k = +inf, and each scan is the accumulate a full
+    layer takes, the same ufunc calls in the same operand order whether a
+    column is a 1-D view or part of a 2-D array, so even signed zeros come
+    out the same.
 
     Ties resolve to the lexicographically smallest x series, then y series:
     the forward pass takes the first minimum, in column-major order, of the

@@ -80,7 +80,7 @@ def unpadded_value_layers(instance):
 
 def assert_layers_match(instance, context):
     """Every value layer is the reference's floats, owns them, and holds the
-    band's shape; returns (lows, highs)."""
+    band's shape; returns (lows, highs, tops)."""
     got, lows, highs, tops = offline._value_layers(instance)
     want = unpadded_value_layers(instance)
     for t in range(1, instance.horizon + 2):
@@ -88,23 +88,45 @@ def assert_layers_match(instance, context):
         assert layer.shape == (tops[t] + 1, highs[t] + 1 - lows[t]), (context, t)
         assert layer.flags.owndata and layer.flags.c_contiguous, (context, t)
         assert layer.tobytes() == want[t].tobytes(), (context, t)
-    return lows, highs
+    return lows, highs, tops
+
+
+def held_at_peak(instance, rng, zero_prices):
+    """instance with a stretch of 1-5 slots held at its peak workload, where
+    the layers are one fleet column, and, if zero_prices, 40% of the other
+    prices set to -0.0 (p_min = 0 widens their layers to the full row)."""
+    workload, price = instance.workload.copy(), instance.price
+    start = int(rng.integers(0, instance.horizon))
+    workload[start : start + int(rng.integers(1, 6))] = workload.max()
+    if zero_prices:
+        price = np.where((rng.random(instance.horizon) < 0.4) & (price < price.max()), -0.0, price)
+    return dataclasses.replace(instance, workload=workload, price=price)
+
+
+def one_column_steps(lows, highs):
+    """The layers t of one column over a layer t+1 of one column."""
+    return [t for t in range(1, len(lows) - 1) if lows[t] == highs[t] and lows[t + 1] == highs[t + 1]]
 
 
 def test_value_layers_are_the_unpadded_recursion_bit_for_bit():
     # the draws of test_feasible_row_dp_matches_the_full_layer_reference,
-    # every fifth also with its workload zeroed (M = 0)
+    # every fifth also with its workload zeroed (M = 0) and every other one
+    # also held at its peak for a few slots
     rng = np.random.default_rng(16)
-    seen = dict(no_servers=0, no_generators=0, one_slot=0, dyadic=0, band_falls=0, need_rises=0)
+    seen = dict(no_servers=0, no_generators=0, one_slot=0, dyadic=0, band_falls=0, need_rises=0,
+                column_climbs=0, column_pads=0, column_after_wide=0, wide_after_column=0,
+                zero_price_column=0)
+    extra = np.random.default_rng(37)  # the held draws' own stream, so the draws above stay
     for k in range(1200):
         inst = random_tiny_instance(rng) if k % 2 else random_bound_instance(rng)
         if k % 3 == 0:
             inst = dyadic_tie_instance(inst, rng)
+        whole = inst
         if k % 10 == 4:
             inst = inst.truncated(1)
         elif k % 10 == 7:
             inst = inst.truncated(int(rng.integers(1, inst.horizon + 1)))
-        lows, highs = assert_layers_match(inst, k)
+        lows, highs, _ = assert_layers_match(inst, k)
         if k % 5 == 0:
             assert_layers_match(dataclasses.replace(inst, workload=np.zeros(inst.horizon)), (k, "M=0"))
             seen["no_servers"] += 1
@@ -114,6 +136,18 @@ def test_value_layers_are_the_unpadded_recursion_bit_for_bit():
         seen["dyadic"] += k % 3 == 0
         seen["band_falls"] += any(highs[t] > highs[t + 1] for t in range(1, t_end))
         seen["need_rises"] += any(lows[t] < lows[t + 1] for t in range(1, t_end))
+        if k % 2 == 0:
+            # one-column steps next to wide ones: a column read from a wide
+            # step's layer, and a wide step that reads a column into the buffer
+            held = held_at_peak(whole, extra, zero_prices=k % 4 == 0).truncated(t_end)
+            lows, highs, tops = assert_layers_match(held, (k, "held"))
+            wide = [hi > lo for lo, hi in zip(lows, highs)]
+            steps = one_column_steps(lows, highs)
+            seen["column_climbs"] += any(lows[t] < lows[t + 1] for t in steps)
+            seen["column_pads"] += any(tops[t] > tops[t + 1] for t in steps)
+            seen["column_after_wide"] += any(wide[t + 2] for t in steps if t < t_end)
+            seen["wide_after_column"] += any(wide[t - 1] for t in steps if t > 1)
+            seen["zero_price_column"] += bool(steps) and bool(np.signbit(held.price).any())
     assert min(seen.values()) >= 50, seen
 
 
@@ -123,6 +157,15 @@ def test_value_layers_do_not_depend_on_block_or_chunk_size(monkeypatch):
     for k in range(24):
         inst = random_tiny_instance(rng) if k % 3 == 1 else random_bound_instance(rng)
         draws.append(dyadic_tie_instance(inst, rng) if k % 3 == 2 else inst)
+    # runs of one-column steps that block cuts split, half among -0.0 prices
+    extra = np.random.default_rng(37)
+    held = [held_at_peak(inst, extra, zero_prices=k % 2 == 0) for k, inst in enumerate(draws[:12])]
+    runs = 0
+    for inst in held:
+        steps = one_column_steps(*offline._value_layers(inst)[1:3])
+        runs += any(t + 1 in steps for t in steps)
+    assert runs >= 8, runs
+    draws += held
     for block in (1, 2, 5, 256):
         for chunk in (1, 64, offline.CHUNK_CELLS):
             with monkeypatch.context() as patch:
