@@ -4,60 +4,81 @@ per-unit decomposition (server slices and generator slices).
 The joint problem is a shortest path over layered states (x, y) per slot with
 switching costs on increases only. A backward dynamic program over the
 layers solves it. Each value layer holds only the states an optimum can
-use, columns x = ceil(a(t))..U(t) and rows y = 0..Y(t), and one gap rule
-(_short_gaps) sets both bounds. Take a count series c, a restart cost beta
-and a rate: a unit above c(s) at slot s costs at least the rate there, and
-D = floor(beta/rate) + 1 is one break-even span. Unit i is busy at s when
-c(s) >= i and idle in the gaps between; a gap of at most D slots between
-two busy slots is short, and a leading gap (no busy slot before it) or a
-trailing gap (none after it) is not. The bound at t is the largest unit a
-short gap can hold: the largest of c(t) and min(c(s1), c(s2)) over
-s1 < t < s2 with s2 - s1 - 1 <= D. A schedule above the bound at t keeps
-its top unit i on at t in a gap of i that is leading, trailing or at least
-D+1 slots long. Lower the count by one over the longest run of slots around
-t inside that gap where it is >= i: each slot of the run saves at least
-the rate. If the run starts after the gap does, it saves one restart; if it
-ends before the gap does, it adds none; if it is the whole gap, the gap is
-leading (the first start is saved), trailing (no restart follows) or so
-long that its cost (D+1)*rate exceeds beta + rate. Every case saves at
-least the rate, so every optimal schedule from the start state stays inside
-the bound by that margin (the exchange argument of lazy capacity
-provisioning; Lin et al., INFOCOM 2011).
+use, columns x = L(t)..U(t) and rows y = 0..Y(t), and one gap rule
+(_short_gaps) sets all three bounds. Take a count series c and a cost per
+slot: unit i is busy at s when c(s) >= i and idle in the gaps between, and a
+gap between two busy slots is short when its slots cost at most a budget; a
+leading gap (no busy slot before it) or a trailing gap (none after it) is
+not. The bound at t is the largest unit a short gap can hold: the largest
+of c(t) and min(c(s1), c(s2)) over s1 < t < s2 with the slots between
+costing at most the budget.
 
-The fleet band takes c = ceil(a), beta = beta_s and the rate r*d_min: d_min
-is the least demand increment of a server and r = min(c_o, p_min) (p_min
-without generators) the least rate at which a slot's supply cost falls per
-unit of demand at fixed y, so lowering x where x(s) > ceil(a(s)) keeps
-demand covered and saves at least r*d_min a slot. When r*d_min is 0 the
-band is the full row. The generator rows take c = useful, beta = beta_g and
-the rate c_m, so D_g = floor(beta_g/c_m) + 1: useful(s) counts the units k
-with L*(k-1) < d_s(U(s)), and unit k is busy at s when useful(s) >= k.
-Demand is nondecreasing in x and an optimum keeps x(s) <= U(s), so lowering
-y by one where y(s) > useful(s) leaves the merit-order split u = min(L*y, d)
-as it is and saves c_m a slot; on a leading, trailing or > D_g gap the
-exchange saves at least c_m. When c_m is 0 the rows are all N+1. Neither band
-bounds the completions from other states: a band state that no optimal
-schedule passes through may hold a value above its full-layer one. The
-forward pass never steps there, as even its full-layer value exceeds the
-optimum. A state that an optimal schedule passes through has all its
-optimal completions inside the bands, so it holds the full-layer float,
+The top bounds say which units an optimum may hold through a gap. Take a
+restart cost beta and a rate: a unit above c(s) at slot s costs at least the
+rate there, and D = floor(beta/rate) + 1 is one break-even span. Each slot
+costs 1 and the budget is D, so a gap of at most D slots is short. A
+schedule above the bound at t keeps its top unit i on at t in a gap of i
+that is leading, trailing or at least D+1 slots long. Lower the count by one
+over the longest run of slots around t inside that gap where it is >= i:
+each slot of the run saves at least the rate. If the run starts after the
+gap does, it saves one restart; if it ends before the gap does, it adds
+none; if it is the whole gap, the gap is leading (the first start is
+saved), trailing (no restart follows) or so long that its cost (D+1)*rate
+exceeds beta + rate. Every case saves at least the rate, so every optimal
+schedule from the start state stays inside the bound by that margin (the
+exchange argument of lazy capacity provisioning; Lin et al., INFOCOM 2011).
+
+The fleet band takes c = ceil(a), beta = beta_s and the rate mu = r*d_min:
+d_min is the least demand increment of a server and r = min(c_o, p_min)
+(p_min without generators) the least rate at which a slot's supply cost
+falls per unit of demand at fixed y, so lowering x where x(s) > ceil(a(s))
+keeps demand covered and saves at least mu a slot. When mu is 0 the band is
+the full row. The generator rows take c = useful, beta = beta_g and the rate
+c_m, so D_g = floor(beta_g/c_m) + 1: useful(s) counts the units k with
+L*(k-1) < d_s(U(s)), and unit k is busy at s when useful(s) >= k. Demand is
+nondecreasing in x and an optimum keeps x(s) <= U(s), so lowering y by one
+where y(s) > useful(s) leaves the merit-order split u = min(L*y, d) as it is
+and saves c_m a slot; on a leading, trailing or > D_g gap the exchange saves
+at least c_m. When c_m is 0 the rows are all N+1.
+
+The fleet floor L(t) (L alone is a generator's capacity) says which units
+an optimum must hold through a gap, by the converse exchange. It takes
+c = ceil(a), the cost rho(s) = max(p(s), c_o)*(d_s(M) - d_s(M-1)) (p(s) in
+place of max(p(s), c_o) without generators) and the budget beta_s - mu. At
+fixed y the merit-order split prices extra demand at c_o or at p(s), and
+demand is convex in x, so rho(s) bounds what one more server costs at
+slot s. A schedule below the floor at t has a short pair
+s1 < t < s2 with i = x(t) + 1 <= min(c(s1), c(s2)). Raise the count by one
+over the longest run of slots around t where it is below i: as x >= c, the
+run lies strictly between s1 and s2, so its start adds no restart and its
+end saves one, beta_s, while its supply costs grow by at most the costs of
+the slots between s1 and s2, beta_s - mu. The exchange saves at least mu,
+so every optimal schedule from the start state keeps L(t) <= x(t) <= U(t)
+by the one margin mu. As rho(s) >= mu, a gap short for the floor is short
+for the band, so L <= U. When mu is 0 the floor is ceil(a).
+
+No bound bounds the completions from other states: a band state that no
+optimal schedule passes through may hold a value above its full-layer one.
+The forward pass never steps there, as even its full-layer value exceeds
+the optimum. A state that an optimal schedule passes through has all its
+optimal completions inside the bounds, so it holds the full-layer float,
 and the forward pass picks what the full layers pick, in the same tie
-order. A layer costs O((Y(t)+1)(U(t)+1-ceil(a(t)))) work and memory; the
-state budget still counts the full (M+1)(N+1)(T+2) grid. A Dijkstra search
+order. A layer costs O((Y(t)+1)(U(t)+1-L(t))) work and memory; the state
+budget still counts the full (M+1)(N+1)(T+2) grid. A Dijkstra search
 over the same graph and an exhaustive enumeration are kept as reference
 oracles. The decomposition splits provisioning into M unit server slices
 solved by a break-even rule and supply into N unit generator slices solved
 by tracking a clamped cumulative savings process.
 
 Every demand number here comes from Instance.demand, whole series for
-cp_cost and _dp_rows and demand_table cells for the rest.
+cp_cost, _dp_floor and _dp_rows and demand_table cells for the rest.
 Both the DP and the server slices walk the horizon in blocks of slots, and
 block_span is the one rule for a block's size: at most BLOCK_SLOTS slots,
 and at most one cache-sized chunk of demand_table rows, CHUNK_CELLS grid
 cells at M+1 cells a slot (but at least one slot). Each block reads its
 demand in one demand_table call, so no demand grid outgrows one chunk
 unless one slot does. In the DP, _band_costs reads only the band cells
-x = ceil(a(t))..U(t) of a block's layers and makes one split_cost call per
+x = L(t)..U(t) of a block's layers and makes one split_cost call per
 generator count y = 0..max Y(t); the layers then run only the value
 recursion. A layer is small (about 5 rows by 100 columns on the 22-day
 presets), so much of its time is numpy's fixed cost per call. A layer of
@@ -182,27 +203,30 @@ def _min_increase_transform(values: np.ndarray, offsets: np.ndarray, first: int 
     return np.minimum(out, fall[:, first - low :], out=out)
 
 
-def _short_gaps(values: np.ndarray, span: float) -> np.ndarray:
+def _short_gaps(values: np.ndarray, costs: np.ndarray, budget: float) -> np.ndarray:
     """out[t] = max(values[t], min(values[s1], values[s2])) over the slot
-    pairs s1 < t < s2 with s2 - s1 - 1 <= floor(span) + 1: the largest unit
-    that a short gap can hold, the one band rule of both DP axes (module
-    docstring). A leading or trailing gap holds nothing.
+    pairs s1 < t < s2 whose slots between cost at most budget, costs[s]
+    summed over s1 < s < s2: the largest unit that a short gap can hold,
+    the one band rule of both DP axes and the fleet floor (module
+    docstring). A leading or trailing gap holds nothing. Costs are
+    nonnegative; with unit costs a pair is short when s2 - s1 - 1 <= budget.
 
     Only the pairs that a stack of strictly falling values meets can set
     out: a pair with a value of at least their minimum between them holds
-    no more than that value or the shorter pairs on either side of it. Those
-    pairs nest, and of two nested pairs the outer holds at least the
-    inner's unit, so each slot takes the unit of the outermost short pair
-    around it. One pass over the slots finds the pairs and one writes the
-    outermost: O(T) steps, whatever span is.
+    no more than that value or the shorter pairs on either side of it, which
+    cost no more. Those pairs nest, and of two nested pairs the outer holds
+    at least the inner's unit, so each slot takes the unit of the outermost
+    short pair around it. One pass over the slots finds the pairs and one
+    writes the outermost: O(T) steps, whatever the budget is.
     """
     items = values.tolist()
+    before = np.concatenate(([0.0], np.cumsum(costs))).tolist()  # before[s]: cost of slots 0..s-1
     stack: list[int] = []  # slots of strictly falling values
     pairs = []  # short (s1, s2), found by s2, inner before outer
     for s2, high in enumerate(items):
         while stack and items[stack[-1]] <= high:
             stack.pop()
-            if stack and s2 - stack[-1] - 2 <= span:
+            if stack and before[s2] - before[stack[-1] + 1] <= budget:
                 pairs.append((stack[-1], s2))
         stack.append(s2)
     out = values.copy()
@@ -214,21 +238,46 @@ def _short_gaps(values: np.ndarray, span: float) -> np.ndarray:
     return out
 
 
-def _dp_band(instance: Instance, need: np.ndarray) -> np.ndarray:
-    """Top column U(t) of each layer of the exact DP, given need = ceil(a):
-    _short_gaps(need, beta_s/(r*d_min)), so a gap of at most D =
-    floor(beta_s/(r*d_min)) + 1 slots is short, with d_min =
+def _band_margin(instance: Instance) -> float:
+    """mu = r*d_min, the margin of both fleet edges: d_min =
     Instance.min_marginal_demand() and r = min(c_o, p_min) (p_min without
-    generators); the full row M when r*d_min is 0. The module docstring
-    gives the exchange argument that keeps every optimal schedule from the
-    start state inside the band; from other states a completion may leave it.
-    """
+    generators)."""
     gen = instance.generator
     rate = min(gen.c_o, instance.p_min) if gen.count else instance.p_min
-    margin = rate * instance.min_marginal_demand()
+    return rate * instance.min_marginal_demand()
+
+
+def _dp_band(instance: Instance, need: np.ndarray) -> np.ndarray:
+    """Top column U(t) of each layer of the exact DP, given need = ceil(a):
+    _short_gaps on unit costs, so a gap of at most D = floor(beta_s/mu) + 1
+    slots is short, with mu = _band_margin(instance); the full row M when mu
+    is 0. The module docstring gives the exchange argument that keeps every
+    optimal schedule from the start state inside the band; from other states
+    a completion may leave it.
+    """
+    margin = _band_margin(instance)
     if not margin > 0.0:
         return np.full(len(need), instance.max_servers)
-    return _short_gaps(need, instance.server.beta_s / margin)
+    return _short_gaps(need, np.ones(len(need)), np.floor(instance.server.beta_s / margin) + 1)
+
+
+def _dp_floor(instance: Instance, need: np.ndarray) -> np.ndarray:
+    """Bottom column L(t) of each layer of the exact DP, given need = ceil(a):
+    _short_gaps(need, rho, beta_s - mu), so a gap is short when idling one
+    server through it costs at most beta_s - mu at the dearest rate, rho(s)
+    = max(p(s), c_o)*(d_s(M) - d_s(M-1)) (p(s) without generators) and mu =
+    _band_margin(instance); need itself when mu is 0. The module docstring
+    gives the exchange argument that keeps every optimal schedule from the
+    start state at or above the floor. As rho >= mu, a gap short here is
+    short for _dp_band too, so L <= U.
+    """
+    margin = _band_margin(instance)
+    if not margin > 0.0:
+        return need
+    gen, full = instance.generator, np.full(len(need), float(instance.max_servers))
+    rate = np.maximum(instance.price, gen.c_o) if gen.count else instance.price
+    rho = rate * (instance.demand(full) - instance.demand(full - 1.0))
+    return _short_gaps(need, rho, instance.server.beta_s - margin)
 
 
 def _dp_rows(instance: Instance, band: np.ndarray) -> np.ndarray:
@@ -236,12 +285,12 @@ def _dp_rows(instance: Instance, band: np.ndarray) -> np.ndarray:
 
     useful(s) counts the units k in 1..N with L*(k-1) < d_s(U(s)), the
     units a fleet inside the band can load at slot s, and Y(t) =
-    _short_gaps(useful, beta_g/c_m), so a gap of at most D_g =
-    floor(beta_g/c_m) + 1 slots is short; N when c_m is 0 or N is 0. An
-    optimal schedule from the start state keeps x(s) <= U(s), so a unit
-    above useful(s) only costs c_m there; the module docstring gives the
-    exchange argument. Like the band's, it bounds the optimal schedules from
-    the start state, not completions from any state.
+    _short_gaps on unit costs with budget floor(beta_g/c_m) + 1, so a gap of
+    at most D_g = floor(beta_g/c_m) + 1 slots is short; N when c_m is 0 or N
+    is 0. An optimal schedule from the start state keeps x(s) <= U(s), so a
+    unit above useful(s) only costs c_m there; the module docstring gives
+    the exchange argument. Like the band's, it bounds the optimal schedules
+    from the start state, not completions from any state.
     """
     gen = instance.generator
     if not (gen.count and gen.c_m > 0.0):
@@ -249,12 +298,12 @@ def _dp_rows(instance: Instance, band: np.ndarray) -> np.ndarray:
     demand = instance.demand(band)
     # searchsorted counts the loads L*(k-1), k = 1..N, below each demand
     useful = np.searchsorted(gen.capacity * np.arange(gen.count, dtype=float), demand)
-    return _short_gaps(useful, gen.beta_g / gen.c_m)
+    return _short_gaps(useful, np.ones(len(band)), np.floor(gen.beta_g / gen.c_m) + 1)
 
 
 def _band_costs(instance: Instance, first: int, lows, highs, tops) -> tuple[np.ndarray, list[int]]:
     """Stage costs of the band cells of the DP layers first..first+len(lows)-1,
-    given their ceil(a(t)), U(t) and Y(t) (lows, highs, tops).
+    given their L(t), U(t) and Y(t) (lows, highs, tops).
 
     Returns (rows, starts): layer k's cells x = lows[k]..highs[k] are the
     columns starts[k]..starts[k+1]-1, and rows[y] their split_cost at y
@@ -278,16 +327,18 @@ def _band_costs(instance: Instance, first: int, lows, highs, tops) -> tuple[np.n
 
 def _value_layers(instance: Instance) -> tuple[list, list[int], list[int], list[int]]:
     """The backward pass of solve_dcm_offline: (value, lows, highs, tops),
-    value[t][y, x - lows[t]] the cheapest completion from state (x, y) at t."""
+    value[t][y, x - lows[t]] the cheapest completion from state (x, y) at t,
+    lows, highs and tops the floor L(t) (_dp_floor), the band U(t)
+    (_dp_band) and the rows Y(t) (_dp_rows), padded with 0 at t = 0, T+1."""
     m, n, t_end = instance.max_servers, instance.generator.count, instance.horizon
     x_offsets = instance.server.beta_s * np.arange(m + 1, dtype=float)
     y_offsets = instance.generator.beta_g * np.arange(n + 1, dtype=float)[:, None]
     # layer t holds rows 0..tops[t] and columns lows[t]..highs[t]; the end
     # layer T+1 is all zeros, so its row 0 and column 0 stand for every state
     need = np.ceil(instance.workload).astype(int)
-    band = _dp_band(instance, need)
+    floor, band = _dp_floor(instance, need), _dp_band(instance, need)
     row_tops = _dp_rows(instance, band)
-    lows = [0, *need.tolist(), 0]
+    lows = [0, *floor.tolist(), 0]
     highs = [0, *band.tolist(), 0]
     tops = [0, *row_tops.tolist(), 0]
     # padded holds layer `held` at its band's place and +inf everywhere else;
@@ -303,7 +354,7 @@ def _value_layers(instance: Instance) -> tuple[list, list[int], list[int], list[
         if t < first:
             first = max(1, t - span + 1)
             block, stage = slice(first - 1, t), None  # drop the last block's rows first
-            stage, starts = _band_costs(instance, first, need[block], band[block], row_tops[block])
+            stage, starts = _band_costs(instance, first, floor[block], band[block], row_tops[block])
         lo, hi, top = lows[t], highs[t], tops[t]
         below, above, under = lows[t + 1], highs[t + 1], tops[t + 1]
         rows = max(top, under) + 1  # rows past layer t+1's are +inf
@@ -338,12 +389,15 @@ def solve_dcm_offline(instance: Instance, state_budget: int = DEFAULT_STATE_BUDG
     """Exact minimum-cost schedule via a backward dynamic program over the
     layered state graph.
 
-    Layer t holds only the states of two bands, columns x = ceil(a(t))..U(t)
-    (_dp_band) and rows y = 0..Y(t) (_dp_rows), y-major and C-contiguous; the
-    module docstring gives the exchange argument that keeps every optimal
-    schedule from the start state inside both. A band state that no optimal
-    schedule passes through may hold a value above its full-layer one, but
-    the forward pass never steps there, and the states it steps through hold
+    Layer t holds only the states of two bands, columns x = L(t)..U(t)
+    (_dp_floor, _dp_band) and rows y = 0..Y(t) (_dp_rows), y-major and
+    C-contiguous; the module docstring gives the exchange arguments that
+    keep every optimal schedule from the start state inside both. Such a
+    schedule keeps a server on through every gap that costs less to idle
+    through than a restart (so x >= L), and through no gap longer than a
+    break-even span (so x <= U). A band state that no optimal schedule
+    passes through may hold a value above its full-layer one, but the
+    forward pass never steps there, and the states it steps through hold
     the full-layer floats, so the optimal set and the tie order are those of
     the full layers. The state budget counts the full (M+1)(N+1)(T+2) grid,
     checked before any band work.

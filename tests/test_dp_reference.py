@@ -57,7 +57,7 @@ def unpadded_value_layers(instance):
     x_offsets, y_offsets = instance.server.beta_s * np.arange(m + 1, dtype=float), gen.beta_g * y_grid
     need = np.ceil(instance.workload).astype(int)
     band = offline._dp_band(instance, need)
-    lows = [0, *need.tolist(), 0]
+    lows = [0, *offline._dp_floor(instance, need).tolist(), 0]
     highs = [0, *band.tolist(), 0]
     tops = [0, *offline._dp_rows(instance, band).tolist(), 0]
     value = [None] * (t_end + 2)

@@ -369,11 +369,12 @@ def test_dp_stage_rows_are_supply_cost_in_both_price_branches(monkeypatch):
         stages.clear()
         solve_dcm_offline(inst)
         y = np.arange(gen.count + 1, dtype=float)[:, None]
-        tops = offline._dp_band(inst, np.ceil(inst.workload).astype(int))
+        need = np.ceil(inst.workload).astype(int)
+        lows, tops = offline._dp_floor(inst, need), offline._dp_band(inst, need)
         rows = offline._dp_rows(inst, tops)
         assert sorted(t for t, _ in stages) == list(range(1, inst.horizon + 1))
         for t, stage in stages:
-            lo, hi, top = inst.min_servers(t), int(tops[t - 1]), int(rows[t - 1])
+            lo, hi, top = int(lows[t - 1]), int(tops[t - 1]), int(rows[t - 1])
             d = inst.demand_table(t)[lo:]
             want = supply_cost(gen, y, inst.p(t), d)[: top + 1, : hi - lo + 1]
             assert stage.shape == (top + 1, hi - lo + 1), (k, t)
@@ -488,14 +489,39 @@ def every_gap_held(values):
     return np.maximum(values, np.minimum(before, after))
 
 
+def cheap_gap_floor(inst, need):
+    """max(need(t), min(need(s1), need(s2))) over the pairs s1 < t < s2 whose
+    slots between cost at most beta_s - r*d_min to idle one server through,
+    rho(s) = max(p(s), c_o)*(d_s(M) - d_s(M-1)) (p(s) without generators),
+    by brute force over the pairs: for each s1, every short s2 > t."""
+    gen, m, t_end = inst.generator, inst.max_servers, inst.horizon
+    grid = inst.demand_table(1, t_end)
+    rate = np.maximum(inst.price, gen.c_o) if gen.count else inst.price
+    rho = rate * (grid[:, m] - grid[:, max(m - 1, 0)])
+    before = np.concatenate(([0.0], np.cumsum(rho)))  # before[s]: cost of slots 0..s-1
+    budget = inst.server.beta_s - band_margin(inst)
+    want = np.array(need)
+    for s1 in range(t_end - 2):
+        later = np.arange(s1 + 2, t_end)
+        held = np.where(before[later] - before[s1 + 1] <= budget, need[later], 0)
+        reach = np.maximum.accumulate(held[::-1])[::-1]  # reach[j]: most need(s2) of s2 >= s1 + 2 + j
+        np.maximum(want[s1 + 1 : -1], np.minimum(need[s1], reach), out=want[s1 + 1 : -1])
+    return want
+
+
 def test_dp_band_is_the_largest_fleet_a_short_gap_keeps():
     # U(t) = max(ceil(a(t)), min(ceil(a(s1)), ceil(a(s2)))) over s1 < t < s2
     # with s2 - s1 - 1 <= D, D = floor(beta_s / (r*d_min)) + 1 with r =
     # min(c_o, p_min), or p_min with no generators; never above the peak
     # need within one span. r*d_min = 0 (free generation with generators,
-    # or a zero price) gives the full row
+    # or a zero price) gives the full row. The floor L(t) is the same rule
+    # over the pairs whose gap costs at most beta_s - r*d_min to idle one
+    # server through (cheap_gap_floor), never above U(t), and ceil(a) when
+    # r*d_min = 0; each draw's one-slot prefix (T = 1) and zeroed workload
+    # (M = 0) are checked too
     rng = np.random.default_rng(20)
-    seen = dict(narrow=0, narrower_than_window=0, free_generation=0, zero_price=0)
+    seen = dict(narrow=0, narrower_than_window=0, free_generation=0, zero_price=0,
+                floor_raised=0, floor_no_generators=0)
     for k in range(300):
         inst = random_bound_instance(rng)
         if k % 3 == 1:
@@ -511,11 +537,19 @@ def test_dp_band_is_the_largest_fleet_a_short_gap_keeps():
             inst = dataclasses.replace(inst, price=price)
         need = np.ceil(inst.workload).astype(int)
         tops = offline._dp_band(inst, need)
+        floor = offline._dp_floor(inst, need)
+        for case in (inst.truncated(1), dataclasses.replace(inst, workload=np.zeros(inst.horizon))):
+            low = np.ceil(case.workload).astype(int)
+            assert np.array_equal(offline._dp_floor(case, low), cheap_gap_floor(case, low)), k
         margin = band_margin(inst)
         if margin == 0.0:
             assert np.array_equal(tops, np.full(inst.horizon, inst.max_servers))
+            assert np.array_equal(floor, need), k
             seen["free_generation" if inst.generator.count else "zero_price"] += 1
             continue
+        assert np.array_equal(floor, cheap_gap_floor(inst, need)) and np.all(floor <= tops), k
+        seen["floor_raised"] += bool(np.any(floor > need))
+        seen["floor_no_generators"] += inst.generator.count == 0
         assert np.array_equal(tops, short_gap_fleets(need, inst.server.beta_s / margin)), k
         window = window_peak_band(inst, need)
         assert np.all(tops <= window), k
@@ -542,6 +576,26 @@ def test_dp_band_is_the_largest_fleet_a_short_gap_keeps():
             want = every_gap_held(need)
         assert np.array_equal(tops, want), slots
         assert elapsed < 0.5, (slots, elapsed)
+    # the floor on the same series at dyadic prices: rho(s) = p(s)*0.25
+    # sums exactly, so a gap that costs the budget exactly is a tie that
+    # counts as short; budgets from no gap to every gap
+    price = rng.choice([0.5, 0.75, 1.0, 1.5], 4000)
+    price[0] = 0.5
+    raised = []
+    for slots in (0.5, 3.0, 40.0, 3999.0, 1e300):
+        inst = Instance(
+            workload=need.astype(float),
+            price=price,
+            server=ServerModel(0.25, 0.25, beta_s=0.125 * slots),  # r*d_min = 0.5 * 0.25
+            generator=GeneratorModel(1.0, 0.1, 0.1, 1.0, 0),
+        )
+        start = time.perf_counter()
+        floor = offline._dp_floor(inst, need)
+        elapsed = time.perf_counter() - start
+        assert np.array_equal(floor, cheap_gap_floor(inst, need)), slots
+        assert elapsed < 0.5, (slots, elapsed)
+        raised.append(int(np.count_nonzero(floor > need)))
+    assert raised[0] == 0 < raised[1] < raised[-1], raised  # a negative budget holds no gap
 
 
 def trajectory_costs(inst):
@@ -562,26 +616,36 @@ def trajectory_costs(inst):
 def test_near_optimal_schedules_stay_inside_the_dp_band():
     # the exchange argument, not only the DP's pick: a fleet above U(t) can
     # drop its top server over part of a leading, trailing or long gap and
-    # save at least r*d_min, so every trajectory from the start state within
-    # r*d_min/2 of the minimum keeps x(t) <= U(t) at every slot
+    # save at least r*d_min, and a fleet below L(t) can keep one more server
+    # on through a gap that costs at most beta_s - r*d_min to idle and save
+    # a restart, so every trajectory from the start state within r*d_min/2
+    # of the minimum keeps L(t) <= x(t) <= U(t) at every slot. Each draw is
+    # also taken at 3*beta_s, where more dips between two higher needs are
+    # cheap enough to idle through
+    def near_fleets(inst):
+        xt, cost = trajectory_costs(inst)
+        return xt[np.any(cost <= cost.min() + 0.5 * band_margin(inst), axis=1)]
+
     rng = np.random.default_rng(27)
-    narrower = 0
+    narrower = raised = 0
     draws = 240
     for k in range(draws):
         inst = random_tiny_instance(rng)
         if k % 2:
             inst = dyadic_tie_instance(inst, rng)
-        scale = (0.01, 0.1, 0.3, 1.0)[k // 2 % 4]
-        inst = dataclasses.replace(
-            inst, server=dataclasses.replace(inst.server, beta_s=scale * inst.server.beta_s)
-        )
+        beta_s = inst.server.beta_s
         need = np.ceil(inst.workload).astype(int)
-        tops = offline._dp_band(inst, need)
-        xt, cost = trajectory_costs(inst)
-        near = np.any(cost <= cost.min() + 0.5 * band_margin(inst), axis=1)
-        assert np.all(xt[near] <= tops), k
-        narrower += band_margin(inst) > 0.0 and bool(np.any(tops < window_peak_band(inst, need)))
+        for scale in ((0.01, 0.1, 0.3, 1.0)[k // 2 % 4], 3.0):
+            inst = dataclasses.replace(inst, server=dataclasses.replace(inst.server, beta_s=scale * beta_s))
+            floor, tops = offline._dp_floor(inst, need), offline._dp_band(inst, need)
+            near = near_fleets(inst)
+            assert np.all(near <= tops), (k, scale)
+            assert np.all(near >= floor), (k, scale)
+            if scale < 3.0:
+                narrower += band_margin(inst) > 0.0 and bool(np.any(tops < window_peak_band(inst, need)))
+        raised += bool(np.any(floor > need))  # at 3*beta_s
     assert narrower >= 0.3 * draws, narrower
+    assert raised >= 0.3 * draws, raised
 
 
 def test_gap_band_keeps_a_third_of_the_window_peak_states_on_the_presets():
