@@ -154,3 +154,35 @@ def test_gap_pieces_sorts_as_the_stable_sort_did():
             assert g.tobytes() == w.tobytes()
         checked += len(carried[0]) > 0 and len(got[0]) > len(carried[0])
     assert checked > 100  # draws with carried gaps and gaps opening in the block
+
+
+def test_gap_pieces_pairs_every_gap_at_every_block_size():
+    # every block a walk can step: 1..BLOCK_SLOTS+1 rows of need and prefix
+    # (so every level of the close search), at M of 1, 2 and 300; counts at
+    # random, counts that never change, and counts that stay 0 until the
+    # block's last slot (every carried gap closes there, after n - 1 rows).
+    # Every idle slice carries a gap, those at or above every c(s) included,
+    # which stay open through all n rows
+    rng = np.random.default_rng(39)
+    shapes = {
+        "random": lambda rows, m: rng.integers(0, m + 1, size=rows),
+        "flat": lambda rows, m: np.full(rows, rng.integers(0, m + 1)),
+        "late": lambda rows, m: np.concatenate((np.zeros(rows - 1, dtype=int), [m])),
+    }
+    seen = {"open_through": 0, "closed_after_all_but_one": 0}
+    for rows in range(1, offline.BLOCK_SLOTS + 2):
+        for m in (1, 2, 300):
+            for shape in shapes.values():
+                need = shape(rows, m)
+                prefix = np.cumsum(rng.random((rows, m)), axis=0)
+                start = int(rng.integers(1, 500))
+                slices = np.arange(need[0], m)
+                carried = (slices, start - rng.integers(1, 50, size=len(slices)), rng.random(len(slices)))
+                got = gap_pieces(need, prefix, start, carried)
+                want = stable_gap_pieces(need, prefix, start, carried)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (rows, m)
+                carried_last = got[3][got[1] < start]
+                seen["open_through"] += bool(np.any(carried_last == rows - 1))
+                seen["closed_after_all_but_one"] += bool(rows > 2 and np.any(carried_last == rows - 2))
+    assert seen["open_through"] > 500 and seen["closed_after_all_but_one"] > 500

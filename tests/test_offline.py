@@ -143,6 +143,21 @@ def test_slice_walk_memory_is_one_demand_chunk_not_a_block_of_rows():
         assert peak < 4 * 2**20, peak / 2**20
 
 
+def test_breakevens_of_a_walk_that_never_recorded_raises():
+    # a walk keeps no (slice, g, j*) records unless asked before its first
+    # step: breakevens says so by name, before and after the walk steps
+    inst = flat_power_instance([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], [0.1] * 6, beta_s=0.05)
+    walk = offline.GapWalk(inst)
+    for stop in (0, 3, inst.horizon):
+        if stop:
+            walk.step(inst.workload[walk.stepped : stop], stop)
+        with pytest.raises(ConfigError, match="record_breakevens"):
+            walk.breakevens(0, inst.horizon)
+    recording = offline.GapWalk(inst).record_breakevens().walk_to_end()
+    # the gap of slots 2..4 idles 0.02 a slot and reaches 0.05 at slot 4
+    assert recording.breakevens(0, inst.horizon).tolist() == [[0], [2], [4]]
+
+
 def test_cp_cost_rejects_uncovered_workload():
     inst = flat_power_instance([1.0, 2.0], [0.1, 0.1])
     with pytest.raises(ConfigError, match="slot 2"):
