@@ -138,17 +138,15 @@ class ExperimentReport:
 
 
 def offline_reference(
-    instance: Instance, state_budget: int = DEFAULT_STATE_BUDGET, cpoff_x=None
+    instance: Instance, cpoff_x, state_budget: int = DEFAULT_STATE_BUDGET
 ) -> tuple[Schedule, str]:
     """Joint optimum when the state graph fits the budget, else the
     stage-wise decomposition on cpoff's provisioning series cpoff_x (a
-    GapWalk's offline_series; solve_cp_offline's, solved only then, when
-    not given); the second element names which one ran."""
+    GapWalk's offline_series); the second element names which one ran."""
     try:
         return solve_dcm_offline(instance, state_budget=state_budget), "exact"
     except CapacityError:
-        x = solve_cp_offline(instance) if cpoff_x is None else cpoff_x
-        return staged_schedule(instance, x, solve_ep_offline), "decomposed"
+        return staged_schedule(instance, cpoff_x, solve_ep_offline), "decomposed"
 
 
 def run_comparison(
@@ -171,7 +169,7 @@ def run_comparison(
     walk = GapWalk(instance)
     gcsr_x = gcsr(instance, lookahead, walk=walk)
     cpoff_x = walk.offline_series()
-    reference, kind = offline_reference(instance, state_budget, cpoff_x)
+    reference, kind = offline_reference(instance, cpoff_x, state_budget)
     lineup = {
         "static": static_schedule(instance),
         "offline": reference,
@@ -239,7 +237,7 @@ def sweep_lookahead(
     walk = GapWalk(instance)
     gcsr_xs = [gcsr(instance, w, walk=walk) for w in lookaheads]
     cpoff_x = walk.offline_series()
-    reference, kind = offline_reference(instance, state_budget, cpoff_x)
+    reference, kind = offline_reference(instance, cpoff_x, state_budget)
     ref_total = evaluate(instance, reference).total
     cpoff_total = evaluate(instance, grid_only_schedule(instance, cpoff_x)).total
     ongrid = OngridParams.from_instance(instance)
@@ -290,7 +288,7 @@ def sweep_generators(
     rows = []
     for inst in [instance.with_generator_count(n) for n in counts]:  # every count checked first
         dcmon_total = evaluate(inst, dcmon(inst, lookahead, walk=walk)).total
-        reference, kind = offline_reference(inst, state_budget, walk.offline_series())
+        reference, kind = offline_reference(inst, walk.offline_series(), state_budget)
         ref_total = evaluate(inst, reference).total
         rows.append(
             {

@@ -98,14 +98,14 @@ made or sorted. GapWalk is the one walk over them: it steps both functions
 one block at a time, through one buffer of one block it allocates once,
 decides each gap at the slot where it closes, follows the open gaps that
 have not reached break-even and records, per slot, the kept gaps' opens and
-closes; for the GCSR fleets that read it, it also finds each reached gap's
-break-even slot j* and keeps, in j* order, one (slice, g, j*) record per
-reached gap. None of that depends on a window or the generators, so
+closes; it also finds each reached gap's break-even slot j*, which GCSR
+fleets read, and keeps, in j* order, one (slice, g, j*) record per reached
+gap. None of that depends on a window or the generators, so
 solve_cp_offline holds one block's buffer, reused by every step, plus
-O(M + T) numbers, never a (T, M) array, and GCSR fleets of the same
-provisioning inputs can read one walk: online and offline slice rules compare the same
-floats, and compare and sweep make one P-row walk for GCSR, DCMON and cpoff
-together.
+O(M + T + reached gaps) numbers, never a (T, M) array, and GCSR fleets of
+the same provisioning inputs can read one walk: online and offline slice
+rules compare the same floats, and compare and sweep make one P-row walk
+for GCSR, DCMON and cpoff together.
 solve_cp_offline stays the standalone solver and the checks' reference.
 
 The generator slices share one kernel with online CHASE: regret_rows steps
@@ -713,9 +713,9 @@ class GapWalk:
     unreached. P is nondecreasing, so the offline rule keeps exactly the kept
     gaps, and a reached gap stays reached: only the open, unreached gaps are
     followed into the next sub-step (open_gaps). A reached gap's break-even
-    slot j*, the first slot of the gap where the predicate holds, is found by
-    _breakeven_rows over the sub-step's rows, O(gaps * log block) work, once a
-    GCSR fleet or cp_offline_slices asks (record_breakevens).
+    slot j*, the first slot of the gap where the predicate holds, is found in
+    the sub-step that reaches it by _breakeven_rows over its rows,
+    O(gaps * log block) work, and recorded for GCSR and cp_offline_slices.
 
     Much of a sub-step's time is numpy's fixed cost per call, so both stages
     besides demand evaluation act on whole blocks. gap_pieces makes only the
@@ -735,8 +735,8 @@ class GapWalk:
     - c(s) of the stepped slots (need)
     - per slot, the kept gaps that open there and that close there
       (kept_opens, kept_closes)
-    - if asked, one record (slice, g, j*) per reached gap, in j* order, in
-      the smallest unsigned type that holds T and M (breakevens reads them)
+    - one record (slice, g, j*) per reached gap, in j* order, in the
+      smallest unsigned type that holds T and M (breakevens reads them)
     - one P row and the open gaps it still follows
 
     That is one block's P rows and demand scratch, at most CHUNK_CELLS
@@ -761,8 +761,8 @@ class GapWalk:
         self.kept_closes = np.zeros(t_end + 1, dtype=int)  # kept gaps whose close is slot s
         # (slice, g, j*) of the reached gaps, by j*: one array per sub-step that
         # reached any, of the smallest unsigned type that holds T and M, and
-        # one past each array's last record index; None while not recording
-        self._records: list[np.ndarray] | None = None
+        # one past each array's last record index
+        self._records: list[np.ndarray] = []
         self._stops: list[int] = []
         self._dtype = np.min_scalar_type(max(t_end, instance.max_servers))
         # (slice, g, base) of the unreached gaps open at the last stepped slot
@@ -790,7 +790,7 @@ class GapWalk:
         np.add.at(self.kept_opens, first[kept], 1)
         np.add.at(self.kept_closes, start + last[kept], 1)
         hit = np.flatnonzero(reached)
-        if len(hit) and self._records is not None:
+        if len(hit):
             rows = _breakeven_rows(prefix, slices[hit], base[hit],
                                    np.maximum(first[hit] - start + 1, 1), last[hit], beta_s)
             # a radix sort, as in gap_pieces: rows take the smallest type that holds them
@@ -803,22 +803,10 @@ class GapWalk:
         self._row[:] = prefix[-1]
         self.stepped = stop
 
-    def record_breakevens(self) -> "GapWalk":
-        """Find and keep each reached gap's j* for breakevens, from the first
-        step on: ConfigError once the walk has stepped without them."""
-        if self._records is None and self.stepped:
-            raise ConfigError(f"the walk stepped to slot {self.stepped} without recording "
-                              "break-even slots; a GCSR fleet must read it from the start")
-        self._records = [] if self._records is None else self._records
-        return self
-
     def breakevens(self, taken: int, end: int) -> np.ndarray:
         """Records taken, taken+1, ... of the reached gaps through the last
         whose j* is at most end, as int rows (slices, g, j*); every gap whose
-        j* is at most end is recorded once a recording walk stepped to end.
-        ConfigError on a walk that does not record them."""
-        if self._records is None:
-            raise ConfigError("the walk records no break-even slots: call record_breakevens first")
+        j* is at most end is recorded once the walk stepped to end."""
         parts = [np.zeros((3, 0), dtype=self._dtype)]
         k = bisect.bisect_right(self._stops, taken)  # the array holding record taken
         for stop, records in zip(self._stops[k:], self._records[k:]):
@@ -851,7 +839,7 @@ def cp_offline_slices(instance: Instance) -> np.ndarray:
     the walk solve_cp_offline makes gives those gaps, painted into one row
     per slice. Unlike solve_cp_offline this holds the whole (M, T) result.
     """
-    walk = GapWalk(instance).record_breakevens().walk_to_end()
+    walk = GapWalk(instance).walk_to_end()
     slices, first, _ = walk.open_gaps
     reached = walk.breakevens(0, instance.horizon)
     return _paint(walk.need[1:], instance.max_servers,
@@ -864,7 +852,7 @@ def solve_cp_offline(instance: Instance) -> np.ndarray:
     Steps a GapWalk over the horizon, which decides each slice's idle gap
     at the slot where it closes. Memory is one block's P rows and demand
     grid, at most CHUNK_CELLS cells each and reused by every step, plus
-    O(M + T): no (T, M) array and no break-even slot. The offline rule
+    O(M + T + reached gaps): no (T, M) array. The offline rule
     knows where the horizon ends: trailing gaps (like leading ones) turn
     off for free. The online rules treat the end as unknown and
     may hold through them (see online.gcsr).

@@ -191,8 +191,7 @@ class GcsrFleet:
     The fleet reads a walk (offline.GapWalk) of its instance's provisioning
     inputs, its own or one that other fleets share, whatever their generator
     counts: the walk finds j* and both verdicts of every gap, and none of
-    them depends on the window or the generators; the fleet asks for j*
-    (GapWalk.record_breakevens) before the walk's first step. decide_next
+    them depends on the window or the generators. decide_next
     decides every slot from next_slot whose own window end is revealed
     (RevealedWindow.ends); the last of those ends is E. It steps the walk
     to E, with a(s) read through this fleet's window, only if the walk has
@@ -224,7 +223,7 @@ class GcsrFleet:
             raise ConfigError("a GCSR fleet reads a walk of its own instance's provisioning inputs")
         self.instance = instance
         self.window = window
-        self.walk = (GapWalk(instance) if walk is None else walk).record_breakevens()
+        self.walk = GapWalk(instance) if walk is None else walk
         self._offs = np.zeros(instance.horizon + 1, dtype=int)  # turn-offs taken, by slot
         self._held = 0  # sum over s <= the last decided slot of opens - kept closes - offs
         self._taken = 0  # the walk's reached-gap records taken

@@ -312,7 +312,7 @@ def test_sweep_generators_solves_cpoff_once(monkeypatch):
     assert [r["reference_kind"] for r in rows] == ["exact", "decomposed", "decomposed"]
     for row in rows[1:]:
         each = inst.with_generator_count(row["value"])
-        reference, _ = analysis.offline_reference(each)
+        reference, _ = analysis.offline_reference(each, solve_cp_offline(each))
         assert row["costs"]["offline"] == evaluate(each, reference).total
 
 

@@ -11,8 +11,9 @@ random tiny and bound instances at several windows, with the fleets
 stepped in blocks of 1, 2, 5 and 256 slots, and idle_cost_block's P rows,
 one block at a time, to the one-shot rows bit for bit. The offline series
 a GCSR walk records, under gcsr's window and dcmon's, is pinned to
-solve_cp_offline, and the gaps the walk follows after each step to the
-open gaps short of break-even.
+solve_cp_offline, its break-even records to those of a walk stepped alone,
+and the gaps the walk follows after each step to the open gaps short of
+break-even.
 """
 
 import math
@@ -212,6 +213,23 @@ def test_gcsr_walk_yields_the_offline_series(monkeypatch):
     assert compared >= 101 * 4 * 4
 
 
+def test_a_walk_stepped_alone_keeps_what_a_fleet_walk_keeps(monkeypatch):
+    # a walk has one mode: stepped to the end in one call, as solve_cp_offline
+    # steps it, it records the same break-even slots and series as a walk a
+    # GCSR fleet stepped under its window
+    for inst in reference_cases():
+        for block in (1, 5, 256):
+            monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
+            alone = offline.GapWalk(inst).walk_to_end()
+            want = [alone.breakevens(0, inst.horizon).tobytes(), alone.offline_series().tobytes()]
+            for w in (0, 4, 16):
+                walk = offline.GapWalk(inst)
+                gcsr(inst, w, walk=walk)
+                got = [walk.breakevens(0, inst.horizon).tobytes(), walk.offline_series().tobytes()]
+                assert got == want, (inst.horizon, block, w)
+        monkeypatch.undo()
+
+
 def test_walk_follows_exactly_the_open_gaps_short_of_breakeven():
     # after every step the walk follows the gaps open at its last slot whose
     # idle cost since their anchor is below beta_s, and no others
@@ -356,7 +374,7 @@ def test_walk_results_do_not_depend_on_the_chunk_or_block_cut(monkeypatch):
     assert cases[-1].horizon > offline.BLOCK_SLOTS
 
     def results(inst):
-        walk = offline.GapWalk(inst).record_breakevens().walk_to_end()
+        walk = offline.GapWalk(inst).walk_to_end()
         got = [walk.offline_series(), walk.breakevens(0, inst.horizon)]
         for w in (0, 3, 16):
             sched = dcmon(inst, w)

@@ -132,7 +132,7 @@ def test_slice_walk_memory_is_one_demand_chunk_not_a_block_of_rows():
     inst = harness.build_instance(harness.synthesize_trace(7, 22, 6000, "ny"),
                                   harness.validate_config({"servers": 6000}))
     assert (inst.horizon, inst.max_servers) == (528, 5520)
-    for run in (lambda: offline.GapWalk(inst).record_breakevens().walk_to_end(),
+    for run in (lambda: offline.GapWalk(inst).walk_to_end(),
                 lambda: solve_cp_offline(inst)):
         tracemalloc.start()
         try:
@@ -143,19 +143,11 @@ def test_slice_walk_memory_is_one_demand_chunk_not_a_block_of_rows():
         assert peak < 4 * 2**20, peak / 2**20
 
 
-def test_breakevens_of_a_walk_that_never_recorded_raises():
-    # a walk keeps no (slice, g, j*) records unless asked before its first
-    # step: breakevens says so by name, before and after the walk steps
+def test_walk_records_the_breakeven_slot_of_each_reached_gap():
     inst = flat_power_instance([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], [0.1] * 6, beta_s=0.05)
-    walk = offline.GapWalk(inst)
-    for stop in (0, 3, inst.horizon):
-        if stop:
-            walk.step(inst.workload[walk.stepped : stop], stop)
-        with pytest.raises(ConfigError, match="record_breakevens"):
-            walk.breakevens(0, inst.horizon)
-    recording = offline.GapWalk(inst).record_breakevens().walk_to_end()
+    walk = offline.GapWalk(inst).walk_to_end()
     # the gap of slots 2..4 idles 0.02 a slot and reaches 0.05 at slot 4
-    assert recording.breakevens(0, inst.horizon).tolist() == [[0], [2], [4]]
+    assert walk.breakevens(0, inst.horizon).tolist() == [[0], [2], [4]]
 
 
 def test_cp_cost_rejects_uncovered_workload():

@@ -389,24 +389,11 @@ def test_gcsr_fleet_refuses_a_walk_of_other_provisioning_inputs():
             dcmon(other, 2, walk=offline.GapWalk(inst))
 
 
-def test_walk_searches_breakeven_slots_only_for_a_fleet(monkeypatch):
-    # standalone cpoff reads only the kept gaps and never searches for j*;
-    # a GCSR fleet asks its walk to record j* before the first step, so a
-    # walk that has stepped without recording cannot serve one
-    searches = []
-    search = offline._breakeven_rows
-    monkeypatch.setattr(offline, "_breakeven_rows", lambda *args: searches.append(1) or search(*args))
+def test_a_fleet_walk_gives_the_standalone_cpoff_series():
     inst = dyadic_instance([1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 1])
-    want = solve_cp_offline(inst)
-    assert not searches
     walk = offline.GapWalk(inst)
     gcsr(inst, 2, walk=walk)
-    assert searches and walk.offline_series().tobytes() == want.tobytes()
-    stepped = offline.GapWalk(inst)
-    stepped.step(inst.workload[:3], 3)
-    for run in (gcsr, dcmon):
-        with pytest.raises(ConfigError, match="stepped to slot 3 without recording"):
-            run(inst, 2, walk=stepped)
+    assert walk.offline_series().tobytes() == solve_cp_offline(inst).tobytes()
 
 
 def test_gcsr_reads_each_slot_once_whatever_the_window(monkeypatch):
