@@ -17,6 +17,7 @@ from .model import (
     Instance,
     Schedule,
     ServerModel,
+    check_scalar,
     dispatched_schedule,
     evaluate,
     staged_schedule,
@@ -32,7 +33,6 @@ from .offline import (
 from .online import (
     BoundParams,
     OngridParams,
-    _whole_slots,
     dcmon,
     gcsr,
     ratio_bound_hybrid,
@@ -231,7 +231,7 @@ def sweep_lookahead(
     the first window's gcsr run; once every gcsr has run, the walk gives
     cpoff's series. The sweep makes one P-row walk.
     """
-    lookaheads = [_whole_slots(w) for w in lookaheads]
+    lookaheads = [check_scalar("lookahead", w, whole=True) for w in lookaheads]
     if not lookaheads:
         return []
     walk = GapWalk(instance)

@@ -4,10 +4,13 @@ Traces are hourly CSV files mapped to unit slots. Synthetic traces carry
 diurnal and weekly structure under named regional presets; configs are a
 single JSON document checked before anything runs; and reports serialize
 deterministically so a fixed seed reproduces output bytes. The schema,
-CONFIG_SCHEMA, checks a config's shape and types, and the ranges of the run
-keys no model owns; the model dataclasses check every model number's range
-and finiteness. A small interpreter of the JSON Schema keywords it uses
-checks it, with jsonschema's messages, so no command imports jsonschema.
+CONFIG_SCHEMA, checks a config's shape, and the types and ranges of the run
+keys no model owns. Its model sections take their keys from the model
+dataclasses' fields and check only shapes (objects, arrays, strings and the
+kind enums); each model checks and stores its own values when
+build_instance builds it. A small interpreter of the JSON Schema keywords
+it uses checks it, with jsonschema's messages, so no command imports
+jsonschema.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import io
 import json
 import math
 import numbers
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -239,13 +243,29 @@ def synthesize_trace(seed: int, days: int, servers: int, preset: str = "ny") -> 
 # ---------------------------------------------------------------------------
 # run configuration
 
-_NUMBER = {"type": "number"}
-_INTEGER = {"type": "integer"}
-
-
 def _object(properties: dict, **keywords) -> dict:
     """Schema of a JSON object that has only the given properties."""
     return {"type": "object", "additionalProperties": False, "properties": properties, **keywords}
+
+
+def _shape(hint) -> dict:
+    """Schema of a config value of a model field's type hint: its shape only,
+    as the model checks every value itself. A model is an object of its
+    dataclass fields, a tuple an array, a Literal one of its values and a
+    str a string; a number may be anything here. A model in an array takes
+    no defaults from DEFAULT_CONFIG, so it needs every field."""
+    if is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        return _object({f.name: _shape(hints[f.name]) for f in fields(hint)})
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Literal:
+        return {"enum": list(args)}
+    if origin is tuple and is_dataclass(args[0]):
+        required = [f.name for f in fields(args[0])]
+        return {"type": "array", "items": {**_shape(args[0]), "required": required}}
+    if origin is tuple:
+        return {"type": "array"}
+    return {"type": "string"} if hint is str else {}
 
 
 CONFIG_SCHEMA = _object({
@@ -259,26 +279,10 @@ CONFIG_SCHEMA = _object({
         "axis": {"enum": ["lookahead", "generators"]},
         "values": {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 0}},
     }, required=["axis", "values"]),
-    "server": _object(dict.fromkeys(("c_idle", "c_peak", "beta_s"), _NUMBER)),
-    "generator": _object({
-        **dict.fromkeys(("capacity", "c_o", "c_m", "beta_g"), _NUMBER),
-        "count": {"type": "integer", "minimum": 0},
-    }),
-    "cooling": _object({
-        "kind": {"enum": ["none", "quadratic", "cubic"]},
-        "b_max": _NUMBER,
-        "period": _INTEGER,
-        "regimes": {"type": "array", "items": _object({
-            "name": {"type": "string"},
-            "start": _INTEGER,
-            "end": _INTEGER,
-            "coeffs": {"type": "array", "items": _NUMBER},
-        }, required=["name", "start", "end", "coeffs"])},
-    }),
-    "conditioning": _object({
-        "kind": {"enum": ["none", "quadratic"]},
-        **dict.fromkeys(("quad", "lin", "const", "b_max"), _NUMBER),
-    }),
+    "server": _shape(ServerModel),
+    "generator": _shape(GeneratorModel),
+    "cooling": _shape(CoolingModel),
+    "conditioning": _shape(ConditioningModel),
 })
 
 DEFAULT_CONFIG = {
@@ -307,7 +311,7 @@ def _schema_errors(schema: dict, value, path: tuple = ()):
 
     Only the keywords CONFIG_SCHEMA uses are known, additionalProperties
     only as false; any other raises. Unlike jsonschema's, "integer" excludes
-    integral floats such as 2.0, which would reach the model as floats; no
+    integral floats such as 2.0, as check_scalar's whole numbers do; no
     type includes bools."""
     mapping = value if isinstance(value, dict) else {}
     for keyword, arg in schema.items():
@@ -387,12 +391,12 @@ def build_instance(trace: TraceFile, cfg: dict) -> Instance:
     Each model is built from its config section as keyword arguments, so a
     key a section leaves out takes the model's default (cooling and
     conditioning kind "none", cooling period 24, conditioning quad, lin and
-    const 0.0); the schema lets only field names through. Each overhead
-    section, cooling and conditioning, is the config's, or else the
-    preset's (Preset.overheads): a section replaces the preset's model as a
-    whole. Its b_max is the section's own; else, for kind "none", which
-    draws no power, the model's default 1.0; else the fleet scale, server
-    c_peak times the configured server count.
+    const 0.0); the schema lets only field names through, and each model
+    checks their values. Each overhead section, cooling and conditioning,
+    is the config's, or else the preset's (Preset.overheads): a section
+    replaces the preset's model as a whole. Its b_max is the section's own;
+    else, for kind "none", which draws no power, the model's default 1.0;
+    else the fleet scale, server c_peak times the configured server count.
     """
     # the models check their own keys first, so a bad c_peak is named as such
     server = ServerModel(**cfg["server"])
@@ -411,8 +415,7 @@ def build_instance(trace: TraceFile, cfg: dict) -> Instance:
         raise ConfigError(
             f"server c_peak × servers = {scale:g} is the overhead scale b_max of {scaled}, "
             f'which must be a finite number > 0: set a "b_max" or "kind": "none" in {scaled}')
-    regimes = tuple(CoolingRegime(**{**r, "coeffs": tuple(r["coeffs"])})
-                    for r in sections["cooling"].get("regimes", ()))
+    regimes = tuple(CoolingRegime(**r) for r in sections["cooling"].get("regimes", ()))
     return Instance(
         workload=trace.workload,
         price=trace.price,

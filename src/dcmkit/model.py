@@ -14,14 +14,18 @@ Slots are of unit length, so power (kW) and energy (kWh) coincide and a single
 demand number d_t(x) per slot captures everything downstream solvers need.
 Instance.demand is its one evaluator, at any slots and fleets.
 
-All dataclasses are frozen and arrays are marked read-only: instances can be
-shared freely between threads and memoized solvers.
+Each device model checks its own fields when built (check_scalar) and
+stores each number as a float, or as an int for a whole one such as the
+generator count. All dataclasses are frozen and arrays are marked
+read-only: instances can be shared freely between threads and memoized
+solvers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -54,19 +58,30 @@ def check_size(slots, servers, generators) -> None:
 
 
 def check_scalar(name: str, value, low: float = 0.0, *, strict: bool = False,
-                 whole: bool = False) -> None:
-    """ConfigError naming `name` unless value is a finite number >= low (> low
-    when strict), and a whole number when whole: the one range check of every
-    model scalar, so NaN cannot pass a range test by failing its comparison.
-    Bools are not numbers here, as in the config schema."""
+                 whole: bool = False):
+    """value as its model stores it: an int when whole, else a float.
+    ConfigError naming `name` unless value is a finite number >= low (> low
+    when strict): the one value rule of every model scalar, so NaN cannot
+    pass a range test by failing its comparison. A whole number is an int,
+    a Python or numpy one, never 2.0; bools are not numbers here."""
     try:
-        ok = math.isfinite(value) and (value > low if strict else value >= low)
-        ok = ok and not (whole and value != int(value) or isinstance(value, (bool, np.bool_)))
-    except (TypeError, OverflowError):  # not a number, or an int past the float range
+        stored = int(value) if whole else float(value)
+        ok = math.isfinite(value) and (stored > low if strict else stored >= low)
+    except (TypeError, ValueError, OverflowError):  # not a number, or an int past the float range
         ok = False
-    if not ok:
+    if not ok or isinstance(value, (bool, np.bool_)) or (
+            whole and not isinstance(value, (int, np.integer))):
         need = f"{'a whole' if whole else 'a finite'} number {'>' if strict else '>='} {low:g}"
         raise ConfigError(f"{name} must be {need}, got {value!r}")
+    return stored
+
+
+def _store_checked(model, section: str, *names: str, low: float = 0.0, **rule) -> None:
+    """Check each named field of a frozen model by check_scalar under one
+    rule, naming it '<section> <name>', and store the value it returns."""
+    for name in names:
+        value = check_scalar(f"{section} {name}", getattr(model, name), low, **rule)
+        object.__setattr__(model, name, value)
 
 
 def check_series(names, *series) -> tuple[np.ndarray, ...]:
@@ -108,9 +123,9 @@ class ServerModel:
     beta_s: float
 
     def __post_init__(self) -> None:
-        check_scalar("server c_idle", self.c_idle)
-        check_scalar("server c_peak", self.c_peak, self.c_idle)
-        check_scalar("server beta_s", self.beta_s, strict=True)
+        _store_checked(self, "server", "c_idle")
+        _store_checked(self, "server", "c_peak", low=self.c_idle)
+        _store_checked(self, "server", "beta_s", strict=True)
 
 
 @dataclass(frozen=True)
@@ -122,7 +137,7 @@ class GeneratorModel:
         c_o: incremental generation cost per kWh, finite, >= 0.
         c_m: maintenance cost per generator per active slot, finite, >= 0.
         beta_g: cost of starting one generator, finite, > 0.
-        count: fleet size N, a whole number >= 0.
+        count: fleet size N, an int >= 0 (a Python or numpy int).
     """
 
     capacity: float
@@ -132,12 +147,10 @@ class GeneratorModel:
     count: int
 
     def __post_init__(self) -> None:
-        check_scalar("generator capacity", self.capacity, strict=True)
-        check_scalar("generator c_o", self.c_o)
-        check_scalar("generator c_m", self.c_m)
-        check_scalar("generator beta_g", self.beta_g, strict=True)
-        check_scalar("generator count", self.count, whole=True)
-        object.__setattr__(self, "count", int(self.count))  # 2.0 or a numpy int as an int
+        _store_checked(self, "generator", "capacity", strict=True)
+        _store_checked(self, "generator", "c_o", "c_m")
+        _store_checked(self, "generator", "beta_g", strict=True)
+        _store_checked(self, "generator", "count", whole=True)
 
     @property
     def breakeven_price(self) -> float:
@@ -165,13 +178,21 @@ class CoolingRegime:
     The interval is half-open modulo the period, so start=20, end=8 covers
     the wrap-around night hours. Coefficients apply to normalized power
     b_hat = b/b_max: quadratic kind uses (quad, lin, const), cubic uses
-    (cube,).
+    (cube,). Bounds are whole numbers >= 0 and coefficients finite and >= 0,
+    whatever the cooling kind; the coefficient count a kind needs and the
+    bounds' range [0, period) are CoolingModel's to check.
     """
 
     name: str
     start: int
     end: int
     coeffs: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        _store_checked(self, f"regime {self.name!r}:", "start", "end", whole=True)
+        coeffs = (check_scalar(f"regime {self.name!r}: coeffs[{k}]", c)
+                  for k, c in enumerate(self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     def contains(self, hour, period: int):
         """Whether this regime owns hour modulo period: a bool for an int
@@ -183,6 +204,9 @@ class CoolingRegime:
         return (h >= self.start) | (h < self.end)
 
 
+CoolingKind = Literal["none", "quadratic", "cubic"]
+
+
 @dataclass(frozen=True)
 class CoolingModel:
     """Cooling overhead as a convex polynomial of normalized server power.
@@ -190,25 +214,22 @@ class CoolingModel:
     kind "none" has no overhead; "quadratic" regimes carry (quad, lin, const)
     coefficients, "cubic" regimes carry a single leading coefficient. The
     polynomial is evaluated at b/b_max and the result scaled by b_max. b_max
-    is finite and > 0; period is a whole number >= 1, regime bounds are
-    whole hours in [0, period) and coefficients finite and >= 0. The regimes
-    tile the period, one per hour; that is checked at hour 0 and at the
-    bounds, where ownership can change, so no cost grows with the period.
+    is finite and > 0; period is a whole number >= 1 and regime bounds are
+    hours in [0, period). The regimes tile the period, one per hour; that
+    is checked at hour 0 and at the bounds, where ownership can change, so
+    no cost grows with the period.
     """
 
-    kind: str = "none"
+    kind: CoolingKind = "none"
     regimes: tuple[CoolingRegime, ...] = ()
     b_max: float = 1.0
     period: int = 24
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "quadratic", "cubic"):
+        if self.kind not in get_args(CoolingKind):
             raise ConfigError(f"unknown cooling kind {self.kind!r}")
-        check_scalar("cooling b_max", self.b_max, strict=True)
-        check_scalar("cooling period", self.period, 1, whole=True)
-        for reg in self.regimes:
-            check_scalar(f"regime {reg.name!r}: start", reg.start, whole=True)
-            check_scalar(f"regime {reg.name!r}: end", reg.end, whole=True)
+        _store_checked(self, "cooling", "b_max", strict=True)
+        _store_checked(self, "cooling", "period", low=1, whole=True)
         if self.kind == "none":
             return
         n_coef = 3 if self.kind == "quadratic" else 1
@@ -220,12 +241,10 @@ class CoolingModel:
                 raise ConfigError(
                     f"regime {reg.name!r}: expected {n_coef} coefficients, got {len(reg.coeffs)}"
                 )
-            for k, c in enumerate(reg.coeffs):
-                check_scalar(f"regime {reg.name!r}: coeffs[{k}]", c)
         # every hour of the period must belong to exactly one regime. Ownership
         # changes only at regime bounds, so hour 0 and the bounds, in order,
         # meet the first hour that breaks this, with the owners it has
-        for h in sorted({0, *(int(b) for r in self.regimes for b in (r.start, r.end))}):
+        for h in sorted({0, *(b for r in self.regimes for b in (r.start, r.end))}):
             owners = [r.name for r in self.regimes if r.contains(h, self.period)]
             if len(owners) != 1:
                 raise ConfigError(
@@ -254,23 +273,25 @@ class CoolingModel:
         return r
 
 
+ConditioningKind = Literal["none", "quadratic"]
+
+
 @dataclass(frozen=True)
 class ConditioningModel:
     """Power conditioning overhead, time-invariant quadratic in b/b_max, with
     finite coefficients >= 0 and a finite b_max > 0."""
 
-    kind: str = "none"
+    kind: ConditioningKind = "none"
     quad: float = 0.0
     lin: float = 0.0
     const: float = 0.0
     b_max: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "quadratic"):
+        if self.kind not in get_args(ConditioningKind):
             raise ConfigError(f"unknown conditioning kind {self.kind!r}")
-        for name in ("quad", "lin", "const"):
-            check_scalar(f"conditioning {name}", getattr(self, name))
-        check_scalar("conditioning b_max", self.b_max, strict=True)
+        _store_checked(self, "conditioning", "quad", "lin", "const")
+        _store_checked(self, "conditioning", "b_max", strict=True)
 
     def power(self, b: float | np.ndarray, out=None, scaled=None) -> float | np.ndarray:
         """Conditioning power for server power b; out and scaled, arrays of

@@ -524,8 +524,8 @@ def brute_force_dcm(instance: Instance, budget: int = DEFAULT_ENUM_BUDGET) -> Sc
     x_ranges = [range(instance.min_servers(t), m + 1) for t in range(1, t_end + 1)]
     n_x = math.prod(len(r) for r in x_ranges)
     n_y = (n + 1) ** t_end
-    if n_x * n_y > budget:
-        raise CapacityError(f"enumeration size {n_x * n_y} exceeds budget {budget}")
+    if n_x * n_y > budget:  # as a power of ten: its digits may pass int-to-str's limit
+        raise CapacityError(f"enumeration size 10^{math.log10(n_x * n_y):.1f} exceeds budget {budget}")
 
     xt = np.array(list(itertools.product(*x_ranges)), dtype=int).reshape(n_x, t_end)
     yt = np.array(list(itertools.product(range(n + 1), repeat=t_end)), dtype=int).reshape(

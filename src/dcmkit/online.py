@@ -70,12 +70,6 @@ from .offline import GapWalk, next_extremes, regret_rows, supply_series
 # the revealed window
 
 
-def _whole_slots(lookahead) -> int:
-    """lookahead as an int; ConfigError unless it is a whole slot count >= 0."""
-    check_scalar("lookahead", lookahead, whole=True)
-    return int(lookahead)
-
-
 class RevealedWindow:
     """Slots 1..end of a horizon: all an online fleet may read.
 
@@ -274,7 +268,7 @@ def gcsr(instance: Instance, lookahead: int, return_slices: bool = False, *,
     turns off for free. At w >= T it differs from solve_cp_offline only in
     trailing gaps.
     """
-    window = RevealedWindow(instance.horizon, _whole_slots(lookahead))
+    window = RevealedWindow(instance.horizon, check_scalar("lookahead", lookahead, whole=True))
     fleet = GcsrFleet(instance, window, walk)
     offs = _drive(fleet, window, keep=return_slices)
     x = np.array(fleet.series, dtype=float)
@@ -357,7 +351,7 @@ def chase(gen: GeneratorModel, energy, price, lookahead: int) -> np.ndarray:
     from ep_offline_slices only past each slice's last extreme, where they
     hold.
     """
-    lookahead = _whole_slots(lookahead)
+    lookahead = check_scalar("lookahead", lookahead, whole=True)
     energy, price = supply_series(energy, price)
     window = RevealedWindow(len(energy), lookahead)
     fleet = ChaseFleet(gen, energy, price, window)
@@ -386,7 +380,7 @@ def dcmon(instance: Instance, lookahead: int, params: OngridParams | None = None
     params holds the declared a-priori values (default: read off the
     instance); a replay of a truncated view passes its parent's.
     """
-    lookahead = _whole_slots(lookahead)
+    lookahead = check_scalar("lookahead", lookahead, whole=True)
     if params is None:
         params = OngridParams.from_instance(instance)
     w_ep = params.ep_window(lookahead)

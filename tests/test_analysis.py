@@ -319,12 +319,12 @@ def test_sweep_generators_solves_cpoff_once(monkeypatch):
 def test_sweep_axis_values_must_be_whole_numbers():
     # each value is checked as the solvers check it, not truncated by int()
     inst = toy_instance([1.0, 0.0, 0.0, 2.0], [0.1, 0.3, 0.1, 0.3])
-    for values in ([2.5], [True], [-1], [float("nan")], ["2"]):
+    for values in ([2.5], [2.0], [True], [-1], [float("nan")], ["2"]):
         with pytest.raises(ConfigError, match="lookahead must be a whole number"):
             sweep_lookahead(inst, values)
         with pytest.raises(ConfigError, match="generator count must be a whole number"):
             sweep_generators(inst, [1] + values, 2)
-    rows = sweep_lookahead(inst, [np.int64(2), 2.0]) + sweep_generators(inst, [np.int64(2), 2.0], 2)
+    rows = sweep_lookahead(inst, [np.int64(2), 2]) + sweep_generators(inst, [np.int64(2), 2], 2)
     assert [(type(r["value"]), r["value"]) for r in rows] == [(int, 2)] * 4
     assert rows[0] == rows[1] and rows[2] == rows[3]
 

@@ -209,15 +209,16 @@ def test_config_rejects_unknown_keys_and_bad_values():
         validate_config({"sweep": {"axis": "lookahead"}})
     with pytest.raises(ConfigError):
         validate_config({"servers": 0})
-    with pytest.raises(ConfigError):
-        validate_config({"generator": {"count": -1}})
+    # a model value is checked by its model, when the instance is built
+    with pytest.raises(ConfigError, match="generator count must be a whole number >= 0"):
+        build_instance(synthesize_trace(0, 1, 6), validate_config({"generator": {"count": -1}}))
 
 
 def test_config_validator_is_built_once_from_a_valid_schema():
     cls = jsonschema.validators.validator_for(harness.CONFIG_SCHEMA)
     cls.check_schema(harness.CONFIG_SCHEMA)  # raises SchemaError if the schema is malformed
     bad = ({"mystery": 1}, {"sweep": {"axis": "lookahead"}}, {"servers": 0},
-           {"generator": {"count": -1}}, {"cooling": {"regimes": [{"name": "x"}]}})
+           {"cooling": {"regimes": [{"name": "x"}]}})
     for raw in bad:
         # the message jsonschema.validate's error gives, as before the cache
         with pytest.raises(jsonschema.ValidationError) as want:
@@ -277,13 +278,13 @@ def test_every_schema_keyword_has_a_check():
         list(harness._schema_errors({"maximum": 5}, 6))
 
 
-def _oracle_validator():
-    """jsonschema's validator of CONFIG_SCHEMA, with "integer" matching JSON
-    integers only, as validate_config's rule."""
-    base = jsonschema.validators.validator_for(harness.CONFIG_SCHEMA)
+def _oracle_validator(schema=harness.CONFIG_SCHEMA):
+    """jsonschema's validator of schema, CONFIG_SCHEMA by default, with
+    "integer" matching JSON integers only, as validate_config's rule."""
+    base = jsonschema.validators.validator_for(schema)
     types = base.TYPE_CHECKER.redefine(
         "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
-    return jsonschema.validators.extend(base, type_checker=types)(harness.CONFIG_SCHEMA)
+    return jsonschema.validators.extend(base, type_checker=types)(schema)
 
 
 _ORACLE = _oracle_validator()
@@ -339,6 +340,88 @@ def test_validate_config_reports_the_error_jsonschema_picks(seed):
     with pytest.raises(ConfigError) as got:
         validate_config(raw)
     assert str(got.value) == f"config {path}: {error.message}", raw
+
+
+def _typed_object(properties, **keywords):
+    return {"type": "object", "additionalProperties": False, "properties": properties, **keywords}
+
+
+# CONFIG_SCHEMA as it was when it also typed each model key, frozen here as
+# the reference for the models' own checks: every document it rejects must
+# still be rejected, naming the key
+_NUMBER, _INTEGER = {"type": "number"}, {"type": "integer"}
+_TYPED_SCHEMA = _typed_object({
+    "label": {"type": "string"},
+    "preset": {"enum": ["flat", "ny", "sj"]},
+    "servers": {"type": "integer", "minimum": 1},
+    "days": {"type": "integer", "minimum": 1},
+    "seed": {"type": "integer", "minimum": 0},
+    "lookahead": {"type": "integer", "minimum": 0},
+    "sweep": _typed_object({
+        "axis": {"enum": ["lookahead", "generators"]},
+        "values": {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 0}},
+    }, required=["axis", "values"]),
+    "server": _typed_object(dict.fromkeys(("c_idle", "c_peak", "beta_s"), _NUMBER)),
+    "generator": _typed_object({
+        **dict.fromkeys(("capacity", "c_o", "c_m", "beta_g"), _NUMBER),
+        "count": {"type": "integer", "minimum": 0},
+    }),
+    "cooling": _typed_object({
+        "kind": {"enum": ["none", "quadratic", "cubic"]},
+        "b_max": _NUMBER,
+        "period": _INTEGER,
+        "regimes": {"type": "array", "items": _typed_object({
+            "name": {"type": "string"},
+            "start": _INTEGER,
+            "end": _INTEGER,
+            "coeffs": {"type": "array", "items": _NUMBER},
+        }, required=["name", "start", "end", "coeffs"])},
+    }),
+    "conditioning": _typed_object({
+        "kind": {"enum": ["none", "quadratic"]},
+        **dict.fromkeys(("quad", "lin", "const", "b_max"), _NUMBER),
+    }),
+})
+
+
+def _model_key_documents():
+    """_FULL_CONFIG with one model key, a regime's included, set to each of
+    _BAD_VALUES."""
+    for path in (*((name, key) for name in ("server", "generator", "cooling", "conditioning")
+                   for key in _FULL_CONFIG[name]),
+                 *(("cooling", "regimes", 0, key) for key in _FULL_CONFIG["cooling"]["regimes"][0])):
+        for bad in _BAD_VALUES:
+            doc = copy.deepcopy(_FULL_CONFIG)
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = copy.deepcopy(bad)
+            yield doc
+
+
+def test_the_models_reject_what_the_typed_schema_rejected():
+    # a document the typed schema rejected fails the shape check or its
+    # model's own check, with a message naming the key. That is the key of
+    # the error the typed schema picked, unless the document has several
+    # faults: shapes are checked before the models, so a shape fault is
+    # named before a value fault on a shorter path, and regimes are checked
+    # in order, so regime 0's fault is named before regime 1's
+    typed = _oracle_validator(_TYPED_SCHEMA)
+    rejected = 0
+    docs = [_config_document(random.Random(seed)) for seed in range(500)]
+    for raw in docs + list(_model_key_documents()):
+        errors = list(typed.iter_errors(raw))
+        if not errors:
+            continue
+        rejected += 1
+        with pytest.raises(ConfigError) as got:
+            cfg = validate_config(raw)
+            build_instance(synthesize_trace(cfg["seed"], 1, cfg["servers"], cfg["preset"]), cfg)
+        keys = {next((p for p in reversed(e.absolute_path) if isinstance(p, str)), "<root>")
+                for e in errors}
+        assert any(re.search(rf"(?<!\w){re.escape(key)}(?!\w)", str(got.value)) for key in keys), (
+            raw, str(got.value))
+    assert rejected > 500
 
 
 def test_load_config_errors(tmp_path):
@@ -679,12 +762,15 @@ def test_cli_rejects_oversized_inputs_before_building_them(tmp_path, capsys, con
 )
 def test_cli_rejects_integral_floats_for_integer_keys(tmp_path, capsys, config, key):
     # JSON 2.0 is a float: an integer key holding one is a config error,
-    # not a float that reaches the solvers or the report
+    # not a float that reaches the solvers or the report. A model's key is
+    # named by its model, the run keys by the schema
     cfg = tmp_path / "floats.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "report.json"
     assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr() == ("", f"error: config {key} is not of type 'integer'\n")
+    model = {"generator/count: 2.0": "generator count must be a whole number >= 0, got 2.0"}
+    message = model.get(key, f"config {key} is not of type 'integer'")
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
 
 
@@ -814,6 +900,31 @@ def test_cli_capacity_exhaustion_exits_two(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path, {"servers": 600, "days": 1})
     assert main(["solve", "--algo", "bruteforce", "--config", cfg]) == 2
     capsys.readouterr()
+
+
+def test_cli_bruteforce_gives_its_enumeration_size_as_a_power_of_ten(tmp_path, capsys):
+    # at 120 days the size has about 5600 digits, past Python's limit for
+    # converting an int to a string: one short error line, not a traceback
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"days": 120, "servers": 20}))
+    assert main(["solve", "--algo", "bruteforce", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+    assert err == "error: enumeration size 10^5594.5 exceeds budget 10000000\n"
+
+
+def test_cli_runs_a_generator_capacity_past_int64(tmp_path, capsys):
+    # the model stores a JSON integer capacity as a float, so the supply
+    # stage's slice offsets arange(N) * L do not overflow a C long
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"days": 1, "servers": 20, "generator": {"capacity": 2**63}}))
+    out = tmp_path / "report.json"
+    for command in (["compare"], ["solve", "--algo", "offline"], ["solve", "--algo", "chase"],
+                    ["solve", "--algo", "dcmon"]):
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        totals = list(_totals(json.loads(out.read_text())))
+        assert totals and all(math.isfinite(total) for total in totals)
 
 
 def _totals(node):
@@ -1019,8 +1130,7 @@ def test_sweep_omits_the_hybrid_bound_when_generation_is_free(tmp_path, capsys):
 
 
 def test_schema_leaves_model_ranges_to_the_model():
-    # each model scalar's range is written once, in its dataclass; the schema
-    # keeps only generator/count's minimum, which the schema tests exercise
+    # each model scalar's range is written once, in its dataclass
     def ranged(node, path):
         if isinstance(node, dict):
             if node.keys() & {"minimum", "exclusiveMinimum", "maximum", "exclusiveMaximum"}:
@@ -1034,7 +1144,7 @@ def test_schema_leaves_model_ranges_to_the_model():
     sections = ("server", "generator", "cooling", "conditioning")
     props = harness.CONFIG_SCHEMA["properties"]
     found = [path for name in sections for path in ranged(props[name], name)]
-    assert found == ["generator/properties/count"]
+    assert found == []
 
 
 _LITERALS = ("NaN", "Infinity", "-Infinity", "1e400")  # json reads 1e400 as inf

@@ -904,9 +904,12 @@ def test_with_generator_count_swaps_only_the_fleet():
 
 
 def test_generator_count_is_held_as_an_int():
-    # a whole float or a numpy int passes the count check and is held as an
-    # int, so the supply stage can size its arrays by it
-    inst = bare_instance([1.0, 2.0, 0.0, 1.0], [0.11, 0.3, 0.2, 0.3], count=2.0)
+    # a numpy int passes the count check and is held as an int, so the
+    # supply stage can size its arrays by it; a whole float is no int
+    with pytest.raises(ConfigError, match=r"^generator count must be a whole number >= 0, "
+                                          r"got 2\.0$"):
+        bare_instance([1.0], [0.1], count=2.0)
+    inst = bare_instance([1.0, 2.0, 0.0, 1.0], [0.11, 0.3, 0.2, 0.3], count=np.int64(2))
     for gen in (inst.generator, inst.with_generator_count(np.int64(3)).generator):
         assert type(gen.count) is int
     assert inst.generator.count == 2

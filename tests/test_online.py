@@ -389,13 +389,6 @@ def test_gcsr_fleet_refuses_a_walk_of_other_provisioning_inputs():
             dcmon(other, 2, walk=offline.GapWalk(inst))
 
 
-def test_a_fleet_walk_gives_the_standalone_cpoff_series():
-    inst = dyadic_instance([1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 1])
-    walk = offline.GapWalk(inst)
-    gcsr(inst, 2, walk=walk)
-    assert walk.offline_series().tobytes() == solve_cp_offline(inst).tobytes()
-
-
 def test_gcsr_reads_each_slot_once_whatever_the_window(monkeypatch):
     # a(s) and P(s) are read once per revealed slot s, in slot order: the
     # same reads at every window, the whole horizon's included
