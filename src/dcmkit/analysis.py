@@ -1,6 +1,13 @@
 """Experiment layer: benchmarks, head-to-head comparisons, ablations,
 parameter sweeps, and the two worst-case trace families that make the
 theoretical ratios measurable on real runs.
+
+One lineup (_comparisons) builds and evaluates the compared algorithms:
+run_comparison is it at one window, and a look-ahead sweep row is it at
+each window, with the theory bounds added. The generator sweep keeps its
+own loop over counts, as a comparison per count would add a gcsr run it
+does not read. Every report and row takes its ratios from one table,
+_RATIOS, and every sweep row comes from one builder, _sweep_row.
 """
 
 from __future__ import annotations
@@ -70,6 +77,11 @@ def decomposed_offline_schedule(instance: Instance) -> Schedule:
     return staged_schedule(instance, solve_cp_offline(instance), solve_ep_offline)
 
 
+# (ratio name, algorithm, reference): the one table of the ratios that
+# compare reports and sweep rows print
+_RATIOS = (("gcsr_vs_cpoff", "gcsr", "cpoff"), ("dcmon_vs_offline", "dcmon", "offline"))
+
+
 def cost_ratio(total: float, reference: float) -> float:
     """total / reference, the competitive ratio of a cost: 1.0 when both
     costs are 0, inf when only the reference is."""
@@ -130,10 +142,7 @@ class ExperimentReport:
             "savings_vs_static": {
                 name: self.savings(name) for name in self.results if name != "static"
             },
-            "ratios": {
-                "gcsr_vs_cpoff": self.ratio("gcsr", "cpoff"),
-                "dcmon_vs_offline": self.ratio("dcmon", "offline"),
-            },
+            "ratios": {name: self.ratio(algo, ref) for name, algo, ref in _RATIOS},
         }
 
 
@@ -149,6 +158,42 @@ def offline_reference(
         return staged_schedule(instance, cpoff_x, solve_ep_offline), "decomposed"
 
 
+def _evaluated(instance: Instance, lineup: dict[str, Schedule]) -> dict[str, AlgoResult]:
+    """Each schedule of lineup with its evaluated cost, in lineup's order."""
+    return {name: AlgoResult(name, sched, evaluate(instance, sched)) for name, sched in lineup.items()}
+
+
+def _comparisons(instance: Instance, lookaheads, state_budget: int) -> list[ExperimentReport]:
+    """run_comparison's report at each window of lookaheads, in order.
+
+    One GapWalk serves every window: the first window's gcsr run steps it,
+    each dcmon's lagged fleet reads its window-free verdicts through its own
+    window, and once every gcsr has run it gives cpoff's series, which
+    feeds the decomposed reference too. static, offline and cpoff are built
+    and evaluated once and shared by every report; gcsr and dcmon once per
+    window. The lineup makes one P-row walk and solves one reference.
+    """
+    walk = GapWalk(instance)
+    gcsr_xs = [gcsr(instance, w, walk=walk) for w in lookaheads]
+    cpoff_x = walk.offline_series()
+    reference, kind = offline_reference(instance, cpoff_x, state_budget)
+    shared = {
+        "static": static_schedule(instance),
+        "offline": reference,
+        "cpoff": grid_only_schedule(instance, cpoff_x),
+    }
+    windows = [
+        {"gcsr": grid_only_schedule(instance, x), "dcmon": dcmon(instance, w, walk=walk)}
+        for w, x in zip(lookaheads, gcsr_xs)
+    ]
+    results = _evaluated(instance, shared)
+    return [
+        ExperimentReport(instance.label, instance.horizon, w, kind,
+                         {**results, **_evaluated(instance, lineup)})
+        for w, lineup in zip(lookaheads, windows)
+    ]
+
+
 def run_comparison(
     instance: Instance,
     lookahead: int,
@@ -158,36 +203,10 @@ def run_comparison(
 
     static: peak fleet, grid only. offline: cost reference. cpoff: optimal
     provisioning, grid only. gcsr: online provisioning, grid only.
-    dcmon: online provisioning and supply.
-
-    gcsr and dcmon read one GapWalk, which gcsr steps and whose
-    window-free verdicts dcmon's lagged fleet reads through its own window;
-    the walk applies the offline slice rule to every gap, so it gives
-    cpoff's series and feeds the decomposed reference too. The comparison
-    makes one P-row walk.
+    dcmon: online provisioning and supply. The comparison makes one P-row
+    walk (_comparisons).
     """
-    walk = GapWalk(instance)
-    gcsr_x = gcsr(instance, lookahead, walk=walk)
-    cpoff_x = walk.offline_series()
-    reference, kind = offline_reference(instance, cpoff_x, state_budget)
-    lineup = {
-        "static": static_schedule(instance),
-        "offline": reference,
-        "cpoff": grid_only_schedule(instance, cpoff_x),
-        "gcsr": grid_only_schedule(instance, gcsr_x),
-        "dcmon": dcmon(instance, lookahead, walk=walk),
-    }
-    results = {
-        name: AlgoResult(name, sched, evaluate(instance, sched))
-        for name, sched in lineup.items()
-    }
-    return ExperimentReport(
-        label=instance.label,
-        horizon=instance.horizon,
-        lookahead=lookahead,
-        reference_kind=kind,
-        results=results,
-    )
+    return _comparisons(instance, [lookahead], state_budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +235,18 @@ def ablation_cp_only(instance: Instance) -> CostBreakdown:
 # sweeps
 
 
+def _sweep_row(axis: str, value: int, kind: str, costs: dict[str, float], bounds: dict) -> dict:
+    """One sweep row: its costs, the _RATIOS whose algorithm and reference
+    both have a cost, and bounds."""
+    ratios = {
+        name: cost_ratio(costs[algo], costs[ref])
+        for name, algo, ref in _RATIOS
+        if algo in costs and ref in costs
+    }
+    return {"axis": axis, "value": value, "reference_kind": kind, "costs": costs,
+            "ratios": ratios, "bounds": bounds}
+
+
 def sweep_lookahead(
     instance: Instance,
     lookaheads,
@@ -223,54 +254,31 @@ def sweep_lookahead(
 ) -> list[dict]:
     """Cost of the online algorithms as the look-ahead window grows.
 
-    Offline references are computed once; each row carries online costs,
-    ratios against the references, and the matching theory bounds (the
-    hybrid bound only when the generator economics make it well defined,
-    for a valid instance the only way BoundParams can fail, and its value
-    is finite). Every window's gcsr and dcmon read one GapWalk, stepped by
-    the first window's gcsr run; once every gcsr has run, the walk gives
-    cpoff's series. The sweep makes one P-row walk.
+    Each row is run_comparison's report at its window: every algorithm's
+    total but static's, the ratios, reference_kind, and the matching theory
+    bounds (the hybrid bound only when the generator economics make it well
+    defined, for a valid instance the only way BoundParams can fail, and its
+    value is finite). Every window is checked before any work; the windows
+    share one lineup (_comparisons), so the sweep makes one P-row walk and
+    solves one reference.
     """
     lookaheads = [check_scalar("lookahead", w, whole=True) for w in lookaheads]
     if not lookaheads:
         return []
-    walk = GapWalk(instance)
-    gcsr_xs = [gcsr(instance, w, walk=walk) for w in lookaheads]
-    cpoff_x = walk.offline_series()
-    reference, kind = offline_reference(instance, cpoff_x, state_budget)
-    ref_total = evaluate(instance, reference).total
-    cpoff_total = evaluate(instance, grid_only_schedule(instance, cpoff_x)).total
     ongrid = OngridParams.from_instance(instance)
     try:
         params: BoundParams | None = BoundParams.from_instance(instance)
     except ConfigError:
         params = None
     rows = []
-    for w, x in zip(lookaheads, gcsr_xs):
-        gcsr_total = evaluate(instance, grid_only_schedule(instance, x)).total
-        dcmon_total = evaluate(instance, dcmon(instance, w, ongrid, walk=walk)).total
+    for report in _comparisons(instance, lookaheads, state_budget):
+        w = report.lookahead
         bounds = {"ongrid": ratio_bound_ongrid(w, ongrid)}
         hybrid = math.inf if params is None else ratio_bound_hybrid(w, params)
         if math.isfinite(hybrid):
             bounds["hybrid"] = hybrid
-        rows.append(
-            {
-                "axis": "lookahead",
-                "value": w,
-                "reference_kind": kind,
-                "costs": {
-                    "offline": ref_total,
-                    "cpoff": cpoff_total,
-                    "gcsr": gcsr_total,
-                    "dcmon": dcmon_total,
-                },
-                "ratios": {
-                    "gcsr_vs_cpoff": cost_ratio(gcsr_total, cpoff_total),
-                    "dcmon_vs_offline": cost_ratio(dcmon_total, ref_total),
-                },
-                "bounds": bounds,
-            }
-        )
+        costs = {name: res.total for name, res in report.results.items() if name != "static"}
+        rows.append(_sweep_row("lookahead", w, report.reference_kind, costs, bounds))
     return rows
 
 
@@ -289,17 +297,8 @@ def sweep_generators(
     for inst in [instance.with_generator_count(n) for n in counts]:  # every count checked first
         dcmon_total = evaluate(inst, dcmon(inst, lookahead, walk=walk)).total
         reference, kind = offline_reference(inst, walk.offline_series(), state_budget)
-        ref_total = evaluate(inst, reference).total
-        rows.append(
-            {
-                "axis": "generators",
-                "value": inst.generator.count,
-                "reference_kind": kind,
-                "costs": {"offline": ref_total, "dcmon": dcmon_total},
-                "ratios": {"dcmon_vs_offline": cost_ratio(dcmon_total, ref_total)},
-                "bounds": {},
-            }
-        )
+        costs = {"offline": evaluate(inst, reference).total, "dcmon": dcmon_total}
+        rows.append(_sweep_row("generators", inst.generator.count, kind, costs, {}))
     return rows
 
 

@@ -34,6 +34,7 @@ from .model import (
     GeneratorModel,
     Instance,
     ServerModel,
+    check_scalar,
     check_size,
 )
 
@@ -209,12 +210,9 @@ def synthesize_trace(seed: int, days: int, servers: int, preset: str = "ny") -> 
     saturation exact instead of depending on how a trailing idle run is
     handled). Prices are two-level day/night per the preset.
     """
-    if days < 1:
-        raise ConfigError(f"days must be >= 1, got {days}")
-    if servers < 1:
-        raise ConfigError(f"servers must be >= 1, got {servers}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    days = check_scalar("days", days, 1, whole=True)
+    servers = check_scalar("servers", servers, 1, whole=True)
+    seed = check_scalar("seed", seed, 0, whole=True)
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     check_size(days * 24, servers, 0)  # the peak workload is at most servers

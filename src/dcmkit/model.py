@@ -699,7 +699,7 @@ def check_schedule(instance: Instance, sched: Schedule) -> None:
         (y != np.trunc(y)) | (y < 0) | (y > gen.count),
         (u < -FEAS_TOL) | (v < -FEAS_TOL),
         u > gen.capacity * y + FEAS_TOL,
-        u + v < demand - FEAS_TOL,
+        v < demand - u - FEAS_TOL,  # dispatch writes v = d - u, which u + v may round below d
     )
     bad = np.logical_or.reduce(checks)
     if not bad.any():

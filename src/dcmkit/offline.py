@@ -275,6 +275,15 @@ def _dp_floor(instance: Instance, need: np.ndarray) -> np.ndarray:
     gives the exchange argument that keeps every optimal schedule from the
     start state at or above the floor. As rho >= mu, a gap short here is
     short for _dp_band too, so L <= U.
+
+    That premise holds in exact arithmetic, not always in floats: when
+    d_s(M) dwarfs one server's increment (c_peak 1e14 against c_idle 0.1
+    on a 22-day trace), d_s(M) - d_s(M-1) rounds to 0 and rho falls below
+    mu, so L(t) can exceed U(t). _value_layers then takes need as the
+    floor, which every feasible schedule keeps, and U >= need always. rho
+    below mu alone is no sign of that: at a slot priced p_min without
+    generators rho and mu can differ only by rounding, with rho a few ulps
+    below, and the edges uncrossed.
     """
     margin = _band_margin(instance)
     if not margin > 0.0:
@@ -342,6 +351,8 @@ def _value_layers(instance: Instance) -> tuple[list, list[int], list[int], list[
     # layer T+1 is all zeros, so its row 0 and column 0 stand for every state
     need = np.ceil(instance.workload).astype(int)
     floor, band = _dp_floor(instance, need), _dp_band(instance, need)
+    if np.any(floor > band):  # rho >= mu failed in floats (_dp_floor); need holds for every schedule
+        floor = need
     row_tops = _dp_rows(instance, band)
     lows = [0, *floor.tolist(), 0]
     highs = [0, *band.tolist(), 0]

@@ -40,7 +40,7 @@ from dcmkit.analysis import (
     static_schedule,
 )
 from dcmkit.offline import cp_cost
-from dcmkit.verify import random_tiny_instance
+from dcmkit.verify import random_bound_instance, random_tiny_instance
 
 
 def toy_instance(workload, price, count=1, beta_s=0.08):
@@ -314,6 +314,52 @@ def test_sweep_generators_solves_cpoff_once(monkeypatch):
         each = inst.with_generator_count(row["value"])
         reference, _ = analysis.offline_reference(each, solve_cp_offline(each))
         assert row["costs"]["offline"] == evaluate(each, reference).total
+
+
+def _comparison_row(report):
+    """The numbers a look-ahead sweep row takes from a comparison."""
+    ratios = report.to_dict()["ratios"]
+    costs = {name: report.results[name].total for name in ("offline", "cpoff", "gcsr", "dcmon")}
+    return costs, ratios, report.reference_kind
+
+
+def test_sweep_rows_are_the_comparison_at_each_window(monkeypatch):
+    # bit for bit: the four totals, both ratios and reference_kind, on the
+    # presets (exact reference) and on bound draws with the decomposed one;
+    # a sweep over k windows solves its reference once
+    references = []
+    solve = analysis.offline_reference
+    monkeypatch.setattr(analysis, "offline_reference",
+                        lambda *args: references.append(1) or solve(*args))
+    cases = [(harness.build_instance(harness.synthesize_trace(0, 22, 600, preset),
+                                     harness.validate_config({"preset": preset})),
+              (0, 4, 16), analysis.DEFAULT_STATE_BUDGET) for preset in ("ny", "sj", "flat")]
+    rng = np.random.default_rng(42)
+    cases += [(random_bound_instance(rng), (0, 1, 3, 8), 1) for _ in range(12)]
+    kinds = set()
+    for inst, windows, budget in cases:
+        references.clear()
+        rows = sweep_lookahead(inst, windows, state_budget=budget)
+        assert len(references) == 1
+        for w, row in zip(windows, rows):
+            costs, ratios, kind = _comparison_row(run_comparison(inst, w, state_budget=budget))
+            assert (row["costs"], row["ratios"], row["reference_kind"]) == (costs, ratios, kind)
+            assert list(row["costs"]) == list(costs) and list(row["ratios"]) == list(ratios)
+            kinds.add(kind)
+    assert kinds == {"exact", "decomposed"}
+
+
+def test_sweep_generators_rows_are_the_comparison_at_each_count():
+    rng = np.random.default_rng(43)
+    for k in range(8):
+        inst = random_bound_instance(rng, generators=2)
+        counts, budget = (0, 1, 3), (1 if k % 2 else analysis.DEFAULT_STATE_BUDGET)
+        rows = sweep_generators(inst, counts, 2, state_budget=budget)
+        for n, row in zip(counts, rows):
+            report = run_comparison(inst.with_generator_count(n), 2, state_budget=budget)
+            assert row["costs"] == {name: report.results[name].total for name in ("offline", "dcmon")}
+            assert row["ratios"] == {"dcmon_vs_offline": report.ratio("dcmon", "offline")}
+            assert row["reference_kind"] == report.reference_kind
 
 
 def test_sweep_axis_values_must_be_whole_numbers():

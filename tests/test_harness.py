@@ -183,6 +183,16 @@ def test_synthesize_validation():
         synthesize_trace(seed=0, days=1, servers=10, preset="mars")
 
 
+def test_synthesize_checks_its_run_keys_as_whole_numbers():
+    # days, servers and seed take check_scalar's whole-number rule, as the
+    # config's run keys do: a bool or a float is named, not read as a size
+    for seed, days, servers, bad in ((0, True, 20, "days"), (0, 1, 2.5, "servers"),
+                                     (0, 1.5, 20, "days"), (0.5, 1, 20, "seed")):
+        with pytest.raises(ConfigError, match=f"^{bad} must be a whole number"):
+            synthesize_trace(seed, days, servers)
+    assert synthesize_trace(np.int64(2), np.int64(1), np.int64(20)).horizon == 24
+
+
 # ---------------------------------------------------------------------------
 # run configuration
 
@@ -784,7 +794,7 @@ def test_cli_rejects_a_negative_seed(tmp_path, capsys):
             assert capsys.readouterr() == ("", "error: config seed: -1 is less than the minimum of 0\n")
             assert not out.exists()
     assert main(["synth", "--days", "1", "--seed", "-1", "--out", str(out)]) == 1
-    assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+    assert capsys.readouterr() == ("", "error: seed must be a whole number >= 0, got -1\n")
     assert not out.exists()
     # a valid override replaces the config's seed and lookahead
     assert main(["compare", "--config", cfg, "--seed", "3", "--lookahead", "1", "--out", str(out)]) == 0
@@ -1241,6 +1251,83 @@ def test_cli_exits_cleanly_on_extreme_inputs(
         else:
             totals = list(_totals(report))
         assert totals and all(math.isfinite(total) for total in totals)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"server": {"c_idle": 0.1, "c_peak": 1e14, "beta_s": 0.08}},
+    {"days": 1, "seed": 3, "servers": 20, "generator": {"count": 0},
+     "server": {"c_idle": 0.1, "c_peak": 1e30, "beta_s": 0.04}},
+    {"days": 1, "servers": 20, "generator": {"capacity": 4.0, "c_m": 0.08, "beta_g": 1.0, "count": 2},
+     "conditioning": {"kind": "quadratic", "const": 1e16, "b_max": 5.0}},
+], ids=["c_peak-1e14", "c_peak-1e30-no-generators", "conditioning-const-1e16"])
+def test_cli_runs_at_magnitudes_where_floats_round_an_ulp(tmp_path, capsys, cfg):
+    # the exact DP's floor and band cross in floats (the first two), and
+    # dispatch's v = d - u sums an ulp below d past 2^53 (the first and the
+    # third): each command still writes a finite report on the exact reference
+    config, out = tmp_path / "run.json", tmp_path / "out.json"
+    config.write_text(json.dumps(cfg))
+    for command in (["compare"], ["sweep"], ["solve", "--algo", "offline"]):
+        assert main([*command, "--config", str(config), "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        report = json.loads(out.read_text(), parse_constant=pytest.fail)
+        kinds = {row.get("reference_kind") for row in report.get("rows", [report])}
+        assert kinds == ({None} if command[0] == "solve" else {"exact"})
+        assert all(math.isfinite(total) for total in _totals(report))
+
+
+_EDGE_VALUES = (0, -0.0, 2.0, 2**53 + 1, 2**63, 1e14, 1e16, 1e30, 1e308, 1e-320,
+                True, False, "1", None)
+_EDGE_KEYS = (
+    *(("server", key) for key in ("c_idle", "c_peak", "beta_s")),
+    *(("generator", key) for key in ("capacity", "c_o", "c_m", "beta_g", "count")),
+    *(("conditioning", key) for key in ("quad", "lin", "const", "b_max")),
+    (None, "seed"), (None, "lookahead"),
+)
+
+
+@st.composite
+def _edge_configs(draw):
+    """A 20-server config of one or two days with one to three numeric keys
+    at an edge value; c_peak and the conditioning const also range up to
+    1e30, where the DP's band edges can cross in floats."""
+    cfg = {"days": draw(st.integers(1, 2)), "servers": 20}
+    for section, key in draw(st.lists(st.sampled_from(_EDGE_KEYS), min_size=1, max_size=3,
+                                      unique=True)):
+        values = st.sampled_from(_EDGE_VALUES)
+        if key in ("c_peak", "const"):
+            values |= _log_uniform(1e-3, 1e30)
+        value = draw(values)
+        if section is None:
+            cfg[key] = value
+        else:
+            cfg.setdefault(section, {"kind": "quadratic"} if section == "conditioning" else {})
+            cfg[section][key] = value
+    return cfg
+
+
+@given(cfg=_edge_configs(), command=st.sampled_from(
+    (["compare"], ["sweep"], ["solve", "--algo", "offline"], ["solve", "--algo", "dcmon"])))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_cli_contract_holds_at_edge_values(cfg, command):
+    # exit 0, 1, 2 or 3, never a raise; a failure is one error line, never a
+    # FeasibilityError's "slot N: ..." text, and writes no report; a report
+    # holds no Infinity or NaN
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = pathlib.Path(tmp, "run.json"), pathlib.Path(tmp, "out.json")
+        config.write_text(json.dumps(cfg))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = main([*command, "--config", str(config), "--out", str(out)])
+        assert rc in (0, 1, 2, 3) and stdout.getvalue() == ""
+        if rc in (1, 2):
+            err = stderr.getvalue()
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+            assert not re.match(r"error: slot \d+: ", err) and not out.exists()
+        elif rc == 0:
+            text = out.read_text()
+            assert "Infinity" not in text and "NaN" not in text
 
 
 def test_reports_are_strict_json(tmp_path, monkeypatch, capsys):

@@ -542,6 +542,27 @@ def test_check_schedule_names_first_bad_slot():
         check_schedule(inst, Schedule(x=[1.0, 2.0], y=z, u=z, v=[0.1, 9.0]))
 
 
+def test_check_schedule_accepts_the_dispatch_it_rounds_past_2_53():
+    # dispatch writes v = d - u: at d = 2^53 + 2 and u = 1 that rounds to
+    # 2^53, and u + v rounds to 2^53 again, an ulp below d. The cover test
+    # reads v against d - u, the value dispatch wrote, so the program's own
+    # schedule passes and a real shortfall still fails
+    inst = Instance(
+        workload=[1.0, 1.0],
+        price=[0.2, 0.2],
+        server=ServerModel(c_idle=0.0, c_peak=2.0**53 + 2, beta_s=0.08),
+        generator=GeneratorModel(capacity=1.0, c_o=0.08, c_m=0.01, beta_g=24.0, count=1),
+    )
+    x = y = np.ones(2)
+    sched = dispatched_schedule(inst, x, y)
+    assert np.all(sched.u + sched.v < inst.demand(x) - FEAS_TOL)
+    check_schedule(inst, sched)
+    assert math.isfinite(evaluate(inst, sched).total)
+    short = Schedule(x=x, y=y, u=sched.u, v=sched.v - [0.0, 2.0])
+    with pytest.raises(FeasibilityError, match="slot 2: supply u"):
+        check_schedule(inst, short)
+
+
 def first_violation(inst, sched):
     """Slot-by-slot reference for check_schedule's verdict."""
     gen = inst.generator

@@ -653,6 +653,22 @@ def test_near_optimal_schedules_stay_inside_the_dp_band():
     assert raised >= 0.3 * draws, raised
 
 
+def test_dp_floors_at_need_where_its_edges_cross_in_floats():
+    # c_peak 1e30 dwarfs an idle server's 0.1 kW: d_s(M) - d_s(M-1) rounds
+    # to 0, so rho falls below mu and the floor rises past the band top.
+    # The DP then floors at ceil(a), which every schedule keeps, and stays
+    # exact against the Dijkstra oracle
+    cfg = harness.validate_config({"days": 1, "seed": 3, "servers": 20, "generator": {"count": 0},
+                                   "server": {"c_idle": 0.1, "c_peak": 1e30, "beta_s": 0.04}})
+    inst = harness.build_instance(harness.synthesize_trace(3, 1, 20), cfg)
+    need = np.ceil(inst.workload).astype(int)
+    assert np.any(offline._dp_floor(inst, need) > offline._dp_band(inst, need))
+    _, lows, highs, _ = offline._value_layers(inst)
+    assert lows[1:-1] == need.tolist() and all(lo <= hi for lo, hi in zip(lows, highs))
+    total = evaluate(inst, solve_dcm_offline(inst)).total
+    assert total == pytest.approx(evaluate(inst, dcm_dijkstra(inst)).total, rel=1e-12)
+
+
 def test_gap_band_keeps_a_third_of_the_window_peak_states_on_the_presets():
     # on a diurnal trace the peak need within one span takes in the morning
     # ramp, while a gap of D slots holds only what is needed on both sides
