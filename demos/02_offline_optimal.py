@@ -22,7 +22,7 @@ from dcmkit import (
     solve_dcm_offline,
     solve_ep_offline,
 )
-from dcmkit.analysis import decomposed_offline_schedule
+from dcmkit.model import staged_schedule
 from dcmkit.offline import brute_force_ep, cp_offline_slices, ep_cost, regret_rows, regret_steps
 
 
@@ -137,7 +137,7 @@ def main() -> None:
     print("=== decomposition penalty ===")
     inst = tiny_instance(rng)
     joint = evaluate(inst, solve_dcm_offline(inst)).total
-    staged = evaluate(inst, decomposed_offline_schedule(inst)).total
+    staged = evaluate(inst, staged_schedule(inst, solve_cp_offline(inst), solve_ep_offline)).total
     print(f"random instance: joint {joint:.4f} <= staged {staged:.4f}")
     report = decomposition_tightness(periods_small=10, periods_large=20)
     print(f"adversarial family, steady-state staged/joint ratio:")

@@ -10,12 +10,11 @@ Run with: python3 demos/04_experiments.py   (about half a minute)
 import math
 
 from dcmkit import (
+    SCHEDULES,
     OngridParams,
-    ablation_cp_only,
-    ablation_ep_only,
     build_instance,
+    evaluate,
     run_comparison,
-    static_benchmark,
     sweep_generators,
     sweep_lookahead,
     synthesize_trace,
@@ -76,15 +75,16 @@ def main() -> None:
     print()
 
     # -- single-lever ablations ---------------------------------------------
-    # Supply-only: static peak fleet, optimal generator use. Provision-only:
-    # optimal fleet, grid energy only. Which lever matters depends on the
-    # trace: price spreads favor supply, workload swings favor provisioning.
+    # Supply-only (ofa): static peak fleet, optimal generator use.
+    # Provision-only (cpoff): optimal fleet, grid energy only. Which lever
+    # matters depends on the trace: price spreads favor supply, workload
+    # swings favor provisioning.
     print("=== one lever at a time ===")
     for preset in ("ny", "flat"):
         inst = preset_instance(preset)
-        base = static_benchmark(inst).total
-        ep = 1.0 - ablation_ep_only(inst).total / base
-        cp = 1.0 - ablation_cp_only(inst).total / base
+        base = evaluate(inst, SCHEDULES["static"](inst, 0)).total
+        ep = 1.0 - evaluate(inst, SCHEDULES["ofa"](inst, 0)).total / base
+        cp = 1.0 - evaluate(inst, SCHEDULES["cpoff"](inst, 0)).total / base
         lever = "supply" if ep > cp else "provisioning"
         print(f"{preset:>5}: supply-only saves {100 * ep:5.1f}%, provisioning-only "
               f"{100 * cp:5.1f}%  ({lever} lever dominates)")

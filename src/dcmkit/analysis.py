@@ -1,6 +1,13 @@
-"""Experiment layer: benchmarks, head-to-head comparisons, ablations,
+"""Experiment layer: the algorithm table, head-to-head comparisons,
 parameter sweeps, and the two worst-case trace families that make the
 theoretical ratios measurable on real runs.
+
+SCHEDULES is the one table of algorithms, keyed by the names that
+`solve --algo` takes and reports print. Beside the offline and online
+solvers it holds the static benchmark (peak fleet, grid only) and the two
+single-lever ablations: cpoff is the provisioning lever alone (right-sized
+fleet, grid only) and ofa the supply lever alone (offline supply on the
+static peak fleet).
 
 One lineup (_comparisons) builds and evaluates the compared algorithms:
 run_comparison is it at one window, and a look-ahead sweep row is it at
@@ -12,6 +19,7 @@ _RATIOS, and every sweep row comes from one builder, _sweep_row.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +40,7 @@ from .model import (
 from .offline import (
     DEFAULT_STATE_BUDGET,
     GapWalk,
+    brute_force_dcm,
     cp_cost,
     solve_cp_offline,
     solve_dcm_offline,
@@ -40,6 +49,7 @@ from .offline import (
 from .online import (
     BoundParams,
     OngridParams,
+    chase,
     dcmon,
     gcsr,
     ratio_bound_hybrid,
@@ -61,20 +71,23 @@ def static_fleet(instance: Instance) -> np.ndarray:
     return np.full(instance.horizon, float(instance.max_servers))
 
 
-def static_schedule(instance: Instance) -> Schedule:
-    """The do-nothing benchmark: peak fleet always on, everything from the grid."""
-    return grid_only_schedule(instance, static_fleet(instance))
-
-
-def static_benchmark(instance: Instance) -> CostBreakdown:
-    """Evaluated cost of the peak-provisioned grid-only benchmark."""
-    return evaluate(instance, static_schedule(instance))
-
-
-def decomposed_offline_schedule(instance: Instance) -> Schedule:
-    """Offline reference built stage-wise: slice-optimal provisioning, then
-    slice-optimal supply on the induced energy demand."""
-    return staged_schedule(instance, solve_cp_offline(instance), solve_ep_offline)
+# algorithm -> its schedule on (instance, look-ahead window), in --algo's order:
+# the one table of the names that reports print. Each entry looks its solver up
+# when called, so a name rebound in this module (a tracer's wrapper, say) is the
+# one that runs. The table's offline is the exact DP, which raises CapacityError
+# past its budget; compare's offline is offline_reference, which then falls back
+# to the decomposition and names the one that ran in reference_kind.
+SCHEDULES = {
+    "offline": lambda instance, w: solve_dcm_offline(instance),
+    "bruteforce": lambda instance, w: brute_force_dcm(instance),
+    "gcsr": lambda instance, w: grid_only_schedule(instance, gcsr(instance, w)),
+    "chase": lambda instance, w: staged_schedule(
+        instance, static_fleet(instance), functools.partial(chase, lookahead=w)),
+    "dcmon": lambda instance, w: dcmon(instance, w),
+    "static": lambda instance, w: grid_only_schedule(instance, static_fleet(instance)),
+    "cpoff": lambda instance, w: grid_only_schedule(instance, solve_cp_offline(instance)),
+    "ofa": lambda instance, w: staged_schedule(instance, static_fleet(instance), solve_ep_offline),
+}
 
 
 # (ratio name, algorithm, reference): the one table of the ratios that
@@ -178,7 +191,7 @@ def _comparisons(instance: Instance, lookaheads, state_budget: int) -> list[Expe
     cpoff_x = walk.offline_series()
     reference, kind = offline_reference(instance, cpoff_x, state_budget)
     shared = {
-        "static": static_schedule(instance),
+        "static": SCHEDULES["static"](instance, 0),
         "offline": reference,
         "cpoff": grid_only_schedule(instance, cpoff_x),
     }
@@ -207,28 +220,6 @@ def run_comparison(
     walk (_comparisons).
     """
     return _comparisons(instance, [lookahead], state_budget)[0]
-
-
-# ---------------------------------------------------------------------------
-# ablations: one lever at a time
-
-
-def ep_only_schedule(instance: Instance) -> Schedule:
-    """Supply lever alone: static peak fleet, offline-optimal generator use."""
-    return staged_schedule(instance, static_fleet(instance), solve_ep_offline)
-
-
-def cp_only_schedule(instance: Instance) -> Schedule:
-    """Provisioning lever alone: right-sized fleet, grid-only supply."""
-    return grid_only_schedule(instance, solve_cp_offline(instance))
-
-
-def ablation_ep_only(instance: Instance) -> CostBreakdown:
-    return evaluate(instance, ep_only_schedule(instance))
-
-
-def ablation_cp_only(instance: Instance) -> CostBreakdown:
-    return evaluate(instance, cp_only_schedule(instance))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +367,7 @@ def decomposition_tightness(
     for periods in (periods_small, periods_large):
         inst = worst_case_rho_instance(periods=periods, **family)
         joint = evaluate(inst, solve_dcm_offline(inst, state_budget=state_budget)).total
-        staged = evaluate(inst, decomposed_offline_schedule(inst)).total
+        staged = evaluate(inst, staged_schedule(inst, solve_cp_offline(inst), solve_ep_offline)).total
         totals[periods] = (staged, joint)
     d_staged = totals[periods_large][0] - totals[periods_small][0]
     d_joint = totals[periods_large][1] - totals[periods_small][1]

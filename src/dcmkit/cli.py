@@ -14,27 +14,12 @@ import functools
 import io
 import sys
 
-from . import analysis, harness, online
+from . import analysis, harness
 from .errors import CapacityError, ConfigError, DcmError
-from .model import evaluate, staged_schedule
-from .offline import brute_force_dcm, solve_dcm_offline
+from .model import evaluate
 from .verify import run_verification
 
-# algorithm -> its schedule on (instance, look-ahead window), in --algo's order.
-# Each entry looks its solver up when called, so a name rebound in this module
-# (a tracer's wrapper, say) is the one that runs.
-_SCHEDULES = {
-    "offline": lambda instance, w: solve_dcm_offline(instance),
-    "bruteforce": lambda instance, w: brute_force_dcm(instance),
-    "gcsr": lambda instance, w: analysis.grid_only_schedule(instance, online.gcsr(instance, w)),
-    "chase": lambda instance, w: staged_schedule(
-        instance, analysis.static_fleet(instance), functools.partial(online.chase, lookahead=w)),
-    "dcmon": lambda instance, w: online.dcmon(instance, w),
-    "static": lambda instance, w: analysis.static_schedule(instance),
-    "cpoff": lambda instance, w: analysis.cp_only_schedule(instance),
-    "ofa": lambda instance, w: analysis.ep_only_schedule(instance),
-}
-ALGORITHMS = tuple(_SCHEDULES)
+ALGORITHMS = tuple(analysis.SCHEDULES)  # --algo's choices, in the table's order
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,7 +94,7 @@ def _emit(report: dict, args) -> None:
 
 def _cmd_solve(args) -> int:
     instance, cfg = _load_setup(args)
-    sched = _SCHEDULES[args.algo](instance, cfg["lookahead"])
+    sched = analysis.SCHEDULES[args.algo](instance, cfg["lookahead"])
     result = analysis.AlgoResult(args.algo, sched, evaluate(instance, sched))
     _emit(
         {

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from dcmkit import (
+    SCHEDULES,
     OngridParams,
     build_instance,
     dcmon,
@@ -21,12 +22,9 @@ from dcmkit import (
     gcsr,
     run_comparison,
     solve_cp_offline,
-    static_benchmark,
     synthesize_trace,
 )
 from dcmkit.analysis import (
-    ablation_cp_only,
-    ablation_ep_only,
     decomposition_tightness,
     gcsr_family_measurement,
     grid_only_schedule,
@@ -140,9 +138,9 @@ def test_accept_08_qualitative_directions():
     # lever ordering: supply lever wins when the day price clears the
     # generator break-even by >= 50%, provisioning lever wins on flat prices
     for name, inst, ep_should_win in (("ny", ny, True), ("flat", flat, False)):
-        static = static_benchmark(inst).total
-        ep = 1.0 - ablation_ep_only(inst).total / static
-        cp = 1.0 - ablation_cp_only(inst).total / static
+        static = evaluate(inst, SCHEDULES["static"](inst, 0)).total
+        ep = 1.0 - evaluate(inst, SCHEDULES["ofa"](inst, 0)).total / static
+        cp = 1.0 - evaluate(inst, SCHEDULES["cpoff"](inst, 0)).total / static
         if (ep > cp) != ep_should_win:
             failures.append(f"{name}: ep-only {ep:.4f} vs cp-only {cp:.4f}, "
                             f"expected ep {'>' if ep_should_win else '<'} cp")

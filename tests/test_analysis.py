@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from dcmkit import (
+    SCHEDULES,
     BoundParams,
     ConfigError,
     GeneratorModel,
     Instance,
     OngridParams,
     ServerModel,
-    ablation_cp_only,
-    ablation_ep_only,
     dcmon,
     decomposition_tightness,
     evaluate,
@@ -24,7 +23,7 @@ from dcmkit import (
     run_comparison,
     solve_cp_offline,
     solve_dcm_offline,
-    static_benchmark,
+    solve_ep_offline,
     sweep_generators,
     sweep_lookahead,
     worst_case_gcsr_instance,
@@ -34,11 +33,10 @@ from dcmkit import analysis, harness, offline
 from dcmkit.analysis import (
     AlgoResult,
     ExperimentReport,
-    decomposed_offline_schedule,
     gcsr_family_measurement,
     grid_only_schedule,
-    static_schedule,
 )
+from dcmkit.model import staged_schedule
 from dcmkit.offline import cp_cost
 from dcmkit.verify import random_bound_instance, random_tiny_instance
 
@@ -58,14 +56,14 @@ def toy_instance(workload, price, count=1, beta_s=0.08):
 
 def test_static_benchmark_flat_integer_workload_leaves_no_slack():
     inst = toy_instance(np.full(6, 3.0), np.full(6, 0.2))
-    static = static_benchmark(inst).total
+    static = evaluate(inst, SCHEDULES["static"](inst, 0)).total
     cpoff = cp_cost(inst, solve_cp_offline(inst))
     assert static == pytest.approx(cpoff, abs=1e-12)
 
 
 def test_static_benchmark_zero_workload_costs_nothing():
     inst = toy_instance(np.zeros(4), np.full(4, 0.2), count=0)
-    assert static_benchmark(inst).total == 0.0
+    assert evaluate(inst, SCHEDULES["static"](inst, 0)).total == 0.0
 
 
 def test_provisioning_slack_makes_static_beatable():
@@ -93,8 +91,8 @@ def test_decomposed_reference_solves_cpoff_once(monkeypatch):
     rng = np.random.default_rng(32)
     inst = random_tiny_instance(rng)
     lineup = {
-        "static": static_schedule(inst),
-        "offline": decomposed_offline_schedule(inst),
+        "static": SCHEDULES["static"](inst, 0),
+        "offline": staged_schedule(inst, solve_cp_offline(inst), solve_ep_offline),
         "cpoff": grid_only_schedule(inst, solve_cp_offline(inst)),
         "gcsr": grid_only_schedule(inst, gcsr(inst, 2)),
         "dcmon": dcmon(inst, 2),
@@ -218,20 +216,20 @@ def test_restriction_chain_orders_the_ablations():
     for _ in range(15):
         inst = random_tiny_instance(rng)
         joint = evaluate(inst, solve_dcm_offline(inst)).total
-        static = static_benchmark(inst).total
-        assert ablation_ep_only(inst).total <= static + 1e-9
-        assert ablation_cp_only(inst).total <= static + 1e-9
-        assert joint <= ablation_ep_only(inst).total + 1e-9
-        assert joint <= ablation_cp_only(inst).total + 1e-9
+        static = evaluate(inst, SCHEDULES["static"](inst, 0)).total
+        assert evaluate(inst, SCHEDULES["ofa"](inst, 0)).total <= static + 1e-9
+        assert evaluate(inst, SCHEDULES["cpoff"](inst, 0)).total <= static + 1e-9
+        assert joint <= evaluate(inst, SCHEDULES["ofa"](inst, 0)).total + 1e-9
+        assert joint <= evaluate(inst, SCHEDULES["cpoff"](inst, 0)).total + 1e-9
 
 
 def test_supply_lever_wins_on_priced_up_fixed_load():
     # constant integer workload: no provisioning slack, but demand large
     # enough to load a generator, so only the supply lever finds savings
     inst = toy_instance(np.full(8, 300.0), np.full(8, 0.2))
-    static = static_benchmark(inst).total
-    ep = ablation_ep_only(inst).total
-    cp = ablation_cp_only(inst).total
+    static = evaluate(inst, SCHEDULES["static"](inst, 0)).total
+    ep = evaluate(inst, SCHEDULES["ofa"](inst, 0)).total
+    cp = evaluate(inst, SCHEDULES["cpoff"](inst, 0)).total
     assert cp == pytest.approx(static, abs=1e-12)
     assert ep < static - 1e-9
 
@@ -239,9 +237,9 @@ def test_supply_lever_wins_on_priced_up_fixed_load():
 def test_provisioning_lever_wins_when_generation_is_off_the_table():
     # the 5-slot gap costs strictly more than beta_s, so right-sizing pays
     inst = toy_instance([2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0], np.full(7, 0.2), count=0)
-    static = static_benchmark(inst).total
-    assert ablation_ep_only(inst).total == pytest.approx(static, abs=1e-12)
-    assert ablation_cp_only(inst).total < static - 1e-9
+    static = evaluate(inst, SCHEDULES["static"](inst, 0)).total
+    assert evaluate(inst, SCHEDULES["ofa"](inst, 0)).total == pytest.approx(static, abs=1e-12)
+    assert evaluate(inst, SCHEDULES["cpoff"](inst, 0)).total < static - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +428,6 @@ def test_gcsr_family_gap_regimes():
 
 def test_static_schedule_is_peak_everywhere():
     inst = toy_instance([1.0, 3.2, 0.0], np.full(3, 0.2))
-    sched = static_schedule(inst)
+    sched = SCHEDULES["static"](inst, 0)
     assert np.all(sched.x == 4.0)
     assert np.all(sched.y == 0.0)

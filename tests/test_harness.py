@@ -638,6 +638,27 @@ def test_cli_solve_runs_every_listed_algorithm(tmp_path, capsys):
     assert totals["offline"] <= min(totals.values()) + 1e-12
 
 
+@pytest.mark.parametrize("preset", ["ny", "sj", "flat"])
+def test_cli_solve_entry_is_compares_entry(tmp_path, preset):
+    # one table names the algorithms, so solve --algo X prints compare's entry
+    # for X byte for byte (the golden configs: small generators, 60 servers)
+    gen = {"capacity": 4.0, "c_m": 0.08, "beta_g": 1.0, "count": 3}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"days": 3, "servers": 60, "generator": gen, "preset": preset}))
+    out = tmp_path / "report.json"
+
+    def entries(*argv):
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        return {name: json.dumps(entry) for name, entry in doc["algorithms"].items()}
+
+    for w in ("0", "4", "16"):
+        compared = entries("compare", "--lookahead", w)
+        assert set(compared) == {"static", "offline", "cpoff", "gcsr", "dcmon"}
+        for algo in compared:
+            assert entries("solve", "--algo", algo, "--lookahead", w) == {algo: compared[algo]}
+
+
 def test_cli_compare_reruns_are_byte_identical(tmp_path):
     cfg = write_tiny_config(tmp_path)
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -578,9 +578,27 @@ def first_violation(inst, sched):
         if u > gen.capacity * y + FEAS_TOL:
             return f"slot {t}: on-site supply u={u} exceeds active capacity {gen.capacity * y}"
         d = demand[t - 1]
-        if u + v < d - FEAS_TOL:
+        if v < d - u - FEAS_TOL:  # dispatch writes v = d - u, which u + v may round below d
             return f"slot {t}: supply u+v={u + v} below demand {d}"
     return None
+
+
+def test_first_violation_agrees_with_check_schedule_past_2_53():
+    # the instance of test_check_schedule_accepts_the_dispatch_it_rounds_past_2_53
+    inst = Instance(
+        workload=[1.0, 1.0],
+        price=[0.2, 0.2],
+        server=ServerModel(c_idle=0.0, c_peak=2.0**53 + 2, beta_s=0.08),
+        generator=GeneratorModel(capacity=1.0, c_o=0.08, c_m=0.01, beta_g=24.0, count=1),
+    )
+    x = y = np.ones(2)
+    sched = dispatched_schedule(inst, x, y)
+    assert first_violation(inst, sched) is None
+    check_schedule(inst, sched)
+    short = Schedule(x=x, y=y, u=sched.u, v=sched.v - [0.0, 2.0])
+    with pytest.raises(FeasibilityError) as err:
+        check_schedule(inst, short)
+    assert str(err.value) == first_violation(inst, short)
 
 
 def test_schedule_kernels_match_slot_by_slot_reference():

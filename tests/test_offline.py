@@ -12,6 +12,7 @@ import pytest
 from dcmkit import (
     CapacityError,
     ConfigError,
+    FeasibilityError,
     GeneratorModel,
     Instance,
     ServerModel,
@@ -149,8 +150,9 @@ def test_walk_records_the_breakeven_slot_of_each_reached_gap():
 
 
 def test_cp_cost_rejects_uncovered_workload():
+    # an uncovered slot is a schedule fault, as in dispatched_schedule and check_schedule
     inst = flat_power_instance([1.0, 2.0], [0.1, 0.1])
-    with pytest.raises(ConfigError, match="slot 2"):
+    with pytest.raises(FeasibilityError, match=r"^slot 2: fleet 1\.0 below required 2\.0$"):
         cp_cost(inst, [1.0, 1.0])
 
 

@@ -1,16 +1,21 @@
-"""Package surface: every export resolves and every demo script runs."""
+"""Package surface: every export resolves, and every demo script and README
+example runs."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import dcmkit
+from dcmkit import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
 
 
 def test_every_export_resolves():
@@ -70,3 +75,21 @@ def test_demo_runs(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert sorted(path.name for path in temp.iterdir()) == []
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_block_runs(block, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", block], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_solve_list_names_every_algorithm():
+    assert README_BLOCKS  # the Quick start block at least
+    listed = re.search(r"`solve` runs one algorithm \(([^)]*)\)", README)
+    assert tuple(re.findall(r"`([^`]+)`", listed.group(1))) == cli.ALGORITHMS
