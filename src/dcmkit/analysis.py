@@ -308,52 +308,37 @@ def _spike_train(periods: int, gap: int) -> np.ndarray:
     return train
 
 
-def worst_case_rho_instance(
-    periods: int = 40,
-    capacity: float = 64.0,
-    p_max: float = 0.25,
-    c_o: float = 0.09375,
-    c_m: float = 2.0,
-    unit_power: float = 8.0,
-    gap: int = 6,
-    beta_g: float = 24.0,
-    generators: int = 1,
-) -> Instance:
+def worst_case_rho_instance(periods: int = 40, gap: int = 6, generators: int = 1) -> Instance:
     """Spike-and-idle trace on which stage-wise solving pays the full
     decomposition penalty.
 
-    Servers draw unit_power flat (idle equals peak), the price sits at p_max
-    throughout, and each period is one spike needing the whole generator
-    fleet's worth of demand followed by `gap` empty slots. The restart cost
-    is set so every idle gap exactly ties the break-even rule, which makes
-    the provisioning stage shut down and buy spikes from the grid, while the
-    joint optimum holds everything on and runs the generators flat out.
+    Servers draw unit_power = 8 flat (idle equals peak), the price sits at
+    p_max = 0.25 throughout, and each period is one spike needing the whole
+    generator fleet's worth of demand followed by `gap` empty slots. The
+    restart cost is set so every idle gap exactly ties the break-even rule,
+    which makes the provisioning stage shut down and buy spikes from the
+    grid, while the joint optimum holds everything on and runs the
+    generators flat out.
 
-    Defaults are dyadic so every break-even comparison is float-exact (the
-    construction lives on knife-edge ties); they give a penalty of exactly 2.
+    The generators have capacity 64, c_o = 0.09375, c_m = 2 and beta_g = 24.
+    Every fixed value is dyadic, so every break-even comparison is
+    float-exact (the construction lives on knife-edge ties); the penalty is
+    exactly 2.
     """
+    capacity, p_max, unit_power = 64.0, 0.25, 8.0
     spikes = _spike_train(periods, gap)
-    beta_s = gap * unit_power * p_max
-    servers = capacity * generators / unit_power
-    if abs(servers - round(servers)) > 1e-12:
-        raise ValueError("capacity * generators must be a multiple of unit_power")
     return Instance(
-        workload=spikes * servers,
+        workload=spikes * (capacity * generators / unit_power),
         price=np.full(len(spikes), p_max),
-        server=ServerModel(c_idle=unit_power, c_peak=unit_power, beta_s=beta_s),
+        server=ServerModel(c_idle=unit_power, c_peak=unit_power, beta_s=gap * unit_power * p_max),
         generator=GeneratorModel(
-            capacity=capacity, c_o=c_o, c_m=c_m, beta_g=beta_g, count=generators
+            capacity=capacity, c_o=0.09375, c_m=2.0, beta_g=24.0, count=generators
         ),
         label="worst-case-rho",
     )
 
 
-def decomposition_tightness(
-    periods_small: int = 40,
-    periods_large: int = 80,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-    **family,
-) -> dict:
+def decomposition_tightness(periods_small: int = 40, periods_large: int = 80) -> dict:
     """Measure the decomposition penalty on the worst-case family.
 
     Plain cost ratios carry boundary transients that die off only over
@@ -365,13 +350,13 @@ def decomposition_tightness(
         raise ValueError("periods_large must exceed periods_small")
     totals = {}
     for periods in (periods_small, periods_large):
-        inst = worst_case_rho_instance(periods=periods, **family)
-        joint = evaluate(inst, solve_dcm_offline(inst, state_budget=state_budget)).total
+        inst = worst_case_rho_instance(periods=periods)
+        joint = evaluate(inst, solve_dcm_offline(inst)).total
         staged = evaluate(inst, staged_schedule(inst, solve_cp_offline(inst), solve_ep_offline)).total
         totals[periods] = (staged, joint)
     d_staged = totals[periods_large][0] - totals[periods_small][0]
     d_joint = totals[periods_large][1] - totals[periods_small][1]
-    inst = worst_case_rho_instance(periods=periods_small, **family)
+    inst = worst_case_rho_instance(periods=periods_small)
     return {
         "measured": d_staged / d_joint,
         "predicted": rho_decomposition(BoundParams.from_instance(inst)),
@@ -384,29 +369,23 @@ def decomposition_tightness(
 # worst-case family 2: provisioning look-ahead
 
 
-def worst_case_gcsr_instance(
-    periods: int = 50,
-    gap: int = 100,
-    idle_ratio: float = 100.0,
-    unit_power: float = 0.015625,
-    price: float = 1.0,
-) -> Instance:
+def worst_case_gcsr_instance(periods: int = 50, gap: int = 100, idle_ratio: float = 100.0) -> Instance:
     """Single-slice trace that drives the break-even rule to its bound.
 
-    One unit of workload appears every gap+1 slots; servers draw unit_power
-    whether busy or idle and the price is flat, so the break-even idle
-    window is exactly idle_ratio slots. With gap equal to idle_ratio every
-    idle stretch ties the offline rule (turn off) while a short window
-    keeps the online rule holding almost to the end of the stretch. The
-    default per-slot idle cost is dyadic so tie comparisons are float-exact.
+    One unit of workload appears every gap+1 slots; servers draw
+    unit_power = 2^-6 whether busy or idle and the price is flat at 1, so
+    the break-even idle window is exactly idle_ratio slots. With gap equal
+    to idle_ratio every idle stretch ties the offline rule (turn off) while
+    a short window keeps the online rule holding almost to the end of the
+    stretch. The per-slot idle cost is dyadic so tie comparisons are
+    float-exact.
     """
     workload = _spike_train(periods, gap)
+    unit_power = 0.015625
     return Instance(
         workload=workload,
-        price=np.full(len(workload), price),
-        server=ServerModel(
-            c_idle=unit_power, c_peak=unit_power, beta_s=idle_ratio * unit_power * price
-        ),
+        price=np.ones(len(workload)),
+        server=ServerModel(c_idle=unit_power, c_peak=unit_power, beta_s=idle_ratio * unit_power),
         generator=GeneratorModel(capacity=60.0, c_o=0.08, c_m=1.2, beta_g=24.0, count=0),
         label="worst-case-gcsr",
     )

@@ -726,7 +726,8 @@ class GapWalk:
     followed into the next sub-step (open_gaps). A reached gap's break-even
     slot j*, the first slot of the gap where the predicate holds, is found in
     the sub-step that reaches it by _breakeven_rows over its rows,
-    O(gaps * log block) work, and recorded for GCSR and cp_offline_slices.
+    O(gaps * log block) work, and recorded for GCSR, gcsr_slices and
+    cp_offline_slices.
 
     Much of a sub-step's time is numpy's fixed cost per call, so both stages
     besides demand evaluation act on whole blocks. gap_pieces makes only the

@@ -25,7 +25,9 @@ records whose evidence lies within its own window end, each checked against
 its own decision's end: a shared walk is as causal as a private one. The
 walk costs O(rows * M + gaps * log block) work once, each fleet O(T +
 reached gaps). One walk serves a compare's gcsr, dcmon and cpoff, and every
-window and generator count of a sweep.
+window and generator count of a sweep. The fleet keeps only its series;
+gcsr_slices replays a run's (M, T) slice matrix from a walk's records,
+outside the fleet's path, as offline.cp_offline_slices does for cpoff.
 
 Supply (CHASE, ChaseFleet): each unit generator slice tracks R, its
 cumulative savings of running versus buying from the grid, clamped to
@@ -141,17 +143,13 @@ class RevealedWindow:
         return np.minimum(self.decision_end(np.arange(first, last + 1)), self.end)
 
 
-def _drive(fleet, window: RevealedWindow, keep: bool = False) -> list:
+def _drive(fleet, window: RevealedWindow) -> None:
     """Step fleet over the whole horizon: reveal the window ends of the next
     offline.BLOCK_SLOTS decisions, then let the fleet decide every slot
-    whose end is revealed. With keep, returns the decide_next results."""
-    kept = []
+    whose end is revealed."""
     while fleet.next_slot <= window.horizon:
         window.reveal(window.decision_end(fleet.next_slot + offline.BLOCK_SLOTS - 1))
-        step = fleet.decide_next()
-        if keep:
-            kept.append(step)
-    return kept
+        fleet.decide_next()
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +205,7 @@ class GcsrFleet:
     its close slot s <= t, and c(s) is read for s <= t only. A walk
     stepped past E by another fleet thus gives this one nothing it could
     not have computed itself. The fleet holds O(T) numbers, and the walk one
-    block's buffer plus O(M + T + reached gaps). decide_next returns the
-    (slices, slots) of the turn-offs it took, for painting slices.
+    block's buffer plus O(M + T + reached gaps).
     """
 
     def __init__(self, instance: Instance, window: RevealedWindow, walk: GapWalk | None = None):
@@ -224,17 +221,15 @@ class GcsrFleet:
         self.next_slot = 1
         self.series: list[int] = []
 
-    def decide_next(self) -> tuple:
-        """Decide slots self.next_slot.. through the last whose own window end
-        is revealed; returns the (slices, slots) of the turn-offs taken."""
+    def decide_next(self) -> None:
+        """Decide slots self.next_slot.. through the last whose own window end is revealed."""
         t, walk, window = self.next_slot, self.walk, self.window
         ends = window.ends(t)
         if walk.stepped < ends[-1]:
             walk.step(window.read(self.instance.workload, walk.stepped + 1, ends[-1]), ends[-1])
-        slices, g, j_star = walk.breakevens(self._taken, ends[-1])
+        _, g, j_star = walk.breakevens(self._taken, ends[-1])
         self._taken += len(j_star)
         k = len(ends)
-        off = g  # the turn-off slots, none without records
         if len(j_star):
             decision = np.searchsorted(ends, j_star)  # t* - t
             latest = np.zeros((k, 1), dtype=int)
@@ -248,14 +243,10 @@ class GcsrFleet:
         self._held = int(held[-1])
         self.series.extend((need[1:] + held).tolist())
         self.next_slot += k
-        return slices, off
 
 
-def gcsr(instance: Instance, lookahead: int, return_slices: bool = False, *,
-         walk: GapWalk | None = None):
-    """Run GCSR over the whole horizon; returns the provisioning series, and
-    with return_slices also the (max_servers, horizon) on/off matrix of its
-    slices.
+def gcsr(instance: Instance, lookahead: int, *, walk: GapWalk | None = None) -> np.ndarray:
+    """Run GCSR over the whole horizon; returns the provisioning series.
 
     walk is a GapWalk of instance's provisioning inputs (see GcsrFleet), a
     new one when None; the result is the same either way. The run steps it
@@ -266,16 +257,28 @@ def gcsr(instance: Instance, lookahead: int, return_slices: bool = False, *,
     even when the window reaches it: a powered slice in its trailing gap
     holds unless the gap's idle cost reaches beta_s, where the offline rule
     turns off for free. At w >= T it differs from solve_cp_offline only in
-    trailing gaps.
+    trailing gaps. gcsr_slices gives the run's slices.
     """
     window = RevealedWindow(instance.horizon, check_scalar("lookahead", lookahead, whole=True))
     fleet = GcsrFleet(instance, window, walk)
-    offs = _drive(fleet, window, keep=return_slices)
-    x = np.array(fleet.series, dtype=float)
-    if not return_slices:
-        return x
-    return x, offline._paint(fleet.walk.need[1:], instance.max_servers,
-                             [np.concatenate(parts) for parts in zip(*offs)])
+    _drive(fleet, window)
+    return np.array(fleet.series, dtype=float)
+
+
+def gcsr_slices(instance: Instance, lookahead: int) -> np.ndarray:
+    """The (max_servers, horizon) on/off matrix of gcsr's unit server slices,
+    whose column sums are gcsr's series.
+
+    A replay over the whole instance, not an online run: it steps its own
+    walk to the end and reads every reached gap's record (slice, g, j*) at
+    once. Each such slice turns off at max(g, t*), t* the first decision
+    whose window end (RevealedWindow.decision_end) reaches j*, as in GcsrFleet.
+    """
+    window = RevealedWindow(instance.horizon, check_scalar("lookahead", lookahead, whole=True))
+    walk = GapWalk(instance).walk_to_end()
+    slices, g, j_star = walk.breakevens(0, instance.horizon)
+    t_star = 1 + np.searchsorted(window.decision_end(np.arange(1, instance.horizon + 1)), j_star)
+    return offline._paint(walk.need[1:], instance.max_servers, (slices, np.maximum(g, t_star)))
 
 
 # ---------------------------------------------------------------------------

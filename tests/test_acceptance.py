@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from dcmkit import (
     SCHEDULES,
@@ -26,7 +25,6 @@ from dcmkit import (
 )
 from dcmkit.analysis import (
     decomposition_tightness,
-    gcsr_family_measurement,
     grid_only_schedule,
 )
 from dcmkit.cli import main

@@ -21,7 +21,7 @@ from collections import deque
 
 import numpy as np
 
-from dcmkit import dcmon, gcsr, harness, offline, online, solve_cp_offline
+from dcmkit import dcmon, gcsr, gcsr_slices, harness, offline, online, solve_cp_offline
 from dcmkit.offline import idle_cost_block, reaches_breakeven
 from dcmkit.online import RevealedWindow
 from dcmkit.verify import random_bound_instance, random_tiny_instance
@@ -172,7 +172,7 @@ def test_gcsr_and_dcmon_match_the_per_slot_fleet(monkeypatch):
             want_dcmon = reference_dcmon_fleet(inst, w)
             for block in BLOCKS:
                 monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
-                x, slices = gcsr(inst, w, return_slices=True)
+                x, slices = gcsr(inst, w), gcsr_slices(inst, w)
                 assert np.array_equal(x, want_x)
                 assert np.array_equal(slices, want_slices)
                 assert np.array_equal(gcsr(inst, w), want_x)
@@ -324,7 +324,7 @@ def test_runs_on_one_shared_walk_equal_solo_runs(monkeypatch):
     for inst in reference_cases():
         windows = sorted({0, 1, 3, 8, inst.horizon})
         cpoff = solve_cp_offline(inst)
-        solo = {w: (*gcsr(inst, w, return_slices=True), cpoff, dcmon(inst, w).x) for w in windows}
+        solo = {w: (gcsr(inst, w), cpoff, dcmon(inst, w).x) for w in windows}
         monkeypatch.setattr(online, "chase", lambda gen, energy, price, lookahead: 0 * energy)
         for block in BLOCKS:
             monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
@@ -333,8 +333,7 @@ def test_runs_on_one_shared_walk_equal_solo_runs(monkeypatch):
             dcmon(inst, windows[compared % len(windows)], walk=dcmon_first)
             for w in windows:
                 for walk in (gcsr_first, dcmon_first):
-                    got = (*gcsr(inst, w, return_slices=True, walk=walk), walk.offline_series(),
-                           dcmon(inst, w, walk=walk).x)
+                    got = (gcsr(inst, w, walk=walk), walk.offline_series(), dcmon(inst, w, walk=walk).x)
                     assert [a.tobytes() for a in got] == [b.tobytes() for b in solo[w]]
                 compared += 1
         monkeypatch.undo()

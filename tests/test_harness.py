@@ -907,6 +907,21 @@ def test_cli_maps_package_errors_to_exit_codes(monkeypatch, capsys, exc, code):
     assert capsys.readouterr().err == "error: boom\n"
 
 
+def test_cli_verify_prints_the_quick_suites_lines(capsys):
+    # each suite's seed, windows and quick sample count fix its line
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out == (
+        "dispatch: PASS (100 dispatch tuples vs 1001-point grid)\n"
+        "offline-oracle: PASS (25 joint instances, dp == brute force)\n"
+        "decomposition-oracle: PASS (25 cp + 25 ep problems, slice optima == brute force)\n"
+        "gcsr-bounds: PASS (40 instances x 5 windows under bound, 58 saturated cases exact, "
+        "adversarial family >= 95% of bound)\n"
+        "ep-hybrid-bounds: PASS (30 instances x 5 windows under both bounds)\n"
+        "slice-structure: PASS (25 instances x 3 windows, slice structure holds)\n"
+        "causality: PASS (72 truncation replays, all bit-exact)\n"
+    )
+
+
 def test_cli_verify_failure_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_verification", lambda level: [("causality", False, "boom")])
     assert main(["verify"]) == 3

@@ -21,6 +21,7 @@ from dcmkit import (
     ep_offline_slices,
     evaluate,
     gcsr,
+    gcsr_slices,
     ratio_bound_ep,
     ratio_bound_hybrid,
     ratio_bound_hybrid_loose,
@@ -28,7 +29,7 @@ from dcmkit import (
     rho_decomposition,
     solve_cp_offline,
 )
-from dcmkit import harness, offline, online
+from dcmkit import harness, offline, online, verify
 from dcmkit.analysis import grid_only_schedule
 from dcmkit.offline import idle_cost_block
 from dcmkit.online import ChaseFleet, GcsrFleet, RevealedWindow
@@ -505,7 +506,7 @@ def test_gcsr_matches_the_slice_by_slice_reference():
     for k in range(400):
         inst = random_tiny_instance(rng) if k % 2 else random_bound_instance(rng)
         for w in (0, 1, 3, 8, inst.horizon):
-            x, slices = gcsr(inst, w, return_slices=True)
+            x, slices = gcsr(inst, w), gcsr_slices(inst, w)
             want_x, want_slices = reference_gcsr(inst, w)
             assert np.array_equal(x, want_x)
             assert np.array_equal(slices, want_slices)
@@ -524,7 +525,7 @@ def test_gcsr_and_dcmon_refill_the_stream_block_by_block(monkeypatch):
     for block in (1, 2, 5):
         monkeypatch.setattr(offline, "BLOCK_SLOTS", block)
         for inst, w, (want_x, want_slices), want in cases:
-            x, slices = gcsr(inst, w, return_slices=True)
+            x, slices = gcsr(inst, w), gcsr_slices(inst, w)
             assert np.array_equal(x, want_x)
             assert np.array_equal(slices, want_slices)
             sched = dcmon(inst, w)
@@ -540,7 +541,7 @@ def test_gcsr_and_dcmon_over_more_than_one_default_block(monkeypatch):
     scheds = []
     for w in windows:
         want_x, want_slices = reference_gcsr(inst, w)
-        x, slices = gcsr(inst, w, return_slices=True)
+        x, slices = gcsr(inst, w), gcsr_slices(inst, w)
         assert np.array_equal(x, want_x)
         assert np.array_equal(slices, want_slices)
         scheds.append(dcmon(inst, w))
@@ -630,10 +631,22 @@ def test_gcsr_slices_sum_and_nest():
     for _ in range(25):
         inst = random_tiny_instance(rng)
         w = int(rng.integers(0, 5))
-        x, slices = gcsr(inst, w, return_slices=True)
+        x, slices = gcsr(inst, w), gcsr_slices(inst, w)
         assert np.array_equal(slices.sum(axis=0), x)
         for hi, lo in zip(slices, slices[1:]):
             assert np.all(hi >= lo)
+
+
+def test_slice_structure_suite_ties_the_replay_to_gcsr(monkeypatch):
+    # a series one server off its slices fails the suite
+    def off_by_one(instance, lookahead):
+        x = gcsr(instance, lookahead)
+        x[-1] += 1
+        return x
+
+    monkeypatch.setattr(verify, "gcsr", off_by_one)
+    assert verify.verify_slice_structure(samples=3) == (
+        False, "instance 0 w=0: slices do not sum to gcsr's series")
 
 
 def test_gcsr_never_turns_off_while_busy_is_visible():
@@ -688,7 +701,7 @@ def test_full_window_gcsr_differs_from_offline_only_in_trailing_gaps():
     for k in range(600):
         inst = random_tiny_instance(rng) if k % 2 else random_bound_instance(rng)
         t_end = inst.horizon
-        x, on = gcsr(inst, t_end, return_slices=True)
+        x, on = gcsr(inst, t_end), gcsr_slices(inst, t_end)
         off = cp_offline_slices(inst)
         busy = inst.workload > np.arange(inst.max_servers)[:, None]  # (M, T)
         last_busy = t_end - np.argmax(busy[:, ::-1], axis=1)  # every slice is busy somewhere

@@ -1,6 +1,7 @@
 """Package surface: every export resolves, and every demo script and README
 example runs."""
 
+import inspect
 import os
 import pathlib
 import re
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 import dcmkit
-from dcmkit import cli
+from dcmkit import cli, verify
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -22,6 +23,77 @@ def test_every_export_resolves():
     assert len(set(dcmkit.__all__)) == len(dcmkit.__all__)
     missing = [name for name in dcmkit.__all__ if not hasattr(dcmkit, name)]
     assert missing == []
+
+
+# the parameter names of every public callable and verify suite; an option
+# added or removed is a deliberate edit of this table. Exceptions take the
+# message Exception takes, and PRESETS and SCHEDULES are tables, not callables.
+OPTION_SURFACE = {
+    "BoundParams": ("beta_s", "p_min", "d_min", "beta_g", "c_o", "c_m", "capacity", "p_max"),
+    "ConditioningModel": ("kind", "quad", "lin", "const", "b_max"),
+    "CoolingModel": ("kind", "regimes", "b_max", "period"),
+    "CoolingRegime": ("name", "start", "end", "coeffs"),
+    "CostBreakdown": ("grid_energy", "onsite_energy", "maintenance", "server_switching",
+                      "generator_startup"),
+    "ExperimentReport": ("label", "horizon", "lookahead", "reference_kind", "results"),
+    "GeneratorModel": ("capacity", "c_o", "c_m", "beta_g", "count"),
+    "Instance": ("workload", "price", "server", "generator", "cooling", "conditioning", "label"),
+    "OngridParams": ("beta_s", "p_min", "d_min"),
+    "Schedule": ("x", "y", "u", "v"),
+    "ServerModel": ("c_idle", "c_peak", "beta_s"),
+    "TraceFile": ("workload", "price", "regimes"),
+    "brute_force_cp": ("instance", "budget"),
+    "brute_force_dcm": ("instance", "budget"),
+    "brute_force_ep": ("gen", "energy", "price", "budget"),
+    "build_instance": ("trace", "cfg"),
+    "chase": ("gen", "energy", "price", "lookahead"),
+    "check_schedule": ("instance", "sched"),
+    "cp_cost": ("instance", "x"),
+    "cp_offline_slices": ("instance",),
+    "dcmon": ("instance", "lookahead", "params", "walk"),
+    "decomposition_tightness": ("periods_small", "periods_large"),
+    "dispatch": ("gen", "y", "p", "d"),
+    "dispatched_schedule": ("instance", "x", "y"),
+    "ep_cost": ("gen", "energy", "price", "y"),
+    "ep_offline_slices": ("gen", "energy", "price"),
+    "evaluate": ("instance", "sched"),
+    "gcsr": ("instance", "lookahead", "walk"),
+    "gcsr_slices": ("instance", "lookahead"),
+    "load_config": ("path", "overrides"),
+    "load_trace": ("path",),
+    "ratio_bound_ep": ("lookahead", "params"),
+    "ratio_bound_hybrid": ("lookahead", "params"),
+    "ratio_bound_hybrid_loose": ("lookahead", "params"),
+    "ratio_bound_ongrid": ("lookahead", "params"),
+    "rho_decomposition": ("params",),
+    "run_comparison": ("instance", "lookahead", "state_budget"),
+    "run_verification": ("level",),
+    "solve_cp_offline": ("instance",),
+    "solve_dcm_offline": ("instance", "state_budget"),
+    "solve_ep_offline": ("gen", "energy", "price"),
+    "supply_cost": ("gen", "y", "p", "d"),
+    "sweep_generators": ("instance", "counts", "lookahead", "state_budget"),
+    "sweep_lookahead": ("instance", "lookaheads", "state_budget"),
+    "synthesize_trace": ("seed", "days", "servers", "preset"),
+    "worst_case_gcsr_instance": ("periods", "gap", "idle_ratio"),
+    "worst_case_rho_instance": ("periods", "gap", "generators"),
+    "verify.verify_dispatch": ("samples",),
+    "verify.verify_offline_oracle": ("samples",),
+    "verify.verify_decomposition_oracle": ("samples",),
+    "verify.verify_gcsr_bounds": ("samples",),
+    "verify.verify_ep_hybrid_bounds": ("samples",),
+    "verify.verify_slice_structure": ("samples",),
+    "verify.verify_causality": ("samples",),
+}
+
+
+def test_option_surface_is_frozen():
+    public = {name: getattr(dcmkit, name) for name in dcmkit.__all__}
+    public = {name: obj for name, obj in public.items() if callable(obj)
+              and not (isinstance(obj, type) and issubclass(obj, Exception))}
+    public.update({f"verify.{suite.__name__}": suite for suite, _ in verify._SUITES.values()})
+    assert {name: tuple(inspect.signature(obj).parameters) for name, obj in public.items()} \
+        == OPTION_SURFACE
 
 
 def test_import_leaves_jsonschema_unloaded():
